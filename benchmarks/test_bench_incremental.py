@@ -11,10 +11,9 @@ speedup.  Two guards back the PR's acceptance criteria:
 * depth 10 — beyond the old oracle's comfort zone — must complete an
   *exact* search (argmin equal to the trusted per-node pruned path).
 
-A ``prune_slack`` sweep and an honest planner row ride along: the
-planner's per-move candidate sets are so small that batching its
-suffixes does not pay — recorded here so the default
-(``plan_partition(incremental=False)``) stays justified by data.
+A ``prune_slack`` sweep rides along.  (The planner's ``incremental=``
+mode measured parity-to-slower here and was removed; its last recorded
+row stays in ``BENCH_search.json`` as ``planner_incremental``.)
 """
 
 from __future__ import annotations
@@ -25,10 +24,8 @@ from benchmarks.conftest import run_and_print
 from benchmarks.test_bench_ablation_search import merge_into_search_results
 from repro.config import ModelConfig, TrainConfig
 from repro.core.exhaustive import exhaustive_partition
-from repro.core.planner import plan_partition
 from repro.experiments.common import ExperimentResult
 from repro.hardware.device import DEFAULT_CLUSTER_HW
-from repro.models.zoo import GPT2_345M
 from repro.profiling import profile_model
 
 #: 12 layers -> 27 blocks: deep enough that depth-8/10 searches have
@@ -158,43 +155,3 @@ def test_bench_prune_slack(benchmark):
     result = run_and_print(benchmark, run_prune_slack_sweep)
     # slack 1.0 stays exact
     assert float(result.rows[0][2]) == 1.0
-
-
-def run_planner_incremental_honesty(depth: int = 8, m: int = 16):
-    profile = profile_model(
-        GPT2_345M, DEFAULT_CLUSTER_HW,
-        TrainConfig(micro_batch_size=4, global_batch_size=4 * m),
-    )
-    base = plan_partition(profile, depth, m, incremental=False)
-    inc = plan_partition(profile, depth, m, incremental=True)
-    assert inc.partition.stages == base.partition.stages
-    assert inc.iteration_time == base.iteration_time
-    t_base = _best_of(
-        lambda: plan_partition(profile, depth, m, incremental=False)
-    )
-    t_inc = _best_of(
-        lambda: plan_partition(profile, depth, m, incremental=True)
-    )
-    result = ExperimentResult(
-        name=f"Planner incremental honesty (gpt2-345m, depth {depth}, m={m})",
-        headers=["path", "wall (ms)", "ratio"],
-    )
-    result.rows.append(["per-node", f"{t_base * 1e3:.2f}", "1.00x"])
-    result.rows.append([
-        "incremental", f"{t_inc * 1e3:.2f}", f"{t_base / t_inc:.2f}x",
-    ])
-    merge_into_search_results("planner_incremental", {
-        "per_node_seconds": t_base,
-        "incremental_seconds": t_inc,
-        "speedup": t_base / t_inc,
-        "identical_result": True,
-    })
-    return result
-
-
-def test_bench_planner_incremental(benchmark):
-    result = run_and_print(benchmark, run_planner_incremental_honesty)
-    # Honesty row: no speedup guard — the planner's candidate sets are
-    # too small to amortise batching, which is why incremental=False is
-    # the planner default; the bench records the measured ratio.
-    assert len(result.rows) == 2

@@ -30,37 +30,50 @@ The master stage is the stage where the critical path spends the most
 steady-phase (1F1B) time, ties broken toward the last stage.
 
 Performance notes (the planner calls :meth:`PipelineSim.run` thousands of
-times per search sweep):
+times per search sweep; on planner-style streams it is most of the
+planning time):
 
 * the dependency DAG's **topology** is a pure function of ``(n, m)`` — a
   module-level :data:`shape cache <_SHAPE_CACHE>` stores the operation
-  list, flat predecessor index arrays and a precomputed topological order,
-  so repeated simulations of one shape skip graph construction entirely;
-* every op has at most two predecessors and the dependency wavefront is at
-  most ``n`` wide, so the recurrence itself runs as a tight loop over the
-  cached flat index arrays (numpy handles the per-stage duration gather
-  and the latest-op selection, where the arrays are wide enough to win);
-* tight-predecessor sets are only needed along the critical path, so they
-  are computed lazily during the backtrack instead of for every op;
-* :class:`SimResult` stores flat arrays and materialises the
-  ``op_start``/``op_end``/``op_phase`` dictionaries on first access —
-  planner-style consumers that read only ``iteration_time`` and
-  ``master_stage`` never pay for dict construction;
+  list and the ops in Kahn order with each op's cross/intra predecessor
+  remapped to its Kahn position (a missing one points at a sentinel slot
+  holding ``0.0``), so repeated simulations of one shape skip graph
+  construction entirely;
+* :meth:`PipelineSim.run` gathers each op's ``(comm addend, duration)``
+  pair from a 4n-entry per-stage table with one ``operator.itemgetter``
+  call and runs a single ``zip`` loop that appends end times — no numpy,
+  no per-op branches, and the same IEEE sequence as the reference
+  recurrence (max of predecessor ends, ``+ comm`` iff a cross dependency
+  exists, ``+ dur``), bitwise equal because ends are finite and
+  ``>= +0.0`` (:class:`~repro.core.partition.StageTimes` rejects NaN and
+  infinities);
+* the latest op is the sink ``B(0, m-1)`` whenever its end exceeds its
+  start, since every other op ends at or before that start; the
+  tight-predecessor rule then runs only along the ~``2(n+m)``-op critical
+  path, recomputing each start from its predecessors' ends and summing
+  the master-stage weights in path order — nothing is built per op;
+* :class:`SimResult` keeps scalars and the path only (small in memos,
+  plan-cache pickles and pool transfers) and rebuilds
+  ``op_start``/``op_end`` on first access by re-running the relaxation;
+* the planner's nominal master-shift loop stays on this scalar path
+  rather than the max-plus kernel of :mod:`repro.sim.analytic`: its
+  shift waves average 1.55 uncached candidates over the end-to-end
+  ``plan`` benchmark stream, too few for a batched sweep to amortise,
+  and a frontier carries no critical path or master stage;
 * partition searches evaluate families of candidates that share a
-  *prefix* of the stage-time vector (the planner's cooldown/shift moves,
-  the oracle's left-to-right cut descent).  The ops whose start times are
-  a pure function of the prefix times — the **free lattice** of a cut
-  ``k``: Warmup FPs plus the first steady FP of each prefix stage, i.e.
-  every op whose dependency closure avoids stages ``>= k`` — can be
-  checkpointed once per shared prefix (:class:`PrefixState`, built
-  stage-by-stage via :meth:`PrefixState.extend`) and reused verbatim;
+  *prefix* of the stage-time vector (the oracle's left-to-right cut
+  descent).  The ops whose start times are a pure function of the
+  prefix times — the **free lattice** of a cut ``k``: Warmup FPs plus
+  the first steady FP of each prefix stage, i.e. every op whose
+  dependency closure avoids stages ``>= k`` — can be checkpointed once
+  per shared prefix (:class:`PrefixState`, built stage-by-stage via
+  :meth:`PrefixState.extend`) and reused verbatim;
   :meth:`PipelineSim.resume` and :class:`SuffixSimBatch` recompute only
   the remaining ops.  Every recomputed op performs the identical IEEE
-  operation sequence (``max`` of predecessor ends, ``+ comm``, ``+ dur``)
-  over operands that are bitwise equal to a cold run's, so resumed
-  results are bit-for-bit identical to :meth:`PipelineSim.run`
-  (tests/core/test_incremental_sim.py property-checks this, ties and
-  critical paths included).
+  operation sequence over operands that are bitwise equal to a cold
+  run's, so resumed results are bit-for-bit identical to
+  :meth:`PipelineSim.run` (tests/core/test_incremental_sim.py
+  property-checks this, ties and critical paths included).
 
 All of this is exact: start/end times, critical path, master stage and
 tie-breaks are bit-for-bit identical to the straightforward dict-based
@@ -73,6 +86,8 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
+from operator import add, itemgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -114,8 +129,10 @@ class _Shape:
 
     __slots__ = (
         "n", "m", "ops", "index", "intra", "cross", "order",
-        "kahn_pos", "stage", "is_fwd", "phases", "startup_index",
-        "final_index", "dur_index", "_levels", "_plans", "_preds",
+        "stage", "is_fwd", "phases", "startup_index", "final_index",
+        "dur_index", "k_cross", "k_intra", "k_op", "k_phase", "cost_of",
+        "to_slots", "from_slots", "sink_slot", "startup_slot",
+        "_levels", "_plans",
     )
 
     def __init__(self, n: int, m: int) -> None:
@@ -147,8 +164,8 @@ class _Shape:
 
         # Kahn's algorithm (FIFO, seeded in stage-major op order).  The
         # completion order is purely topological, so it is cached with the
-        # shape; ``kahn_pos`` reproduces the reference implementation's
-        # dict insertion order for the latest-op tie-break.
+        # shape; it also reproduces the reference implementation's dict
+        # insertion order for the latest-op tie-break.
         indeg = [0] * size
         succs: List[List[int]] = [[] for _ in range(size)]
         for i in range(size):
@@ -167,16 +184,12 @@ class _Shape:
                     ready.append(nxt)
         if len(order) != size:
             raise RuntimeError("cyclic pipeline dependency graph (internal bug)")
-        kahn_pos = np.empty(size, dtype=np.int64)
-        for pos, i in enumerate(order):
-            kahn_pos[i] = pos
 
         self.ops = ops
         self.index = index
         self.intra = intra
         self.cross = cross
         self.order = order
-        self.kahn_pos = kahn_pos
         self.stage = np.asarray([op[1] for op in ops], dtype=np.int64)
         self.is_fwd = np.asarray([op[0] == "F" for op in ops])
         self.phases = tuple(phases)
@@ -191,30 +204,40 @@ class _Shape:
         #: holding each op's duration: one gather replaces the
         #: fwd/bwd-gather + where dance per level.
         self.dur_index = np.where(self.is_fwd, self.stage, self.stage + n)
+
+        # Kahn-ordered layout of the scalar evaluator.  Op ``order[p]``
+        # owns *slot* ``p + 1`` of an end-time list whose slot 0 is a
+        # sentinel holding ``0.0``; ``k_cross``/``k_intra`` give each
+        # slot's predecessor slots (0 when missing), so the relaxation is
+        # one branch-free ``zip`` loop that appends ends in slot order.
+        # ``k_*`` tuples are slot-indexed (entry 0 is a placeholder).
+        slot = [0] * size
+        for pos, i in enumerate(order):
+            slot[i] = pos + 1
+        self.k_cross = (0, *(
+            slot[cross[i]] if cross[i] >= 0 else 0 for i in order
+        ))
+        self.k_intra = (0, *(
+            slot[intra[i]] if intra[i] >= 0 else 0 for i in order
+        ))
+        self.k_op = (None, *(ops[i] for i in order))
+        self.k_phase = (None, *(phases[i] for i in order))
+        #: gathers each op's ``(comm addend, duration)`` pair from the
+        #: per-stage cost table of :meth:`PipelineSim._cost_table`: F on
+        #: stage ``x`` reads row ``x``, B row ``n + x``, each row split
+        #: into its no-comm and comm entries by whether a cross
+        #: dependency exists.
+        self.cost_of = itemgetter(*(
+            2 * (x if kind == "F" else n + x) + (cross[i] >= 0)
+            for i, (kind, x, _) in zip(order, self.k_op[1:])
+        ))
+        #: stage-major list -> Kahn-ordered tuple, and back from slots.
+        self.to_slots = itemgetter(*order)
+        self.from_slots = itemgetter(*slot)
+        self.sink_slot = slot[self.final_index]
+        self.startup_slot = slot[self.startup_index]
         self._levels: Optional[List[Tuple[np.ndarray, ...]]] = None
         self._plans: Dict[int, "_SuffixPlan"] = {}
-        self._preds: Optional[Tuple[np.ndarray, ...]] = None
-
-    def pred_arrays(self) -> Tuple[np.ndarray, ...]:
-        """Duration-independent arrays for the vectorised tight-pred table.
-
-        ``(cross, intra, cross_safe, intra_safe, has_cross, has_intra,
-        cross_stage, intra_stage)`` — the ``*_safe`` arrays clamp the
-        missing-predecessor sentinel -1 to 0 for gathers (masked out by
-        the ``has_*`` arrays).  Built lazily and cached with the shape.
-        """
-        cached = self._preds
-        if cached is None:
-            cross = np.asarray(self.cross, dtype=np.int64)
-            intra = np.asarray(self.intra, dtype=np.int64)
-            c_safe = np.maximum(cross, 0)
-            q_safe = np.maximum(intra, 0)
-            cached = (
-                cross, intra, c_safe, q_safe, cross >= 0, intra >= 0,
-                self.stage[c_safe], self.stage[q_safe],
-            )
-            self._preds = cached
-        return cached
 
     def levels(self) -> List[Tuple[np.ndarray, ...]]:
         """Wavefront plan for batched evaluation, built lazily.
@@ -369,9 +392,11 @@ def _shape(n: int, m: int) -> _Shape:
 class SimResult:
     """Output of one pipeline simulation.
 
-    Per-op start/end/phase are stored as flat arrays aligned with the
-    shape's op list; the dict views (``op_start`` etc.) are built lazily on
-    first access so hot planner loops never pay for them.
+    Holds scalars and the critical path only, so results stay small in
+    the planner's memos, the plan cache and pool pickles.  The per-op
+    views (``op_start`` etc.) are built on first access by re-running the
+    exact relaxation from ``(stage_times, num_micro_batches, comm_mode)``
+    — bitwise equal to the values the simulation saw.
     """
 
     iteration_time: float
@@ -380,22 +405,26 @@ class SimResult:
     critical_path: Tuple[OpId, ...]
     stage_times: StageTimes
     num_micro_batches: int
-    _ops: List[OpId] = field(repr=False, compare=False)
-    _start: "np.ndarray" = field(repr=False, compare=False)
-    _end: "np.ndarray" = field(repr=False, compare=False)
-    _phases: Tuple[str, ...] = field(repr=False, compare=False)
+    comm_mode: str = "paper"
 
     @cached_property
+    def _op_times(self) -> Tuple[Dict[OpId, float], Dict[OpId, float]]:
+        return PipelineSim(
+            self.stage_times, self.num_micro_batches, comm_mode=self.comm_mode
+        )._op_times()
+
+    @property
     def op_start(self) -> Dict[OpId, float]:
-        return dict(zip(self._ops, self._start.tolist()))
+        return self._op_times[0]
 
-    @cached_property
+    @property
     def op_end(self) -> Dict[OpId, float]:
-        return dict(zip(self._ops, self._end.tolist()))
+        return self._op_times[1]
 
     @cached_property
     def op_phase(self) -> Dict[OpId, str]:
-        return dict(zip(self._ops, self._phases))
+        shape = _shape(self.num_stages, self.num_micro_batches)
+        return dict(zip(shape.ops, shape.phases))
 
     @property
     def num_stages(self) -> int:
@@ -593,9 +622,10 @@ class PipelineSim:
 
         ``order`` must be topologically consistent: every predecessor of
         an op is either earlier in ``order`` or already final in ``end``
-        (a checkpointed free op).  Shared by :meth:`run` (full order) and
-        :meth:`resume` (non-free order), so both paths perform the one
-        IEEE operation sequence per op.
+        (a checkpointed free op).  The stage-major twin of :meth:`_relax`,
+        shared by :meth:`prefix_state` (free order) and :meth:`resume`
+        (non-free order), so every path performs the one IEEE operation
+        sequence per op.
         """
         shape = self._shape
         comm = self.times.comm
@@ -629,14 +659,69 @@ class PipelineSim:
                 start[i] = s
                 end[i] = s + dur[i]
 
-    def run(self) -> SimResult:
+    def _cost_table(self) -> List[Tuple[float, float]]:
+        """The 4n-entry per-stage ``(comm addend, duration)`` table.
+
+        Rows ``2r`` and ``2r + 1`` pair the duration of ``fwd + bwd``
+        entry ``r`` with ``0.0`` and ``comm``: an op adds ``comm`` iff it
+        has a cross dependency (FP off stage 0, BP off the last stage).
+        ``base + 0.0 == base`` bitwise for the ``>= +0.0`` ends, so the
+        unconditional add matches ``_relax_scalar``'s conditional one.
+        """
+        comm = self.times.comm
+        table: List[Tuple[float, float]] = []
+        for v in (*self.times.fwd, *self.times.bwd):
+            table += ((0.0, v), (comm, v))
+        return table
+
+    def _relax(self, table: List[Tuple[float, float]]) -> List[float]:
+        """End times of every op in Kahn slot order (slot 0: ``0.0``).
+
+        The same IEEE sequence per op as :meth:`_relax_scalar` — max of
+        predecessor ends, ``+ comm``, ``+ dur`` — over Kahn-ordered
+        predecessor slots, with a missing predecessor reading the
+        ``0.0`` sentinel (a no-op under ``max`` since ends are ``>= +0.0``).
+        """
         shape = self._shape
-        size = len(shape.ops)
-        dur = self._durations()
-        start = [0.0] * size
-        end = [0.0] * size
-        self._relax_scalar(shape.order, start, end, dur)
-        return self._finalize(start, end, dur)
+        end = [0.0]
+        append = end.append
+        ops = zip(
+            islice(shape.k_cross, 1, None), islice(shape.k_intra, 1, None),
+            shape.cost_of(table),
+        )
+        if self.comm_mode == "paper":
+            for c, q, (cm, d) in ops:
+                a = end[c]
+                b = end[q]
+                append((a if a > b else b) + cm + d)
+        else:
+            # "edges": Comm charged on the cross-dependency arrival only.
+            for c, q, (cm, d) in ops:
+                a = end[c] + cm
+                b = end[q]
+                append((a if a > b else b) + d)
+        return end
+
+    def run(self) -> SimResult:
+        return self._result(self._relax(self._cost_table()))
+
+    def _op_times(self) -> Tuple[Dict[OpId, float], Dict[OpId, float]]:
+        """Every op's start and end (the lazy :class:`SimResult` views)."""
+        shape = self._shape
+        table = self._cost_table()
+        end = self._relax(table)
+        ec = map(end.__getitem__, islice(shape.k_cross, 1, None))
+        eq = map(end.__getitem__, islice(shape.k_intra, 1, None))
+        comms = [cm for cm, _ in shape.cost_of(table)]
+        if self.comm_mode == "paper":
+            start = [(a if a > b else b) + cm for a, b, cm in zip(ec, eq, comms)]
+        else:
+            start = [a if a > b else b for a, b in zip(map(add, ec, comms), eq)]
+        start.insert(0, 0.0)
+        return (
+            dict(zip(shape.ops, shape.from_slots(start))),
+            dict(zip(shape.ops, shape.from_slots(end))),
+        )
 
     # -- incremental evaluation -------------------------------------------
 
@@ -707,136 +792,119 @@ class PipelineSim:
             start[i] = state._start[p]
             end[i] = state._end[p]
         sim._relax_scalar(plan.nonfree_order, start, end, dur)
-        return sim._finalize(start, end, dur)
+        return sim._result_stage_major(end)
 
-    def _finalize(
-        self, start: List[float], end: List[float], dur: List[float]
-    ) -> SimResult:
-        """Winner selection, critical-path backtrack and master stage.
+    def _result_stage_major(self, end: List[float]) -> SimResult:
+        """:meth:`_result` over end times indexed in stage-major op order.
 
-        Shared by :meth:`run` and :meth:`PipelineSimBatch.result`: the
-        batch path computes the same start/end values vectorised and only
-        pays for this step on requested winners.
+        Shared by :meth:`resume` and the batch ``result`` methods, which
+        compute the same end values in the shape's stage-major layout.
+        """
+        return self._result([0.0, *self._shape.to_slots(end)])
+
+    def _start_at(self, end: List[float], j: int) -> float:
+        """Start of the op in slot ``j``, recomputed from its preds' ends.
+
+        The relaxation's own expression for that op, so the value is
+        bitwise equal to the start the relaxation added ``dur`` to.
         """
         shape = self._shape
-        start_arr = np.asarray(start)
-        end_arr = np.asarray(end)
-        # Latest op, ties broken toward the higher stage, then the earliest
-        # Kahn completion (the reference dict-iteration order).
-        candidates = np.nonzero(end_arr == end_arr.max())[0]
-        top_stage = shape.stage[candidates]
-        candidates = candidates[top_stage == top_stage.max()]
-        last = int(candidates[np.argmin(shape.kahn_pos[candidates])])
-        iteration_time = end[last]
-
-        best_pred = self._tight_pred_table(start_arr, end_arr).tolist()
-        path_idx: List[int] = []
-        cur = last
-        while cur >= 0:
-            path_idx.append(cur)
-            cur = best_pred[cur]
-        path_idx.reverse()
-
-        master = self._master_stage(path_idx, dur)
-        return SimResult(
-            iteration_time=iteration_time,
-            startup_overhead=start[shape.startup_index],
-            master_stage=master,
-            critical_path=tuple(shape.ops[i] for i in path_idx),
-            stage_times=self.times,
-            num_micro_batches=self.m,
-            _ops=shape.ops,
-            _start=start_arr,
-            _end=end_arr,
-            _phases=shape.phases,
-        )
-
-    def _tight_pred_table(
-        self, start_arr: "np.ndarray", end_arr: "np.ndarray"
-    ) -> "np.ndarray":
-        """Critical predecessor of every op at once (-1 at sources).
-
-        Vectorised :meth:`_tight_pred`: the same tolerance arithmetic and
-        the same higher-``(stage, end)`` preference among tight
-        predecessors, evaluated as one pass of array expressions over all
-        ops instead of a Python walk per critical-path node — the planner
-        runs one backtrack per candidate, so this is its hottest
-        finalisation step.  Bit-identical selection by construction (each
-        op has at most two predecessors, so the scalar method's ordered
-        tie-break is a closed-form pick between ``cross`` and ``intra``).
-        """
-        cross, intra, c_safe, q_safe, has_c, has_q, sc, sq = (
-            self._shape.pred_arrays()
-        )
-        neg = -np.inf
-        ec = np.where(has_c, end_arr[c_safe], neg)
-        eq = np.where(has_q, end_arr[q_safe], neg)
-        comm = self.times.comm
+        c = shape.k_cross[j]
+        a = end[c]
+        b = end[shape.k_intra[j]]
+        cm = self.times.comm if c else 0.0
         if self.comm_mode == "paper":
-            base = np.maximum(np.maximum(ec, eq), 0.0)
-            lim = base - (1e-12 + 1e-9 * np.maximum(base, 1.0))
-            tight_c = has_c & (ec >= lim)
-            tight_q = has_q & (eq >= lim)
-        else:
-            lim = start_arr - (1e-12 + 1e-9 * np.maximum(start_arr, 1.0))
-            tight_c = has_c & (ec + comm >= lim)
-            tight_q = has_q & (eq >= lim)
-        prefer_q = tight_c & tight_q & ((sq > sc) | ((sq == sc) & (eq > ec)))
-        best = np.where(tight_c, cross, -1)
-        return np.where(prefer_q | (tight_q & ~tight_c), intra, best)
+            return (a if a > b else b) + cm
+        a = a + cm
+        return a if a > b else b
 
-    def _tight_pred(
-        self, i: int, start: List[float], end: List[float], dur: List[float]
-    ) -> int:
-        """The unique critical predecessor of op ``i`` (or -1 at a source).
-
-        Tightness uses the same tolerance as the recurrences; among tight
-        predecessors the walk prefers the higher stage (paper Fig. 4), then
-        the latest-finishing.  Scalar reference for
-        :meth:`_tight_pred_table` (which the backtrack uses); kept because
-        the per-op form *is* the specification the table must match.
-        """
-        shape = self._shape
-        c, q = shape.cross[i], shape.intra[i]
-        preds = [p for p in (c, q) if p >= 0]
-        if not preds:
-            return -1
-        comm = self.times.comm
-        if self.comm_mode == "paper":
-            base = 0.0
-            for p in preds:
-                if end[p] > base:
-                    base = end[p]
-            tol = 1e-12 + 1e-9 * max(base, 1.0)
-            tight = [p for p in preds if end[p] >= base - tol]
-        else:
-            s = start[i]
-            tol = 1e-12 + 1e-9 * max(s, 1.0)
-            tight = [
-                p for p in preds
-                if end[p] + (comm if p == c else 0.0) >= s - tol
-            ]
-        stage = shape.stage
-        best = tight[0]
-        for p in tight[1:]:
-            if (stage[p], end[p]) > (stage[best], end[best]):
-                best = p
+    def _latest_slot(self, end: List[float]) -> int:
+        """Latest op: ties toward the higher stage, then the earlier slot."""
+        k_op = self._shape.k_op
+        top = max(end)
+        best = 0
+        for j in range(1, len(end)):
+            if end[j] == top and (best == 0 or k_op[j][1] > k_op[best][1]):
+                best = j
         return best
 
-    def _master_stage(self, path_idx: List[int], dur: List[float]) -> int:
-        """Stage with the most steady-phase critical-path time (tie: last)."""
+    def _result(self, end: List[float]) -> SimResult:
+        """Latest op, critical-path backtrack and master stage.
+
+        ``end`` holds every op's end time in Kahn slot order (see
+        :meth:`_relax`).  Every op but the sink ``B(0, m-1)`` is one of its
+        ancestors and ends at or before its start (ends are monotone along
+        edges), so when the sink's end exceeds its start in floats it is
+        the unique latest op; otherwise (zero ``bwd[0]``) the full
+        latest-op rule of the reference picks it.
+
+        The backtrack applies the tight-predecessor rule only to the ops
+        on the path: a predecessor is tight within the recurrences'
+        tolerance, and among tight ones the walk prefers the higher stage
+        (paper Fig. 4) — the intra predecessor of an FP, the cross one of
+        a BP, as a cross predecessor always sits on a neighbouring stage.
+        Starts are recomputed from the predecessors' ends with the
+        relaxation's own expression, so nothing per-op is stored.
+        """
         shape = self._shape
+        k_cross, k_intra, k_op = shape.k_cross, shape.k_intra, shape.k_op
+        comm = self.times.comm
+        paper = self.comm_mode == "paper"
+        sink = shape.sink_slot
+        if end[sink] > self._start_at(end, sink):
+            last = sink
+        else:
+            last = self._latest_slot(end)
+
+        path: List[int] = []
+        j = last
+        while True:
+            path.append(j)
+            c = k_cross[j]
+            q = k_intra[j]
+            if not (c or q):
+                break
+            ec = end[c]
+            eq = end[q]
+            if paper:
+                base = ec if ec > eq else eq
+                lim = base - (1e-12 + 1e-9 * (base if base > 1.0 else 1.0))
+                tight_c = c and ec >= lim
+            else:
+                arrival = ec + comm if c else 0.0
+                s = arrival if arrival > eq else eq
+                lim = s - (1e-12 + 1e-9 * (s if s > 1.0 else 1.0))
+                tight_c = c and arrival >= lim
+            tight_q = q and eq >= lim
+            if tight_c and tight_q:
+                j = q if k_op[j][0] == "F" else c
+            else:
+                j = c if tight_c else q
+        path.reverse()
+
+        # Master stage: the most steady-phase critical-path time (tie:
+        # last), summed in path order like the reference.
+        fwd, bwd = self.times.fwd, self.times.bwd
+        k_phase = shape.k_phase
         weight = [0.0] * self.n
-        for i in path_idx:
-            if shape.phases[i] == STEADY:
-                weight[shape.ops[i][1]] += dur[i]
-        if max(weight) > 0.0:
-            best = max(weight)
-            return max(x for x in range(self.n) if weight[x] >= best * (1 - 1e-9))
-        # Degenerate pipelines (tiny m): fall back to the heaviest stage.
-        total = self.times.total
-        best = max(total)
-        return max(x for x in range(self.n) if total[x] >= best * (1 - 1e-9))
+        for j in path:
+            if k_phase[j] == STEADY:
+                kind, x, _ = k_op[j]
+                weight[x] += fwd[x] if kind == "F" else bwd[x]
+        if max(weight) <= 0.0:
+            # Degenerate pipelines (tiny m): fall back to the heaviest stage.
+            weight = list(self.times.total)
+        best = max(weight)
+        master = max(x for x in range(self.n) if weight[x] >= best * (1 - 1e-9))
+        return SimResult(
+            iteration_time=end[last],
+            startup_overhead=self._start_at(end, shape.startup_slot),
+            master_stage=master,
+            critical_path=tuple(k_op[j] for j in path),
+            stage_times=self.times,
+            num_micro_batches=self.m,
+            comm_mode=self.comm_mode,
+        )
 
 
 class PipelineSimBatch:
@@ -914,7 +982,6 @@ class PipelineSimBatch:
         self._shape = _shape(self.n, self.m)
         self._start: Optional[np.ndarray] = None
         self._end: Optional[np.ndarray] = None
-        self._dur: Optional[np.ndarray] = None
 
     @classmethod
     def from_stage_times(
@@ -969,7 +1036,6 @@ class PipelineSimBatch:
             end[:, idx] = s + dur[:, idx]
         self._start = start
         self._end = end
-        self._dur = dur
 
     def iteration_times(self) -> "np.ndarray":
         """Per-candidate iteration time, shape ``(K,)``."""
@@ -984,8 +1050,8 @@ class PipelineSimBatch:
     def result(self, k: int) -> SimResult:
         """Full :class:`SimResult` for candidate ``k`` (winner backtrack).
 
-        Reuses the batched start/end row, so only the critical-path walk
-        and master-stage selection run scalar — bit-identical to
+        Reuses the batched end row, so only the critical-path walk and
+        master-stage selection run scalar — bit-identical to
         ``PipelineSim(times_k, m).run()``.
         """
         self._evaluate()
@@ -994,9 +1060,7 @@ class PipelineSimBatch:
             tuple(self.fwd[k].tolist()), tuple(self.bwd[k].tolist()), comm
         )
         sim = PipelineSim(times, self.m, comm_mode=self.comm_mode)
-        return sim._finalize(
-            self._start[k].tolist(), self._end[k].tolist(), self._dur[k].tolist()
-        )
+        return sim._result_stage_major(self._end[k].tolist())
 
 
 class SuffixSimBatch:
@@ -1179,20 +1243,12 @@ class SuffixSimBatch:
 
     def result(self, k: int) -> SimResult:
         """Full :class:`SimResult` for candidate ``k`` (winner backtrack)."""
-        self._ensure_start()
+        self._evaluate()
         times = StageTimes(
             tuple(self.fwd[k].tolist()), tuple(self.bwd[k].tolist()), self.comm
         )
         sim = PipelineSim(times, self.m, comm_mode=self.comm_mode)
-        # Durations are gathered per level during evaluation; rebuild the
-        # winner's full row only here (one row per requested result).
-        shape = self._shape
-        dur = np.where(
-            shape.is_fwd, self.fwd[k][shape.stage], self.bwd[k][shape.stage]
-        )
-        return sim._finalize(
-            self._start[:, k].tolist(), self._end[:, k].tolist(), dur.tolist()
-        )
+        return sim._result_stage_major(self._end[:, k].tolist())
 
 
 def simulate_partition(

@@ -8,6 +8,7 @@ and the schedule builders.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -120,6 +121,13 @@ class StageTimes:
             raise ValueError("fwd/bwd length mismatch")
         if not self.fwd:
             raise ValueError("need at least one stage")
+        # Checked before the sign test: min() is order-dependent on NaN,
+        # and the simulators' max/add recurrences assume finite times.
+        for name, values in (("fwd", self.fwd), ("bwd", self.bwd)):
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} times must be finite, got {values!r}")
+        if not math.isfinite(self.comm):
+            raise ValueError(f"comm time must be finite, got {self.comm!r}")
         if min(self.fwd) < 0 or min(self.bwd) < 0 or self.comm < 0:
             raise ValueError("times must be non-negative")
 

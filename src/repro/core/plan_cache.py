@@ -41,8 +41,10 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-#: bump to invalidate every on-disk plan (cache layout changes).
-_SCHEMA = "1"
+#: bump to invalidate every on-disk plan (cache layout changes).  "2":
+#: ``SimResult`` pickles scalars and the critical path only (per-op times
+#: are rebuilt lazily) and planner keys no longer carry ``incremental``.
+_SCHEMA = "2"
 
 #: search-stack sources folded into the code fingerprint: an edit to any
 #: of these may change planned partitions or their reported statistics.

@@ -30,7 +30,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.core.analytic_sim import PipelineSim, PrefixState, SimResult
+from repro.core.analytic_sim import PipelineSim, SimResult
 from repro.core.balance_dp import BalanceTable
 from repro.core.partition import PartitionScheme, StageTimes
 from repro.models.transformer import layer_groups
@@ -135,11 +135,10 @@ class SimCache:
     ) -> SimResult:
         """Return the memoised simulation of ``times``, running it once.
 
-        ``runner`` substitutes the evaluation on a miss — the incremental
-        planner path passes a prefix-state resume here.  Any runner must
-        be bit-identical to the cold simulation under the entry's
-        ``executor`` tag (the resume API is, for the default lattice
-        family), so cached semantics are unchanged.
+        ``runner`` substitutes the evaluation on a miss — the planner's
+        worker-pool prefetch passes an already computed result here.  Any
+        runner must be bit-identical to the cold simulation under the
+        entry's ``executor`` tag, so cached semantics are unchanged.
         """
         key = (
             times.fwd, times.bwd, times.comm, num_micro_batches, comm_mode,
@@ -402,7 +401,6 @@ def plan_partition(
     keep_history: bool = False,
     memory_cap: Optional[float] = None,
     sim_cache: Optional[SimCache] = None,
-    incremental: bool = False,
     robust: Optional[RobustObjective] = None,
     jobs: Optional[int] = None,
     cache=None,
@@ -420,20 +418,6 @@ def plan_partition(
     ``sim_cache`` shares simulator results across planning calls (sweeps);
     it changes neither the returned partition nor the reported
     ``evaluations`` — only how many simulations actually run.
-    ``incremental=True`` evaluates candidates via
-    :class:`~repro.core.analytic_sim.PrefixState` checkpoints: a
-    dequeued scheme's prefix free lattice is checkpointed once and its
-    cooldown/shift children resume from the shared cut instead of
-    simulating from stage 0.  Bit-identical to the cold path (same
-    results, evaluations and history — property-tested).  Off by
-    default because it is *not* a win at heuristic-search scale: the
-    per-candidate cost is dominated by the critical-path backtrack the
-    master-stage rule needs, and the free lattice is only ~15–25 % of
-    the recurrence, so measured scalar resume is parity-to-slightly-
-    slower at depths 4–16.  The incremental machinery pays off in the
-    exhaustive oracle, where thousands of suffix candidates amortise one
-    checkpoint through batched level relaxation (see
-    ``exhaustive_partition``).
     ``robust`` switches the selection objective from the nominal
     iteration time to a :class:`~repro.robustness.evaluate.RobustObjective`
     — the configured statistic (mean/P95/max) of the candidate's
@@ -449,7 +433,7 @@ def plan_partition(
     :class:`~repro.core.parallel_search.CandidatePool` of worker
     processes; the wave results are consumed in the serial loop's order,
     so the returned plan, evaluation count and history are bit-identical
-    at any job count.  Honest caveat (same spirit as ``incremental``):
+    at any job count.  Honest caveat:
     at heuristic-search scale — tens of sub-millisecond simulations —
     process fan-out is parity-to-slower; the flag exists for API
     uniformity with the oracle, where the same ``--plan-jobs`` setting
@@ -479,7 +463,7 @@ def plan_partition(
                     max_evaluations=max_evaluations,
                     keep_history=keep_history,
                     memory_cap=memory_cap, sim_cache=sim_cache,
-                    incremental=incremental, robust=robust, jobs=jobs,
+                    robust=robust, jobs=jobs,
                     cache=cache,
                 )
         return _plan_impl(
@@ -488,7 +472,7 @@ def plan_partition(
             cooldown_adjust=cooldown_adjust,
             max_evaluations=max_evaluations, keep_history=keep_history,
             memory_cap=memory_cap, sim_cache=sim_cache,
-            incremental=incremental, robust=robust, jobs=jobs, cache=cache,
+            robust=robust, jobs=jobs, cache=cache,
         )
     with _obs.session(tel):
         t0 = tel.clock()
@@ -498,7 +482,7 @@ def plan_partition(
             cooldown_adjust=cooldown_adjust,
             max_evaluations=max_evaluations, keep_history=keep_history,
             memory_cap=memory_cap, sim_cache=sim_cache,
-            incremental=incremental, robust=robust, jobs=jobs, cache=cache,
+            robust=robust, jobs=jobs, cache=cache,
         )
         tel.record_since(
             "planner.plan", t0, depth=num_stages, m=num_micro_batches,
@@ -527,7 +511,6 @@ def _plan_impl(
     keep_history: bool,
     memory_cap: Optional[float],
     sim_cache: Optional[SimCache],
-    incremental: bool,
     robust: Optional[RobustObjective],
     jobs: Optional[int],
     cache,
@@ -545,8 +528,7 @@ def _plan_impl(
             granularity=granularity, comm_mode=comm_mode,
             cooldown_adjust=cooldown_adjust,
             max_evaluations=max_evaluations, keep_history=keep_history,
-            memory_cap=memory_cap, incremental=incremental,
-            robust=repr(robust),
+            memory_cap=memory_cap, robust=repr(robust),
         )
         stored = plan_store.load(store_key, expect=PlannerResult)
         if stored is not None:
@@ -581,54 +563,12 @@ def _plan_impl(
             feasible[sizes] = cached
         return cached
 
-    # Prefix-state checkpoints shared across candidates, keyed by the
-    # checkpointed prefix of the stage-time vector.  The search's moves
-    # (cooldown adjust, master shift) only change stages at/after the
-    # master, so a dequeued scheme's children share its prefix:
-    # ``checkpoint`` stores the chain of cuts for a parent about to be
-    # expanded, and ``run_incremental`` resumes any candidate from the
-    # longest prefix already checkpointed (falling back to a cold run
-    # when nothing is shared — extending a throwaway chain would cost
-    # more than it saves).
-    states: Dict[Tuple[Tuple[float, ...], Tuple[float, ...]], PrefixState] = {}
-
-    def checkpoint(times: StageTimes) -> None:
-        n = times.num_stages
-        state = PrefixState.initial(
-            n, num_micro_batches, times.comm, comm_mode=comm_mode
-        )
-        while state.k < n - 1:
-            key = (times.fwd[:state.k + 1], times.bwd[:state.k + 1])
-            nxt = states.get(key)
-            if nxt is None:
-                nxt = state.extend(times.fwd[state.k], times.bwd[state.k])
-                states[key] = nxt
-            state = nxt
-
-    def run_incremental(times: StageTimes) -> SimResult:
-        n = times.num_stages
-        for k in range(n - 1, 0, -1):
-            state = states.get((times.fwd[:k], times.bwd[:k]))
-            if state is not None:
-                return PipelineSim.resume(
-                    state,
-                    StageTimes(times.fwd[k:], times.bwd[k:], times.comm),
-                )
-        return PipelineSim(
-            times, num_micro_batches, comm_mode=comm_mode
-        ).run()
-
     def evaluate(sizes: Sizes) -> SimResult:
         sim = scheme_cache.get(sizes)
         if sim is None:
             times = space.stage_times(sizes)
-            runner = (lambda: run_incremental(times)) if incremental else None
             if sim_cache is not None:
-                sim = sim_cache.simulate(
-                    times, num_micro_batches, comm_mode, runner=runner
-                )
-            elif runner is not None:
-                sim = runner()
+                sim = sim_cache.simulate(times, num_micro_batches, comm_mode)
             else:
                 sim = PipelineSim(
                     times, num_micro_batches, comm_mode=comm_mode
@@ -751,12 +691,6 @@ def _plan_impl(
         consider(sizes, sim)
         if master == 0:
             return
-        if incremental:
-            # This scheme is about to spawn shift children that share
-            # its stage-time prefix up to the master; checkpoint the
-            # chain once so their evaluations resume instead of
-            # starting cold.
-            checkpoint(space.stage_times(sizes))
         cands = _shift_candidates(sizes, master, space)
         prefetch(cands)
         for cand in cands:

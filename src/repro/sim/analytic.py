@@ -45,7 +45,7 @@ Bit-identity contract
 
 Every update uses the same IEEE max/add expressions, in the same
 association order, as :class:`~repro.core.analytic_sim.PipelineSim`'s
-``_relax_scalar`` (both comm modes), so :func:`frontier_times` is
+scalar relaxation (both comm modes), so :func:`frontier_times` is
 bit-for-bit equal to ``PipelineSimBatch(...).iteration_times()`` —
 property-tested in ``tests/sim/test_analytic.py``.
 
@@ -62,10 +62,12 @@ per-stage busy / bubble / memory      :func:`stage_busy_times` /
                                       :func:`bubble_fractions` /
                                       :func:`peak_inflight_memory`
 per-op critical path, master stage    :class:`~repro.core.analytic_sim.
-                                      PipelineSim` (the planner's shift loop
-                                      consumes critical paths; a frontier has
-                                      none, so the planner's *nominal*
-                                      evaluation stays on the lattice sim)
+                                      PipelineSim`, the exact scalar
+                                      evaluator (the planner's shift loop
+                                      consumes master stages; a frontier has
+                                      none, and nominal shift waves average
+                                      1.55 uncached candidates, too few to
+                                      amortise a batched sweep)
 DES semantics (rendezvous exchange,   :func:`execute_analytic` — direct clock
 eager sends, memory ledger); 1f1b /   propagation over the lowered programs,
 sliced / gpipe / interleaved          bit-identical to the event engine

@@ -1,13 +1,16 @@
-"""Vectorized PipelineSim vs the straightforward dict-based reference.
+"""Scalar PipelineSim vs the straightforward dict-based reference.
 
 The production simulator caches the DAG topology per (n, m) shape, runs
-the recurrences over flat index arrays and backtracks tight predecessors
-lazily.  This file keeps the original dict-based evaluation of the same
-recurrences as an executable specification and checks the two agree
-**bit for bit** — start/end times, iteration time, startup, critical path
-(including the Fig. 4 tie-breaks) and master stage.  Discrete duration
-values are drawn so exact ties are common, which is precisely where the
-tie-break rules matter.
+the recurrences over Kahn-ordered predecessor slots and backtracks tight
+predecessors along the critical path only.  This file keeps the original
+dict-based evaluation of the same recurrences as an executable
+specification and checks the two agree **bit for bit** — start/end
+times (compared by ``float.hex``, since ``==`` conflates ±0.0),
+iteration time, startup, critical path (including the Fig. 4
+tie-breaks) and master stage.  Discrete duration values are drawn so
+exact ties are common, which is precisely where the tie-break rules
+matter; ``0.0`` among them makes zero ``bwd[0]`` (the sink's end equal
+to its start) and all-zero stages common too.
 """
 
 from collections import deque
@@ -106,20 +109,25 @@ def reference_run(times, m, comm_mode):
     }
 
 
+def _hex(times):
+    return {op: t.hex() for op, t in times.items()}
+
+
 def assert_bitwise_equal(times, m, comm_mode):
     got = PipelineSim(times, m, comm_mode=comm_mode).run()
     want = reference_run(times, m, comm_mode)
-    assert got.iteration_time == want["iteration_time"]
-    assert got.startup_overhead == want["startup"]
+    assert got.iteration_time.hex() == want["iteration_time"].hex()
+    assert got.startup_overhead.hex() == want["startup"].hex()
     assert got.master_stage == want["master"]
     assert got.critical_path == want["path"]
-    assert got.op_start == want["start"]
-    assert got.op_end == want["end"]
+    assert _hex(got.op_start) == _hex(want["start"])
+    assert _hex(got.op_end) == _hex(want["end"])
     assert got.op_phase == want["phase"]
 
 
-#: Discrete values make exact end-time ties (the tie-break cases) common.
-_TIE_VALUES = (0.5, 1.0, 1.0, 2.0)
+#: Discrete values make exact end-time ties (the tie-break cases) common;
+#: ``0.0`` covers zero-duration stages and the zero-``bwd[0]`` sink case.
+_TIE_VALUES = (0.0, 0.5, 1.0, 1.0, 2.0)
 
 
 @settings(max_examples=120, deadline=None)
@@ -152,6 +160,37 @@ def test_matches_reference_with_random_floats(n, m, comm_mode, data):
     )
     comm = data.draw(st.floats(min_value=0.0, max_value=0.5))
     assert_bitwise_equal(StageTimes(fwd, bwd, comm), m, comm_mode)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=1, max_value=64),
+    st.sampled_from(["paper", "edges"]),
+    st.data(),
+)
+def test_matches_reference_deep(n, m, comm_mode, data):
+    """Planner-scale shapes: long critical paths over many stage hops."""
+    values = st.one_of(
+        st.sampled_from(_TIE_VALUES), st.floats(min_value=0.0, max_value=3.0)
+    )
+    fwd = tuple(data.draw(values) for _ in range(n))
+    bwd = tuple(data.draw(values) for _ in range(n))
+    comm = data.draw(st.sampled_from([0.0, 0.1, 0.37]))
+    assert_bitwise_equal(StageTimes(fwd, bwd, comm), m, comm_mode)
+
+
+@pytest.mark.parametrize("comm_mode", ["paper", "edges"])
+@pytest.mark.parametrize("bwd0", [0.0, 1e-300])
+def test_sink_fallback_when_sink_adds_no_time(comm_mode, bwd0):
+    """``B(0, m-1)`` ending at its own start (zero or sub-ulp ``bwd[0]``)
+    takes the full latest-op rule, ties toward the higher stage."""
+    assert_bitwise_equal(
+        StageTimes((1.0, 1.0, 0.0), (bwd0, 2.0, 0.0), 0.0), 4, comm_mode
+    )
+    assert_bitwise_equal(
+        StageTimes((0.0, 0.0), (bwd0, 0.0), 0.25), 3, comm_mode
+    )
 
 
 @pytest.mark.parametrize("comm_mode", ["paper", "edges"])

@@ -87,6 +87,26 @@ class TestStageTimes:
         with pytest.raises(ValueError):
             StageTimes((-1.0,), (1.0,), 0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["fwd", "bwd", "comm"])
+    def test_non_finite_time_names_field(self, field, bad):
+        """NaN / +-inf fail at construction, naming the offending field."""
+        kwargs = {"fwd": (1.0, 2.0), "bwd": (2.0, 2.0), "comm": 0.1}
+        kwargs[field] = bad if field == "comm" else (bad, 1.0)
+        with pytest.raises(ValueError, match=rf"^{field} time"):
+            StageTimes(**kwargs)
+
+    def test_non_finite_after_finite_entries(self):
+        """The check covers every stage, not just the first or the min."""
+        with pytest.raises(ValueError, match="^bwd"):
+            StageTimes((1.0, 2.0, 3.0), (1.0, 2.0, float("nan")), 0.0)
+
+    @pytest.mark.parametrize("comm", [0.0, -0.0, 1e300])
+    def test_finite_boundary_values_accepted(self, comm):
+        """Zero, signed zero and huge finite values stay valid inputs."""
+        t = StageTimes((0.0, 1e300), (-0.0, 0.0), comm)
+        assert t.num_stages == 2
+
 
 class TestAggregation:
     def test_stage_times_sum_blocks(self, tiny_profile):

@@ -5,7 +5,9 @@ import pickle
 import subprocess
 import sys
 
+from repro.core.analytic_sim import PipelineSim
 from repro.core.exhaustive import ExhaustiveResult, exhaustive_partition
+from repro.core.partition import StageTimes
 from repro.core.plan_cache import (
     PlanCache,
     code_fingerprint,
@@ -44,6 +46,29 @@ class TestWarmReplay:
         warm = plan_partition(profile, 4, 8, cache=cache)
         assert cache.hits == 1
         assert warm == cold
+
+    def test_sim_result_pickle_rebuilds_op_times_bitwise(self):
+        """A fresh SimResult pickles without per-op times; the unpickled
+        copy rebuilds ``op_start``/``op_end`` lazily, bit for bit."""
+        times = StageTimes((1.0, 0.3, 2.5), (2.0, 0.7, 1.1), 0.25)
+        for comm_mode in ("paper", "edges"):
+            fresh = PipelineSim(times, 7, comm_mode=comm_mode).run()
+            copy = pickle.loads(pickle.dumps(fresh))
+            assert "_op_times" not in copy.__dict__
+            assert copy == fresh
+            assert copy.comm_mode == comm_mode
+            # the rebuilt views agree with the scalars the run returned
+            assert copy.op_end[("B", 0, 6)].hex() == fresh.iteration_time.hex()
+            assert copy.op_start[("F", 2, 0)].hex() == (
+                fresh.startup_overhead.hex()
+            )
+            for got, want in (
+                (copy.op_start, fresh.op_start), (copy.op_end, fresh.op_end),
+            ):
+                assert list(got) == list(want)
+                assert [v.hex() for v in got.values()] == [
+                    v.hex() for v in want.values()
+                ]
 
     def test_warm_hit_runs_no_simulations(self, tmp_path):
         """A hit must not touch the simulator: zero new evaluations."""

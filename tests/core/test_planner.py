@@ -154,12 +154,3 @@ class TestSimCache:
         assert cache.hit_rate == 0.0
 
 
-class TestIncrementalPlanner:
-    @pytest.mark.parametrize("stages,m", [(2, 4), (4, 8), (6, 12)])
-    def test_incremental_matches_default_path(self, gpt2_profile, stages, m):
-        """plan_partition(incremental=True) is bit-identical in outcome."""
-        base = plan_partition(gpt2_profile, stages, m, incremental=False)
-        inc = plan_partition(gpt2_profile, stages, m, incremental=True)
-        assert inc.partition.stages == base.partition.stages
-        assert inc.iteration_time == base.iteration_time
-        assert inc.evaluations == base.evaluations
