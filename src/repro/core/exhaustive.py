@@ -52,6 +52,11 @@ match the brute force bit for bit (property-tested with the memo
 enabled), and ``suffix_sims`` / ``dominance_pruned`` report how much
 work the incremental path avoided.
 
+``robust=`` objectives run their own exact search: a per-draw straggler
+bound, reduced with the objective's statistic, orders the candidates and
+prunes all but a few percent of them (:func:`_search_robust_pruned`);
+``prune=False`` keeps the literal enumeration (:func:`_search_robust`).
+
 A shared :class:`~repro.core.planner.SimCache` can be threaded through:
 stage-time vectors the planner already simulated in the same process are
 harvested from the cache instead of re-simulated, and the hit count is
@@ -83,7 +88,12 @@ from repro.core.planner import SimCache, plan_partition
 from repro.obs import stats as _stats
 from repro.obs import telemetry as _obs
 from repro.profiling.modelconfig import ModelProfile
-from repro.robustness.evaluate import RobustObjective, robust_objective_batch
+from repro.robustness.evaluate import (
+    RobustObjective,
+    reduce_statistic,
+    robust_objective_batch,
+)
+from repro.robustness import evaluate as _robust_eval
 
 #: relative slack on the pruning test: a subtree is discarded only when
 #: its lower bound exceeds the incumbent by more than this factor, so
@@ -108,6 +118,12 @@ _DOMINANCE_CAP = 1_000_000
 #: shared cut-0 state (one scalar ``extend`` costs more than the
 #: level-skip saves on a handful of rows).
 _CHAIN_MIN_GROUP = 8
+
+#: bound-pass survivors the robust oracle holds before scoring them in
+#: one ascending-bound sweep (caps its memory on large spaces; exact at
+#: any value, since every dropped candidate's bound exceeds a scored
+#: candidate's value).
+_ROBUST_HELD = 1 << 16
 
 #: search-space size from which the planner warm start pays for itself
 #: (the planner runs a few dozen scalar simulations; below this the
@@ -281,6 +297,21 @@ class _SearchState:
                 self.bound = g
 
 
+def _left_sum(values: Sequence[float]) -> float:
+    """Plain left-to-right float sum.
+
+    Every search path sums stage costs in this one order: the pruned
+    searches' running accumulators and the ``cumsum`` slice tables run
+    the same fold.  The built-in ``sum`` is not used because from Python
+    3.12 it compensates float rounding, which can move a stage cost of
+    three or more blocks by an ulp.
+    """
+    acc = 0.0
+    for x in values:
+        acc += x
+    return acc
+
+
 def _stage_sums(
     fwd: Sequence[float], bwd: Sequence[float], sizes: Sequence[int]
 ) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
@@ -289,8 +320,8 @@ def _stage_sums(
     b_stages: List[float] = []
     pos = 0
     for size in sizes:
-        f_stages.append(sum(fwd[pos:pos + size]))
-        b_stages.append(sum(bwd[pos:pos + size]))
+        f_stages.append(_left_sum(fwd[pos:pos + size]))
+        b_stages.append(_left_sum(bwd[pos:pos + size]))
         pos += size
     return tuple(f_stages), tuple(b_stages)
 
@@ -343,13 +374,12 @@ def _search_robust(
     robust: RobustObjective,
     first_sizes: Optional[frozenset] = None,
 ) -> None:
-    """Exact robust oracle: chunked batched brute force over all candidates.
+    """Robust oracle specification: chunked batched brute force.
 
-    The nominal lower bounds of the pruned search do not transfer to a
-    robust objective — a perturbation draw can reorder candidates the
-    bounds assumed dominated — so the robust oracle enumerates every
-    candidate and evaluates whole chunks of them under all ``K`` draws
-    through one ``(C*K, n)`` :class:`PipelineSimBatch` pass
+    The ``prune=False`` robust path and the reference the bound-pruned
+    :func:`_search_robust_pruned` is property-tested against: it
+    enumerates every candidate and evaluates whole chunks of them under
+    all ``K`` draws through one ``(C*K, n)`` frontier sweep
     (:func:`~repro.robustness.evaluate.robust_objective_batch`).  Chunks
     are sized so the batch stays near ``chunk_size`` *rows* (candidates
     x draws), bounding peak memory.  ``offer`` runs per candidate in
@@ -400,6 +430,217 @@ def _search_robust(
         if len(sizes_buf) >= cand_chunk:
             flush()
     flush()
+
+
+def _slice_sum_tables(
+    fwd: Sequence[float], bwd: Sequence[float]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Left-fold slice sums ``S[pos, size - 1]`` of both cost vectors.
+
+    ``cumsum`` runs the same sequential accumulation as the brute
+    force's per-``pos`` fold, so every entry is bitwise the stage cost
+    :func:`_stage_sums` gives a stage of ``size`` blocks from ``pos``
+    (entries past the last block are padding).
+    """
+    n = len(fwd)
+    src = np.arange(n)[:, None] + np.arange(n)[None, :]
+    in_range = src < n
+    src = np.minimum(src, n - 1)
+    SF = np.where(in_range, np.asarray(fwd, dtype=np.float64)[src], 0.0)
+    SB = np.where(in_range, np.asarray(bwd, dtype=np.float64)[src], 0.0)
+    np.cumsum(SF, axis=1, out=SF)
+    np.cumsum(SB, axis=1, out=SB)
+    return SF, SB
+
+
+def _robust_space_size(
+    n: int, num_stages: int, first_sizes: Optional[frozenset]
+) -> int:
+    """Candidates of ``n`` blocks over ``num_stages`` stages, restricted
+    to the given first-stage sizes when sharded."""
+    if first_sizes is None:
+        return math.comb(n - 1, num_stages - 1)
+    if num_stages == 1:
+        return int(n in first_sizes)
+    return sum(math.comb(n - 1 - a, num_stages - 2)
+               for a in first_sizes if a < n)
+
+
+def _edge_slabs(
+    n: int, num_stages: int, first_sizes: Optional[frozenset], slab: int
+) -> Iterator[np.ndarray]:
+    """Cut edges ``[0, c_1, .., c_{p-1}, n]`` of every candidate, in
+    lexicographic sizes order, as ``(<= slab, p + 1)`` int arrays.
+
+    Only the shard's first-stage sizes are enumerated, and only one slab
+    is materialised at a time.
+    """
+    p = num_stages
+    if p == 1:
+        if first_sizes is None or n in first_sizes:
+            yield np.array([[0, n]], dtype=np.int64)
+        return
+    heads = range(1, n) if first_sizes is None else \
+        sorted(a for a in first_sizes if a < n)
+    cuts = itertools.chain.from_iterable(
+        (a,) + rest
+        for a in heads
+        for rest in itertools.combinations(range(a + 1, n), p - 2)
+    )
+    while True:
+        flat = np.fromiter(
+            itertools.islice(cuts, slab * (p - 1)), dtype=np.int64
+        )
+        if not flat.size:
+            return
+        edges = np.empty((flat.size // (p - 1), p + 1), dtype=np.int64)
+        edges[:, 0] = 0
+        edges[:, 1:p] = flat.reshape(-1, p - 1)
+        edges[:, p] = n
+        yield edges
+
+
+def _search_robust_pruned(
+    fwd: Sequence[float],
+    bwd: Sequence[float],
+    comm: float,
+    num_stages: int,
+    num_micro_batches: int,
+    comm_mode: str,
+    state: _SearchState,
+    chunk_size: int,
+    prune_slack: float,
+    robust: RobustObjective,
+    first_sizes: Optional[frozenset] = None,
+) -> None:
+    """Exact robust oracle: bound-ordered sweeps over the candidate space.
+
+    Every candidate gets a lower bound on its robust objective: the
+    straggler bound of :func:`_search_pruned`, ``max_x prefixW(x) +
+    2*x*Comm + m*w_x``, evaluated per draw on the *perturbed* stage
+    costs and comm, then reduced with the objective's statistic.  Mean,
+    P95 (a linear interpolation between order statistics) and max are
+    each non-decreasing in every per-draw value, and each per-draw bound
+    is at most that draw's iteration time, so the reduced bound is at
+    most the candidate's objective.
+
+    Candidates are enumerated in slabs; each slab's bounds are computed
+    at once and candidates whose bound already exceeds ``incumbent *
+    prune_slack`` are dropped on the spot.  The survivors are held until
+    :data:`_ROBUST_HELD` of them accumulate (or the space ends), then
+    scored through
+    :func:`~repro.robustness.evaluate.robust_objective_batch` in
+    ascending-bound blocks — a first narrow block (``chunk_size`` kernel
+    rows) finds a strong incumbent, then one wide block takes every
+    remaining candidate whose bound is within ``incumbent *
+    prune_slack``; the rest are discarded.  Peak memory is therefore one
+    slab plus the held survivors, whatever the space size.  The slack
+    covers float rounding in the bound arithmetic, so the optimum and
+    every tie are always scored.
+
+    Each block's minimum-value candidates are offered through
+    :meth:`_SearchState.offer`, whose tie-break toward the
+    lexicographically smaller sizes makes the result the brute force's
+    argmin in any scoring order.  Candidate stage costs come from the
+    left-fold slice tables, so values are bitwise those of
+    :func:`_search_robust`.  ``first_sizes`` shards the space by
+    first-stage size for the multiprocess oracle; a shard enumerates
+    only its own candidates.
+    """
+    n = len(fwd)
+    p = num_stages
+    m = num_micro_batches
+    count = _robust_space_size(n, p, first_sizes)
+    if count == 0:
+        return
+    factors = robust.factors(p)
+    k = factors.draws
+    statistic = robust.statistic
+    SF, SB = _slice_sum_tables(fwd, bwd)
+    first = max(1, chunk_size // k)
+    slab = max(1, _robust_eval._MAX_ROWS // k)
+    slabs = _edge_slabs(n, p, first_sizes, slab)
+    tel = _obs.current()
+
+    def costs(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(C, p)`` stage-cost matrices of the given edge rows."""
+        starts = rows[:, :p]
+        last = rows[:, 1:] - starts - 1
+        return SF[starts, last], SB[starts, last]
+
+    def score(rows: np.ndarray) -> None:
+        """Score one block under every draw and offer its argmin."""
+        t_f = tel.clock() if tel is not None else 0
+        f_c, b_c = costs(rows)
+        values = robust_objective_batch(
+            f_c, b_c, comm, m, factors, statistic, comm_mode=comm_mode,
+        )
+        state.evaluations += len(rows)
+        vmin = values.min()
+        ties = rows[values == vmin]
+        best = min(tuple(np.diff(r).tolist()) for r in ties)
+        state.offer(best, float(vmin))
+        if tel is not None:
+            tel.record_since(
+                "oracle.chunk_flush", t_f, rows=len(rows), draws=k,
+            )
+        state.sync()
+
+    if count <= first:
+        score(np.concatenate(list(slabs)))
+        return
+
+    comm_k = factors.comm * comm
+    ff = np.ascontiguousarray(factors.fwd.T)
+    fb = np.ascontiguousarray(factors.bwd.T)
+
+    def bounds(rows: np.ndarray) -> np.ndarray:
+        """Per-draw straggler bounds, one stage at a time, reduced by
+        the statistic."""
+        f_c, b_c = costs(rows)
+        prefix = np.zeros((len(rows), k))
+        per_draw = np.zeros((len(rows), k))
+        for x in range(p):
+            w = f_c[:, x, None] * ff[x]
+            w += b_c[:, x, None] * fb[x]
+            lb = m * w
+            lb += prefix
+            if x:
+                lb += (2 * x) * comm_k
+            np.maximum(per_draw, lb, out=per_draw)
+            prefix += w
+        return reduce_statistic(per_draw, statistic, axis=1)
+
+    def sweep(rows: np.ndarray, bound: np.ndarray) -> None:
+        """Score held survivors in ascending-bound blocks."""
+        order = np.argsort(bound, kind="stable")
+        rows, bound = rows[order], bound[order]
+        i = 0
+        while i < len(rows):
+            limit = state.bound * prune_slack
+            if bound[i] > limit:
+                return
+            j = i + first if i == 0 else len(rows)
+            j = min(j, int(np.searchsorted(bound, limit, side="right")))
+            score(rows[i:j])
+            i = j
+
+    held_rows: List[np.ndarray] = []
+    held_bound: List[np.ndarray] = []
+    held = 0
+    for rows in slabs:
+        bound = bounds(rows)
+        keep = bound <= state.bound * prune_slack
+        if not keep.all():
+            rows, bound = rows[keep], bound[keep]
+        held_rows.append(rows)
+        held_bound.append(bound)
+        held += len(rows)
+        if held >= _ROBUST_HELD:
+            sweep(np.concatenate(held_rows), np.concatenate(held_bound))
+            held_rows, held_bound, held = [], [], 0
+    if held:
+        sweep(np.concatenate(held_rows), np.concatenate(held_bound))
 
 
 def _search_pruned(
@@ -566,8 +807,8 @@ def _search_pruned(
     ) -> None:
         rem_stages = p - s
         if rem_stages == 1:
-            f_sum = sum(fwd[pos:n])
-            b_sum = sum(bwd[pos:n])
+            f_sum = _left_sum(fwd[pos:n])
+            b_sum = _left_sum(bwd[pos:n])
             lb = max(
                 fixed_bound,
                 prefw[pos] + 2 * s * comm + m * (f_sum + b_sum),
@@ -588,7 +829,7 @@ def _search_pruned(
         b_sum = 0.0
         restrict = first_sizes if s == 0 else None
         for size in range(1, max_size + 1):
-            # Incremental accumulation == sum(fwd[pos:pos+size]) exactly.
+            # Incremental accumulation == _left_sum(fwd[pos:pos+size]).
             f_sum += fwd[pos + size - 1]
             b_sum += bwd[pos + size - 1]
             new_fixed = max(
@@ -1170,8 +1411,6 @@ def _search_analytic(
     block = max(chunk_size, _ANALYTIC_BLOCK)
     inf = float("inf")
 
-    fwd_v = np.asarray(fwd, dtype=np.float64)
-    bwd_v = np.asarray(bwd, dtype=np.float64)
     prefw_v = np.asarray(bounds.prefw)
     minmax_v = np.asarray(bounds.minmax)
     leaf_pad = np.asarray(bounds.leaf_lb + [inf])
@@ -1179,14 +1418,7 @@ def _search_analytic(
     pos_col = np.arange(n)[:, None]
     k_row = np.arange(n)[None, :]
     src = pos_col + k_row
-    in_range = src < n
-    # Left-fold slice sums for every (pos, size - 1): ``cumsum`` runs
-    # the same sequential accumulation as the brute force's per-pos
-    # fold, so every entry is bitwise the candidate's stage cost.
-    SF = np.where(in_range, fwd_v[np.minimum(src, n - 1)], 0.0)
-    SB = np.where(in_range, bwd_v[np.minimum(src, n - 1)], 0.0)
-    np.cumsum(SF, axis=1, out=SF)
-    np.cumsum(SB, axis=1, out=SB)
+    SF, SB = _slice_sum_tables(fwd, bwd)
     SS = SF + SB
     pos2_grid = np.minimum(src + 1, n)
 
@@ -1476,6 +1708,22 @@ def _evaluate_seeds(
     return warm
 
 
+def _search_mode(
+    prune: bool,
+    incremental: bool,
+    scorer: str,
+    robust: Optional[RobustObjective],
+) -> str:
+    """The search routine a knob combination selects."""
+    if robust is not None:
+        return "robust" if prune else "robust_brute"
+    if prune and incremental and scorer == "analytic":
+        return "analytic"
+    if prune and incremental:
+        return "incremental"
+    return "pruned" if prune else "brute"
+
+
 def exhaustive_partition(
     profile: ModelProfile,
     num_stages: int,
@@ -1528,12 +1776,18 @@ def exhaustive_partition(
     :class:`~repro.robustness.evaluate.RobustObjective`: the oracle
     returns the first lexicographic partition minimising the configured
     statistic of the simulated iteration time over the objective's
-    perturbation draws.  The nominal bounds do not transfer to a robust
-    objective, so this path enumerates the full space with chunked
-    batched evaluation (``prune``/``incremental``/``planner_warm_start``
-    /``sim_cache`` are ignored); the winner's objective value is
-    reported as ``ExhaustiveResult.robust_value``, while ``sim`` stays
-    the winner's *nominal* simulation.
+    perturbation draws.  ``prune`` applies here too: ``prune=True``
+    (default) sorts candidates by the straggler bound evaluated per draw
+    on the perturbed costs and reduced with the objective's statistic
+    (a valid lower bound because mean, P95 and max are monotone in every
+    draw), scores them in a few ascending-bound batched sweeps and stops
+    at the first bound above ``incumbent * prune_slack``; ``prune=False``
+    enumerates the full space in chunks of ``chunk_size // draws``
+    candidates (the specification).  Both return the identical
+    partition and objective value.  ``incremental``/
+    ``planner_warm_start``/``sim_cache`` are ignored.  The winner's
+    objective value is reported as ``ExhaustiveResult.robust_value``,
+    while ``sim`` stays the winner's *nominal* simulation.
 
     ``scorer`` selects the candidate evaluator for the default
     (``prune=True, incremental=True, robust=None``) path:
@@ -1581,6 +1835,7 @@ def exhaustive_partition(
     depth-8 oracle bench (guarded in
     ``benchmarks/test_bench_telemetry.py``).
     """
+    RobustObjective.check(robust)
     tel, sink_dir = _obs.resolve_telemetry(telemetry)
     if tel is None:
         if telemetry is False and _obs.active():
@@ -1602,16 +1857,7 @@ def exhaustive_partition(
             prune_slack=prune_slack, robust=robust, scorer=scorer,
             jobs=jobs, cache=cache,
         )
-    if robust is not None:
-        mode = "robust"
-    elif prune and incremental and scorer == "analytic":
-        mode = "analytic"
-    elif prune and incremental:
-        mode = "incremental"
-    elif prune:
-        mode = "pruned"
-    else:
-        mode = "brute"
+    mode = _search_mode(prune, incremental, scorer, robust)
     with _obs.session(tel):
         t0 = tel.clock()
         result = _exhaustive_impl(
@@ -1712,16 +1958,7 @@ def _exhaustive_impl(
     bwd = profile.bwd_times()
     comm = profile.comm_time
 
-    if robust is not None:
-        mode = "robust"
-    elif prune and incremental and scorer == "analytic":
-        mode = "analytic"
-    elif prune and incremental:
-        mode = "incremental"
-    elif prune:
-        mode = "pruned"
-    else:
-        mode = "brute"
+    mode = _search_mode(prune, incremental, scorer, robust)
 
     extra_seeds: List[Tuple[int, ...]] = []
     if mode in ("incremental", "analytic"):
@@ -1770,6 +2007,11 @@ def _exhaustive_impl(
         used_jobs = 1
         worker_subtrees = ()
         if mode == "robust":
+            _search_robust_pruned(
+                fwd, bwd, comm, num_stages, num_micro_batches, comm_mode,
+                state, chunk_size, prune_slack, robust,
+            )
+        elif mode == "robust_brute":
             _search_robust(
                 fwd, bwd, comm, num_stages, num_micro_batches, comm_mode,
                 state, chunk_size, robust,

@@ -155,8 +155,13 @@ def _run_shard(first_size: int) -> dict:
                 payload["prune_slack"], first, payload["warm"],
             )
         elif mode == "robust":
+            ex._search_robust_pruned(
+                *common, state, payload["chunk_size"],
+                payload["prune_slack"], payload["robust"], first,
+            )
+        elif mode == "robust_brute":
             ex._search_robust(
-                *common[:6], state, payload["chunk_size"],
+                *common, state, payload["chunk_size"],
                 payload["robust"], first,
             )
         elif mode == "brute":

@@ -30,6 +30,8 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.analytic_sim import PipelineSim, SimResult
 from repro.core.balance_dp import BalanceTable
 from repro.core.partition import PartitionScheme, StageTimes
@@ -37,7 +39,7 @@ from repro.models.transformer import layer_groups
 from repro.obs import stats as _stats
 from repro.obs import telemetry as _obs
 from repro.profiling.modelconfig import ModelProfile
-from repro.robustness.evaluate import RobustObjective, robust_objective_value
+from repro.robustness.evaluate import RobustObjective, robust_objective_batch
 
 Sizes = Tuple[int, ...]
 
@@ -423,10 +425,12 @@ def plan_partition(
     — the configured statistic (mean/P95/max) of the candidate's
     simulated iteration time over ``K`` seeded perturbation draws.  The
     draws are sampled once per call, so every candidate is compared
-    under the same scenarios; each considered candidate costs one extra
-    batched ``K``-row relaxation.  The *search moves* are still driven
+    under the same scenarios.  The *search moves* are still driven
     by the nominal simulations (master stage, cooldown adjust), so the
-    explored neighbourhood is unchanged — only the winner selection is.
+    explored neighbourhood is unchanged — only the winner selection is:
+    every fitting candidate is scored after the search in one batched
+    ``(candidates x K)``-row sweep, and the selection is replayed in
+    the order the search first considered them.
     The winning value is reported as ``PlannerResult.robust_value``.
     ``jobs`` (default: the process-wide ``--plan-jobs`` setting) hands
     each expansion's master-shift wave to a
@@ -452,6 +456,7 @@ def plan_partition(
     reads clocks and counters — the returned plan, evaluation count and
     history are bit-identical with it on or off (property-tested).
     """
+    RobustObjective.check(robust)
     tel, sink_dir = _obs.resolve_telemetry(telemetry)
     if tel is None:
         if telemetry is False and _obs.active():
@@ -583,31 +588,25 @@ def _plan_impl(
     best_sim: Optional[SimResult] = None
     best_value: Optional[float] = None
 
-    # Robust mode: one factor set drawn up front, one batched K-row
-    # relaxation per considered candidate, memoised by sizes.  Nominal
-    # mode keeps the original objective (the nominal iteration time).
-    factors = robust.factors(num_stages) if robust is not None else None
-    robust_vals: Dict[Sizes, float] = {}
-
-    def objective(sizes: Sizes, sim: SimResult) -> float:
-        if factors is None or robust is None:
-            return sim.iteration_time
-        val = robust_vals.get(sizes)
-        if val is None:
-            val = robust_objective_value(
-                sim.stage_times, num_micro_batches, factors,
-                robust.statistic, comm_mode=comm_mode,
-            )
-            robust_vals[sizes] = val
-        return val
-
+    # Robust mode: the search moves only on nominal simulations (master
+    # stage, cooldown adjustment, shifts), so robust values matter for
+    # selection alone.  Fitting candidates are recorded in the order they
+    # are first considered and scored after the search in one batched
+    # sweep; replaying the strict ``<`` selection in that order picks the
+    # winner (and counts the incumbent updates) exactly as scoring each
+    # candidate on arrival would.  A repeat consideration can never win
+    # the replay: its value equals the incumbent's or exceeds it.
+    considered: Dict[Sizes, SimResult] = {}
     incumbent_updates = 0
 
     def consider(sizes: Sizes, sim: SimResult) -> None:
         nonlocal best_sizes, best_sim, best_value, incumbent_updates
         if not fits(sizes):
             return
-        value = objective(sizes, sim)
+        if robust is not None:
+            considered.setdefault(sizes, sim)
+            return
+        value = sim.iteration_time
         if best_value is None or value < best_value:
             best_sizes, best_sim, best_value = sizes, sim, value
             incumbent_updates += 1
@@ -715,6 +714,21 @@ def _plan_impl(
         if pool is not None:
             pool.close()
 
+    if considered:
+        assert robust is not None
+        sims = list(considered.values())
+        values = robust_objective_batch(
+            np.array([sim.stage_times.fwd for sim in sims]),
+            np.array([sim.stage_times.bwd for sim in sims]),
+            sims[0].stage_times.comm, num_micro_batches,
+            robust.factors(num_stages), robust.statistic,
+            comm_mode=comm_mode,
+        )
+        for (sizes, sim), value in zip(considered.items(), values.tolist()):
+            if best_value is None or value < best_value:
+                best_sizes, best_sim, best_value = sizes, sim, value
+                incumbent_updates += 1
+
     if best_sizes is None or best_sim is None:
         raise RuntimeError(
             f"no evaluated partition fits the {memory_cap / 2**30:.1f} GiB "
@@ -731,7 +745,7 @@ def _plan_impl(
         search_seconds=elapsed,
         granularity=granularity,
         history=tuple(history),
-        robust_value=best_value if factors is not None else None,
+        robust_value=best_value if robust is not None else None,
         jobs=jobs if pool is not None and pool.active else 1,
         incumbent_updates=incumbent_updates,
     )

@@ -42,6 +42,11 @@ from repro.robustness.perturbation import (
 #: Supported robust statistics over the per-draw iteration times.
 STATISTICS = ("mean", "p95", "max")
 
+#: Kernel rows (candidates x draws) per frontier sweep of
+#: :func:`robust_objective_batch`; wider batches are split by candidate.
+#: Values are row-independent, so the split is pure memory tuning.
+_MAX_ROWS = 16_384
+
 
 def reduce_statistic(times, statistic: str, axis: Optional[int] = None):
     """Reduce per-draw iteration times to one robust objective value."""
@@ -77,12 +82,39 @@ class RobustObjective:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "models", tuple(self.models))
+        for model in self.models:
+            if not isinstance(model, PerturbationModel):
+                raise TypeError(
+                    f"models must hold PerturbationModel instances, got "
+                    f"{type(model).__name__}"
+                )
+        for name in ("draws", "seed"):
+            value = getattr(self, name)
+            # bool is an int subclass, but draws=True is a typo, not 1.
+            if isinstance(value, bool) or not isinstance(
+                value, (int, np.integer)
+            ):
+                raise TypeError(
+                    f"{name} must be an integer, got {value!r}"
+                )
         if self.draws < 1:
-            raise ValueError("need at least one draw")
+            raise ValueError(f"draws must be >= 1, got {self.draws}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.statistic not in STATISTICS:
             raise ValueError(
                 f"unknown statistic {self.statistic!r} "
                 f"(choose from {STATISTICS})"
+            )
+
+    @staticmethod
+    def check(robust) -> None:
+        """Reject a ``robust=`` argument that is neither None nor an
+        objective (a bare statistic name such as ``"p95"``, say)."""
+        if robust is not None and not isinstance(robust, RobustObjective):
+            raise TypeError(
+                f"robust must be a RobustObjective or None, got "
+                f"{type(robust).__name__} {robust!r}"
             )
 
     def factors(self, num_stages: int) -> StageFactors:
@@ -142,7 +174,9 @@ def robust_objective_batch(
     """Robust objective of ``C`` candidates at once, shape ``(C,)``.
 
     Stacks the ``C x K`` perturbed vectors into one ``(C*K, n)`` batch:
-    candidate ``i``'s draws occupy rows ``i*K .. (i+1)*K - 1``.  Each
+    candidate ``i``'s draws occupy rows ``i*K .. (i+1)*K - 1``.  Batches
+    wider than :data:`_MAX_ROWS` rows are swept in whole-candidate
+    slices, bounding peak memory.  Each
     row's entries are bitwise identical to the per-candidate path's
     (``np.repeat``/``np.tile`` copy bits; the multiplies see the same
     operands), so the reduced values match
@@ -163,13 +197,18 @@ def robust_objective_batch(
     k = factors.draws
     tel = _obs.current()
     t0 = tel.clock() if tel is not None else 0
-    pf = np.repeat(fwd, k, axis=0) * np.tile(factors.fwd, (num_candidates, 1))
-    pb = np.repeat(bwd, k, axis=0) * np.tile(factors.bwd, (num_candidates, 1))
-    pc = np.tile(factors.comm * comm, num_candidates)
-    per_draw = frontier_times(
-        pf, pb, pc, num_micro_batches, comm_mode=comm_mode
-    ).reshape(num_candidates, k)
-    values = np.asarray(reduce_statistic(per_draw, statistic, axis=1))
+    values = np.empty(num_candidates)
+    step = max(1, _MAX_ROWS // k)
+    for c0 in range(0, num_candidates, step):
+        c1 = min(c0 + step, num_candidates)
+        rows = c1 - c0
+        pf = np.repeat(fwd[c0:c1], k, axis=0) * np.tile(factors.fwd, (rows, 1))
+        pb = np.repeat(bwd[c0:c1], k, axis=0) * np.tile(factors.bwd, (rows, 1))
+        pc = np.tile(factors.comm * comm, rows)
+        per_draw = frontier_times(
+            pf, pb, pc, num_micro_batches, comm_mode=comm_mode
+        ).reshape(rows, k)
+        values[c0:c1] = reduce_statistic(per_draw, statistic, axis=1)
     if tel is not None:
         tel.record_since(
             "robust.objective_batch", t0,

@@ -131,18 +131,37 @@ class TestOracleBitIdentity:
             assert any(lbl.startswith("worker") for lbl in labels)
 
     def test_robust_identical_on_vs_off(self, tiny_profile):
+        self._check_robust(tiny_profile, prune=True)
+
+    def test_robust_enumeration_identical_on_vs_off(self, tiny_profile):
+        self._check_robust(tiny_profile, prune=False)
+
+    @staticmethod
+    def _check_robust(tiny_profile, prune):
         objective = RobustObjective(
             models=(StageCostNoise(sigma=0.05),), draws=16, seed=3,
         )
-        off = exhaustive_partition(tiny_profile, 3, 8, cache=False,
-                                   robust=objective)
+        # A 16-row chunk makes the bound-pruned path's first sweep a
+        # single candidate, so the bounds prune the rest of the space.
+        kwargs = dict(robust=objective, prune=prune, chunk_size=16)
+        off = exhaustive_partition(tiny_profile, 3, 8, cache=False, **kwargs)
         tel = obs.Telemetry()
         on = exhaustive_partition(tiny_profile, 3, 8, cache=False,
-                                  robust=objective, telemetry=tel)
+                                  telemetry=tel, **kwargs)
         _assert_same_plan(off, on)
         assert on.robust_value == off.robust_value
-        assert "robust.objective_batch" in {e[0] for e in tel.events}
-        assert tel.counters["robust.candidates"] > 0
+        assert on.pruned == off.pruned
+        names = {e[0] for e in tel.events}
+        assert {"robust.objective_batch", "oracle.chunk_flush"} <= names
+        assert tel.counters["robust.candidates"] == on.evaluations
+        assert tel.counters["robust.draw_sims"] == 16 * on.evaluations
+        assert tel.counters["oracle.pruned"] == on.pruned
+        (span,) = [e for e in tel.events if e[0] == "oracle.search"]
+        assert span[4]["mode"] == ("robust" if prune else "robust_brute")
+        if prune:
+            assert on.pruned > 0
+        else:
+            assert on.pruned == 0
 
     def test_plan_cache_counters(self, tiny_profile, tmp_path):
         from repro.core.plan_cache import PlanCache

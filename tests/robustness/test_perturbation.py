@@ -263,3 +263,31 @@ class TestRobustSearch:
             Straggler(2.0, probability=1.5)
         with pytest.raises(ValueError, match="factor"):
             CommDegradation(0.0)
+        # Bad fields fail at construction with a typed error naming the
+        # field, not later inside numpy.
+        for field, value, error in [
+            ("draws", 2.5, TypeError),
+            ("draws", True, TypeError),
+            ("draws", "64", TypeError),
+            ("draws", -3, ValueError),
+            ("seed", -1, ValueError),
+            ("seed", 1.5, TypeError),
+            ("seed", False, TypeError),
+        ]:
+            with pytest.raises(error, match=field):
+                RobustObjective((StageCostNoise(0.1),), **{field: value})
+
+    def test_objective_accepts_numpy_integers(self):
+        objective = RobustObjective(
+            (StageCostNoise(0.1),), draws=np.int64(4), seed=np.int32(2)
+        )
+        assert objective.factors(3).draws == 4
+
+    def test_objective_rejects_non_models(self):
+        with pytest.raises(TypeError, match="models"):
+            RobustObjective(("noise",))
+
+    @pytest.mark.parametrize("search", [exhaustive_partition, plan_partition])
+    def test_entry_points_reject_non_objectives(self, tiny_profile, search):
+        with pytest.raises(TypeError, match="robust"):
+            search(tiny_profile, 3, 6, robust="p95")

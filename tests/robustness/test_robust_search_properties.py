@@ -1,0 +1,282 @@
+"""Property suite: the robust searches against their literal specifications.
+
+* The robust oracle's bound-pruned sweep (``prune=True``, the default)
+  must return the ``prune=False`` enumeration's partition and
+  ``robust_value`` bit for bit — every statistic, both comm modes,
+  depth 1-5, any micro-batch count, tie-heavy and zero-cost profiles —
+  and ``jobs=2`` must return the serial answer.  Shrinking the bound
+  pass's slabs and the survivor hold to a few candidates (many slabs,
+  several sweeps) must not change the answer either.
+* The robust planner scores its considered candidates in one batched
+  sweep after the search.  Its spec is the per-candidate replay: walk
+  the nominal planner's evaluation history (the order candidates are
+  first considered), score each fitting one with
+  :func:`robust_objective_value` and keep strict improvements.  Plan,
+  ``robust_value``, ``evaluations``, ``history`` and
+  ``incumbent_updates`` must all match, and the same replay scored by
+  nominal time must give the nominal planner's plan.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.config import TrainConfig
+from repro.core import exhaustive
+from repro.core.exhaustive import exhaustive_partition
+from repro.core.planner import _UnitSpace, plan_partition
+from repro.hardware.device import DEFAULT_CLUSTER_HW
+from repro.models.zoo import GPT2_345M
+from repro.profiling import profile_model
+from repro.robustness import evaluate as robust_evaluate
+from repro.robustness import (
+    CommDegradation,
+    RobustObjective,
+    StageCostNoise,
+    Straggler,
+    robust_objective_value,
+)
+
+from tests.core.test_search_properties import make_profile
+
+_COMM_MODES = ("paper", "edges")
+_STATISTICS = ("mean", "p95", "max")
+#: few distinct values, zeros included: many candidates tie exactly.
+_TIE_HEAVY = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0])
+_CONTINUOUS = st.floats(0.05, 4.0)
+
+
+@st.composite
+def _objective(draw, depth):
+    stack = []
+    if draw(st.booleans()):
+        stack.append(StageCostNoise(draw(st.sampled_from([0.0, 0.1, 0.3]))))
+    if draw(st.booleans()):
+        stack.append(Straggler(
+            draw(st.sampled_from([1.5, 3.0])),
+            stage=draw(st.one_of(st.none(), st.integers(0, depth - 1))),
+            probability=draw(st.sampled_from([0.2, 1.0])),
+        ))
+    if draw(st.booleans()):
+        stack.append(CommDegradation(
+            draw(st.sampled_from([2.0, 4.0])),
+            probability=draw(st.sampled_from([0.3, 1.0])),
+        ))
+    if not stack:
+        stack.append(StageCostNoise(0.2))
+    return RobustObjective(
+        tuple(stack),
+        draws=draw(st.sampled_from([1, 4, 16])),
+        seed=draw(st.integers(0, 50)),
+        statistic=draw(st.sampled_from(_STATISTICS)),
+    )
+
+
+@st.composite
+def _case(draw, max_blocks=12, min_depth=1):
+    n = draw(st.integers(min_depth, max_blocks))
+    depth = draw(st.integers(min_depth, min(n, 5)))
+    cost = _TIE_HEAVY if draw(st.booleans()) else _CONTINUOUS
+    fwd = draw(st.lists(cost, min_size=n, max_size=n))
+    bwd = draw(st.lists(cost, min_size=n, max_size=n))
+    comm = draw(st.sampled_from([0.0, 0.25, 1.0]))
+    m = draw(st.integers(1, 12))
+    objective = draw(_objective(depth))
+    # chunk_size sets the first sweep's width (chunk_size // draws
+    # candidates); a narrow first sweep makes the bounds do the work.
+    chunk = draw(st.sampled_from([1, objective.draws, 1024]))
+    return make_profile(fwd, bwd, comm), depth, m, objective, chunk
+
+
+def _hex(result):
+    return float(result.robust_value).hex()
+
+
+class TestRobustOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_case(), st.sampled_from(_COMM_MODES))
+    def test_pruned_matches_enumeration(self, case, comm_mode):
+        profile, depth, m, objective, chunk = case
+        spec = exhaustive_partition(
+            profile, depth, m, robust=objective, prune=False,
+            comm_mode=comm_mode, cache=False,
+        )
+        pruned = exhaustive_partition(
+            profile, depth, m, robust=objective, comm_mode=comm_mode,
+            chunk_size=chunk, cache=False,
+        )
+        assert pruned.partition.sizes == spec.partition.sizes
+        assert _hex(pruned) == _hex(spec)
+        assert pruned.iteration_time == spec.iteration_time
+        assert 1 <= pruned.evaluations <= spec.evaluations == spec.space
+
+    @settings(max_examples=60, deadline=None)
+    @given(_case(), st.sampled_from(_COMM_MODES), st.integers(1, 5),
+           st.integers(1, 64))
+    def test_small_slabs_and_holds_match_enumeration(
+        self, case, comm_mode, held, rows
+    ):
+        # Tiny bound-pass slabs and survivor holds force many slabs and
+        # several ascending-bound sweeps, each pruning against the
+        # incumbent the earlier ones found.
+        profile, depth, m, objective, chunk = case
+        spec = exhaustive_partition(
+            profile, depth, m, robust=objective, prune=False,
+            comm_mode=comm_mode, cache=False,
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exhaustive, "_ROBUST_HELD", held)
+            patch.setattr(robust_evaluate, "_MAX_ROWS", rows)
+            pruned = exhaustive_partition(
+                profile, depth, m, robust=objective, comm_mode=comm_mode,
+                chunk_size=chunk, cache=False,
+            )
+        assert pruned.partition.sizes == spec.partition.sizes
+        assert _hex(pruned) == _hex(spec)
+        assert 1 <= pruned.evaluations <= spec.space
+
+    @settings(max_examples=4, deadline=None)
+    @given(_case(max_blocks=8, min_depth=2), st.booleans())
+    def test_jobs_match_serial(self, case, prune):
+        profile, depth, m, objective, chunk = case
+        kwargs = dict(
+            robust=objective, prune=prune, chunk_size=chunk, cache=False,
+        )
+        serial = exhaustive_partition(profile, depth, m, **kwargs)
+        sharded = exhaustive_partition(profile, depth, m, jobs=2, **kwargs)
+        assert sharded.partition.sizes == serial.partition.sizes
+        assert _hex(sharded) == _hex(serial)
+
+    def test_stage_costs_sum_left_to_right(self):
+        # A compensated sum (the built-in ``sum`` from Python 3.12)
+        # gives 1.0000000000000002 here; every path must give the plain
+        # left fold 1.0, or the two robust paths could differ by an ulp.
+        fwd = [1.0, 1e-16, 1e-16, 2.0]
+        bwd = [3.0, 1e-16, 1e-16, 1.0]
+        assert exhaustive._stage_sums(fwd, bwd, (3, 1)) == (
+            (1.0, 2.0), (3.0, 1.0),
+        )
+        SF, SB = exhaustive._slice_sum_tables(fwd, bwd)
+        assert (SF[0, 2], SB[0, 2]) == (1.0, 3.0)
+        objective = RobustObjective(
+            (StageCostNoise(0.2),), draws=8, seed=1, statistic="p95",
+        )
+        profile = make_profile(fwd, bwd, 0.25)
+        spec, pruned = (
+            exhaustive_partition(
+                profile, 2, 4, robust=objective, prune=prune, cache=False,
+            )
+            for prune in (False, True)
+        )
+        assert pruned.partition.sizes == spec.partition.sizes
+        assert _hex(pruned) == _hex(spec)
+
+    @pytest.mark.parametrize("statistic", _STATISTICS)
+    def test_bounds_prune_most_of_the_space(self, tiny_profile, statistic):
+        objective = RobustObjective(
+            (StageCostNoise(0.1), Straggler(2.0, probability=0.3)),
+            draws=32, seed=5, statistic=statistic,
+        )
+        result = exhaustive_partition(
+            tiny_profile, 3, 6, robust=objective, chunk_size=32, cache=False,
+        )
+        spec = exhaustive_partition(
+            tiny_profile, 3, 6, robust=objective, prune=False, cache=False,
+        )
+        assert result.partition.sizes == spec.partition.sizes
+        assert _hex(result) == _hex(spec)
+        assert result.pruned > result.space // 2
+
+
+def _select(candidates):
+    """Strict ``<`` selection in order: (winner, value, updates)."""
+    best, best_value, updates = None, None, 0
+    for sizes, value in candidates:
+        if best_value is None or value < best_value:
+            best, best_value, updates = sizes, value, updates + 1
+    return best, best_value, updates
+
+
+def _assert_matches_replay(profile, depth, m, objective, **kwargs):
+    """The robust planner against its per-candidate spec.
+
+    The nominal planner's history lists candidates in the order the
+    search first considers them.  Replaying the strict ``<`` selection
+    over the fitting ones must give the nominal plan back (so the
+    nominal planner is unchanged), and the same replay scored with
+    :func:`robust_objective_value` must give the robust plan.
+    """
+    nominal = plan_partition(
+        profile, depth, m, keep_history=True, cache=False, **kwargs
+    )
+    result = plan_partition(
+        profile, depth, m, robust=objective, keep_history=True,
+        cache=False, **kwargs
+    )
+    space = _UnitSpace(profile, "sublayer")
+    cap = kwargs.get("memory_cap")
+    fitting = [
+        (sizes, t) for sizes, t in nominal.history
+        if cap is None or max(space.stage_memory(sizes, m)) <= cap
+    ]
+    sizes, value, updates = _select(fitting)
+    assert nominal.partition.sizes == sizes
+    assert nominal.iteration_time == value
+    assert nominal.incumbent_updates == updates
+
+    factors = objective.factors(depth)
+    sizes, value, updates = _select(
+        (sizes, robust_objective_value(
+            space.stage_times(sizes), m, factors, objective.statistic,
+            comm_mode=kwargs.get("comm_mode", "paper"),
+        ))
+        for sizes, _ in fitting
+    )
+    assert result.partition.sizes == sizes
+    assert result.robust_value.hex() == value.hex()
+    assert result.incumbent_updates == updates
+    assert result.evaluations == nominal.evaluations
+    assert result.history == nominal.history
+
+
+@st.composite
+def _planner_case(draw):
+    n = draw(st.integers(2, 14))
+    depth = draw(st.integers(1, min(n, 6)))
+    cost = _TIE_HEAVY if draw(st.booleans()) else _CONTINUOUS
+    fwd = draw(st.lists(cost, min_size=n, max_size=n))
+    bwd = draw(st.lists(cost, min_size=n, max_size=n))
+    comm = draw(st.sampled_from([0.0, 0.25, 1.0]))
+    return (
+        make_profile(fwd, bwd, comm), depth, draw(st.integers(1, 16)),
+        draw(_objective(depth)),
+    )
+
+
+@pytest.fixture(scope="module")
+def hungry_profile():
+    """GPT-2 345M at micro-batch 32: time balance alone breaks the GPU
+    memory cap, so the capped search must skip unfit candidates."""
+    train = TrainConfig(micro_batch_size=32, global_batch_size=512)
+    return profile_model(GPT2_345M, DEFAULT_CLUSTER_HW, train)
+
+
+class TestRobustPlanner:
+    @settings(max_examples=60, deadline=None)
+    @given(_planner_case(), st.sampled_from(_COMM_MODES))
+    def test_batched_selection_matches_replay(self, case, comm_mode):
+        profile, depth, m, objective = case
+        _assert_matches_replay(
+            profile, depth, m, objective, comm_mode=comm_mode
+        )
+
+    @pytest.mark.parametrize("statistic", _STATISTICS)
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_memory_cap(self, hungry_profile, depth, statistic):
+        objective = RobustObjective(
+            (StageCostNoise(0.1), CommDegradation(2.0, probability=0.5)),
+            draws=16, seed=4, statistic=statistic,
+        )
+        cap = hungry_profile.hardware.gpu_memory
+        _assert_matches_replay(
+            hungry_profile, depth, 8, objective, memory_cap=cap
+        )
