@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import time
 
-from benchmarks.conftest import run_and_print
+from benchmarks.conftest import TINY12, run_and_print
 from benchmarks.test_bench_ablation_search import merge_into_search_results
-from benchmarks.test_bench_incremental import TINY12
 from repro.baselines.dapple import plan_dapple
 from repro.baselines.piper import plan_piper
 from repro.config import TrainConfig

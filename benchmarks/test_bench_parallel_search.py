@@ -6,9 +6,9 @@ Writes the ``parallel_oracle`` and ``autotune`` sections of
 
 * ``jobs`` in {2, 4} must return the *bit-identical* argmin of the
   serial search (always asserted);
-* on a machine with >= 4 cores, ``jobs=4`` must cut the depth-8
-  per-node oracle's wall clock by >= 2x (a single-core container can
-  only demonstrate parity, so the speedup guard is gated on
+* on a machine with >= 4 cores, ``jobs=4`` must cut the depth-12
+  oracle's wall clock by >= 2x (a machine with fewer cores can only
+  demonstrate parity, so the speedup guard is gated on
   ``os.cpu_count()`` — the recorded numbers stay honest either way);
 * a warm plan-cache hit must replay the stored result in < 10 ms
   without running a single simulation.
@@ -19,9 +19,8 @@ from __future__ import annotations
 import os
 import time
 
-from benchmarks.conftest import run_and_print
+from benchmarks.conftest import TINY12, _best_of, run_and_print
 from benchmarks.test_bench_ablation_search import merge_into_search_results
-from benchmarks.test_bench_incremental import TINY12, _best_of
 from repro.config import TrainConfig
 from repro.core.exhaustive import exhaustive_partition
 from repro.core.plan_cache import PlanCache
@@ -30,10 +29,11 @@ from repro.experiments.common import ExperimentResult
 from repro.hardware.device import DEFAULT_CLUSTER_HW
 from repro.profiling import profile_model
 
-#: the depth-8 guard row runs the per-node pruned path (the incremental
-#: default finishes the whole search in ~30 ms — too little work to
-#: amortise a process pool, so the fan-out is benched where it matters).
-_DEPTH, _M = 8, 32
+#: depth 12: the serial search takes ~0.4 s (7.7M candidates), enough
+#: work to amortise spawning the pool; at depth 8 it finishes in ~6 ms,
+#: less than one process spawn.
+_DEPTH, _M = 12, 24
+_KWARGS = dict(comm_mode="paper", max_evaluations=None)
 
 
 def _tiny12_profile():
@@ -44,27 +44,25 @@ def _tiny12_profile():
 def run_parallel_oracle():
     profile = _tiny12_profile()
     result = ExperimentResult(
-        name=f"Multiprocess oracle: tiny12, depth {_DEPTH}, m={_M}, "
-             "per-node pruned path",
+        name=f"Multiprocess oracle: tiny12, depth {_DEPTH}, m={_M}",
         headers=["jobs", "wall (ms)", "speedup", "workers", "evals",
                  "identical"],
     )
-    kwargs = dict(comm_mode="paper", incremental=False)
-    serial = exhaustive_partition(profile, _DEPTH, _M, **kwargs)
+    serial = exhaustive_partition(profile, _DEPTH, _M, **_KWARGS)
     serial_s = _best_of(
-        lambda: exhaustive_partition(profile, _DEPTH, _M, **kwargs)
+        lambda: exhaustive_partition(profile, _DEPTH, _M, **_KWARGS)
     )
     result.rows.append([
         1, f"{serial_s * 1e3:.1f}", "1.0x", 1, serial.evaluations, "yes",
     ])
     for jobs in (2, 4):
         parallel = exhaustive_partition(profile, _DEPTH, _M, jobs=jobs,
-                                        **kwargs)
+                                        **_KWARGS)
         assert parallel.partition.sizes == serial.partition.sizes
         assert parallel.iteration_time == serial.iteration_time  # bitwise
         par_s = _best_of(
             lambda: exhaustive_partition(profile, _DEPTH, _M, jobs=jobs,
-                                         **kwargs)
+                                         **_KWARGS)
         )
         result.rows.append([
             jobs, f"{par_s * 1e3:.1f}", f"{serial_s / par_s:.1f}x",
@@ -86,13 +84,13 @@ def test_bench_parallel_oracle(benchmark, tmp_path):
     # Plan-cache warm-hit latency on the same search.
     cache = PlanCache(tmp_path)
     profile = _tiny12_profile()
-    cold = exhaustive_partition(profile, _DEPTH, _M, incremental=False,
-                                cache=cache)
+    cold = exhaustive_partition(profile, _DEPTH, _M, cache=cache,
+                                **_KWARGS)
     warm_s = float("inf")
     for _ in range(5):
         t0 = time.perf_counter()
-        warm = exhaustive_partition(profile, _DEPTH, _M, incremental=False,
-                                    cache=cache)
+        warm = exhaustive_partition(profile, _DEPTH, _M, cache=cache,
+                                    **_KWARGS)
         warm_s = min(warm_s, time.perf_counter() - t0)
     assert warm == cold
     assert cache.hits >= 5
@@ -105,7 +103,7 @@ def test_bench_parallel_oracle(benchmark, tmp_path):
 
     merge_into_search_results("parallel_oracle", {
         "setting": f"tiny12 (27 blocks), depth {_DEPTH}, m={_M}, "
-                   "per-node pruned path, shared-incumbent sharding",
+                   "pruned search, shared-incumbent sharding",
         "cores": cores,
         "rows": [
             {

@@ -25,31 +25,17 @@ from __future__ import annotations
 
 import time
 
-from benchmarks.conftest import run_and_print
+from benchmarks.conftest import TINY12, _best_of, run_and_print
 from benchmarks.test_bench_ablation_search import merge_into_search_results
 from repro import obs
-from repro.config import ModelConfig, TrainConfig
+from repro.config import TrainConfig
 from repro.core.exhaustive import exhaustive_partition
 from repro.experiments.common import ExperimentResult
 from repro.hardware.device import DEFAULT_CLUSTER_HW
 from repro.profiling import profile_model
 
-TINY12 = ModelConfig(
-    name="tiny12", num_layers=12, hidden_size=256, num_heads=4,
-    seq_length=128, vocab_size=8000,
-)
-
 #: the contractual ceiling on the disabled-path cost.
 MAX_DISABLED_OVERHEAD = 0.02
-
-
-def _best_of(fn, reps: int = 3) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def _disabled_probe_seconds(iterations: int = 200_000) -> float:

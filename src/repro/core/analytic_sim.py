@@ -453,10 +453,12 @@ class PrefixState:
     the remaining ops in topological order (:meth:`PipelineSim.resume`,
     :class:`SuffixSimBatch`) reproduces a cold run bit for bit.
 
-    States extend one stage at a time (:meth:`extend`), which is how the
-    search layers checkpoint "after each stage": the oracle's DFS derives
-    the state of a partial assignment from its parent's in
-    ``O(warmup depth)`` scalar steps instead of re-simulating the prefix.
+    States extend one stage at a time (:meth:`extend`): a cut-descent
+    search can derive the state of a partial assignment from its
+    parent's in ``O(warmup depth)`` scalar steps instead of
+    re-simulating the prefix.  (The exact oracle now scores candidates
+    with the max-plus kernel instead; these classes remain tested
+    building blocks.)
     """
 
     n: int
@@ -467,8 +469,8 @@ class PrefixState:
     prefix_fwd: Tuple[float, ...]
     prefix_bwd: Tuple[float, ...]
     #: free-lattice start/end values as plain float tuples (rows align
-    #: with the plan's ``free_idx``); tuples keep :meth:`extend` chains —
-    #: the oracle's hottest non-batched loop — free of numpy round-trips.
+    #: with the plan's ``free_idx``); tuples keep :meth:`extend` chains
+    #: free of numpy round-trips.
     _start: Tuple[float, ...] = field(repr=False, compare=False)
     _end: Tuple[float, ...] = field(repr=False, compare=False)
 
@@ -1069,9 +1071,9 @@ class SuffixSimBatch:
     The incremental sibling of :class:`PipelineSimBatch`: instead of
     relaxing all ``2nm`` ops for every candidate, the cut's free lattice
     is seeded from checkpointed :class:`PrefixState` values and only the
-    suffix wavefront (:attr:`_SuffixPlan.levels`) is relaxed — the exact
-    situation of the oracle's chunk flushes, where every buffered leaf
-    shares the prefix fixed by the partial assignment.
+    suffix wavefront (:attr:`_SuffixPlan.levels`) is relaxed — the
+    situation of a cut-descent search whose buffered leaves share the
+    prefix fixed by a partial assignment.
 
     Accepts either one shared :class:`PrefixState` (all ``K`` rows extend
     the same prefix) or a length-``K`` sequence of states agreeing on
@@ -1182,8 +1184,8 @@ class SuffixSimBatch:
         dur_src[: self.n] = self.fwd.T
         dur_src[self.n :] = self.bwd.T
         # Start times are only read back through startup_overheads() /
-        # result(); the oracle's flushes never do, and skipping the array
-        # saves one scatter per level on the hottest path.
+        # result(); callers that only need iteration times skip the
+        # array and save one scatter per level.
         start = np.zeros((size, num)) if self._need_start else None
         end = np.zeros((size, num))
         if len(plan.free_idx):

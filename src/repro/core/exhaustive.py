@@ -14,43 +14,18 @@ lexicographic cut order achieving the minimum iteration time):
   ``C(n-1, p-1)`` candidates is simulated by the scalar
   :class:`~repro.core.analytic_sim.PipelineSim`.  This is the
   bit-exactness reference.
-* ``prune=True`` (default) — branch-and-bound over cut positions.  A DFS
-  assigns stage sizes left to right; each partial assignment is bounded
-  below using prefix sums (see :func:`docs/search.md <search>` and the
-  bound derivation in ``_search_pruned``) and subtrees whose bound
-  exceeds the incumbent are discarded without simulation.  Surviving
-  leaves are buffered and evaluated in chunks by the vectorised
-  :class:`~repro.core.analytic_sim.PipelineSimBatch`; candidate stage
-  times use the same left-to-right slice summation as the brute force,
-  and the batch recurrences are bit-identical to scalar runs, so the
-  returned partition and iteration time match the brute force exactly
-  (property-tested in ``tests/core/test_search_properties.py``).
-
-``incremental=True`` (default, with ``prune=True``) keeps the same
-bounds and the same prune decisions but restructures the descent around
-the simulator's prefix-reuse API:
-
-* every bound a DFS node can ever need is a pure function of
-  ``(s, pos, size)``, so per-``(s, pos)`` **bound tables** are built once
-  and the hot loop reduces to two list reads and compares per child
-  (the tables hold the identical floats the per-node arithmetic would
-  produce, so prune decisions are bitwise the same);
-* a **dominance memo** prunes a subtree outright when an
-  already-expanded node at the same ``(pos)`` had the identical
-  per-stage time tuples: the earlier twin (lexicographically smaller,
-  because the DFS enumerates sizes in increasing order) either offered
-  or provably bound-pruned every leaf the new subtree could contribute;
-* surviving leaves share the stage-time prefix fixed by the partial
-  assignment; chunk flushes go through
-  :class:`~repro.core.analytic_sim.SuffixSimBatch` over cached
-  :class:`~repro.core.analytic_sim.PrefixState` checkpoint chains (cut
-  ``p - 1``), so the batched relaxation skips every level of the
-  checkpointed free lattice.
-
-All three are exact: the returned partition and iteration time still
-match the brute force bit for bit (property-tested with the memo
-enabled), and ``suffix_sims`` / ``dominance_pruned`` report how much
-work the incremental path avoided.
+* ``prune=True`` (default) — branch-and-bound over cut positions
+  (:func:`_search_analytic`).  Warm seeds (the Algorithm-1 min-max
+  partition, plus the heuristic planner's partition on large spaces)
+  set an incumbent; the lower bounds of :class:`_Bounds` then admit
+  stage sizes level by level, a dominance memo drops twin prefixes,
+  and every admitted candidate is scored by the closed-form max-plus
+  frontier kernel (:mod:`repro.sim.analytic`).  Candidate stage times
+  use the brute force's left-to-right slice sums and the kernel is
+  bit-identical to the scalar simulator, so the returned partition and
+  iteration time match the brute force exactly (property-tested in
+  ``tests/core/test_search_properties.py`` and
+  ``tests/sim/test_analytic.py``).
 
 ``robust=`` objectives run their own exact search: a per-draw straggler
 bound, reduced with the objective's statistic, orders the candidates and
@@ -69,22 +44,15 @@ import itertools
 import math
 import os
 import time as _time
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.analytic_sim import (
-    PipelineSim,
-    PipelineSimBatch,
-    PrefixState,
-    SimResult,
-    SuffixSimBatch,
-)
+from repro.core.analytic_sim import PipelineSim, SimResult
 from repro.core.balance_dp import min_max_partition
 from repro.core.partition import PartitionScheme, StageTimes
-from repro.core.planner import SimCache, plan_partition
+from repro.core.planner import SimCache, _check_count, plan_partition
 from repro.obs import stats as _stats
 from repro.obs import telemetry as _obs
 from repro.profiling.modelconfig import ModelProfile
@@ -101,23 +69,9 @@ from repro.robustness import evaluate as _robust_eval
 #: prune the true optimum or a tie the brute force would have kept.
 _PRUNE_SLACK = 1.0 + 1e-9
 
-#: candidates buffered between vectorised evaluation passes.
+#: kernel rows (candidates x draws) per robust scoring chunk; the
+#: nominal search only lets it widen its sweep block.
 _DEFAULT_CHUNK = 1024
-
-#: prefix-checkpoint chains kept alive during one incremental search;
-#: on overflow the memo is dropped wholesale (correctness-free: chains
-#: are a pure cache and are rebuilt on demand).
-_CHAIN_CAP = 65536
-
-#: dominance-memo entries kept during one incremental search; beyond the
-#: cap new nodes are simply no longer memoised (pruning less is exact).
-_DOMINANCE_CAP = 1_000_000
-
-#: minimum rows sharing one cut prefix before a flush builds a
-#: checkpoint chain for them; sparser groups are evaluated through the
-#: shared cut-0 state (one scalar ``extend`` costs more than the
-#: level-skip saves on a handful of rows).
-_CHAIN_MIN_GROUP = 8
 
 #: bound-pass survivors the robust oracle holds before scoring them in
 #: one ascending-bound sweep (caps its memory on large spaces; exact at
@@ -134,8 +88,7 @@ _WARM_START_MIN_SPACE = 1_000_000
 #: analytic search (bounds peak memory at ~2 * p * 8 bytes per column;
 #: results are sweep-partition-invariant, so the block size is pure
 #: tuning).  ``chunk_size`` only overrides this upward — the kernel's
-#: fixed per-sweep cost would dominate at the suffix batches' default
-#: chunk of 1024.
+#: fixed per-sweep cost would dominate at the default chunk of 1024.
 _ANALYTIC_BLOCK = 131_072
 
 #: columns below which a frontier sweep runs without the mid-sweep
@@ -159,10 +112,6 @@ class ExhaustiveResult:
     space: int
     #: candidates served from the shared :class:`SimCache`.
     cache_hits: int = 0
-    #: candidates evaluated through the prefix-checkpointed suffix batch
-    #: (each one is a full simulation *avoided* — only the suffix
-    #: wavefront was relaxed).
-    suffix_sims: int = 0
     #: candidates eliminated by the dominance memo (a subset of
     #: :attr:`pruned`, attributed to twin-subtree detection rather than
     #: the lower bounds).
@@ -263,8 +212,7 @@ class _SearchState:
 
     __slots__ = (
         "best_time", "best_sizes", "evaluations", "cache_hits",
-        "suffix_sims", "dominance_pruned", "incumbent_updates",
-        "bound", "shared",
+        "dominance_pruned", "incumbent_updates", "bound", "shared",
     )
 
     def __init__(self, shared=None) -> None:
@@ -272,7 +220,6 @@ class _SearchState:
         self.best_sizes: Optional[Tuple[int, ...]] = None
         self.evaluations = 0
         self.cache_hits = 0
-        self.suffix_sims = 0
         self.dominance_pruned = 0
         self.incumbent_updates = 0
         self.shared = shared
@@ -300,11 +247,11 @@ class _SearchState:
 def _left_sum(values: Sequence[float]) -> float:
     """Plain left-to-right float sum.
 
-    Every search path sums stage costs in this one order: the pruned
-    searches' running accumulators and the ``cumsum`` slice tables run
-    the same fold.  The built-in ``sum`` is not used because from Python
-    3.12 it compensates float rounding, which can move a stage cost of
-    three or more blocks by an ulp.
+    Every search path sums stage costs in this one order: the ``cumsum``
+    slice tables of the pruned searches run the same fold.  The built-in
+    ``sum`` is not used because from Python 3.12 it compensates float
+    rounding, which can move a stage cost of three or more blocks by an
+    ulp.
     """
     acc = 0.0
     for x in values:
@@ -516,7 +463,7 @@ def _search_robust_pruned(
     """Exact robust oracle: bound-ordered sweeps over the candidate space.
 
     Every candidate gets a lower bound on its robust objective: the
-    straggler bound of :func:`_search_pruned`, ``max_x prefixW(x) +
+    straggler bound of :class:`_Bounds`, ``max_x prefixW(x) +
     2*x*Comm + m*w_x``, evaluated per draw on the *perturbed* stage
     costs and comm, then reduced with the objective's statistic.  Mean,
     P95 (a linear interpolation between order statistics) and max are
@@ -643,36 +590,17 @@ def _search_robust_pruned(
         sweep(np.concatenate(held_rows), np.concatenate(held_bound))
 
 
-def _search_pruned(
-    fwd: Sequence[float],
-    bwd: Sequence[float],
-    comm: float,
-    num_stages: int,
-    num_micro_batches: int,
-    comm_mode: str,
-    sim_cache: Optional[SimCache],
-    state: _SearchState,
-    chunk_size: int,
-    prune_slack: float,
-    first_sizes: Optional[frozenset] = None,
-    preset_warm: Optional[Dict[Tuple[int, ...], float]] = None,
-) -> None:
-    """Branch-and-bound over cut positions with batched leaf evaluation.
+class _Bounds:
+    """Lower bounds on the iteration time of partial assignments.
 
-    ``first_sizes`` restricts the top-level descent to the given
-    first-stage sizes (one multiprocess shard); ``preset_warm`` replaces
-    the in-search seed evaluation with already-simulated (sizes -> time)
-    incumbents — the parallel driver evaluates the seeds once in the
-    parent and hands every worker the same warm set.
+    All bounds are provable for both comm modes, which charge at least
+    ``Comm`` on every cross-stage dependency edge.  With ``m``
+    micro-batches and stage loads ``w_x = f_x + b_x``:
 
-    Lower bounds (all provable for both comm modes, which charge at least
-    ``Comm`` on every cross-stage dependency edge):
-
-    * **straggler bound** — for any stage ``x`` with load
-      ``w_x = f_x + b_x``, micro-batch 0's forward must reach it
-      (``sum_{y<x} f_y + x*Comm``), its 2m intra-chained ops need
-      ``m * w_x``, and micro-batch m-1's backward must return to stage 0
-      (``sum_{y<x} b_y + x*Comm``); so
+    * **straggler bound** — for any stage ``x``, micro-batch 0's forward
+      must reach it (``sum_{y<x} f_y + x*Comm``), its 2m intra-chained
+      ops need ``m * w_x``, and micro-batch m-1's backward must return
+      to stage 0 (``sum_{y<x} b_y + x*Comm``); so
       ``T >= prefixW(x) + 2*x*Comm + m*w_x``.
     * **max-stage-load relaxation** for the unassigned suffix: any
       completion of blocks ``pos..n-1`` into ``k`` stages has some stage
@@ -684,195 +612,20 @@ def _search_pruned(
       backward sweep up from the last stage
       (``sum_f + (p-1)*Comm + sum_{y>=x} b_y + (p-1-x)*Comm``); stage
       ``x`` then still owes its remaining 1F1B pairs and cooldown
-      (``tail(x) = (s_x - 1)*(f_x + b_x) + w_x^{cnt} * b_x`` with
-      ``w_x^{cnt} = min(m, p-1-x)`` warmup depth and ``s_x = m - w_x^{cnt}``
-      steady pairs, or ``(m-1)*b_x`` when ``s_x = 0``), and micro-batch
-      m-1's backward must return to stage 0 (``prefixB(x) + x*Comm``).
-      Summing: ``T >= W_total + 2*(p-1)*Comm + tail(x)``.  For the
-      unassigned suffix of ``k`` stages the relaxation
+      (:meth:`tail`), and micro-batch m-1's backward must return to
+      stage 0 (``prefixB(x) + x*Comm``).  Summing:
+      ``T >= W_total + 2*(p-1)*Comm + tail(x)``.  For the unassigned
+      suffix of ``k`` stages the relaxation
       ``tail >= (m - k) * minmax(pos, k)`` applies when ``m >= k``.
-    """
-    n = len(fwd)
-    p = num_stages
-    m = num_micro_batches
-    weights = [f + b for f, b in zip(fwd, bwd)]
-    # Float prefix sums drive the *bounds* only; candidate stage times
-    # always use the brute force's left-to-right slice sums.
-    prefw = [0.0]
-    for x in weights:
-        prefw.append(prefw[-1] + x)
-    # minmax[k][pos]: smallest achievable max stage load when splitting
-    # blocks pos..n-1 into k stages (inf where infeasible).  O(p * n^2).
-    inf = float("inf")
-    minmax = [[inf] * (n + 1) for _ in range(p + 1)]
-    for pos in range(n + 1):
-        minmax[1][pos] = prefw[n] - prefw[pos] if pos < n else inf
-    for k in range(2, p + 1):
-        for pos in range(n - k, -1, -1):
-            best = inf
-            for z in range(1, n - pos - k + 2):
-                head = prefw[pos + z] - prefw[pos]
-                if head >= best:
-                    break  # head grows with z; no better split follows
-                tail = minmax[k - 1][pos + z]
-                cand = head if head > tail else tail
-                if cand < best:
-                    best = cand
-            minmax[k][pos] = best
-    #: round-trip constant of the tail bound; the last stage always
-    #: contains block n-1, giving the global floor below.
-    base_rt = prefw[n] + 2 * (p - 1) * comm
-    floor = base_rt + (m - 1) * weights[n - 1]
+      The last stage always holds block ``n-1``, which gives the global
+      :attr:`floor`.
 
-    def tail(stage: int, f_sum: float, b_sum: float) -> float:
-        """Work stage ``stage`` still owes after micro-batch 0 returns."""
-        w_cnt = min(m, p - 1 - stage)
-        steady = m - w_cnt
-        if steady >= 1:
-            return (steady - 1) * (f_sum + b_sum) + w_cnt * b_sum
-        return (m - 1) * b_sum
-
-    #: leaves awaiting evaluation: (sizes, per-stage fwd, per-stage bwd).
-    buffer: List[Tuple[Tuple[int, ...], Tuple[float, ...], Tuple[float, ...]]] = []
-    #: warm-start results, so the DFS re-encounter is not double-counted.
-    warm: dict = {}
-    tel = _obs.current()
-
-    def flush() -> None:
-        if not buffer:
-            return
-        t_f = tel.clock() if tel is not None else 0
-        resolved: List[Optional[float]] = [None] * len(buffer)
-        misses: List[int] = []
-        for j, (sizes, f_stages, b_stages) in enumerate(buffer):
-            t = warm.get(sizes)
-            if t is not None:
-                resolved[j] = t
-                continue
-            if sim_cache is not None:
-                hit = sim_cache.peek(
-                    StageTimes(f_stages, b_stages, comm), m, comm_mode
-                )
-                if hit is not None:
-                    resolved[j] = hit.iteration_time
-                    state.cache_hits += 1
-                    continue
-            misses.append(j)
-        if misses:
-            batch = PipelineSimBatch(
-                np.asarray([buffer[j][1] for j in misses]),
-                np.asarray([buffer[j][2] for j in misses]),
-                comm, m, comm_mode=comm_mode,
-            )
-            state.evaluations += len(misses)
-            for j, t in zip(misses, batch.iteration_times().tolist()):
-                resolved[j] = t
-        for j, (sizes, _, _) in enumerate(buffer):
-            state.offer(sizes, resolved[j])
-        if tel is not None:
-            tel.record_since(
-                "oracle.chunk_flush", t_f,
-                rows=len(buffer), misses=len(misses),
-            )
-        buffer.clear()
-        state.sync()
-
-    # Warm start: the Algorithm-1 min-max seed gives a strong incumbent
-    # before the DFS begins, so the bounds prune from candidate one.
-    if preset_warm is not None:
-        for seed, t in preset_warm.items():
-            warm[seed] = t
-            state.offer(seed, t)
-    else:
-        seed = tuple(min_max_partition(weights, p))
-        seed_f, seed_b = _stage_sums(fwd, bwd, seed)
-        seed_times = StageTimes(seed_f, seed_b, comm)
-        seed_sim = sim_cache.peek(seed_times, m, comm_mode) \
-            if sim_cache is not None else None
-        if seed_sim is not None:
-            state.cache_hits += 1
-        else:
-            seed_sim = PipelineSim(seed_times, m, comm_mode=comm_mode).run()
-            state.evaluations += 1
-        warm[seed] = seed_sim.iteration_time
-        state.offer(seed, seed_sim.iteration_time)
-
-    def descend(
-        s: int,
-        pos: int,
-        sizes: Tuple[int, ...],
-        f_stages: Tuple[float, ...],
-        b_stages: Tuple[float, ...],
-        fixed_bound: float,
-    ) -> None:
-        rem_stages = p - s
-        if rem_stages == 1:
-            f_sum = _left_sum(fwd[pos:n])
-            b_sum = _left_sum(bwd[pos:n])
-            lb = max(
-                fixed_bound,
-                prefw[pos] + 2 * s * comm + m * (f_sum + b_sum),
-                base_rt + tail(s, f_sum, b_sum),
-                floor,
-            )
-            if lb > state.bound * prune_slack:
-                return
-            buffer.append(
-                (sizes + (n - pos,), f_stages + (f_sum,), b_stages + (b_sum,))
-            )
-            if len(buffer) >= chunk_size:
-                flush()
-            return
-        max_size = n - pos - (rem_stages - 1)
-        base = prefw[pos] + 2 * s * comm
-        f_sum = 0.0
-        b_sum = 0.0
-        restrict = first_sizes if s == 0 else None
-        for size in range(1, max_size + 1):
-            # Incremental accumulation == _left_sum(fwd[pos:pos+size]).
-            f_sum += fwd[pos + size - 1]
-            b_sum += bwd[pos + size - 1]
-            new_fixed = max(
-                fixed_bound,
-                base + m * (f_sum + b_sum),
-                base_rt + tail(s, f_sum, b_sum),
-            )
-            if new_fixed > state.bound * prune_slack:
-                # Both fixed-stage bounds grow with the stage, so every
-                # larger size for this stage is pruned too.
-                break
-            if restrict is not None and size not in restrict:
-                continue
-            pos2 = pos + size
-            rem = rem_stages - 1
-            rem_bound = prefw[pos2] + 2 * (s + 1) * comm \
-                + m * minmax[rem][pos2]
-            if m > rem:
-                rem_bound = max(
-                    rem_bound, base_rt + (m - rem) * minmax[rem][pos2]
-                )
-            if max(new_fixed, rem_bound, floor) > state.bound * prune_slack:
-                continue
-            descend(
-                s + 1, pos2, sizes + (size,),
-                f_stages + (f_sum,), b_stages + (b_sum,), new_fixed,
-            )
-
-    descend(0, 0, (), (), (), 0.0)
-    flush()
-
-
-class _Bounds:
-    """The pruned searches' shared bound preamble.
-
-    Everything here is a pure function of ``(fwd, bwd, comm, p, m)`` —
-    the prefix sums, the min-max suffix DP, the exact per-``(pos,
-    size)`` slice sums and the per-``(s, pos)`` bound tables — computed
-    with the identical float expressions :func:`_search_pruned` derives
-    per node (see its docstring for the bound proofs).  Both the
-    incremental search and the analytic-kernel search read their prune
-    decisions from one instance, which is what keeps their admitted
-    candidate sets nested and their results bitwise equal.
+    Everything here is a pure function of ``(fwd, bwd, comm, p, m)``:
+    the prefix sums, the min-max suffix DP, the exact left-fold slice
+    tables ``SF``/``SB`` (:func:`_slice_sum_tables`) and the bound of
+    every last stage (``leaf_lb``, a function of its start ``pos`` only).
+    Float prefix sums drive the *bounds* only; candidate stage times
+    always come from the slice tables, the brute force's summation.
     """
 
     def __init__(
@@ -886,15 +639,15 @@ class _Bounds:
         n = len(fwd)
         p = num_stages
         m = num_micro_batches
-        self._n = n
         self._p = p
         self._m = m
-        self._comm = comm
-        self.weights = [f + b for f, b in zip(fwd, bwd)]
+        weights = [f + b for f, b in zip(fwd, bwd)]
         prefw = [0.0]
-        for x in self.weights:
+        for x in weights:
             prefw.append(prefw[-1] + x)
         self.prefw = prefw
+        # minmax[k][pos]: smallest achievable max stage load when
+        # splitting blocks pos..n-1 into k stages (inf where infeasible).
         inf = float("inf")
         minmax = [[inf] * (n + 1) for _ in range(p + 1)]
         for pos in range(n + 1):
@@ -905,43 +658,30 @@ class _Bounds:
                 for z in range(1, n - pos - k + 2):
                     head = prefw[pos + z] - prefw[pos]
                     if head >= best:
-                        break
+                        break  # head grows with z; no better split follows
                     tail_v = minmax[k - 1][pos + z]
                     cand = head if head > tail_v else tail_v
                     if cand < best:
                         best = cand
                 minmax[k][pos] = best
         self.minmax = minmax
+        #: round-trip constant of the tail bound.
         self.base_rt = prefw[n] + 2 * (p - 1) * comm
-        self.floor = self.base_rt + (m - 1) * self.weights[n - 1]
-
-        # Exact per-(pos, size) slice sums: left-fold accumulation
-        # starting at ``pos`` — the brute force's arithmetic, *not*
-        # prefix-sum differences, so candidate stage times stay bitwise
-        # identical.
-        slice_f: List[List[float]] = []
-        slice_b: List[List[float]] = []
-        for pos in range(n):
-            accf: List[float] = []
-            accb: List[float] = []
-            fa = 0.0
-            ba = 0.0
-            for i in range(pos, n):
-                fa += fwd[i]
-                ba += bwd[i]
-                accf.append(fa)
-                accb.append(ba)
-            slice_f.append(accf)
-            slice_b.append(accb)
-        self.slice_f = slice_f
-        self.slice_b = slice_b
+        self.floor = self.base_rt + (m - 1) * weights[n - 1]
+        self.SF, self.SB = _slice_sum_tables(fwd, bwd)
 
         # Leaf bounds: the last stage always starts at ``s = p - 1`` and
         # spans ``pos..n-1``, so its bound is a pure function of ``pos``.
+        q = np.arange(n)
+        #: left-fold cost of blocks ``pos..n-1`` (the last stage's cost).
+        self.suf_f = self.SF[q, n - q - 1]
+        self.suf_b = self.SB[q, n - q - 1]
+        suf_f = self.suf_f.tolist()
+        suf_b = self.suf_b.tolist()
         leaf_lb: List[float] = [inf] * n
         for pos in range(p - 1, n):
-            f_sum = slice_f[pos][n - pos - 1]
-            b_sum = slice_b[pos][n - pos - 1]
+            f_sum = suf_f[pos]
+            b_sum = suf_b[pos]
             leaf_lb[pos] = max(
                 prefw[pos] + 2 * (p - 1) * comm + m * (f_sum + b_sum),
                 self.base_rt + self.tail(p - 1, f_sum, b_sum),
@@ -949,373 +689,19 @@ class _Bounds:
             )
         self.leaf_lb = leaf_lb
 
-        #: (s, pos) -> (fixb, remb) bound lists, one entry per child
-        #: size.  ``fixb`` is monotone nondecreasing, so the DFS can
-        #: binary-search the largest admissible child size instead of
-        #: scanning.  For leaf-parent tables (``s == p - 2``) ``remb``
-        #: is pre-merged with the child leaf's own bound, collapsing the
-        #: per-leaf test to one compare.
-        self._tables: Dict[
-            Tuple[int, int], Tuple[List[float], List[float]]
-        ] = {}
-
     def tail(self, stage: int, f_sum: float, b_sum: float) -> float:
-        """Work stage ``stage`` still owes after micro-batch 0 returns."""
+        """Work stage ``stage`` still owes after micro-batch 0 returns.
+
+        ``(s - 1)*(f + b) + w*b`` with ``w = min(m, p-1-stage)`` warmup
+        depth and ``s = m - w`` steady pairs, or ``(m-1)*b`` when
+        ``s = 0``.
+        """
         m = self._m
         w_cnt = min(m, self._p - 1 - stage)
         steady = m - w_cnt
         if steady >= 1:
             return (steady - 1) * (f_sum + b_sum) + w_cnt * b_sum
         return (m - 1) * b_sum
-
-    def get_table(self, s: int, pos: int) -> Tuple[List[float], List[float]]:
-        tab = self._tables.get((s, pos))
-        if tab is None:
-            n, p, m, comm = self._n, self._p, self._m, self._comm
-            prefw, minmax = self.prefw, self.minmax
-            base_rt, leaf_lb = self.base_rt, self.leaf_lb
-            max_size = n - pos - (p - s - 1)
-            base = prefw[pos] + 2 * s * comm
-            sf = self.slice_f[pos]
-            sb = self.slice_b[pos]
-            rem = p - s - 1
-            fixb: List[float] = []
-            remb: List[float] = []
-            for size in range(1, max_size + 1):
-                f_sum = sf[size - 1]
-                b_sum = sb[size - 1]
-                a = base + m * (f_sum + b_sum)
-                b = base_rt + self.tail(s, f_sum, b_sum)
-                fixb.append(a if a > b else b)
-                pos2 = pos + size
-                rb = prefw[pos2] + 2 * (s + 1) * comm + m * minmax[rem][pos2]
-                if m > rem:
-                    alt = base_rt + (m - rem) * minmax[rem][pos2]
-                    if alt > rb:
-                        rb = alt
-                if rem == 1 and leaf_lb[pos2] > rb:
-                    rb = leaf_lb[pos2]
-                remb.append(rb)
-            tab = (fixb, remb)
-            self._tables[(s, pos)] = tab
-        return tab
-
-
-def _search_incremental(
-    fwd: Sequence[float],
-    bwd: Sequence[float],
-    comm: float,
-    num_stages: int,
-    num_micro_batches: int,
-    comm_mode: str,
-    sim_cache: Optional[SimCache],
-    state: _SearchState,
-    chunk_size: int,
-    prune_slack: float,
-    extra_seeds: Sequence[Tuple[int, ...]] = (),
-    first_sizes: Optional[frozenset] = None,
-    preset_warm: Optional[Dict[Tuple[int, ...], float]] = None,
-) -> None:
-    """Prefix-state branch-and-bound (the fast exact oracle path).
-
-    Implements the *same* bounds and slack test as :func:`_search_pruned`
-    — see its docstring for the derivations — and covers the same
-    candidate space exactly, but restructured so the per-node cost
-    collapses:
-
-    * **bound tables** — ``new_fixed``'s stage component and
-      ``rem_bound`` depend only on ``(s, pos, size)``, never on the path
-      taken to the node, so they are computed once per ``(s, pos)`` with
-      the identical float expressions (same left-fold slice sums, same
-      operation order) and the DFS loop becomes two list reads and two
-      compares per child.  The stage component is monotone nondecreasing
-      in ``size`` (every term has non-negative coefficients in the
-      accumulated slice sums), which preserves the early ``break``.
-      Nodes one stage above the leaves handle their leaf children
-      inline: the remaining-suffix bound of a size-``p-1`` prefix *is*
-      the leaf's load bound, so the recursion stops one level early.
-    * **dominance memo** — a node is uniquely characterised by
-      ``(pos, f_stages, b_stages)``: every leaf below it only extends
-      those stage times.  When a node repeats, its earlier twin (which
-      the DFS visited with a lexicographically smaller ``sizes`` prefix,
-      since sizes are enumerated in increasing order) either offered
-      each twin leaf to the incumbent or bound-pruned it; a bound-pruned
-      leaf has true time ``>= bound > incumbent_then * slack >=
-      final_best``, so it can affect neither the argmin nor a tie.
-      Skipping the repeat subtree is therefore exact.
-    * **suffix flushes** — buffered leaves are resolved through
-      :class:`SuffixSimBatch` over :class:`PrefixState` checkpoints at
-      cut ``p - 2``: all leaves under one grandparent node share one
-      checkpoint chain (the last stage's size is forced by the
-      second-to-last cut, so cutting at ``p - 1`` would give every row
-      its own chain and amortise nothing).  The batched relaxation
-      skips the checkpointed free lattice but remains bit-identical to
-      a cold batch (see ``analytic_sim``); each flush folds into the
-      incumbent through one ``offer`` of its running min (the offer
-      rule is associative, so the result is unchanged).
-    * **extra warm seeds** — ``extra_seeds`` (the heuristic planner's
-      partition, when the caller enables it) are evaluated up front like
-      the Algorithm-1 seed.  Any valid candidate may seed the incumbent
-      without affecting exactness: seeds are offered through the same
-      tie-breaking rule, and a tighter incumbent only ever prunes
-      candidates whose true time provably exceeds the final best.
-
-    ``first_sizes`` / ``preset_warm`` serve the multiprocess oracle
-    exactly as in :func:`_search_pruned`: the former restricts the
-    top-level children to one shard's first-stage sizes, the latter
-    substitutes parent-evaluated seed incumbents for the in-search seed
-    evaluation.  Prune tests compare against ``state.bound`` — locally
-    identical to the incumbent, and additionally tightened by the
-    cluster-wide bound between chunk flushes when sharded.
-    """
-    n = len(fwd)
-    p = num_stages
-    m = num_micro_batches
-    bounds = _Bounds(fwd, bwd, comm, p, m)
-    weights = bounds.weights
-    slice_f = bounds.slice_f
-    slice_b = bounds.slice_b
-    leaf_lb = bounds.leaf_lb
-    get_table = bounds.get_table
-
-    #: leaves awaiting evaluation: (sizes, per-stage fwd, per-stage bwd).
-    buffer: List[Tuple[Tuple[int, ...], Tuple[float, ...], Tuple[float, ...]]] = []
-    warm: dict = {}
-    tel = _obs.current()
-
-    # Prefix-checkpoint chains at cut p-2, keyed by the checkpointed
-    # stage-time prefix.  Chains build one stage at a time through
-    # PrefixState.extend, so rows sharing a prefix share the work — and
-    # at cut p-2 *all* leaves under one grandparent share one chain.
-    cut = max(p - 2, 0)
-    root = PrefixState.initial(p, m, comm, comm_mode=comm_mode)
-    chains: Dict[
-        Tuple[Tuple[float, ...], Tuple[float, ...]], PrefixState
-    ] = {((), ()): root}
-
-    def get_chain(
-        f_pre: Tuple[float, ...], b_pre: Tuple[float, ...]
-    ) -> PrefixState:
-        st = chains.get((f_pre, b_pre))
-        if st is None:
-            parent = get_chain(f_pre[:-1], b_pre[:-1])
-            st = parent.extend(f_pre[-1], b_pre[-1])
-            if len(chains) >= _CHAIN_CAP:
-                chains.clear()
-                chains[((), ())] = root
-            chains[(f_pre, b_pre)] = st
-        return st
-
-    def flush() -> None:
-        if not buffer:
-            return
-        t_f = tel.clock() if tel is not None else 0
-        n_chained = 0
-        resolved: List[Optional[float]] = [None] * len(buffer)
-        misses: List[int] = []
-        for j, (sizes, f_stages, b_stages) in enumerate(buffer):
-            t = warm.get(sizes)
-            if t is not None:
-                resolved[j] = t
-                continue
-            if sim_cache is not None:
-                hit = sim_cache.peek(
-                    StageTimes(f_stages, b_stages, comm), m, comm_mode
-                )
-                if hit is not None:
-                    resolved[j] = hit.iteration_time
-                    state.cache_hits += 1
-                    continue
-            misses.append(j)
-        if misses:
-            # Group rows by their cut prefix.  A prefix checkpoint only
-            # pays for itself when enough sibling leaves share it (one
-            # scalar ``extend`` against per-row level-skip savings), so
-            # small groups fall through to the shared cut-0 state — the
-            # same batched relaxation, seeded with nothing — instead of
-            # building one-off chains.  Both paths are bit-identical.
-            groups: Dict[
-                Tuple[Tuple[float, ...], Tuple[float, ...]], List[int]
-            ] = {}
-            for j in misses:
-                groups.setdefault(
-                    (buffer[j][1][:cut], buffer[j][2][:cut]), []
-                ).append(j)
-            chained: List[int] = []
-            cold: List[int] = []
-            for key, js in groups.items():
-                (chained if len(js) >= _CHAIN_MIN_GROUP else cold).extend(js)
-            state.evaluations += len(misses)
-            n_chained = len(chained)
-            if chained:
-                states = [get_chain(*key) for key in (
-                    (buffer[j][1][:cut], buffer[j][2][:cut]) for j in chained
-                )]
-                batch = SuffixSimBatch(
-                    states,
-                    np.asarray([buffer[j][1][cut:] for j in chained]),
-                    np.asarray([buffer[j][2][cut:] for j in chained]),
-                    need_start=False,
-                )
-                state.suffix_sims += len(chained)
-                for j, t in zip(chained, batch.iteration_times().tolist()):
-                    resolved[j] = t
-            if cold:
-                batch = SuffixSimBatch(
-                    root,
-                    np.asarray([buffer[j][1] for j in cold]),
-                    np.asarray([buffer[j][2] for j in cold]),
-                    need_start=False,
-                )
-                for j, t in zip(cold, batch.iteration_times().tolist()):
-                    resolved[j] = t
-        # One offer per flush: the incumbent rule is a running min with a
-        # lexicographic tie-break, so folding the flush's own min first
-        # yields the identical final incumbent.
-        best_t = min(resolved)
-        best_sizes = min(
-            buffer[j][0] for j in range(len(buffer)) if resolved[j] == best_t
-        )
-        state.offer(best_sizes, best_t)
-        if tel is not None:
-            tel.record_since(
-                "oracle.chunk_flush", t_f, rows=len(buffer),
-                misses=len(misses), chained=n_chained,
-            )
-        buffer.clear()
-        state.sync()
-
-    # Warm start: the Algorithm-1 seed (identical to _search_pruned's)
-    # plus any caller-provided candidates (the planner's partition); the
-    # tighter the initial incumbent, the more the bounds prune.
-    if preset_warm is not None:
-        for seed, t in preset_warm.items():
-            warm[seed] = t
-            state.offer(seed, t)
-    else:
-        seeds: List[Tuple[int, ...]] = [tuple(min_max_partition(weights, p))]
-        for extra in extra_seeds:
-            extra = tuple(extra)
-            if (
-                extra not in seeds
-                and len(extra) == p
-                and sum(extra) == n
-                and all(sz >= 1 for sz in extra)
-            ):
-                seeds.append(extra)
-        for seed in seeds:
-            seed_f, seed_b = _stage_sums(fwd, bwd, seed)
-            seed_times = StageTimes(seed_f, seed_b, comm)
-            seed_sim = sim_cache.peek(seed_times, m, comm_mode) \
-                if sim_cache is not None else None
-            if seed_sim is not None:
-                state.cache_hits += 1
-            else:
-                seed_sim = PipelineSim(seed_times, m, comm_mode=comm_mode).run()
-                state.evaluations += 1
-            warm[seed] = seed_sim.iteration_time
-            state.offer(seed, seed_sim.iteration_time)
-
-    # The dominance memo can only ever fire when two different cut
-    # prefixes produce identical per-stage sum tuples — with all-distinct
-    # float block costs that needs an exact arithmetic coincidence, so
-    # the memo is engaged only when the profile has duplicate block
-    # costs (tied/uniform profiles, where twin subtrees are plentiful).
-    use_dominance = len(set(zip(fwd, bwd))) < n
-    visited: set = set()
-    comb = math.comb
-
-    def descend(
-        s: int,
-        pos: int,
-        sizes: Tuple[int, ...],
-        f_stages: Tuple[float, ...],
-        b_stages: Tuple[float, ...],
-        fixed_bound: float,
-    ) -> None:
-        rem_stages = p - s
-        if rem_stages == 1:
-            # Only reachable when p == 1 (deeper searches stop at the
-            # inline-leaf level below).
-            lb = leaf_lb[pos]
-            if fixed_bound > lb:
-                lb = fixed_bound
-            if lb > state.bound * prune_slack:
-                return
-            last = n - pos - 1
-            buffer.append((
-                sizes + (n - pos,),
-                f_stages + (slice_f[pos][last],),
-                b_stages + (slice_b[pos][last],),
-            ))
-            if len(buffer) >= chunk_size:
-                flush()
-            return
-        if use_dominance:
-            key = (pos, f_stages, b_stages)
-            if key in visited:
-                state.dominance_pruned += comb(n - pos - 1, rem_stages - 1)
-                return
-            if len(visited) < _DOMINANCE_CAP:
-                visited.add(key)
-        fixb, remb = get_table(s, pos)
-        sf = slice_f[pos]
-        sb = slice_b[pos]
-        restrict = first_sizes if s == 0 else None
-        limit = state.bound * prune_slack
-        if fixed_bound > limit:
-            return
-        # fixb is monotone nondecreasing: every child past the insertion
-        # point fails the fixed-stage test (the scanning loop's break).
-        hi = bisect_right(fixb, limit)
-        if rem_stages == 2:
-            # Each child fully determines the leaf (the last stage takes
-            # whatever remains), so append leaves inline instead of
-            # recursing; remb already carries the leaf's own bound, so
-            # one compare admits or rejects the candidate.
-            idx = 0
-            while idx < hi:
-                if remb[idx] <= limit and (
-                    restrict is None or idx + 1 in restrict
-                ):
-                    pos2 = pos + idx + 1
-                    last = n - pos2 - 1
-                    buffer.append((
-                        sizes + (idx + 1, n - pos2),
-                        f_stages + (sf[idx], slice_f[pos2][last]),
-                        b_stages + (sb[idx], slice_b[pos2][last]),
-                    ))
-                    if len(buffer) >= chunk_size:
-                        flush()
-                        limit = state.bound * prune_slack
-                        if fixed_bound > limit:
-                            return
-                        hi = bisect_right(fixb, limit, 0, hi)
-                idx += 1
-            return
-        idx = 0
-        while idx < hi:
-            if remb[idx] <= limit and (
-                restrict is None or idx + 1 in restrict
-            ):
-                nf = fixb[idx]
-                size = idx + 1
-                descend(
-                    s + 1, pos + size, sizes + (size,),
-                    f_stages + (sf[idx],), b_stages + (sb[idx],),
-                    nf if nf > fixed_bound else fixed_bound,
-                )
-                new_limit = state.bound * prune_slack
-                if new_limit != limit:
-                    # A flush inside the subtree tightened the incumbent.
-                    limit = new_limit
-                    if fixed_bound > limit:
-                        return
-                    hi = bisect_right(fixb, limit, 0, hi)
-            idx += 1
-
-    descend(0, 0, (), (), (), 0.0)
-    flush()
 
 
 def _search_analytic(
@@ -1335,53 +721,58 @@ def _search_analytic(
 ) -> None:
     """Branch-and-bound scored by the closed-form max-plus kernel.
 
-    Same candidate admission as :func:`_search_incremental` — the
-    identical :class:`_Bounds` tables, seeds, dominance memo and slack
-    test — but leaves are *scored* by
-    :func:`repro.sim.analytic.frontier_times_transposed`: admitted
-    candidates are assembled into stage-major ``(p, K)`` cost matrices
-    (each row built from the exact left-fold slice sums, so every column
-    is bitwise the brute force's stage-time vector) and one frontier
-    sweep replaces thousands of lattice relaxations.  The kernel is
-    bit-identical to :class:`PipelineSimBatch`, and ties are resolved by
-    reconstructing every minimum-time column and offering the
-    lexicographically smallest — so the returned partition and time are
-    the brute-force argmin, property-tested against it.
+    ``first_sizes`` restricts the top-level cut to the given first-stage
+    sizes (one multiprocess shard); ``preset_warm`` replaces the
+    in-search seed evaluation with already-simulated (sizes -> time)
+    incumbents — the parallel driver evaluates the seeds once in the
+    parent and hands every worker the same warm set.
 
-    Three deliberate structural differences from the incremental path,
-    all exactness-preserving:
-
-    * the admission limit is **fixed** after the warm seeds
-      (``seed_bound * prune_slack``) instead of tightening per flush.
-      Every candidate the evolving-limit search admits is admitted here
-      too (the set is a superset), so no optimum or tie can be lost;
-      the extra admitted columns cost one kernel lane each, not a
-      simulation.  It also makes the admitted set — hence
-      ``evaluations`` — deterministic across job counts, and it turns
-      admission *path-independent*: whether a child size is admitted
-      depends only on ``(s, pos)``, never on the DFS path, so the
-      recursion flattens into a **vectorized level expansion**.  Live
-      prefixes are numpy arrays (positions, sizes rows, stage-major
-      cost rows) expanded one stage at a time with ``repeat``/``tile``
-      gathers of the per-``(s, pos)`` admitted tables — no per-node
-      Python at all.  The dominance memo becomes a per-level
-      ``np.unique`` over ``(pos, f_stages, b_stages)`` rows: levels are
-      kept in lexicographic sizes order, so the first occurrence
-      ``np.unique`` keeps is exactly the twin the serial DFS would have
-      explored, and the removed twins are counted with the identical
-      ``comb`` arithmetic.
-    * flushes hand the *current* bound to the kernel's mid-sweep sieve,
-      which discards columns provably above it part-way through the
-      sweep.  The sieve only ever drops columns whose lower bound
-      exceeds a true candidate time (padded for rounding), so the
-      argmin and all its ties always survive to the final frontier.
+    * **Warm seeds.**  The Algorithm-1 min-max partition and any valid
+      ``extra_seeds`` (the heuristic planner's partition, when the
+      caller enables it) are simulated first and offered to the
+      incumbent.  Any valid candidate may seed the incumbent without
+      affecting exactness: seeds go through the same tie-breaking
+      ``offer``, and a tighter incumbent only ever prunes candidates
+      whose true time provably exceeds the final best.
+    * **Fixed admission limit.**  The limit is ``seed_bound *
+      prune_slack``, fixed after the seeds.  Whether a stage of ``size``
+      blocks starting at ``pos`` on level ``s`` is admitted then depends
+      only on ``(s, pos, size)`` — its straggler and round-trip bounds,
+      and the suffix relaxation of what remains (:class:`_Bounds`) —
+      never on the path to it, so the cut descent flattens into a
+      **vectorized level expansion**: live prefixes are numpy arrays
+      (positions, sizes rows, stage-major cost rows) expanded one stage
+      at a time with ``repeat`` gathers of per-level admission grids.
+      It also makes the admitted set — hence ``evaluations`` —
+      independent of job count (up to dominance twins that fall in
+      different shards).
+    * **Dominance memo.**  A prefix is characterised by ``(pos,
+      f_stages, b_stages)``: every candidate below it only extends those
+      stage times.  When two prefixes of a level agree on it, the
+      lexicographically smaller twin covers every candidate the other
+      could contribute with an identical time, and wins any tie, so the
+      larger twin is dropped.  Levels are kept in lexicographic sizes
+      order, so ``np.unique``'s first occurrence is that smaller twin;
+      the removed subtrees are counted in ``dominance_pruned``.  Twins
+      need an exact float coincidence, so the memo is engaged only when
+      the profile repeats a block cost.
+    * **Scoring.**  Admitted candidates are assembled into stage-major
+      ``(p, K)`` cost matrices from the exact left-fold slice tables, so
+      every column is bitwise the brute force's stage-time vector, and
+      scored by :func:`repro.sim.analytic.frontier_times_transposed`,
+      which is bit-identical to the scalar simulator.  Wide sweeps get
+      the current bound for the kernel's mid-sweep sieve, which only
+      ever drops columns whose lower bound exceeds a true candidate time
+      (padded for rounding).  Ties are resolved by reconstructing every
+      minimum-time column and offering the lexicographically smallest,
+      so the result is the brute-force argmin, property-tested against
+      it.
     * ``sim_cache`` interplay: the kernel scores every admitted column
       regardless, so per-column cache peeks would buy nothing and cost
-      a Python loop.  Only each flush's *winner* is peeked (one lookup),
+      a Python loop.  Only each sweep's *winner* is peeked (one lookup),
       which keeps the "oracle harvests the planner's simulations"
-      accounting observable without reintroducing per-candidate work;
-      seed columns are excluded from ``evaluations`` exactly as the
-      incremental path's warm rows are.
+      accounting observable without per-candidate work; seed columns
+      are not counted as fresh evaluations.
 
     The last-stage level is never materialized as prefixes: a leaf
     parent at ``pos`` contributes ``prefix x admitted_sizes(pos)``
@@ -1418,17 +809,17 @@ def _search_analytic(
     pos_col = np.arange(n)[:, None]
     k_row = np.arange(n)[None, :]
     src = pos_col + k_row
-    SF, SB = _slice_sum_tables(fwd, bwd)
+    SF, SB = bounds.SF, bounds.SB
     SS = SF + SB
     pos2_grid = np.minimum(src + 1, n)
 
     def admitted_mask(s: int) -> np.ndarray:
         """``(pos, size - 1)`` admission grid at level ``s``.
 
-        Elementwise the identical float expressions (same association
-        order) as :meth:`_Bounds.get_table`, so the admitted set equals
-        the DFS's bisect-plus-filter result at every ``pos`` — one grid
-        replaces a level's worth of per-``(s, pos)`` table walks.
+        A stage is admitted when both its own bounds (straggler and
+        round-trip + tail, ``fixb``) and the suffix relaxation of the
+        blocks after it (``remb``, merged with the leaf bound when one
+        stage remains) are within the limit.
         """
         w_cnt = min(m, p - 1 - s)
         steady = m - w_cnt
@@ -1460,9 +851,10 @@ def _search_analytic(
         sizes come out ascending; parents are already lex-ordered and
         ``repeat`` keeps them grouped, so the expansion lands in lex
         order directly — no sort.  Returns ``None`` when every prefix
-        is exhausted, else ``(rep, til, gidx-free gathers)`` wrapped as
-        ``(rep, til)`` with ``rep`` the parent index per child and
-        ``til`` the child's admitted size index.
+        is exhausted, else ``(rep, til, W, OFF, flat_k, W_col)``: ``rep``
+        is the parent index per child and ``til`` the child's size
+        index; the per-pos admitted counts, offsets and size indices
+        are reused by the leaf level's seed matching.
         """
         W = mask.sum(axis=1)
         W_col = W[pos_arr]
@@ -1524,9 +916,8 @@ def _search_analytic(
             # The per-level dominance memo: twin prefixes share
             # (pos, f_stages, b_stages), and every leaf below a twin
             # only extends those stage times.  np.unique keeps the
-            # first occurrence — the lex-smallest twin, exactly the one
-            # the serial DFS explores — and the removed subtrees are
-            # counted with the DFS memo's comb arithmetic.
+            # first occurrence — the lex-smallest twin — and each
+            # removed subtree counts its C(n-pos-1, p-lev-2) leaves.
             rows = lev + 1
             h = (
                 pos_arr
@@ -1569,9 +960,6 @@ def _search_analytic(
     pos2 = prow + til + 1
     # The last stage's size is forced by the second-to-last cut; its
     # cost rows are the per-pos suffix totals.
-    q = np.arange(n)
-    suf_f = SF[q, n - q - 1]
-    suf_b = SB[q, n - q - 1]
     fwd_mat = np.empty((p, total_cols))
     bwd_mat = np.empty((p, total_cols))
     if p > 2:
@@ -1579,8 +967,8 @@ def _search_analytic(
         bwd_mat[:p - 2] = bs_arr[:, rep]
     fwd_mat[p - 2] = SF[prow, til]
     bwd_mat[p - 2] = SB[prow, til]
-    fwd_mat[p - 1] = suf_f[pos2]
-    bwd_mat[p - 1] = suf_b[pos2]
+    fwd_mat[p - 1] = bounds.suf_f[pos2]
+    bwd_mat[p - 1] = bounds.suf_b[pos2]
 
     # Seed columns ride the sweep too (the kernel reproduces their
     # simulated time bitwise) but are not fresh evaluations; their
@@ -1667,14 +1055,15 @@ def _evaluate_seeds(
     state: _SearchState,
     extra_seeds: Sequence[Tuple[int, ...]],
 ) -> Dict[Tuple[int, ...], float]:
-    """Parent-side warm-seed evaluation for the multiprocess oracle.
+    """Simulate the warm seeds and offer them to the incumbent.
 
-    Replicates the serial searches' in-search seed block — the same
-    Algorithm-1 seed, the same extra-seed validation, the same scalar
-    simulations counted on ``state`` — so the sharded search starts from
-    the identical incumbent and no worker re-simulates a seed.  The
-    returned ``(sizes -> time)`` map rides to every worker as
-    ``preset_warm``.
+    The Algorithm-1 min-max seed plus every valid, distinct extra seed,
+    one scalar simulation each (counted on ``state``, or served from
+    ``sim_cache``).  The serial search calls this itself; the
+    multiprocess oracle calls it once in the parent, so the sharded
+    search starts from the identical incumbent and no worker
+    re-simulates a seed.  Returns the ``(sizes -> time)`` map that
+    rides to every worker as ``preset_warm``.
     """
     n = len(fwd)
     tel = _obs.current()
@@ -1708,20 +1097,11 @@ def _evaluate_seeds(
     return warm
 
 
-def _search_mode(
-    prune: bool,
-    incremental: bool,
-    scorer: str,
-    robust: Optional[RobustObjective],
-) -> str:
+def _search_mode(prune: bool, robust: Optional[RobustObjective]) -> str:
     """The search routine a knob combination selects."""
     if robust is not None:
         return "robust" if prune else "robust_brute"
-    if prune and incremental and scorer == "analytic":
-        return "analytic"
-    if prune and incremental:
-        return "incremental"
-    return "pruned" if prune else "brute"
+    return "analytic" if prune else "brute"
 
 
 def exhaustive_partition(
@@ -1732,46 +1112,44 @@ def exhaustive_partition(
     comm_mode: str = "paper",
     max_evaluations: Optional[int] = 2_000_000,
     prune: bool = True,
-    incremental: bool = True,
     planner_warm_start: Optional[bool] = None,
     sim_cache: Optional[SimCache] = None,
     chunk_size: int = _DEFAULT_CHUNK,
     prune_slack: float = _PRUNE_SLACK,
     robust: Optional[RobustObjective] = None,
-    scorer: str = "analytic",
     jobs: Optional[int] = None,
     cache=None,
     telemetry=None,
 ) -> ExhaustiveResult:
     """Find the optimal partition over every contiguous candidate.
 
-    ``prune=True`` (default) runs the branch-and-bound + batched search;
-    ``prune=False`` runs the literal scalar brute force.  Both return the
-    identical partition and iteration time.  ``incremental=True``
-    (default) further runs the pruned search through precomputed bound
-    tables, the dominance memo and prefix-checkpointed suffix batches —
-    same bounds, same result, several times less wall clock
-    (``incremental=False`` keeps the per-node arithmetic path, mainly
-    for comparison benches).  ``planner_warm_start`` (incremental path
-    only) additionally evaluates the heuristic planner's partition as an
+    ``prune=True`` (default) runs the branch-and-bound search scored by
+    the max-plus frontier kernel; ``prune=False`` runs the literal
+    scalar brute force.  Both return the identical partition and
+    iteration time.  ``planner_warm_start`` (pruned search only)
+    additionally evaluates the heuristic planner's partition as an
     extra warm candidate: its near-optimal iteration time tightens the
-    incumbent from the first bound test on, typically pruning several
-    times more of the space at depth >= 10 than the Algorithm-1 seed
-    alone; the result is still the exact brute-force argmin, because
-    warm candidates go through the same tie-breaking ``offer`` and
-    bounds only ever discard provably worse subtrees.  The default
-    ``None`` enables it automatically once the search space is large
-    enough to amortise the planner's few dozen scalar simulations.
-    ``sim_cache`` harvests
-    vectors already simulated in-process (e.g. by the planner) and is
-    reported via ``cache_hits``.  ``prune_slack`` is the relative slack
-    of the pruning test (default ``1 + 1e-9``): a subtree is discarded
-    only when its lower bound exceeds ``incumbent * prune_slack``, so
-    values ``> 1`` keep the search exact under float rounding, while
-    larger values trade exactness for speed (bench sweeps use this to
-    study prune tightness).  Must be a finite float ``>= 1.0``.  Raises
-    ``ValueError`` if the search space exceeds ``max_evaluations`` (pass
-    ``None`` to force it anyway).
+    admission limit, typically pruning several times more of the space
+    at depth >= 10 than the Algorithm-1 seed alone; the result is still
+    the exact brute-force argmin, because warm candidates go through the
+    same tie-breaking ``offer`` and bounds only ever discard provably
+    worse subtrees.  The default ``None`` enables it automatically once
+    the search space is large enough to amortise the planner's few
+    dozen scalar simulations.  ``sim_cache`` harvests vectors already
+    simulated in-process (e.g. by the planner) and is reported via
+    ``cache_hits``.  ``chunk_size`` (a positive integer) sets the kernel
+    rows per robust scoring chunk and can only widen the nominal
+    search's sweep block.  ``prune_slack`` is the relative slack of the
+    pruning test (default ``1 + 1e-9``): a subtree is discarded only
+    when its lower bound exceeds ``incumbent * prune_slack``, so values
+    ``> 1`` keep the search exact under float rounding, while larger
+    values trade exactness for speed (bench sweeps use this to study
+    prune tightness).  Must be a finite float ``>= 1.0``.
+    ``num_stages``, ``num_micro_batches`` and ``chunk_size`` must be
+    integers ``>= 1`` (``TypeError`` for a bool or non-integral value,
+    ``ValueError`` below 1).  Raises ``ValueError`` if the search space
+    exceeds ``max_evaluations`` (pass ``None`` to force it anyway).
+
     ``robust`` replaces the objective with a
     :class:`~repro.robustness.evaluate.RobustObjective`: the oracle
     returns the first lexicographic partition minimising the configured
@@ -1784,35 +1162,22 @@ def exhaustive_partition(
     at the first bound above ``incumbent * prune_slack``; ``prune=False``
     enumerates the full space in chunks of ``chunk_size // draws``
     candidates (the specification).  Both return the identical
-    partition and objective value.  ``incremental``/
-    ``planner_warm_start``/``sim_cache`` are ignored.  The winner's
-    objective value is reported as ``ExhaustiveResult.robust_value``,
-    while ``sim`` stays the winner's *nominal* simulation.
-
-    ``scorer`` selects the candidate evaluator for the default
-    (``prune=True, incremental=True, robust=None``) path:
-    ``"analytic"`` (default) scores chunk flushes with the closed-form
-    max-plus frontier kernel (:mod:`repro.sim.analytic`) — the same
-    bound tables and dominance memo admit candidates, but one stage-major
-    ``(p, K)`` sweep replaces the per-row suffix relaxations, and the
-    kernel's mid-sweep sieve discards columns provably above the
-    incumbent part-way through.  ``"lattice"`` keeps the
-    prefix-checkpointed :class:`SuffixSimBatch` path.  Both return the
-    bit-identical partition and iteration time (the kernel is
-    property-tested bitwise against the lattice executors); the knob is
-    part of the plan-cache key because the observability counters
-    differ.  Ignored (with no effect on the result) by the brute,
-    pruned-only and robust paths, which have no batched scorer choice.
+    partition and objective value.  ``planner_warm_start``/``sim_cache``
+    are ignored.  The winner's objective value is reported as
+    ``ExhaustiveResult.robust_value``, while ``sim`` stays the winner's
+    *nominal* simulation.
 
     ``jobs`` (default: the process-wide ``--plan-jobs`` setting, 1 when
     unset) shards the search over worker processes by top-level cut
-    position, sharing the incumbent bound between chunk flushes — see
+    position, sharing the incumbent bound between sweeps — see
     :mod:`repro.core.parallel_search`.  The returned partition and
     iteration time are bit-identical to the serial search at any job
     count, in every mode including ``robust=``; only the observability
-    counters (``jobs``, ``worker_subtrees``, ``evaluations``, which
-    depend on incumbent-arrival timing) reflect the sharding.  Falls
-    back to the serial search when worker processes are unavailable.
+    counters reflect the sharding (``jobs``, ``worker_subtrees``, and
+    the robust search's ``evaluations``, which depend on when each
+    worker sees the shared incumbent).
+    Falls back to the serial search when worker processes are
+    unavailable.
 
     ``cache`` is a persistent :class:`~repro.core.plan_cache.PlanCache`
     (default: the process-wide ``--plan-cache-dir`` cache, off when
@@ -1835,42 +1200,35 @@ def exhaustive_partition(
     depth-8 oracle bench (guarded in
     ``benchmarks/test_bench_telemetry.py``).
     """
+    num_stages = _check_count("num_stages", num_stages)
+    num_micro_batches = _check_count("num_micro_batches", num_micro_batches)
+    chunk_size = _check_count("chunk_size", chunk_size)
     RobustObjective.check(robust)
+    kwargs = dict(
+        comm_mode=comm_mode, max_evaluations=max_evaluations, prune=prune,
+        planner_warm_start=planner_warm_start, sim_cache=sim_cache,
+        chunk_size=chunk_size, prune_slack=prune_slack, robust=robust,
+        jobs=jobs, cache=cache,
+    )
     tel, sink_dir = _obs.resolve_telemetry(telemetry)
     if tel is None:
         if telemetry is False and _obs.active():
             with _obs.disabled():
                 return _exhaustive_impl(
-                    profile, num_stages, num_micro_batches,
-                    comm_mode=comm_mode, max_evaluations=max_evaluations,
-                    prune=prune, incremental=incremental,
-                    planner_warm_start=planner_warm_start,
-                    sim_cache=sim_cache, chunk_size=chunk_size,
-                    prune_slack=prune_slack, robust=robust, scorer=scorer,
-                    jobs=jobs, cache=cache,
+                    profile, num_stages, num_micro_batches, **kwargs
                 )
         return _exhaustive_impl(
-            profile, num_stages, num_micro_batches, comm_mode=comm_mode,
-            max_evaluations=max_evaluations, prune=prune,
-            incremental=incremental, planner_warm_start=planner_warm_start,
-            sim_cache=sim_cache, chunk_size=chunk_size,
-            prune_slack=prune_slack, robust=robust, scorer=scorer,
-            jobs=jobs, cache=cache,
+            profile, num_stages, num_micro_batches, **kwargs
         )
-    mode = _search_mode(prune, incremental, scorer, robust)
     with _obs.session(tel):
         t0 = tel.clock()
         result = _exhaustive_impl(
-            profile, num_stages, num_micro_batches, comm_mode=comm_mode,
-            max_evaluations=max_evaluations, prune=prune,
-            incremental=incremental, planner_warm_start=planner_warm_start,
-            sim_cache=sim_cache, chunk_size=chunk_size,
-            prune_slack=prune_slack, robust=robust, scorer=scorer,
-            jobs=jobs, cache=cache,
+            profile, num_stages, num_micro_batches, **kwargs
         )
         tel.record_since(
-            "oracle.search", t0, mode=mode, depth=num_stages,
-            m=num_micro_batches, space=result.space, jobs=result.jobs,
+            "oracle.search", t0, mode=_search_mode(prune, robust),
+            depth=num_stages, m=num_micro_batches, space=result.space,
+            jobs=result.jobs,
         )
         # Counters fold from the result's own fields, so the registry
         # and the ExhaustiveResult can never disagree.
@@ -1879,7 +1237,6 @@ def exhaustive_partition(
         tel.add("oracle.search_seconds", result.search_seconds)
         tel.add("oracle.space", result.space)
         tel.add("oracle.cache_hits", result.cache_hits)
-        tel.add("oracle.suffix_sims", result.suffix_sims)
         tel.add("oracle.dominance_pruned", result.dominance_pruned)
         tel.add("oracle.pruned", result.pruned)
         tel.add("oracle.incumbent_updates", result.incumbent_updates)
@@ -1896,13 +1253,11 @@ def _exhaustive_impl(
     comm_mode: str,
     max_evaluations: Optional[int],
     prune: bool,
-    incremental: bool,
     planner_warm_start: Optional[bool],
     sim_cache: Optional[SimCache],
     chunk_size: int,
     prune_slack: float,
     robust: Optional[RobustObjective],
-    scorer: str,
     jobs: Optional[int],
     cache,
 ) -> ExhaustiveResult:
@@ -1914,16 +1269,10 @@ def _exhaustive_impl(
             f"search space C({n - 1},{num_stages - 1}) = {space} exceeds "
             f"max_evaluations={max_evaluations}"
         )
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
     prune_slack = float(prune_slack)
     if not math.isfinite(prune_slack) or prune_slack < 1.0:
         raise ValueError(
             f"prune_slack must be a finite float >= 1.0, got {prune_slack!r}"
-        )
-    if scorer not in ("analytic", "lattice"):
-        raise ValueError(
-            f"scorer must be 'analytic' or 'lattice', got {scorer!r}"
         )
     # Lazy imports: parallel_search imports this module at top level.
     from repro.core.parallel_search import (
@@ -1943,9 +1292,9 @@ def _exhaustive_impl(
     if plan_cache is not None:
         cache_key = plan_cache.exhaustive_key(
             profile, num_stages, num_micro_batches,
-            comm_mode=comm_mode, prune=prune, incremental=incremental,
+            comm_mode=comm_mode, prune=prune,
             planner_warm_start=planner_warm_start, chunk_size=chunk_size,
-            prune_slack=prune_slack, robust=repr(robust), scorer=scorer,
+            prune_slack=prune_slack, robust=repr(robust),
         )
         stored = plan_cache.load(cache_key, expect=ExhaustiveResult)
         if stored is not None:
@@ -1958,10 +1307,10 @@ def _exhaustive_impl(
     bwd = profile.bwd_times()
     comm = profile.comm_time
 
-    mode = _search_mode(prune, incremental, scorer, robust)
+    mode = _search_mode(prune, robust)
 
     extra_seeds: List[Tuple[int, ...]] = []
-    if mode in ("incremental", "analytic"):
+    if mode == "analytic":
         if planner_warm_start is None:
             planner_warm_start = space >= _WARM_START_MIN_SPACE
         if planner_warm_start and num_stages > 1:
@@ -1985,13 +1334,12 @@ def _exhaustive_impl(
     ran_parallel = False
     warm: Optional[Dict[Tuple[int, ...], float]] = None
     if jobs > 1 and num_stages > 1:
-        if mode in ("incremental", "pruned", "analytic"):
+        if mode == "analytic":
             # Seeds are evaluated once, parent-side; every worker gets
             # the same warm incumbents the serial search would compute.
             warm = _evaluate_seeds(
                 fwd, bwd, comm, num_stages, num_micro_batches, comm_mode,
-                sim_cache, state,
-                extra_seeds if mode != "pruned" else (),
+                sim_cache, state, extra_seeds,
             )
         try:
             used_jobs, worker_subtrees = run_parallel_search(
@@ -2004,8 +1352,6 @@ def _exhaustive_impl(
             # Sandboxes without worker processes: serial, same result.
             pass
     if not ran_parallel:
-        used_jobs = 1
-        worker_subtrees = ()
         if mode == "robust":
             _search_robust_pruned(
                 fwd, bwd, comm, num_stages, num_micro_batches, comm_mode,
@@ -2020,18 +1366,6 @@ def _exhaustive_impl(
             _search_analytic(
                 fwd, bwd, comm, num_stages, num_micro_batches, comm_mode,
                 sim_cache, state, chunk_size, prune_slack, extra_seeds,
-                preset_warm=warm,
-            )
-        elif mode == "incremental":
-            _search_incremental(
-                fwd, bwd, comm, num_stages, num_micro_batches, comm_mode,
-                sim_cache, state, chunk_size, prune_slack, extra_seeds,
-                preset_warm=warm,
-            )
-        elif mode == "pruned":
-            _search_pruned(
-                fwd, bwd, comm, num_stages, num_micro_batches, comm_mode,
-                sim_cache, state, chunk_size, prune_slack,
                 preset_warm=warm,
             )
         else:
@@ -2055,10 +1389,9 @@ def _exhaustive_impl(
         search_seconds=_time.perf_counter() - t0,
         space=space,
         cache_hits=state.cache_hits,
-        suffix_sims=state.suffix_sims,
         dominance_pruned=state.dominance_pruned,
         robust_value=state.best_time if robust is not None else None,
-        jobs=used_jobs if ran_parallel else 1,
+        jobs=used_jobs,
         requested_jobs=requested_jobs,
         worker_subtrees=worker_subtrees,
         incumbent_updates=state.incumbent_updates,

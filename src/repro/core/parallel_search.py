@@ -1,11 +1,12 @@
 """Multiprocess exact search: sharded branch-and-bound over processes.
 
-The oracle's branch-and-bound (``exhaustive.py``) runs its DFS on one
-core.  Its top level enumerates the *first stage's size*; the subtrees
-under two different first sizes never share DFS state — bound tables,
-dominance memos and prefix-checkpoint chains are all rebuildable pure
-functions of the block profile — so the search shards cleanly: one work
-item per top-level cut position, fanned out over a
+The oracle's branch-and-bound (``exhaustive.py``) runs on one core.
+Its top level enumerates the *first stage's size*; the subtrees under
+two different first sizes never share search state — the bounds and
+slice tables are rebuildable pure functions of the block profile, and a
+shard's dominance memo merely misses twins in other shards (pruning
+less is exact) — so the search shards cleanly: one work item per
+top-level cut position, fanned out over a
 :class:`~concurrent.futures.ProcessPoolExecutor`.
 
 What keeps the sharded search both *fast* and *exact*:
@@ -15,7 +16,7 @@ What keeps the sharded search both *fast* and *exact*:
   prune like a cold serial search.  The cluster-wide best is shared
   through a :class:`SharedBound` (a ``multiprocessing.Value``): every
   worker publishes its local best and pulls the global minimum between
-  chunk flushes (``_SearchState.sync``), so late workers prune against
+  scoring sweeps (``_SearchState.sync``), so late workers prune against
   the best incumbent any worker has found.  This is exact for the same
   reason warm seeds are: every published bound is a *simulated candidate
   time*, so a subtree pruned against it holds only candidates provably
@@ -144,16 +145,6 @@ def _run_shard(first_size: int) -> dict:
                 *common, None, state, payload["chunk_size"],
                 payload["prune_slack"], (), first, payload["warm"],
             )
-        elif mode == "incremental":
-            ex._search_incremental(
-                *common, None, state, payload["chunk_size"],
-                payload["prune_slack"], (), first, payload["warm"],
-            )
-        elif mode == "pruned":
-            ex._search_pruned(
-                *common, None, state, payload["chunk_size"],
-                payload["prune_slack"], first, payload["warm"],
-            )
         elif mode == "robust":
             ex._search_robust_pruned(
                 *common, state, payload["chunk_size"],
@@ -184,7 +175,6 @@ def _run_shard(first_size: int) -> dict:
         "best_time": state.best_time,
         "best_sizes": state.best_sizes,
         "evaluations": state.evaluations,
-        "suffix_sims": state.suffix_sims,
         "dominance_pruned": state.dominance_pruned,
         "incumbent_updates": state.incumbent_updates,
         "pid": os.getpid(),
@@ -261,7 +251,6 @@ def run_parallel_search(
                 if shard["best_sizes"] is not None:
                     state.offer(shard["best_sizes"], shard["best_time"])
                 state.evaluations += shard["evaluations"]
-                state.suffix_sims += shard["suffix_sims"]
                 state.dominance_pruned += shard["dominance_pruned"]
                 state.incumbent_updates += shard["incumbent_updates"]
                 per_pid[shard["pid"]] = per_pid.get(shard["pid"], 0) + 1

@@ -44,7 +44,9 @@ from typing import Optional
 #: bump to invalidate every on-disk plan (cache layout changes).  "2":
 #: ``SimResult`` pickles scalars and the critical path only (per-op times
 #: are rebuilt lazily) and planner keys no longer carry ``incremental``.
-_SCHEMA = "2"
+#: "3": ``ExhaustiveResult`` lost its lattice-scorer counter and oracle
+#: keys no longer carry the deleted search-selection knobs.
+_SCHEMA = "3"
 
 #: search-stack sources folded into the code fingerprint: an edit to any
 #: of these may change planned partitions or their reported statistics.

@@ -391,6 +391,21 @@ def _memory_repair(
     return None
 
 
+def _check_count(name: str, value, minimum: int = 1) -> int:
+    """Validate an integer search argument and return it as an ``int``.
+
+    A bool or non-integral value raises ``TypeError`` (``True`` is an
+    ``int`` subclass, but ``num_stages=True`` is a typo, not 1); numpy
+    integers are accepted.  A value below ``minimum`` raises
+    ``ValueError``.  Both messages name the argument.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 def plan_partition(
     profile: ModelProfile,
     num_stages: int,
@@ -413,6 +428,9 @@ def plan_partition(
     ``granularity="layer"`` runs the identical search over whole-layer
     units (the ablation of Fig. 3's sub-layer split);
     ``cooldown_adjust=False`` disables step 2 (Eq. 1 ablation).
+    ``num_stages`` and ``num_micro_batches`` must be integers ``>= 1``
+    (``TypeError`` for a bool or non-integral value, ``ValueError``
+    below 1).
     ``memory_cap`` (bytes per device) makes the search memory-aware: a
     scheme with any stage above the cap can still guide the heuristic but
     can never be returned as the result.  Raises ``RuntimeError`` when no
@@ -456,6 +474,8 @@ def plan_partition(
     reads clocks and counters — the returned plan, evaluation count and
     history are bit-identical with it on or off (property-tested).
     """
+    num_stages = _check_count("num_stages", num_stages)
+    num_micro_batches = _check_count("num_micro_batches", num_micro_batches)
     RobustObjective.check(robust)
     tel, sink_dir = _obs.resolve_telemetry(telemetry)
     if tel is None:

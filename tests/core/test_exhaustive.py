@@ -1,6 +1,8 @@
 """Exhaustive-search oracle tests: the heuristic Planner's optimality gap."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.exhaustive import (
     count_partitions,
@@ -8,6 +10,27 @@ from repro.core.exhaustive import (
     iter_partitions,
 )
 from repro.core.planner import plan_partition
+
+from tests.core.test_search_properties import make_profile
+
+#: (bad integer argument, expected error) pairs shared by both search
+#: entry points; the error message must name the argument.
+BAD_COUNTS = [
+    ("num_stages", True, TypeError),
+    ("num_stages", 2.0, TypeError),
+    ("num_stages", 0, ValueError),
+    ("num_micro_batches", True, TypeError),
+    ("num_micro_batches", 1.5, TypeError),
+    ("num_micro_batches", 0, ValueError),
+]
+
+
+def assert_rejects_bad_counts(search, profile, bad_counts=BAD_COUNTS):
+    """``search`` raises a typed error naming each malformed argument."""
+    for name, value, error in bad_counts:
+        kwargs = {"num_stages": 3, "num_micro_batches": 8, name: value}
+        with pytest.raises(error, match=name):
+            search(profile, **kwargs)
 
 
 class TestEnumeration:
@@ -23,11 +46,25 @@ class TestEnumeration:
     def test_single_stage(self):
         assert list(iter_partitions(5, 1)) == [(5,)]
 
-    def test_invalid_args(self):
+    def test_invalid_args(self, tiny_profile):
         with pytest.raises(ValueError):
             list(iter_partitions(3, 4))
         with pytest.raises(ValueError):
             count_partitions(3, 0)
+        assert_rejects_bad_counts(
+            exhaustive_partition, tiny_profile, BAD_COUNTS + [
+                ("chunk_size", True, TypeError),
+                ("chunk_size", 1.5, TypeError),
+                ("chunk_size", 0, ValueError),
+            ],
+        )
+        # numpy integers are integers.
+        ref = exhaustive_partition(tiny_profile, 3, 8, chunk_size=64)
+        res = exhaustive_partition(
+            tiny_profile, np.int64(3), np.int32(8), chunk_size=np.int64(64)
+        )
+        assert res.partition == ref.partition
+        assert res.iteration_time == ref.iteration_time
 
 
 class TestOracle:
@@ -97,21 +134,54 @@ class TestPrunedEquivalence:
         assert again.partition.sizes == first.partition.sizes
         assert again.iteration_time == first.iteration_time
 
-    @pytest.mark.parametrize("stages,m", [(3, 6), (4, 8)])
-    def test_incremental_matches_per_node_pruned_path(
-        self, tiny_profile, stages, m
+
+class TestPrunedSearchExact:
+    """The pruned search equals the brute force where its shortcuts fire."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=5, max_value=8),        # blocks
+        st.integers(min_value=2, max_value=4),        # stages
+        st.integers(min_value=1, max_value=6),        # micro-batches
+        st.sampled_from(["paper", "edges"]),
+        st.data(),
+    )
+    def test_zero_cost_profiles_equal_brute(
+        self, blocks, stages, m, comm_mode, data
     ):
-        """Both pruned evaluators return the identical argmin."""
-        per_node = exhaustive_partition(
-            tiny_profile, stages, m, incremental=False
+        # zeros included: the regime where distinct cuts share identical
+        # stage-time tuples and the dominance memo can actually prune.
+        times = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+        fwd = [data.draw(times, label="fwd") for _ in range(blocks)]
+        bwd = [data.draw(times, label="bwd") for _ in range(blocks)]
+        prof = make_profile(fwd, bwd, data.draw(st.sampled_from([0.0, 0.1])))
+        pruned = exhaustive_partition(prof, stages, m, comm_mode=comm_mode)
+        brute = exhaustive_partition(
+            prof, stages, m, comm_mode=comm_mode, prune=False
         )
-        incremental = exhaustive_partition(
-            tiny_profile, stages, m, incremental=True
-        )
-        assert incremental.partition.sizes == per_node.partition.sizes
-        assert incremental.iteration_time == per_node.iteration_time
-        assert incremental.suffix_sims >= 0
-        assert incremental.dominance_pruned >= 0
+        assert pruned.iteration_time == brute.iteration_time
+        assert pruned.partition.stages == brute.partition.stages
+
+    def test_dominance_memo_fires_and_stays_exact(self):
+        fwd = [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0]
+        bwd = [2.0, 0.0, 0.0, 2.0, 0.0, 2.0, 0.0, 0.0]
+        prof = make_profile(fwd, bwd, 0.1)
+        pruned = exhaustive_partition(prof, 4, 4)
+        brute = exhaustive_partition(prof, 4, 4, prune=False)
+        assert pruned.dominance_pruned > 0
+        assert pruned.iteration_time == brute.iteration_time
+        assert pruned.partition.stages == brute.partition.stages
+
+    def test_planner_warm_start_preserves_argmin(self):
+        fwd = [0.8, 1.2, 1.0, 0.7, 1.1, 0.9, 1.3, 0.6, 1.0, 0.8]
+        bwd = [1.6, 2.1, 1.9, 1.5, 2.2, 1.8, 2.4, 1.3, 2.0, 1.7]
+        prof = make_profile(fwd, bwd, 0.05)
+        base = exhaustive_partition(prof, 4, 6, planner_warm_start=False)
+        warm = exhaustive_partition(prof, 4, 6, planner_warm_start=True)
+        brute = exhaustive_partition(prof, 4, 6, prune=False)
+        for res in (base, warm):
+            assert res.iteration_time == brute.iteration_time
+            assert res.partition.stages == brute.partition.stages
 
 
 class TestPruneSlack:

@@ -10,57 +10,24 @@ The contract the perf work must never weaken: every incremental path is
 * a chain of ``PrefixState.extend`` steps equals the one-shot
   ``prefix_state(k)`` checkpoint bit for bit;
 * ``SuffixSimBatch`` equals ``K`` scalar cold runs, for one shared
-  checkpoint, per-row checkpoints, and the start-less fast path;
-* the incremental oracle (bound tables + dominance memo + suffix
-  batching) returns the exact brute-force argmin, including on profiles
-  with zero-cost blocks — the only regime where distinct cut vectors can
-  collide on identical stage-time tuples, i.e. where the dominance memo
-  actually fires.
+  checkpoint, per-row checkpoints, and the start-less fast path.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import HardwareConfig, ModelConfig, TrainConfig
 from repro.core.analytic_sim import (
     PipelineSim,
     PrefixState,
     SuffixSimBatch,
 )
-from repro.core.exhaustive import exhaustive_partition
 from repro.core.partition import StageTimes
-from repro.models.blocks import Block, BlockKind
-from repro.profiling.modelconfig import BlockProfile, ModelProfile
-
-_MODEL = ModelConfig(name="synthetic", num_layers=1, hidden_size=64, num_heads=4)
-_HW = HardwareConfig()
-_TRAIN = TrainConfig(micro_batch_size=1, global_batch_size=8)
 
 #: discrete values that collide constantly — exact-tie saturation is the
 #: worst case for master-stage and critical-path tie-breaking.
 _TIE_HEAVY = st.sampled_from([0.5, 1.0, 1.5, 2.0])
 _CONTINUOUS = st.floats(min_value=0.01, max_value=5.0, allow_nan=False)
 _TIMES = st.one_of(_TIE_HEAVY, _CONTINUOUS)
-
-
-def make_profile(fwd, bwd, comm):
-    """A synthetic ModelProfile carrying exactly these block times."""
-    blocks = tuple(
-        BlockProfile(
-            block=Block(index=i, kind=BlockKind.ATTENTION, layer_index=i),
-            fwd_time=f,
-            bwd_time=b,
-            params=1.0,
-            activation_out_bytes=1.0,
-            stash_bytes=1.0,
-            workspace_bytes=1.0,
-        )
-        for i, (f, b) in enumerate(zip(fwd, bwd))
-    )
-    return ModelProfile(
-        model=_MODEL, hardware=_HW, train=_TRAIN, blocks=blocks,
-        comm_time=comm, boundary_bytes=1.0,
-    )
 
 
 @st.composite
@@ -224,56 +191,3 @@ class TestValidation:
             SuffixSimBatch(
                 [state, other], [(1.0, 1.0)] * 2, [(1.0, 1.0)] * 2
             )
-
-
-class TestOracleIncrementalExact:
-    """Pruned + incremental search == brute force, memo enabled."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.integers(min_value=5, max_value=8),        # blocks
-        st.integers(min_value=2, max_value=4),        # stages
-        st.integers(min_value=1, max_value=6),        # micro-batches
-        st.sampled_from(["paper", "edges"]),
-        st.data(),
-    )
-    def test_incremental_equals_brute(self, blocks, stages, m, comm_mode, data):
-        # zeros included: the regime where distinct cuts share identical
-        # stage-time tuples and the dominance memo can actually prune.
-        times = st.sampled_from([0.0, 0.5, 1.0, 2.0])
-        fwd = [data.draw(times, label="fwd") for _ in range(blocks)]
-        bwd = [data.draw(times, label="bwd") for _ in range(blocks)]
-        prof = make_profile(fwd, bwd, data.draw(st.sampled_from([0.0, 0.1])))
-        inc = exhaustive_partition(
-            prof, stages, m, comm_mode=comm_mode, incremental=True
-        )
-        brute = exhaustive_partition(
-            prof, stages, m, comm_mode=comm_mode, prune=False
-        )
-        assert inc.iteration_time == brute.iteration_time
-        assert inc.partition.stages == brute.partition.stages
-
-    def test_dominance_memo_fires_and_stays_exact(self):
-        fwd = [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0]
-        bwd = [2.0, 0.0, 0.0, 2.0, 0.0, 2.0, 0.0, 0.0]
-        prof = make_profile(fwd, bwd, 0.1)
-        inc = exhaustive_partition(prof, 4, 4, incremental=True)
-        brute = exhaustive_partition(prof, 4, 4, prune=False)
-        assert inc.dominance_pruned > 0
-        assert inc.iteration_time == brute.iteration_time
-        assert inc.partition.stages == brute.partition.stages
-
-    def test_planner_warm_start_preserves_argmin(self):
-        fwd = [0.8, 1.2, 1.0, 0.7, 1.1, 0.9, 1.3, 0.6, 1.0, 0.8]
-        bwd = [1.6, 2.1, 1.9, 1.5, 2.2, 1.8, 2.4, 1.3, 2.0, 1.7]
-        prof = make_profile(fwd, bwd, 0.05)
-        base = exhaustive_partition(
-            prof, 4, 6, incremental=True, planner_warm_start=False
-        )
-        warm = exhaustive_partition(
-            prof, 4, 6, incremental=True, planner_warm_start=True
-        )
-        brute = exhaustive_partition(prof, 4, 6, prune=False)
-        for res in (base, warm):
-            assert res.iteration_time == brute.iteration_time
-            assert res.partition.stages == brute.partition.stages

@@ -1,9 +1,9 @@
 """Multiprocess oracle: bit-identity with the serial search.
 
 The contract the ISSUE demands: ``exhaustive_partition(jobs=N)`` returns
-the *bit-identical* argmin of the serial branch-and-bound — same
-partition, same iteration time — for every search mode (incremental,
-pruned, brute, robust) and both comm models.  The shared incumbent bound
+the *bit-identical* argmin of the serial search — same partition, same
+iteration time — for every search mode (pruned, brute, robust) and both
+comm models.  The shared incumbent bound
 only ever tightens pruning; every published bound is itself a simulated
 candidate, and the deterministic merge reuses the serial tie-break, so
 worker count and scheduling order must never leak into the result.
@@ -43,11 +43,11 @@ def _assert_same(parallel: ExhaustiveResult, serial: ExhaustiveResult):
 
 class TestOracleBitIdentity:
     @pytest.mark.parametrize("comm_mode", ["paper", "edges"])
-    @pytest.mark.parametrize("incremental", [True, False])
+    @pytest.mark.parametrize("prune", [True, False])
     @pytest.mark.parametrize("jobs", [2, 4])
-    def test_matches_serial(self, comm_mode, incremental, jobs):
+    def test_matches_serial(self, comm_mode, prune, jobs):
         profile = make_profile(_FWD, _BWD, 0.25)
-        kwargs = dict(comm_mode=comm_mode, incremental=incremental)
+        kwargs = dict(comm_mode=comm_mode, prune=prune)
         serial = exhaustive_partition(profile, 5, 8, **kwargs)
         parallel = exhaustive_partition(profile, 5, 8, jobs=jobs, **kwargs)
         _assert_same(parallel, serial)

@@ -99,7 +99,7 @@ class TestKeying:
         profile = _profile()
         a = exhaustive_partition(profile, 4, 8, cache=cache)
         b = exhaustive_partition(
-            profile, 4, 8, incremental=False, cache=cache
+            profile, 4, 8, planner_warm_start=True, cache=cache
         )
         assert len(cache) == 2
         assert a.partition.sizes == b.partition.sizes  # same argmin
@@ -118,6 +118,34 @@ class TestKeying:
         other = make_profile(_FWD, _BWD, 0.5)
         assert profile_hash(_profile()) != profile_hash(other)
         assert len(code_fingerprint()) == 64
+
+    def test_schema_2_entry_is_a_miss(self, tmp_path, monkeypatch):
+        """Entries written before ``ExhaustiveResult`` changed shape (schema
+        "2", keyed with the since-deleted ``incremental``/``scorer``
+        knobs) never replay: the schema-"3" search misses and re-solves."""
+        import dataclasses
+
+        import repro.core.plan_cache as pc
+
+        profile = _profile()
+        fresh = exhaustive_partition(profile, 4, 8, cache=False)
+        stale = dataclasses.replace(fresh, evaluations=-1)
+        cache = PlanCache(tmp_path)
+        knobs = dict(
+            comm_mode="paper", prune=True, planner_warm_start=None,
+            chunk_size=1024, prune_slack=1.0 + 1e-9, robust=repr(None),
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(pc, "_SCHEMA", "2")
+            for old in ({}, {"incremental": True, "scorer": "analytic"}):
+                cache.store(
+                    cache.exhaustive_key(profile, 4, 8, **knobs, **old),
+                    stale,
+                )
+        result = exhaustive_partition(profile, 4, 8, cache=cache)
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert result.evaluations == fresh.evaluations
+        assert len(cache) == 3
 
     def test_wrong_type_is_a_miss(self, tmp_path):
         cache = PlanCache(tmp_path)

@@ -1,5 +1,6 @@
 """Heuristic planner tests: quality, ablations, determinism."""
 
+import numpy as np
 import pytest
 
 from repro.baselines.megatron import uniform_partition
@@ -7,6 +8,8 @@ from repro.core.analytic_sim import simulate_partition
 from repro.core.balance_dp import balanced_partition
 from repro.core.partition import stage_times
 from repro.core.planner import _cooldown_adjust, _UnitSpace, plan_partition
+
+from tests.core.test_exhaustive import assert_rejects_bad_counts
 
 
 class TestPlanQuality:
@@ -46,6 +49,13 @@ class TestPlanQuality:
     def test_history_collection(self, gpt2_profile):
         planned = plan_partition(gpt2_profile, 4, 8, keep_history=True)
         assert len(planned.history) == planned.evaluations
+
+    def test_invalid_args(self, tiny_profile):
+        assert_rejects_bad_counts(plan_partition, tiny_profile)
+        ref = plan_partition(tiny_profile, 3, 8)
+        res = plan_partition(tiny_profile, np.int64(3), np.int32(8))
+        assert res.partition == ref.partition
+        assert res.iteration_time == ref.iteration_time
 
     def test_too_many_stages_rejected(self, tiny_profile):
         with pytest.raises(ValueError):

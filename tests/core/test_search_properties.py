@@ -5,9 +5,10 @@ Two equivalences the perf work must never break:
 * :class:`PipelineSimBatch` is bit-for-bit identical to ``K`` scalar
   :class:`PipelineSim` runs — iteration times, startup overheads and the
   materialised winner ``SimResult``;
-* the branch-and-bound oracle (``prune=True``) returns the exact
-  brute-force argmin — same partition, same iteration time — including
-  on tie-heavy profiles where many partitions share the optimum.
+* the kernel-scored branch-and-bound oracle (``prune=True``) returns
+  the exact brute-force (``prune=False``) argmin — same partition, same
+  iteration time — including on tie-heavy profiles where many
+  partitions share the optimum.
 """
 
 import numpy as np

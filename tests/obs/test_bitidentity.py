@@ -76,9 +76,6 @@ class TestPlannerBitIdentity:
 class TestOracleBitIdentity:
     MODES = {
         "analytic": {},
-        "lattice": {"scorer": "lattice"},
-        "incremental": {"scorer": "lattice", "planner_warm_start": False},
-        "pruned": {"incremental": False},
         "brute": {"prune": False},
     }
 
@@ -91,7 +88,6 @@ class TestOracleBitIdentity:
                                   telemetry=tel, **kwargs)
         _assert_same_plan(off, on)
         assert on.pruned == off.pruned
-        assert on.suffix_sims == off.suffix_sims
         assert on.dominance_pruned == off.dominance_pruned
 
     def test_counters_fold_from_result_fields(self, tiny_profile):

@@ -17,9 +17,8 @@ perturbation factors, and asserts:
   compiled graph executor on every lowered schedule family, and raises
   :class:`AnalyticUnsupported` on comm wait cycles the engine diagnoses
   as deadlock;
-* ``exhaustive_partition(scorer="analytic")`` returns the identical
-  argmin, tie-breaks and iteration time as the lattice scorer and the
-  unpruned brute force;
+* the kernel-scored ``exhaustive_partition`` returns the identical
+  argmin, tie-breaks and iteration time as the unpruned brute force;
 * the closed-form busy/bubble/memory helpers agree with
   :meth:`SimResult.stage_busy_time` / :meth:`SimResult.bubble_fraction`
   and the planner's 1F1B memory model.
@@ -339,7 +338,7 @@ def test_deadlock_raises_analytic_unsupported():
     assert "event" in str(err.value)
 
 
-# -- oracle equivalence: analytic scorer == lattice scorer == brute ---------
+# -- oracle equivalence: kernel-scored search == brute force ---------------
 
 _ORACLE_MODEL = ModelConfig(
     name="prop", num_layers=1, hidden_size=64, num_heads=4
@@ -388,11 +387,10 @@ def test_oracle_identical_argmin_and_tiebreaks(
         ]
     prof = _synthetic_profile(costs, comm)
     kw = dict(comm_mode=comm_mode, planner_warm_start=False)
-    ana = exhaustive_partition(prof, p, m, scorer="analytic", **kw)
-    lat = exhaustive_partition(prof, p, m, scorer="lattice", **kw)
+    ana = exhaustive_partition(prof, p, m, **kw)
     bru = exhaustive_partition(prof, p, m, prune=False, **kw)
-    assert ana.partition.sizes == lat.partition.sizes == bru.partition.sizes
-    assert ana.iteration_time == lat.iteration_time == bru.iteration_time
+    assert ana.partition.sizes == bru.partition.sizes
+    assert ana.iteration_time == bru.iteration_time
     assert ana.evaluations <= bru.evaluations
 
 
