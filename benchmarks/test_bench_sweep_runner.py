@@ -1,14 +1,9 @@
 """Bench: the Table III planner sweep through the SweepRunner.
 
-Times the full Table III sweep three ways — inline (``--jobs 1``),
-through a process pool (``--jobs N``) and from a warm on-disk cache —
-asserting all three render the identical table.  Wall clocks land in
-``BENCH_search.json``.
-
-No hard speedup assert on the pool path: CI boxes and sandboxes may
-expose a single core (or no subprocess support at all, where the runner
-falls back to inline execution); the recorded numbers are the honest
-before/after evidence.
+Times the full Table III sweep three ways — inline and uncached, into a
+cold on-disk cache, and from the warm cache — asserting all three
+render the identical table and that the warm pass is served entirely
+from disk.  Wall clocks land in ``BENCH_search.json``.
 """
 
 from __future__ import annotations
@@ -20,8 +15,6 @@ from benchmarks.test_bench_ablation_search import merge_into_search_results
 from repro.experiments import table3
 from repro.experiments.runner import SweepRunner
 
-JOBS = max(2, min(4, os.cpu_count() or 1))
-
 
 def _timed_run(runner: SweepRunner):
     t0 = time.perf_counter()
@@ -30,19 +23,17 @@ def _timed_run(runner: SweepRunner):
 
 
 def test_bench_table3_sweep_runner(benchmark, tmp_path):
-    inline, inline_s = _timed_run(SweepRunner(jobs=1))
-    pooled, pooled_s = _timed_run(SweepRunner(jobs=JOBS))
+    inline, inline_s = _timed_run(SweepRunner())
 
     cache_dir = tmp_path / "sweep-cache"
-    cold_runner = SweepRunner(jobs=1, cache_dir=cache_dir)
+    cold_runner = SweepRunner(cache_dir=cache_dir)
     cold, cold_s = _timed_run(cold_runner)
-    warm_runner = SweepRunner(jobs=1, cache_dir=cache_dir)
+    warm_runner = SweepRunner(cache_dir=cache_dir)
     warm = benchmark.pedantic(
         table3.run, kwargs={"runner": warm_runner}, rounds=1, iterations=1
     )
 
     # All execution paths must produce the identical table.
-    assert pooled.render() == inline.render()
     assert cold.render() == inline.render()
     assert warm.render() == inline.render()
     # The warm pass is pure cache: every cell served from disk.
@@ -50,16 +41,13 @@ def test_bench_table3_sweep_runner(benchmark, tmp_path):
     assert warm_runner.cache_hits == cold_runner.cache_misses > 0
 
     print()
-    print(f"table3 sweep  --jobs 1 : {inline_s * 1e3:8.1f} ms")
-    print(f"table3 sweep  --jobs {JOBS} : {pooled_s * 1e3:8.1f} ms "
-          f"(cpu_count={os.cpu_count()})")
+    print(f"table3 sweep  inline         : {inline_s * 1e3:8.1f} ms")
     print(f"table3 sweep  cold disk cache: {cold_s * 1e3:8.1f} ms")
 
-    merge_into_search_results("table3_sweep", {
-        "setting": f"full Table III sweep, jobs=1 vs jobs={JOBS} vs disk cache",
+    merge_into_search_results("sweep_runner", {
+        "setting": "full Table III sweep, inline vs cold disk cache",
         "cpu_count": os.cpu_count(),
-        "jobs_1_seconds": inline_s,
-        f"jobs_{JOBS}_seconds": pooled_s,
+        "inline_seconds": inline_s,
         "cold_cache_seconds": cold_s,
         "cache_hits_warm": warm_runner.cache_hits,
     })

@@ -14,7 +14,6 @@ import sys
 import traceback
 from typing import List, Optional
 
-from repro.core.parallel_search import set_default_plan_jobs
 from repro.core.plan_cache import PlanCache, set_default_plan_cache
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.runner import SweepRunner, set_default_runner
@@ -57,15 +56,9 @@ def _plan_main(argv: List[str]) -> int:
         help="record spans/counters and write events.jsonl, counters.json, "
              "trace.json (Perfetto-loadable) and summary.txt into DIR",
     )
-    parser.add_argument(
-        "--plan-jobs", type=int, default=1,
-        help="worker processes for the search (bit-identical to serial)",
-    )
     parser.add_argument("--plan-cache-dir", default=None,
                         help="persistent plan cache directory (default: off)")
     args = parser.parse_args(argv)
-    if args.plan_jobs < 1:
-        parser.error(f"--plan-jobs must be >= 1, got {args.plan_jobs}")
 
     from repro.experiments.common import make_profile
     from repro.models.zoo import get_model
@@ -83,16 +76,16 @@ def _plan_main(argv: List[str]) -> int:
 
         result = exhaustive_partition(
             profile, args.stages, args.micro_batches,
-            comm_mode=args.comm_mode, jobs=args.plan_jobs, cache=cache,
+            comm_mode=args.comm_mode, cache=cache,
             telemetry=args.telemetry,
         )
-        extra = f"space {result.space}, jobs {result.jobs}"
+        extra = f"space {result.space}"
     else:
         from repro.core.planner import plan_partition
 
         result = plan_partition(
             profile, args.stages, args.micro_batches,
-            comm_mode=args.comm_mode, jobs=args.plan_jobs, cache=cache,
+            comm_mode=args.comm_mode, cache=cache,
             telemetry=args.telemetry,
         )
         extra = f"granularity {result.granularity}"
@@ -147,22 +140,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="experiment name (fig9..fig14, table2..table4), 'all' or 'list'",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for sweep cells (default: 1, inline)",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         help="directory for the on-disk sweep result cache (default: off)",
-    )
-    parser.add_argument(
-        "--plan-jobs",
-        type=int,
-        default=1,
-        help="worker processes for the partition oracle's branch-and-bound "
-             "(default: 1, serial; any N is bit-identical to serial)",
     )
     parser.add_argument(
         "--plan-cache-dir",
@@ -194,17 +174,9 @@ def main(argv: Optional[List[str]] = None) -> int:
              "the fallback)",
     )
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.plan_jobs < 1:
-        parser.error(f"--plan-jobs must be >= 1, got {args.plan_jobs}")
     runner = None
-    if args.jobs != 1 or args.cache_dir is not None:
-        runner = set_default_runner(
-            SweepRunner(jobs=args.jobs, cache_dir=args.cache_dir)
-        )
-    if args.plan_jobs != 1:
-        set_default_plan_jobs(args.plan_jobs)
+    if args.cache_dir is not None:
+        runner = set_default_runner(SweepRunner(cache_dir=args.cache_dir))
     if args.executor is not None:
         set_default_executor(_EXECUTOR_CHOICES[args.executor])
     telemetry = None

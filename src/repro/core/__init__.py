@@ -15,11 +15,6 @@ from repro.core.balance_dp import (
     min_max_partition,
 )
 from repro.core.exhaustive import ExhaustiveResult, exhaustive_partition
-from repro.core.parallel_search import (
-    ParallelUnavailable,
-    default_plan_jobs,
-    set_default_plan_jobs,
-)
 from repro.core.partition import PartitionScheme, StageTimes, stage_times
 from repro.core.plan_cache import (
     PlanCache,
@@ -54,9 +49,6 @@ __all__ = [
     "min_max_partition",
     "ExhaustiveResult",
     "exhaustive_partition",
-    "ParallelUnavailable",
-    "default_plan_jobs",
-    "set_default_plan_jobs",
     "PartitionScheme",
     "StageTimes",
     "stage_times",

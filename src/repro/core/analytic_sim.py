@@ -53,7 +53,7 @@ planning time):
   path, recomputing each start from its predecessors' ends and summing
   the master-stage weights in path order — nothing is built per op;
 * :class:`SimResult` keeps scalars and the path only (small in memos,
-  plan-cache pickles and pool transfers) and rebuilds
+  plan-cache and sweep-cache pickles) and rebuilds
   ``op_start``/``op_end`` on first access by re-running the relaxation;
 * the planner's nominal master-shift loop stays on this scalar path
   rather than the max-plus kernel of :mod:`repro.sim.analytic`: its
@@ -393,7 +393,7 @@ class SimResult:
     """Output of one pipeline simulation.
 
     Holds scalars and the critical path only, so results stay small in
-    the planner's memos, the plan cache and pool pickles.  The per-op
+    the planner's memos and the plan and sweep caches.  The per-op
     views (``op_start`` etc.) are built on first access by re-running the
     exact relaxation from ``(stage_times, num_micro_batches, comm_mode)``
     — bitwise equal to the values the simulation saw.

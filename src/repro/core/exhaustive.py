@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import time as _time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -52,7 +51,12 @@ import numpy as np
 from repro.core.analytic_sim import PipelineSim, SimResult
 from repro.core.balance_dp import min_max_partition
 from repro.core.partition import PartitionScheme, StageTimes
-from repro.core.planner import SimCache, _check_count, plan_partition
+from repro.core.planner import (
+    SimCache,
+    _check_count,
+    _check_jobs,
+    plan_partition,
+)
 from repro.obs import stats as _stats
 from repro.obs import telemetry as _obs
 from repro.profiling.modelconfig import ModelProfile
@@ -120,32 +124,14 @@ class ExhaustiveResult:
     #: ``robust=`` (statistic over the perturbation draws); None for the
     #: nominal objective.
     robust_value: Optional[float] = None
-    #: worker processes the search ran on (1 = in-process serial).
-    jobs: int = 1
-    #: worker processes asked for (after resolving the process default,
-    #: before clamping to the machine's core count).  Spawning more
-    #: workers than cores only adds pool overhead — BENCH_search.json's
-    #: ``parallel_oracle`` measured 0.8-0.9x "speedups" on starved
-    #: machines — so the dispatch clamps and records the request here.
-    requested_jobs: int = 1
-    #: top-level cut subtrees processed per worker process when
-    #: ``jobs > 1`` (sorted descending; empty for serial searches).  The
-    #: parallel bench and autotune logs use this to show shard balance.
-    worker_subtrees: Tuple[int, ...] = ()
     #: times the incumbent (best-so-far candidate) was replaced during
-    #: the search, summed across workers when sharded (folds into the
-    #: ``oracle.incumbent_updates`` telemetry counter).
+    #: the search (folds into the ``oracle.incumbent_updates`` telemetry
+    #: counter).
     incumbent_updates: int = 0
 
     @property
     def iteration_time(self) -> float:
         return self.sim.iteration_time
-
-    @property
-    def jobs_downgraded(self) -> bool:
-        """True when the dispatch clamped ``jobs`` below the request
-        (fewer cores than workers asked for, or no pool available)."""
-        return self.jobs < self.requested_jobs
 
     @property
     def pruned(self) -> int:
@@ -196,34 +182,25 @@ class _SearchState:
     smaller ``sizes`` tuple — equivalent to the brute force's rule for
     any evaluation order that covers the same candidates.
 
-    ``bound`` is the value the pruning tests compare against.  Serially
-    it always equals ``best_time``.  Under the multiprocess oracle a
-    worker's state additionally tracks the cluster-wide incumbent
-    published through ``shared`` (a
-    :class:`~repro.core.parallel_search.SharedBound` over a
-    ``multiprocessing.Value``): :meth:`sync` — called between chunk
-    flushes — publishes the local best and pulls the global minimum into
-    ``bound``.  Pruning against another worker's incumbent is exact for
-    the same reason warm seeds are: the bound is a *simulated* candidate
-    time, so any subtree it discards holds only candidates provably
-    worse than the final optimum (ties always survive because the prune
-    test requires ``lb > bound * slack >= final_best``).
+    ``best_time`` is also the value the pruning tests compare against:
+    it is a *simulated* candidate time, so any subtree whose lower bound
+    exceeds it holds only candidates provably worse than the final
+    optimum (ties always survive because the prune test requires
+    ``lb > best_time * slack``).
     """
 
     __slots__ = (
         "best_time", "best_sizes", "evaluations", "cache_hits",
-        "dominance_pruned", "incumbent_updates", "bound", "shared",
+        "dominance_pruned", "incumbent_updates",
     )
 
-    def __init__(self, shared=None) -> None:
+    def __init__(self) -> None:
         self.best_time = float("inf")
         self.best_sizes: Optional[Tuple[int, ...]] = None
         self.evaluations = 0
         self.cache_hits = 0
         self.dominance_pruned = 0
         self.incumbent_updates = 0
-        self.shared = shared
-        self.bound = shared.peek() if shared is not None else float("inf")
 
     def offer(self, sizes: Tuple[int, ...], t: float) -> None:
         if t < self.best_time or (
@@ -232,16 +209,6 @@ class _SearchState:
             self.best_time = t
             self.best_sizes = sizes
             self.incumbent_updates += 1
-        if self.best_time < self.bound:
-            self.bound = self.best_time
-
-    def sync(self) -> None:
-        """Exchange incumbents with the other workers (no-op serially)."""
-        if self.shared is not None:
-            self.shared.publish(self.best_time)
-            g = self.shared.peek()
-            if g < self.bound:
-                self.bound = g
 
 
 def _left_sum(values: Sequence[float]) -> float:
@@ -282,19 +249,10 @@ def _search_brute(
     comm_mode: str,
     sim_cache: Optional[SimCache],
     state: _SearchState,
-    first_sizes: Optional[frozenset] = None,
 ) -> None:
-    """The literal brute force: one scalar simulation per candidate.
-
-    ``first_sizes`` restricts enumeration to candidates whose first
-    stage holds one of the given block counts — the multiprocess
-    oracle's shard shape (each worker covers a disjoint subset; their
-    union is the full space).
-    """
+    """The literal brute force: one scalar simulation per candidate."""
     n = len(fwd)
     for sizes in iter_partitions(n, num_stages):
-        if first_sizes is not None and sizes[0] not in first_sizes:
-            continue
         f_stages, b_stages = _stage_sums(fwd, bwd, sizes)
         times = StageTimes(f_stages, b_stages, comm)
         sim = sim_cache.peek(times, num_micro_batches, comm_mode) \
@@ -319,7 +277,6 @@ def _search_robust(
     state: _SearchState,
     chunk_size: int,
     robust: RobustObjective,
-    first_sizes: Optional[frozenset] = None,
 ) -> None:
     """Robust oracle specification: chunked batched brute force.
 
@@ -332,11 +289,7 @@ def _search_robust(
     x draws), bounding peak memory.  ``offer`` runs per candidate in
     enumeration order, so the argmin semantics (first lexicographic
     candidate achieving the minimum objective) match the nominal brute
-    force's.  ``first_sizes`` shards the enumeration by first-stage
-    size for the multiprocess oracle; per-candidate objective values
-    are independent of chunk composition (the batched relaxation is
-    row-independent), so sharded values are bitwise those of the full
-    sweep.
+    force's.
     """
     n = len(fwd)
     factors = robust.factors(num_stages)
@@ -368,8 +321,6 @@ def _search_robust(
         b_buf.clear()
 
     for sizes in iter_partitions(n, num_stages):
-        if first_sizes is not None and sizes[0] not in first_sizes:
-            continue
         f_stages, b_stages = _stage_sums(fwd, bwd, sizes)
         sizes_buf.append(sizes)
         f_buf.append(f_stages)
@@ -400,39 +351,18 @@ def _slice_sum_tables(
     return SF, SB
 
 
-def _robust_space_size(
-    n: int, num_stages: int, first_sizes: Optional[frozenset]
-) -> int:
-    """Candidates of ``n`` blocks over ``num_stages`` stages, restricted
-    to the given first-stage sizes when sharded."""
-    if first_sizes is None:
-        return math.comb(n - 1, num_stages - 1)
-    if num_stages == 1:
-        return int(n in first_sizes)
-    return sum(math.comb(n - 1 - a, num_stages - 2)
-               for a in first_sizes if a < n)
-
-
-def _edge_slabs(
-    n: int, num_stages: int, first_sizes: Optional[frozenset], slab: int
-) -> Iterator[np.ndarray]:
+def _edge_slabs(n: int, num_stages: int, slab: int) -> Iterator[np.ndarray]:
     """Cut edges ``[0, c_1, .., c_{p-1}, n]`` of every candidate, in
     lexicographic sizes order, as ``(<= slab, p + 1)`` int arrays.
 
-    Only the shard's first-stage sizes are enumerated, and only one slab
-    is materialised at a time.
+    Only one slab is materialised at a time.
     """
     p = num_stages
     if p == 1:
-        if first_sizes is None or n in first_sizes:
-            yield np.array([[0, n]], dtype=np.int64)
+        yield np.array([[0, n]], dtype=np.int64)
         return
-    heads = range(1, n) if first_sizes is None else \
-        sorted(a for a in first_sizes if a < n)
     cuts = itertools.chain.from_iterable(
-        (a,) + rest
-        for a in heads
-        for rest in itertools.combinations(range(a + 1, n), p - 2)
+        itertools.combinations(range(1, n), p - 1)
     )
     while True:
         flat = np.fromiter(
@@ -458,7 +388,6 @@ def _search_robust_pruned(
     chunk_size: int,
     prune_slack: float,
     robust: RobustObjective,
-    first_sizes: Optional[frozenset] = None,
 ) -> None:
     """Exact robust oracle: bound-ordered sweeps over the candidate space.
 
@@ -490,23 +419,19 @@ def _search_robust_pruned(
     lexicographically smaller sizes makes the result the brute force's
     argmin in any scoring order.  Candidate stage costs come from the
     left-fold slice tables, so values are bitwise those of
-    :func:`_search_robust`.  ``first_sizes`` shards the space by
-    first-stage size for the multiprocess oracle; a shard enumerates
-    only its own candidates.
+    :func:`_search_robust`.
     """
     n = len(fwd)
     p = num_stages
     m = num_micro_batches
-    count = _robust_space_size(n, p, first_sizes)
-    if count == 0:
-        return
+    count = math.comb(n - 1, p - 1)
     factors = robust.factors(p)
     k = factors.draws
     statistic = robust.statistic
     SF, SB = _slice_sum_tables(fwd, bwd)
     first = max(1, chunk_size // k)
     slab = max(1, _robust_eval._MAX_ROWS // k)
-    slabs = _edge_slabs(n, p, first_sizes, slab)
+    slabs = _edge_slabs(n, p, slab)
     tel = _obs.current()
 
     def costs(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -531,7 +456,6 @@ def _search_robust_pruned(
             tel.record_since(
                 "oracle.chunk_flush", t_f, rows=len(rows), draws=k,
             )
-        state.sync()
 
     if count <= first:
         score(np.concatenate(list(slabs)))
@@ -564,7 +488,7 @@ def _search_robust_pruned(
         rows, bound = rows[order], bound[order]
         i = 0
         while i < len(rows):
-            limit = state.bound * prune_slack
+            limit = state.best_time * prune_slack
             if bound[i] > limit:
                 return
             j = i + first if i == 0 else len(rows)
@@ -577,7 +501,7 @@ def _search_robust_pruned(
     held = 0
     for rows in slabs:
         bound = bounds(rows)
-        keep = bound <= state.bound * prune_slack
+        keep = bound <= state.best_time * prune_slack
         if not keep.all():
             rows, bound = rows[keep], bound[keep]
         held_rows.append(rows)
@@ -716,16 +640,8 @@ def _search_analytic(
     chunk_size: int,
     prune_slack: float,
     extra_seeds: Sequence[Tuple[int, ...]] = (),
-    first_sizes: Optional[frozenset] = None,
-    preset_warm: Optional[Dict[Tuple[int, ...], float]] = None,
 ) -> None:
     """Branch-and-bound scored by the closed-form max-plus kernel.
-
-    ``first_sizes`` restricts the top-level cut to the given first-stage
-    sizes (one multiprocess shard); ``preset_warm`` replaces the
-    in-search seed evaluation with already-simulated (sizes -> time)
-    incumbents — the parallel driver evaluates the seeds once in the
-    parent and hands every worker the same warm set.
 
     * **Warm seeds.**  The Algorithm-1 min-max partition and any valid
       ``extra_seeds`` (the heuristic planner's partition, when the
@@ -743,9 +659,6 @@ def _search_analytic(
       **vectorized level expansion**: live prefixes are numpy arrays
       (positions, sizes rows, stage-major cost rows) expanded one stage
       at a time with ``repeat`` gathers of per-level admission grids.
-      It also makes the admitted set — hence ``evaluations`` —
-      independent of job count (up to dominance twins that fall in
-      different shards).
     * **Dominance memo.**  A prefix is characterised by ``(pos,
       f_stages, b_stages)``: every candidate below it only extends those
       stage times.  When two prefixes of a level agree on it, the
@@ -785,20 +698,14 @@ def _search_analytic(
     p = num_stages
     m = num_micro_batches
 
-    warm: Dict[Tuple[int, ...], float] = {}
-    if preset_warm is not None:
-        for seed, t in preset_warm.items():
-            warm[seed] = t
-            state.offer(seed, t)
-    else:
-        warm = _evaluate_seeds(
-            fwd, bwd, comm, p, m, comm_mode, sim_cache, state, extra_seeds,
-        )
+    warm = _evaluate_seeds(
+        fwd, bwd, comm, p, m, comm_mode, sim_cache, state, extra_seeds,
+    )
     if p == 1:
         return  # the single candidate is the Algorithm-1 seed itself.
 
     bounds = _Bounds(fwd, bwd, comm, p, m)
-    limit = state.bound * prune_slack
+    limit = state.best_time * prune_slack
     block = max(chunk_size, _ANALYTIC_BLOCK)
     inf = float("inf")
 
@@ -838,11 +745,6 @@ def _search_analytic(
             np.maximum(remb, leaf_pad, out=remb)
         valid = k_row < (n - pos_col - (p - s - 1))
         return valid & (fixb <= limit) & (remb[pos2_grid] <= limit)
-
-    def first_sizes_mask() -> np.ndarray:
-        return np.array(
-            [(k + 1) in first_sizes for k in range(n)], dtype=bool
-        )[None, :]
 
     def expand(mask: np.ndarray, pos_arr: np.ndarray):
         """Fan a lex-ordered prefix level out through an admission grid.
@@ -892,8 +794,6 @@ def _search_analytic(
 
     for lev in range(p - 2):
         mask = admitted_mask(lev)
-        if lev == 0 and first_sizes is not None:
-            mask &= first_sizes_mask()
         ex = expand(mask, pos_arr)
         if ex is None:
             return  # every subtree exceeds the seed bound: it stands.
@@ -947,10 +847,6 @@ def _search_analytic(
 
     # -- leaf level: assemble every admitted candidate column ------------
     mask = admitted_mask(p - 2)
-    if p == 2 and first_sizes is not None:
-        # Only with p == 2 is the leaf parent the top level: the shard
-        # restriction applies to the leaf cut itself.
-        mask &= first_sizes_mask()
     ex = expand(mask, pos_arr)
     if ex is None:
         return
@@ -1001,7 +897,7 @@ def _search_analytic(
     for c0 in range(0, total_cols, block):
         c1 = min(c0 + block, total_cols)
         t_f = tel.clock() if tel is not None else 0
-        cur = state.bound * prune_slack
+        cur = state.best_time * prune_slack
         # The mid-sweep sieve's per-checkpoint scan only pays for itself
         # on wide blocks; narrow ones run the plain (exact) sweep.
         times, keepmap = frontier_times_transposed(
@@ -1041,7 +937,6 @@ def _search_analytic(
                 "oracle.kernel_sweep", t_f,
                 cols=c1 - c0, kept=int(times.size),
             )
-        state.sync()
 
 
 def _evaluate_seeds(
@@ -1059,11 +954,9 @@ def _evaluate_seeds(
 
     The Algorithm-1 min-max seed plus every valid, distinct extra seed,
     one scalar simulation each (counted on ``state``, or served from
-    ``sim_cache``).  The serial search calls this itself; the
-    multiprocess oracle calls it once in the parent, so the sharded
-    search starts from the identical incumbent and no worker
-    re-simulates a seed.  Returns the ``(sizes -> time)`` map that
-    rides to every worker as ``preset_warm``.
+    ``sim_cache``).  Returns the ``(sizes -> time)`` map, which
+    :func:`_search_analytic` uses to keep seed columns out of its
+    fresh-evaluation count.
     """
     n = len(fwd)
     tel = _obs.current()
@@ -1117,7 +1010,7 @@ def exhaustive_partition(
     chunk_size: int = _DEFAULT_CHUNK,
     prune_slack: float = _PRUNE_SLACK,
     robust: Optional[RobustObjective] = None,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     cache=None,
     telemetry=None,
 ) -> ExhaustiveResult:
@@ -1167,17 +1060,9 @@ def exhaustive_partition(
     ``ExhaustiveResult.robust_value``, while ``sim`` stays the winner's
     *nominal* simulation.
 
-    ``jobs`` (default: the process-wide ``--plan-jobs`` setting, 1 when
-    unset) shards the search over worker processes by top-level cut
-    position, sharing the incumbent bound between sweeps — see
-    :mod:`repro.core.parallel_search`.  The returned partition and
-    iteration time are bit-identical to the serial search at any job
-    count, in every mode including ``robust=``; only the observability
-    counters reflect the sharding (``jobs``, ``worker_subtrees``, and
-    the robust search's ``evaluations``, which depend on when each
-    worker sees the shared incumbent).
-    Falls back to the serial search when worker processes are
-    unavailable.
+    The search runs in the calling process.  ``jobs`` accepts only
+    ``1``: any other integer raises ``ValueError`` (``TypeError`` for a
+    bool or non-integral value).
 
     ``cache`` is a persistent :class:`~repro.core.plan_cache.PlanCache`
     (default: the process-wide ``--plan-cache-dir`` cache, off when
@@ -1185,15 +1070,15 @@ def exhaustive_partition(
     hit replays the stored result — same partition, iteration time and
     original search statistics — without running any simulation; the
     key covers the full profile content and every search knob except
-    ``jobs``/``sim_cache``, which cannot change the result.
+    ``sim_cache``, which cannot change the result.
 
     ``telemetry`` selects the :mod:`repro.obs` registry this call
     records spans/counters into: ``None`` uses the process-wide registry
     (no-op when none is installed), ``False`` forces telemetry off for
     this call, a :class:`~repro.obs.Telemetry` records into it, and a
     path writes a full sink directory (events.jsonl / counters.json /
-    trace.json / summary.txt) when the call completes — with per-worker
-    trace lanes when ``jobs > 1``.  Telemetry only reads clocks and
+    trace.json / summary.txt) when the call completes.  Telemetry only
+    reads clocks and
     counters: the returned partition, iteration time and every tie-break
     are bit-identical with it on or off (property-tested), and with no
     registry installed the instrumentation is a no-op costing <2% on the
@@ -1203,12 +1088,13 @@ def exhaustive_partition(
     num_stages = _check_count("num_stages", num_stages)
     num_micro_batches = _check_count("num_micro_batches", num_micro_batches)
     chunk_size = _check_count("chunk_size", chunk_size)
+    _check_jobs(jobs)
     RobustObjective.check(robust)
     kwargs = dict(
         comm_mode=comm_mode, max_evaluations=max_evaluations, prune=prune,
         planner_warm_start=planner_warm_start, sim_cache=sim_cache,
         chunk_size=chunk_size, prune_slack=prune_slack, robust=robust,
-        jobs=jobs, cache=cache,
+        cache=cache,
     )
     tel, sink_dir = _obs.resolve_telemetry(telemetry)
     if tel is None:
@@ -1228,7 +1114,6 @@ def exhaustive_partition(
         tel.record_since(
             "oracle.search", t0, mode=_search_mode(prune, robust),
             depth=num_stages, m=num_micro_batches, space=result.space,
-            jobs=result.jobs,
         )
         # Counters fold from the result's own fields, so the registry
         # and the ExhaustiveResult can never disagree.
@@ -1258,7 +1143,6 @@ def _exhaustive_impl(
     chunk_size: int,
     prune_slack: float,
     robust: Optional[RobustObjective],
-    jobs: Optional[int],
     cache,
 ) -> ExhaustiveResult:
     """The oracle search body; ``exhaustive_partition`` wraps it."""
@@ -1274,19 +1158,8 @@ def _exhaustive_impl(
         raise ValueError(
             f"prune_slack must be a finite float >= 1.0, got {prune_slack!r}"
         )
-    # Lazy imports: parallel_search imports this module at top level.
-    from repro.core.parallel_search import (
-        ParallelUnavailable,
-        resolve_plan_jobs,
-        run_parallel_search,
-    )
     from repro.core.plan_cache import resolve_plan_cache
 
-    requested_jobs = resolve_plan_jobs(jobs)
-    # Spawning more workers than the machine has cores is pure process
-    # pool overhead (a single-core box pays 0.8-0.9x "speedups"): clamp
-    # the effective fan-out and record the request on the result.
-    jobs = min(requested_jobs, os.cpu_count() or 1)
     plan_cache = resolve_plan_cache(cache)
     cache_key = None
     if plan_cache is not None:
@@ -1329,50 +1202,26 @@ def _exhaustive_impl(
                 pass
 
     state = _SearchState()
-    used_jobs = 1
-    worker_subtrees: Tuple[int, ...] = ()
-    ran_parallel = False
-    warm: Optional[Dict[Tuple[int, ...], float]] = None
-    if jobs > 1 and num_stages > 1:
-        if mode == "analytic":
-            # Seeds are evaluated once, parent-side; every worker gets
-            # the same warm incumbents the serial search would compute.
-            warm = _evaluate_seeds(
-                fwd, bwd, comm, num_stages, num_micro_batches, comm_mode,
-                sim_cache, state, extra_seeds,
-            )
-        try:
-            used_jobs, worker_subtrees = run_parallel_search(
-                fwd, bwd, comm, num_stages, num_micro_batches, comm_mode,
-                state, chunk_size, prune_slack,
-                mode=mode, jobs=jobs, warm=warm, robust=robust,
-            )
-            ran_parallel = True
-        except ParallelUnavailable:
-            # Sandboxes without worker processes: serial, same result.
-            pass
-    if not ran_parallel:
-        if mode == "robust":
-            _search_robust_pruned(
-                fwd, bwd, comm, num_stages, num_micro_batches, comm_mode,
-                state, chunk_size, prune_slack, robust,
-            )
-        elif mode == "robust_brute":
-            _search_robust(
-                fwd, bwd, comm, num_stages, num_micro_batches, comm_mode,
-                state, chunk_size, robust,
-            )
-        elif mode == "analytic":
-            _search_analytic(
-                fwd, bwd, comm, num_stages, num_micro_batches, comm_mode,
-                sim_cache, state, chunk_size, prune_slack, extra_seeds,
-                preset_warm=warm,
-            )
-        else:
-            _search_brute(
-                fwd, bwd, comm, num_stages, num_micro_batches, comm_mode,
-                sim_cache, state,
-            )
+    if mode == "robust":
+        _search_robust_pruned(
+            fwd, bwd, comm, num_stages, num_micro_batches, comm_mode,
+            state, chunk_size, prune_slack, robust,
+        )
+    elif mode == "robust_brute":
+        _search_robust(
+            fwd, bwd, comm, num_stages, num_micro_batches, comm_mode,
+            state, chunk_size, robust,
+        )
+    elif mode == "analytic":
+        _search_analytic(
+            fwd, bwd, comm, num_stages, num_micro_batches, comm_mode,
+            sim_cache, state, chunk_size, prune_slack, extra_seeds,
+        )
+    else:
+        _search_brute(
+            fwd, bwd, comm, num_stages, num_micro_batches, comm_mode,
+            sim_cache, state,
+        )
     assert state.best_sizes is not None
     f_stages, b_stages = _stage_sums(fwd, bwd, state.best_sizes)
     times = StageTimes(f_stages, b_stages, comm)
@@ -1391,9 +1240,6 @@ def _exhaustive_impl(
         cache_hits=state.cache_hits,
         dominance_pruned=state.dominance_pruned,
         robust_value=state.best_time if robust is not None else None,
-        jobs=used_jobs,
-        requested_jobs=requested_jobs,
-        worker_subtrees=worker_subtrees,
         incumbent_updates=state.incumbent_updates,
     )
     if plan_cache is not None and cache_key is not None:

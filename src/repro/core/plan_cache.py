@@ -22,14 +22,12 @@ on-disk memo):
 * the entry **kind** (``planner`` / ``exhaustive``), the pipeline depth
   and micro-batch count, and every search knob that callers can set.
 
-Deliberately *excluded* from the key: ``jobs`` (the multiprocess oracle
-is bit-identical to the serial search, so a plan solved at ``jobs=4``
-must replay for a ``jobs=1`` caller and vice versa) and ``sim_cache``
-(an in-process accelerator with no effect on results).
+Deliberately *excluded* from the key: ``sim_cache`` (an in-process
+accelerator with no effect on results).
 
 Values are pickles under ``cache_dir/<key>.pkl``, written atomically
 (temp file + rename) so concurrent planners sharing a cache directory —
-sweep pool workers, parallel CLI runs — never observe torn entries.
+CLI runs in several shells, say — never observe torn entries.
 """
 
 from __future__ import annotations
@@ -45,8 +43,10 @@ from typing import Optional
 #: ``SimResult`` pickles scalars and the critical path only (per-op times
 #: are rebuilt lazily) and planner keys no longer carry ``incremental``.
 #: "3": ``ExhaustiveResult`` lost its lattice-scorer counter and oracle
-#: keys no longer carry the deleted search-selection knobs.
-_SCHEMA = "3"
+#: keys no longer carry the deleted search-selection knobs.  "4":
+#: ``PlannerResult`` and ``ExhaustiveResult`` lost their worker-process
+#: fields when the multiprocess searches were removed.
+_SCHEMA = "4"
 
 #: search-stack sources folded into the code fingerprint: an edit to any
 #: of these may change planned partitions or their reported statistics.
@@ -115,13 +115,13 @@ class PlanCache:
 
     def planner_key(self, profile, num_stages: int, num_micro_batches: int,
                     **knobs) -> str:
-        """Key of one ``plan_partition`` call (jobs/sim_cache excluded)."""
+        """Key of one ``plan_partition`` call (sim_cache excluded)."""
         return self._key("planner", profile, num_stages,
                          num_micro_batches, **knobs)
 
     def exhaustive_key(self, profile, num_stages: int,
                        num_micro_batches: int, **knobs) -> str:
-        """Key of one ``exhaustive_partition`` call (jobs excluded)."""
+        """Key of one ``exhaustive_partition`` call."""
         return self._key("exhaustive", profile, num_stages,
                          num_micro_batches, **knobs)
 

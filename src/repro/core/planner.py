@@ -28,7 +28,7 @@ from __future__ import annotations
 import time as _time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,15 +43,11 @@ from repro.robustness.evaluate import RobustObjective, robust_objective_batch
 
 Sizes = Tuple[int, ...]
 
-#: cache key: per-stage times, micro-batch count, comm mode and the
-#: scoring executor that produced the result.  Every lattice-family
-#: evaluator (scalar :class:`PipelineSim`, the batched/suffix paths and
-#: the closed-form frontier kernel of :mod:`repro.sim.analytic`) is
-#: bit-identical and shares the default ``"lattice"`` family tag;
-#: results from executors with different semantics (the event-driven
-#: engine's DES timings, say) must carry their own tag so cached values
-#: never alias across scorers.
-_SimKey = Tuple[Tuple[float, ...], Tuple[float, ...], float, int, str, str]
+#: cache key: per-stage times, micro-batch count and comm mode.  Every
+#: entry is a :class:`PipelineSim` result; the other lattice-family
+#: evaluators (the batched/suffix paths and the closed-form frontier
+#: kernel of :mod:`repro.sim.analytic`) are bit-identical to it.
+_SimKey = Tuple[Tuple[float, ...], Tuple[float, ...], float, int, str]
 
 
 class SimCache:
@@ -105,22 +101,15 @@ class SimCache:
         times: StageTimes,
         num_micro_batches: int,
         comm_mode: str,
-        executor: str = "lattice",
     ) -> Optional[SimResult]:
         """Cache lookup that never simulates: the memoised result or None.
 
         Counts a hit when present; a miss leaves the counters untouched
         (``misses`` keeps meaning "simulations actually run").  Used by the
         exhaustive oracle to harvest vectors the planner already evaluated
-        before falling through to batched evaluation.  ``executor`` is the
-        key's scoring-executor tag (see :data:`_SimKey`); the default
-        covers the whole bit-identical lattice family, frontier kernel
-        included.
+        before falling through to batched evaluation.
         """
-        key = (
-            times.fwd, times.bwd, times.comm, num_micro_batches, comm_mode,
-            executor,
-        )
+        key = (times.fwd, times.bwd, times.comm, num_micro_batches, comm_mode)
         sim = self._data.get(key)
         if sim is not None:
             self.hits += 1
@@ -132,30 +121,16 @@ class SimCache:
         times: StageTimes,
         num_micro_batches: int,
         comm_mode: str,
-        runner: Optional[Callable[[], SimResult]] = None,
-        executor: str = "lattice",
     ) -> SimResult:
-        """Return the memoised simulation of ``times``, running it once.
-
-        ``runner`` substitutes the evaluation on a miss — the planner's
-        worker-pool prefetch passes an already computed result here.  Any
-        runner must be bit-identical to the cold simulation under the
-        entry's ``executor`` tag, so cached semantics are unchanged.
-        """
-        key = (
-            times.fwd, times.bwd, times.comm, num_micro_batches, comm_mode,
-            executor,
-        )
+        """Return the memoised simulation of ``times``, running it once."""
+        key = (times.fwd, times.bwd, times.comm, num_micro_batches, comm_mode)
         sim = self._data.get(key)
         if sim is not None:
             self.hits += 1
             self._data.move_to_end(key)
             return sim
         self.misses += 1
-        if runner is not None:
-            sim = runner()
-        else:
-            sim = PipelineSim(times, num_micro_batches, comm_mode=comm_mode).run()
+        sim = PipelineSim(times, num_micro_batches, comm_mode=comm_mode).run()
         self._data[key] = sim
         if len(self._data) > self.max_entries:
             self._data.popitem(last=False)
@@ -188,8 +163,6 @@ class PlannerResult:
     #: the winning scheme's robust objective value (statistic over the
     #: perturbation draws) when planning with ``robust=``; None otherwise.
     robust_value: Optional[float] = None
-    #: worker processes candidate waves ran on (1 = in-process serial).
-    jobs: int = 1
     #: times the best-so-far scheme was replaced during the search
     #: (folds into the ``planner.incumbent_updates`` telemetry counter).
     incumbent_updates: int = 0
@@ -406,6 +379,19 @@ def _check_count(name: str, value, minimum: int = 1) -> int:
     return int(value)
 
 
+def _check_jobs(jobs) -> None:
+    """Accept only ``jobs=1``: the searches run in the calling process.
+
+    The keyword survives so existing ``jobs=1`` callers keep working; a
+    bool or non-integral value raises ``TypeError`` and any other
+    integer raises ``ValueError`` naming ``jobs``.
+    """
+    if _check_count("jobs", jobs) != 1:
+        raise ValueError(
+            f"jobs must be 1, got {jobs}: the multiprocess search was removed"
+        )
+
+
 def plan_partition(
     profile: ModelProfile,
     num_stages: int,
@@ -419,7 +405,7 @@ def plan_partition(
     memory_cap: Optional[float] = None,
     sim_cache: Optional[SimCache] = None,
     robust: Optional[RobustObjective] = None,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     cache=None,
     telemetry=None,
 ) -> PlannerResult:
@@ -450,21 +436,13 @@ def plan_partition(
     ``(candidates x K)``-row sweep, and the selection is replayed in
     the order the search first considered them.
     The winning value is reported as ``PlannerResult.robust_value``.
-    ``jobs`` (default: the process-wide ``--plan-jobs`` setting) hands
-    each expansion's master-shift wave to a
-    :class:`~repro.core.parallel_search.CandidatePool` of worker
-    processes; the wave results are consumed in the serial loop's order,
-    so the returned plan, evaluation count and history are bit-identical
-    at any job count.  Honest caveat:
-    at heuristic-search scale — tens of sub-millisecond simulations —
-    process fan-out is parity-to-slower; the flag exists for API
-    uniformity with the oracle, where the same ``--plan-jobs`` setting
-    is a real win.  ``cache`` is a persistent
+    The search runs in the calling process; ``jobs`` accepts only ``1``
+    (any other integer raises ``ValueError``).  ``cache`` is a persistent
     :class:`~repro.core.plan_cache.PlanCache` (default: the process-wide
     ``--plan-cache-dir`` cache, off when unset; ``False`` forces it off
     for one call): a warm hit replays the stored plan without running
     any simulation; the key covers the profile content and every search
-    knob except ``jobs``/``sim_cache``, which cannot change the result.
+    knob except ``sim_cache``, which cannot change the result.
     ``telemetry`` selects the :mod:`repro.obs` registry this call records
     spans/counters into: ``None`` uses the process-wide registry (no-op
     when none is installed), ``False`` forces telemetry off for this
@@ -476,6 +454,7 @@ def plan_partition(
     """
     num_stages = _check_count("num_stages", num_stages)
     num_micro_batches = _check_count("num_micro_batches", num_micro_batches)
+    _check_jobs(jobs)
     RobustObjective.check(robust)
     tel, sink_dir = _obs.resolve_telemetry(telemetry)
     if tel is None:
@@ -488,8 +467,7 @@ def plan_partition(
                     max_evaluations=max_evaluations,
                     keep_history=keep_history,
                     memory_cap=memory_cap, sim_cache=sim_cache,
-                    robust=robust, jobs=jobs,
-                    cache=cache,
+                    robust=robust, cache=cache,
                 )
         return _plan_impl(
             profile, num_stages, num_micro_batches,
@@ -497,7 +475,7 @@ def plan_partition(
             cooldown_adjust=cooldown_adjust,
             max_evaluations=max_evaluations, keep_history=keep_history,
             memory_cap=memory_cap, sim_cache=sim_cache,
-            robust=robust, jobs=jobs, cache=cache,
+            robust=robust, cache=cache,
         )
     with _obs.session(tel):
         t0 = tel.clock()
@@ -507,7 +485,7 @@ def plan_partition(
             cooldown_adjust=cooldown_adjust,
             max_evaluations=max_evaluations, keep_history=keep_history,
             memory_cap=memory_cap, sim_cache=sim_cache,
-            robust=robust, jobs=jobs, cache=cache,
+            robust=robust, cache=cache,
         )
         tel.record_since(
             "planner.plan", t0, depth=num_stages, m=num_micro_batches,
@@ -537,14 +515,11 @@ def _plan_impl(
     memory_cap: Optional[float],
     sim_cache: Optional[SimCache],
     robust: Optional[RobustObjective],
-    jobs: Optional[int],
     cache,
 ) -> PlannerResult:
     """The planner search body; ``plan_partition`` wraps it in telemetry."""
-    from repro.core.parallel_search import CandidatePool, resolve_plan_jobs
     from repro.core.plan_cache import resolve_plan_cache
 
-    jobs = resolve_plan_jobs(jobs)
     plan_store = resolve_plan_cache(cache)
     store_key = None
     if plan_store is not None:
@@ -631,46 +606,6 @@ def _plan_impl(
             best_sizes, best_sim, best_value = sizes, sim, value
             incumbent_updates += 1
 
-    pool = CandidatePool(jobs) if jobs > 1 else None
-
-    def prefetch(cands: List[Sizes]) -> None:
-        """Evaluate one master-shift wave's misses concurrently.
-
-        Inserts results into ``scheme_cache`` (and the shared
-        ``sim_cache``) in the serial loop's first-occurrence order, so
-        the loop's subsequent ``evaluate`` calls hit the memo and the
-        plan, evaluation count and history are bit-identical to the
-        serial search — the scalar simulation is pure, so where it runs
-        cannot change its result.
-        """
-        if pool is None:
-            return
-        wave: List[Tuple[Sizes, StageTimes]] = []
-        for cand in dict.fromkeys(cands):
-            if cand in scheme_cache:
-                continue
-            times = space.stage_times(cand)
-            if sim_cache is not None and (
-                times.fwd, times.bwd, times.comm,
-                num_micro_batches, comm_mode,
-            ) in sim_cache._data:
-                continue
-            wave.append((cand, times))
-        if len(wave) < 2:
-            return
-        sims = pool.evaluate(
-            [t for _, t in wave], num_micro_batches, comm_mode
-        )
-        for (cand, times), sim in zip(wave, sims):
-            if sim_cache is not None:
-                sim = sim_cache.simulate(
-                    times, num_micro_batches, comm_mode,
-                    runner=lambda s=sim: s,
-                )
-            scheme_cache[cand] = sim
-            if keep_history:
-                history.append((cand, sim.iteration_time))
-
     if tel is not None:
         t_seed = tel.clock()
         seed_sim = evaluate(seed)
@@ -710,9 +645,7 @@ def _plan_impl(
         consider(sizes, sim)
         if master == 0:
             return
-        cands = _shift_candidates(sizes, master, space)
-        prefetch(cands)
-        for cand in cands:
+        for cand in _shift_candidates(sizes, master, space):
             if cand in enqueued:
                 continue
             cand_sim = evaluate(cand)
@@ -721,18 +654,14 @@ def _plan_impl(
                 queue.append(cand)
                 enqueued.add(cand)
 
-    try:
-        while queue and len(scheme_cache) < max_evaluations:
-            sizes = queue.popleft()
-            if tel is not None:
-                t_it = tel.clock()
-                expand(sizes)
-                tel.record_since("planner.expand", t_it)
-            else:
-                expand(sizes)
-    finally:
-        if pool is not None:
-            pool.close()
+    while queue and len(scheme_cache) < max_evaluations:
+        sizes = queue.popleft()
+        if tel is not None:
+            t_it = tel.clock()
+            expand(sizes)
+            tel.record_since("planner.expand", t_it)
+        else:
+            expand(sizes)
 
     if considered:
         assert robust is not None
@@ -766,7 +695,6 @@ def _plan_impl(
         granularity=granularity,
         history=tuple(history),
         robust_value=best_value if robust is not None else None,
-        jobs=jobs if pool is not None and pool.active else 1,
         incumbent_updates=incumbent_updates,
     )
     if plan_store is not None and store_key is not None:

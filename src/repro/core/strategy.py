@@ -98,7 +98,6 @@ def autopipe_config(
     *,
     granularity: str = "sublayer",
     sim_cache: Optional[SimCache] = None,
-    jobs: Optional[int] = None,
     cache=None,
 ) -> PlannedConfig:
     """Choose (dp, pp) and the balanced partition for a whole cluster.
@@ -106,10 +105,9 @@ def autopipe_config(
     ``sim_cache`` defaults to the process-wide memo shared by all sweep
     entry points (the Table III/IV sweeps re-evaluate many identical
     candidate stage times across cells); pass an explicit cache to
-    isolate a run.  ``jobs``/``cache`` forward to the planner's
-    worker-process wave evaluation and the persistent plan cache (see
-    :mod:`repro.core.parallel_search` / :mod:`repro.core.plan_cache`);
-    both leave the chosen configuration bit-identical.
+    isolate a run.  ``cache`` forwards to the persistent plan cache (see
+    :mod:`repro.core.plan_cache`); it leaves the chosen configuration
+    bit-identical.
     """
     if sim_cache is None:
         sim_cache = default_sim_cache()
@@ -157,7 +155,7 @@ def autopipe_config(
                 planned = plan_partition(
                     profile, pp, m, granularity=granularity,
                     memory_cap=profile.hardware.gpu_memory,
-                    sim_cache=sim_cache, jobs=jobs, cache=cache,
+                    sim_cache=sim_cache, cache=cache,
                 )
                 partition = planned.partition
                 predicted = planned.iteration_time
@@ -197,8 +195,8 @@ class AutotuneCandidate:
     slice_count: int
     status: str
     partition: Optional[PartitionScheme] = None
-    #: which search produced the partition: "oracle" (exact, possibly
-    #: multiprocess), "planner" (heuristic), or "trivial" (pp == 1).
+    #: which search produced the partition: "oracle" (exact),
+    #: "planner" (heuristic), or "trivial" (pp == 1).
     planner: str = ""
     #: DES-executed iteration time of one replica (s); the whole cluster
     #: consumes the global batch in this time at any layout, so values
@@ -210,8 +208,6 @@ class AutotuneCandidate:
     #: the autotuner searches the whole range instead).
     algorithm2_slices: int = 0
     plan_seconds: float = 0.0
-    #: worker processes the partition search ran on.
-    plan_jobs: int = 1
 
     @property
     def ok(self) -> bool:
@@ -242,7 +238,6 @@ def autotune_config(
     granularity: str = "sublayer",
     comm_mode: str = "paper",
     sim_cache: Optional[SimCache] = None,
-    jobs: Optional[int] = None,
     cache=None,
     oracle_max_space: int = 50_000,
     batched_slices: bool = True,
@@ -254,9 +249,9 @@ def autotune_config(
     count.  The autotuner *searches* instead: every batch-compatible
     layout of the cluster (:func:`repro.parallel.grid.layouts_for`) has
     its partition planned — through the exact oracle
-    (:func:`repro.core.exhaustive.exhaustive_partition`, multiprocess
-    when ``jobs`` allows) while the candidate space is at most
-    ``oracle_max_space``, through the heuristic planner above that — and
+    (:func:`repro.core.exhaustive.exhaustive_partition`) while the
+    candidate space is at most ``oracle_max_space``, through the
+    heuristic planner above that — and
     then every admissible Slicer count (0 .. p-1) is executed on the
     discrete-event simulator; the candidate with the lowest executed
     iteration time wins (ties break toward the shallower pipeline, then
@@ -265,9 +260,8 @@ def autotune_config(
     layouts (data-parallel gradient synchronisation is outside the
     model, as everywhere in this repo).
 
-    ``jobs`` and ``cache`` forward to the partition searches: worker
-    processes shard the oracle's branch-and-bound, and the persistent
-    plan cache replays previously-solved (profile, depth, m) plans
+    ``cache`` forwards to the partition searches: the persistent plan
+    cache replays previously-solved (profile, depth, m) plans
     across runs and processes — a warm autotune re-plans nothing.
     Memory-infeasible layouts are reported with status ``"OOM"``,
     depth-infeasible ones with ``"X"``; raises ``RuntimeError`` when no
@@ -328,7 +322,6 @@ def autotune_config(
         plan_t0 = _time.perf_counter()
         partition: Optional[PartitionScheme] = None
         planner_name = ""
-        plan_jobs = 1
         if pp == 1:
             partition = PartitionScheme((tuple(range(profile.num_blocks)),))
             planner_name = "trivial"
@@ -336,24 +329,21 @@ def autotune_config(
             if count_partitions(profile.num_blocks, pp) <= oracle_max_space:
                 oracle = exhaustive_partition(
                     profile, pp, m, comm_mode=comm_mode,
-                    max_evaluations=None, sim_cache=sim_cache,
-                    jobs=jobs, cache=cache,
+                    max_evaluations=None, sim_cache=sim_cache, cache=cache,
                 )
                 if _fits(profile, oracle.partition, dp, m_total, mbs):
                     partition = oracle.partition
                     planner_name = "oracle"
-                    plan_jobs = oracle.jobs
             if partition is None:
                 try:
                     planned = plan_partition(
                         profile, pp, m, granularity=granularity,
                         comm_mode=comm_mode,
                         memory_cap=profile.hardware.gpu_memory,
-                        sim_cache=sim_cache, jobs=jobs, cache=cache,
+                        sim_cache=sim_cache, cache=cache,
                     )
                     partition = planned.partition
                     planner_name = "planner"
-                    plan_jobs = planned.jobs
                 except (RuntimeError, ValueError):
                     partition = None
             if partition is None or not _fits(
@@ -415,7 +405,6 @@ def autotune_config(
                 startup_seconds=execution.first_forward_start(pp - 1),
                 algorithm2_slices=alg2,
                 plan_seconds=plan_seconds,
-                plan_jobs=plan_jobs,
             ))
         if tel is not None:
             tel.record_since(

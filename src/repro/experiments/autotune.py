@@ -5,11 +5,11 @@ memory-feasible pipeline and trusts Algorithm 2's slice count; BaPipe
 and Luo et al.'s pipeline planner instead *search* the cluster
 configuration space.  This experiment runs
 :func:`repro.core.strategy.autotune_config` — every batch-compatible
-(dp, pp) layout planned through the exact oracle (multiprocess when
-``--plan-jobs`` allows) or the heuristic planner, then every admissible
-Slicer count executed on the DES — and reports one row per layout: its
-best slice count, Algorithm 2's answer for comparison, and the executed
-iteration time, with the cluster-wide winner marked.
+(dp, pp) layout planned through the exact oracle or the heuristic
+planner, then every admissible Slicer count executed on the DES — and
+reports one row per layout: its best slice count, Algorithm 2's answer
+for comparison, and the executed iteration time, with the cluster-wide
+winner marked.
 
 With ``--plan-cache-dir`` set, re-running the experiment replays every
 partition search from the persistent plan cache.

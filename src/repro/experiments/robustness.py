@@ -16,7 +16,7 @@ cell it
 Scenarios cover the three perturbation models: multiplicative
 stage-cost noise at several sigmas, a random-stage straggler, and
 comm-bandwidth degradation.  Cells are module-level functions run
-through the sweep runner (``--jobs``/``--cache-dir`` apply), and each
+through the sweep runner (``--cache-dir`` applies), and each
 cell's 2 x 256-draw evaluation goes through the batched fast path — no
 per-draw Python loop.
 

@@ -1,13 +1,10 @@
-"""Parallel experiment sweep runner with an on-disk result cache.
+"""Experiment sweep runner with an on-disk result cache.
 
-The paper-table and figure sweeps are embarrassingly parallel: every
-(model, depth, micro-batch, method) cell plans and simulates
-independently.  :class:`SweepRunner` fans cells out over a
-``ProcessPoolExecutor`` and memoises finished cells on disk, so
-
-* ``python -m repro table3 --jobs 8`` uses 8 worker processes, and
-* re-running ``report`` after an unrelated edit only recomputes cells
-  whose cache key changed.
+The paper-table and figure sweeps are grids of independent cells: every
+(model, depth, micro-batch, method) cell plans and simulates on its
+own.  :class:`SweepRunner` runs the cells in order in the calling
+process and memoises finished cells on disk, so re-running ``report``
+after an unrelated edit only recomputes cells whose cache key changed.
 
 Cache-key scheme
 ----------------
@@ -24,26 +21,22 @@ A cell is identified by the SHA-256 of
 
 Values are stored as pickles under ``cache_dir/<key>.pkl`` and written
 atomically (temp file + rename), so concurrent runners sharing a cache
-directory never observe torn entries.
-
-Cells run via a process pool must be module-level functions with
-picklable arguments and results.  ``jobs=1`` (the default) runs inline —
-no subprocess, no pickling constraints beyond the disk cache's.
+directory never observe torn entries.  An entry that no longer loads —
+torn, or pickling a class that has since been renamed or deleted — is a
+miss and is recomputed.
 
 Determinism
 -----------
 Every cell runs with the global ``random`` and legacy NumPy RNGs seeded
 from a hash of the cell's identity (dotted function name + argument
 repr), so a cell that consumes global randomness produces *bit-identical*
-results inline (``--jobs 1``), on a process pool (``--jobs N``), or when
-replayed from the disk cache.  Previously pool workers inherited
-whatever RNG state their process happened to have, so ``--jobs N``
-results could differ from inline runs and from each other.  Cells using
-their own ``np.random.default_rng(seed)`` are unaffected.
+results whatever ran before it in the process, and when replayed from
+the disk cache.  Cells using their own ``np.random.default_rng(seed)``
+are unaffected.
 
 Experiment modules resolve their runner through
 :func:`default_runner` / :func:`set_default_runner`, which the CLI wires
-to ``--jobs`` / ``--cache-dir``.
+to ``--cache-dir``.
 """
 
 from __future__ import annotations
@@ -53,7 +46,6 @@ import os
 import pickle
 import random
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -81,7 +73,7 @@ def cell_seed(fn: Callable, cell: Tuple) -> int:
 
 
 def _seeded_call(fn: Callable, cell: Tuple, seed: int):
-    """Run one cell with the global RNGs seeded (inline entry point)."""
+    """Run one cell with the global RNGs seeded."""
     random.seed(seed)
     import numpy as np
 
@@ -89,62 +81,19 @@ def _seeded_call(fn: Callable, cell: Tuple, seed: int):
     return fn(*cell)
 
 
-def _seeded_call_stats(fn: Callable, cell: Tuple, seed: int):
-    """Pool-worker entry point: the cell's value plus worker-side stats.
-
-    A pool worker's process-wide :class:`~repro.core.planner.SimCache`
-    is invisible to the parent, so its hit/miss deltas travel back
-    through the pool result; the wall-clock start and duration let the
-    parent place the cell on the worker's trace lane.
-    """
-    import time
-
-    from repro.core.planner import default_sim_cache
-
-    cache = default_sim_cache()
-    hits0, misses0 = cache.hits, cache.misses
-    ts_ns = time.time_ns()
-    t0 = time.perf_counter_ns()
-    value = _seeded_call(fn, cell, seed)
-    return value, {
-        "pid": os.getpid(),
-        "ts_ns": ts_ns,
-        "dur_ns": time.perf_counter_ns() - t0,
-        "sim_hits": cache.hits - hits0,
-        "sim_misses": cache.misses - misses0,
-    }
-
-
-def _pool_lane(tel, pid: int) -> int:
-    """The trace lane for one pool worker, reused across ``run()`` calls."""
-    label = f"sweep worker {pid}"
-    for lane, name in tel.lanes.items():
-        if name == label:
-            return lane
-    return tel.add_lane(label)
-
-
 class SweepRunner:
-    """Execute experiment cells, optionally in parallel and cached."""
+    """Execute experiment cells in order, optionally cached on disk."""
 
     def __init__(
         self,
-        jobs: int = 1,
-        cache_dir: Optional[os.PathLike] = None,
         *,
+        cache_dir: Optional[os.PathLike] = None,
         salt: str = "",
     ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.salt = salt
         self.cache_hits = 0
         self.cache_misses = 0
-        #: simulation-memo deltas reported back by pool workers; without
-        #: these a ``jobs > 1`` sweep would count only the parent's share.
-        self.pool_sim_hits = 0
-        self.pool_sim_misses = 0
         self._source_hashes: dict = {}
 
     # -- cache keys --------------------------------------------------------
@@ -182,11 +131,18 @@ class SweepRunner:
         return self.cache_dir / f"{key}.pkl"
 
     def _load(self, key: str):
+        """The cached value of ``key``, or None when it cannot be loaded.
+
+        ``AttributeError``/``ImportError`` cover pickles of classes that
+        were since renamed or deleted: the key hashes only the cell's own
+        module, so such entries stay addressable and must read as misses.
+        """
         path = self._cache_path(key)
         try:
             with open(path, "rb") as fh:
                 return pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, ValueError):
+        except (OSError, pickle.UnpicklingError, EOFError, ValueError,
+                AttributeError, ImportError):
             return None
 
     def _store(self, key: str, value) -> None:
@@ -232,8 +188,8 @@ class SweepRunner:
     def run(self, fn: Callable, cells: Sequence[Tuple]) -> List:
         """Evaluate ``fn(*cell)`` for every cell, in order.
 
-        Cached cells are served from disk; the rest run on the process
-        pool (``jobs > 1``) or inline, and are written back to the cache.
+        Cached cells are served from disk; the rest run inline and are
+        written back to the cache.
         """
         tel = _obs.current()
         t0 = tel.clock() if tel is not None else 0
@@ -272,12 +228,8 @@ class SweepRunner:
     def sim_stats(self) -> dict:
         """Sweep-level cache statistics: disk cells + simulation memo.
 
-        Combines the parent's process-wide
-        :class:`~repro.core.planner.SimCache` with the deltas pool
-        workers report back through their results
-        (``pool_sim_hits``/``pool_sim_misses``), so a ``jobs > 1`` sweep
-        counts every simulation — workers keep their own memo, which
-        used to silently drop out of this aggregate.  The hit rate goes
+        The simulation memo is the process-wide
+        :class:`~repro.core.planner.SimCache`.  The hit rate goes
         through :func:`repro.obs.stats.hit_rate`, the same formula the
         telemetry report derives it with.
         """
@@ -285,67 +237,30 @@ class SweepRunner:
         from repro.obs.stats import hit_rate
 
         cache = default_sim_cache()
-        sim_hits = cache.hits + self.pool_sim_hits
-        sim_misses = cache.misses + self.pool_sim_misses
         return {
             "cell_cache_hits": self.cache_hits,
             "cell_cache_misses": self.cache_misses,
-            "sim_cache_hits": sim_hits,
-            "sim_cache_misses": sim_misses,
-            "sim_cache_hit_rate": hit_rate(sim_hits, sim_misses),
+            "sim_cache_hits": cache.hits,
+            "sim_cache_misses": cache.misses,
+            "sim_cache_hit_rate": hit_rate(cache.hits, cache.misses),
         }
 
-    def _inline_cell(self, fn: Callable, cell: Tuple, seed: int):
-        tel = _obs.current()
-        if tel is None:
-            return _seeded_call(fn, cell, seed)
-        t0 = tel.clock()
-        value = _seeded_call(fn, cell, seed)
-        tel.record_since("sweep.cell", t0, cell=repr(cell)[:80])
-        return value
-
     def _execute(self, fn: Callable, cells: List[Tuple]) -> List:
-        seeds = [cell_seed(fn, cell) for cell in cells]
-        if self.jobs == 1 or len(cells) <= 1:
-            return [
-                self._inline_cell(fn, cell, seed)
-                for cell, seed in zip(cells, seeds)
-            ]
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(cells))
-            ) as pool:
-                futures = [
-                    pool.submit(_seeded_call_stats, fn, cell, seed)
-                    for cell, seed in zip(cells, seeds)
-                ]
-                pairs = [f.result() for f in futures]
-        except (OSError, PermissionError):
-            # Sandboxes without process/semaphore support fall back to
-            # inline execution rather than failing the sweep.
-            return [
-                self._inline_cell(fn, cell, seed)
-                for cell, seed in zip(cells, seeds)
-            ]
         tel = _obs.current()
         values: List = []
-        for (value, stats), cell in zip(pairs, cells):
-            values.append(value)
-            self.pool_sim_hits += stats["sim_hits"]
-            self.pool_sim_misses += stats["sim_misses"]
-            if tel is not None:
-                tel.record_abs(
-                    "sweep.cell", stats["ts_ns"], stats["dur_ns"],
-                    lane=_pool_lane(tel, stats["pid"]),
-                    attrs={"cell": repr(cell)[:80], "pid": stats["pid"]},
-                )
-                tel.add("sweep.pool_sim_cache.hits", stats["sim_hits"])
-                tel.add("sweep.pool_sim_cache.misses", stats["sim_misses"])
+        for cell in cells:
+            seed = cell_seed(fn, cell)
+            if tel is None:
+                values.append(_seeded_call(fn, cell, seed))
+                continue
+            t0 = tel.clock()
+            values.append(_seeded_call(fn, cell, seed))
+            tel.record_since("sweep.cell", t0, cell=repr(cell)[:80])
         return values
 
 
 #: process-wide runner used when experiment entry points get none;
-#: sequential and uncached by default, rebound by the CLI's --jobs.
+#: uncached by default, rebound by the CLI's --cache-dir.
 _DEFAULT_RUNNER = SweepRunner()
 
 
@@ -355,7 +270,7 @@ def default_runner() -> SweepRunner:
 
 
 def set_default_runner(runner: SweepRunner) -> SweepRunner:
-    """Rebind the process-wide runner (CLI --jobs/--cache-dir); returns it."""
+    """Rebind the process-wide runner (CLI --cache-dir); returns it."""
     global _DEFAULT_RUNNER
     _DEFAULT_RUNNER = runner
     return _DEFAULT_RUNNER

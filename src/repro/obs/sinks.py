@@ -3,7 +3,7 @@
 The planner/oracle span events go through the same
 :func:`repro.sim.trace_export.timeline_to_trace_events` conversion the
 DES timelines use — one thread row per lane (lane 0 is the recording
-process, merged pool workers get ``worker <pid>`` rows), complete
+process), complete
 (``ph: "X"``) events, microsecond timestamps — so a planning run opens
 in Perfetto next to a schedule timeline with identical conventions.
 """

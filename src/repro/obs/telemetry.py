@@ -3,8 +3,7 @@
 One :class:`Telemetry` instance is a *run*: an append-only list of span
 events (name, wall-aligned start, duration, lane, attrs), a registry of
 dotted-name counters, and a lane table mapping integer lanes to labels
-(``0`` is always the owning process; merged worker events get fresh
-lanes).  The process-wide *current* instance is what the instrumentation
+(``0`` is the recording process).  The process-wide *current* instance is what the instrumentation
 in the search stack records into; when none is installed every probe is
 a true no-op:
 
@@ -18,9 +17,8 @@ a true no-op:
 
 Timestamps are wall-aligned nanoseconds: each instance captures a
 ``(time_ns, perf_counter_ns)`` epoch pair at construction and converts
-monotonic span clocks onto the wall axis, so events recorded by
-different processes (pool workers, sweep cells) merge onto one trace
-axis without a shared monotonic clock.
+monotonic span clocks onto the wall axis, so runs recorded by different
+processes share one time axis without a shared monotonic clock.
 
 Recording telemetry can never change a plan: the registry only *reads*
 clocks and counts — it draws no randomness, mutates no search state,
@@ -94,7 +92,6 @@ class Telemetry:
         self.events: List[Event] = []
         self.counters: Dict[str, float] = {}
         self.lanes: Dict[int, str] = {0: label}
-        self._next_lane = 1
 
     # -- recording ---------------------------------------------------------
 
@@ -117,22 +114,6 @@ class Telemetry:
         ts = self._epoch_wall_ns + (t0_perf_ns - self._epoch_perf_ns)
         self.events.append((name, ts, dur, 0, attrs or None))
 
-    def record_abs(
-        self,
-        name: str,
-        ts_wall_ns: int,
-        dur_ns: int,
-        lane: int = 0,
-        attrs: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """Append an event with explicit wall-clock coordinates.
-
-        Used for events measured elsewhere — pool workers and sweep
-        cells report ``(time_ns, duration)`` pairs that the parent
-        replays onto its own registry, typically on a dedicated lane.
-        """
-        self.events.append((name, int(ts_wall_ns), int(dur_ns), lane, attrs))
-
     def add(self, name: str, value: float = 1) -> None:
         """Accumulate ``value`` onto the dotted counter ``name``."""
         self.counters[name] = self.counters.get(name, 0) + value
@@ -141,25 +122,17 @@ class Telemetry:
         """Overwrite the dotted counter ``name`` (last-write-wins gauge)."""
         self.counters[name] = value
 
-    def add_lane(self, label: str) -> int:
-        """Allocate a fresh lane id for merged or replayed events."""
-        lane = self._next_lane
-        self._next_lane += 1
-        self.lanes[lane] = label
-        return lane
-
     # -- sinks -------------------------------------------------------------
 
     def _meta(self) -> Dict[str, Any]:
         return {"meta": {"schema": SCHEMA, "label": self.label, "pid": self.pid}}
 
     def append_events(self, path: Union[str, os.PathLike]) -> int:
-        """Append this run's events to a JSONL file (worker-side sink).
+        """Append this run's events to a JSONL file.
 
         Writes the meta header when creating the file; each event is one
-        ``{"name", "ts", "dur", "lane", "attrs"}`` line (ns units).  A
-        worker process appending to its own pid-named file needs no
-        locking.  Returns the number of event lines written.
+        ``{"name", "ts", "dur", "lane", "attrs"}`` line (ns units).
+        Returns the number of event lines written.
         """
         path = Path(path)
         fresh = not path.exists()
@@ -172,45 +145,6 @@ class Telemetry:
                     **({"attrs": attrs} if attrs else {}),
                 }) + "\n")
         return len(self.events)
-
-    def merge_worker_dir(
-        self, directory: Union[str, os.PathLike], *, remove: bool = True
-    ) -> int:
-        """Fold per-worker event files into this registry, one lane each.
-
-        Reads every ``events-<pid>.jsonl`` the workers wrote beside the
-        shared incumbent, assigns each file a fresh ``worker <pid>``
-        lane, and appends its events (the workers' own lane field is
-        remapped; worker files are single-lane).  ``remove`` deletes the
-        merged files — the parent's ``events.jsonl`` is the durable
-        record.  Returns the number of merged events.
-        """
-        directory = Path(directory)
-        merged = 0
-        for path in sorted(directory.glob("events-*.jsonl")):
-            lane: Optional[int] = None
-            with open(path) as fh:
-                for line in fh:
-                    rec = json.loads(line)
-                    if "meta" in rec:
-                        if lane is None:
-                            lane = self.add_lane(
-                                f"worker {rec['meta'].get('pid', path.stem)}"
-                            )
-                        continue
-                    if lane is None:
-                        lane = self.add_lane(f"worker {path.stem[7:]}")
-                    self.events.append((
-                        rec["name"], rec["ts"], rec["dur"], lane,
-                        rec.get("attrs"),
-                    ))
-                    merged += 1
-            if remove:
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-        return merged
 
     def write(self, directory: Union[str, os.PathLike]) -> Path:
         """Write every sink into ``directory`` (created if needed).

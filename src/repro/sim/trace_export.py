@@ -41,7 +41,7 @@ def timeline_to_trace_events(
 
     ``thread_names`` overrides the default ``stage <device>`` labels —
     the search-trace exporter in ``repro.obs`` reuses this path with
-    worker-process lanes instead of pipeline stages.
+    telemetry lanes instead of pipeline stages.
     """
     evs = as_raw_events(events)
     out: List[dict] = [{

@@ -59,19 +59,6 @@ class TestAutotune:
                 assert c.plan_seconds >= 0.0
                 assert 0 <= c.algorithm2_slices < c.layout.pipeline_stages
 
-    def test_jobs_do_not_change_the_answer(self, tiny_profile, tuned):
-        parallel = autotune_config(tiny_profile, 4, jobs=2)
-        assert parallel.best.layout == tuned.best.layout
-        assert parallel.best.slice_count == tuned.best.slice_count
-        assert parallel.best.iteration_seconds == tuned.best.iteration_seconds
-        assert [
-            (c.layout, c.slice_count, c.status, c.iteration_seconds)
-            for c in parallel.candidates
-        ] == [
-            (c.layout, c.slice_count, c.status, c.iteration_seconds)
-            for c in tuned.candidates
-        ]
-
     def test_plan_cache_warm_replay(self, tiny_profile, tmp_path, tuned):
         from repro.core.plan_cache import PlanCache
 

@@ -56,6 +56,9 @@ class TestEnumeration:
                 ("chunk_size", True, TypeError),
                 ("chunk_size", 1.5, TypeError),
                 ("chunk_size", 0, ValueError),
+                ("jobs", 2, ValueError),
+                ("jobs", 0, ValueError),
+                ("jobs", True, TypeError),
             ],
         )
         # numpy integers are integers.
@@ -65,6 +68,10 @@ class TestEnumeration:
         )
         assert res.partition == ref.partition
         assert res.iteration_time == ref.iteration_time
+        # jobs=1, the only accepted value, still searches.
+        one = exhaustive_partition(tiny_profile, 3, 8, chunk_size=64, jobs=1)
+        assert one.partition == ref.partition
+        assert one.iteration_time == ref.iteration_time
 
 
 class TestOracle:

@@ -104,15 +104,6 @@ class TestKeying:
         assert len(cache) == 2
         assert a.partition.sizes == b.partition.sizes  # same argmin
 
-    def test_jobs_excluded_from_key(self, tmp_path):
-        """A plan solved serially must replay for a jobs=N caller."""
-        cache = PlanCache(tmp_path)
-        profile = _profile()
-        cold = exhaustive_partition(profile, 4, 8, cache=cache)
-        warm = exhaustive_partition(profile, 4, 8, jobs=4, cache=cache)
-        assert cache.hits == 1 and len(cache) == 1
-        assert warm == cold
-
     def test_profile_hash_is_content_sensitive(self):
         assert profile_hash(_profile()) == profile_hash(_profile())
         other = make_profile(_FWD, _BWD, 0.5)
@@ -120,9 +111,10 @@ class TestKeying:
         assert len(code_fingerprint()) == 64
 
     def test_schema_2_entry_is_a_miss(self, tmp_path, monkeypatch):
-        """Entries written before ``ExhaustiveResult`` changed shape (schema
-        "2", keyed with the since-deleted ``incremental``/``scorer``
-        knobs) never replay: the schema-"3" search misses and re-solves."""
+        """Entries written before ``ExhaustiveResult`` changed shape never
+        replay: schema "2" (keyed with the since-deleted ``incremental``/
+        ``scorer`` knobs) and schema "3" (results that still carried
+        worker-process fields) both miss, and the search re-solves."""
         import dataclasses
 
         import repro.core.plan_cache as pc
@@ -130,22 +122,23 @@ class TestKeying:
         profile = _profile()
         fresh = exhaustive_partition(profile, 4, 8, cache=False)
         stale = dataclasses.replace(fresh, evaluations=-1)
-        cache = PlanCache(tmp_path)
         knobs = dict(
             comm_mode="paper", prune=True, planner_warm_start=None,
             chunk_size=1024, prune_slack=1.0 + 1e-9, robust=repr(None),
         )
-        with monkeypatch.context() as patch:
-            patch.setattr(pc, "_SCHEMA", "2")
-            for old in ({}, {"incremental": True, "scorer": "analytic"}):
-                cache.store(
-                    cache.exhaustive_key(profile, 4, 8, **knobs, **old),
-                    stale,
-                )
-        result = exhaustive_partition(profile, 4, 8, cache=cache)
-        assert (cache.hits, cache.misses) == (0, 1)
-        assert result.evaluations == fresh.evaluations
-        assert len(cache) == 3
+        for schema in ("2", "3"):
+            cache = PlanCache(tmp_path / schema)
+            with monkeypatch.context() as patch:
+                patch.setattr(pc, "_SCHEMA", schema)
+                for old in ({}, {"incremental": True, "scorer": "analytic"}):
+                    cache.store(
+                        cache.exhaustive_key(profile, 4, 8, **knobs, **old),
+                        stale,
+                    )
+            result = exhaustive_partition(profile, 4, 8, cache=cache)
+            assert (cache.hits, cache.misses) == (0, 1), schema
+            assert result.evaluations == fresh.evaluations
+            assert len(cache) == 3
 
     def test_wrong_type_is_a_miss(self, tmp_path):
         cache = PlanCache(tmp_path)

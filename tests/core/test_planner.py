@@ -9,7 +9,7 @@ from repro.core.balance_dp import balanced_partition
 from repro.core.partition import stage_times
 from repro.core.planner import _cooldown_adjust, _UnitSpace, plan_partition
 
-from tests.core.test_exhaustive import assert_rejects_bad_counts
+from tests.core.test_exhaustive import BAD_COUNTS, assert_rejects_bad_counts
 
 
 class TestPlanQuality:
@@ -51,11 +51,19 @@ class TestPlanQuality:
         assert len(planned.history) == planned.evaluations
 
     def test_invalid_args(self, tiny_profile):
-        assert_rejects_bad_counts(plan_partition, tiny_profile)
+        assert_rejects_bad_counts(plan_partition, tiny_profile, BAD_COUNTS + [
+            ("jobs", 2, ValueError),
+            ("jobs", 0, ValueError),
+            ("jobs", True, TypeError),
+        ])
         ref = plan_partition(tiny_profile, 3, 8)
         res = plan_partition(tiny_profile, np.int64(3), np.int32(8))
         assert res.partition == ref.partition
         assert res.iteration_time == ref.iteration_time
+        # jobs=1, the only accepted value, still plans.
+        one = plan_partition(tiny_profile, 3, 8, jobs=1)
+        assert one.partition == ref.partition
+        assert one.iteration_time == ref.iteration_time
 
     def test_too_many_stages_rejected(self, tiny_profile):
         with pytest.raises(ValueError):

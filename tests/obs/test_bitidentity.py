@@ -113,19 +113,6 @@ class TestOracleBitIdentity:
         assert span[4]["mode"] == "analytic"
         assert span[4]["space"] == result.space
 
-    def test_jobs_identical_on_vs_off(self, tiny_profile):
-        # On single-core sandboxes the dispatch legitimately degrades to
-        # serial (jobs_downgraded); the plan must be identical either way.
-        off = exhaustive_partition(tiny_profile, 3, 8, cache=False, jobs=2)
-        tel = obs.Telemetry()
-        on = exhaustive_partition(tiny_profile, 3, 8, cache=False, jobs=2,
-                                  telemetry=tel)
-        _assert_same_plan(off, on)
-        assert on.jobs == off.jobs
-        if on.jobs > 1:
-            labels = set(tel.lanes.values())
-            assert any(lbl.startswith("worker") for lbl in labels)
-
     def test_robust_identical_on_vs_off(self, tiny_profile):
         self._check_robust(tiny_profile, prune=True)
 
@@ -235,51 +222,8 @@ class TestSweepRunner:
         assert tel.counters["sweep.cell_cache.misses"] == 2
         assert tel.counters["sweep.cell_cache.hits"] == 2
 
-    def test_pooled_sim_stats_fold_into_aggregate(self):
-        from repro.experiments.runner import SweepRunner
-
-        runner = SweepRunner(jobs=2)
-        runner.run(_sim_cell, [(2, 4), (3, 4)])
-        stats = runner.sim_stats()
-        # Worker-process deltas must reach the aggregate (they used to
-        # vanish: workers keep their own memo).  On sandboxes without
-        # process pools the inline fallback hits the parent memo instead;
-        # either way every simulation is counted.
-        assert stats["sim_cache_hits"] + stats["sim_cache_misses"] > 0
-
-    def test_pool_lanes_when_pool_runs(self):
-        from repro.experiments.runner import SweepRunner
-
-        tel = obs.Telemetry()
-        with obs.session(tel):
-            runner = SweepRunner(jobs=2)
-            runner.run(_square, [(1,), (2,), (3,)])
-        if runner.pool_sim_hits or any(
-            lbl.startswith("sweep worker") for lbl in tel.lanes.values()
-        ):
-            worker_events = [e for e in tel.events
-                             if e[0] == "sweep.cell" and e[3] != 0]
-            assert worker_events
-
-
 def _square(x):
     return x * x
-
-
-def _sim_cell(depth, m):
-    from repro.core.planner import default_sim_cache, plan_partition
-    from repro.profiling import profile_model
-    from tests.conftest import TINY
-
-    from repro.config import HardwareConfig, TrainConfig
-
-    profile = profile_model(
-        TINY, HardwareConfig(),
-        TrainConfig(micro_batch_size=4, global_batch_size=4 * m),
-    )
-    cache = default_sim_cache()
-    plan_partition(profile, depth, m, sim_cache=cache, cache=False)
-    return depth
 
 
 def SweepRunner_cached(tmp_path):

@@ -79,14 +79,6 @@ class TestRecording:
         tel.set_gauge("g", 7)
         assert tel.counters["g"] == 7
 
-    def test_add_lane_allocates_fresh_ids(self):
-        tel = obs.Telemetry(label="parent")
-        assert tel.lanes == {0: "parent"}
-        a = tel.add_lane("w1")
-        b = tel.add_lane("w2")
-        assert a != b and tel.lanes[a] == "w1" and tel.lanes[b] == "w2"
-
-
 class TestSession:
     def test_installs_and_restores(self):
         tel = obs.Telemetry()
@@ -213,58 +205,6 @@ class TestSinks:
         assert "search.outer" in text and "search.inner" in text
         assert "search.hits" in text
         assert "search.hit_rate" in text  # derived from .hits/.misses
-
-
-class TestWorkerMerge:
-    def test_merge_assigns_one_lane_per_file(self, tmp_path):
-        parent = obs.Telemetry(label="parent")
-        for fake_pid in (101, 102):
-            worker = obs.Telemetry(label=f"worker {fake_pid}")
-            worker.pid = fake_pid
-            with worker.span("shard.work"):
-                pass
-            worker.append_events(tmp_path / f"events-{fake_pid}.jsonl")
-        merged = parent.merge_worker_dir(tmp_path)
-        assert merged == 2
-        lanes_used = {e[3] for e in parent.events}
-        assert len(lanes_used) == 2 and 0 not in lanes_used
-        assert sorted(parent.lanes.values()) == [
-            "parent", "worker 101", "worker 102",
-        ]
-
-    def test_merge_removes_files_by_default(self, tmp_path):
-        worker = obs.Telemetry()
-        with worker.span("w"):
-            pass
-        worker.append_events(tmp_path / "events-1.jsonl")
-        obs.Telemetry().merge_worker_dir(tmp_path)
-        assert not list(tmp_path.glob("events-*.jsonl"))
-
-    def test_merge_keep_files(self, tmp_path):
-        worker = obs.Telemetry()
-        with worker.span("w"):
-            pass
-        worker.append_events(tmp_path / "events-1.jsonl")
-        obs.Telemetry().merge_worker_dir(tmp_path, remove=False)
-        assert list(tmp_path.glob("events-*.jsonl"))
-
-    def test_merged_events_feed_trace_lanes(self, tmp_path):
-        parent = obs.Telemetry(label="parent")
-        with parent.span("search.dispatch"):
-            pass
-        worker = obs.Telemetry()
-        worker.pid = 7
-        with worker.span("shard.work"):
-            pass
-        worker.append_events(tmp_path / "events-7.jsonl")
-        parent.merge_worker_dir(tmp_path)
-        parent.write(tmp_path / "out")
-        payload = json.loads((tmp_path / "out" / "trace.json").read_text())
-        thread_names = {
-            r["args"]["name"] for r in payload["traceEvents"]
-            if r.get("name") == "thread_name"
-        }
-        assert thread_names == {"parent", "worker 7"}
 
 
 class TestReport:

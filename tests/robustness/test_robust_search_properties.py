@@ -3,8 +3,8 @@
 * The robust oracle's bound-pruned sweep (``prune=True``, the default)
   must return the ``prune=False`` enumeration's partition and
   ``robust_value`` bit for bit — every statistic, both comm modes,
-  depth 1-5, any micro-batch count, tie-heavy and zero-cost profiles —
-  and ``jobs=2`` must return the serial answer.  Shrinking the bound
+  depth 1-5, any micro-batch count, tie-heavy and zero-cost profiles.
+  Shrinking the bound
   pass's slabs and the survivor hold to a few candidates (many slabs,
   several sweeps) must not change the answer either.
 * The robust planner scores its considered candidates in one batched
@@ -133,18 +133,6 @@ class TestRobustOracle:
         assert pruned.partition.sizes == spec.partition.sizes
         assert _hex(pruned) == _hex(spec)
         assert 1 <= pruned.evaluations <= spec.space
-
-    @settings(max_examples=4, deadline=None)
-    @given(_case(max_blocks=8, min_depth=2), st.booleans())
-    def test_jobs_match_serial(self, case, prune):
-        profile, depth, m, objective, chunk = case
-        kwargs = dict(
-            robust=objective, prune=prune, chunk_size=chunk, cache=False,
-        )
-        serial = exhaustive_partition(profile, depth, m, **kwargs)
-        sharded = exhaustive_partition(profile, depth, m, jobs=2, **kwargs)
-        assert sharded.partition.sizes == serial.partition.sizes
-        assert _hex(sharded) == _hex(serial)
 
     def test_stage_costs_sum_left_to_right(self):
         # A compensated sum (the built-in ``sum`` from Python 3.12)

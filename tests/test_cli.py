@@ -61,21 +61,17 @@ def test_all_reports_failures_but_keeps_going(monkeypatch, capsys):
 
 
 class TestPlanFlags:
-    def test_plan_jobs_rebinds_default(self):
-        from repro.core.parallel_search import (
-            default_plan_jobs,
-            set_default_plan_jobs,
-        )
-
-        try:
-            assert main(["list", "--plan-jobs", "3"]) == 0
-            assert default_plan_jobs() == 3
-        finally:
-            set_default_plan_jobs(1)
-
-    def test_bad_plan_jobs_errors(self):
-        with pytest.raises(SystemExit):
-            main(["list", "--plan-jobs", "0"])
+    def test_bad_plan_jobs_errors(self, capsys):
+        """``--plan-jobs`` and ``--jobs`` are gone: any value is an error."""
+        for argv in (
+            ["list", "--plan-jobs", "1"],
+            ["list", "--jobs", "1"],
+            ["plan", "--stages", "2", "--micro-batches", "4",
+             "--plan-jobs", "1"],
+        ):
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_plan_cache_dir_binds_default(self, tmp_path):
         from repro.core.plan_cache import (
