@@ -16,11 +16,11 @@ Writes the ``baseline_dp`` and ``autotune_batched`` sections of
 from __future__ import annotations
 
 import time
+from unittest import mock
 
 from benchmarks.conftest import TINY12, run_and_print
 from benchmarks.test_bench_ablation_search import merge_into_search_results
-from repro.baselines.dapple import plan_dapple
-from repro.baselines.piper import plan_piper
+from repro.baselines import dapple, piper
 from repro.config import TrainConfig
 from repro.core.strategy import autotune_config
 from repro.experiments.common import ExperimentResult
@@ -35,11 +35,19 @@ _TABLE3 = ("table3", GPT2_345M, DEFAULT_CLUSTER_HW, 4, 512, 16)
 #: large enough that the 64-way plans exist.
 _SCALE64 = ("64-gpu", GPT2_1_3B, rtx3090_cluster(8, 8), 16, 2048, 64)
 
-_PLANNERS = {"piper": plan_piper, "dapple": plan_dapple}
+_PLANNERS = {"piper": (piper, piper.plan_piper),
+             "dapple": (dapple, dapple.plan_dapple)}
 
 
 def _plan_outcome(cfg):
     return (cfg.partition, cfg.replicas, cfg.predicted, cfg.notes)
+
+
+def _scalar_plan(module, planner, *args):
+    """The planner run on its scalar reference fill (``_fill_scalar``
+    swapped in for ``_fill_vector``)."""
+    with mock.patch.object(module, "_fill_vector", module._fill_scalar):
+        return planner(*args)
 
 
 def _best_of(fn, reps):
@@ -60,16 +68,16 @@ def run_baseline_dp():
     for scale, model, hw, mbs, gbs, G in (_TABLE3, _SCALE64):
         train = TrainConfig(micro_batch_size=mbs, global_batch_size=gbs)
         profile = profile_model(model, hw, train)
-        for name, planner in _PLANNERS.items():
+        for name, (module, planner) in _PLANNERS.items():
             # The scalar reference at 64 GPUs runs seconds per call: one
             # measured rep there, two at table scale; the vectorized
             # path is cheap enough for best-of-3.
             s_s, s_cfg = _best_of(
-                lambda: planner(profile, G, gbs, impl="scalar"),
+                lambda: _scalar_plan(module, planner, profile, G, gbs),
                 reps=1 if scale == "64-gpu" else 2,
             )
             v_s, v_cfg = _best_of(
-                lambda: planner(profile, G, gbs, impl="vector"), reps=3,
+                lambda: planner(profile, G, gbs), reps=3,
             )
             identical = _plan_outcome(s_cfg) == _plan_outcome(v_cfg)
             result.rows.append([

@@ -66,9 +66,14 @@ def run_telemetry_overhead(depth: int = 8, m: int = 32, gbs: int = 128):
 
     bare = exhaustive_partition(profile, depth, m, max_evaluations=None,
                                 cache=False)
+    def recorded_search(tel):
+        with obs.session(tel):
+            return exhaustive_partition(
+                profile, depth, m, max_evaluations=None, cache=False,
+            )
+
     probe_tel = obs.Telemetry()
-    recorded = exhaustive_partition(profile, depth, m, max_evaluations=None,
-                                    cache=False, telemetry=probe_tel)
+    recorded = recorded_search(probe_tel)
     # Bit-identity on the real workload.
     assert recorded.partition.stages == bare.partition.stages
     assert recorded.iteration_time == bare.iteration_time
@@ -77,10 +82,7 @@ def run_telemetry_overhead(depth: int = 8, m: int = 32, gbs: int = 128):
     t_off = _best_of(lambda: exhaustive_partition(
         profile, depth, m, max_evaluations=None, cache=False,
     ))
-    t_on = _best_of(lambda: exhaustive_partition(
-        profile, depth, m, max_evaluations=None, cache=False,
-        telemetry=obs.Telemetry(),
-    ))
+    t_on = _best_of(lambda: recorded_search(obs.Telemetry()))
 
     # Probe executions in one run: every recorded event came from one
     # guarded site, every counter from one add() — double it for slack

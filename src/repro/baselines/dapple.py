@@ -93,9 +93,6 @@ def _placement_ok(
     return False
 
 
-_IMPLS = ("vector", "scalar")
-
-
 def _fill_scalar(t_pre, p_pre, act_pre, ws_pre, L, G, m, max_stages, capacity):
     """The original suffix-DP loops, kept verbatim as the reference oracle."""
 
@@ -233,17 +230,13 @@ def plan_dapple(
     profile: ModelProfile,
     num_gpus: int,
     global_batch_size: int,
-    *,
-    impl: str = "vector",
 ) -> PlannedConfig:
     """Run the DAPPLE planner and return its chosen configuration.
 
-    ``impl`` selects the suffix-DP table fill: ``"vector"`` (default)
-    uses broadcast numpy relaxations, ``"scalar"`` the original loops.
-    Both produce bit-identical tables and therefore identical plans.
+    The suffix-DP tables are filled by broadcast numpy relaxations
+    (:func:`_fill_vector`), bit-identical to the original loops kept as
+    :func:`_fill_scalar`, so the plans are identical too.
     """
-    if impl not in _IMPLS:
-        raise ValueError(f"impl must be one of {_IMPLS}, got {impl!r}")
     t0 = _time.perf_counter()
     sim_cache = default_sim_cache()
     mbs = profile.train.micro_batch_size
@@ -297,8 +290,7 @@ def plan_dapple(
     # suffix[c][l][g]: minimal max stage period covering units l..L with g
     # devices in c stages (all of which hide their allreduce in cooldown
     # slack, so bottleneck alone ranks them).
-    fill = _fill_vector if impl == "vector" else _fill_scalar
-    suffix, choice = fill(
+    suffix, choice = _fill_vector(
         t_pre, p_pre, act_pre, ws_pre, L, G, m, max_stages, capacity
     )
 

@@ -335,18 +335,14 @@ def plan_piper(
     profile: ModelProfile,
     num_gpus: int,
     global_batch_size: int,
-    *,
-    impl: str = "vector",
 ) -> PlannedConfig:
     """Run the Piper planner and return its chosen configuration.
 
-    ``impl`` selects the DP kernel: ``"vector"`` (default) runs the
-    numpy relaxation, ``"scalar"`` the original loops — bit-identical
-    plans, costs and tie-breaks (property-tested in
+    The DP runs as a numpy relaxation (:func:`_fill_vector`),
+    bit-identical in plans, costs and tie-breaks to the original loops
+    kept as :func:`_fill_scalar` (property-tested in
     ``tests/baselines/test_vectorized_dp.py``).
     """
-    if impl not in ("vector", "scalar"):
-        raise ValueError(f"impl must be 'vector' or 'scalar', got {impl!r}")
     t0 = _time.perf_counter()
     mbs = profile.train.micro_batch_size
     if global_batch_size % mbs != 0:
@@ -361,8 +357,9 @@ def plan_piper(
     max_stages = min(G, L)
     t_widths = tp_widths(hw.gpus_per_node)
 
-    fill = _fill_vector if impl == "vector" else _fill_scalar
-    best, choice = fill(tables, L, G, m, profile, t_widths, max_stages)
+    best, choice = _fill_vector(
+        tables, L, G, m, profile, t_widths, max_stages
+    )
 
     # Minimal TPS; ties broken toward more stages (Piper's tendency).
     best_c, best_tps = None, _INF

@@ -17,15 +17,6 @@ from typing import List, Optional
 from repro.core.plan_cache import PlanCache, set_default_plan_cache
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.runner import SweepRunner, set_default_runner
-from repro.runtime.trainer import set_default_executor
-
-#: CLI spellings -> trainer executor names ("compiled" reads better on
-#: the command line than the internal "graph" tag).
-_EXECUTOR_CHOICES = {
-    "analytic": "analytic",
-    "compiled": "graph",
-    "event": "event",
-}
 
 
 def _plan_main(argv: List[str]) -> int:
@@ -59,7 +50,11 @@ def _plan_main(argv: List[str]) -> int:
     parser.add_argument("--plan-cache-dir", default=None,
                         help="persistent plan cache directory (default: off)")
     args = parser.parse_args(argv)
+    for flag in ("stages", "micro_batches", "micro_batch_size"):
+        if getattr(args, flag) < 1:
+            parser.error(f"--{flag.replace('_', '-')} must be >= 1")
 
+    from repro import obs
     from repro.experiments.common import make_profile
     from repro.models.zoo import get_model
 
@@ -72,22 +67,23 @@ def _plan_main(argv: List[str]) -> int:
     if args.plan_cache_dir is not None:
         cache = PlanCache(args.plan_cache_dir)
     if args.oracle:
-        from repro.core.exhaustive import exhaustive_partition
-
-        result = exhaustive_partition(
-            profile, args.stages, args.micro_batches,
-            comm_mode=args.comm_mode, cache=cache,
-            telemetry=args.telemetry,
-        )
+        from repro.core.exhaustive import exhaustive_partition as search
+    else:
+        from repro.core.planner import plan_partition as search
+    tel = obs.Telemetry() if args.telemetry is not None else None
+    try:
+        with obs.session(tel):
+            result = search(
+                profile, args.stages, args.micro_batches,
+                comm_mode=args.comm_mode, cache=cache,
+            )
+    except (ValueError, RuntimeError) as exc:
+        parser.error(str(exc))
+    if tel is not None:
+        tel.write(args.telemetry)
+    if args.oracle:
         extra = f"space {result.space}"
     else:
-        from repro.core.planner import plan_partition
-
-        result = plan_partition(
-            profile, args.stages, args.micro_batches,
-            comm_mode=args.comm_mode, cache=cache,
-            telemetry=args.telemetry,
-        )
         extra = f"granularity {result.granularity}"
     print(f"model {model.name}, {args.stages} stages x "
           f"{args.micro_batches} micro-batches"
@@ -163,22 +159,10 @@ def main(argv: Optional[List[str]] = None) -> int:
              "write the sink files (events.jsonl, counters.json, "
              "trace.json, summary.txt) into DIR",
     )
-    parser.add_argument(
-        "--executor",
-        choices=sorted(_EXECUTOR_CHOICES),
-        default=None,
-        help="schedule executor for pipeline runs: 'compiled' "
-             "(static-graph fast path, the default), 'event' (per-op "
-             "DES) or 'analytic' (graph-free clock interpreter; "
-             "schedules it cannot represent raise a clear error naming "
-             "the fallback)",
-    )
     args = parser.parse_args(argv)
     runner = None
     if args.cache_dir is not None:
         runner = set_default_runner(SweepRunner(cache_dir=args.cache_dir))
-    if args.executor is not None:
-        set_default_executor(_EXECUTOR_CHOICES[args.executor])
     telemetry = None
     if args.telemetry is not None:
         from repro import obs

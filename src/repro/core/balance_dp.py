@@ -6,18 +6,16 @@ the maximum group weight.  This is the classic min-max linear partition DP:
 
     time[i][j] = min_{k < i} max(time[k][j-1], prefix[i] - prefix[k])
 
-Two implementations fill the table:
-
-* ``impl="scalar"`` — the original per-``(i, j)`` loop with a vectorised
-  inner minimisation, kept verbatim as the reference oracle;
-* ``impl="vector"`` (default) — one ``(rows, k)`` relaxation per column
-  ``j``: the full candidate matrix ``max(time[k][j-1], prefix[i] -
-  prefix[k])`` with out-of-range ``k`` masked to ``+inf`` and a row-wise
-  first-occurrence ``argmin``.  Because every in-range candidate is
-  finite and ``argmin`` returns the first minimum, the chosen ``k`` is
-  the smallest one realising the optimum — the scalar tie-break —
-  making ``time`` and ``choice`` bit-identical to the scalar tables
-  (property-tested in ``tests/core/test_balance_dp_vectorized.py``).
+:class:`BalanceTable` fills the table with one ``(rows, k)`` relaxation
+per column ``j`` (:func:`_vector_tables`): the full candidate matrix
+``max(time[k][j-1], prefix[i] - prefix[k])`` with out-of-range ``k``
+masked to ``+inf`` and a row-wise first-occurrence ``argmin``.  Because
+every in-range candidate is finite and ``argmin`` returns the first
+minimum, the chosen ``k`` is the smallest one realising the optimum.
+:func:`_scalar_tables`, the original per-``(i, j)`` loop with a
+vectorised inner minimisation, is kept verbatim as the reference:
+``time`` and ``choice`` are bit-identical to its tables (property-tested
+in ``tests/core/test_balance_dp_vectorized.py``).
 
 The DP value for a prefix of the weights depends only on that prefix, so
 one table over the full weight vector answers *every* ``(num_blocks,
@@ -34,8 +32,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.partition import PartitionScheme
-
-_IMPLS = ("vector", "scalar")
 
 
 def _validate(weights: Sequence[float], p: int) -> np.ndarray:
@@ -108,21 +104,14 @@ class BalanceTable:
 
     __slots__ = ("num_blocks", "max_stages", "time", "choice")
 
-    def __init__(
-        self,
-        weights: Sequence[float],
-        max_stages: int,
-        *,
-        impl: str = "vector",
-    ) -> None:
-        if impl not in _IMPLS:
-            raise ValueError(f"impl must be one of {_IMPLS}, got {impl!r}")
+    def __init__(self, weights: Sequence[float], max_stages: int) -> None:
         w = _validate(weights, max_stages)
         self.num_blocks = len(w)
         self.max_stages = max_stages
         prefix = np.concatenate(([0.0], np.cumsum(w)))
-        fill = _vector_tables if impl == "vector" else _scalar_tables
-        self.time, self.choice = fill(prefix, self.num_blocks, max_stages)
+        self.time, self.choice = _vector_tables(
+            prefix, self.num_blocks, max_stages
+        )
 
     def _check_query(self, stages: int, num_blocks: Optional[int]) -> int:
         n = self.num_blocks if num_blocks is None else num_blocks
@@ -167,27 +156,21 @@ class BalanceTable:
         return PartitionScheme.from_sizes(self.sizes(stages, num_blocks))
 
 
-def min_max_partition(
-    weights: Sequence[float], p: int, *, impl: str = "vector"
-) -> List[int]:
+def min_max_partition(weights: Sequence[float], p: int) -> List[int]:
     """Sizes of the min-max contiguous partition of ``weights`` into ``p`` groups.
 
     Returns the per-group element counts; ties are broken toward moving the
     cut as early as possible (argmin picks the smallest k), which keeps
-    front stages no heavier than necessary.  ``impl`` selects the table
-    fill (``"vector"`` default, ``"scalar"`` reference); both produce
-    bit-identical tables and therefore bit-identical sizes.  Callers
+    front stages no heavier than necessary.  Callers
     answering many prefix/depth queries over one weight vector should
     build a :class:`BalanceTable` instead of calling this in a loop.
     """
-    return BalanceTable(weights, p, impl=impl).sizes(p)
+    return BalanceTable(weights, p).sizes(p)
 
 
-def balanced_partition(
-    weights: Sequence[float], p: int, *, impl: str = "vector"
-) -> PartitionScheme:
+def balanced_partition(weights: Sequence[float], p: int) -> PartitionScheme:
     """Paper Algorithm 1 packaged as a :class:`PartitionScheme`."""
-    return PartitionScheme.from_sizes(min_max_partition(weights, p, impl=impl))
+    return PartitionScheme.from_sizes(min_max_partition(weights, p))
 
 
 def bottleneck(weights: Sequence[float], sizes: Sequence[int]) -> float:

@@ -71,10 +71,11 @@ from repro.robustness import evaluate as _robust_eval
 #: its lower bound exceeds the incumbent by more than this factor, so
 #: float rounding in the prefix-sum bounds (~1e-14 relative) can never
 #: prune the true optimum or a tie the brute force would have kept.
+#: The searches read it at call time (tests patch it).
 _PRUNE_SLACK = 1.0 + 1e-9
 
-#: kernel rows (candidates x draws) per robust scoring chunk; the
-#: nominal search only lets it widen its sweep block.
+#: kernel rows (candidates x draws) per robust scoring chunk: the
+#: enumeration's flush size and the bound-pruned search's first sweep.
 _DEFAULT_CHUNK = 1024
 
 #: bound-pass survivors the robust oracle holds before scoring them in
@@ -83,16 +84,17 @@ _DEFAULT_CHUNK = 1024
 #: candidate's value).
 _ROBUST_HELD = 1 << 16
 
-#: search-space size from which the planner warm start pays for itself
-#: (the planner runs a few dozen scalar simulations; below this the
-#: whole search often costs less than that).
+#: search-space size from which the pruned nominal search also seeds
+#: its incumbent with the heuristic planner's partition (the planner
+#: runs a few dozen scalar simulations; below this the whole search
+#: often costs less than that).
 _WARM_START_MIN_SPACE = 1_000_000
 
 #: admitted candidates assembled per frontier-kernel sweep in the
 #: analytic search (bounds peak memory at ~2 * p * 8 bytes per column;
 #: results are sweep-partition-invariant, so the block size is pure
-#: tuning).  ``chunk_size`` only overrides this upward — the kernel's
-#: fixed per-sweep cost would dominate at the default chunk of 1024.
+#: tuning: the kernel's fixed per-sweep cost would dominate at a block
+#: the size of the robust chunk).
 _ANALYTIC_BLOCK = 131_072
 
 #: columns below which a frontier sweep runs without the mid-sweep
@@ -275,7 +277,6 @@ def _search_robust(
     num_micro_batches: int,
     comm_mode: str,
     state: _SearchState,
-    chunk_size: int,
     robust: RobustObjective,
 ) -> None:
     """Robust oracle specification: chunked batched brute force.
@@ -285,15 +286,15 @@ def _search_robust(
     enumerates every candidate and evaluates whole chunks of them under
     all ``K`` draws through one ``(C*K, n)`` frontier sweep
     (:func:`~repro.robustness.evaluate.robust_objective_batch`).  Chunks
-    are sized so the batch stays near ``chunk_size`` *rows* (candidates
-    x draws), bounding peak memory.  ``offer`` runs per candidate in
+    are sized so the batch stays near :data:`_DEFAULT_CHUNK` *rows*
+    (candidates x draws), bounding peak memory.  ``offer`` runs per candidate in
     enumeration order, so the argmin semantics (first lexicographic
     candidate achieving the minimum objective) match the nominal brute
     force's.
     """
     n = len(fwd)
     factors = robust.factors(num_stages)
-    cand_chunk = max(1, chunk_size // factors.draws)
+    cand_chunk = max(1, _DEFAULT_CHUNK // factors.draws)
     sizes_buf: List[Tuple[int, ...]] = []
     f_buf: List[Tuple[float, ...]] = []
     b_buf: List[Tuple[float, ...]] = []
@@ -385,8 +386,6 @@ def _search_robust_pruned(
     num_micro_batches: int,
     comm_mode: str,
     state: _SearchState,
-    chunk_size: int,
-    prune_slack: float,
     robust: RobustObjective,
 ) -> None:
     """Exact robust oracle: bound-ordered sweeps over the candidate space.
@@ -402,14 +401,14 @@ def _search_robust_pruned(
 
     Candidates are enumerated in slabs; each slab's bounds are computed
     at once and candidates whose bound already exceeds ``incumbent *
-    prune_slack`` are dropped on the spot.  The survivors are held until
+    _PRUNE_SLACK`` are dropped on the spot.  The survivors are held until
     :data:`_ROBUST_HELD` of them accumulate (or the space ends), then
     scored through
     :func:`~repro.robustness.evaluate.robust_objective_batch` in
-    ascending-bound blocks — a first narrow block (``chunk_size`` kernel
-    rows) finds a strong incumbent, then one wide block takes every
-    remaining candidate whose bound is within ``incumbent *
-    prune_slack``; the rest are discarded.  Peak memory is therefore one
+    ascending-bound blocks — a first narrow block
+    (:data:`_DEFAULT_CHUNK` kernel rows) finds a strong incumbent, then
+    one wide block takes every remaining candidate whose bound is within
+    ``incumbent * _PRUNE_SLACK``; the rest are discarded.  Peak memory is therefore one
     slab plus the held survivors, whatever the space size.  The slack
     covers float rounding in the bound arithmetic, so the optimum and
     every tie are always scored.
@@ -428,8 +427,9 @@ def _search_robust_pruned(
     factors = robust.factors(p)
     k = factors.draws
     statistic = robust.statistic
+    slack = _PRUNE_SLACK
     SF, SB = _slice_sum_tables(fwd, bwd)
-    first = max(1, chunk_size // k)
+    first = max(1, _DEFAULT_CHUNK // k)
     slab = max(1, _robust_eval._MAX_ROWS // k)
     slabs = _edge_slabs(n, p, slab)
     tel = _obs.current()
@@ -488,7 +488,7 @@ def _search_robust_pruned(
         rows, bound = rows[order], bound[order]
         i = 0
         while i < len(rows):
-            limit = state.best_time * prune_slack
+            limit = state.best_time * slack
             if bound[i] > limit:
                 return
             j = i + first if i == 0 else len(rows)
@@ -501,7 +501,7 @@ def _search_robust_pruned(
     held = 0
     for rows in slabs:
         bound = bounds(rows)
-        keep = bound <= state.best_time * prune_slack
+        keep = bound <= state.best_time * slack
         if not keep.all():
             rows, bound = rows[keep], bound[keep]
         held_rows.append(rows)
@@ -637,21 +637,19 @@ def _search_analytic(
     comm_mode: str,
     sim_cache: Optional[SimCache],
     state: _SearchState,
-    chunk_size: int,
-    prune_slack: float,
     extra_seeds: Sequence[Tuple[int, ...]] = (),
 ) -> None:
     """Branch-and-bound scored by the closed-form max-plus kernel.
 
     * **Warm seeds.**  The Algorithm-1 min-max partition and any valid
-      ``extra_seeds`` (the heuristic planner's partition, when the
-      caller enables it) are simulated first and offered to the
+      ``extra_seeds`` (the heuristic planner's partition, on spaces of
+      at least :data:`_WARM_START_MIN_SPACE`) are simulated first and offered to the
       incumbent.  Any valid candidate may seed the incumbent without
       affecting exactness: seeds go through the same tie-breaking
       ``offer``, and a tighter incumbent only ever prunes candidates
       whose true time provably exceeds the final best.
     * **Fixed admission limit.**  The limit is ``seed_bound *
-      prune_slack``, fixed after the seeds.  Whether a stage of ``size``
+      _PRUNE_SLACK``, fixed after the seeds.  Whether a stage of ``size``
       blocks starting at ``pos`` on level ``s`` is admitted then depends
       only on ``(s, pos, size)`` — its straggler and round-trip bounds,
       and the suffix relaxation of what remains (:class:`_Bounds`) —
@@ -705,8 +703,9 @@ def _search_analytic(
         return  # the single candidate is the Algorithm-1 seed itself.
 
     bounds = _Bounds(fwd, bwd, comm, p, m)
-    limit = state.best_time * prune_slack
-    block = max(chunk_size, _ANALYTIC_BLOCK)
+    slack = _PRUNE_SLACK
+    limit = state.best_time * slack
+    block = _ANALYTIC_BLOCK
     inf = float("inf")
 
     prefw_v = np.asarray(bounds.prefw)
@@ -897,7 +896,7 @@ def _search_analytic(
     for c0 in range(0, total_cols, block):
         c1 = min(c0 + block, total_cols)
         t_f = tel.clock() if tel is not None else 0
-        cur = state.best_time * prune_slack
+        cur = state.best_time * slack
         # The mid-sweep sieve's per-checkpoint scan only pays for itself
         # on wide blocks; narrow ones run the plain (exact) sweep.
         times, keepmap = frontier_times_transposed(
@@ -1005,43 +1004,33 @@ def exhaustive_partition(
     comm_mode: str = "paper",
     max_evaluations: Optional[int] = 2_000_000,
     prune: bool = True,
-    planner_warm_start: Optional[bool] = None,
     sim_cache: Optional[SimCache] = None,
-    chunk_size: int = _DEFAULT_CHUNK,
-    prune_slack: float = _PRUNE_SLACK,
     robust: Optional[RobustObjective] = None,
     jobs: int = 1,
     cache=None,
-    telemetry=None,
 ) -> ExhaustiveResult:
     """Find the optimal partition over every contiguous candidate.
 
     ``prune=True`` (default) runs the branch-and-bound search scored by
     the max-plus frontier kernel; ``prune=False`` runs the literal
     scalar brute force.  Both return the identical partition and
-    iteration time.  ``planner_warm_start`` (pruned search only)
-    additionally evaluates the heuristic planner's partition as an
-    extra warm candidate: its near-optimal iteration time tightens the
-    admission limit, typically pruning several times more of the space
-    at depth >= 10 than the Algorithm-1 seed alone; the result is still
-    the exact brute-force argmin, because warm candidates go through the
-    same tie-breaking ``offer`` and bounds only ever discard provably
-    worse subtrees.  The default ``None`` enables it automatically once
-    the search space is large enough to amortise the planner's few
-    dozen scalar simulations.  ``sim_cache`` harvests vectors already
-    simulated in-process (e.g. by the planner) and is reported via
-    ``cache_hits``.  ``chunk_size`` (a positive integer) sets the kernel
-    rows per robust scoring chunk and can only widen the nominal
-    search's sweep block.  ``prune_slack`` is the relative slack of the
-    pruning test (default ``1 + 1e-9``): a subtree is discarded only
-    when its lower bound exceeds ``incumbent * prune_slack``, so values
-    ``> 1`` keep the search exact under float rounding, while larger
-    values trade exactness for speed (bench sweeps use this to study
-    prune tightness).  Must be a finite float ``>= 1.0``.
-    ``num_stages``, ``num_micro_batches`` and ``chunk_size`` must be
-    integers ``>= 1`` (``TypeError`` for a bool or non-integral value,
-    ``ValueError`` below 1).  Raises ``ValueError`` if the search space
-    exceeds ``max_evaluations`` (pass ``None`` to force it anyway).
+    iteration time.  On search spaces of at least
+    :data:`_WARM_START_MIN_SPACE` candidates the pruned search also
+    evaluates the heuristic planner's partition as a warm candidate: its
+    near-optimal iteration time tightens the admission limit, typically
+    pruning several times more of the space at depth >= 10 than the
+    Algorithm-1 seed alone.  The result is still the exact brute-force
+    argmin, because warm candidates go through the same tie-breaking
+    ``offer`` and bounds only ever discard provably worse subtrees.
+    ``sim_cache`` harvests vectors already simulated in-process (e.g. by
+    the planner) and is reported via ``cache_hits``.  A subtree is
+    discarded only when its lower bound exceeds the incumbent by more
+    than the relative slack :data:`_PRUNE_SLACK` (``1 + 1e-9``), which
+    absorbs float rounding so the search stays exact.
+    ``num_stages`` and ``num_micro_batches`` must be integers ``>= 1``
+    (``TypeError`` for a bool or non-integral value, ``ValueError``
+    below 1).  Raises ``ValueError`` if the search space exceeds
+    ``max_evaluations`` (pass ``None`` to force it anyway).
 
     ``robust`` replaces the objective with a
     :class:`~repro.robustness.evaluate.RobustObjective`: the oracle
@@ -1052,13 +1041,13 @@ def exhaustive_partition(
     on the perturbed costs and reduced with the objective's statistic
     (a valid lower bound because mean, P95 and max are monotone in every
     draw), scores them in a few ascending-bound batched sweeps and stops
-    at the first bound above ``incumbent * prune_slack``; ``prune=False``
-    enumerates the full space in chunks of ``chunk_size // draws``
-    candidates (the specification).  Both return the identical
-    partition and objective value.  ``planner_warm_start``/``sim_cache``
-    are ignored.  The winner's objective value is reported as
-    ``ExhaustiveResult.robust_value``, while ``sim`` stays the winner's
-    *nominal* simulation.
+    at the first bound above ``incumbent * _PRUNE_SLACK``;
+    ``prune=False`` enumerates the full space in chunks of
+    ``_DEFAULT_CHUNK // draws`` candidates (the specification).  Both
+    return the identical partition and objective value.  The planner
+    warm start and ``sim_cache`` are not used.  The winner's objective
+    value is reported as ``ExhaustiveResult.robust_value``, while
+    ``sim`` stays the winner's *nominal* simulation.
 
     The search runs in the calling process.  ``jobs`` accepts only
     ``1``: any other integer raises ``ValueError`` (``TypeError`` for a
@@ -1072,45 +1061,27 @@ def exhaustive_partition(
     key covers the full profile content and every search knob except
     ``sim_cache``, which cannot change the result.
 
-    ``telemetry`` selects the :mod:`repro.obs` registry this call
-    records spans/counters into: ``None`` uses the process-wide registry
-    (no-op when none is installed), ``False`` forces telemetry off for
-    this call, a :class:`~repro.obs.Telemetry` records into it, and a
-    path writes a full sink directory (events.jsonl / counters.json /
-    trace.json / summary.txt) when the call completes.  Telemetry only
-    reads clocks and
-    counters: the returned partition, iteration time and every tie-break
-    are bit-identical with it on or off (property-tested), and with no
-    registry installed the instrumentation is a no-op costing <2% on the
-    depth-8 oracle bench (guarded in
+    When a :mod:`repro.obs` registry is current (``obs.session`` or the
+    CLI's ``--telemetry``), the call records an ``oracle.search`` span
+    and the ``oracle.*`` counters into it.  Telemetry only reads clocks
+    and counters: the returned partition, iteration time and every
+    tie-break are bit-identical with a registry installed or not
+    (property-tested), and with none installed the instrumentation is a
+    no-op costing <2% on the depth-8 oracle bench (guarded in
     ``benchmarks/test_bench_telemetry.py``).
     """
     num_stages = _check_count("num_stages", num_stages)
     num_micro_batches = _check_count("num_micro_batches", num_micro_batches)
-    chunk_size = _check_count("chunk_size", chunk_size)
     _check_jobs(jobs)
     RobustObjective.check(robust)
-    kwargs = dict(
-        comm_mode=comm_mode, max_evaluations=max_evaluations, prune=prune,
-        planner_warm_start=planner_warm_start, sim_cache=sim_cache,
-        chunk_size=chunk_size, prune_slack=prune_slack, robust=robust,
-        cache=cache,
+    tel = _obs.current()
+    t0 = tel.clock() if tel is not None else 0
+    result = _exhaustive_impl(
+        profile, num_stages, num_micro_batches, comm_mode=comm_mode,
+        max_evaluations=max_evaluations, prune=prune, sim_cache=sim_cache,
+        robust=robust, cache=cache,
     )
-    tel, sink_dir = _obs.resolve_telemetry(telemetry)
-    if tel is None:
-        if telemetry is False and _obs.active():
-            with _obs.disabled():
-                return _exhaustive_impl(
-                    profile, num_stages, num_micro_batches, **kwargs
-                )
-        return _exhaustive_impl(
-            profile, num_stages, num_micro_batches, **kwargs
-        )
-    with _obs.session(tel):
-        t0 = tel.clock()
-        result = _exhaustive_impl(
-            profile, num_stages, num_micro_batches, **kwargs
-        )
+    if tel is not None:
         tel.record_since(
             "oracle.search", t0, mode=_search_mode(prune, robust),
             depth=num_stages, m=num_micro_batches, space=result.space,
@@ -1125,8 +1096,6 @@ def exhaustive_partition(
         tel.add("oracle.dominance_pruned", result.dominance_pruned)
         tel.add("oracle.pruned", result.pruned)
         tel.add("oracle.incumbent_updates", result.incumbent_updates)
-    if sink_dir is not None:
-        tel.write(sink_dir)
     return result
 
 
@@ -1138,10 +1107,7 @@ def _exhaustive_impl(
     comm_mode: str,
     max_evaluations: Optional[int],
     prune: bool,
-    planner_warm_start: Optional[bool],
     sim_cache: Optional[SimCache],
-    chunk_size: int,
-    prune_slack: float,
     robust: Optional[RobustObjective],
     cache,
 ) -> ExhaustiveResult:
@@ -1153,11 +1119,6 @@ def _exhaustive_impl(
             f"search space C({n - 1},{num_stages - 1}) = {space} exceeds "
             f"max_evaluations={max_evaluations}"
         )
-    prune_slack = float(prune_slack)
-    if not math.isfinite(prune_slack) or prune_slack < 1.0:
-        raise ValueError(
-            f"prune_slack must be a finite float >= 1.0, got {prune_slack!r}"
-        )
     from repro.core.plan_cache import resolve_plan_cache
 
     plan_cache = resolve_plan_cache(cache)
@@ -1165,9 +1126,7 @@ def _exhaustive_impl(
     if plan_cache is not None:
         cache_key = plan_cache.exhaustive_key(
             profile, num_stages, num_micro_batches,
-            comm_mode=comm_mode, prune=prune,
-            planner_warm_start=planner_warm_start, chunk_size=chunk_size,
-            prune_slack=prune_slack, robust=repr(robust),
+            comm_mode=comm_mode, prune=prune, robust=repr(robust),
         )
         stored = plan_cache.load(cache_key, expect=ExhaustiveResult)
         if stored is not None:
@@ -1183,39 +1142,37 @@ def _exhaustive_impl(
     mode = _search_mode(prune, robust)
 
     extra_seeds: List[Tuple[int, ...]] = []
-    if mode == "analytic":
-        if planner_warm_start is None:
-            planner_warm_start = space >= _WARM_START_MIN_SPACE
-        if planner_warm_start and num_stages > 1:
-            try:
-                with _obs.span("oracle.planner_warm_start", depth=num_stages):
-                    heur = plan_partition(
-                        profile, num_stages, num_micro_batches,
-                        comm_mode=comm_mode, sim_cache=sim_cache,
-                    )
-                extra_seeds.append(
-                    tuple(len(stage) for stage in heur.partition.stages)
+    if (mode == "analytic" and num_stages > 1
+            and space >= _WARM_START_MIN_SPACE):
+        try:
+            with _obs.span("oracle.warm_start", depth=num_stages):
+                heur = plan_partition(
+                    profile, num_stages, num_micro_batches,
+                    comm_mode=comm_mode, sim_cache=sim_cache,
                 )
-            except (ValueError, RuntimeError):
-                # The heuristic can be infeasible where the oracle is not
-                # (e.g. memory caps); the search just starts colder.
-                pass
+            extra_seeds.append(
+                tuple(len(stage) for stage in heur.partition.stages)
+            )
+        except (ValueError, RuntimeError):
+            # The heuristic can be infeasible where the oracle is not
+            # (e.g. memory caps); the search just starts colder.
+            pass
 
     state = _SearchState()
     if mode == "robust":
         _search_robust_pruned(
             fwd, bwd, comm, num_stages, num_micro_batches, comm_mode,
-            state, chunk_size, prune_slack, robust,
+            state, robust,
         )
     elif mode == "robust_brute":
         _search_robust(
             fwd, bwd, comm, num_stages, num_micro_batches, comm_mode,
-            state, chunk_size, robust,
+            state, robust,
         )
     elif mode == "analytic":
         _search_analytic(
             fwd, bwd, comm, num_stages, num_micro_batches, comm_mode,
-            sim_cache, state, chunk_size, prune_slack, extra_seeds,
+            sim_cache, state, extra_seeds,
         )
     else:
         _search_brute(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -165,3 +165,37 @@ def stage_params(partition: PartitionScheme, profile: ModelProfile) -> Tuple[flo
     return tuple(
         sum(profile.blocks[i].params for i in stage) for stage in partition.stages
     )
+
+
+def shift_repair(
+    sizes: Sequence[int],
+    peaks: Callable[[Tuple[int, ...]], Sequence[float]],
+    cap: float,
+    moves: int,
+) -> Optional[Tuple[int, ...]]:
+    """Shift units off the most loaded stage until every peak fits ``cap``.
+
+    ``peaks(sizes)`` gives the per-stage peak memory of a partition in
+    group sizes.  Each move takes one unit from the worst stage and gives
+    it to its lighter neighbour (the one with the lower peak).  Returns
+    the first sizes that fit, or ``None`` when the worst stage is down to
+    one unit, has no lighter neighbour, or ``moves`` moves did not help.
+    """
+    current = list(sizes)
+    for _ in range(moves):
+        stage_peaks = peaks(tuple(current))
+        worst = max(range(len(stage_peaks)), key=lambda s: stage_peaks[s])
+        if stage_peaks[worst] <= cap:
+            return tuple(current)
+        if current[worst] <= 1:
+            return None
+        neighbours = [
+            s for s in (worst - 1, worst + 1)
+            if 0 <= s < len(current) and stage_peaks[s] < stage_peaks[worst]
+        ]
+        if not neighbours:
+            return None
+        target = min(neighbours, key=lambda s: stage_peaks[s])
+        current[worst] -= 1
+        current[target] += 1
+    return None

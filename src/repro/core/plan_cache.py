@@ -45,8 +45,11 @@ from typing import Optional
 #: "3": ``ExhaustiveResult`` lost its lattice-scorer counter and oracle
 #: keys no longer carry the deleted search-selection knobs.  "4":
 #: ``PlannerResult`` and ``ExhaustiveResult`` lost their worker-process
-#: fields when the multiprocess searches were removed.
-_SCHEMA = "4"
+#: fields when the multiprocess searches were removed.  "5": the oracle's
+#: warm-start, chunk and slack settings and the planner's history switch
+#: became fixed behaviour, so keys no longer carry them and every
+#: ``PlannerResult`` records its history.
+_SCHEMA = "5"
 
 #: search-stack sources folded into the code fingerprint: an edit to any
 #: of these may change planned partitions or their reported statistics.

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.analytic_sim import PipelineSim, SimResult
 from repro.core.balance_dp import BalanceTable
-from repro.core.partition import PartitionScheme, StageTimes
+from repro.core.partition import PartitionScheme, StageTimes, shift_repair
 from repro.models.transformer import layer_groups
 from repro.obs import stats as _stats
 from repro.obs import telemetry as _obs
@@ -159,6 +159,8 @@ class PlannerResult:
     #: wall-clock planning time, seconds (Fig. 12 metric).
     search_seconds: float
     granularity: str
+    #: every evaluated scheme with its nominal iteration time, in
+    #: evaluation order.
     history: Tuple[Tuple[Sizes, float], ...] = field(default=())
     #: the winning scheme's robust objective value (statistic over the
     #: perturbation draws) when planning with ``robust=``; None otherwise.
@@ -337,33 +339,6 @@ def _shift_candidates(
     return out
 
 
-def _memory_repair(
-    sizes: Sizes,
-    space: _UnitSpace,
-    num_micro_batches: int,
-    memory_cap: float,
-) -> Optional[Sizes]:
-    """Shift units off memory-violating stages until the scheme fits."""
-    current = list(sizes)
-    for _ in range(space.num_units):
-        peaks = space.stage_memory(tuple(current), num_micro_batches)
-        worst = max(range(len(peaks)), key=lambda s: peaks[s])
-        if peaks[worst] <= memory_cap:
-            return tuple(current)
-        if current[worst] <= 1:
-            return None
-        neighbours = [
-            s for s in (worst - 1, worst + 1)
-            if 0 <= s < len(current) and peaks[s] < peaks[worst]
-        ]
-        if not neighbours:
-            return None
-        target = min(neighbours, key=lambda s: peaks[s])
-        current[worst] -= 1
-        current[target] += 1
-    return None
-
-
 def _check_count(name: str, value, minimum: int = 1) -> int:
     """Validate an integer search argument and return it as an ``int``.
 
@@ -401,13 +376,11 @@ def plan_partition(
     comm_mode: str = "paper",
     cooldown_adjust: bool = True,
     max_evaluations: int = 512,
-    keep_history: bool = False,
     memory_cap: Optional[float] = None,
     sim_cache: Optional[SimCache] = None,
     robust: Optional[RobustObjective] = None,
     jobs: int = 1,
     cache=None,
-    telemetry=None,
 ) -> PlannerResult:
     """Run the AutoPipe Planner and return the best partition found.
 
@@ -443,50 +416,28 @@ def plan_partition(
     for one call): a warm hit replays the stored plan without running
     any simulation; the key covers the profile content and every search
     knob except ``sim_cache``, which cannot change the result.
-    ``telemetry`` selects the :mod:`repro.obs` registry this call records
-    spans/counters into: ``None`` uses the process-wide registry (no-op
-    when none is installed), ``False`` forces telemetry off for this
-    call, a :class:`~repro.obs.Telemetry` records into it, and a path
-    writes a full sink directory (events.jsonl / counters.json /
-    trace.json / summary.txt) when the call completes.  Telemetry only
-    reads clocks and counters — the returned plan, evaluation count and
-    history are bit-identical with it on or off (property-tested).
+    ``PlannerResult.history`` lists every evaluated scheme with its
+    nominal iteration time, in evaluation order.
+    When a :mod:`repro.obs` registry is current (``obs.session`` or the
+    CLI's ``--telemetry``), the call records a ``planner.plan`` span and
+    the ``planner.*`` counters into it.  Telemetry only reads clocks and
+    counters — the returned plan, evaluation count and history are
+    bit-identical with a registry installed or not (property-tested).
     """
     num_stages = _check_count("num_stages", num_stages)
     num_micro_batches = _check_count("num_micro_batches", num_micro_batches)
     _check_jobs(jobs)
     RobustObjective.check(robust)
-    tel, sink_dir = _obs.resolve_telemetry(telemetry)
-    if tel is None:
-        if telemetry is False and _obs.active():
-            with _obs.disabled():
-                return _plan_impl(
-                    profile, num_stages, num_micro_batches,
-                    granularity=granularity, comm_mode=comm_mode,
-                    cooldown_adjust=cooldown_adjust,
-                    max_evaluations=max_evaluations,
-                    keep_history=keep_history,
-                    memory_cap=memory_cap, sim_cache=sim_cache,
-                    robust=robust, cache=cache,
-                )
-        return _plan_impl(
-            profile, num_stages, num_micro_batches,
-            granularity=granularity, comm_mode=comm_mode,
-            cooldown_adjust=cooldown_adjust,
-            max_evaluations=max_evaluations, keep_history=keep_history,
-            memory_cap=memory_cap, sim_cache=sim_cache,
-            robust=robust, cache=cache,
-        )
-    with _obs.session(tel):
-        t0 = tel.clock()
-        result = _plan_impl(
-            profile, num_stages, num_micro_batches,
-            granularity=granularity, comm_mode=comm_mode,
-            cooldown_adjust=cooldown_adjust,
-            max_evaluations=max_evaluations, keep_history=keep_history,
-            memory_cap=memory_cap, sim_cache=sim_cache,
-            robust=robust, cache=cache,
-        )
+    tel = _obs.current()
+    t0 = tel.clock() if tel is not None else 0
+    result = _plan_impl(
+        profile, num_stages, num_micro_batches,
+        granularity=granularity, comm_mode=comm_mode,
+        cooldown_adjust=cooldown_adjust, max_evaluations=max_evaluations,
+        memory_cap=memory_cap, sim_cache=sim_cache, robust=robust,
+        cache=cache,
+    )
+    if tel is not None:
         tel.record_since(
             "planner.plan", t0, depth=num_stages, m=num_micro_batches,
             granularity=granularity,
@@ -497,8 +448,6 @@ def plan_partition(
         tel.add("planner.evaluations", result.evaluations)
         tel.add("planner.search_seconds", result.search_seconds)
         tel.add("planner.incumbent_updates", result.incumbent_updates)
-    if sink_dir is not None:
-        tel.write(sink_dir)
     return result
 
 
@@ -511,7 +460,6 @@ def _plan_impl(
     comm_mode: str,
     cooldown_adjust: bool,
     max_evaluations: int,
-    keep_history: bool,
     memory_cap: Optional[float],
     sim_cache: Optional[SimCache],
     robust: Optional[RobustObjective],
@@ -527,8 +475,8 @@ def _plan_impl(
             profile, num_stages, num_micro_batches,
             granularity=granularity, comm_mode=comm_mode,
             cooldown_adjust=cooldown_adjust,
-            max_evaluations=max_evaluations, keep_history=keep_history,
-            memory_cap=memory_cap, robust=repr(robust),
+            max_evaluations=max_evaluations, memory_cap=memory_cap,
+            robust=repr(robust),
         )
         stored = plan_store.load(store_key, expect=PlannerResult)
         if stored is not None:
@@ -574,8 +522,7 @@ def _plan_impl(
                     times, num_micro_batches, comm_mode=comm_mode
                 ).run()
             scheme_cache[sizes] = sim
-            if keep_history:
-                history.append((sizes, sim.iteration_time))
+            history.append((sizes, sim.iteration_time))
         return sim
 
     seed = tuple(space.balance_table(num_stages).sizes(num_stages))
@@ -620,8 +567,10 @@ def _plan_impl(
         # Time-balance alone may overload a stage (typically the loss
         # head's); seed a second search trajectory from a memory-repaired
         # variant so a feasible optimum is always reachable.
-        repaired = _memory_repair(
-            seed, space, num_micro_batches, memory_cap
+        repaired = shift_repair(
+            seed,
+            lambda sizes: space.stage_memory(sizes, num_micro_batches),
+            memory_cap, space.num_units,
         )
         if repaired is not None and repaired not in enqueued:
             consider(repaired, evaluate(repaired))

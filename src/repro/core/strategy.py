@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 from repro.baselines.common import PlannedConfig, config_memory
 from repro.core.balance_dp import BalanceTable
 from repro.obs import telemetry as _obs
-from repro.core.partition import PartitionScheme
+from repro.core.partition import PartitionScheme, shift_repair
 from repro.core.planner import SimCache, default_sim_cache, plan_partition
 from repro.profiling.modelconfig import ModelProfile
 
@@ -68,27 +68,16 @@ def repair_memory(
     stage to its lighter neighbour, preferring the neighbour with more
     headroom, and gives up (returns ``None``) when no move helps.
     """
-    current = partition
-    cap = profile.hardware.gpu_memory
-    for _ in range(profile.num_blocks):
-        peaks = _peaks(profile, current, dp, num_micro_batches_total, mbs)
-        worst = max(range(len(peaks)), key=lambda s: peaks[s])
-        if peaks[worst] <= cap:
-            return current
-        sizes = list(current.sizes)
-        if sizes[worst] <= 1:
-            return None
-        neighbours = [
-            s for s in (worst - 1, worst + 1)
-            if 0 <= s < len(sizes) and peaks[s] < peaks[worst]
-        ]
-        if not neighbours:
-            return None
-        target = min(neighbours, key=lambda s: peaks[s])
-        sizes[worst] -= 1
-        sizes[target] += 1
-        current = PartitionScheme.from_sizes(sizes)
-    return None
+    sizes = shift_repair(
+        partition.sizes,
+        lambda sizes: _peaks(
+            profile, PartitionScheme.from_sizes(sizes), dp,
+            num_micro_batches_total, mbs,
+        ),
+        profile.hardware.gpu_memory,
+        profile.num_blocks,
+    )
+    return None if sizes is None else PartitionScheme.from_sizes(sizes)
 
 
 def autopipe_config(

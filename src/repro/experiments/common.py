@@ -27,10 +27,8 @@ from repro.core.slicer import make_slice_plan
 from repro.hardware.cluster import Cluster
 from repro.hardware.device import DEFAULT_CLUSTER_HW
 from repro.profiling import ModelProfile, profile_model
-from repro.runtime.trainer import resolve_executor, run_pipeline
+from repro.runtime.trainer import run_pipeline
 from repro.schedules.interleaved import InterleavedInfeasible, build_interleaved
-from repro.sim.analytic import execute_analytic
-from repro.sim.engine import Engine
 from repro.sim.graph_exec import execute_fast
 
 METHODS = ("megatron", "slicer", "planner", "autopipe", "interleaved", "gpipe")
@@ -68,31 +66,23 @@ def run_method(
     num_micro_batches: int,
     *,
     cluster: Optional[Cluster] = None,
-    executor: Optional[str] = None,
 ) -> MethodResult:
     """Execute one method on the DES and classify the outcome.
 
-    ``executor`` rides straight through to :func:`run_pipeline` (and the
-    interleaved branch's direct execution); the default ``None`` resolves
-    to the process-wide ``--executor`` setting.
+    Every method runs on the compiled static-graph executor (bit-identical
+    to the event engine, which it falls back to on graphs it rejects).
     """
     if cluster is None:
         cluster = Cluster(profile.hardware)
-    executor = resolve_executor(executor)
     try:
         if method == "interleaved":
             schedule = build_interleaved(
                 profile, num_stages, num_micro_batches, num_chunks=2
             )
-            devices = cluster.pipeline_devices(num_stages)
-            if executor == "event":
-                execution = Engine(schedule, cluster, device_map=devices).run()
-            elif executor == "analytic":
-                execution = execute_analytic(
-                    schedule, cluster, device_map=devices
-                )
-            else:
-                execution = execute_fast(schedule, cluster, device_map=devices)
+            execution = execute_fast(
+                schedule, cluster,
+                device_map=cluster.pipeline_devices(num_stages),
+            )
         else:
             if method in ("megatron", "slicer", "gpipe"):
                 partition = uniform_partition(profile, num_stages)
@@ -107,17 +97,15 @@ def run_method(
                 execution = run_pipeline(
                     profile, partition, num_micro_batches,
                     schedule="sliced", slice_plan=plan, cluster=cluster,
-                    executor=executor,
                 )
             elif method == "gpipe":
                 execution = run_pipeline(
                     profile, partition, num_micro_batches,
-                    schedule="gpipe", cluster=cluster, executor=executor,
+                    schedule="gpipe", cluster=cluster,
                 )
             else:
                 execution = run_pipeline(
                     profile, partition, num_micro_batches, cluster=cluster,
-                    executor=executor,
                 )
     except (MegatronInfeasible, InterleavedInfeasible):
         return MethodResult(method=method, status=INFEASIBLE)

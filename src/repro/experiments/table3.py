@@ -40,15 +40,8 @@ def run_cell(
     micro_batch_size: int,
     num_gpus: int,
     global_batch_size: int,
-    impl: str = "vector",
 ) -> Dict[str, Optional[ConfigEvaluation]]:
-    """Evaluate all three planners on one (gpus, Gbs) cell.
-
-    ``impl`` selects the DP kernels of the DAPPLE/Piper baselines
-    (``"vector"`` default, ``"scalar"`` reference loops — bit-identical
-    plans, so the table itself never changes; the knob exists for
-    regression triage and the baseline-DP bench).
-    """
+    """Evaluate all three planners on one (gpus, Gbs) cell."""
     train = TrainConfig(
         micro_batch_size=micro_batch_size, global_batch_size=global_batch_size
     )
@@ -56,12 +49,7 @@ def run_cell(
     out: Dict[str, Optional[ConfigEvaluation]] = {}
     for key, planner in PLANNERS.items():
         try:
-            if key == "A":  # autopipe_config has no scalar/vector split
-                config = planner(profile, num_gpus, global_batch_size)
-            else:
-                config = planner(
-                    profile, num_gpus, global_batch_size, impl=impl
-                )
+            config = planner(profile, num_gpus, global_batch_size)
         except RuntimeError:
             out[key] = None
             continue
@@ -81,7 +69,6 @@ def run(
     gpu_counts: Sequence[int] = GPU_COUNTS,
     global_batch_sizes: Sequence[int] = GLOBAL_BATCH_SIZES,
     runner: Optional[SweepRunner] = None,
-    impl: str = "vector",
 ) -> ExperimentResult:
     runner = runner or default_runner()
     result = ExperimentResult(
@@ -91,7 +78,7 @@ def run(
                  *[f"Gbs={g}" for g in global_batch_sizes], "plan"],
     )
     specs = [
-        (MODEL, MICRO_BATCH_SIZE, gpus, gbs, impl)
+        (MODEL, MICRO_BATCH_SIZE, gpus, gbs)
         for gpus in gpu_counts for gbs in global_batch_sizes
     ]
     evaluated = runner.run(run_cell, specs)

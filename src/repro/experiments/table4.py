@@ -33,7 +33,6 @@ def run(
     gpu_counts: Sequence[int] = GPU_COUNTS,
     global_batch_sizes: Sequence[int] = GLOBAL_BATCH_SIZES,
     runner: Optional[SweepRunner] = None,
-    impl: str = "vector",
 ) -> ExperimentResult:
     runner = runner or default_runner()
     result = ExperimentResult(
@@ -42,7 +41,7 @@ def run(
                  *[f"Gbs={g}" for g in global_batch_sizes], "plan"],
     )
     specs = [
-        (model, mbs, gpus, gbs, impl)
+        (model, mbs, gpus, gbs)
         for model, mbs in cases
         for gpus in gpu_counts
         for gbs in global_batch_sizes

@@ -4,14 +4,12 @@ Quickstart::
 
     from repro import obs
 
-    result = exhaustive_partition(profile, 8, 32, telemetry="runs/t0")
-    # runs/t0/ now holds events.jsonl, counters.json, trace.json
-    # (Perfetto-loadable) and summary.txt.
-
-    # or scope a registry yourself:
     tel = obs.Telemetry()
     with obs.session(tel):
-        plan_partition(profile, 4, 16)
+        exhaustive_partition(profile, 8, 32)
+    tel.write("runs/t0")
+    # runs/t0/ now holds events.jsonl, counters.json, trace.json
+    # (Perfetto-loadable) and summary.txt.
     print(tel.summary())
 
 Instrumentation sites call :func:`span` / :func:`add` (or capture
@@ -32,8 +30,6 @@ from repro.obs.telemetry import (
     active,
     add,
     current,
-    disabled,
-    resolve_telemetry,
     session,
     set_current,
     span,
@@ -55,10 +51,8 @@ __all__ = [
     "active",
     "add",
     "current",
-    "disabled",
     "hit_rate",
     "rate",
-    "resolve_telemetry",
     "session",
     "set_current",
     "span",

@@ -242,45 +242,3 @@ class session:
         global _CURRENT
         _CURRENT = self._prev
         return False
-
-
-class disabled:
-    """Scoped removal of the process-wide registry (``telemetry=False``).
-
-    The forced-off contract must hold even when a surrounding session or
-    CLI ``--telemetry`` installed a registry: the wrapped call records
-    nothing anywhere.
-    """
-
-    __slots__ = ("_prev",)
-
-    def __enter__(self) -> None:
-        global _CURRENT
-        self._prev = _CURRENT
-        _CURRENT = None
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        global _CURRENT
-        _CURRENT = self._prev
-        return False
-
-
-def resolve_telemetry(arg) -> Tuple[Optional[Telemetry], Optional[Path]]:
-    """Resolve a ``telemetry=`` argument to ``(registry, sink_dir)``.
-
-    * ``None`` — the process-wide current registry (no sink of its own:
-      whoever installed it owns writing);
-    * ``False`` — telemetry forced off for this call, even when a
-      process-wide registry is installed (mirrors ``cache=False``);
-    * a :class:`Telemetry` — record into it, caller owns the sinks;
-    * a path — a fresh registry whose sinks the callee writes into the
-      directory when the instrumented call completes.
-    """
-    if arg is None:
-        return _CURRENT, None
-    if arg is False:
-        return None, None
-    if isinstance(arg, Telemetry):
-        return arg, None
-    return Telemetry(), Path(arg)

@@ -34,31 +34,6 @@ from repro.sim.graph_exec import execute_fast
 #: instruction) on programs whose dataflow it cannot order.
 EXECUTORS = ("graph", "event", "analytic")
 
-_DEFAULT_EXECUTOR = "graph"
-
-
-def default_executor() -> str:
-    """The executor used when callers pass ``executor=None``."""
-    return _DEFAULT_EXECUTOR
-
-
-def set_default_executor(executor: str) -> str:
-    """Rebind the process-wide executor (CLI ``--executor``)."""
-    global _DEFAULT_EXECUTOR
-    _DEFAULT_EXECUTOR = resolve_executor(executor)
-    return _DEFAULT_EXECUTOR
-
-
-def resolve_executor(executor: Optional[str]) -> str:
-    """Resolve an ``executor=`` argument: ``None`` -> process default."""
-    if executor is None:
-        return _DEFAULT_EXECUTOR
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r} (choose from {EXECUTORS})"
-        )
-    return executor
-
 
 @dataclass(frozen=True)
 class IterationResult:
@@ -118,11 +93,10 @@ def run_pipeline(
 ) -> ExecutionResult:
     """Execute the pipeline portion of one iteration on the DES.
 
-    ``executor`` selects the substrate (default: the process-wide
-    ``--executor`` setting, ``"graph"`` when unset): ``"graph"`` runs
-    the compiled static-graph fast path (bit-identical to the event
-    engine, with an automatic fallback for schedules the compiler
-    rejects); ``"event"`` forces the per-op event loop — useful when
+    ``executor`` selects the substrate (``None`` means ``"graph"``):
+    ``"graph"`` runs the compiled static-graph fast path (bit-identical
+    to the event engine, with an automatic fallback for schedules the
+    compiler rejects); ``"event"`` forces the per-op event loop — useful when
     stepping through a run or comparing executors; ``"analytic"`` runs
     the graph-free clock interpreter, which raises
     :class:`~repro.sim.analytic.AnalyticUnsupported` with a clear
@@ -132,7 +106,12 @@ def run_pipeline(
         cluster = Cluster(profile.hardware)
     built = build_schedule(profile, partition, num_micro_batches, schedule, slice_plan)
     devices = cluster.pipeline_devices(partition.num_stages)
-    executor = resolve_executor(executor)
+    if executor is None:
+        executor = "graph"
+    if executor not in EXECUTORS:
+        raise ValueError(
+            f"unknown executor {executor!r} (choose from {EXECUTORS})"
+        )
     if executor == "graph":
         return execute_fast(built, cluster, device_map=devices)
     if executor == "event":
@@ -156,13 +135,11 @@ def run_iteration(
     schedule: str = "1f1b",
     slice_plan: Optional[SlicePlan] = None,
     cluster: Optional[Cluster] = None,
-    executor: Optional[str] = None,
 ) -> IterationResult:
     """Pipeline + gradient allreduce + optimizer step for one iteration."""
     execution = run_pipeline(
         profile, partition, num_micro_batches,
         schedule=schedule, slice_plan=slice_plan, cluster=cluster,
-        executor=executor,
     )
     params = stage_params(partition, profile)
     reduce_time = max(

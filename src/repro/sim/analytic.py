@@ -117,7 +117,7 @@ class AnalyticUnsupported(RuntimeError):
 #: Relative pad applied to the mid-sweep sieve limit: a column is only
 #: dropped when its lower bound exceeds ``limit`` by more than float
 #: rounding could account for, so optimal candidates always survive —
-#: even under ``prune_slack=1.0`` exactness requirements.
+#: even when the caller's own pruning test allows no slack at all.
 _SIEVE_PAD = 1.0 + 1e-9
 
 #: Only compact the working matrices when the sieve removed at least

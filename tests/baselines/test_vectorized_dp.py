@@ -2,8 +2,9 @@
 
 Hypothesis jitters block profiles (times, params, stash, workspace),
 communication cost, device memory and cluster shape, then asserts the
-``impl="vector"`` planners return plans *identical* to the scalar loops:
-same partition, same replica vector, bitwise-equal predicted time, same
+planners (which fill their DP tables with ``_fill_vector``) return plans
+*identical* to the same planners run on the scalar reference loops
+(``_fill_scalar`` patched in for ``_fill_vector``): same partition, same replica vector, bitwise-equal predicted time, same
 notes — or the very same infeasibility error.  Squeezed memory factors
 exercise the feasibility masks; the tie-prone jitter range exercises the
 first-win argmin tie-breaks.
@@ -11,9 +12,12 @@ first-win argmin tie-breaks.
 
 import dataclasses
 import random
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines import dapple, piper
 from repro.baselines.dapple import plan_dapple
 from repro.baselines.piper import plan_piper, tp_widths
 from repro.experiments.common import make_profile
@@ -56,6 +60,12 @@ def _outcome(planner, profile, num_gpus, gbs):
     return (cfg.partition, cfg.replicas, cfg.predicted, cfg.notes)
 
 
+def _scalar_outcome(module, planner, profile, num_gpus, gbs):
+    """The planner's outcome with the scalar reference fill swapped in."""
+    with mock.patch.object(module, "_fill_vector", module._fill_scalar):
+        return _outcome(planner, profile, num_gpus, gbs)
+
+
 plan_case = dict(
     model=st.sampled_from([GPT2_345M, BERT_LARGE]),
     mbs=st.sampled_from([4, 8, 32]),
@@ -76,14 +86,8 @@ class TestPiperEquivalence:
         profile = _jittered(model, mbs, m, seed, mem_factor, nodes, per_node)
         gbs = mbs * m
         num_gpus = data.draw(st.integers(1, nodes * per_node))
-        scalar = _outcome(
-            lambda p, g, b: plan_piper(p, g, b, impl="scalar"),
-            profile, num_gpus, gbs,
-        )
-        vector = _outcome(
-            lambda p, g, b: plan_piper(p, g, b, impl="vector"),
-            profile, num_gpus, gbs,
-        )
+        scalar = _scalar_outcome(piper, plan_piper, profile, num_gpus, gbs)
+        vector = _outcome(plan_piper, profile, num_gpus, gbs)
         assert scalar == vector
 
     def test_tp_widths_are_node_divisors(self):
@@ -101,12 +105,13 @@ class TestDappleEquivalence:
         profile = _jittered(model, mbs, m, seed, mem_factor, nodes, per_node)
         gbs = mbs * m
         num_gpus = data.draw(st.integers(2, nodes * per_node))
-        scalar = _outcome(
-            lambda p, g, b: plan_dapple(p, g, b, impl="scalar"),
-            profile, num_gpus, gbs,
-        )
-        vector = _outcome(
-            lambda p, g, b: plan_dapple(p, g, b, impl="vector"),
-            profile, num_gpus, gbs,
-        )
+        scalar = _scalar_outcome(dapple, plan_dapple, profile, num_gpus, gbs)
+        vector = _outcome(plan_dapple, profile, num_gpus, gbs)
         assert scalar == vector
+
+
+@pytest.mark.parametrize("planner", [plan_piper, plan_dapple])
+def test_impl_keyword_removed(planner):
+    profile = _jittered(GPT2_345M, 4, 8, 0, 1.0, 1, 4)
+    with pytest.raises(TypeError, match="impl"):
+        planner(profile, 4, 32, impl="scalar")

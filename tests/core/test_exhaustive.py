@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import exhaustive
 from repro.core.exhaustive import (
     count_partitions,
     exhaustive_partition,
@@ -53,23 +54,24 @@ class TestEnumeration:
             count_partitions(3, 0)
         assert_rejects_bad_counts(
             exhaustive_partition, tiny_profile, BAD_COUNTS + [
-                ("chunk_size", True, TypeError),
-                ("chunk_size", 1.5, TypeError),
-                ("chunk_size", 0, ValueError),
                 ("jobs", 2, ValueError),
                 ("jobs", 0, ValueError),
                 ("jobs", True, TypeError),
+                # Removed tuning keywords: the constants are the only
+                # behaviour.
+                ("prune_slack", 1.0, TypeError),
+                ("chunk_size", 64, TypeError),
+                ("planner_warm_start", True, TypeError),
+                ("telemetry", False, TypeError),
             ],
         )
         # numpy integers are integers.
-        ref = exhaustive_partition(tiny_profile, 3, 8, chunk_size=64)
-        res = exhaustive_partition(
-            tiny_profile, np.int64(3), np.int32(8), chunk_size=np.int64(64)
-        )
+        ref = exhaustive_partition(tiny_profile, 3, 8)
+        res = exhaustive_partition(tiny_profile, np.int64(3), np.int32(8))
         assert res.partition == ref.partition
         assert res.iteration_time == ref.iteration_time
         # jobs=1, the only accepted value, still searches.
-        one = exhaustive_partition(tiny_profile, 3, 8, chunk_size=64, jobs=1)
+        one = exhaustive_partition(tiny_profile, 3, 8, jobs=1)
         assert one.partition == ref.partition
         assert one.iteration_time == ref.iteration_time
 
@@ -179,12 +181,15 @@ class TestPrunedSearchExact:
         assert pruned.iteration_time == brute.iteration_time
         assert pruned.partition.stages == brute.partition.stages
 
-    def test_planner_warm_start_preserves_argmin(self):
+    def test_planner_warm_start_preserves_argmin(self, monkeypatch):
         fwd = [0.8, 1.2, 1.0, 0.7, 1.1, 0.9, 1.3, 0.6, 1.0, 0.8]
         bwd = [1.6, 2.1, 1.9, 1.5, 2.2, 1.8, 2.4, 1.3, 2.0, 1.7]
         prof = make_profile(fwd, bwd, 0.05)
-        base = exhaustive_partition(prof, 4, 6, planner_warm_start=False)
-        warm = exhaustive_partition(prof, 4, 6, planner_warm_start=True)
+        # The 84-candidate space is far below the warm-start threshold;
+        # lowering the threshold to 1 turns the planner seed on.
+        base = exhaustive_partition(prof, 4, 6)
+        monkeypatch.setattr(exhaustive, "_WARM_START_MIN_SPACE", 1)
+        warm = exhaustive_partition(prof, 4, 6)
         brute = exhaustive_partition(prof, 4, 6, prune=False)
         for res in (base, warm):
             assert res.iteration_time == brute.iteration_time
@@ -192,24 +197,34 @@ class TestPrunedSearchExact:
 
 
 class TestPruneSlack:
-    def test_rejects_invalid_slack(self, tiny_profile):
-        for bad in (0.0, 0.5, float("nan"), float("inf"), -1.0):
-            with pytest.raises(ValueError, match="prune_slack"):
-                exhaustive_partition(tiny_profile, 3, 6, prune_slack=bad)
+    """The pruning slack is the module constant ``_PRUNE_SLACK``; the
+    searches read it at call time, so patching it studies tightness."""
 
-    def test_exact_at_default_slack(self, tiny_profile):
+    def test_rejects_invalid_slack(self, tiny_profile):
+        # The slack is no longer an argument: any value, valid or not,
+        # is an unknown keyword.  The constant itself is a valid slack.
+        for bad in (0.0, 0.5, float("nan"), float("inf"), -1.0, 1.0):
+            with pytest.raises(TypeError, match="prune_slack"):
+                exhaustive_partition(tiny_profile, 3, 6, prune_slack=bad)
+        assert 1.0 <= exhaustive._PRUNE_SLACK < float("inf")
+
+    def test_exact_at_default_slack(self, tiny_profile, monkeypatch):
         brute = exhaustive_partition(tiny_profile, 3, 6, prune=False)
-        tight = exhaustive_partition(tiny_profile, 3, 6, prune_slack=1.0)
-        assert tight.iteration_time == brute.iteration_time
-        assert tight.partition.sizes == brute.partition.sizes
+        default = exhaustive_partition(tiny_profile, 3, 6)
+        monkeypatch.setattr(exhaustive, "_PRUNE_SLACK", 1.0)
+        tight = exhaustive_partition(tiny_profile, 3, 6)
+        for res in (default, tight):
+            assert res.iteration_time == brute.iteration_time
+            assert res.partition.sizes == brute.partition.sizes
 
     def test_loose_slack_prunes_more_never_worse_than_slack(
-        self, tiny_profile
+        self, tiny_profile, monkeypatch
     ):
         """With slack s the returned time is within s of the optimum (the
         incumbent is only ever discarded against bound * s)."""
         brute = exhaustive_partition(tiny_profile, 4, 8, prune=False)
         for slack in (1.05, 1.25):
-            loose = exhaustive_partition(tiny_profile, 4, 8, prune_slack=slack)
+            monkeypatch.setattr(exhaustive, "_PRUNE_SLACK", slack)
+            loose = exhaustive_partition(tiny_profile, 4, 8)
             assert loose.evaluations <= brute.evaluations
             assert loose.iteration_time <= brute.iteration_time * slack

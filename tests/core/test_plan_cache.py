@@ -98,9 +98,7 @@ class TestKeying:
         cache = PlanCache(tmp_path)
         profile = _profile()
         a = exhaustive_partition(profile, 4, 8, cache=cache)
-        b = exhaustive_partition(
-            profile, 4, 8, planner_warm_start=True, cache=cache
-        )
+        b = exhaustive_partition(profile, 4, 8, prune=False, cache=cache)
         assert len(cache) == 2
         assert a.partition.sizes == b.partition.sizes  # same argmin
 
@@ -113,8 +111,10 @@ class TestKeying:
     def test_schema_2_entry_is_a_miss(self, tmp_path, monkeypatch):
         """Entries written before ``ExhaustiveResult`` changed shape never
         replay: schema "2" (keyed with the since-deleted ``incremental``/
-        ``scorer`` knobs) and schema "3" (results that still carried
-        worker-process fields) both miss, and the search re-solves."""
+        ``scorer`` knobs), schema "3" (results that still carried
+        worker-process fields) and schema "4" (keyed with the
+        since-removed warm-start, chunk and slack settings) all miss, and
+        the search re-solves."""
         import dataclasses
 
         import repro.core.plan_cache as pc
@@ -126,7 +126,7 @@ class TestKeying:
             comm_mode="paper", prune=True, planner_warm_start=None,
             chunk_size=1024, prune_slack=1.0 + 1e-9, robust=repr(None),
         )
-        for schema in ("2", "3"):
+        for schema in ("2", "3", "4"):
             cache = PlanCache(tmp_path / schema)
             with monkeypatch.context() as patch:
                 patch.setattr(pc, "_SCHEMA", schema)

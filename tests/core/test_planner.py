@@ -47,14 +47,23 @@ class TestPlanQuality:
         assert planned.search_seconds > 0
 
     def test_history_collection(self, gpt2_profile):
-        planned = plan_partition(gpt2_profile, 4, 8, keep_history=True)
+        planned = plan_partition(gpt2_profile, 4, 8)
         assert len(planned.history) == planned.evaluations
+        sizes = [s for s, _ in planned.history]
+        assert len(set(sizes)) == len(sizes)
+        assert (planned.partition.sizes, planned.iteration_time) in (
+            planned.history
+        )
 
     def test_invalid_args(self, tiny_profile):
         assert_rejects_bad_counts(plan_partition, tiny_profile, BAD_COUNTS + [
             ("jobs", 2, ValueError),
             ("jobs", 0, ValueError),
             ("jobs", True, TypeError),
+            # Removed keywords: history is always kept, telemetry goes
+            # through the current registry.
+            ("keep_history", True, TypeError),
+            ("telemetry", False, TypeError),
         ])
         ref = plan_partition(tiny_profile, 3, 8)
         res = plan_partition(tiny_profile, np.int64(3), np.int32(8))

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import HardwareConfig, ModelConfig, TrainConfig
 from repro.core.analytic_sim import PipelineSim, PipelineSimBatch
+from repro.core import exhaustive
 from repro.core.exhaustive import exhaustive_partition
 from repro.core.partition import StageTimes
 from repro.models.blocks import Block, BlockKind
@@ -132,13 +133,16 @@ class TestPrunedMatchesBruteForce:
     @settings(max_examples=20, deadline=None)
     @given(st.data())
     def test_small_chunks_change_nothing(self, data):
-        """Chunked flushing must not affect the argmin (order independence)."""
+        """Chunked sweeps must not affect the argmin (order independence):
+        a one-column kernel sweep block gives the default block's answer."""
         n = data.draw(st.integers(min_value=5, max_value=8))
         p = data.draw(st.integers(min_value=2, max_value=4))
         fwd = [data.draw(_TIE_HEAVY) for _ in range(n)]
         bwd = [data.draw(_TIE_HEAVY) for _ in range(n)]
         profile = make_profile(fwd, bwd, 0.25)
-        big = exhaustive_partition(profile, p, 4, chunk_size=1024)
-        tiny = exhaustive_partition(profile, p, 4, chunk_size=1)
+        big = exhaustive_partition(profile, p, 4)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exhaustive, "_ANALYTIC_BLOCK", 1)
+            tiny = exhaustive_partition(profile, p, 4)
         assert tiny.partition.sizes == big.partition.sizes
         assert tiny.iteration_time == big.iteration_time

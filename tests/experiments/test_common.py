@@ -34,6 +34,24 @@ class TestRunMethod:
         r = run_method("interleaved", profile, 3, 6)
         assert r.status == OK
 
+    def test_interleaved_matches_event_engine(self, profile):
+        from repro.hardware.cluster import Cluster
+        from repro.schedules.interleaved import build_interleaved
+        from repro.sim.engine import Engine
+
+        cluster = Cluster(profile.hardware)
+        schedule = build_interleaved(profile, 3, 6, num_chunks=2)
+        ref = Engine(
+            schedule, cluster, device_map=cluster.pipeline_devices(3)
+        ).run()
+        r = run_method("interleaved", profile, 3, 6)
+        assert r.iteration_seconds == ref.iteration_time
+        assert r.startup_seconds == ref.first_forward_start(2)
+
+    def test_executor_keyword_removed(self, profile):
+        with pytest.raises(TypeError, match="executor"):
+            run_method("megatron", profile, 3, 6, executor="event")
+
     def test_megatron_infeasible_depth(self, profile):
         # TINY has 6 layers; 4 does not divide 6.
         r = run_method("megatron", profile, 4, 8)

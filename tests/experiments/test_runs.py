@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.experiments import fig9, fig10, fig13, fig14, table3, table4
+from repro.experiments import (
+    deep_pipeline,
+    fig9,
+    fig10,
+    fig13,
+    fig14,
+    table3,
+    table4,
+)
 from repro.models.zoo import GPT2_345M, GPT2_762M
 
 
@@ -34,6 +42,24 @@ class TestFig14Run:
         assert len(result.rows) == 1
         result_b = fig14.run_b(stage_counts=(2,))
         assert len(result_b.rows) == 1
+
+
+class TestDeepPipelineRun:
+    def test_compile_column_and_one_off_speedup(self, monkeypatch):
+        monkeypatch.setattr(deep_pipeline, "DEPTHS", (2,))
+        result = deep_pipeline.run()
+        headers = result.headers
+        assert headers.index("compile (ms)") < headers.index("compiled (ms)")
+        assert len(result.rows) == 3  # 1f1b, sliced, interleaved
+        for row in result.rows:
+            cells = dict(zip(headers, row))
+            assert cells["compile (ms)"] > 0
+            assert cells["compiled (ms)"] > 0
+            # One event run against compile plus one compiled run: the
+            # ratio is below the warm-run ratio by construction.
+            assert 0 <= cells["speedup"] < (
+                cells["event (ms)"] / cells["compiled (ms)"] + 0.1
+            )
 
 
 class TestTableRuns:

@@ -1,7 +1,8 @@
 """Telemetry can never change a plan: on vs off bit-identity.
 
 Every search entry point runs twice — once with no registry installed,
-once recording into a fresh :class:`~repro.obs.Telemetry` — and the
+once recording into a fresh :class:`~repro.obs.Telemetry` installed
+with :func:`repro.obs.session` — and the
 returned partitions, iteration times, argmins and tie-breaks must match
 bit for bit.  The counters the instrumented run folds must equal the
 result object's own fields exactly (they are folded *from* those
@@ -11,10 +12,19 @@ fields, so disagreement means double counting).
 import pytest
 
 from repro import obs
+from repro.core import exhaustive
 from repro.core.exhaustive import exhaustive_partition
 from repro.core.planner import SimCache, plan_partition
 from repro.robustness.evaluate import RobustObjective
 from repro.robustness.perturbation import StageCostNoise
+
+
+def _recorded(search, *args, **kwargs):
+    """``(registry, result)`` of one search recorded in a fresh session."""
+    tel = obs.Telemetry()
+    with obs.session(tel):
+        result = search(*args, **kwargs)
+    return tel, result
 
 
 def _assert_same_plan(a, b):
@@ -29,18 +39,16 @@ class TestPlannerBitIdentity:
         off = plan_partition(
             tiny_profile, 4, 16, granularity=granularity, cache=False,
         )
-        tel = obs.Telemetry()
-        on = plan_partition(
-            tiny_profile, 4, 16, granularity=granularity, cache=False,
-            telemetry=tel,
+        _, on = _recorded(
+            plan_partition, tiny_profile, 4, 16, granularity=granularity,
+            cache=False,
         )
         _assert_same_plan(off, on)
         assert on.incumbent_updates == off.incumbent_updates
 
     def test_counters_fold_from_result_fields(self, tiny_profile):
-        tel = obs.Telemetry()
-        result = plan_partition(tiny_profile, 4, 16, cache=False,
-                                telemetry=tel)
+        tel, result = _recorded(plan_partition, tiny_profile, 4, 16,
+                                cache=False)
         assert tel.counters["planner.plans"] == 1
         assert tel.counters["planner.evaluations"] == result.evaluations
         assert tel.counters["planner.search_seconds"] == (
@@ -52,19 +60,26 @@ class TestPlannerBitIdentity:
 
     def test_sim_cache_counters_match_cache_deltas(self, tiny_profile):
         cache = SimCache()
-        tel = obs.Telemetry()
-        plan_partition(tiny_profile, 4, 16, sim_cache=cache, cache=False,
-                       telemetry=tel)
+        tel, _ = _recorded(plan_partition, tiny_profile, 4, 16,
+                           sim_cache=cache, cache=False)
         assert tel.counters["planner.sim_cache.hits"] == cache.hits
         assert tel.counters["planner.sim_cache.misses"] == cache.misses
 
     def test_telemetry_false_forces_off(self, tiny_profile):
+        """Uninstalling the registry inside an outer session turns
+        recording off for the calls it wraps; the plan is unchanged."""
+        ref = plan_partition(tiny_profile, 4, 8, cache=False)
         tel = obs.Telemetry()
         with obs.session(tel):
-            off = plan_partition(tiny_profile, 4, 8, cache=False,
-                                 telemetry=False)
+            obs.set_current(None)
+            try:
+                off = plan_partition(tiny_profile, 4, 8, cache=False)
+            finally:
+                obs.set_current(tel)
         assert tel.events == [] and tel.counters == {}
-        assert off.partition is not None
+        _assert_same_plan(ref, off)
+        with pytest.raises(TypeError, match="telemetry"):
+            plan_partition(tiny_profile, 4, 8, cache=False, telemetry=False)
 
     def test_session_scoped_recording(self, tiny_profile):
         tel = obs.Telemetry()
@@ -83,17 +98,15 @@ class TestOracleBitIdentity:
     def test_search_identical_on_vs_off(self, tiny_profile, mode):
         kwargs = self.MODES[mode]
         off = exhaustive_partition(tiny_profile, 3, 8, cache=False, **kwargs)
-        tel = obs.Telemetry()
-        on = exhaustive_partition(tiny_profile, 3, 8, cache=False,
-                                  telemetry=tel, **kwargs)
+        _, on = _recorded(exhaustive_partition, tiny_profile, 3, 8,
+                          cache=False, **kwargs)
         _assert_same_plan(off, on)
         assert on.pruned == off.pruned
         assert on.dominance_pruned == off.dominance_pruned
 
     def test_counters_fold_from_result_fields(self, tiny_profile):
-        tel = obs.Telemetry()
-        result = exhaustive_partition(tiny_profile, 3, 8, cache=False,
-                                      telemetry=tel)
+        tel, result = _recorded(exhaustive_partition, tiny_profile, 3, 8,
+                                cache=False)
         assert tel.counters["oracle.searches"] == 1
         assert tel.counters["oracle.evaluations"] == result.evaluations
         assert tel.counters["oracle.space"] == result.space
@@ -106,31 +119,32 @@ class TestOracleBitIdentity:
         )
 
     def test_search_span_carries_mode_and_space(self, tiny_profile):
-        tel = obs.Telemetry()
-        result = exhaustive_partition(tiny_profile, 3, 8, cache=False,
-                                      telemetry=tel)
+        tel, result = _recorded(exhaustive_partition, tiny_profile, 3, 8,
+                                cache=False)
         (span,) = [e for e in tel.events if e[0] == "oracle.search"]
         assert span[4]["mode"] == "analytic"
         assert span[4]["space"] == result.space
 
-    def test_robust_identical_on_vs_off(self, tiny_profile):
-        self._check_robust(tiny_profile, prune=True)
+    def test_robust_identical_on_vs_off(self, tiny_profile, monkeypatch):
+        self._check_robust(tiny_profile, monkeypatch, prune=True)
 
-    def test_robust_enumeration_identical_on_vs_off(self, tiny_profile):
-        self._check_robust(tiny_profile, prune=False)
+    def test_robust_enumeration_identical_on_vs_off(
+        self, tiny_profile, monkeypatch
+    ):
+        self._check_robust(tiny_profile, monkeypatch, prune=False)
 
     @staticmethod
-    def _check_robust(tiny_profile, prune):
+    def _check_robust(tiny_profile, monkeypatch, prune):
         objective = RobustObjective(
             models=(StageCostNoise(sigma=0.05),), draws=16, seed=3,
         )
         # A 16-row chunk makes the bound-pruned path's first sweep a
         # single candidate, so the bounds prune the rest of the space.
-        kwargs = dict(robust=objective, prune=prune, chunk_size=16)
+        monkeypatch.setattr(exhaustive, "_DEFAULT_CHUNK", 16)
+        kwargs = dict(robust=objective, prune=prune)
         off = exhaustive_partition(tiny_profile, 3, 8, cache=False, **kwargs)
-        tel = obs.Telemetry()
-        on = exhaustive_partition(tiny_profile, 3, 8, cache=False,
-                                  telemetry=tel, **kwargs)
+        tel, on = _recorded(exhaustive_partition, tiny_profile, 3, 8,
+                            cache=False, **kwargs)
         _assert_same_plan(off, on)
         assert on.robust_value == off.robust_value
         assert on.pruned == off.pruned
@@ -159,25 +173,12 @@ class TestOracleBitIdentity:
 
 
 class TestSinkDirectory:
-    def test_path_argument_writes_all_sinks(self, tiny_profile, tmp_path):
-        import json
-
-        run = tmp_path / "run"
-        result = exhaustive_partition(tiny_profile, 3, 8, cache=False,
-                                      telemetry=run)
-        for name in ("events.jsonl", "counters.json", "trace.json",
-                     "summary.txt"):
-            assert (run / name).exists(), name
-        counters = json.loads((run / "counters.json").read_text())["counters"]
-        assert counters["oracle.evaluations"] == result.evaluations
-        summary = (run / "summary.txt").read_text()
-        assert f"oracle.space  " in summary or "oracle.space" in summary
-
     def test_summary_counters_match_result_exactly(self, tiny_profile,
                                                    tmp_path):
         run = tmp_path / "run"
-        result = exhaustive_partition(tiny_profile, 3, 8, cache=False,
-                                      telemetry=run)
+        tel, result = _recorded(exhaustive_partition, tiny_profile, 3, 8,
+                                cache=False)
+        tel.write(run)
         summary = (run / "summary.txt").read_text()
         assert f"{result.evaluations}" in summary
         assert f"{result.space}" in summary

@@ -119,27 +119,6 @@ class TestSession:
             obs.set_current(None)
 
 
-class TestResolveTelemetry:
-    def test_none_resolves_to_current(self):
-        tel = obs.Telemetry()
-        with obs.session(tel):
-            assert obs.resolve_telemetry(None) == (tel, None)
-        assert obs.resolve_telemetry(None) == (None, None)
-
-    def test_false_forces_off(self):
-        with obs.session(obs.Telemetry()):
-            assert obs.resolve_telemetry(False) == (None, None)
-
-    def test_instance_passes_through(self):
-        tel = obs.Telemetry()
-        assert obs.resolve_telemetry(tel) == (tel, None)
-
-    def test_path_makes_fresh_registry(self, tmp_path):
-        tel, sink = obs.resolve_telemetry(tmp_path / "run")
-        assert isinstance(tel, obs.Telemetry)
-        assert sink == tmp_path / "run"
-
-
 class TestSinks:
     def _run(self):
         tel = obs.Telemetry(label="main")

@@ -81,7 +81,7 @@ def _case(draw, max_blocks=12, min_depth=1):
     comm = draw(st.sampled_from([0.0, 0.25, 1.0]))
     m = draw(st.integers(1, 12))
     objective = draw(_objective(depth))
-    # chunk_size sets the first sweep's width (chunk_size // draws
+    # The chunk constant sets the first sweep's width (chunk // draws
     # candidates); a narrow first sweep makes the bounds do the work.
     chunk = draw(st.sampled_from([1, objective.draws, 1024]))
     return make_profile(fwd, bwd, comm), depth, m, objective, chunk
@@ -100,10 +100,12 @@ class TestRobustOracle:
             profile, depth, m, robust=objective, prune=False,
             comm_mode=comm_mode, cache=False,
         )
-        pruned = exhaustive_partition(
-            profile, depth, m, robust=objective, comm_mode=comm_mode,
-            chunk_size=chunk, cache=False,
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exhaustive, "_DEFAULT_CHUNK", chunk)
+            pruned = exhaustive_partition(
+                profile, depth, m, robust=objective, comm_mode=comm_mode,
+                cache=False,
+            )
         assert pruned.partition.sizes == spec.partition.sizes
         assert _hex(pruned) == _hex(spec)
         assert pruned.iteration_time == spec.iteration_time
@@ -126,9 +128,10 @@ class TestRobustOracle:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(exhaustive, "_ROBUST_HELD", held)
             patch.setattr(robust_evaluate, "_MAX_ROWS", rows)
+            patch.setattr(exhaustive, "_DEFAULT_CHUNK", chunk)
             pruned = exhaustive_partition(
                 profile, depth, m, robust=objective, comm_mode=comm_mode,
-                chunk_size=chunk, cache=False,
+                cache=False,
             )
         assert pruned.partition.sizes == spec.partition.sizes
         assert _hex(pruned) == _hex(spec)
@@ -159,13 +162,17 @@ class TestRobustOracle:
         assert _hex(pruned) == _hex(spec)
 
     @pytest.mark.parametrize("statistic", _STATISTICS)
-    def test_bounds_prune_most_of_the_space(self, tiny_profile, statistic):
+    def test_bounds_prune_most_of_the_space(
+        self, tiny_profile, statistic, monkeypatch
+    ):
         objective = RobustObjective(
             (StageCostNoise(0.1), Straggler(2.0, probability=0.3)),
             draws=32, seed=5, statistic=statistic,
         )
+        # A 32-row chunk makes the first sweep a single candidate.
+        monkeypatch.setattr(exhaustive, "_DEFAULT_CHUNK", 32)
         result = exhaustive_partition(
-            tiny_profile, 3, 6, robust=objective, chunk_size=32, cache=False,
+            tiny_profile, 3, 6, robust=objective, cache=False,
         )
         spec = exhaustive_partition(
             tiny_profile, 3, 6, robust=objective, prune=False, cache=False,
@@ -193,12 +200,9 @@ def _assert_matches_replay(profile, depth, m, objective, **kwargs):
     nominal planner is unchanged), and the same replay scored with
     :func:`robust_objective_value` must give the robust plan.
     """
-    nominal = plan_partition(
-        profile, depth, m, keep_history=True, cache=False, **kwargs
-    )
+    nominal = plan_partition(profile, depth, m, cache=False, **kwargs)
     result = plan_partition(
-        profile, depth, m, robust=objective, keep_history=True,
-        cache=False, **kwargs
+        profile, depth, m, robust=objective, cache=False, **kwargs
     )
     space = _UnitSpace(profile, "sublayer")
     cap = kwargs.get("memory_cap")

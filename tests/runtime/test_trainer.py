@@ -53,6 +53,20 @@ class TestRunIteration:
         result = run_iteration(tiny_profile, partition, 6)
         assert result.optimizer_seconds > 0
 
+    def test_executor_keyword_removed(self, tiny_profile, partition):
+        """``run_iteration`` always runs the compiled graph; only
+        ``run_pipeline`` still takes ``executor=`` (``None`` = graph)."""
+        with pytest.raises(TypeError, match="executor"):
+            run_iteration(tiny_profile, partition, 6, executor="event")
+        default = run_pipeline(tiny_profile, partition, 6)
+        graph = run_pipeline(tiny_profile, partition, 6, executor="graph")
+        event = run_pipeline(tiny_profile, partition, 6, executor="event")
+        assert default.iteration_time == graph.iteration_time
+        assert default.iteration_time == event.iteration_time
+        assert run_iteration(tiny_profile, partition, 6).pipeline_seconds == (
+            event.iteration_time
+        )
+
 
 class TestMetrics:
     def test_speedup(self):

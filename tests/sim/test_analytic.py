@@ -386,9 +386,8 @@ def test_oracle_identical_argmin_and_tiebreaks(
             (rng.uniform(0.5, 4.0), rng.uniform(0.8, 6.0)) for _ in range(n)
         ]
     prof = _synthetic_profile(costs, comm)
-    kw = dict(comm_mode=comm_mode, planner_warm_start=False)
-    ana = exhaustive_partition(prof, p, m, **kw)
-    bru = exhaustive_partition(prof, p, m, prune=False, **kw)
+    ana = exhaustive_partition(prof, p, m, comm_mode=comm_mode)
+    bru = exhaustive_partition(prof, p, m, prune=False, comm_mode=comm_mode)
     assert ana.partition.sizes == bru.partition.sizes
     assert ana.iteration_time == bru.iteration_time
     assert ana.evaluations <= bru.evaluations

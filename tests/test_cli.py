@@ -73,6 +73,12 @@ class TestPlanFlags:
                 main(argv)
             assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_executor_flag_removed(self, capsys):
+        """``--executor`` is gone: pipeline runs use the compiled graph."""
+        with pytest.raises(SystemExit):
+            main(["list", "--executor", "event"])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_plan_cache_dir_binds_default(self, tmp_path):
         from repro.core.plan_cache import (
             default_plan_cache,
@@ -132,6 +138,53 @@ class TestPlanSubcommand:
         out = capsys.readouterr().out
         assert "telemetry summary" in out
         assert "oracle.search" in out
+
+    @pytest.mark.parametrize("oracle", [False, True],
+                             ids=["planner", "oracle"])
+    def test_plan_telemetry_counters_match_printed_evaluations(
+        self, tmp_path, capsys, oracle
+    ):
+        import json
+        import re
+
+        run = tmp_path / "run"
+        argv = ["plan", "--stages", "3", "--micro-batches", "8",
+                "--telemetry", str(run)] + (["--oracle"] if oracle else [])
+        assert main(argv) == 0
+        for name in ("events.jsonl", "counters.json", "trace.json",
+                     "summary.txt"):
+            assert (run / name).exists(), name
+        out = capsys.readouterr().out
+        printed = int(re.search(r"^evaluations: (\d+)", out, re.M).group(1))
+        layer = "oracle" if oracle else "planner"
+        counters = json.loads((run / "counters.json").read_text())["counters"]
+        assert counters[f"{layer}.evaluations"] == printed
+        assert f"{layer}.evaluations" in (run / "summary.txt").read_text()
+        names = {json.loads(line).get("name")
+                 for line in (run / "events.jsonl").read_text().splitlines()}
+        assert f"{layer}.{'search' if oracle else 'plan'}" in names
+        from repro import obs
+
+        assert obs.current() is None  # the session ended with the call
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--stages", "0", "--micro-batches", "4"], "--stages must be >= 1"),
+        (["--stages", "2", "--micro-batches", "0"],
+         "--micro-batches must be >= 1"),
+        (["--stages", "2", "--micro-batches", "4", "--micro-batch-size", "0"],
+         "--micro-batch-size must be >= 1"),
+        (["--stages", "99", "--micro-batches", "4"], "99 stages exceed"),
+        (["--stages", "12", "--micro-batches", "4", "--oracle"],
+         "exceeds max_evaluations"),
+    ], ids=["stages", "micro-batches", "micro-batch-size", "too-deep",
+            "oracle-space"])
+    def test_plan_usage_errors(self, capsys, argv, message):
+        """Bad counts and infeasible searches are usage errors (exit 2
+        naming the problem), not tracebacks."""
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_plan_unknown_model_errors(self):
         with pytest.raises(SystemExit):
