@@ -31,7 +31,7 @@ from repro.hardware.cluster import Cluster
 from repro.models.zoo import BERT_LARGE, GPT2_345M
 from repro.runtime.trainer import build_schedule
 from repro.sim.engine import Engine
-from repro.sim.graph_exec import compile_graph, run_batch
+from repro.sim.graph_exec import clear_templates, compile_graph, run_batch
 
 DEPTHS = (2, 4, 8, 12)
 #: depths for the compiled-vs-event comparison (128-layer deep model).
@@ -200,6 +200,46 @@ def test_bench_compiled_vs_event(benchmark):
     assert max(deep_speedups) >= 5.0, (
         f"compiled executor speedup at depth>=32 fell to "
         f"{max(deep_speedups):.1f}x (< 5x acceptance bar)"
+    )
+
+
+def test_template_hit_beats_cold_compile():
+    """A warm shape-template hit vs a cold compile, 1F1B at d16/m64.
+
+    Both time ``build_schedule`` + ``compile_graph`` (no execution).  A
+    cold compile emits, lowers and walks the schedule and builds its
+    structure; a hit of the same shape with a second model's costs only
+    gathers a cost table.  Assert-only: no ``BENCH_engine.json`` row.
+    """
+    depth, m = 16, 64
+    profiles = [
+        make_profile(DEEP_GPT, mbs, m, hardware=DEEP_HW) for mbs in (4, 2)
+    ]
+    cluster = Cluster(profiles[0].hardware)
+    devices = cluster.pipeline_devices(depth)
+    partitions = [uniform_partition(p, depth) for p in profiles]
+
+    def compile_one(i: int) -> float:
+        t0 = time.perf_counter()
+        compile_graph(
+            build_schedule(profiles[i], partitions[i], m), cluster,
+            device_map=devices,
+        )
+        return time.perf_counter() - t0
+
+    cold = hit = float("inf")
+    for _ in range(3):
+        clear_templates()
+        cold = min(cold, compile_one(0))
+        for _ in range(5):
+            hit = min(hit, compile_one(1))
+    print(
+        f"\ntemplate d{depth}/m{m}: cold {cold * 1e3:.2f} ms, "
+        f"hit {hit * 1e3:.3f} ms ({cold / hit:.0f}x)"
+    )
+    assert hit * 5 <= cold, (
+        f"template hit {hit * 1e3:.3f} ms is not 5x faster than a cold "
+        f"compile ({cold * 1e3:.2f} ms)"
     )
 
 

@@ -19,8 +19,9 @@ deadlock instead of hanging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from numbers import Integral
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 #: A schedule unit: (micro_batch, half) where half is -1 (whole), 0 or 1.
 Unit = Tuple[int, int]
@@ -36,6 +37,34 @@ class ScheduleMutationError(RuntimeError):
     executors detect the mutation via :meth:`Schedule.identity_signature`
     and raise this instead.  Build a fresh :class:`Schedule` per variant.
     """
+
+
+def check_micro_batches(num_micro_batches: object) -> int:
+    """``num_micro_batches`` as a positive int, or a ``ValueError``.
+
+    Builders key their shape on the count, so a float that compares equal
+    to an int (``4.0``) or a ``bool`` must not pass for one.
+    """
+    if isinstance(num_micro_batches, bool) or not isinstance(
+        num_micro_batches, Integral
+    ):
+        raise ValueError(
+            f"num_micro_batches must be an integer, got {num_micro_batches!r}"
+        )
+    if num_micro_batches <= 0:
+        raise ValueError(
+            f"num_micro_batches must be at least 1, got {num_micro_batches}"
+        )
+    return int(num_micro_batches)
+
+
+def _check_placement(programs: List[List[object]]) -> None:
+    for dev, program in enumerate(programs):
+        for op in program:
+            if isinstance(op, CommOp) and op.device != dev:
+                raise ValueError(
+                    f"CommOp for device {op.device} placed on device {dev}"
+                )
 
 
 def full_units(num_micro_batches: int) -> List[Unit]:
@@ -136,32 +165,100 @@ class CommOp:
         return "comm[" + ",".join(parts) + "]"
 
 
-@dataclass
+class ScheduleShape:
+    """What a deferred schedule's ops are a pure function of.
+
+    ``key`` names the op structure — family, depth, micro-batch count,
+    unit sequence or chunk count — so two schedules with equal keys have
+    equal :meth:`Schedule.shape_signature` (``None``: no key, the ops
+    depend on something the builder cannot name).  The per-query costs
+    are just ``stage_costs`` (per device, per model chunk, the builder's
+    ``_StageCosts``: full/half F/B durations, stash and workspace bytes)
+    and ``boundary_bytes`` (a transfer carries all of them, or half when
+    its tag is in ``half_tags``, which ``emit`` fills).  ``emit`` produces
+    the Op programs; it only runs when something reads
+    :attr:`Schedule.programs`.
+    """
+
+    __slots__ = ("key", "stage_costs", "boundary_bytes", "emit", "half_tags")
+
+    def __init__(
+        self,
+        key: Optional[Tuple],
+        stage_costs: Sequence[Sequence[object]],
+        boundary_bytes: float,
+        emit: Callable[[], List[List[object]]],
+        half_tags: Optional[Set[str]] = None,
+    ) -> None:
+        self.key = key
+        self.stage_costs = stage_costs
+        self.boundary_bytes = boundary_bytes
+        self.emit = emit
+        self.half_tags: Set[str] = set() if half_tags is None else half_tags
+
+
 class Schedule:
-    """Per-device programs plus bookkeeping for metrics."""
+    """Per-device programs plus bookkeeping for metrics.
 
-    name: str
-    programs: List[List[object]]           # ComputeOp | CommOp per device
-    #: static (weights + optimizer state) bytes resident per device.
-    static_bytes: List[float] = field(default_factory=list)
+    A schedule is built from explicit ``programs``, or *deferred* by one
+    of this package's builders (:meth:`deferred`): it then carries a
+    :class:`ScheduleShape` and emits its Op programs the first time
+    ``programs`` is read — by the event engine, a timeline export or a
+    test.  The compiled-graph executor reads only the shape, so a
+    schedule whose shape template is cached never builds an Op.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.programs:
+    def __init__(
+        self,
+        name: str,
+        programs: List[List[object]],
+        static_bytes: Optional[List[float]] = None,
+    ) -> None:
+        if not programs:
             raise ValueError("a schedule needs at least one device program")
-        if not self.static_bytes:
-            self.static_bytes = [0.0] * len(self.programs)
-        if len(self.static_bytes) != len(self.programs):
+        self.name = name
+        self.shape: Optional[ScheduleShape] = None
+        self._emitted_ids: Optional[Tuple] = None
+        self._programs = programs
+        self.static_bytes = static_bytes if static_bytes else (
+            [0.0] * len(programs)
+        )
+        if len(self.static_bytes) != len(programs):
             raise ValueError("static_bytes length mismatch")
-        for dev, program in enumerate(self.programs):
-            for op in program:
-                if isinstance(op, CommOp) and op.device != dev:
-                    raise ValueError(
-                        f"CommOp for device {op.device} placed on device {dev}"
-                    )
+        self._num_devices = len(programs)
+        _check_placement(programs)
+
+    @classmethod
+    def deferred(
+        cls, name: str, shape: ScheduleShape, static_bytes: List[float]
+    ) -> "Schedule":
+        """A schedule whose programs ``shape.emit`` produces on first read."""
+        self = cls.__new__(cls)
+        self.name = name
+        self.shape = shape
+        self._emitted_ids = None
+        self._programs = None
+        self.static_bytes = static_bytes
+        self._num_devices = len(static_bytes)
+        return self
+
+    @property
+    def programs(self) -> List[List[object]]:
+        """ComputeOp | CommOp per device, emitted on first read if deferred."""
+        programs = self._programs
+        if programs is None:
+            programs = self.shape.emit()
+            _check_placement(programs)
+            self._programs = programs
+            self._emitted_ids = self._op_ids()
+        return programs
 
     @property
     def num_devices(self) -> int:
-        return len(self.programs)
+        return self._num_devices
+
+    def _op_ids(self) -> Tuple:
+        return tuple(tuple(map(id, program)) for program in self._programs)
 
     def identity_signature(self) -> Tuple:
         """A cheap fingerprint of the exact op objects in every program.
@@ -170,13 +267,28 @@ class Schedule:
         its ``programs`` lists (append/remove/replace) or ``static_bytes``
         — both visible as a change of this signature.  Executors record it
         at compile time and raise :class:`ScheduleMutationError` when a
-        later run sees a different one.  (Best-effort: a replacement op
-        that reuses the freed op's memory address is indistinguishable.)
+        later run sees a different one.  A deferred schedule whose
+        programs are unread, or still exactly as emitted, signs as
+        ``(None, static)``, so reading ``programs`` is not a mutation.
+        (Best-effort: a replacement op that reuses the freed op's memory
+        address is indistinguishable.)
         """
-        return (
-            tuple(tuple(map(id, program)) for program in self.programs),
-            tuple(self.static_bytes),
-        )
+        static = tuple(self.static_bytes)
+        if self._programs is None:
+            return (None, static)
+        ids = self._op_ids()
+        if ids == self._emitted_ids:
+            return (None, static)
+        return (ids, static)
+
+    def template_shape(self) -> Optional[ScheduleShape]:
+        """The keyed shape, while the programs are still the emitted ones."""
+        shape = self.shape
+        if shape is None or shape.key is None:
+            return None
+        if self._programs is None:
+            return shape
+        return shape if self.identity_signature()[0] is None else None
 
     def shape_signature(self) -> Tuple:
         """The cost-free structure of the schedule.
@@ -207,21 +319,17 @@ class Schedule:
 
     def validate_comm_symmetry(self) -> None:
         """Every CommOp must have exactly one mirror op on its peer."""
-        from collections import Counter
-
-        sides: Dict[Tuple[int, int], Counter] = {}
+        counts: Dict[Tuple[int, int, frozenset], int] = {}
         for dev, program in enumerate(self.programs):
             for op in program:
                 if isinstance(op, CommOp):
-                    pair = (min(dev, op.peer), max(dev, op.peer))
-                    sides.setdefault(pair, Counter())[(dev, op.tag_set)] += 1
-        for pair, counter in sides.items():
-            a, b = pair
-            for (dev, tags), count in counter.items():
-                other = a if dev == b else b
-                if counter.get((other, tags), 0) != count:
-                    raise ValueError(
-                        f"unmatched comm between {a} and {b}: tags {sorted(tags)} "
-                        f"appear {count}x on {dev} but "
-                        f"{counter.get((other, tags), 0)}x on {other}"
-                    )
+                    key = (dev, op.peer, op.tag_set)
+                    counts[key] = counts.get(key, 0) + 1
+        for (dev, peer, tags), count in counts.items():
+            mirror = counts.get((peer, dev, tags), 0)
+            if mirror != count:
+                raise ValueError(
+                    f"unmatched comm between {min(dev, peer)} and "
+                    f"{max(dev, peer)}: tags {sorted(tags)} appear {count}x "
+                    f"on {dev} but {mirror}x on {peer}"
+                )

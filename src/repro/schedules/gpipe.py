@@ -12,7 +12,16 @@ from typing import List
 
 from repro.core.partition import PartitionScheme
 from repro.profiling.modelconfig import ModelProfile
-from repro.schedules.base import CommOp, ComputeOp, Schedule, Transfer, full_units
+from repro.schedules.base import (
+    CommOp,
+    ComputeOp,
+    Schedule,
+    ScheduleShape,
+    Transfer,
+    Unit,
+    check_micro_batches,
+    full_units,
+)
 from repro.schedules.one_f_one_b import _StageCosts
 
 
@@ -23,11 +32,24 @@ def build_gpipe(
     *,
     name: str = "gpipe",
 ) -> Schedule:
+    """The deferred GPipe schedule, shape key ``("gpipe", depth, m)``."""
     n = partition.num_stages
-    units = full_units(num_micro_batches)
+    m = check_micro_batches(num_micro_batches)
     costs = [_StageCosts(profile, stage) for stage in partition.stages]
     bbytes = profile.boundary_bytes
+    static = [c.params * profile.train.bytes_per_param_state for c in costs]
 
+    def emit() -> List[List[object]]:
+        return _emit_gpipe(costs, bbytes, full_units(m))
+
+    shape = ScheduleShape(("gpipe", n, m), [[c] for c in costs], bbytes, emit)
+    return Schedule.deferred(name, shape, static)
+
+
+def _emit_gpipe(
+    costs: List[_StageCosts], bbytes: float, units: List[Unit]
+) -> List[List[object]]:
+    n = len(costs)
     programs: List[List[object]] = []
     for x in range(n):
         program: List[object] = []
@@ -69,8 +91,4 @@ def build_gpipe(
                     x, x - 1, (Transfer(tag, x, x - 1, bbytes),), rendezvous=False
                 ))
         programs.append(program)
-
-    static = [
-        costs[x].params * profile.train.bytes_per_param_state for x in range(n)
-    ]
-    return Schedule(name=name, programs=programs, static_bytes=static)
+    return programs

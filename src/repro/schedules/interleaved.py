@@ -22,7 +22,14 @@ from typing import List, Tuple
 
 from repro.models.blocks import BlockKind
 from repro.profiling.modelconfig import ModelProfile
-from repro.schedules.base import CommOp, ComputeOp, Schedule, Transfer
+from repro.schedules.base import (
+    CommOp,
+    ComputeOp,
+    Schedule,
+    ScheduleShape,
+    Transfer,
+    check_micro_batches,
+)
 from repro.schedules.one_f_one_b import _StageCosts
 
 
@@ -96,7 +103,8 @@ def build_interleaved(
     num_chunks: int = 2,
     name: str = "interleaved",
 ) -> Schedule:
-    n, m, v = num_stages, num_micro_batches, num_chunks
+    """The deferred interleaved schedule, key ``("interleaved", n, m, v)``."""
+    n, m, v = num_stages, check_micro_batches(num_micro_batches), num_chunks
     if m % n != 0:
         raise InterleavedInfeasible(
             f"{m} micro-batches not a multiple of pipeline depth {n}"
@@ -107,6 +115,22 @@ def build_interleaved(
         for x in range(n)
     ]
     bbytes = profile.boundary_bytes
+    static = [
+        sum(c.params for c in costs[x]) * profile.train.bytes_per_param_state
+        for x in range(n)
+    ]
+
+    def emit() -> List[List[object]]:
+        return _emit_interleaved(costs, bbytes, m, v)
+
+    shape = ScheduleShape(("interleaved", n, m, v), costs, bbytes, emit)
+    return Schedule.deferred(name, shape, static)
+
+
+def _emit_interleaved(
+    costs: List[List[_StageCosts]], bbytes: float, m: int, v: int
+) -> List[List[object]]:
+    n = len(costs)
     total = m * v
 
     def warmup_count(x: int) -> int:
@@ -188,9 +212,4 @@ def build_interleaved(
         for k in range(total - nw, total):
             emit_bwd(k)
         programs.append(program)
-
-    static = [
-        sum(c.params for c in costs[x]) * profile.train.bytes_per_param_state
-        for x in range(n)
-    ]
-    return Schedule(name=name, programs=programs, static_bytes=static)
+    return programs

@@ -17,7 +17,7 @@ per-unit communication override used by the sliced schedule.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.partition import PartitionScheme
 from repro.models.costs import small_batch_slowdown
@@ -26,8 +26,10 @@ from repro.schedules.base import (
     CommOp,
     ComputeOp,
     Schedule,
+    ScheduleShape,
     Transfer,
     Unit,
+    check_micro_batches,
     full_units,
     unit_fraction,
     unit_label,
@@ -107,20 +109,90 @@ def build_unit_1f1b(
 
     When ``rendezvous_policy`` marks a unit's transfer as eager, the fused
     bidirectional exchange that would carry it is split into independent
-    buffered sends/recvs (the Slicer's comm-aggregation semantics).
+    buffered sends/recvs (the Slicer's comm-aggregation semantics).  With
+    the default policy the shape key is ``("1f1b", depth, units,
+    False)``; a custom policy is opaque, so that schedule has no key and
+    always compiles from its programs.
     """
-    n = partition.num_stages
-    m = len(units)
-    if m == 0:
+    units = tuple(units)
+    if not units:
         raise ValueError("no units to schedule")
+    if rendezvous_policy is _always_rendezvous:
+        return unit_schedule(
+            profile, partition, units, name=name, eager_halves=False
+        )
+    return _deferred_1f1b(
+        profile, partition, units, name, rendezvous_policy, None
+    )
+
+
+def unit_schedule(
+    profile: ModelProfile,
+    partition: PartitionScheme,
+    units: Tuple[Unit, ...],
+    *,
+    name: str,
+    eager_halves: bool,
+) -> Schedule:
+    """The deferred 1F1B-family schedule of ``units``.
+
+    ``eager_halves`` buffers the activation sends of half units (the
+    sliced schedule's aggregation).  The shape key is canonical — a unit
+    sequence without halves keys as plain 1F1B whatever the flag — so
+    :mod:`repro.sim.slice_eval` can emit the same key for a slice count.
+    """
+    eager = eager_halves and any(u[1] != -1 for u in units)
+
+    def policy(kind: str, unit: Unit) -> bool:
+        return not (eager and kind == "act" and unit[1] != -1)
+
+    key = ("1f1b", partition.num_stages, units, eager)
+    return _deferred_1f1b(profile, partition, units, name, policy, key)
+
+
+def _deferred_1f1b(
+    profile: ModelProfile,
+    partition: PartitionScheme,
+    units: Tuple[Unit, ...],
+    name: str,
+    rendezvous_policy: RendezvousPolicy,
+    key: Optional[Tuple],
+) -> Schedule:
     costs = [_StageCosts(profile, stage) for stage in partition.stages]
     bbytes = profile.boundary_bytes
+    static = [c.params * profile.train.bytes_per_param_state for c in costs]
+    half_tags: Set[str] = set()
+
+    def emit() -> List[List[object]]:
+        return _emit_1f1b(costs, bbytes, units, rendezvous_policy, half_tags)
+
+    shape = ScheduleShape(key, [[c] for c in costs], bbytes, emit, half_tags)
+    return Schedule.deferred(name, shape, static)
+
+
+def _emit_1f1b(
+    costs: List[_StageCosts],
+    bbytes: float,
+    units: Tuple[Unit, ...],
+    rendezvous_policy: RendezvousPolicy,
+    half_tags: Set[str],
+) -> List[List[object]]:
+    """The per-device Op programs; records half-payload tags in
+    ``half_tags``."""
+    n = len(costs)
+    m = len(units)
 
     def act_transfer(unit: Unit, x: int) -> Transfer:
-        return Transfer(_act_tag(unit, x), x, x + 1, bbytes * unit_fraction(unit))
+        tag = _act_tag(unit, x)
+        if unit[1] != -1:
+            half_tags.add(tag)
+        return Transfer(tag, x, x + 1, bbytes * unit_fraction(unit))
 
     def grad_transfer(unit: Unit, x: int) -> Transfer:
-        return Transfer(_grad_tag(unit, x), x, x - 1, bbytes * unit_fraction(unit))
+        tag = _grad_tag(unit, x)
+        if unit[1] != -1:
+            half_tags.add(tag)
+        return Transfer(tag, x, x - 1, bbytes * unit_fraction(unit))
 
     def fwd_op(x: int, unit: Unit, phase: str) -> ComputeOp:
         return ComputeOp(
@@ -205,11 +277,7 @@ def build_unit_1f1b(
             if x > 0:
                 emit_exchange(program, x, x - 1, [("grad", u, grad_transfer(u, x))])
         programs.append(program)
-
-    static = [
-        costs[x].params * profile.train.bytes_per_param_state for x in range(n)
-    ]
-    return Schedule(name=name, programs=programs, static_bytes=static)
+    return programs
 
 
 def build_1f1b(
@@ -220,6 +288,8 @@ def build_1f1b(
     name: str = "1f1b",
 ) -> Schedule:
     """The plain Megatron 1F1B schedule over whole micro-batches."""
-    return build_unit_1f1b(
-        profile, partition, full_units(num_micro_batches), name=name
+    m = check_micro_batches(num_micro_batches)
+    return unit_schedule(
+        profile, partition, tuple(full_units(m)), name=name,
+        eager_halves=False,
     )

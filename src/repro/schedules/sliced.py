@@ -16,10 +16,12 @@ ablation in the benchmarks).
 
 Maintenance note: ``repro.sim.slice_eval.family_walk`` emits the compiled
 graph of this schedule family *directly* (no Schedule object, no
-instruction lowering) for the autotuner's batched slice-count sweeps.  Any
-change to the unit order, exchange fusion or eager policy here must be
-mirrored there; ``tests/sim/test_slice_eval.py`` asserts the two paths
-stay bit-identical.
+instruction lowering) for the autotuner's batched slice-count sweeps, and
+records the same shape template under the same key
+(:func:`~repro.schedules.one_f_one_b.unit_schedule`), so a template one
+path records serves the other.  Any change to the unit order, exchange
+fusion, eager policy or cost slots here must be mirrored there;
+``tests/sim/test_slice_eval.py`` asserts the two paths stay bit-identical.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from __future__ import annotations
 from repro.core.partition import PartitionScheme
 from repro.core.slicer import SlicePlan
 from repro.profiling.modelconfig import ModelProfile
-from repro.schedules.base import Schedule, Unit
-from repro.schedules.one_f_one_b import build_unit_1f1b
+from repro.schedules.base import Schedule, check_micro_batches
+from repro.schedules.one_f_one_b import unit_schedule
 
 
 def build_sliced(
@@ -39,17 +41,11 @@ def build_sliced(
     name: str = "autopipe-sliced",
 ) -> Schedule:
     """Build the sliced 1F1B schedule from a Slicer plan."""
-    aggregate = plan.aggregate_last_warmup_comm
-
-    def policy(kind: str, unit: Unit) -> bool:
-        if aggregate and kind == "act" and unit[1] != -1:
-            return False  # buffered: never block the sender of a half.
-        return True
-
-    return build_unit_1f1b(
+    check_micro_batches(plan.num_micro_batches)
+    return unit_schedule(
         profile,
         partition,
-        list(plan.units()),
+        plan.units(),
         name=name,
-        rendezvous_policy=policy,
+        eager_halves=plan.aggregate_last_warmup_comm,
     )

@@ -30,11 +30,18 @@ compile-once/evaluate-many treatment the analytic simulator already has
   every array ``(K, …)``, amortising the structure across a whole sweep
   (the arbitrary-schedule analogue of ``PipelineSimBatch``).
 
-* **Structure cache.**  The costless DAG is cached process-wide keyed by
-  :meth:`Schedule.shape_signature`-equivalent lowered shape, so sweep
-  cells that differ only in model size / byte counts share one compiled
-  structure.  Per-schedule compiled graphs are cached on the schedule
-  object and guarded against post-compile mutation.
+* **Shape templates.**  The schedule builders defer their ops behind a
+  shape key (:class:`~repro.schedules.base.ScheduleShape`).  The first
+  compile of a key walks the shape once and caches a template — the
+  costless DAG plus, for every node, edge, eager receive, memory delta
+  and workspace value, the slot of a per-query cost table that grows
+  with the number of stages (:class:`_SlotTable`).  Every later query of
+  the key computes only that table (:func:`_cost_table`) and gathers it:
+  no op is built, lowered or walked (:func:`shape_graph`).  Hand-built
+  or edited schedules are lowered and walked each time, and share any
+  cached structure equal to theirs.  Per-schedule compiled graphs are
+  cached on the schedule object and guarded against post-compile
+  mutation.
 
 * **Memory accounting.**  Activation stashes are replayed per device as
   an interleaved alloc/release delta array: a sequential ``cumsum`` (the
@@ -55,12 +62,13 @@ tuple field is identical.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.hardware.cluster import Cluster
-from repro.schedules.base import Schedule, ScheduleMutationError
+from repro.hardware.comm import CommModel
+from repro.schedules.base import ComputeOp, Schedule, ScheduleMutationError
 from repro.sim.engine import (
     _COMPUTE,
     _EAGER,
@@ -74,9 +82,6 @@ from repro.sim.engine import (
 _REC_COMPUTE = 0
 _REC_RENDEZVOUS = 1
 _REC_EAGER = 2
-
-#: structures kept in the process-wide cache (LRU beyond this).
-_STRUCTURE_CACHE_SIZE = 64
 
 
 class GraphCompileError(RuntimeError):
@@ -96,12 +101,14 @@ class _Walk:
     The walk is a pure function of the lowered instructions, so two
     schedules with equal shape signatures yield cost arrays aligned with
     the same structure: node ids, edge order and recv-duration slots all
-    come out identical.
+    come out identical.  A walk records cost values, the cost-table slot
+    of each value, or both (see :class:`_Template`).
     """
 
     __slots__ = (
-        "sig", "node_add", "e_dst", "e_src", "e_w", "recv_durs",
+        "node_add", "e_dst", "e_src", "e_w", "recv_durs",
         "records", "first_f", "mem_deltas", "workspace", "mem_counts",
+        "s_node", "s_edge", "s_recv", "s_mem", "s_ws",
     )
 
     def __init__(self, num_devices: int) -> None:
@@ -110,35 +117,55 @@ class _Walk:
         self.e_src: List[int] = []
         self.e_w: List[float] = []
         self.recv_durs: List[float] = []
-        self.records: List[List[list]] = [[] for _ in range(num_devices)]
+        #: per device, one replay record per op, naming walk-order nodes.
+        self.records: List[List[tuple]] = [[] for _ in range(num_devices)]
         self.first_f: List[int] = [-1] * num_devices
         self.mem_deltas: List[float] = []
         self.workspace: List[float] = []
         self.mem_counts: List[int] = [0] * num_devices
-        self.sig: Tuple = ()
+        #: cost-table slot of every value above, in the same order.
+        self.s_node: List[int] = []
+        self.s_edge: List[int] = []
+        self.s_recv: List[int] = []
+        self.s_mem: List[int] = []
+        self.s_ws: List[int] = []
+
+    @property
+    def num_nodes(self) -> int:
+        return max(len(self.node_add), len(self.s_node))
 
 
-def _walk_programs(lowered: List[List[tuple]]) -> _Walk:
-    """Lower instruction tuples into DAG nodes, edges and cost arrays."""
+def _walk_programs(
+    lowered: List[List[tuple]],
+    slots: Optional[List[List[tuple]]] = None,
+) -> _Walk:
+    """Lower instruction tuples into DAG nodes, edges and cost arrays.
+
+    ``slots`` (see :func:`_slot_programs`) mirrors ``lowered`` with the
+    cost-table slot of every instruction value; when given, the walk
+    writes each value's slot next to it, which records a shape template.
+    """
     walk = _Walk(len(lowered))
     node_add = walk.node_add
     e_dst, e_src, e_w = walk.e_dst, walk.e_src, walk.e_w
     recv_durs = walk.recv_durs
+    record = slots is not None
+    s_node, s_edge, s_recv = walk.s_node, walk.s_edge, walk.s_recv
     #: unmatched rendezvous posts: key -> deque[(device, node)]
     pending_rzv: Dict[tuple, deque] = {}
-    #: eager deposits: tag -> (sender node, wire time)
-    send_map: Dict[str, Tuple[int, float]] = {}
+    #: eager deposits: tag -> (sender node, wire time, wire slot)
+    send_map: Dict[str, Tuple[int, float, int]] = {}
     #: eager receives in walk order: (recv node, tag, recv_list to patch)
     recv_reqs: List[Tuple[int, str, list]] = []
     consumed: set = set()
-    sig_devices: List[tuple] = []
 
     for dev, program in enumerate(lowered):
         records = walk.records[dev]
-        sig_ops: List[tuple] = []
+        dev_slots = slots[dev] if record else program
         prev = -1
         prev_w = 0.0
-        for instr in program:
+        prev_s = 0
+        for instr, slot in zip(program, dev_slots):
             code = instr[0]
             if code == _COMPUTE:
                 _, label, duration, alloc, free, ws, kind, phase = instr
@@ -148,7 +175,9 @@ def _walk_programs(lowered: List[List[tuple]]) -> _Walk:
                     e_dst.append(nid)
                     e_src.append(prev)
                     e_w.append(prev_w)
-                records.append([_REC_COMPUTE, nid, label, kind, phase])
+                    if record:
+                        s_edge.append(prev_s)
+                records.append((_REC_COMPUTE, nid, label, kind, phase))
                 walk.mem_deltas.append(alloc)
                 walk.mem_deltas.append(-free)
                 walk.workspace.append(ws)
@@ -156,7 +185,12 @@ def _walk_programs(lowered: List[List[tuple]]) -> _Walk:
                 if kind == "F" and walk.first_f[dev] < 0:
                     walk.first_f[dev] = nid
                 prev, prev_w = nid, duration
-                sig_ops.append((_COMPUTE, label, kind, phase))
+                if record:
+                    prev_s = slot[0]
+                    s_node.append(prev_s)
+                    walk.s_mem.append(slot[1])
+                    walk.s_mem.append(slot[2])
+                    walk.s_ws.append(slot[3])
             elif code == _RENDEZVOUS:
                 _, label, key, _peer, exch = instr
                 queue = pending_rzv.get(key)
@@ -167,16 +201,19 @@ def _walk_programs(lowered: List[List[tuple]]) -> _Walk:
                 else:
                     nid = len(node_add)
                     node_add.append(exch)
+                    if record:
+                        s_node.append(slot[0])
                     pending_rzv.setdefault(key, deque()).append((dev, nid))
                 if prev >= 0:
                     e_dst.append(nid)
                     e_src.append(prev)
                     e_w.append(prev_w)
-                records.append([_REC_RENDEZVOUS, nid, label])
+                    if record:
+                        s_edge.append(prev_s)
+                records.append((_REC_RENDEZVOUS, nid, label))
                 prev, prev_w = nid, exch
-                sig_ops.append(
-                    (_RENDEZVOUS, label, key[0], tuple(sorted(key[1])))
-                )
+                if record:
+                    prev_s = slot[0]
             else:  # _EAGER
                 _, label, recvs, sends, wait_label, latency = instr
                 nid = len(node_add)
@@ -185,26 +222,28 @@ def _walk_programs(lowered: List[List[tuple]]) -> _Walk:
                     e_dst.append(nid)
                     e_src.append(prev)
                     e_w.append(prev_w)
+                    if record:
+                        s_edge.append(prev_s)
                 recv_list: list = []
-                for tag, rdur in recvs:
+                for i, (tag, rdur) in enumerate(recvs):
                     recv_durs.append(rdur)
+                    if record:
+                        s_recv.append(slot[0][i])
                     recv_reqs.append((nid, tag, recv_list))
-                for tag, sdur in sends:
+                for i, (tag, sdur) in enumerate(sends):
                     if tag in send_map:
                         raise GraphCompileError(
                             f"deposit tag {tag!r} is sent more than once; "
                             "the static graph cannot order the reuse"
                         )
-                    send_map[tag] = (nid, sdur)
+                    send_map[tag] = (nid, sdur, slot[1][i] if record else 0)
                 records.append(
-                    [_REC_EAGER, nid, label, wait_label, recv_list]
+                    (_REC_EAGER, nid, label, wait_label, recv_list)
                 )
                 prev, prev_w = nid, latency
-                sig_ops.append((
-                    _EAGER, label,
-                    tuple(t for t, _ in recvs), tuple(t for t, _ in sends),
-                ))
-        sig_devices.append(tuple(sig_ops))
+                if record:
+                    prev_s = slot[2]
+                    s_node.append(prev_s)
 
     if pending_rzv:
         key = next(iter(pending_rzv))
@@ -224,14 +263,14 @@ def _walk_programs(lowered: List[List[tuple]]) -> _Walk:
                 "the static graph cannot order the reuse"
             )
         consumed.add(tag)
-        snid, sdur = sender
+        snid, sdur, sslot = sender
         widx = len(e_w)
         e_dst.append(rnid)
         e_src.append(snid)
         e_w.append(sdur)
+        if record:
+            s_edge.append(sslot)
         recv_list.append((snid, widx, ridx))
-
-    walk.sig = tuple(sig_devices)
     return walk
 
 
@@ -240,11 +279,12 @@ class GraphStructure:
 
     __slots__ = (
         "num_nodes", "num_edges", "levels", "edge_perm", "node_order",
-        "records", "first_f", "mem_offsets", "sig", "perturb_plan",
+        "records", "new_of_old", "first_f", "mem_offsets", "fingerprint",
+        "perturb_plan",
     )
 
     def __init__(self, walk: _Walk) -> None:
-        num_nodes = len(walk.node_add)
+        num_nodes = walk.num_nodes
         num_edges = len(walk.e_dst)
         e_dst = walk.e_dst
         e_src = walk.e_src
@@ -252,9 +292,9 @@ class GraphStructure:
         # Dependency levels by Kahn's algorithm with longest-path depth.
         indeg = [0] * num_nodes
         out: List[List[int]] = [[] for _ in range(num_nodes)]
-        for i in range(num_edges):
-            out[e_src[i]].append(e_dst[i])
-            indeg[e_dst[i]] += 1
+        for src, dst in zip(e_src, e_dst):
+            out[src].append(dst)
+            indeg[dst] += 1
         level = [0] * num_nodes
         ready = deque(i for i in range(num_nodes) if indeg[i] == 0)
         seen = 0
@@ -307,75 +347,45 @@ class GraphStructure:
                 raise GraphCompileError(
                     "node above level 0 without incoming edges"
                 )
-            for lvl in range(1, num_levels):
-                lo, hi = int(starts[lvl]), int(starts[lvl + 1])
-                g0, g1 = lo - base, hi - base
-                e0 = int(group_starts[g0])
-                e1 = (
-                    int(group_starts[g1])
-                    if g1 < len(group_starts) else num_edges
-                )
-                off = group_starts[g0:g1] - e0
+            # Level ``l`` owns nodes ``starts[l]:starts[l + 1]``, groups
+            # ``g0:g1`` and edges ``e0:e1``; its reduceat offsets are its
+            # group starts relative to ``e0``.  Each level keeps views.
+            g0 = starts[1:-1] - base
+            g1 = starts[2:] - base
+            group_ends = np.append(group_starts, num_edges)
+            e0 = group_ends[g0]
+            offsets = group_starts - np.repeat(e0, g1 - g0)
+            for lo, hi, a, b, x0, x1 in zip(
+                starts[1:-1].tolist(), starts[2:].tolist(), g0.tolist(),
+                g1.tolist(), e0.tolist(), group_ends[g1].tolist(),
+            ):
                 levels.append(
-                    (lo, hi, e0, e1, src_sorted[e0:e1].copy(), off)
+                    (lo, hi, x0, x1, src_sorted[x0:x1], offsets[a:b])
                 )
         else:
             edge_perm = np.empty(0, dtype=np.intp)
-
-        # Rewrite replay records and metric indices to the new numbering.
-        remap = new_of_old
-        records: List[tuple] = []
-        for dev_records in walk.records:
-            out_records = []
-            for rec in dev_records:
-                code, nid = rec[0], int(remap[rec[1]])
-                if code == _REC_EAGER:
-                    recv_list = tuple(
-                        (int(remap[s]), w, r) for s, w, r in rec[4]
-                    )
-                    out_records.append(
-                        (code, nid, rec[2], rec[3], recv_list)
-                    )
-                else:
-                    out_records.append((code, nid, *rec[2:]))
-            records.append(tuple(out_records))
 
         self.num_nodes = num_nodes
         self.num_edges = num_edges
         self.levels = levels
         self.edge_perm = edge_perm
         self.node_order = node_order
-        self.records = tuple(records)
+        #: replay records keep walk-order node ids (see ``new_of_old``).
+        self.records = tuple(map(tuple, walk.records))
+        self.new_of_old = new_of_old
         self.first_f = [
             int(new_of_old[f]) if f >= 0 else -1 for f in walk.first_f
         ]
         self.mem_offsets = np.concatenate(
             ([0], np.cumsum(np.asarray(walk.mem_counts, dtype=np.intp)))
         )
-        self.sig = walk.sig
+        #: equal structures have equal fingerprints (see ``_template_for``).
+        self.fingerprint = hash((
+            num_nodes, num_edges, node_order.tobytes(), edge_perm.tobytes(),
+            src_sorted.tobytes() if num_edges else b"",
+        ))
         #: lazily built node/edge classification for ``run_perturbed``.
         self.perturb_plan = None
-
-
-#: process-wide structure cache keyed by lowered shape signature.
-_structures: "OrderedDict[tuple, GraphStructure]" = OrderedDict()
-
-
-def _structure_for(walk: _Walk) -> GraphStructure:
-    structure = _structures.get(walk.sig)
-    if structure is not None:
-        _structures.move_to_end(walk.sig)
-        return structure
-    structure = GraphStructure(walk)
-    _structures[walk.sig] = structure
-    while len(_structures) > _STRUCTURE_CACHE_SIZE:
-        _structures.popitem(last=False)
-    return structure
-
-
-def structure_cache_info() -> Tuple[int, int]:
-    """(structures cached, total nodes across them) — for tests/benches."""
-    return len(_structures), sum(s.num_nodes for s in _structures.values())
 
 
 class CompiledGraph:
@@ -383,31 +393,59 @@ class CompiledGraph:
 
     __slots__ = (
         "structure", "schedule_name", "num_devices", "static_bytes",
-        "capacity", "node_add", "edge_w_walk", "recv_durs", "node_add_lvl",
+        "capacity", "edge_w_walk", "recv_durs", "node_add_lvl",
         "edge_w_lvl", "mem_deltas", "workspace", "_peaks",
     )
 
     def __init__(
         self,
         structure: GraphStructure,
-        walk: _Walk,
         schedule_name: str,
         static_bytes: Sequence[float],
         capacity: float,
+        *,
+        node_add_lvl: np.ndarray,
+        edge_w_walk: np.ndarray,
+        edge_w_lvl: np.ndarray,
+        recv_durs: np.ndarray,
+        mem_deltas: np.ndarray,
+        workspace: np.ndarray,
     ) -> None:
         self.structure = structure
         self.schedule_name = schedule_name
         self.num_devices = len(structure.records)
         self.static_bytes = list(static_bytes)
         self.capacity = capacity
-        self.node_add = np.asarray(walk.node_add, dtype=np.float64)
-        self.edge_w_walk = np.asarray(walk.e_w, dtype=np.float64)
-        self.recv_durs = np.asarray(walk.recv_durs, dtype=np.float64)
-        self.node_add_lvl = self.node_add[structure.node_order]
-        self.edge_w_lvl = self.edge_w_walk[structure.edge_perm]
-        self.mem_deltas = np.asarray(walk.mem_deltas, dtype=np.float64)
-        self.workspace = np.asarray(walk.workspace, dtype=np.float64)
+        self.node_add_lvl = node_add_lvl
+        self.edge_w_walk = edge_w_walk
+        self.edge_w_lvl = edge_w_lvl
+        self.recv_durs = recv_durs
+        self.mem_deltas = mem_deltas
+        self.workspace = workspace
         self._peaks: Optional[Tuple[float, ...]] = None
+
+    @classmethod
+    def from_walk(
+        cls,
+        structure: GraphStructure,
+        walk: _Walk,
+        schedule_name: str,
+        static_bytes: Sequence[float],
+        capacity: float,
+    ) -> "CompiledGraph":
+        """The graph of a walk's own cost values."""
+        edge_w = np.asarray(walk.e_w, dtype=np.float64)
+        return cls(
+            structure, schedule_name, static_bytes, capacity,
+            node_add_lvl=np.asarray(walk.node_add, dtype=np.float64)[
+                structure.node_order
+            ],
+            edge_w_walk=edge_w,
+            edge_w_lvl=edge_w[structure.edge_perm],
+            recv_durs=np.asarray(walk.recv_durs, dtype=np.float64),
+            mem_deltas=np.asarray(walk.mem_deltas, dtype=np.float64),
+            workspace=np.asarray(walk.workspace, dtype=np.float64),
+        )
 
     # -- evaluation --------------------------------------------------------
 
@@ -486,6 +524,9 @@ class CompiledGraph:
         events: List[tuple] = []
         edge_w = self.edge_w_walk
         recv_durs = self.recv_durs
+        # Records name walk-order nodes.
+        base = base[self.structure.new_of_old]
+        end = end[self.structure.new_of_old]
         for dev, records in enumerate(self.structure.records):
             prev_end = 0.0
             for rec in records:
@@ -520,6 +561,356 @@ class CompiledGraph:
         return events
 
 
+# -- shape templates -------------------------------------------------------
+
+#: shape templates kept process-wide (least recently used beyond this).
+_TEMPLATE_CACHE_SIZE = 256
+
+#: cost-table slots every template starts with.
+_ZERO = 0
+_LATENCY = 1
+
+#: representative units for :class:`_StageCosts`-style full/half lookups.
+_FULL_UNIT = (0, -1)
+_HALF_UNIT = (0, 0)
+
+
+class _SlotTable:
+    """Numbers cost descriptors in first-use order.
+
+    A descriptor names one per-query cost by what it is a function of:
+
+    * ``(kind, device, chunk, half)`` with kind ``"F"``/``"B"`` (duration),
+      ``"S"`` (stash bytes) or ``"W"`` (workspace bytes) of a full or
+      half unit of one stage or model chunk;
+    * ``("D", src, dst, half)``: the wire time of one full or half
+      payload from device ``src`` to ``dst``;
+    * ``("X", device, peer, sent, received)``: a full-duplex rendezvous
+      exchange, the slower of the two directions, where ``sent`` and
+      ``received`` list the half flag of each payload per direction;
+    * ``("0",)`` and ``("L",)``: zero and the link latency.
+    """
+
+    def __init__(self) -> None:
+        self.descs: List[tuple] = [("0",), ("L",)]
+        self._slots: Dict[tuple, int] = {("0",): _ZERO, ("L",): _LATENCY}
+
+    def __call__(self, desc: tuple) -> int:
+        slot = self._slots.get(desc)
+        if slot is None:
+            slot = self._slots[desc] = len(self.descs)
+            self.descs.append(desc)
+        return slot
+
+
+def _slot_programs(
+    programs: List[List[object]], half_tags: Set[str]
+) -> Tuple[List[List[tuple]], List[tuple]]:
+    """Cost slots of a deferred schedule's ops, laid out like the lowering.
+
+    Each op gets the slots of the values its instruction tuple carries:
+    ``(duration, alloc, free, workspace)`` for a compute op,
+    ``(exchange,)`` for a rendezvous, ``(recv wires, send wires,
+    latency)`` for an eager op.  Returns the slot programs and the
+    descriptor of every slot.
+    """
+    slot = _SlotTable()
+    out: List[List[tuple]] = []
+    for dev, program in enumerate(programs):
+        dev_slots: List[tuple] = []
+        #: compute-op slots by (kind, chunk, half): few per device.
+        computes: Dict[tuple, tuple] = {}
+        for op in program:
+            if isinstance(op, ComputeOp):
+                key = (op.kind, op.chunk, op.unit[1] != -1)
+                slots = computes.get(key)
+                if slots is None:
+                    kind, chunk, half = key
+                    stash = slot(("S", dev, chunk, half))
+                    forward = kind == "F"
+                    slots = computes[key] = (
+                        slot((kind, dev, chunk, half)),
+                        stash if forward else _ZERO,
+                        _ZERO if forward else stash,
+                        slot(("W", dev, chunk, half)),
+                    )
+                dev_slots.append(slots)
+            elif op.rendezvous:
+                sent = tuple(t.tag in half_tags for t in op.sends())
+                received = tuple(t.tag in half_tags for t in op.receives())
+                dev_slots.append(
+                    (slot(("X", dev, op.peer, sent, received)),)
+                )
+            else:
+                sends = op.sends()
+                dev_slots.append((
+                    tuple(
+                        slot(("D", t.src, t.dst, t.tag in half_tags))
+                        for t in op.receives()
+                    ),
+                    tuple(
+                        slot(("D", t.src, t.dst, t.tag in half_tags))
+                        for t in sends
+                    ),
+                    _LATENCY if sends else _ZERO,
+                ))
+        out.append(dev_slots)
+    return out, slot.descs
+
+
+def _payload(boundary_bytes: float, halves: Tuple[bool, ...]) -> float:
+    """Bytes of one direction of an exchange, summed as the lowerer sums."""
+    return sum(boundary_bytes * (0.5 if h else 1.0) for h in halves)
+
+
+def _cost_table(
+    descs: Sequence[tuple],
+    stage_costs: Sequence[Sequence[object]],
+    boundary_bytes: float,
+    cluster: Cluster,
+    device_map: Sequence[int],
+    comm: CommModel,
+) -> np.ndarray:
+    """Every descriptor's value for one query, with the lowerer's arithmetic.
+
+    Raises the ``ValueError`` a :class:`~repro.schedules.base.ComputeOp`
+    or :class:`~repro.schedules.base.Transfer` would for a negative
+    duration or payload, since no op is built to raise it.
+    """
+    if boundary_bytes < 0:
+        raise ValueError("negative transfer size")
+
+    def wire(src: int, dst: int, num_bytes: float) -> float:
+        if num_bytes <= 0:
+            return 0.0
+        return comm.p2p_time_between(
+            cluster, device_map[src], device_map[dst], num_bytes
+        )
+
+    values: List[float] = []
+    append = values.append
+    for desc in descs:
+        code = desc[0]
+        if code == "X":
+            _, dev, peer, sent, received = desc
+            append(max(
+                wire(dev, peer, _payload(boundary_bytes, sent)),
+                wire(peer, dev, _payload(boundary_bytes, received)),
+            ))
+        elif code == "D":
+            append(wire(
+                desc[1], desc[2], boundary_bytes * (0.5 if desc[3] else 1.0)
+            ))
+        elif code == "0":
+            append(0.0)
+        elif code == "L":
+            append(cluster.hw.link_latency)
+        else:
+            cost = stage_costs[desc[1]][desc[2]]
+            unit = _HALF_UNIT if desc[3] else _FULL_UNIT
+            if code == "F":
+                value = cost.fwd(unit)
+            elif code == "B":
+                value = cost.bwd(unit)
+            elif code == "S":
+                value = cost.stash(unit)
+            else:
+                value = cost.workspace(unit)
+            if value < 0 and (code == "F" or code == "B"):
+                raise ValueError("negative duration")
+            append(value)
+    return np.array(values, dtype=np.float64)
+
+
+class _Template:
+    """A cached schedule shape: its structure plus integer slot arrays.
+
+    The slot arrays say which cost-table entry every node, edge, eager
+    receive, memory delta and workspace value takes, so a query of this
+    shape is one :func:`_cost_table` and a handful of gathers.  A
+    template only hand-built schedules have reached has ``descs``
+    ``None``.  No Op objects, lowered tuples or signatures are kept.
+    """
+
+    __slots__ = (
+        "structure", "keys", "descs", "s_node_lvl", "s_edge", "s_edge_lvl",
+        "s_recv", "s_mem", "s_ws",
+    )
+
+    def __init__(self, structure: GraphStructure) -> None:
+        self.structure = structure
+        self.keys: List[tuple] = []
+        self.descs: Optional[List[tuple]] = None
+
+    def record(self, walk: _Walk, descs: List[tuple]) -> None:
+        structure = self.structure
+        self.s_node_lvl = np.asarray(walk.s_node, dtype=np.intp)[
+            structure.node_order
+        ]
+        self.s_edge = np.asarray(walk.s_edge, dtype=np.intp)
+        self.s_edge_lvl = self.s_edge[structure.edge_perm]
+        self.s_recv = np.asarray(walk.s_recv, dtype=np.intp)
+        self.s_mem = np.asarray(walk.s_mem, dtype=np.intp)
+        self.s_ws = np.asarray(walk.s_ws, dtype=np.intp)
+        self.descs = descs
+
+    def graph(
+        self,
+        table: np.ndarray,
+        schedule_name: str,
+        static_bytes: Sequence[float],
+        capacity: float,
+    ) -> CompiledGraph:
+        mem = table[self.s_mem]
+        # Odd entries are releases, which the walk stores negated.
+        np.negative(mem[1::2], out=mem[1::2])
+        return CompiledGraph(
+            self.structure, schedule_name, static_bytes, capacity,
+            node_add_lvl=table[self.s_node_lvl],
+            edge_w_walk=table[self.s_edge],
+            edge_w_lvl=table[self.s_edge_lvl],
+            recv_durs=table[self.s_recv],
+            mem_deltas=mem,
+            workspace=table[self.s_ws],
+        )
+
+
+#: templates by shape key.
+_templates: Dict[tuple, _Template] = {}
+#: templates by structure fingerprint.
+_by_fingerprint: Dict[int, List[_Template]] = {}
+#: every cached template, least recently used first.
+_lru: "OrderedDict[_Template, None]" = OrderedDict()
+
+
+def _use(template: _Template) -> None:
+    """Mark ``template`` most recently used; evict beyond the cache size."""
+    _lru[template] = None
+    _lru.move_to_end(template)
+    while len(_lru) > _TEMPLATE_CACHE_SIZE:
+        old, _ = _lru.popitem(last=False)
+        for key in old.keys:
+            del _templates[key]
+        bucket = _by_fingerprint[old.structure.fingerprint]
+        bucket.remove(old)
+        if not bucket:
+            del _by_fingerprint[old.structure.fingerprint]
+
+
+def _same_structure(a: GraphStructure, b: GraphStructure) -> bool:
+    if (
+        a.num_nodes != b.num_nodes or a.num_edges != b.num_edges
+        or a.records != b.records or a.first_f != b.first_f
+        or len(a.levels) != len(b.levels)
+    ):
+        return False
+    arrays = [
+        (a.node_order, b.node_order), (a.edge_perm, b.edge_perm),
+        (a.mem_offsets, b.mem_offsets),
+    ]
+    for la, lb in zip(a.levels, b.levels):
+        if la[:4] != lb[:4]:
+            return False
+        arrays += [(la[4], lb[4]), (la[5], lb[5])]
+    return all(np.array_equal(x, y) for x, y in arrays)
+
+
+def _template_for(walk: _Walk) -> _Template:
+    """The cached template whose structure ``walk`` compiles to.
+
+    Schedules meet here whatever their origin — a builder's shape, a
+    slice-count sweep or a hand-built schedule — when their walks build
+    equal structures; a new structure files a new template.
+    """
+    structure = GraphStructure(walk)
+    bucket = _by_fingerprint.setdefault(structure.fingerprint, [])
+    for template in bucket:
+        if _same_structure(structure, template.structure):
+            break
+    else:
+        template = _Template(structure)
+        bucket.append(template)
+    _use(template)
+    return template
+
+
+def _same_bits(a: np.ndarray, b: Sequence[float]) -> bool:
+    b = np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(
+        a.view(np.int64), b.view(np.int64)
+    )
+
+
+def shape_graph(
+    key: tuple,
+    stage_costs: Sequence[Sequence[object]],
+    boundary_bytes: float,
+    cluster: Cluster,
+    device_map: Sequence[int],
+    schedule_name: str,
+    static_bytes: Sequence[float],
+    emit_walk: Callable[[CommModel], Tuple[_Walk, List[tuple]]],
+    *,
+    comm: Optional[CommModel] = None,
+) -> CompiledGraph:
+    """The compiled graph of one query of a keyed schedule shape.
+
+    On a template hit only the cost table is computed and gathered.  On a
+    miss ``emit_walk(comm)`` walks the shape once with slots recorded
+    (see :func:`_walk_programs`) and the template is filed under
+    ``key``; when the walk also carries its own cost values, the graph
+    the template gathers must equal them bit for bit.
+    """
+    if comm is None:
+        comm = CommModel(cluster.hw)
+    capacity = cluster.hw.gpu_memory
+    template = _templates.get(key)
+    if template is not None:
+        _use(template)
+        table = _cost_table(
+            template.descs, stage_costs, boundary_bytes, cluster,
+            device_map, comm,
+        )
+        return template.graph(table, schedule_name, static_bytes, capacity)
+    walk, descs = emit_walk(comm)
+    template = _template_for(walk)
+    if template.descs is None:
+        template.record(walk, descs)
+    table = _cost_table(
+        template.descs, stage_costs, boundary_bytes, cluster, device_map,
+        comm,
+    )
+    graph = template.graph(table, schedule_name, static_bytes, capacity)
+    structure = template.structure
+    if walk.node_add and not (
+        _same_bits(graph.node_add_lvl,
+                   np.asarray(walk.node_add)[structure.node_order])
+        and _same_bits(graph.edge_w_walk, walk.e_w)
+        and _same_bits(graph.recv_durs, walk.recv_durs)
+        and _same_bits(graph.mem_deltas, walk.mem_deltas)
+        and _same_bits(graph.workspace, walk.workspace)
+    ):
+        raise RuntimeError(
+            f"shape template {key[:2]!r} does not reproduce its walk's "
+            "costs; the cost slots and the emitted values disagree"
+        )
+    _templates[key] = template
+    template.keys.append(key)
+    return graph
+
+
+def template_cache_info() -> Tuple[int, int]:
+    """(templates cached, total nodes across them) — for tests/benches."""
+    return len(_lru), sum(t.structure.num_nodes for t in _lru)
+
+
+def clear_templates() -> None:
+    """Drop every cached template (cold-compile benchmarks)."""
+    _templates.clear()
+    _by_fingerprint.clear()
+    _lru.clear()
+
+
 def _check_device_map(
     schedule: Schedule, cluster: Cluster, device_map: Optional[List[int]]
 ) -> List[int]:
@@ -541,6 +932,11 @@ def compile_graph(
 ) -> CompiledGraph:
     """Compile (or fetch the cached) static graph for one schedule.
 
+    A deferred schedule whose programs are still as emitted compiles
+    through its shape template (:func:`shape_graph`): on a hit no Op is
+    built, lowered or walked.  Any other schedule is lowered and walked,
+    and shares a structure with every schedule of its lowered signature.
+
     The result is cached on the schedule object keyed by device map and
     guarded by cluster identity and the schedule's identity signature —
     mutating the schedule afterwards raises
@@ -559,13 +955,24 @@ def compile_graph(
                 "editing one in place"
             )
         return entry[2]
-    lowered = lower_programs(schedule, cluster, device_map)
-    walk = _walk_programs(lowered)
-    structure = _structure_for(walk)
-    graph = CompiledGraph(
-        structure, walk, schedule.name, schedule.static_bytes,
-        cluster.hw.gpu_memory,
-    )
+    shape = schedule.template_shape()
+    if shape is None:
+        lowered = lower_programs(schedule, cluster, device_map)
+        walk = _walk_programs(lowered)
+        graph = CompiledGraph.from_walk(
+            _template_for(walk).structure, walk, schedule.name,
+            schedule.static_bytes, cluster.hw.gpu_memory,
+        )
+    else:
+        def emit_walk(comm: CommModel) -> Tuple[_Walk, List[tuple]]:
+            lowered = lower_programs(schedule, cluster, device_map, comm=comm)
+            slots, descs = _slot_programs(schedule.programs, shape.half_tags)
+            return _walk_programs(lowered, slots), descs
+
+        graph = shape_graph(
+            shape.key, shape.stage_costs, shape.boundary_bytes, cluster,
+            device_map, schedule.name, schedule.static_bytes, emit_walk,
+        )
     cache[key] = (cluster, schedule.identity_signature(), graph)
     return graph
 
@@ -647,6 +1054,7 @@ def _perturb_plan(structure: GraphStructure) -> tuple:
     if plan is not None:
         return plan
     num_nodes = structure.num_nodes
+    # Filled in walk order (the records' numbering), then made level-major.
     node_dev = np.zeros(num_nodes, dtype=np.intp)
     node_is_comm = np.zeros(num_nodes, dtype=bool)
     deposit_widx: List[int] = []
@@ -666,7 +1074,11 @@ def _perturb_plan(structure: GraphStructure) -> tuple:
     src_lvl = np.zeros(structure.num_edges, dtype=np.intp)
     for lo, hi, e0, e1, src, off in structure.levels:
         src_lvl[e0:e1] = src
-    plan = (node_dev, node_is_comm, src_lvl, dep_walk[structure.edge_perm])
+    order = structure.node_order
+    plan = (
+        node_dev[order], node_is_comm[order], src_lvl,
+        dep_walk[structure.edge_perm],
+    )
     structure.perturb_plan = plan
     return plan
 

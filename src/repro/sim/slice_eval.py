@@ -1,192 +1,96 @@
 """Batched slice-count evaluation: the autotuner's DES fast path.
 
 The joint autotuner (:func:`repro.core.strategy.autotune_config`)
-executes every admissible Slicer count of a layout on the DES.  The
-ordinary per-candidate route rebuilds the world from scratch each time:
-a :class:`~repro.schedules.base.Schedule` of frozen-dataclass ops
-(:func:`~repro.schedules.sliced.build_sliced`), an instruction-tuple
-lowering pass (:func:`~repro.sim.engine.lower_programs`), a tuple walk
-(:func:`~repro.sim.graph_exec._walk_programs`) and a fresh
-:class:`~repro.hardware.cluster.Cluster` — all to feed a numpy
+executes every admissible Slicer count of a layout on the DES.  Built
+the ordinary way, each count is a :class:`~repro.schedules.base.Schedule`
+of frozen-dataclass ops, an instruction-tuple lowering pass
+(:func:`~repro.sim.engine.lower_programs`) and a tuple walk
+(:func:`~repro.sim.graph_exec._walk_programs`) — all to feed a numpy
 relaxation that itself takes a fraction of a millisecond.
 
-This module removes every one of those intermediate representations for
-the (1F1B x slice-count) schedule family.  :func:`family_walk` emits the
-:class:`~repro.sim.graph_exec._Walk` arrays *directly* from
-``(profile, partition, m, num_sliced)`` — node ids, edge order, replay
-records, memory deltas and recv slots come out bit-identical to the
-build → lower → walk reference (property-tested field by field in
-``tests/sim/test_slice_eval.py``), because the emitter mirrors
+Slice counts compile through the same process-wide shape templates as
+built schedules (:func:`~repro.sim.graph_exec.shape_graph`), under the
+key :func:`~repro.schedules.sliced.build_sliced` gives the same
+schedule, so a template either path records serves the other.  On a hit
+no walk runs at all; only the cost table is gathered.  Slice counts are
+nearly all first of their shape, though, so the miss matters too, and
+here :func:`family_walk` replaces build → lower → walk: it emits the
+:class:`~repro.sim.graph_exec._Walk` structure and cost slots *directly*
+from ``(depth, m, num_sliced, aggregate)`` — node ids, edge order, replay
+records, memory counts and recv slots come out identical to the
+reference walk of the built schedule, because the emitter mirrors
 :func:`~repro.schedules.one_f_one_b.build_unit_1f1b`'s program loop and
-inlines exactly what :meth:`~repro.sim.engine._Lowerer.compile_op` and
-the walk would have produced for each op:
+inlines what the lowering and the walk would produce for each op.  The
+walk carries no cost values: the template gathers them from the cost
+table, with the lowerer's arithmetic.  Rendezvous node sharing follows
+the walk's device order: the lower-indexed endpoint of every
+adjacent-pair exchange creates the node and the higher one links to it.
 
-* per-stage full/half durations and stash bytes from
-  :class:`~repro.schedules.one_f_one_b._StageCosts` (the same cost
-  object the builder uses);
-* per-boundary link times from one shared
-  :class:`~repro.hardware.comm.CommModel` (full-duplex exchange cost =
-  max of the two direction times, like ``_exchange_time``);
-* rendezvous node sharing — the walk processes devices in ascending
-  order, so the lower-indexed endpoint of every adjacent-pair exchange
-  always creates the node and the higher one links to it.
-
-Because two partitions with the same (stages, micro-batches, slices,
-aggregation) differ only in costs, the compiled
-:class:`~repro.sim.graph_exec.GraphStructure` is shared through a
-family-level cache keyed by that tuple — no shape signature needs to be
-built or hashed.  :func:`evaluate_slice_counts` then groups the
-candidates by structure and relaxes each group in one
-:func:`~repro.sim.graph_exec.run_batch` pass.  Different slice counts
-necessarily compile to *different* structures (each sliced micro-batch
-adds a schedule unit, changing the op count), so the fan-in only merges
-within a slice count — the measured winning margin of the batched path
-comes from skipping the op-object/tuple churn, not from the merged
-relaxation; see ``docs/search.md``.
+:func:`evaluate_slice_counts` then groups the candidates by structure
+and relaxes each group in one :func:`~repro.sim.graph_exec.run_batch`
+pass.  Different slice counts necessarily compile to *different*
+structures (each sliced micro-batch adds a schedule unit), so the
+fan-in only merges within a slice count — the winning margin of the
+batched path comes from skipping the op-object/tuple churn, not from
+the merged relaxation; see ``docs/search.md``.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.partition import PartitionScheme
+from repro.core.slicer import SlicePlan
 from repro.hardware.cluster import Cluster
 from repro.hardware.comm import CommModel
 from repro.profiling.modelconfig import ModelProfile
-from repro.schedules.base import Unit, full_units, unit_label
+from repro.schedules.base import Unit, check_micro_batches, unit_label
 from repro.schedules.one_f_one_b import _StageCosts
-from repro.sim.engine import _COMPUTE, _EAGER, _RENDEZVOUS, ExecutionResult
+from repro.sim.engine import ExecutionResult
 from repro.sim.graph_exec import (
+    _LATENCY,
     _REC_COMPUTE,
     _REC_EAGER,
     _REC_RENDEZVOUS,
+    _ZERO,
+    _SlotTable,
     _Walk,
     CompiledGraph,
     GraphCompileError,
-    GraphStructure,
     run_batch,
+    shape_graph,
 )
-
-#: structures shared across partitions of one schedule-family shape,
-#: keyed by (num_stages, num_micro_batches, num_sliced, aggregate).
-_FAMILY_STRUCTURES: "OrderedDict[tuple, GraphStructure]" = OrderedDict()
-_FAMILY_CACHE_SIZE = 128
-
-
-def family_structure_cache_info() -> Tuple[int, int]:
-    """(family structures cached, total nodes) — for tests/benches."""
-    return (
-        len(_FAMILY_STRUCTURES),
-        sum(s.num_nodes for s in _FAMILY_STRUCTURES.values()),
-    )
-
-
-def clear_family_structures() -> None:
-    """Drop the family structure cache (benchmark cold runs)."""
-    _FAMILY_STRUCTURES.clear()
-
-
-def _sliced_units(num_micro_batches: int, num_sliced: int) -> List[Unit]:
-    if num_sliced == 0:
-        return full_units(num_micro_batches)
-    units: List[Unit] = []
-    for mb in range(num_micro_batches):
-        if mb < num_sliced:
-            units.append((mb, 0))
-            units.append((mb, 1))
-        else:
-            units.append((mb, -1))
-    return units
 
 
 def family_walk(
-    profile: ModelProfile,
-    partition: PartitionScheme,
+    num_stages: int,
     num_micro_batches: int,
     num_sliced: int,
-    cluster: Cluster,
-    device_map: Sequence[int],
-    *,
     aggregate: bool = True,
-    comm: Optional[CommModel] = None,
-    with_sig: bool = False,
-) -> Tuple[_Walk, List[float], str]:
-    """Emit the compiled-DAG walk of one (1F1B x slice-count) schedule.
+) -> Tuple[_Walk, List[tuple]]:
+    """Emit the compiled-DAG walk of one (1F1B x slice-count) shape.
 
-    Returns ``(walk, static_bytes, schedule_name)`` with every walk
-    field bit-identical to
-    ``_walk_programs(lower_programs(build_schedule(...)))`` for the same
-    inputs.  ``walk.sig`` is only populated when ``with_sig`` is set
-    (the family cache keys structures without it); a populated sig
-    equals the reference walk's, so the equivalence tests can compare
-    all fields at once.
+    Returns ``(walk, descs)``: the walk's structure and cost slots equal
+    ``_walk_programs(lowered, slots)`` over the lowered
+    ``build_schedule(...)`` programs of any model of this shape, and
+    ``descs`` describes the slots (see
+    :class:`~repro.sim.graph_exec._SlotTable`).  The walk records no
+    cost values; a template gathers them from the cost table.
     """
-    n = partition.num_stages
-    if len(device_map) != n:
-        raise ValueError("device_map must cover every pipeline stage")
-    units = _sliced_units(num_micro_batches, num_sliced)
+    n = num_stages
+    units = SlicePlan(num_sliced, num_micro_batches).units()
     U = len(units)
-    if comm is None:
-        comm = CommModel(cluster.hw)
-    costs = [_StageCosts(profile, stage) for stage in partition.stages]
-    bbytes = profile.boundary_bytes
-    link_latency = cluster.hw.link_latency
-
-    # Per-stage durations/stash for full and half units (the only two
-    # unit fractions the family uses; identical arithmetic to
-    # _StageCosts.fwd/bwd/stash/workspace on a (mb, half) unit).
-    f_of = []
-    b_of = []
-    st_of = []
-    ws_of = []
-    for c in costs:
-        half_f = c._partial(c.fwd_full, 0.5)
-        half_b = c._partial(c.bwd_full, 0.5)
-        f_of.append({-1: c.fwd_full, 0: half_f, 1: half_f})
-        b_of.append({-1: c.bwd_full, 0: half_b, 1: half_b})
-        st_of.append({
-            -1: c.stash_full * 1.0,
-            0: c.stash_full * 0.5, 1: c.stash_full * 0.5,
-        })
-        ws_of.append({
-            -1: c.workspace_full * 1.0,
-            0: c.workspace_full * 0.5, 1: c.workspace_full * 0.5,
-        })
-
-    # Per-boundary direction times for full and half payloads; the
-    # builder passes ``bbytes * unit_fraction(unit)`` to each Transfer
-    # and the lowerer prices it per (src, dst) device pair.
-    full_b = bbytes * 1.0
-    half_b = bbytes * 0.5
-    up_t: List[Dict[int, float]] = []
-    down_t: List[Dict[int, float]] = []
-    for x in range(n - 1):
-        src, dst = device_map[x], device_map[x + 1]
-
-        def _dir(a: int, bb: int, nb: float) -> float:
-            if nb <= 0:
-                return 0.0
-            return comm.p2p_time_between(cluster, a, bb, nb)
-
-        uf = _dir(src, dst, full_b)
-        uh = _dir(src, dst, half_b)
-        df = _dir(dst, src, full_b)
-        dh = _dir(dst, src, half_b)
-        up_t.append({-1: uf, 0: uh, 1: uh})
-        down_t.append({-1: df, 0: dh, 1: dh})
-
+    slot = _SlotTable()
     walk = _Walk(n)
-    node_add = walk.node_add
-    e_dst, e_src, e_w = walk.e_dst, walk.e_src, walk.e_w
-    recv_durs = walk.recv_durs
+    s_node, s_edge = walk.s_node, walk.s_edge
+    e_dst, e_src = walk.e_dst, walk.e_src
     #: rendezvous nodes posted by the lower endpoint of a pair, keyed by
     #: (lower_device, sorted tag tuple); the upper endpoint links to it.
     posts: Dict[tuple, int] = {}
-    #: eager deposits: tag -> (sender node, wire time), walk order.
-    send_map: Dict[str, Tuple[int, float]] = {}
+    #: eager deposits: tag -> (sender node, wire slot), walk order.
+    send_map: Dict[str, Tuple[int, int]] = {}
     recv_reqs: List[Tuple[int, str, list]] = []
-    sig_devices: List[tuple] = []
+    halves = sorted({u[1] for u in units})
 
     def act_tag(unit: Unit, x: int) -> str:
         return f"act:{unit_label(unit)}:{x}>{x + 1}"
@@ -199,94 +103,110 @@ def family_walk(
 
     for x in range(n):
         records = walk.records[x]
-        sig_ops: List[tuple] = []
         prev = -1
-        prev_w = 0.0
-        fx, bx, sx, wx = f_of[x], b_of[x], st_of[x], ws_of[x]
+        prev_s = _ZERO
+        #: this stage's (duration F, duration B, stash, workspace) slots
+        #: per unit half (-1 whole, 0/1 sliced).
+        stage = {
+            h: tuple(slot((c, x, 0, h != -1)) for c in "FBSW")
+            for h in halves
+        }
+        #: exchange slots by (peer, sent unit half, received unit half).
+        exchanges: Dict[tuple, int] = {}
 
         def compute(kind: str, unit: Unit, phase: str) -> None:
-            nonlocal prev, prev_w
-            h = unit[1]
-            if kind == "F":
-                duration = fx[h]
-                alloc, free = sx[h], 0.0
-            else:
-                duration = bx[h]
-                alloc, free = 0.0, sx[h]
-            nid = len(node_add)
-            node_add.append(duration)
+            nonlocal prev, prev_s
+            s_f, s_b, s_stash, s_ws = stage[unit[1]]
+            nid = len(s_node)
+            s_dur = s_f if kind == "F" else s_b
+            s_node.append(s_dur)
             if prev >= 0:
                 e_dst.append(nid)
                 e_src.append(prev)
-                e_w.append(prev_w)
+                s_edge.append(prev_s)
+            prev, prev_s = nid, s_dur
             label = f"{kind}({unit_label(unit)})"
-            records.append([_REC_COMPUTE, nid, label, kind, phase])
-            walk.mem_deltas.append(alloc)
-            walk.mem_deltas.append(-free)
-            walk.workspace.append(wx[h])
+            records.append((_REC_COMPUTE, nid, label, kind, phase))
+            if kind == "F":
+                walk.s_mem += (s_stash, _ZERO)
+                if walk.first_f[x] < 0:
+                    walk.first_f[x] = nid
+            else:
+                walk.s_mem += (_ZERO, s_stash)
+            walk.s_ws.append(s_ws)
             walk.mem_counts[x] += 1
-            if kind == "F" and walk.first_f[x] < 0:
-                walk.first_f[x] = nid
-            prev, prev_w = nid, duration
-            if with_sig:
-                sig_ops.append((_COMPUTE, label, kind, phase))
 
         def rendezvous(
-            peer: int, parts: List[Tuple[str, str]], exch: float
+            peer: int,
+            sent: Optional[Tuple[str, Unit]],
+            received: Optional[Tuple[str, Unit]],
         ) -> None:
-            """One synchronous exchange; ``parts`` = (direction, tag).
-
-            ``direction`` is "→" for a transfer this device sends and
-            "←" for one it receives, in CommOp transfer order — exactly
-            the pieces of ``CommOp.label()``.
-            """
-            nonlocal prev, prev_w
-            lower = min(x, peer)
-            key = (lower, tuple(sorted(t for _, t in parts)))
-            if lower == x:
-                nid = len(node_add)
-                node_add.append(exch)
-                posts[key] = nid
+            """One synchronous exchange of at most one (tag, unit) payload
+            per direction; a fused one lists the send first, as
+            ``emit_exchange`` orders its transfers."""
+            nonlocal prev, prev_s
+            key = (peer, sent and sent[1][1], received and received[1][1])
+            s_exch = exchanges.get(key)
+            if s_exch is None:
+                s_exch = exchanges[key] = slot((
+                    "X", x, peer,
+                    () if sent is None else (sent[1][1] != -1,),
+                    () if received is None else (received[1][1] != -1,),
+                ))
+            if sent is None:
+                tags = (received[0],)
+                label = "comm[←" + received[0] + "]"
+            elif received is None:
+                tags = (sent[0],)
+                label = "comm[→" + sent[0] + "]"
             else:
-                nid = posts.pop(key)
+                a, b = sent[0], received[0]
+                tags = (a, b) if a < b else (b, a)
+                label = "comm[→" + a + ",←" + b + "]"
+            lower = min(x, peer)
+            if lower == x:
+                nid = len(s_node)
+                s_node.append(s_exch)
+                posts[lower, tags] = nid
+            else:
+                nid = posts.pop((lower, tags))
             if prev >= 0:
                 e_dst.append(nid)
                 e_src.append(prev)
-                e_w.append(prev_w)
-            label = "comm[" + ",".join(d + t for d, t in parts) + "]"
-            records.append([_REC_RENDEZVOUS, nid, label])
-            prev, prev_w = nid, exch
-            if with_sig:
-                sig_ops.append(
-                    (_RENDEZVOUS, label, (lower, max(x, peer)), key[1])
-                )
+                s_edge.append(prev_s)
+            prev, prev_s = nid, s_exch
+            records.append((_REC_RENDEZVOUS, nid, label))
 
-        def eager(send: bool, tag: str, wire: float) -> None:
-            """One buffered single-transfer CommOp (send or recv side)."""
-            nonlocal prev, prev_w
-            latency = link_latency if send else 0.0
-            nid = len(node_add)
-            node_add.append(latency)
+        def eager(send: bool, tag: str, unit: Unit) -> None:
+            """One buffered activation CommOp (send or recv side)."""
+            nonlocal prev, prev_s
+            src = x if send else x - 1
+            s_wire = slot(("D", src, src + 1, unit[1] != -1))
+            s_latency = _LATENCY if send else _ZERO
+            nid = len(s_node)
+            s_node.append(s_latency)
             if prev >= 0:
                 e_dst.append(nid)
                 e_src.append(prev)
-                e_w.append(prev_w)
+                s_edge.append(prev_s)
+            prev, prev_s = nid, s_latency
             label = ("comm[→" if send else "comm[←") + tag + "]"
-            if send:
-                send_map[tag] = (nid, wire)
             recv_list: list = []
-            if not send:
-                recv_durs.append(wire)
+            if send:
+                send_map[tag] = (nid, s_wire)
+            else:
+                walk.s_recv.append(s_wire)
                 recv_reqs.append((nid, tag, recv_list))
             records.append(
-                [_REC_EAGER, nid, label, "wait" + label[4:], recv_list]
+                (_REC_EAGER, nid, label, "wait" + label[4:], recv_list)
             )
-            prev, prev_w = nid, latency
-            if with_sig:
-                sig_ops.append((
-                    _EAGER, label,
-                    () if send else (tag,), (tag,) if send else (),
-                ))
+
+        def recv_act(u: Unit) -> None:
+            t = act_tag(u, x - 1)
+            if eager_act(u):
+                eager(False, t, u)
+            else:
+                rendezvous(x - 1, None, (t, u))
 
         # -- the 1F1B program, mirroring build_unit_1f1b -----------------
         w = min(U, n - 1 - x)
@@ -294,25 +214,16 @@ def family_walk(
         for k in range(w):
             u = units[k]
             if x > 0:
-                t = act_tag(u, x - 1)
-                if eager_act(u):
-                    eager(False, t, up_t[x - 1][u[1]])
-                else:
-                    rendezvous(x - 1, [("←", t)], up_t[x - 1][u[1]])
+                recv_act(u)
             compute("F", u, "warmup")
             if x < n - 1:
                 t = act_tag(u, x)
                 if eager_act(u):
-                    eager(True, t, up_t[x][u[1]])
+                    eager(True, t, u)
                 else:
-                    rendezvous(x + 1, [("→", t)], up_t[x][u[1]])
+                    rendezvous(x + 1, (t, u), None)
         if s > 0 and x > 0:
-            u = units[w]
-            t = act_tag(u, x - 1)
-            if eager_act(u):
-                eager(False, t, up_t[x - 1][u[1]])
-            else:
-                rendezvous(x - 1, [("←", t)], up_t[x - 1][u[1]])
+            recv_act(units[w])
         for j in range(s):
             fu = units[w + j]
             bu = units[j]
@@ -323,11 +234,10 @@ def family_walk(
                 if eager_act(fu):
                     # Split: the eager act send, then the grad recv as
                     # its own rendezvous (transfer order preserved).
-                    eager(True, at, up_t[x][fu[1]])
-                    rendezvous(x + 1, [("←", gt)], down_t[x][bu[1]])
+                    eager(True, at, fu)
+                    rendezvous(x + 1, None, (gt, bu))
                 else:
-                    exch = max(up_t[x][fu[1]], down_t[x][bu[1]])
-                    rendezvous(x + 1, [("→", at), ("←", gt)], exch)
+                    rendezvous(x + 1, (at, fu), (gt, bu))
             compute("B", bu, "steady")
             if x > 0:
                 gt = grad_tag(bu, x)
@@ -335,26 +245,19 @@ def family_walk(
                     nxt = units[w + j + 1]
                     at = act_tag(nxt, x - 1)
                     if eager_act(nxt):
-                        rendezvous(x - 1, [("→", gt)], down_t[x - 1][bu[1]])
-                        eager(False, at, up_t[x - 1][nxt[1]])
+                        rendezvous(x - 1, (gt, bu), None)
+                        eager(False, at, nxt)
                     else:
-                        exch = max(
-                            up_t[x - 1][nxt[1]], down_t[x - 1][bu[1]]
-                        )
-                        rendezvous(x - 1, [("→", gt), ("←", at)], exch)
+                        rendezvous(x - 1, (gt, bu), (at, nxt))
                 else:
-                    rendezvous(x - 1, [("→", gt)], down_t[x - 1][bu[1]])
+                    rendezvous(x - 1, (gt, bu), None)
         for k in range(s, U):
             u = units[k]
             if x < n - 1:
-                rendezvous(
-                    x + 1, [("←", grad_tag(u, x + 1))], down_t[x][u[1]]
-                )
+                rendezvous(x + 1, None, (grad_tag(u, x + 1), u))
             compute("B", u, "cooldown")
             if x > 0:
-                rendezvous(x - 1, [("→", grad_tag(u, x))], down_t[x - 1][u[1]])
-        if with_sig:
-            sig_devices.append(tuple(sig_ops))
+                rendezvous(x - 1, (grad_tag(u, x), u), None)
 
     if posts:
         raise GraphCompileError(
@@ -366,37 +269,13 @@ def family_walk(
             raise GraphCompileError(
                 f"eager receive of tag {tag!r} has no matching send"
             )
-        snid, sdur = sender
-        widx = len(e_w)
+        snid, s_wire = sender
+        widx = len(s_edge)
         e_dst.append(rnid)
         e_src.append(snid)
-        e_w.append(sdur)
+        s_edge.append(s_wire)
         recv_list.append((snid, widx, ridx))
-
-    if with_sig:
-        walk.sig = tuple(sig_devices)
-
-    static = [
-        costs[x].params * profile.train.bytes_per_param_state
-        for x in range(n)
-    ]
-    name = "1f1b" if num_sliced == 0 else "autopipe-sliced"
-    return walk, static, name
-
-
-def _family_structure(
-    n: int, m: int, num_sliced: int, aggregate: bool, walk: _Walk
-) -> GraphStructure:
-    key = (n, m, num_sliced, aggregate)
-    structure = _FAMILY_STRUCTURES.get(key)
-    if structure is not None:
-        _FAMILY_STRUCTURES.move_to_end(key)
-        return structure
-    structure = GraphStructure(walk)
-    _FAMILY_STRUCTURES[key] = structure
-    while len(_FAMILY_STRUCTURES) > _FAMILY_CACHE_SIZE:
-        _FAMILY_STRUCTURES.popitem(last=False)
-    return structure
+    return walk, slot.descs
 
 
 def compile_slice_graph(
@@ -410,16 +289,28 @@ def compile_slice_graph(
     aggregate: bool = True,
     comm: Optional[CommModel] = None,
 ) -> CompiledGraph:
-    """Compile one slice-count candidate onto the shared family structure."""
-    walk, static, name = family_walk(
-        profile, partition, num_micro_batches, num_sliced,
-        cluster, device_map, aggregate=aggregate, comm=comm,
-    )
-    structure = _family_structure(
-        partition.num_stages, num_micro_batches, num_sliced, aggregate, walk
-    )
-    return CompiledGraph(
-        structure, walk, name, static, cluster.hw.gpu_memory
+    """Compile one slice-count candidate through its shape template.
+
+    The template key is the one :func:`~repro.schedules.sliced.build_sliced`
+    (count > 0) or :func:`~repro.schedules.one_f_one_b.build_1f1b`
+    (count 0) gives the same schedule; :func:`family_walk` only runs on
+    a miss.
+    """
+    plan = SlicePlan(num_sliced, num_micro_batches, aggregate)
+    n = partition.num_stages
+    if len(device_map) != n:
+        raise ValueError("device_map must cover every pipeline stage")
+    costs = [_StageCosts(profile, stage) for stage in partition.stages]
+    static = [c.params * profile.train.bytes_per_param_state for c in costs]
+    key = ("1f1b", n, plan.units(), aggregate and num_sliced > 0)
+    return shape_graph(
+        key, [[c] for c in costs], profile.boundary_bytes, cluster,
+        device_map, "1f1b" if num_sliced == 0 else "autopipe-sliced",
+        static,
+        lambda _comm: family_walk(
+            n, num_micro_batches, num_sliced, aggregate
+        ),
+        comm=comm,
     )
 
 
@@ -437,13 +328,18 @@ def evaluate_slice_counts(
 
     Bit-identical to calling
     :func:`repro.runtime.trainer.run_pipeline` once per count (schedule
-    ``"1f1b"`` for 0, ``"sliced"`` above), but without building any
-    Schedule objects or instruction tuples: each candidate is emitted
-    straight into walk arrays, compiled onto the family-cached
-    structure, and candidates sharing a structure relax together in one
+    ``"1f1b"`` for 0, ``"sliced"`` with ``SlicePlan(count, m,
+    aggregate)`` above), and raising the same ``ValueError`` for a count
+    outside ``0..m`` or a non-integer ``num_micro_batches``.  Each
+    candidate compiles through its shape template — on a miss it is
+    emitted straight into walk arrays — and candidates sharing a
+    structure relax together in one
     :func:`~repro.sim.graph_exec.run_batch` pass.  Results come back in
     ``slice_counts`` order.
     """
+    m = check_micro_batches(num_micro_batches)
+    for num_sliced in slice_counts:
+        SlicePlan(num_sliced, m, aggregate)
     if cluster is None:
         cluster = Cluster(profile.hardware)
     if device_map is None:
@@ -453,7 +349,7 @@ def evaluate_slice_counts(
     groups: Dict[int, List[Tuple[int, CompiledGraph]]] = {}
     for i, num_sliced in enumerate(slice_counts):
         graph = compile_slice_graph(
-            profile, partition, num_micro_batches, num_sliced,
+            profile, partition, m, num_sliced,
             cluster, device_map, aggregate=aggregate, comm=comm,
         )
         groups.setdefault(id(graph.structure), []).append((i, graph))

@@ -13,7 +13,10 @@ from repro.runtime.metrics import (
     robust_speedup,
     speedup,
 )
-from repro.runtime.trainer import run_iteration, run_pipeline
+from repro.runtime.trainer import build_schedule, run_iteration, run_pipeline
+from repro.schedules.interleaved import build_interleaved
+from repro.schedules.one_f_one_b import build_1f1b
+from repro.sim.slice_eval import evaluate_slice_counts
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +69,31 @@ class TestRunIteration:
         assert run_iteration(tiny_profile, partition, 6).pipeline_seconds == (
             event.iteration_time
         )
+
+
+class TestMicroBatchCount:
+    """Builders key their shape on ``num_micro_batches``: a float equal
+    to an int, or a bool, must not pass for one."""
+
+    @pytest.mark.parametrize("m", [2.5, 4.0, True, "4"])
+    def test_non_integer_count_rejected(self, tiny_profile, partition, m):
+        with pytest.raises(ValueError, match="num_micro_batches"):
+            run_pipeline(tiny_profile, partition, m)
+        with pytest.raises(ValueError, match="num_micro_batches"):
+            build_schedule(tiny_profile, partition, m, "gpipe")
+        with pytest.raises(ValueError, match="num_micro_batches"):
+            build_1f1b(tiny_profile, partition, m)
+        with pytest.raises(ValueError, match="num_micro_batches"):
+            build_interleaved(tiny_profile, 2, m)
+        with pytest.raises(ValueError, match="num_micro_batches"):
+            evaluate_slice_counts(tiny_profile, partition, m, [0])
+
+    def test_integral_types_accepted(self, tiny_profile, partition):
+        import numpy as np
+
+        ref = run_pipeline(tiny_profile, partition, 4)
+        got = run_pipeline(tiny_profile, partition, np.int64(4))
+        assert got.iteration_time == ref.iteration_time
 
 
 class TestMetrics:

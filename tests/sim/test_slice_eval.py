@@ -14,6 +14,7 @@ included.
 import dataclasses
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.balance_dp import balanced_partition
@@ -21,8 +22,8 @@ from repro.core.slicer import SlicePlan
 from repro.experiments.common import make_profile
 from repro.models.zoo import GPT2_345M
 from repro.runtime.trainer import run_pipeline
+from repro.sim.graph_exec import template_cache_info
 from repro.sim.slice_eval import evaluate_slice_counts
-from repro.sim.slice_eval import family_structure_cache_info
 
 
 def _jittered(mbs, m, seed):
@@ -83,7 +84,22 @@ class TestBatchedEqualsPerCandidate:
         profile = _jittered(4, 8, seed=7)
         partition = balanced_partition(profile.block_times(), 2)
         evaluate_slice_counts(profile, partition, 8, [0, 2, 4])
-        count, _ = family_structure_cache_info()
+        count, _ = template_cache_info()
         # A second sweep over the same family compiles no new structures.
         evaluate_slice_counts(profile, partition, 8, [0, 2, 4])
-        assert family_structure_cache_info()[0] == count
+        assert template_cache_info()[0] == count
+
+    @pytest.mark.parametrize("count", [5, -1])
+    def test_out_of_range_count_raises_like_run_pipeline(self, count):
+        """A count outside ``0..m`` is the ``SlicePlan`` error, not a
+        silent clamp to ``m`` or a plain 1F1B run."""
+        profile = _jittered(4, 4, seed=1)
+        partition = balanced_partition(profile.block_times(), 2)
+        with pytest.raises(ValueError) as ref:
+            run_pipeline(
+                profile, partition, 4, schedule="sliced",
+                slice_plan=SlicePlan(num_sliced=count, num_micro_batches=4),
+            )
+        with pytest.raises(ValueError) as got:
+            evaluate_slice_counts(profile, partition, 4, [0, count])
+        assert str(got.value) == str(ref.value)
