@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.partition import PartitionScheme, StageTimes
-from repro.core.planner import SimCache, default_sim_cache
+from repro.core.analytic_sim import PipelineSim
 from repro.models.costs import small_batch_slowdown
 from repro.parallel.data_parallel import allreduce_seconds
 from repro.profiling.modelconfig import ModelProfile
@@ -179,7 +179,6 @@ def evaluate_config(
     global_batch_size: int,
     *,
     comm_mode: str = "edges",
-    sim_cache: Optional[SimCache] = None,
 ) -> ConfigEvaluation:
     """Execute a planned configuration and measure its iteration time.
 
@@ -187,11 +186,7 @@ def evaluate_config(
     split each micro-batch, they do not shard the stream), so the pipeline
     runs ``m = Gbs / mbs`` micro-batches; gradient allreduce runs per stage
     across its replicas and is charged at the end of the iteration.
-    ``sim_cache`` defaults to the process-wide memo (sweep cells often
-    share identical stage times); results are identical either way.
     """
-    if sim_cache is None:
-        sim_cache = default_sim_cache()
     mbs = profile.train.micro_batch_size
     if global_batch_size % mbs != 0:
         raise ValueError("global batch not divisible by micro-batch size")
@@ -228,12 +223,12 @@ def evaluate_config(
         times = effective_stage_times(
             profile, config.partition, (1,) * config.num_stages, mbs, "stream"
         )
-        sim = sim_cache.simulate(times, m // dp, comm_mode)
+        sim = PipelineSim(times, m // dp, comm_mode=comm_mode).run()
     else:
         times = effective_stage_times(
             profile, config.partition, config.replicas, mbs, config.semantics
         )
-        sim = sim_cache.simulate(times, m, comm_mode)
+        sim = PipelineSim(times, m, comm_mode=comm_mode).run()
         if config.semantics == "stream":
             # Non-uniform stream replication (Piper): the steady state runs
             # at the amortised t/r period, but the first micro-batch fills

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.baselines.common import PlannedConfig
-from repro.core.planner import default_sim_cache
+from repro.core.analytic_sim import PipelineSim
 from repro.core.partition import PartitionScheme, StageTimes
 from repro.models.costs import STASH_FACTOR
 from repro.models.transformer import layer_groups
@@ -238,7 +238,6 @@ def plan_dapple(
     :func:`_fill_scalar`, so the plans are identical too.
     """
     t0 = _time.perf_counter()
-    sim_cache = default_sim_cache()
     mbs = profile.train.micro_batch_size
     if global_batch_size % mbs != 0:
         raise ValueError("global batch not divisible by micro-batch size")
@@ -331,10 +330,7 @@ def plan_dapple(
             bwd.append((t - f) / r)
             pos += size
         times = StageTimes(tuple(fwd), tuple(bwd), profile.comm_time)
-        # Candidate scoring dominates DAPPLE's search time; identical
-        # stage-time vectors recur across candidates and sweep cells, so
-        # score through the shared simulator memo.
-        return sim_cache.simulate(times, m, "edges").iteration_time
+        return PipelineSim(times, m, comm_mode="edges").run().iteration_time
 
     best_cost = _INF
     best_bound = _INF

@@ -24,7 +24,6 @@ from repro.core.plan_cache import (
 from repro.core.planner import (
     PlannerResult,
     SimCache,
-    default_sim_cache,
     plan_partition,
 )
 from repro.core.slicer import SlicePlan, solve_slice_count
@@ -57,7 +56,6 @@ __all__ = [
     "set_default_plan_cache",
     "PlannerResult",
     "SimCache",
-    "default_sim_cache",
     "plan_partition",
     "SlicePlan",
     "solve_slice_count",

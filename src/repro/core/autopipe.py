@@ -14,7 +14,7 @@ from typing import Optional
 
 from repro.config import HardwareConfig, ModelConfig, TrainConfig
 from repro.core.partition import PartitionScheme, StageTimes, stage_times
-from repro.core.planner import PlannerResult, SimCache, plan_partition
+from repro.core.planner import PlannerResult, plan_partition
 from repro.core.slicer import SlicePlan, make_slice_plan
 from repro.profiling import ModelProfile, profile_model
 
@@ -51,14 +51,11 @@ def autopipe_plan(
     granularity: str = "sublayer",
     comm_mode: str = "paper",
     profile: Optional[ModelProfile] = None,
-    sim_cache: Optional[SimCache] = None,
 ) -> AutoPipeSolution:
     """Run the full AutoPipe front-end for one training configuration.
 
     Pass ``profile`` to reuse previously collected model configs (the
-    offline profiling step); otherwise it is generated here.  ``sim_cache``
-    is forwarded to the Planner so sweeps can share simulator results
-    across calls.
+    offline profiling step); otherwise it is generated here.
     """
     if profile is None:
         profile = profile_model(model, hardware, train)
@@ -68,7 +65,6 @@ def autopipe_plan(
         num_micro_batches,
         granularity=granularity,
         comm_mode=comm_mode,
-        sim_cache=sim_cache,
     )
     times = stage_times(planner.partition, profile)
     plan = (

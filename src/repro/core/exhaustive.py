@@ -31,11 +31,6 @@ lexicographic cut order achieving the minimum iteration time):
 bound, reduced with the objective's statistic, orders the candidates and
 prunes all but a few percent of them (:func:`_search_robust_pruned`);
 ``prune=False`` keeps the literal enumeration (:func:`_search_robust`).
-
-A shared :class:`~repro.core.planner.SimCache` can be threaded through:
-stage-time vectors the planner already simulated in the same process are
-harvested from the cache instead of re-simulated, and the hit count is
-reported on the result.
 """
 
 from __future__ import annotations
@@ -51,12 +46,7 @@ import numpy as np
 from repro.core.analytic_sim import PipelineSim, SimResult
 from repro.core.balance_dp import min_max_partition
 from repro.core.partition import PartitionScheme, StageTimes
-from repro.core.planner import (
-    SimCache,
-    _check_count,
-    _check_jobs,
-    plan_partition,
-)
+from repro.core.planner import _check_count, _check_jobs, plan_partition
 from repro.obs import stats as _stats
 from repro.obs import telemetry as _obs
 from repro.profiling.modelconfig import ModelProfile
@@ -116,8 +106,6 @@ class ExhaustiveResult:
     search_seconds: float
     #: size of the search space, C(n-1, p-1).
     space: int
-    #: candidates served from the shared :class:`SimCache`.
-    cache_hits: int = 0
     #: candidates eliminated by the dominance memo (a subset of
     #: :attr:`pruned`, attributed to twin-subtree detection rather than
     #: the lower bounds).
@@ -138,7 +126,7 @@ class ExhaustiveResult:
     @property
     def pruned(self) -> int:
         """Candidates eliminated by bounds without any simulation."""
-        return self.space - self.evaluations - self.cache_hits
+        return self.space - self.evaluations
 
     @property
     def sims_per_second(self) -> float:
@@ -192,15 +180,14 @@ class _SearchState:
     """
 
     __slots__ = (
-        "best_time", "best_sizes", "evaluations", "cache_hits",
-        "dominance_pruned", "incumbent_updates",
+        "best_time", "best_sizes", "evaluations", "dominance_pruned",
+        "incumbent_updates",
     )
 
     def __init__(self) -> None:
         self.best_time = float("inf")
         self.best_sizes: Optional[Tuple[int, ...]] = None
         self.evaluations = 0
-        self.cache_hits = 0
         self.dominance_pruned = 0
         self.incumbent_updates = 0
 
@@ -249,23 +236,17 @@ def _search_brute(
     num_stages: int,
     num_micro_batches: int,
     comm_mode: str,
-    sim_cache: Optional[SimCache],
     state: _SearchState,
 ) -> None:
     """The literal brute force: one scalar simulation per candidate."""
     n = len(fwd)
     for sizes in iter_partitions(n, num_stages):
         f_stages, b_stages = _stage_sums(fwd, bwd, sizes)
-        times = StageTimes(f_stages, b_stages, comm)
-        sim = sim_cache.peek(times, num_micro_batches, comm_mode) \
-            if sim_cache is not None else None
-        if sim is not None:
-            state.cache_hits += 1
-        else:
-            sim = PipelineSim(
-                times, num_micro_batches, comm_mode=comm_mode
-            ).run()
-            state.evaluations += 1
+        sim = PipelineSim(
+            StageTimes(f_stages, b_stages, comm), num_micro_batches,
+            comm_mode=comm_mode,
+        ).run()
+        state.evaluations += 1
         state.offer(sizes, sim.iteration_time)
 
 
@@ -635,7 +616,6 @@ def _search_analytic(
     num_stages: int,
     num_micro_batches: int,
     comm_mode: str,
-    sim_cache: Optional[SimCache],
     state: _SearchState,
     extra_seeds: Sequence[Tuple[int, ...]] = (),
 ) -> None:
@@ -677,13 +657,7 @@ def _search_analytic(
       (padded for rounding).  Ties are resolved by reconstructing every
       minimum-time column and offering the lexicographically smallest,
       so the result is the brute-force argmin, property-tested against
-      it.
-    * ``sim_cache`` interplay: the kernel scores every admitted column
-      regardless, so per-column cache peeks would buy nothing and cost
-      a Python loop.  Only each sweep's *winner* is peeked (one lookup),
-      which keeps the "oracle harvests the planner's simulations"
-      accounting observable without per-candidate work; seed columns
-      are not counted as fresh evaluations.
+      it.  Seed columns are not counted as fresh evaluations.
 
     The last-stage level is never materialized as prefixes: a leaf
     parent at ``pos`` contributes ``prefix x admitted_sizes(pos)``
@@ -697,7 +671,7 @@ def _search_analytic(
     m = num_micro_batches
 
     warm = _evaluate_seeds(
-        fwd, bwd, comm, p, m, comm_mode, sim_cache, state, extra_seeds,
+        fwd, bwd, comm, p, m, comm_mode, state, extra_seeds,
     )
     if p == 1:
         return  # the single candidate is the Algorithm-1 seed itself.
@@ -918,17 +892,6 @@ def _search_analytic(
                 )
                 if best is None or sz < best:
                     best = sz
-            # One peek per flush: enough to observe "the planner already
-            # simulated this winner" without a per-column Python loop
-            # (the kernel scored every column either way).
-            if sim_cache is not None and best not in warm:
-                cached = sim_cache.peek(
-                    StageTimes(*_stage_sums(fwd, bwd, best), comm),
-                    m, comm_mode,
-                )
-                if cached is not None:
-                    state.cache_hits += 1
-                    evals -= 1
             state.offer(best, float(tmin))
         state.evaluations += evals
         if tel is not None:
@@ -945,15 +908,13 @@ def _evaluate_seeds(
     num_stages: int,
     num_micro_batches: int,
     comm_mode: str,
-    sim_cache: Optional[SimCache],
     state: _SearchState,
     extra_seeds: Sequence[Tuple[int, ...]],
 ) -> Dict[Tuple[int, ...], float]:
     """Simulate the warm seeds and offer them to the incumbent.
 
     The Algorithm-1 min-max seed plus every valid, distinct extra seed,
-    one scalar simulation each (counted on ``state``, or served from
-    ``sim_cache``).  Returns the ``(sizes -> time)`` map, which
+    one scalar simulation each (counted on ``state``).  Returns the ``(sizes -> time)`` map, which
     :func:`_search_analytic` uses to keep seed columns out of its
     fresh-evaluation count.
     """
@@ -974,14 +935,11 @@ def _evaluate_seeds(
     warm: Dict[Tuple[int, ...], float] = {}
     for seed in seeds:
         seed_f, seed_b = _stage_sums(fwd, bwd, seed)
-        times = StageTimes(seed_f, seed_b, comm)
-        sim = sim_cache.peek(times, num_micro_batches, comm_mode) \
-            if sim_cache is not None else None
-        if sim is not None:
-            state.cache_hits += 1
-        else:
-            sim = PipelineSim(times, num_micro_batches, comm_mode=comm_mode).run()
-            state.evaluations += 1
+        sim = PipelineSim(
+            StageTimes(seed_f, seed_b, comm), num_micro_batches,
+            comm_mode=comm_mode,
+        ).run()
+        state.evaluations += 1
         warm[seed] = sim.iteration_time
         state.offer(seed, sim.iteration_time)
     if tel is not None:
@@ -1004,7 +962,6 @@ def exhaustive_partition(
     comm_mode: str = "paper",
     max_evaluations: Optional[int] = 2_000_000,
     prune: bool = True,
-    sim_cache: Optional[SimCache] = None,
     robust: Optional[RobustObjective] = None,
     jobs: int = 1,
     cache=None,
@@ -1022,8 +979,7 @@ def exhaustive_partition(
     Algorithm-1 seed alone.  The result is still the exact brute-force
     argmin, because warm candidates go through the same tie-breaking
     ``offer`` and bounds only ever discard provably worse subtrees.
-    ``sim_cache`` harvests vectors already simulated in-process (e.g. by
-    the planner) and is reported via ``cache_hits``.  A subtree is
+    A subtree is
     discarded only when its lower bound exceeds the incumbent by more
     than the relative slack :data:`_PRUNE_SLACK` (``1 + 1e-9``), which
     absorbs float rounding so the search stays exact.
@@ -1045,7 +1001,7 @@ def exhaustive_partition(
     ``prune=False`` enumerates the full space in chunks of
     ``_DEFAULT_CHUNK // draws`` candidates (the specification).  Both
     return the identical partition and objective value.  The planner
-    warm start and ``sim_cache`` are not used.  The winner's objective
+    warm start is not used.  The winner's objective
     value is reported as ``ExhaustiveResult.robust_value``, while
     ``sim`` stays the winner's *nominal* simulation.
 
@@ -1058,8 +1014,7 @@ def exhaustive_partition(
     unset; pass ``False`` to force caching off for one call).  A warm
     hit replays the stored result — same partition, iteration time and
     original search statistics — without running any simulation; the
-    key covers the full profile content and every search knob except
-    ``sim_cache``, which cannot change the result.
+    key covers the full profile content and every search knob.
 
     When a :mod:`repro.obs` registry is current (``obs.session`` or the
     CLI's ``--telemetry``), the call records an ``oracle.search`` span
@@ -1078,8 +1033,8 @@ def exhaustive_partition(
     t0 = tel.clock() if tel is not None else 0
     result = _exhaustive_impl(
         profile, num_stages, num_micro_batches, comm_mode=comm_mode,
-        max_evaluations=max_evaluations, prune=prune, sim_cache=sim_cache,
-        robust=robust, cache=cache,
+        max_evaluations=max_evaluations, prune=prune, robust=robust,
+        cache=cache,
     )
     if tel is not None:
         tel.record_since(
@@ -1092,7 +1047,6 @@ def exhaustive_partition(
         tel.add("oracle.evaluations", result.evaluations)
         tel.add("oracle.search_seconds", result.search_seconds)
         tel.add("oracle.space", result.space)
-        tel.add("oracle.cache_hits", result.cache_hits)
         tel.add("oracle.dominance_pruned", result.dominance_pruned)
         tel.add("oracle.pruned", result.pruned)
         tel.add("oracle.incumbent_updates", result.incumbent_updates)
@@ -1107,7 +1061,6 @@ def _exhaustive_impl(
     comm_mode: str,
     max_evaluations: Optional[int],
     prune: bool,
-    sim_cache: Optional[SimCache],
     robust: Optional[RobustObjective],
     cache,
 ) -> ExhaustiveResult:
@@ -1148,7 +1101,7 @@ def _exhaustive_impl(
             with _obs.span("oracle.warm_start", depth=num_stages):
                 heur = plan_partition(
                     profile, num_stages, num_micro_batches,
-                    comm_mode=comm_mode, sim_cache=sim_cache,
+                    comm_mode=comm_mode,
                 )
             extra_seeds.append(
                 tuple(len(stage) for stage in heur.partition.stages)
@@ -1172,29 +1125,25 @@ def _exhaustive_impl(
     elif mode == "analytic":
         _search_analytic(
             fwd, bwd, comm, num_stages, num_micro_batches, comm_mode,
-            sim_cache, state, extra_seeds,
+            state, extra_seeds,
         )
     else:
         _search_brute(
             fwd, bwd, comm, num_stages, num_micro_batches, comm_mode,
-            sim_cache, state,
+            state,
         )
     assert state.best_sizes is not None
     f_stages, b_stages = _stage_sums(fwd, bwd, state.best_sizes)
-    times = StageTimes(f_stages, b_stages, comm)
-    if sim_cache is not None:
-        best_sim = sim_cache.simulate(times, num_micro_batches, comm_mode)
-    else:
-        best_sim = PipelineSim(
-            times, num_micro_batches, comm_mode=comm_mode
-        ).run()
+    best_sim = PipelineSim(
+        StageTimes(f_stages, b_stages, comm), num_micro_batches,
+        comm_mode=comm_mode,
+    ).run()
     result = ExhaustiveResult(
         partition=PartitionScheme.from_sizes(state.best_sizes),
         sim=best_sim,
         evaluations=state.evaluations,
         search_seconds=_time.perf_counter() - t0,
         space=space,
-        cache_hits=state.cache_hits,
         dominance_pruned=state.dominance_pruned,
         robust_value=state.best_time if robust is not None else None,
         incumbent_updates=state.incumbent_updates,

@@ -1,4 +1,4 @@
-"""Persistent, content-addressed plan cache.
+"""Persistent, content-addressed plan cache and the on-disk store it shares.
 
 Heavy multi-user planning traffic re-solves the same (profile, cluster,
 batch, knobs) plans over and over — across CLI invocations, sweep
@@ -8,13 +8,12 @@ processes and autotune layouts.  :class:`PlanCache` memoises finished
 plan is never solved twice: a warm lookup deserialises the stored result
 (sub-millisecond for these payloads) and runs **zero** simulations.
 
-Key scheme (modeled on :class:`~repro.experiments.runner.SweepRunner`'s
-on-disk memo):
+Key scheme:
 
-* a cache **schema version** plus a **code fingerprint** — the SHA-256
-  of the search-stack sources (``exhaustive.py``, ``planner.py``,
-  ``analytic_sim.py``, ``balance_dp.py``) — so plans pickled by older
-  code versions never replay silently as fresh results;
+* a cache **schema version** plus the **code fingerprint**
+  (:func:`code_fingerprint`: SHA-256 over every source file of the
+  ``repro`` package), so results computed by other code never replay
+  silently as fresh ones;
 * the **profile hash**: SHA-256 of the :class:`ModelProfile` ``repr``,
   which captures every block time, memory statistic, the comm scalar,
   and the model/hardware/train configs (all frozen dataclasses with
@@ -22,12 +21,15 @@ on-disk memo):
 * the entry **kind** (``planner`` / ``exhaustive``), the pipeline depth
   and micro-batch count, and every search knob that callers can set.
 
-Deliberately *excluded* from the key: ``sim_cache`` (an in-process
-accelerator with no effect on results).
+Deliberately *excluded* from the key: the planner's ``sim_cache`` (an
+in-process accelerator with no effect on results).
 
-Values are pickles under ``cache_dir/<key>.pkl``, written atomically
-(temp file + rename) so concurrent planners sharing a cache directory —
-CLI runs in several shells, say — never observe torn entries.
+Values live in a :class:`DiskStore`: pickles under
+``cache_dir/<key>.pkl``, written atomically (temp file + rename) so
+concurrent processes sharing a cache directory — CLI runs in several
+shells, say — never observe torn entries.
+:class:`~repro.experiments.runner.SweepRunner` keeps its sweep cells in
+the same kind of store, keyed on the same fingerprint.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import List, Optional
 
 #: bump to invalidate every on-disk plan (cache layout changes).  "2":
 #: ``SimResult`` pickles scalars and the critical path only (per-op times
@@ -48,39 +50,104 @@ from typing import Optional
 #: fields when the multiprocess searches were removed.  "5": the oracle's
 #: warm-start, chunk and slack settings and the planner's history switch
 #: became fixed behaviour, so keys no longer carry them and every
-#: ``PlannerResult`` records its history.
-_SCHEMA = "5"
+#: ``PlannerResult`` records its history.  "6": ``ExhaustiveResult`` lost
+#: ``cache_hits`` with the oracle's harvest of the shared simulation memo.
+_SCHEMA = "6"
 
-#: search-stack sources folded into the code fingerprint: an edit to any
-#: of these may change planned partitions or their reported statistics.
-_FINGERPRINT_MODULES = (
-    "repro.core.analytic_sim",
-    "repro.core.balance_dp",
-    "repro.core.exhaustive",
-    "repro.core.planner",
-    # The frontier kernel scores the default oracle path: a change to it
-    # must invalidate cached plans exactly like a change to the search.
-    "repro.sim.analytic",
-)
+#: root of the ``repro`` package, whose sources :func:`code_fingerprint`
+#: hashes.
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
 _code_fingerprint: Optional[str] = None
 
 
 def code_fingerprint() -> str:
-    """SHA-256 over the search-stack source files (computed once)."""
+    """SHA-256 over every ``repro/**/*.py`` source file (computed once).
+
+    Each file contributes its package-relative path and the SHA-256 of
+    its bytes, in path order, so an edit anywhere in the package —
+    search, simulator, robustness draws or a cost model — changes every
+    disk-cache key.
+    """
     global _code_fingerprint
     if _code_fingerprint is None:
         h = hashlib.sha256()
-        for module in _FINGERPRINT_MODULES:
-            try:
-                import importlib
-
-                path = getattr(importlib.import_module(module), "__file__", None)
-                h.update(Path(path).read_bytes() if path else b"no-source")
-            except Exception:
-                h.update(b"no-source")
+        for path in sorted(
+            _PACKAGE_ROOT.rglob("*.py"),
+            key=lambda p: p.relative_to(_PACKAGE_ROOT).as_posix(),
+        ):
+            h.update(path.relative_to(_PACKAGE_ROOT).as_posix().encode())
+            h.update(b"\0")
+            h.update(hashlib.sha256(path.read_bytes()).digest())
         _code_fingerprint = h.hexdigest()
     return _code_fingerprint
+
+
+class DiskStore:
+    """Pickled values under ``cache_dir/<key>.pkl``, shared across processes.
+
+    ``cache_dir=None`` is a store with no directory: every load misses
+    and a purge removes nothing.
+    """
+
+    def __init__(self, cache_dir: Optional[os.PathLike]) -> None:
+        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+
+    def _path(self, key: str) -> Path:
+        return self.cache_dir / f"{key}.pkl"
+
+    def _entries(self) -> List[Path]:
+        if self.cache_dir is None or not self.cache_dir.is_dir():
+            return []
+        return list(self.cache_dir.glob("*.pkl"))
+
+    def load(self, key: str):
+        """The stored value of ``key``, or None when it cannot be loaded.
+
+        Unreadable, torn or corrupt entries are misses, never errors;
+        ``AttributeError``/``ImportError`` cover pickles of classes that
+        were since renamed or deleted.
+        """
+        if self.cache_dir is None:
+            return None
+        try:
+            with open(self._path(key), "rb") as fh:
+                return pickle.load(fh)
+        except (OSError, pickle.UnpicklingError, EOFError, ValueError,
+                AttributeError, ImportError):
+            return None
+
+    def store(self, key: str, value) -> None:
+        """Atomically persist one value (temp file + rename)."""
+        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(
+            dir=self.cache_dir, prefix=".tmp-", suffix=".pkl"
+        )
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                pickle.dump(value, fh)
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+
+    def purge(self) -> int:
+        """Delete every ``*.pkl`` entry; returns how many were removed.
+
+        The CLI's ``--clear-cache``.  Other files in the directory are
+        left alone, and a missing directory purges nothing.
+        """
+        removed = 0
+        for path in self._entries():
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                pass
+        return removed
 
 
 def profile_hash(profile) -> str:
@@ -93,11 +160,11 @@ def profile_hash(profile) -> str:
     return hashlib.sha256(repr(profile).encode()).hexdigest()
 
 
-class PlanCache:
+class PlanCache(DiskStore):
     """On-disk memo of planner / oracle results, shared across processes."""
 
     def __init__(self, cache_dir: os.PathLike) -> None:
-        self.cache_dir = Path(cache_dir)
+        super().__init__(cache_dir)
         self.hits = 0
         self.misses = 0
 
@@ -130,9 +197,6 @@ class PlanCache:
 
     # -- storage -----------------------------------------------------------
 
-    def _path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.pkl"
-
     def load(self, key: str, expect: Optional[type] = None):
         """The stored result for ``key``, or None.
 
@@ -140,54 +204,18 @@ class PlanCache:
         partition, iteration time, search statistics and all — without
         running a single simulation.  ``expect`` guards against a stale
         or foreign pickle deserialising to the wrong type (treated as a
-        miss).  Unreadable/corrupt entries are misses, never errors.
+        miss), as are unreadable or corrupt entries.
         """
-        try:
-            with open(self._path(key), "rb") as fh:
-                value = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, ValueError,
-                AttributeError, ImportError):
-            self.misses += 1
-            return None
-        if expect is not None and not isinstance(value, expect):
+        value = super().load(key)
+        if value is None or (expect is not None
+                             and not isinstance(value, expect)):
             self.misses += 1
             return None
         self.hits += 1
         return value
 
-    def store(self, key: str, value) -> None:
-        """Atomically persist one result (temp file + rename)."""
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.cache_dir, prefix=".tmp-", suffix=".pkl"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(value, fh)
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def purge(self) -> int:
-        """Delete every cached plan; returns how many were removed."""
-        removed = 0
-        if self.cache_dir.is_dir():
-            for path in self.cache_dir.glob("*.pkl"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
     def __len__(self) -> int:
-        if not self.cache_dir.is_dir():
-            return 0
-        return sum(1 for _ in self.cache_dir.glob("*.pkl"))
+        return len(self._entries())
 
 
 #: process-wide cache used when callers pass ``cache=None``; off unless

@@ -51,15 +51,15 @@ _SimKey = Tuple[Tuple[float, ...], Tuple[float, ...], float, int, str]
 
 
 class SimCache:
-    """Cross-call memo of :class:`PipelineSim` results.
+    """Opt-in cross-call memo of :class:`PipelineSim` results.
 
     ``plan_partition`` already memoises within one search (its per-call
-    ``sizes`` cache also defines the reported evaluation count).  Sweeps —
-    the Table III/IV planner comparisons, Fig. 12 scaling — re-plan many
-    overlapping configurations whose candidate partitions aggregate to the
-    *same stage-time vectors*; sharing one ``SimCache`` across those calls
-    skips the redundant simulations entirely.  Results are immutable and
-    the key captures every simulator input, so sharing is semantics-free:
+    ``sizes`` cache also defines the reported evaluation count); a
+    caller may pass one ``SimCache`` to several ``plan_partition`` calls
+    to share simulations between them.  Across the registered
+    experiments such sharing served about 4% of lookups, so no library
+    caller does.  Results are immutable and the
+    key captures every simulator input, so sharing is semantics-free:
     callers get bit-identical :class:`SimResult` objects either way.
     """
 
@@ -75,12 +75,7 @@ class SimCache:
         return len(self._data)
 
     def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters.
-
-        Tests and benches that share the process-wide
-        :func:`default_sim_cache` call this to measure from a cold cache
-        instead of inheriting cross-test state.
-        """
+        """Drop every entry and reset the hit/miss counters."""
         self._data.clear()
         self.hits = 0
         self.misses = 0
@@ -95,26 +90,6 @@ class SimCache:
         cannot disagree.
         """
         return _stats.hit_rate(self.hits, self.misses)
-
-    def peek(
-        self,
-        times: StageTimes,
-        num_micro_batches: int,
-        comm_mode: str,
-    ) -> Optional[SimResult]:
-        """Cache lookup that never simulates: the memoised result or None.
-
-        Counts a hit when present; a miss leaves the counters untouched
-        (``misses`` keeps meaning "simulations actually run").  Used by the
-        exhaustive oracle to harvest vectors the planner already evaluated
-        before falling through to batched evaluation.
-        """
-        key = (times.fwd, times.bwd, times.comm, num_micro_batches, comm_mode)
-        sim = self._data.get(key)
-        if sim is not None:
-            self.hits += 1
-            self._data.move_to_end(key)
-        return sim
 
     def simulate(
         self,
@@ -135,17 +110,6 @@ class SimCache:
         if len(self._data) > self.max_entries:
             self._data.popitem(last=False)
         return sim
-
-
-#: process-wide memo shared by the sweep entry points (``autopipe_config``,
-#: ``evaluate_config``, DAPPLE's candidate scoring).  Safe to share because
-#: results are immutable and keyed by every simulator input.
-_DEFAULT_SIM_CACHE = SimCache(max_entries=8192)
-
-
-def default_sim_cache() -> SimCache:
-    """The process-wide :class:`SimCache` used when callers pass none."""
-    return _DEFAULT_SIM_CACHE
 
 
 @dataclass(frozen=True)
@@ -394,8 +358,8 @@ def plan_partition(
     scheme with any stage above the cap can still guide the heuristic but
     can never be returned as the result.  Raises ``RuntimeError`` when no
     evaluated scheme fits the cap.
-    ``sim_cache`` shares simulator results across planning calls (sweeps);
-    it changes neither the returned partition nor the reported
+    ``sim_cache`` shares simulator results across planning calls; it
+    changes neither the returned partition nor the reported
     ``evaluations`` — only how many simulations actually run.
     ``robust`` switches the selection objective from the nominal
     iteration time to a :class:`~repro.robustness.evaluate.RobustObjective`

@@ -25,7 +25,7 @@ from repro.baselines.common import PlannedConfig, config_memory
 from repro.core.balance_dp import BalanceTable
 from repro.obs import telemetry as _obs
 from repro.core.partition import PartitionScheme, shift_repair
-from repro.core.planner import SimCache, default_sim_cache, plan_partition
+from repro.core.planner import plan_partition
 from repro.profiling.modelconfig import ModelProfile
 
 
@@ -86,20 +86,14 @@ def autopipe_config(
     global_batch_size: int,
     *,
     granularity: str = "sublayer",
-    sim_cache: Optional[SimCache] = None,
     cache=None,
 ) -> PlannedConfig:
     """Choose (dp, pp) and the balanced partition for a whole cluster.
 
-    ``sim_cache`` defaults to the process-wide memo shared by all sweep
-    entry points (the Table III/IV sweeps re-evaluate many identical
-    candidate stage times across cells); pass an explicit cache to
-    isolate a run.  ``cache`` forwards to the persistent plan cache (see
+    ``cache`` forwards to the persistent plan cache (see
     :mod:`repro.core.plan_cache`); it leaves the chosen configuration
     bit-identical.
     """
-    if sim_cache is None:
-        sim_cache = default_sim_cache()
     tel = _obs.current()
     t_obs = tel.clock() if tel is not None else 0
     t0 = _time.perf_counter()
@@ -143,8 +137,7 @@ def autopipe_config(
             try:
                 planned = plan_partition(
                     profile, pp, m, granularity=granularity,
-                    memory_cap=profile.hardware.gpu_memory,
-                    sim_cache=sim_cache, cache=cache,
+                    memory_cap=profile.hardware.gpu_memory, cache=cache,
                 )
                 partition = planned.partition
                 predicted = planned.iteration_time
@@ -226,10 +219,8 @@ def autotune_config(
     *,
     granularity: str = "sublayer",
     comm_mode: str = "paper",
-    sim_cache: Optional[SimCache] = None,
     cache=None,
     oracle_max_space: int = 50_000,
-    batched_slices: bool = True,
 ) -> AutotuneResult:
     """Joint (data-parallel x pipeline-depth x slice-count) search.
 
@@ -240,9 +231,8 @@ def autotune_config(
     its partition planned — through the exact oracle
     (:func:`repro.core.exhaustive.exhaustive_partition`) while the
     candidate space is at most ``oracle_max_space``, through the
-    heuristic planner above that — and
-    then every admissible Slicer count (0 .. p-1) is executed on the
-    discrete-event simulator; the candidate with the lowest executed
+    heuristic planner above that — and then every admissible Slicer
+    count (0 .. p-1) is executed; the candidate with the lowest executed
     iteration time wins (ties break toward the shallower pipeline, then
     the smaller slice count).  Because each layout's replicas consume
     the global batch together, iteration times compare directly across
@@ -256,28 +246,22 @@ def autotune_config(
     depth-infeasible ones with ``"X"``; raises ``RuntimeError`` when no
     candidate is feasible.
 
-    ``batched_slices`` (default on) routes each layout's slice-count
-    sweep through :func:`repro.sim.slice_eval.evaluate_slice_counts`,
-    which emits the compiled DAG of every candidate directly (no
-    Schedule objects or instruction lowering) onto family-cached graph
-    structures and relaxes structure-sharing candidates in one batch —
-    bit-identical results (property-tested), several times faster.
-    ``batched_slices=False`` keeps the one-``run_pipeline``-per-count
-    reference path.
+    Each layout's slice-count sweep runs through
+    :func:`repro.sim.slice_eval.evaluate_slice_counts`, which emits the
+    compiled DAG of every candidate directly onto the shared shape
+    templates and relaxes structure-sharing candidates in one batch,
+    bit-identical to one ``run_pipeline`` per count (property-tested).
     """
     from repro.core.exhaustive import count_partitions, exhaustive_partition
-    from repro.core.slicer import SlicePlan, solve_slice_count
+    from repro.core.slicer import solve_slice_count
     from repro.hardware.cluster import Cluster
     from repro.parallel.grid import layouts_for
-    from repro.runtime.trainer import run_pipeline
     from repro.sim.slice_eval import evaluate_slice_counts
 
     tel = _obs.current()
     t_obs = tel.clock() if tel is not None else 0
     t0 = _time.perf_counter()
     cluster = Cluster(profile.hardware)
-    if sim_cache is None:
-        sim_cache = default_sim_cache()
     train = profile.train
     mbs = train.micro_batch_size
     m_total = train.global_batch_size // mbs
@@ -318,7 +302,7 @@ def autotune_config(
             if count_partitions(profile.num_blocks, pp) <= oracle_max_space:
                 oracle = exhaustive_partition(
                     profile, pp, m, comm_mode=comm_mode,
-                    max_evaluations=None, sim_cache=sim_cache, cache=cache,
+                    max_evaluations=None, cache=cache,
                 )
                 if _fits(profile, oracle.partition, dp, m_total, mbs):
                     partition = oracle.partition
@@ -328,8 +312,7 @@ def autotune_config(
                     planned = plan_partition(
                         profile, pp, m, granularity=granularity,
                         comm_mode=comm_mode,
-                        memory_cap=profile.hardware.gpu_memory,
-                        sim_cache=sim_cache, cache=cache,
+                        memory_cap=profile.hardware.gpu_memory, cache=cache,
                     )
                     partition = planned.partition
                     planner_name = "planner"
@@ -367,22 +350,9 @@ def autotune_config(
         except ValueError:
             alg2 = 0
         slice_counts = list(layout.slice_candidates(train))
-        if batched_slices:
-            executions = evaluate_slice_counts(
-                profile, partition, m, slice_counts, cluster=cluster,
-            )
-        else:
-            executions = []
-            for num_sliced in slice_counts:
-                if num_sliced == 0:
-                    executions.append(run_pipeline(profile, partition, m))
-                else:
-                    executions.append(run_pipeline(
-                        profile, partition, m, schedule="sliced",
-                        slice_plan=SlicePlan(
-                            num_sliced=num_sliced, num_micro_batches=m
-                        ),
-                    ))
+        executions = evaluate_slice_counts(
+            profile, partition, m, slice_counts, cluster=cluster,
+        )
         for num_sliced, execution in zip(slice_counts, executions):
             candidates.append(AutotuneCandidate(
                 layout=layout,

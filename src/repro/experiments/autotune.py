@@ -32,18 +32,8 @@ GLOBAL_BATCH_SIZE = 128
 GPU_COUNTS = (4, 8)
 
 
-def run(
-    gpu_counts: Sequence[int] = GPU_COUNTS,
-    *,
-    batched_slices: bool = True,
-) -> ExperimentResult:
-    """One row per (gpus, layout): its best slice variant.
-
-    ``batched_slices`` forwards to :func:`autotune_config`: the default
-    sweeps each layout's admissible slice counts through the batched
-    family relaxation (``repro.sim.slice_eval``); ``False`` re-runs the
-    one-DES-per-candidate reference path (regression triage).
-    """
+def run(gpu_counts: Sequence[int] = GPU_COUNTS) -> ExperimentResult:
+    """One row per (gpus, layout): its best slice variant."""
     result = ExperimentResult(
         name="Autotune: joint (dp x pp x slices) search "
              f"({MODEL.name}, mbs={MICRO_BATCH_SIZE}, "
@@ -60,7 +50,7 @@ def run(
     profile = profile_model(MODEL, DEFAULT_CLUSTER_HW, train)
     best_meta: Dict[str, object] = {}
     for gpus in gpu_counts:
-        tuned = autotune_config(profile, gpus, batched_slices=batched_slices)
+        tuned = autotune_config(profile, gpus)
         per_layout: Dict[Tuple[int, int], List[AutotuneCandidate]] = {}
         for cand in tuned.candidates:
             key = (cand.layout.data_parallel, cand.layout.pipeline_stages)

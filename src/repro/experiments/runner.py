@@ -10,20 +10,21 @@ Cache-key scheme
 ----------------
 A cell is identified by the SHA-256 of
 
-* the cell function's dotted name (``module.qualname``),
-* the SHA-256 of the *source file* defining it (so editing an experiment
-  module invalidates exactly that module's cells, while unrelated edits
-  keep the cache warm),
+* a schema version,
+* the code fingerprint of the whole ``repro`` package
+  (:func:`repro.core.plan_cache.code_fingerprint`), so an edit anywhere a
+  cell's result may depend on — a cost model, the planner, the
+  simulator — recomputes it,
+* the cell function's dotted name (``module.qualname``), and
 * the ``repr`` of the argument tuple (configs are frozen dataclasses
-  with stable reprs), and
-* a schema version plus an optional caller-supplied ``salt`` for manual
-  invalidation (e.g. bump it when core planner behaviour changes).
+  with stable reprs).
 
-Values are stored as pickles under ``cache_dir/<key>.pkl`` and written
-atomically (temp file + rename), so concurrent runners sharing a cache
-directory never observe torn entries.  An entry that no longer loads —
-torn, or pickling a class that has since been renamed or deleted — is a
-miss and is recomputed.
+Values live in the :class:`~repro.core.plan_cache.DiskStore` the plan
+cache uses: pickles under ``cache_dir/<key>.pkl``, written atomically
+(temp file + rename), so concurrent runners sharing a cache directory
+never observe torn entries.  An entry that no longer loads — torn, or
+pickling a class that has since been renamed or deleted — is a miss and
+is recomputed.
 
 Determinism
 -----------
@@ -43,12 +44,10 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 import random
-import tempfile
-from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.core.plan_cache import DiskStore, code_fingerprint
 from repro.obs import telemetry as _obs
 
 #: bump to invalidate every on-disk entry (cache layout changes).
@@ -59,7 +58,7 @@ def cell_seed(fn: Callable, cell: Tuple) -> int:
     """Deterministic per-cell RNG seed from the cell's identity.
 
     Derived from the dotted function name and the argument repr only —
-    deliberately *not* the module's source hash — so seeds survive
+    deliberately *not* the code fingerprint — so seeds survive
     unrelated edits and match across processes and cache generations.
     """
     payload = repr((
@@ -81,107 +80,23 @@ def _seeded_call(fn: Callable, cell: Tuple, seed: int):
     return fn(*cell)
 
 
-class SweepRunner:
+class SweepRunner(DiskStore):
     """Execute experiment cells in order, optionally cached on disk."""
 
-    def __init__(
-        self,
-        *,
-        cache_dir: Optional[os.PathLike] = None,
-        salt: str = "",
-    ) -> None:
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.salt = salt
+    def __init__(self, *, cache_dir: Optional[os.PathLike] = None) -> None:
+        super().__init__(cache_dir)
         self.cache_hits = 0
         self.cache_misses = 0
-        self._source_hashes: dict = {}
-
-    # -- cache keys --------------------------------------------------------
-
-    def _source_hash(self, fn: Callable) -> str:
-        module = getattr(fn, "__module__", "?")
-        cached = self._source_hashes.get(module)
-        if cached is None:
-            try:
-                import importlib
-
-                path = getattr(
-                    importlib.import_module(module), "__file__", None
-                )
-                cached = hashlib.sha256(
-                    Path(path).read_bytes()
-                ).hexdigest() if path else "no-source"
-            except Exception:
-                cached = "no-source"
-            self._source_hashes[module] = cached
-        return cached
 
     def cell_key(self, fn: Callable, args: Tuple) -> str:
         """Content-hash key of one (function, args) cell."""
         payload = "\0".join((
             _SCHEMA,
-            self.salt,
+            code_fingerprint(),
             f"{fn.__module__}.{fn.__qualname__}",
-            self._source_hash(fn),
             repr(args),
         ))
         return hashlib.sha256(payload.encode()).hexdigest()
-
-    def _cache_path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.pkl"
-
-    def _load(self, key: str):
-        """The cached value of ``key``, or None when it cannot be loaded.
-
-        ``AttributeError``/``ImportError`` cover pickles of classes that
-        were since renamed or deleted: the key hashes only the cell's own
-        module, so such entries stay addressable and must read as misses.
-        """
-        path = self._cache_path(key)
-        try:
-            with open(path, "rb") as fh:
-                return pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, ValueError,
-                AttributeError, ImportError):
-            return None
-
-    def _store(self, key: str, value) -> None:
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.cache_dir, prefix=".tmp-", suffix=".pkl"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(value, fh)
-            os.replace(tmp, self._cache_path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def purge(self) -> int:
-        """Delete every cached cell; returns the number removed.
-
-        The CLI's ``--clear-cache`` entry point.  Only ``*.pkl`` entries
-        are touched, so a cache directory shared with other artefacts is
-        safe; a missing directory purges zero cells.
-        """
-        if self.cache_dir is None:
-            return 0
-        removed = 0
-        try:
-            entries = list(self.cache_dir.glob("*.pkl"))
-        except OSError:
-            return 0
-        for path in entries:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
 
     # -- execution ---------------------------------------------------------
 
@@ -201,7 +116,7 @@ class SweepRunner:
         if self.cache_dir is not None:
             for i, cell in enumerate(cells):
                 keys[i] = self.cell_key(fn, cell)
-                cached = self._load(keys[i])
+                cached = self.load(keys[i])
                 if cached is not None:
                     results[i] = cached
                     self.cache_hits += 1
@@ -216,7 +131,7 @@ class SweepRunner:
             for i, value in zip(pending, fresh):
                 results[i] = value
                 if keys[i] is not None:
-                    self._store(keys[i], value)
+                    self.store(keys[i], value)
         if tel is not None:
             tel.record_since(
                 "sweep.run", t0, cells=len(cells), executed=len(pending),
@@ -224,26 +139,6 @@ class SweepRunner:
             tel.add("sweep.cell_cache.hits", self.cache_hits - hits0)
             tel.add("sweep.cell_cache.misses", self.cache_misses - misses0)
         return results
-
-    def sim_stats(self) -> dict:
-        """Sweep-level cache statistics: disk cells + simulation memo.
-
-        The simulation memo is the process-wide
-        :class:`~repro.core.planner.SimCache`.  The hit rate goes
-        through :func:`repro.obs.stats.hit_rate`, the same formula the
-        telemetry report derives it with.
-        """
-        from repro.core.planner import default_sim_cache
-        from repro.obs.stats import hit_rate
-
-        cache = default_sim_cache()
-        return {
-            "cell_cache_hits": self.cache_hits,
-            "cell_cache_misses": self.cache_misses,
-            "sim_cache_hits": cache.hits,
-            "sim_cache_misses": cache.misses,
-            "sim_cache_hit_rate": hit_rate(cache.hits, cache.misses),
-        }
 
     def _execute(self, fn: Callable, cells: List[Tuple]) -> List:
         tel = _obs.current()

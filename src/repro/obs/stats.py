@@ -1,9 +1,9 @@
 """Shared derived-stat formulas: one definition, every surface.
 
 ``ExhaustiveResult.sims_per_second``, ``PlannerResult.sims_per_second``,
-``SimCache.hit_rate``, ``SweepRunner.sim_stats()`` and the ``repro
-telemetry report`` table all derive rates and hit rates through these
-two functions, so a result object and the telemetry report of the same
+the planner's simulation-memo hit rate and the ``repro telemetry
+report`` table all derive rates and hit rates through these two
+functions, so a result object and the telemetry report of the same
 run can never disagree on the arithmetic — they differ only in which
 counters they feed in, and the search layers fold their counters from
 the result fields themselves.

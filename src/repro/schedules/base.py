@@ -27,18 +27,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 Unit = Tuple[int, int]
 
 
-class ScheduleMutationError(RuntimeError):
-    """A schedule was mutated after an executor compiled it.
-
-    Both the event engine and the static-graph executor cache their
-    compiled form on the schedule object.  The cached structure encodes
-    the exact op sequence at compile time, so mutating ``programs`` (or
-    ``static_bytes``) afterwards would silently execute stale state —
-    executors detect the mutation via :meth:`Schedule.identity_signature`
-    and raise this instead.  Build a fresh :class:`Schedule` per variant.
-    """
-
-
 def check_micro_batches(num_micro_batches: object) -> int:
     """``num_micro_batches`` as a positive int, or a ``ValueError``.
 
@@ -170,8 +158,9 @@ class ScheduleShape:
 
     ``key`` names the op structure — family, depth, micro-batch count,
     unit sequence or chunk count — so two schedules with equal keys have
-    equal :meth:`Schedule.shape_signature` (``None``: no key, the ops
-    depend on something the builder cannot name).  The per-query costs
+    the same op sequences, labels, phases and communication matching
+    (``None``: no key, the ops depend on something the builder cannot
+    name).  The per-query costs
     are just ``stage_costs`` (per device, per model chunk, the builder's
     ``_StageCosts``: full/half F/B durations, stash and workspace bytes)
     and ``boundary_bytes`` (a transfer carries all of them, or half when
@@ -265,11 +254,11 @@ class Schedule:
 
         Ops are frozen dataclasses, so a schedule can only change through
         its ``programs`` lists (append/remove/replace) or ``static_bytes``
-        — both visible as a change of this signature.  Executors record it
-        at compile time and raise :class:`ScheduleMutationError` when a
-        later run sees a different one.  A deferred schedule whose
-        programs are unread, or still exactly as emitted, signs as
-        ``(None, static)``, so reading ``programs`` is not a mutation.
+        — both visible as a change of this signature.
+        :meth:`template_shape` uses it to keep an edited deferred schedule
+        off its template.  A deferred schedule whose programs are unread,
+        or still exactly as emitted, signs as ``(None, static)``, so
+        reading ``programs`` is not an edit.
         (Best-effort: a replacement op that reuses the freed op's memory
         address is indistinguishable.)
         """
@@ -289,30 +278,6 @@ class Schedule:
         if self._programs is None:
             return shape
         return shape if self.identity_signature()[0] is None else None
-
-    def shape_signature(self) -> Tuple:
-        """The cost-free structure of the schedule.
-
-        Two schedules with equal shape signatures have identical op
-        sequences, labels, phases and communication matching — they may
-        differ only in durations and byte counts (the "cost vector").
-        The static-graph executor shares one compiled dependency DAG
-        across all schedules of a shape, re-extracting only the costs.
-        """
-        sig = []
-        for program in self.programs:
-            ops = []
-            for op in program:
-                if isinstance(op, ComputeOp):
-                    ops.append(("C", op.kind, op.unit, op.phase, op.chunk))
-                else:
-                    ops.append((
-                        "R" if op.rendezvous else "E",
-                        op.peer,
-                        tuple((t.tag, t.src, t.dst) for t in op.transfers),
-                    ))
-            sig.append(tuple(ops))
-        return tuple(sig)
 
     def compute_ops(self, device: int) -> List[ComputeOp]:
         return [op for op in self.programs[device] if isinstance(op, ComputeOp)]

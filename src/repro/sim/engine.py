@@ -30,10 +30,8 @@ any observable result:
 
 * **program compilation** — at construction the engine lowers each op into
   a flat instruction tuple with the label string, rendezvous key and link
-  times precomputed; the compiled form is cached on the schedule object
-  (keyed by device map, guarded by cluster identity), so repeated
-  executions of one schedule skip both the lowering pass and the comm
-  symmetry validation;
+  times precomputed (the comm symmetry validation runs once per
+  schedule);
 * **lazy timeline materialisation** — the hot loop appends plain tuples and
   :class:`ExecutionResult` only builds :class:`TimelineEvent` objects the
   first time ``.events`` is read, so callers that consume only
@@ -49,12 +47,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.hardware.cluster import Cluster
 from repro.hardware.comm import CommModel
-from repro.schedules.base import (
-    CommOp,
-    ComputeOp,
-    Schedule,
-    ScheduleMutationError,
-)
+from repro.schedules.base import CommOp, ComputeOp, Schedule
 from repro.sim.timeline import TimelineEvent
 
 #: compiled instruction opcodes (element 0 of every instruction tuple;
@@ -242,38 +235,20 @@ def lower_programs(
     comm: Optional[CommModel] = None,
     check_symmetry: bool = True,
 ) -> List[List[tuple]]:
-    """Lower every op to an instruction tuple, cached on the schedule.
+    """Lower every op of ``schedule``'s programs to an instruction tuple.
 
-    The cache key is the device map; the cluster is compared by identity
-    (a different cluster object means different link times, so the
-    programs are lowered again).  Each cache entry remembers the
-    schedule's :meth:`~repro.schedules.base.Schedule.identity_signature`
-    at lowering time — a hit whose signature no longer matches means the
-    schedule object was mutated after compilation, which raises
-    :class:`~repro.schedules.base.ScheduleMutationError` instead of
-    silently executing the stale programs.
+    The programs are lowered afresh on every call, so an edited schedule
+    lowers as edited.  Comm symmetry is validated on a schedule's first
+    lowering only.
     """
-    cache = schedule.__dict__.setdefault("_compiled_cache", {})
-    key = tuple(device_map)
-    entry = cache.get(key)
-    if entry is not None and entry[0] is cluster:
-        if schedule.identity_signature() != entry[1]:
-            raise ScheduleMutationError(
-                f"schedule {schedule.name!r} was mutated after its programs "
-                "were compiled for this device map; build a fresh Schedule "
-                "instead of editing one in place"
-            )
-        return entry[2]
     if check_symmetry and not schedule.__dict__.get("_symmetry_checked"):
         schedule.validate_comm_symmetry()
         schedule.__dict__["_symmetry_checked"] = True
     lowerer = _Lowerer(cluster, device_map, comm or CommModel(cluster.hw))
-    compiled = [
+    return [
         [lowerer.compile_op(dev, op) for op in program]
         for dev, program in enumerate(schedule.programs)
     ]
-    cache[key] = (cluster, schedule.identity_signature(), compiled)
-    return compiled
 
 
 class Engine:

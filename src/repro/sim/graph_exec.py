@@ -39,9 +39,7 @@ compile-once/evaluate-many treatment the analytic simulator already has
   the key computes only that table (:func:`_cost_table`) and gathers it:
   no op is built, lowered or walked (:func:`shape_graph`).  Hand-built
   or edited schedules are lowered and walked each time, and share any
-  cached structure equal to theirs.  Per-schedule compiled graphs are
-  cached on the schedule object and guarded against post-compile
-  mutation.
+  cached structure equal to theirs.
 
 * **Memory accounting.**  Activation stashes are replayed per device as
   an interleaved alloc/release delta array: a sequential ``cumsum`` (the
@@ -68,7 +66,7 @@ import numpy as np
 
 from repro.hardware.cluster import Cluster
 from repro.hardware.comm import CommModel
-from repro.schedules.base import ComputeOp, Schedule, ScheduleMutationError
+from repro.schedules.base import ComputeOp, Schedule
 from repro.sim.engine import (
     _COMPUTE,
     _EAGER,
@@ -930,51 +928,34 @@ def compile_graph(
     *,
     device_map: Optional[List[int]] = None,
 ) -> CompiledGraph:
-    """Compile (or fetch the cached) static graph for one schedule.
+    """Compile the static graph for one schedule.
 
     A deferred schedule whose programs are still as emitted compiles
     through its shape template (:func:`shape_graph`): on a hit no Op is
     built, lowered or walked.  Any other schedule is lowered and walked,
     and shares a structure with every schedule of its lowered signature.
-
-    The result is cached on the schedule object keyed by device map and
-    guarded by cluster identity and the schedule's identity signature —
-    mutating the schedule afterwards raises
-    :class:`~repro.schedules.base.ScheduleMutationError` on the next
-    compile/run instead of silently using the stale graph.
+    Nothing is cached on the schedule object, so a schedule edited after
+    one compile compiles as edited on the next.
     """
     device_map = _check_device_map(schedule, cluster, device_map)
-    key = tuple(device_map)
-    cache = schedule.__dict__.setdefault("_graph_cache", {})
-    entry = cache.get(key)
-    if entry is not None and entry[0] is cluster:
-        if schedule.identity_signature() != entry[1]:
-            raise ScheduleMutationError(
-                f"schedule {schedule.name!r} was mutated after its static "
-                "graph was compiled; build a fresh Schedule instead of "
-                "editing one in place"
-            )
-        return entry[2]
     shape = schedule.template_shape()
     if shape is None:
         lowered = lower_programs(schedule, cluster, device_map)
         walk = _walk_programs(lowered)
-        graph = CompiledGraph.from_walk(
+        return CompiledGraph.from_walk(
             _template_for(walk).structure, walk, schedule.name,
             schedule.static_bytes, cluster.hw.gpu_memory,
         )
-    else:
-        def emit_walk(comm: CommModel) -> Tuple[_Walk, List[tuple]]:
-            lowered = lower_programs(schedule, cluster, device_map, comm=comm)
-            slots, descs = _slot_programs(schedule.programs, shape.half_tags)
-            return _walk_programs(lowered, slots), descs
 
-        graph = shape_graph(
-            shape.key, shape.stage_costs, shape.boundary_bytes, cluster,
-            device_map, schedule.name, schedule.static_bytes, emit_walk,
-        )
-    cache[key] = (cluster, schedule.identity_signature(), graph)
-    return graph
+    def emit_walk(comm: CommModel) -> Tuple[_Walk, List[tuple]]:
+        lowered = lower_programs(schedule, cluster, device_map, comm=comm)
+        slots, descs = _slot_programs(schedule.programs, shape.half_tags)
+        return _walk_programs(lowered, slots), descs
+
+    return shape_graph(
+        shape.key, shape.stage_costs, shape.boundary_bytes, cluster,
+        device_map, schedule.name, schedule.static_bytes, emit_walk,
+    )
 
 
 def execute_fast(

@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.config import HardwareConfig, ModelConfig, TrainConfig
 from repro.hardware.cluster import Cluster
@@ -48,3 +56,24 @@ def flat_profile(train):
 @pytest.fixture(scope="session")
 def gpt2_profile(hardware, train):
     return profile_model(GPT2_345M, hardware, train)
+
+
+def run_with_edited_package(tmp_path: Path, relpath: str, script: str) -> str:
+    """Run ``script`` in a subprocess that imports a copy of ``repro``
+    whose ``relpath`` (e.g. ``"sim/analytic.py"``) has a comment appended;
+    returns its stdout.  ``tests`` stays importable from the subprocess."""
+    root = tmp_path / "edited-src"
+    shutil.copytree(
+        Path(repro.__file__).parent, root / "repro",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    target = root / "repro" / relpath
+    target.write_bytes(target.read_bytes() + b"\n# edited copy\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        (str(root), str(Path(__file__).resolve().parent.parent))
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout

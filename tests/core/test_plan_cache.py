@@ -17,7 +17,9 @@ from repro.core.plan_cache import (
     set_default_plan_cache,
 )
 from repro.core.planner import PlannerResult, plan_partition
+from repro.robustness import RobustObjective, StageCostNoise
 
+from tests.conftest import run_with_edited_package
 from tests.core.test_search_properties import make_profile
 
 _FWD = [1.0, 2.0, 1.5, 0.5, 3.0, 1.0, 2.0, 0.5, 1.5, 1.0]
@@ -215,34 +217,49 @@ class TestCrossProcess:
         edit to ``repro.sim.analytic`` (the default oracle scorer) must
         invalidate cached plans exactly like an edit to the search."""
         cache_dir = tmp_path / "cache"
-        script = (
-            "import pathlib\n"
-            "import repro.sim.analytic as kernel\n"
+        out = run_with_edited_package(tmp_path, "sim/analytic.py", (
             "import repro.core.plan_cache as pc\n"
-            "src = pathlib.Path(kernel.__file__).read_bytes()\n"
-            f"edited = pathlib.Path({str(tmp_path)!r}) / 'kernel_edited.py'\n"
-            "edited.write_bytes(src + b'\\n# tweaked frontier\\n')\n"
-            "kernel.__file__ = str(edited)\n"
             "from tests.core.test_plan_cache import _profile\n"
             "from repro.core.exhaustive import exhaustive_partition\n"
             f"cache = pc.PlanCache({str(cache_dir)!r})\n"
             "exhaustive_partition(_profile(), 4, 8, cache=cache)\n"
             "print(pc.code_fingerprint())\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (env.get("PYTHONPATH", ""), os.getcwd()) if p
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, check=True,
-        ).stdout.strip()
+        )).strip()
         assert code_fingerprint() != out
         cache = PlanCache(cache_dir)
         assert len(cache) == 1
         exhaustive_partition(_profile(), 4, 8, cache=cache)
         assert (cache.hits, cache.misses) == (0, 1)
         assert len(cache) == 2  # stored under this process's fingerprint
+
+    def test_edited_perturbation_model_invalidates_robust_replay(
+        self, tmp_path
+    ):
+        """Robust plans depend on the perturbation draws: a subprocess
+        whose ``robustness/perturbation.py`` differs stores its robust
+        plans where this process never replays them."""
+        cache_dir = tmp_path / "cache"
+        objective = (
+            "RobustObjective((StageCostNoise(0.15),), draws=16, seed=3)"
+        )
+        out = run_with_edited_package(tmp_path, "robustness/perturbation.py", (
+            "import repro.core.plan_cache as pc\n"
+            "from repro.core.planner import plan_partition\n"
+            "from repro.robustness import RobustObjective, StageCostNoise\n"
+            "from tests.core.test_plan_cache import _profile\n"
+            f"cache = pc.PlanCache({str(cache_dir)!r})\n"
+            f"plan_partition(_profile(), 4, 8, robust={objective},"
+            " cache=cache)\n"
+            "print(pc.code_fingerprint())\n"
+        )).strip()
+        assert code_fingerprint() != out
+        cache = PlanCache(cache_dir)
+        assert len(cache) == 1
+        robust = RobustObjective((StageCostNoise(0.15),), draws=16, seed=3)
+        fresh = plan_partition(_profile(), 4, 8, robust=robust, cache=cache)
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert len(cache) == 2
+        assert fresh.robust_value is not None
 
     def test_atomic_store_leaves_no_temp_files(self, tmp_path):
         cache = PlanCache(tmp_path)

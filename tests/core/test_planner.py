@@ -173,11 +173,4 @@ class TestSimCache:
         plan_partition(gpt2_profile, 4, 8, sim_cache=cache)
         assert 0.0 <= first_rate <= cache.hit_rate <= 1.0
 
-    def test_default_cache_is_resettable(self):
-        from repro.core.planner import default_sim_cache
-
-        cache = default_sim_cache()
-        cache.clear()
-        assert cache.hit_rate == 0.0
-
 

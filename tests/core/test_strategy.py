@@ -4,7 +4,11 @@ import pytest
 
 from repro.config import TrainConfig
 from repro.core.balance_dp import balanced_partition
-from repro.core.strategy import autopipe_config, repair_memory
+from repro.core.strategy import (
+    autopipe_config,
+    autotune_config,
+    repair_memory,
+)
 from repro.hardware.device import DEFAULT_CLUSTER_HW
 from repro.models.zoo import GPT2_1_3B, GPT2_345M
 from repro.profiling import profile_model
@@ -15,6 +19,30 @@ def make_profile(model, mbs, gbs):
         model, DEFAULT_CLUSTER_HW,
         TrainConfig(micro_batch_size=mbs, global_batch_size=gbs),
     )
+
+
+class TestRemovedKeywords:
+    def test_sim_cache_keyword_removed(self):
+        """Only ``plan_partition`` still takes a caller's ``SimCache``;
+        the sweep entry points never share one."""
+        from repro.baselines.common import evaluate_config
+        from repro.core.autopipe import autopipe_plan
+        from repro.core.planner import SimCache
+        from tests.conftest import TINY
+
+        profile = make_profile(GPT2_345M, 4, 128)
+        train = TrainConfig(micro_batch_size=4, global_batch_size=32)
+        cfg = autopipe_config(profile, 4, 128)
+        for call in (
+            lambda **kw: autotune_config(profile, 4, **kw),
+            lambda **kw: autopipe_config(profile, 4, 128, **kw),
+            lambda **kw: autopipe_plan(
+                TINY, DEFAULT_CLUSTER_HW, train, 3, 8, **kw
+            ),
+            lambda **kw: evaluate_config(profile, cfg, 128, **kw),
+        ):
+            with pytest.raises(TypeError, match="sim_cache"):
+                call(sim_cache=SimCache())
 
 
 class TestAutopipeConfig:

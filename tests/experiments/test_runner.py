@@ -55,12 +55,26 @@ class TestCache:
         assert other.run(square, [(5,)]) == [25]
         assert other.cache_hits == 1
 
-    def test_salt_invalidates(self, tmp_path):
-        a = SweepRunner(cache_dir=tmp_path)
-        a.run(square, [(4,)])
-        b = SweepRunner(cache_dir=tmp_path, salt="v2")
-        b.run(square, [(4,)])
-        assert b.cache_hits == 0 and b.cache_misses == 1
+    def test_cell_key_tracks_package_source(self, tmp_path):
+        """A Table III cell's key changes when a module it depends on
+        through the planners — here the gradient-allreduce cost model —
+        changes, although the cell's own module does not."""
+        from repro.experiments import table3
+        from repro.models.zoo import GPT2_345M
+
+        from tests.conftest import run_with_edited_package
+
+        cell = (GPT2_345M, 4, 8, 128)
+        out = run_with_edited_package(tmp_path, "parallel/data_parallel.py", (
+            "from repro.experiments import table3\n"
+            "from repro.experiments.runner import SweepRunner\n"
+            "from repro.models.zoo import GPT2_345M\n"
+            "cell = (GPT2_345M, 4, 8, 128)\n"
+            "print(SweepRunner().cell_key(table3.run_cell, cell))\n"
+        )).strip()
+        key = SweepRunner().cell_key(table3.run_cell, cell)
+        assert len(out) == len(key) == 64
+        assert out != key
 
     def test_different_args_different_keys(self, tmp_path):
         runner = SweepRunner(cache_dir=tmp_path)
@@ -127,7 +141,7 @@ class TestDefaultRunner:
     def test_rebind_and_restore(self):
         original = default_runner()
         try:
-            custom = SweepRunner(salt="cli")
+            custom = SweepRunner()
             assert set_default_runner(custom) is custom
             assert default_runner() is custom
         finally:
@@ -152,53 +166,3 @@ class TestPurge:
     def test_purge_without_cache_dir_is_noop(self):
         assert SweepRunner().purge() == 0
 
-
-def sim_cell(depth, m):
-    """A cell that exercises the process-wide simulation memo."""
-    from repro.core.planner import default_sim_cache, plan_partition
-    from repro.config import HardwareConfig, ModelConfig, TrainConfig
-    from repro.profiling import profile_model
-
-    model = ModelConfig(
-        name="runner-tiny", num_layers=6, hidden_size=256, num_heads=4,
-        seq_length=128, vocab_size=8000,
-    )
-    profile = profile_model(
-        model, HardwareConfig(),
-        TrainConfig(micro_batch_size=4, global_batch_size=4 * m),
-    )
-    cache = default_sim_cache()
-    before = cache.hits + cache.misses
-    plan_partition(profile, depth, m, sim_cache=cache, cache=False)
-    return (depth, m, cache.hits + cache.misses - before)
-
-
-class TestSimStats:
-    def test_keys_present(self):
-        stats = SweepRunner().sim_stats()
-        assert set(stats) == {
-            "cell_cache_hits", "cell_cache_misses",
-            "sim_cache_hits", "sim_cache_misses", "sim_cache_hit_rate",
-        }
-
-    def test_cell_sims_reach_aggregate(self):
-        """Every memo lookup the cells made shows up in sim_stats()."""
-        runner = SweepRunner()
-        before = runner.sim_stats()
-        results = runner.run(sim_cell, [(2, 4), (3, 4), (2, 8)])
-        cell_sims = sum(r[2] for r in results)
-        assert cell_sims > 0
-        after = runner.sim_stats()
-        delta = sum(
-            after[k] - before[k] for k in ("sim_cache_hits", "sim_cache_misses")
-        )
-        assert delta == cell_sims
-
-    def test_hit_rate_uses_obs_formula(self):
-        from repro.obs.stats import hit_rate
-
-        runner = SweepRunner()
-        stats = runner.sim_stats()
-        assert stats["sim_cache_hit_rate"] == hit_rate(
-            stats["sim_cache_hits"], stats["sim_cache_misses"]
-        )

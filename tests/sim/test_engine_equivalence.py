@@ -86,14 +86,20 @@ def test_per_device_event_order_preserved(tiny_profile):
             assert starts == sorted(starts)
 
 
-def test_compiled_programs_are_reused_across_runs(tiny_profile):
-    """Two engines over one schedule share the compiled program cache."""
+def test_each_engine_lowers_the_schedule_as_it_is(tiny_profile):
+    """Nothing is cached on the schedule: two engines over one schedule
+    lower it afresh to equal programs, and an engine built after an edit
+    runs the edited programs."""
     cluster = Cluster(tiny_profile.hardware)
     sched = _schedules(tiny_profile, 3, 6)["1f1b"]
     e1 = Engine(sched, cluster)
     e2 = Engine(sched, cluster)
-    assert e1._programs is e2._programs
-    assert e1.run().iteration_time == e2.run().iteration_time
+    assert e1._programs is not e2._programs
+    assert e1._programs == e2._programs
+    nominal = e1.run().iteration_time
+    assert e2.run().iteration_time == nominal
+    sched.programs[0].append(ComputeOp("F", (99, -1), 0.1))
+    assert Engine(sched, cluster).run().iteration_time > nominal
 
 
 def test_compiled_programs_recompiled_for_new_cluster(tiny_profile):

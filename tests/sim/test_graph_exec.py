@@ -2,8 +2,8 @@
 
 Bit-identity against the event engine over randomized schedules lives in
 ``test_graph_exec_properties.py``; this module covers the machinery
-around the evaluation itself: structure sharing, the mutation guard, the
-event-engine fallback, batched evaluation and lazy event construction.
+around the evaluation itself: structure sharing, recompiling edited
+schedules, the event-engine fallback, batched evaluation and lazy event construction.
 """
 
 from collections import Counter
@@ -16,13 +16,7 @@ from repro.experiments.common import make_profile
 from repro.hardware.cluster import Cluster
 from repro.models.zoo import BERT_LARGE, GPT2_345M
 from repro.runtime.trainer import build_schedule, run_pipeline
-from repro.schedules.base import (
-    CommOp,
-    ComputeOp,
-    Schedule,
-    ScheduleMutationError,
-    Transfer,
-)
+from repro.schedules.base import CommOp, ComputeOp, Schedule, Transfer
 from repro.sim.engine import DeadlockError, Engine
 from repro.sim.graph_exec import (
     GraphCompileError,
@@ -77,19 +71,35 @@ def test_structure_shared_across_same_shape_schedules(cluster):
     assert ga.node_add_lvl.tolist() != gb.node_add_lvl.tolist()
 
 
-def test_compile_is_cached_on_the_schedule(cluster):
+def test_repeat_compile_shares_the_structure(cluster):
+    """Nothing is cached on the schedule object: a repeat compile builds a
+    new graph on the same structure, with the same result."""
     sched, _ = _schedule()
-    g1 = compile_graph(sched, cluster, device_map=_devices(cluster))
-    g2 = compile_graph(sched, cluster, device_map=_devices(cluster))
-    assert g1 is g2
+    devices = _devices(cluster)
+    g1 = compile_graph(sched, cluster, device_map=devices)
+    g2 = compile_graph(sched, cluster, device_map=devices)
+    assert g1 is not g2
+    assert g1.structure is g2.structure
+    assert g2.run().iteration_time == g1.run().iteration_time
 
 
-def test_mutation_after_compile_raises(cluster):
+def test_edited_schedule_recompiles_as_edited(cluster):
+    """A compile after editing the programs returns the edited schedule's
+    event-engine result, not the graph of the schedule as first compiled."""
     sched, _ = _schedule()
-    compile_graph(sched, cluster, device_map=_devices(cluster))
+    devices = _devices(cluster)
+    nominal = compile_graph(sched, cluster, device_map=devices).run()
     sched.programs[0].append(ComputeOp("F", (99, -1), 0.1))
-    with pytest.raises(ScheduleMutationError):
-        execute_fast(sched, cluster, device_map=_devices(cluster))
+    edited = compile_graph(sched, cluster, device_map=devices).run()
+    ref = Engine(sched, cluster, device_map=devices).run()
+    assert edited.iteration_time == ref.iteration_time
+    assert edited.peak_memory == ref.peak_memory
+    assert Counter(e for e in edited.raw_events if e[1] in ("F", "B")) == (
+        Counter(e for e in ref.raw_events if e[1] in ("F", "B"))
+    )
+    assert edited.iteration_time > nominal.iteration_time
+    fast = execute_fast(sched, cluster, device_map=devices)
+    assert fast.iteration_time == ref.iteration_time
 
 
 def test_batched_rows_equal_scalar_runs(cluster):
