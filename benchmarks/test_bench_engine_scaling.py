@@ -207,9 +207,9 @@ def test_template_hit_beats_cold_compile():
     """A warm shape-template hit vs a cold compile, 1F1B at d16/m64.
 
     Both time ``build_schedule`` + ``compile_graph`` (no execution).  A
-    cold compile emits, lowers and walks the schedule and builds its
-    structure; a hit of the same shape with a second model's costs only
-    gathers a cost table.  Assert-only: no ``BENCH_engine.json`` row.
+    cold compile walks the shape key and builds its structure; a hit of
+    the same shape with a second model's costs only gathers a cost
+    table.  Assert-only: no ``BENCH_engine.json`` row.
     """
     depth, m = 16, 64
     profiles = [

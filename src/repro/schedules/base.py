@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: A schedule unit: (micro_batch, half) where half is -1 (whole), 0 or 1.
 Unit = Tuple[int, int]
@@ -163,13 +163,13 @@ class ScheduleShape:
     name).  The per-query costs
     are just ``stage_costs`` (per device, per model chunk, the builder's
     ``_StageCosts``: full/half F/B durations, stash and workspace bytes)
-    and ``boundary_bytes`` (a transfer carries all of them, or half when
-    its tag is in ``half_tags``, which ``emit`` fills).  ``emit`` produces
-    the Op programs; it only runs when something reads
-    :attr:`Schedule.programs`.
+    and ``boundary_bytes`` (a transfer carries all of them, or half for a
+    half unit).  ``emit`` produces the Op programs; it only runs when
+    something reads :attr:`Schedule.programs`.  The compiled executor
+    never calls it: it walks a key with :mod:`repro.sim.walks`.
     """
 
-    __slots__ = ("key", "stage_costs", "boundary_bytes", "emit", "half_tags")
+    __slots__ = ("key", "stage_costs", "boundary_bytes", "emit")
 
     def __init__(
         self,
@@ -177,13 +177,11 @@ class ScheduleShape:
         stage_costs: Sequence[Sequence[object]],
         boundary_bytes: float,
         emit: Callable[[], List[List[object]]],
-        half_tags: Optional[Set[str]] = None,
     ) -> None:
         self.key = key
         self.stage_costs = stage_costs
         self.boundary_bytes = boundary_bytes
         self.emit = emit
-        self.half_tags: Set[str] = set() if half_tags is None else half_tags
 
 
 class Schedule:

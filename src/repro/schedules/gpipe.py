@@ -4,6 +4,11 @@ Included as a secondary baseline/teaching schedule: it maximises bubble
 time at small micro-batch counts and stashes *every* micro-batch (memory
 grows with ``m``), which is why 1F1B replaced it.  Communication is
 buffered (GPipe's fill-drain pattern has no bidirectional pairing).
+
+Maintenance note: ``repro.sim.walks.gpipe_walk`` emits the compiled
+graph of this schedule straight from its shape key on a template miss,
+following ``_emit_gpipe`` op for op; ``tests/sim/test_direct_walks.py``
+holds the two to the same walk.
 """
 
 from __future__ import annotations

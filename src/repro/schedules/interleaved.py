@@ -14,6 +14,11 @@ Violations raise :class:`InterleavedInfeasible` (the "X" marks).
 The virtual-micro-batch ordering is ported from Megatron-LM's
 ``forward_backward_pipelining_with_interleaving``.  Communication is
 buffered (Megatron posts batched isend/irecv pairs).
+
+Maintenance note: ``repro.sim.walks.interleaved_walk`` emits the
+compiled graph of this schedule straight from its shape key on a
+template miss, following ``_emit_interleaved`` op for op;
+``tests/sim/test_direct_walks.py`` holds the two to the same walk.
 """
 
 from __future__ import annotations
@@ -95,6 +100,13 @@ def _microbatch_of(k: int, n: int, v: int) -> int:
     return (k // (n * v)) * n + k % n
 
 
+def _warmup_count(n: int, m: int, v: int, x: int) -> int:
+    """Forwards device ``x`` runs before its first backward."""
+    if m == n:
+        return m * v
+    return min((n - x - 1) * 2 + (v - 1) * n, m * v)
+
+
 def build_interleaved(
     profile: ModelProfile,
     num_stages: int,
@@ -133,11 +145,6 @@ def _emit_interleaved(
     n = len(costs)
     total = m * v
 
-    def warmup_count(x: int) -> int:
-        if m == n:
-            return total
-        return min((n - x - 1) * 2 + (v - 1) * n, total)
-
     def fwd_peers(x: int, c: int) -> Tuple[int, int]:
         """(virtual stage, previous virtual stage) of chunk c on device x."""
         vs = c * n + x
@@ -146,7 +153,7 @@ def _emit_interleaved(
     programs: List[List[object]] = []
     for x in range(n):
         program: List[object] = []
-        nw = warmup_count(x)
+        nw = _warmup_count(n, m, v, x)
 
         def emit_fwd(k: int) -> None:
             c = _chunk_of(k, n, v, True)

@@ -17,7 +17,7 @@ per-unit communication override used by the sliced schedule.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.partition import PartitionScheme
 from repro.models.costs import small_batch_slowdown
@@ -161,12 +161,11 @@ def _deferred_1f1b(
     costs = [_StageCosts(profile, stage) for stage in partition.stages]
     bbytes = profile.boundary_bytes
     static = [c.params * profile.train.bytes_per_param_state for c in costs]
-    half_tags: Set[str] = set()
 
     def emit() -> List[List[object]]:
-        return _emit_1f1b(costs, bbytes, units, rendezvous_policy, half_tags)
+        return _emit_1f1b(costs, bbytes, units, rendezvous_policy)
 
-    shape = ScheduleShape(key, [[c] for c in costs], bbytes, emit, half_tags)
+    shape = ScheduleShape(key, [[c] for c in costs], bbytes, emit)
     return Schedule.deferred(name, shape, static)
 
 
@@ -175,24 +174,20 @@ def _emit_1f1b(
     bbytes: float,
     units: Tuple[Unit, ...],
     rendezvous_policy: RendezvousPolicy,
-    half_tags: Set[str],
 ) -> List[List[object]]:
-    """The per-device Op programs; records half-payload tags in
-    ``half_tags``."""
+    """The per-device Op programs."""
     n = len(costs)
     m = len(units)
 
     def act_transfer(unit: Unit, x: int) -> Transfer:
-        tag = _act_tag(unit, x)
-        if unit[1] != -1:
-            half_tags.add(tag)
-        return Transfer(tag, x, x + 1, bbytes * unit_fraction(unit))
+        return Transfer(
+            _act_tag(unit, x), x, x + 1, bbytes * unit_fraction(unit)
+        )
 
     def grad_transfer(unit: Unit, x: int) -> Transfer:
-        tag = _grad_tag(unit, x)
-        if unit[1] != -1:
-            half_tags.add(tag)
-        return Transfer(tag, x, x - 1, bbytes * unit_fraction(unit))
+        return Transfer(
+            _grad_tag(unit, x), x, x - 1, bbytes * unit_fraction(unit)
+        )
 
     def fwd_op(x: int, unit: Unit, phase: str) -> ComputeOp:
         return ComputeOp(

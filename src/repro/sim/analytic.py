@@ -91,6 +91,7 @@ from repro.sim.engine import (
     _EAGER,
     _RENDEZVOUS,
     ExecutionResult,
+    check_device_map,
     lower_programs,
 )
 
@@ -650,12 +651,7 @@ def execute_analytic(
     ``executor="event"`` for the engine's per-device deadlock diagnosis.
     """
     n = schedule.num_devices
-    if device_map is None:
-        device_map = list(range(n))
-    if len(device_map) != n:
-        raise ValueError("device_map must cover every schedule device")
-    for d in device_map:
-        cluster._check(d)
+    device_map = check_device_map(n, cluster, device_map)
     programs = lower_programs(schedule, cluster, device_map)
 
     pc = [0] * n

@@ -227,13 +227,34 @@ class _Lowerer:
         return (_EAGER, label, recvs, sends, "wait" + label[4:], latency)
 
 
+def check_device_map(
+    num_devices: int, cluster: Cluster, device_map: Optional[Sequence[int]]
+) -> List[int]:
+    """``device_map`` as a list, or the identity map when it is ``None``.
+
+    Raises ``ValueError`` unless it places each of the ``num_devices``
+    schedule devices on its own device of ``cluster``.
+    """
+    if device_map is None:
+        device_map = range(num_devices)
+    if len(device_map) != num_devices:
+        raise ValueError("device_map must cover every schedule device")
+    for d in device_map:
+        cluster._check(d)
+    if len(set(device_map)) != num_devices:
+        raise ValueError(
+            f"device_map {list(device_map)} places two schedule devices "
+            "on one cluster device"
+        )
+    return list(device_map)
+
+
 def lower_programs(
     schedule: Schedule,
     cluster: Cluster,
     device_map: List[int],
     *,
     comm: Optional[CommModel] = None,
-    check_symmetry: bool = True,
 ) -> List[List[tuple]]:
     """Lower every op of ``schedule``'s programs to an instruction tuple.
 
@@ -241,7 +262,7 @@ def lower_programs(
     lowers as edited.  Comm symmetry is validated on a schedule's first
     lowering only.
     """
-    if check_symmetry and not schedule.__dict__.get("_symmetry_checked"):
+    if not schedule.__dict__.get("_symmetry_checked"):
         schedule.validate_comm_symmetry()
         schedule.__dict__["_symmetry_checked"] = True
     lowerer = _Lowerer(cluster, device_map, comm or CommModel(cluster.hw))
@@ -260,22 +281,14 @@ class Engine:
         cluster: Cluster,
         *,
         device_map: Optional[List[int]] = None,
-        check_symmetry: bool = True,
     ) -> None:
         self.schedule = schedule
         self.cluster = cluster
         self.comm = CommModel(cluster.hw)
         n = schedule.num_devices
-        if device_map is None:
-            device_map = list(range(n))
-        if len(device_map) != n:
-            raise ValueError("device_map must cover every schedule device")
-        for d in device_map:
-            cluster._check(d)
-        self.device_map = device_map
+        self.device_map = check_device_map(n, cluster, device_map)
         self._programs = lower_programs(
-            schedule, cluster, device_map,
-            comm=self.comm, check_symmetry=check_symmetry,
+            schedule, cluster, self.device_map, comm=self.comm
         )
 
         self._states = [_DeviceState() for _ in range(n)]

@@ -32,14 +32,14 @@ compile-once/evaluate-many treatment the analytic simulator already has
 
 * **Shape templates.**  The schedule builders defer their ops behind a
   shape key (:class:`~repro.schedules.base.ScheduleShape`).  The first
-  compile of a key walks the shape once and caches a template — the
-  costless DAG plus, for every node, edge, eager receive, memory delta
-  and workspace value, the slot of a per-query cost table that grows
-  with the number of stages (:class:`_SlotTable`).  Every later query of
-  the key computes only that table (:func:`_cost_table`) and gathers it:
-  no op is built, lowered or walked (:func:`shape_graph`).  Hand-built
-  or edited schedules are lowered and walked each time, and share any
-  cached structure equal to theirs.
+  compile of a key walks it directly (:mod:`repro.sim.walks`: no op is
+  built or lowered) and caches a template — the costless DAG plus, for
+  every node, edge, eager receive, memory delta and workspace value, the
+  slot of a per-query cost table that grows with the number of stages
+  (:class:`~repro.sim.walks._SlotTable`).  Every later query of the key
+  computes only that table (:func:`_cost_table`) and gathers it
+  (:func:`shape_graph`).  Hand-built or edited schedules are lowered and
+  walked each time, and share any cached structure equal to theirs.
 
 * **Memory accounting.**  Activation stashes are replayed per device as
   an interleaved alloc/release delta array: a sequential ``cumsum`` (the
@@ -60,110 +60,54 @@ tuple field is identical.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.hardware.cluster import Cluster
 from repro.hardware.comm import CommModel
-from repro.schedules.base import ComputeOp, Schedule
+from repro.schedules.base import Schedule
 from repro.sim.engine import (
     _COMPUTE,
-    _EAGER,
     _RENDEZVOUS,
     Engine,
     ExecutionResult,
+    check_device_map,
     lower_programs,
 )
-
-#: record opcodes inside per-device event-replay programs.
-_REC_COMPUTE = 0
-_REC_RENDEZVOUS = 1
-_REC_EAGER = 2
-
-
-class GraphCompileError(RuntimeError):
-    """The schedule cannot be lowered to an acyclic static graph.
-
-    Raised for dependency cycles (the static form of a deadlock),
-    unmatched rendezvous ops, and deposit tags that are reused or never
-    sent.  :func:`execute_fast` reacts by falling back to the event
-    engine, which either executes the schedule or raises
-    :class:`~repro.sim.engine.DeadlockError` with a per-device diagnosis.
-    """
+from repro.sim.walks import (
+    _REC_COMPUTE,
+    _REC_EAGER,
+    _REC_RENDEZVOUS,
+    GraphCompileError,
+    _Walk,
+    shape_walk,
+)
 
 
-class _Walk:
-    """Everything one pass over the lowered programs produces.
-
-    The walk is a pure function of the lowered instructions, so two
-    schedules with equal shape signatures yield cost arrays aligned with
-    the same structure: node ids, edge order and recv-duration slots all
-    come out identical.  A walk records cost values, the cost-table slot
-    of each value, or both (see :class:`_Template`).
-    """
-
-    __slots__ = (
-        "node_add", "e_dst", "e_src", "e_w", "recv_durs",
-        "records", "first_f", "mem_deltas", "workspace", "mem_counts",
-        "s_node", "s_edge", "s_recv", "s_mem", "s_ws",
-    )
-
-    def __init__(self, num_devices: int) -> None:
-        self.node_add: List[float] = []
-        self.e_dst: List[int] = []
-        self.e_src: List[int] = []
-        self.e_w: List[float] = []
-        self.recv_durs: List[float] = []
-        #: per device, one replay record per op, naming walk-order nodes.
-        self.records: List[List[tuple]] = [[] for _ in range(num_devices)]
-        self.first_f: List[int] = [-1] * num_devices
-        self.mem_deltas: List[float] = []
-        self.workspace: List[float] = []
-        self.mem_counts: List[int] = [0] * num_devices
-        #: cost-table slot of every value above, in the same order.
-        self.s_node: List[int] = []
-        self.s_edge: List[int] = []
-        self.s_recv: List[int] = []
-        self.s_mem: List[int] = []
-        self.s_ws: List[int] = []
-
-    @property
-    def num_nodes(self) -> int:
-        return max(len(self.node_add), len(self.s_node))
-
-
-def _walk_programs(
-    lowered: List[List[tuple]],
-    slots: Optional[List[List[tuple]]] = None,
-) -> _Walk:
+def _walk_programs(lowered: List[List[tuple]]) -> _Walk:
     """Lower instruction tuples into DAG nodes, edges and cost arrays.
 
-    ``slots`` (see :func:`_slot_programs`) mirrors ``lowered`` with the
-    cost-table slot of every instruction value; when given, the walk
-    writes each value's slot next to it, which records a shape template.
+    The route of hand-built and edited schedules, and the reference that
+    the direct walks of :mod:`repro.sim.walks` reproduce.
     """
     walk = _Walk(len(lowered))
     node_add = walk.node_add
     e_dst, e_src, e_w = walk.e_dst, walk.e_src, walk.e_w
     recv_durs = walk.recv_durs
-    record = slots is not None
-    s_node, s_edge, s_recv = walk.s_node, walk.s_edge, walk.s_recv
     #: unmatched rendezvous posts: key -> deque[(device, node)]
     pending_rzv: Dict[tuple, deque] = {}
-    #: eager deposits: tag -> (sender node, wire time, wire slot)
-    send_map: Dict[str, Tuple[int, float, int]] = {}
+    #: eager deposits: tag -> (sender node, wire time)
+    send_map: Dict[str, Tuple[int, float]] = {}
     #: eager receives in walk order: (recv node, tag, recv_list to patch)
     recv_reqs: List[Tuple[int, str, list]] = []
     consumed: set = set()
 
     for dev, program in enumerate(lowered):
         records = walk.records[dev]
-        dev_slots = slots[dev] if record else program
         prev = -1
         prev_w = 0.0
-        prev_s = 0
-        for instr, slot in zip(program, dev_slots):
+        for instr in program:
             code = instr[0]
             if code == _COMPUTE:
                 _, label, duration, alloc, free, ws, kind, phase = instr
@@ -173,8 +117,6 @@ def _walk_programs(
                     e_dst.append(nid)
                     e_src.append(prev)
                     e_w.append(prev_w)
-                    if record:
-                        s_edge.append(prev_s)
                 records.append((_REC_COMPUTE, nid, label, kind, phase))
                 walk.mem_deltas.append(alloc)
                 walk.mem_deltas.append(-free)
@@ -183,12 +125,6 @@ def _walk_programs(
                 if kind == "F" and walk.first_f[dev] < 0:
                     walk.first_f[dev] = nid
                 prev, prev_w = nid, duration
-                if record:
-                    prev_s = slot[0]
-                    s_node.append(prev_s)
-                    walk.s_mem.append(slot[1])
-                    walk.s_mem.append(slot[2])
-                    walk.s_ws.append(slot[3])
             elif code == _RENDEZVOUS:
                 _, label, key, _peer, exch = instr
                 queue = pending_rzv.get(key)
@@ -199,19 +135,13 @@ def _walk_programs(
                 else:
                     nid = len(node_add)
                     node_add.append(exch)
-                    if record:
-                        s_node.append(slot[0])
                     pending_rzv.setdefault(key, deque()).append((dev, nid))
                 if prev >= 0:
                     e_dst.append(nid)
                     e_src.append(prev)
                     e_w.append(prev_w)
-                    if record:
-                        s_edge.append(prev_s)
                 records.append((_REC_RENDEZVOUS, nid, label))
                 prev, prev_w = nid, exch
-                if record:
-                    prev_s = slot[0]
             else:  # _EAGER
                 _, label, recvs, sends, wait_label, latency = instr
                 nid = len(node_add)
@@ -220,28 +150,21 @@ def _walk_programs(
                     e_dst.append(nid)
                     e_src.append(prev)
                     e_w.append(prev_w)
-                    if record:
-                        s_edge.append(prev_s)
                 recv_list: list = []
-                for i, (tag, rdur) in enumerate(recvs):
+                for tag, rdur in recvs:
                     recv_durs.append(rdur)
-                    if record:
-                        s_recv.append(slot[0][i])
                     recv_reqs.append((nid, tag, recv_list))
-                for i, (tag, sdur) in enumerate(sends):
+                for tag, sdur in sends:
                     if tag in send_map:
                         raise GraphCompileError(
                             f"deposit tag {tag!r} is sent more than once; "
                             "the static graph cannot order the reuse"
                         )
-                    send_map[tag] = (nid, sdur, slot[1][i] if record else 0)
+                    send_map[tag] = (nid, sdur)
                 records.append(
                     (_REC_EAGER, nid, label, wait_label, recv_list)
                 )
                 prev, prev_w = nid, latency
-                if record:
-                    prev_s = slot[2]
-                    s_node.append(prev_s)
 
     if pending_rzv:
         key = next(iter(pending_rzv))
@@ -261,13 +184,11 @@ def _walk_programs(
                 "the static graph cannot order the reuse"
             )
         consumed.add(tag)
-        snid, sdur, sslot = sender
+        snid, sdur = sender
         widx = len(e_w)
         e_dst.append(rnid)
         e_src.append(snid)
         e_w.append(sdur)
-        if record:
-            s_edge.append(sslot)
         recv_list.append((snid, widx, ridx))
     return walk
 
@@ -564,96 +485,9 @@ class CompiledGraph:
 #: shape templates kept process-wide (least recently used beyond this).
 _TEMPLATE_CACHE_SIZE = 256
 
-#: cost-table slots every template starts with.
-_ZERO = 0
-_LATENCY = 1
-
 #: representative units for :class:`_StageCosts`-style full/half lookups.
 _FULL_UNIT = (0, -1)
 _HALF_UNIT = (0, 0)
-
-
-class _SlotTable:
-    """Numbers cost descriptors in first-use order.
-
-    A descriptor names one per-query cost by what it is a function of:
-
-    * ``(kind, device, chunk, half)`` with kind ``"F"``/``"B"`` (duration),
-      ``"S"`` (stash bytes) or ``"W"`` (workspace bytes) of a full or
-      half unit of one stage or model chunk;
-    * ``("D", src, dst, half)``: the wire time of one full or half
-      payload from device ``src`` to ``dst``;
-    * ``("X", device, peer, sent, received)``: a full-duplex rendezvous
-      exchange, the slower of the two directions, where ``sent`` and
-      ``received`` list the half flag of each payload per direction;
-    * ``("0",)`` and ``("L",)``: zero and the link latency.
-    """
-
-    def __init__(self) -> None:
-        self.descs: List[tuple] = [("0",), ("L",)]
-        self._slots: Dict[tuple, int] = {("0",): _ZERO, ("L",): _LATENCY}
-
-    def __call__(self, desc: tuple) -> int:
-        slot = self._slots.get(desc)
-        if slot is None:
-            slot = self._slots[desc] = len(self.descs)
-            self.descs.append(desc)
-        return slot
-
-
-def _slot_programs(
-    programs: List[List[object]], half_tags: Set[str]
-) -> Tuple[List[List[tuple]], List[tuple]]:
-    """Cost slots of a deferred schedule's ops, laid out like the lowering.
-
-    Each op gets the slots of the values its instruction tuple carries:
-    ``(duration, alloc, free, workspace)`` for a compute op,
-    ``(exchange,)`` for a rendezvous, ``(recv wires, send wires,
-    latency)`` for an eager op.  Returns the slot programs and the
-    descriptor of every slot.
-    """
-    slot = _SlotTable()
-    out: List[List[tuple]] = []
-    for dev, program in enumerate(programs):
-        dev_slots: List[tuple] = []
-        #: compute-op slots by (kind, chunk, half): few per device.
-        computes: Dict[tuple, tuple] = {}
-        for op in program:
-            if isinstance(op, ComputeOp):
-                key = (op.kind, op.chunk, op.unit[1] != -1)
-                slots = computes.get(key)
-                if slots is None:
-                    kind, chunk, half = key
-                    stash = slot(("S", dev, chunk, half))
-                    forward = kind == "F"
-                    slots = computes[key] = (
-                        slot((kind, dev, chunk, half)),
-                        stash if forward else _ZERO,
-                        _ZERO if forward else stash,
-                        slot(("W", dev, chunk, half)),
-                    )
-                dev_slots.append(slots)
-            elif op.rendezvous:
-                sent = tuple(t.tag in half_tags for t in op.sends())
-                received = tuple(t.tag in half_tags for t in op.receives())
-                dev_slots.append(
-                    (slot(("X", dev, op.peer, sent, received)),)
-                )
-            else:
-                sends = op.sends()
-                dev_slots.append((
-                    tuple(
-                        slot(("D", t.src, t.dst, t.tag in half_tags))
-                        for t in op.receives()
-                    ),
-                    tuple(
-                        slot(("D", t.src, t.dst, t.tag in half_tags))
-                        for t in sends
-                    ),
-                    _LATENCY if sends else _ZERO,
-                ))
-        out.append(dev_slots)
-    return out, slot.descs
 
 
 def _payload(boundary_bytes: float, halves: Tuple[bool, ...]) -> float:
@@ -669,7 +503,8 @@ def _cost_table(
     device_map: Sequence[int],
     comm: CommModel,
 ) -> np.ndarray:
-    """Every descriptor's value for one query, with the lowerer's arithmetic.
+    """Every descriptor's value for one query, with the lowerer's arithmetic
+    (descriptors: :class:`~repro.sim.walks._SlotTable`).
 
     Raises the ``ValueError`` a :class:`~repro.schedules.base.ComputeOp`
     or :class:`~repro.schedules.base.Transfer` would for a negative
@@ -752,6 +587,27 @@ class _Template:
         self.s_ws = np.asarray(walk.s_ws, dtype=np.intp)
         self.descs = descs
 
+    def same_slots(self, walk: _Walk, descs: List[tuple]) -> bool:
+        """Whether ``walk``, of this template's structure, names the
+        descriptor this template recorded for every node, edge, eager
+        receive, memory delta and workspace value."""
+        index = {desc: i for i, desc in enumerate(self.descs)}
+        ours = np.array([index.get(d, -1) for d in descs], dtype=np.intp)
+
+        def mapped(slots: List[int]) -> np.ndarray:
+            return ours[np.asarray(slots, dtype=np.intp)]
+
+        return (
+            np.array_equal(
+                mapped(walk.s_node)[self.structure.node_order],
+                self.s_node_lvl,
+            )
+            and np.array_equal(mapped(walk.s_edge), self.s_edge)
+            and np.array_equal(mapped(walk.s_recv), self.s_recv)
+            and np.array_equal(mapped(walk.s_mem), self.s_mem)
+            and np.array_equal(mapped(walk.s_ws), self.s_ws)
+        )
+
     def graph(
         self,
         table: np.ndarray,
@@ -832,13 +688,6 @@ def _template_for(walk: _Walk) -> _Template:
     return template
 
 
-def _same_bits(a: np.ndarray, b: Sequence[float]) -> bool:
-    b = np.asarray(b, dtype=np.float64)
-    return a.shape == b.shape and np.array_equal(
-        a.view(np.int64), b.view(np.int64)
-    )
-
-
 def shape_graph(
     key: tuple,
     stage_costs: Sequence[Sequence[object]],
@@ -847,54 +696,42 @@ def shape_graph(
     device_map: Sequence[int],
     schedule_name: str,
     static_bytes: Sequence[float],
-    emit_walk: Callable[[CommModel], Tuple[_Walk, List[tuple]]],
     *,
     comm: Optional[CommModel] = None,
 ) -> CompiledGraph:
     """The compiled graph of one query of a keyed schedule shape.
 
     On a template hit only the cost table is computed and gathered.  On a
-    miss ``emit_walk(comm)`` walks the shape once with slots recorded
-    (see :func:`_walk_programs`) and the template is filed under
-    ``key``; when the walk also carries its own cost values, the graph
-    the template gathers must equal them bit for bit.
+    miss the family's direct walker (:func:`repro.sim.walks.shape_walk`)
+    emits the shape's walk and cost slots, and the template is filed
+    under ``key``.  When the walk's structure is already cached under
+    another key, the two must name the same cost descriptor for every
+    value, or the template could not serve both: a ``RuntimeError``.
     """
     if comm is None:
         comm = CommModel(cluster.hw)
-    capacity = cluster.hw.gpu_memory
     template = _templates.get(key)
-    if template is not None:
+    if template is None:
+        walk, descs = shape_walk(key)
+        template = _template_for(walk)
+        if template.descs is None:
+            template.record(walk, descs)
+        elif not template.same_slots(walk, descs):
+            raise RuntimeError(
+                f"shape key {key[:2]!r} walks to the structure of a cached "
+                "template but names other cost descriptors for it"
+            )
+        _templates[key] = template
+        template.keys.append(key)
+    else:
         _use(template)
-        table = _cost_table(
-            template.descs, stage_costs, boundary_bytes, cluster,
-            device_map, comm,
-        )
-        return template.graph(table, schedule_name, static_bytes, capacity)
-    walk, descs = emit_walk(comm)
-    template = _template_for(walk)
-    if template.descs is None:
-        template.record(walk, descs)
     table = _cost_table(
         template.descs, stage_costs, boundary_bytes, cluster, device_map,
         comm,
     )
-    graph = template.graph(table, schedule_name, static_bytes, capacity)
-    structure = template.structure
-    if walk.node_add and not (
-        _same_bits(graph.node_add_lvl,
-                   np.asarray(walk.node_add)[structure.node_order])
-        and _same_bits(graph.edge_w_walk, walk.e_w)
-        and _same_bits(graph.recv_durs, walk.recv_durs)
-        and _same_bits(graph.mem_deltas, walk.mem_deltas)
-        and _same_bits(graph.workspace, walk.workspace)
-    ):
-        raise RuntimeError(
-            f"shape template {key[:2]!r} does not reproduce its walk's "
-            "costs; the cost slots and the emitted values disagree"
-        )
-    _templates[key] = template
-    template.keys.append(key)
-    return graph
+    return template.graph(
+        table, schedule_name, static_bytes, cluster.hw.gpu_memory
+    )
 
 
 def template_cache_info() -> Tuple[int, int]:
@@ -909,19 +746,6 @@ def clear_templates() -> None:
     _lru.clear()
 
 
-def _check_device_map(
-    schedule: Schedule, cluster: Cluster, device_map: Optional[List[int]]
-) -> List[int]:
-    n = schedule.num_devices
-    if device_map is None:
-        device_map = list(range(n))
-    if len(device_map) != n:
-        raise ValueError("device_map must cover every schedule device")
-    for d in device_map:
-        cluster._check(d)
-    return list(device_map)
-
-
 def compile_graph(
     schedule: Schedule,
     cluster: Cluster,
@@ -931,13 +755,14 @@ def compile_graph(
     """Compile the static graph for one schedule.
 
     A deferred schedule whose programs are still as emitted compiles
-    through its shape template (:func:`shape_graph`): on a hit no Op is
-    built, lowered or walked.  Any other schedule is lowered and walked,
-    and shares a structure with every schedule of its lowered signature.
-    Nothing is cached on the schedule object, so a schedule edited after
-    one compile compiles as edited on the next.
+    through its shape template (:func:`shape_graph`): no Op is built or
+    lowered, and only a miss walks, straight from the shape key.  Any
+    other schedule is lowered and walked, and shares a structure with
+    every cached schedule whose walk builds an equal one.  Nothing is
+    cached on the schedule object, so a schedule edited after one compile
+    compiles as edited on the next.
     """
-    device_map = _check_device_map(schedule, cluster, device_map)
+    device_map = check_device_map(schedule.num_devices, cluster, device_map)
     shape = schedule.template_shape()
     if shape is None:
         lowered = lower_programs(schedule, cluster, device_map)
@@ -946,15 +771,9 @@ def compile_graph(
             _template_for(walk).structure, walk, schedule.name,
             schedule.static_bytes, cluster.hw.gpu_memory,
         )
-
-    def emit_walk(comm: CommModel) -> Tuple[_Walk, List[tuple]]:
-        lowered = lower_programs(schedule, cluster, device_map, comm=comm)
-        slots, descs = _slot_programs(schedule.programs, shape.half_tags)
-        return _walk_programs(lowered, slots), descs
-
     return shape_graph(
         shape.key, shape.stage_costs, shape.boundary_bytes, cluster,
-        device_map, schedule.name, schedule.static_bytes, emit_walk,
+        device_map, schedule.name, schedule.static_bytes,
     )
 
 
@@ -981,8 +800,8 @@ def execute_fast(
 def run_batch(graphs: Sequence[CompiledGraph]) -> List[ExecutionResult]:
     """Evaluate K compiled graphs sharing one structure in a single pass.
 
-    All graphs must share the same :class:`GraphStructure` (same shape
-    signature).  The level relaxation, final ends and memory replay run
+    All graphs must share the same :class:`GraphStructure` object (every
+    graph of one shape template does).  The level relaxation, final ends and memory replay run
     on ``(K, …)`` arrays, amortising the per-level numpy overhead across
     the whole batch — row ``k`` is bit-identical to ``graphs[k].run()``.
     """

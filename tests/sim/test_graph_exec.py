@@ -17,6 +17,7 @@ from repro.hardware.cluster import Cluster
 from repro.models.zoo import BERT_LARGE, GPT2_345M
 from repro.runtime.trainer import build_schedule, run_pipeline
 from repro.schedules.base import CommOp, ComputeOp, Schedule, Transfer
+from repro.sim.analytic import execute_analytic
 from repro.sim.engine import DeadlockError, Engine
 from repro.sim.graph_exec import (
     GraphCompileError,
@@ -26,6 +27,7 @@ from repro.sim.graph_exec import (
     run_batch,
     run_perturbed,
 )
+from repro.sim.slice_eval import evaluate_slice_counts
 
 DEPTH = 4
 M = 8
@@ -278,3 +280,25 @@ def test_events_property_materializes_from_lazy_factory(cluster):
         first.device, first.category, first.label,
         first.start, first.end, first.phase,
     ) == raw[0]
+
+
+@pytest.mark.parametrize("run", [
+    lambda s, c, d: compile_graph(s, c, device_map=d),
+    lambda s, c, d: execute_fast(s, c, device_map=d),
+    lambda s, c, d: Engine(s, c, device_map=d),
+    lambda s, c, d: execute_analytic(s, c, device_map=d),
+], ids=["compile_graph", "execute_fast", "Engine", "execute_analytic"])
+def test_device_map_with_a_repeated_device_is_rejected(cluster, run):
+    sched, _ = _schedule()
+    with pytest.raises(ValueError, match="device_map"):
+        run(sched, cluster, [0, 1, 1, 2])
+    run(sched, cluster, [0, 1, 2, 3])  # distinct devices still run
+
+
+def test_slice_sweep_rejects_a_repeated_device(cluster):
+    profile = make_profile(GPT2_345M, 4, M)
+    partition = uniform_partition(profile, DEPTH)
+    with pytest.raises(ValueError, match="device_map"):
+        evaluate_slice_counts(
+            profile, partition, M, [0, 2], device_map=[0, 0, 1, 2]
+        )

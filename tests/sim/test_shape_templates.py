@@ -8,7 +8,9 @@ contract is the same as for the rest of the compiled executor:
 * a *warm* template fed a second model of the same shape reproduces the
   event engine on the materialised schedule, every field, for all five
   schedule families;
-* a hit builds no ``ComputeOp``/``CommOp`` and never lowers or walks;
+* a hit builds no ``ComputeOp``/``CommOp`` and never lowers or walks,
+  and a miss builds no Op and never lowers either: it walks the shape
+  key directly;
 * reading ``programs`` keeps a schedule on its template; editing them
   after a compile recompiles the edited schedule;
 * a cost a ``ComputeOp``/``Transfer`` would reject is rejected on a hit
@@ -26,11 +28,12 @@ from repro.baselines.megatron import uniform_partition
 from repro.core.slicer import SlicePlan
 from repro.experiments.common import make_profile
 from repro.hardware.cluster import Cluster
+from repro.hardware.device import DEFAULT_CLUSTER_HW
 from repro.models.zoo import GPT2_345M
 from repro.runtime.trainer import build_schedule, run_pipeline
 from repro.schedules.base import CommOp, ComputeOp, Transfer
 from repro.schedules.interleaved import build_interleaved
-from repro.sim import graph_exec, slice_eval
+from repro.sim import graph_exec
 from repro.sim.engine import Engine
 from repro.sim.graph_exec import (
     _TEMPLATE_CACHE_SIZE,
@@ -43,10 +46,10 @@ from repro.sim.slice_eval import evaluate_slice_counts
 FAMILIES = ("1f1b", "gpipe", "sliced-agg", "sliced-noagg", "interleaved")
 
 
-def _jittered(mbs, m, seed):
+def _jittered(mbs, m, seed, hardware=DEFAULT_CLUSTER_HW):
     """GPT-2 345M at micro-batch size ``mbs`` with per-block cost jitter:
     same blocks and layers (so the same shapes), different costs."""
-    base = make_profile(GPT2_345M, mbs, m)
+    base = make_profile(GPT2_345M, mbs, m, hardware)
     rng = random.Random(seed)
     blocks = tuple(
         dataclasses.replace(
@@ -173,7 +176,7 @@ def test_slice_sweep_template_equals_event_engine(
 
 
 def _counting(monkeypatch):
-    """Count Op constructions and every lower/walk/emit entry point."""
+    """Count Op constructions and every lower/walk entry point."""
     counts = Counter()
     for cls in (ComputeOp, CommOp, Transfer):
         original = cls.__post_init__
@@ -187,7 +190,7 @@ def _counting(monkeypatch):
         (graph_exec, "lower_programs"),
         (graph_exec, "_walk_programs"),
         (graph_exec, "GraphStructure"),
-        (slice_eval, "family_walk"),
+        (graph_exec, "shape_walk"),
     ):
         original = getattr(module, name)
 
@@ -224,13 +227,17 @@ def test_hit_builds_no_ops_and_never_lowers_or_walks(monkeypatch):
     )
     assert counts == Counter()
 
-    # The counters do see a miss.
+    # A miss of every family walks its key once and builds no Op either.
     graph_exec.clear_templates()
-    compile_graph(
-        _schedule("1f1b", second, depth, m), cluster, device_map=devices
+    for family in FAMILIES:
+        compile_graph(
+            _schedule(family, second, depth, m, 2), cluster,
+            device_map=devices,
+        ).run()
+    evaluate_slice_counts(second, partition, m, [1])
+    assert counts == Counter(
+        shape_walk=len(FAMILIES) + 1, GraphStructure=len(FAMILIES) + 1
     )
-    assert counts["ComputeOp"] > 0 and counts["CommOp"] > 0
-    assert counts["lower_programs"] == counts["_walk_programs"] == 1
 
 
 def test_reading_programs_keeps_the_template_but_editing_them_recompiles():
