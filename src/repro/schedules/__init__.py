@@ -8,14 +8,21 @@ from repro.schedules.base import (
     Unit,
     full_units,
 )
-from repro.schedules.gpipe import build_gpipe
+from repro.schedules.gpipe import build_gpipe, gpipe
 from repro.schedules.interleaved import (
     InterleavedInfeasible,
     build_interleaved,
+    interleaved,
     interleaved_chunks,
 )
-from repro.schedules.one_f_one_b import build_1f1b
+from repro.schedules.one_f_one_b import build_1f1b, one_f_one_b
 from repro.schedules.sliced import build_sliced
+
+#: the order function of each shape-key family (element 0 of the key),
+#: called as ``ORDERS[key[0]](sink, *key[1:])``.  Deferred schedules emit
+#: their Op programs through it and compiled-graph template misses their
+#: walks (:func:`repro.sim.walks.shape_walk`).
+ORDERS = {"1f1b": one_f_one_b, "gpipe": gpipe, "interleaved": interleaved}
 
 __all__ = [
     "ComputeOp",
@@ -30,4 +37,5 @@ __all__ = [
     "build_interleaved",
     "interleaved_chunks",
     "InterleavedInfeasible",
+    "ORDERS",
 ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: A schedule unit: (micro_batch, half) where half is -1 (whole), 0 or 1.
 Unit = Tuple[int, int]
@@ -158,30 +158,86 @@ class ScheduleShape:
 
     ``key`` names the op structure — family, depth, micro-batch count,
     unit sequence or chunk count — so two schedules with equal keys have
-    the same op sequences, labels, phases and communication matching
-    (``None``: no key, the ops depend on something the builder cannot
-    name).  The per-query costs
-    are just ``stage_costs`` (per device, per model chunk, the builder's
-    ``_StageCosts``: full/half F/B durations, stash and workspace bytes)
-    and ``boundary_bytes`` (a transfer carries all of them, or half for a
-    half unit).  ``emit`` produces the Op programs; it only runs when
-    something reads :attr:`Schedule.programs`.  The compiled executor
-    never calls it: it walks a key with :mod:`repro.sim.walks`.
+    the same op sequences, labels, phases and communication matching.
+    Its first element picks the family's order function
+    (:data:`repro.schedules.ORDERS`), which takes the rest.  The
+    per-query costs are just ``stage_costs`` (per device, per model
+    chunk, the builder's ``_StageCosts``: full/half F/B durations, stash
+    and workspace bytes) and ``boundary_bytes`` (a transfer carries all
+    of them, or half for a half unit).
     """
 
-    __slots__ = ("key", "stage_costs", "boundary_bytes", "emit")
+    __slots__ = ("key", "stage_costs", "boundary_bytes")
 
     def __init__(
         self,
-        key: Optional[Tuple],
+        key: Tuple,
         stage_costs: Sequence[Sequence[object]],
         boundary_bytes: float,
-        emit: Callable[[], List[List[object]]],
     ) -> None:
         self.key = key
         self.stage_costs = stage_costs
         self.boundary_bytes = boundary_bytes
-        self.emit = emit
+
+
+class _OpSink:
+    """Builds the Op programs an order function describes.
+
+    The order functions drive a sink through four calls: ``device(x)``
+    starts device ``x``'s program; ``compute(kind, chunk, unit, phase)``
+    is one pass; ``exchange(peer, sent, received)`` is one fused
+    rendezvous carrying at most one ``(tag, unit)`` payload each way;
+    ``eager(peer, send, tag, unit)`` is one buffered payload to or from
+    ``peer``.  :class:`repro.sim.walks._Emitter` is the other sink.
+    """
+
+    def __init__(self, shape: ScheduleShape) -> None:
+        self._costs = shape.stage_costs
+        self._bytes = shape.boundary_bytes
+        self.programs: List[List[object]] = []
+
+    def device(self, x: int) -> None:
+        self._x = x
+        self._program: List[object] = []
+        self.programs.append(self._program)
+
+    def compute(self, kind: str, chunk: int, unit: Unit, phase: str) -> None:
+        cost = self._costs[self._x][chunk]
+        if kind == "F":
+            op = ComputeOp(
+                "F", unit, cost.fwd(unit), alloc_bytes=cost.stash(unit),
+                workspace_bytes=cost.workspace(unit), phase=phase, chunk=chunk,
+            )
+        else:
+            op = ComputeOp(
+                "B", unit, cost.bwd(unit), free_bytes=cost.stash(unit),
+                workspace_bytes=cost.workspace(unit), phase=phase, chunk=chunk,
+            )
+        self._program.append(op)
+
+    def _transfer(self, tag: str, unit: Unit, src: int, dst: int) -> Transfer:
+        return Transfer(tag, src, dst, self._bytes * unit_fraction(unit))
+
+    def exchange(
+        self,
+        peer: int,
+        sent: Optional[Tuple[str, Unit]],
+        received: Optional[Tuple[str, Unit]],
+    ) -> None:
+        x = self._x
+        transfers = []
+        if sent is not None:
+            transfers.append(self._transfer(*sent, x, peer))
+        if received is not None:
+            transfers.append(self._transfer(*received, peer, x))
+        self._program.append(CommOp(x, peer, tuple(transfers)))
+
+    def eager(self, peer: int, send: bool, tag: str, unit: Unit) -> None:
+        x = self._x
+        src, dst = (x, peer) if send else (peer, x)
+        self._program.append(CommOp(
+            x, peer, (self._transfer(tag, unit, src, dst),), rendezvous=False
+        ))
 
 
 class Schedule:
@@ -219,7 +275,8 @@ class Schedule:
     def deferred(
         cls, name: str, shape: ScheduleShape, static_bytes: List[float]
     ) -> "Schedule":
-        """A schedule whose programs ``shape.emit`` produces on first read."""
+        """A schedule whose programs its family's order function emits on
+        first read."""
         self = cls.__new__(cls)
         self.name = name
         self.shape = shape
@@ -234,8 +291,14 @@ class Schedule:
         """ComputeOp | CommOp per device, emitted on first read if deferred."""
         programs = self._programs
         if programs is None:
-            programs = self.shape.emit()
-            _check_placement(programs)
+            # The package's registry imports the family modules, which
+            # import this one.
+            from repro.schedules import ORDERS
+
+            key = self.shape.key
+            sink = _OpSink(self.shape)
+            ORDERS[key[0]](sink, *key[1:])
+            programs = sink.programs
             self._programs = programs
             self._emitted_ids = self._op_ids()
         return programs
@@ -271,7 +334,7 @@ class Schedule:
     def template_shape(self) -> Optional[ScheduleShape]:
         """The keyed shape, while the programs are still the emitted ones."""
         shape = self.shape
-        if shape is None or shape.key is None:
+        if shape is None:
             return None
         if self._programs is None:
             return shape

@@ -10,36 +10,40 @@ constraints the paper exploits in Fig. 14(b):
 * the transformer layer count must divide evenly into ``n * v`` chunks;
 * the micro-batch count must be a multiple of the pipeline depth.
 
-Violations raise :class:`InterleavedInfeasible` (the "X" marks).
-The virtual-micro-batch ordering is ported from Megatron-LM's
-``forward_backward_pipelining_with_interleaving``.  Communication is
-buffered (Megatron posts batched isend/irecv pairs).
-
-Maintenance note: ``repro.sim.walks.interleaved_walk`` emits the
-compiled graph of this schedule straight from its shape key on a
-template miss, following ``_emit_interleaved`` op for op;
-``tests/sim/test_direct_walks.py`` holds the two to the same walk.
+Violations raise :class:`InterleavedInfeasible` (the "X" marks), as do a
+depth or chunk count that is not an integer of at least 2.  The
+virtual-micro-batch ordering (:func:`interleaved`) is ported from
+Megatron-LM's ``forward_backward_pipelining_with_interleaving``.
+Communication is buffered (Megatron posts batched isend/irecv pairs).
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from numbers import Integral
+from typing import List
 
 from repro.models.blocks import BlockKind
 from repro.profiling.modelconfig import ModelProfile
-from repro.schedules.base import (
-    CommOp,
-    ComputeOp,
-    Schedule,
-    ScheduleShape,
-    Transfer,
-    check_micro_batches,
-)
+from repro.schedules.base import Schedule, ScheduleShape, check_micro_batches
 from repro.schedules.one_f_one_b import _StageCosts
 
 
 class InterleavedInfeasible(ValueError):
     """The interleaved schedule cannot run this configuration."""
+
+
+def _check_at_least_two(name: str, value: object) -> int:
+    """``value`` as an int of at least 2, or :class:`InterleavedInfeasible`
+    naming ``name`` (a ``bool`` is no count, as in ``check_micro_batches``)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InterleavedInfeasible(
+            f"{name} must be an integer, got {value!r}"
+        )
+    if value < 2:
+        raise InterleavedInfeasible(
+            f"interleaving needs {name} of at least 2, got {value}"
+        )
+    return int(value)
 
 
 def interleaved_chunks(
@@ -51,8 +55,8 @@ def interleaved_chunks(
     are divided evenly; the embedding joins the first virtual stage and the
     final norm + head join the last (Megatron's pre/post-process).
     """
-    if num_chunks < 2:
-        raise InterleavedInfeasible("interleaving needs at least 2 chunks")
+    num_stages = _check_at_least_two("num_stages", num_stages)
+    num_chunks = _check_at_least_two("num_chunks", num_chunks)
     layer_ids: List[List[int]] = []
     prefix: List[int] = []
     suffix: List[int] = []
@@ -116,7 +120,9 @@ def build_interleaved(
     name: str = "interleaved",
 ) -> Schedule:
     """The deferred interleaved schedule, key ``("interleaved", n, m, v)``."""
-    n, m, v = num_stages, check_micro_batches(num_micro_batches), num_chunks
+    n = _check_at_least_two("num_stages", num_stages)
+    v = _check_at_least_two("num_chunks", num_chunks)
+    m = check_micro_batches(num_micro_batches)
     if m % n != 0:
         raise InterleavedInfeasible(
             f"{m} micro-batches not a multiple of pipeline depth {n}"
@@ -126,97 +132,61 @@ def build_interleaved(
         [_StageCosts(profile, chunk) for chunk in device_chunks[x]]
         for x in range(n)
     ]
-    bbytes = profile.boundary_bytes
     static = [
         sum(c.params for c in costs[x]) * profile.train.bytes_per_param_state
         for x in range(n)
     ]
-
-    def emit() -> List[List[object]]:
-        return _emit_interleaved(costs, bbytes, m, v)
-
-    shape = ScheduleShape(("interleaved", n, m, v), costs, bbytes, emit)
+    shape = ScheduleShape(
+        ("interleaved", n, m, v), costs, profile.boundary_bytes
+    )
     return Schedule.deferred(name, shape, static)
 
 
-def _emit_interleaved(
-    costs: List[List[_StageCosts]], bbytes: float, m: int, v: int
-) -> List[List[object]]:
-    n = len(costs)
+def interleaved(sink, depth: int, m: int, chunks: int) -> None:
+    """Drive ``sink`` through Megatron's virtual-micro-batch order over
+    ``chunks`` model chunks per device, all communication buffered.
+    Virtual stage ``c * depth + x`` is chunk ``c`` of device ``x``."""
+    n, v = depth, chunks
     total = m * v
-
-    def fwd_peers(x: int, c: int) -> Tuple[int, int]:
-        """(virtual stage, previous virtual stage) of chunk c on device x."""
-        vs = c * n + x
-        return vs, vs - 1
-
-    programs: List[List[object]] = []
+    last = n * v - 1
     for x in range(n):
-        program: List[object] = []
+        sink.device(x)
         nw = _warmup_count(n, m, v, x)
 
-        def emit_fwd(k: int) -> None:
+        def fwd(k: int) -> None:
             c = _chunk_of(k, n, v, True)
             mb = _microbatch_of(k, n, v)
-            vs, prev = fwd_peers(x, c)
+            vs = c * n + x
             u = (mb, -1)
             if vs > 0:
-                src = prev % n
-                program.append(CommOp(
-                    x, src,
-                    (Transfer(f"act:{mb}:vs{prev}>vs{vs}", src, x, bbytes),),
-                    rendezvous=False,
-                ))
-            cost = costs[x][c]
-            program.append(ComputeOp(
-                "F", u, cost.fwd(u),
-                alloc_bytes=cost.stash(u),
-                workspace_bytes=cost.workspace(u),
-                phase="warmup" if k < nw else "steady",
-                chunk=c,
-            ))
-            if vs < n * v - 1:
-                dst = (vs + 1) % n
-                program.append(CommOp(
-                    x, dst,
-                    (Transfer(f"act:{mb}:vs{vs}>vs{vs + 1}", x, dst, bbytes),),
-                    rendezvous=False,
-                ))
+                sink.eager(
+                    (vs - 1) % n, False, f"act:{mb}:vs{vs - 1}>vs{vs}", u
+                )
+            sink.compute("F", c, u, "warmup" if k < nw else "steady")
+            if vs < last:
+                sink.eager(
+                    (vs + 1) % n, True, f"act:{mb}:vs{vs}>vs{vs + 1}", u
+                )
 
-        def emit_bwd(k: int) -> None:
+        def bwd(k: int) -> None:
             c = _chunk_of(k, n, v, False)
             mb = _microbatch_of(k, n, v)
             vs = c * n + x
             u = (mb, -1)
-            if vs < n * v - 1:
-                src = (vs + 1) % n
-                program.append(CommOp(
-                    x, src,
-                    (Transfer(f"grad:{mb}:vs{vs + 1}>vs{vs}", src, x, bbytes),),
-                    rendezvous=False,
-                ))
-            cost = costs[x][c]
-            program.append(ComputeOp(
-                "B", u, cost.bwd(u),
-                free_bytes=cost.stash(u),
-                workspace_bytes=cost.workspace(u),
-                phase="steady" if k < total - nw else "cooldown",
-                chunk=c,
-            ))
+            if vs < last:
+                sink.eager(
+                    (vs + 1) % n, False, f"grad:{mb}:vs{vs + 1}>vs{vs}", u
+                )
+            sink.compute("B", c, u, "steady" if k < total - nw else "cooldown")
             if vs > 0:
-                dst = (vs - 1) % n
-                program.append(CommOp(
-                    x, dst,
-                    (Transfer(f"grad:{mb}:vs{vs}>vs{vs - 1}", x, dst, bbytes),),
-                    rendezvous=False,
-                ))
+                sink.eager(
+                    (vs - 1) % n, True, f"grad:{mb}:vs{vs}>vs{vs - 1}", u
+                )
 
         for k in range(nw):
-            emit_fwd(k)
+            fwd(k)
         for j in range(total - nw):
-            emit_fwd(nw + j)
-            emit_bwd(j)
+            fwd(nw + j)
+            bwd(j)
         for k in range(total - nw, total):
-            emit_bwd(k)
-        programs.append(program)
-    return programs
+            bwd(k)

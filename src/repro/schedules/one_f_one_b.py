@@ -11,38 +11,27 @@ for the AutoPipe schedule built on top of this module):
   also what makes the schedule deadlock-free);
 * cooldown — the remaining backwards with their grad transfers.
 
-The builder is parameterised by the unit sequence and by an optional
-per-unit communication override used by the sliced schedule.
+:func:`one_f_one_b` is the order, over a unit sequence; with ``eager``
+the activation of every half unit travels as a buffered send (the sliced
+schedule's aggregation), which splits the fused exchange carrying it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.core.partition import PartitionScheme
 from repro.models.costs import small_batch_slowdown
 from repro.profiling.modelconfig import ModelProfile
 from repro.schedules.base import (
-    CommOp,
-    ComputeOp,
     Schedule,
     ScheduleShape,
-    Transfer,
     Unit,
     check_micro_batches,
     full_units,
     unit_fraction,
     unit_label,
 )
-
-#: hook deciding comm semantics for a unit's activation/gradient transfer;
-#: returns True for rendezvous (default) or False for eager/buffered.
-RendezvousPolicy = Callable[[str, Unit], bool]
-
-
-def _always_rendezvous(_kind: str, _unit: Unit) -> bool:
-    return True
-
 
 class _StageCosts:
     """Per-stage durations and memory for full and half units.
@@ -89,40 +78,21 @@ class _StageCosts:
         return self.workspace_full * unit_fraction(unit)
 
 
-def _act_tag(unit: Unit, x: int) -> str:
-    return f"act:{unit_label(unit)}:{x}>{x + 1}"
-
-
-def _grad_tag(unit: Unit, x: int) -> str:
-    return f"grad:{unit_label(unit)}:{x}>{x - 1}"
-
-
 def build_unit_1f1b(
     profile: ModelProfile,
     partition: PartitionScheme,
     units: Sequence[Unit],
     *,
     name: str = "1f1b",
-    rendezvous_policy: RendezvousPolicy = _always_rendezvous,
 ) -> Schedule:
-    """Build a (possibly sliced) 1F1B schedule over an explicit unit list.
-
-    When ``rendezvous_policy`` marks a unit's transfer as eager, the fused
-    bidirectional exchange that would carry it is split into independent
-    buffered sends/recvs (the Slicer's comm-aggregation semantics).  With
-    the default policy the shape key is ``("1f1b", depth, units,
-    False)``; a custom policy is opaque, so that schedule has no key and
-    always compiles from its programs.
-    """
+    """Build a (possibly sliced) 1F1B schedule over an explicit unit list,
+    every transfer a rendezvous: shape key ``("1f1b", depth, units,
+    False)``."""
     units = tuple(units)
     if not units:
         raise ValueError("no units to schedule")
-    if rendezvous_policy is _always_rendezvous:
-        return unit_schedule(
-            profile, partition, units, name=name, eager_halves=False
-        )
-    return _deferred_1f1b(
-        profile, partition, units, name, rendezvous_policy, None
+    return unit_schedule(
+        profile, partition, units, name=name, eager_halves=False
     )
 
 
@@ -142,137 +112,88 @@ def unit_schedule(
     :mod:`repro.sim.slice_eval` can emit the same key for a slice count.
     """
     eager = eager_halves and any(u[1] != -1 for u in units)
-
-    def policy(kind: str, unit: Unit) -> bool:
-        return not (eager and kind == "act" and unit[1] != -1)
-
-    key = ("1f1b", partition.num_stages, units, eager)
-    return _deferred_1f1b(profile, partition, units, name, policy, key)
-
-
-def _deferred_1f1b(
-    profile: ModelProfile,
-    partition: PartitionScheme,
-    units: Tuple[Unit, ...],
-    name: str,
-    rendezvous_policy: RendezvousPolicy,
-    key: Optional[Tuple],
-) -> Schedule:
     costs = [_StageCosts(profile, stage) for stage in partition.stages]
-    bbytes = profile.boundary_bytes
     static = [c.params * profile.train.bytes_per_param_state for c in costs]
-
-    def emit() -> List[List[object]]:
-        return _emit_1f1b(costs, bbytes, units, rendezvous_policy)
-
-    shape = ScheduleShape(key, [[c] for c in costs], bbytes, emit)
+    shape = ScheduleShape(
+        ("1f1b", partition.num_stages, units, eager),
+        [[c] for c in costs], profile.boundary_bytes,
+    )
     return Schedule.deferred(name, shape, static)
 
 
-def _emit_1f1b(
-    costs: List[_StageCosts],
-    bbytes: float,
-    units: Tuple[Unit, ...],
-    rendezvous_policy: RendezvousPolicy,
-) -> List[List[object]]:
-    """The per-device Op programs."""
-    n = len(costs)
+def one_f_one_b(sink, depth: int, units: Sequence[Unit], eager: bool) -> None:
+    """Drive ``sink`` through the 1F1B order of ``units`` on ``depth``
+    stages (the sink protocol: :class:`repro.schedules.base._OpSink`).
+
+    A fused exchange lists its send first.  With ``eager``, a half
+    unit's activation is a buffered send instead, and the exchange that
+    would have carried it keeps only its other payload.
+    """
+    n = depth
     m = len(units)
+    labels = [unit_label(u) for u in units]
 
-    def act_transfer(unit: Unit, x: int) -> Transfer:
-        return Transfer(
-            _act_tag(unit, x), x, x + 1, bbytes * unit_fraction(unit)
-        )
+    def act(i: int, src: int) -> Tuple[str, Unit]:
+        return f"act:{labels[i]}:{src}>{src + 1}", units[i]
 
-    def grad_transfer(unit: Unit, x: int) -> Transfer:
-        return Transfer(
-            _grad_tag(unit, x), x, x - 1, bbytes * unit_fraction(unit)
-        )
+    def grad(i: int, src: int) -> Tuple[str, Unit]:
+        return f"grad:{labels[i]}:{src}>{src - 1}", units[i]
 
-    def fwd_op(x: int, unit: Unit, phase: str) -> ComputeOp:
-        return ComputeOp(
-            "F", unit, costs[x].fwd(unit),
-            alloc_bytes=costs[x].stash(unit),
-            workspace_bytes=costs[x].workspace(unit),
-            phase=phase,
-        )
+    def is_eager(i: int) -> bool:
+        return eager and units[i][1] != -1
 
-    def bwd_op(x: int, unit: Unit, phase: str) -> ComputeOp:
-        return ComputeOp(
-            "B", unit, costs[x].bwd(unit),
-            free_bytes=costs[x].stash(unit),
-            workspace_bytes=costs[x].workspace(unit),
-            phase=phase,
-        )
-
-    def emit_exchange(
-        program: List[object], device: int, peer: int,
-        transfers: List[Tuple[str, Unit, Transfer]],
-    ) -> None:
-        """Fuse the given transfers unless any is flagged eager.
-
-        ``transfers`` holds (kind, unit, transfer).  If all are rendezvous,
-        one fused CommOp is emitted; otherwise each transfer becomes its
-        own CommOp with its own semantics, sends first (so the peer's
-        matching recv can always drain), preserving order.
-        """
-        if not transfers:
-            return
-        flags = [rendezvous_policy(kind, unit) for kind, unit, _ in transfers]
-        if all(flags) and len(transfers) <= 2:
-            comm = CommOp(
-                device, peer, tuple(t for _, _, t in transfers), rendezvous=True
-            )
-            program.append(comm)
-            return
-        for (kind, unit, t), flag in zip(transfers, flags):
-            program.append(CommOp(device, peer, (t,), rendezvous=flag))
-
-    programs: List[List[object]] = []
     for x in range(n):
+        sink.device(x)
+
+        def send_act(i: int) -> None:
+            if is_eager(i):
+                sink.eager(x + 1, True, *act(i, x))
+            else:
+                sink.exchange(x + 1, act(i, x), None)
+
+        def recv_act(i: int) -> None:
+            if is_eager(i):
+                sink.eager(x - 1, False, *act(i, x - 1))
+            else:
+                sink.exchange(x - 1, None, act(i, x - 1))
+
         w = min(m, n - 1 - x)
         s = m - w
-        program: List[object] = []
         # Warmup forwards.
         for k in range(w):
-            u = units[k]
             if x > 0:
-                emit_exchange(program, x, x - 1, [("act", u, act_transfer(u, x - 1))])
-            program.append(fwd_op(x, u, "warmup"))
+                recv_act(k)
+            sink.compute("F", 0, units[k], "warmup")
             if x < n - 1:
-                emit_exchange(program, x, x + 1, [("act", u, act_transfer(u, x))])
+                send_act(k)
         # First steady input.
         if s > 0 and x > 0:
-            u = units[w]
-            emit_exchange(program, x, x - 1, [("act", u, act_transfer(u, x - 1))])
+            recv_act(w)
         # Steady 1F1B.
         for j in range(s):
-            fu = units[w + j]
-            bu = units[j]
-            program.append(fwd_op(x, fu, "steady"))
+            f = w + j
+            sink.compute("F", 0, units[f], "steady")
             if x < n - 1:
-                emit_exchange(
-                    program, x, x + 1,
-                    [("act", fu, act_transfer(fu, x)),
-                     ("grad", bu, grad_transfer(bu, x + 1))],
-                )
-            program.append(bwd_op(x, bu, "steady"))
+                if is_eager(f):
+                    send_act(f)
+                    sink.exchange(x + 1, None, grad(j, x + 1))
+                else:
+                    sink.exchange(x + 1, act(f, x), grad(j, x + 1))
+            sink.compute("B", 0, units[j], "steady")
             if x > 0:
-                pairs = [("grad", bu, grad_transfer(bu, x))]
-                if j < s - 1:
-                    nxt = units[w + j + 1]
-                    pairs.append(("act", nxt, act_transfer(nxt, x - 1)))
-                emit_exchange(program, x, x - 1, pairs)
+                if j < s - 1 and not is_eager(f + 1):
+                    sink.exchange(x - 1, grad(j, x), act(f + 1, x - 1))
+                else:
+                    sink.exchange(x - 1, grad(j, x), None)
+                    if j < s - 1:
+                        recv_act(f + 1)
         # Cooldown backwards.
         for k in range(s, m):
-            u = units[k]
             if x < n - 1:
-                emit_exchange(program, x, x + 1, [("grad", u, grad_transfer(u, x + 1))])
-            program.append(bwd_op(x, u, "cooldown"))
+                sink.exchange(x + 1, None, grad(k, x + 1))
+            sink.compute("B", 0, units[k], "cooldown")
             if x > 0:
-                emit_exchange(program, x, x - 1, [("grad", u, grad_transfer(u, x))])
-        programs.append(program)
-    return programs
+                sink.exchange(x - 1, grad(k, x), None)
 
 
 def build_1f1b(

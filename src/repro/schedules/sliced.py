@@ -13,14 +13,6 @@ aggregating it with the second half" — the sender never blocks on a busy
 downstream stage.  Building with ``aggregate=False`` keeps every transfer
 synchronous and reproduces the warmup blockage the paper describes (the
 ablation in the benchmarks).
-
-Maintenance note: ``repro.sim.walks.family_walk`` emits the compiled
-graph of this schedule family straight from its shape key (no Schedule
-object, no Op, no instruction lowering) on every template miss, for
-built schedules and the autotuner's slice-count sweeps alike.  Any change
-to the unit order, exchange fusion, eager policy or cost slots of
-``_emit_1f1b`` must be mirrored there; ``tests/sim/test_direct_walks.py``
-asserts the two routes stay bit-identical.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ compile-once/evaluate-many treatment the analytic simulator already has
   (:class:`~repro.sim.walks._SlotTable`).  Every later query of the key
   computes only that table (:func:`_cost_table`) and gathers it
   (:func:`shape_graph`).  Hand-built or edited schedules are lowered and
-  walked each time, and share any cached structure equal to theirs.
+  walked onto a fresh, uncached structure each time.
 
 * **Memory accounting.**  Activation stashes are replayed per device as
   an interleaved alloc/release delta array: a sequential ``cumsum`` (the
@@ -198,8 +198,7 @@ class GraphStructure:
 
     __slots__ = (
         "num_nodes", "num_edges", "levels", "edge_perm", "node_order",
-        "records", "new_of_old", "first_f", "mem_offsets", "fingerprint",
-        "perturb_plan",
+        "records", "new_of_old", "first_f", "mem_offsets", "perturb_plan",
     )
 
     def __init__(self, walk: _Walk) -> None:
@@ -298,11 +297,6 @@ class GraphStructure:
         self.mem_offsets = np.concatenate(
             ([0], np.cumsum(np.asarray(walk.mem_counts, dtype=np.intp)))
         )
-        #: equal structures have equal fingerprints (see ``_template_for``).
-        self.fingerprint = hash((
-            num_nodes, num_edges, node_order.tobytes(), edge_perm.tobytes(),
-            src_sorted.tobytes() if num_edges else b"",
-        ))
         #: lazily built node/edge classification for ``run_perturbed``.
         self.perturb_plan = None
 
@@ -558,25 +552,21 @@ def _cost_table(
 class _Template:
     """A cached schedule shape: its structure plus integer slot arrays.
 
-    The slot arrays say which cost-table entry every node, edge, eager
-    receive, memory delta and workspace value takes, so a query of this
-    shape is one :func:`_cost_table` and a handful of gathers.  A
-    template only hand-built schedules have reached has ``descs``
-    ``None``.  No Op objects, lowered tuples or signatures are kept.
+    The slot arrays say which entry of the cost table over ``descs``
+    every node, edge, eager receive, memory delta and workspace value
+    takes, so a query of this shape is one :func:`_cost_table` and a
+    handful of gathers.  No Op objects, lowered tuples or signatures are
+    kept.
     """
 
     __slots__ = (
-        "structure", "keys", "descs", "s_node_lvl", "s_edge", "s_edge_lvl",
+        "structure", "descs", "s_node_lvl", "s_edge", "s_edge_lvl",
         "s_recv", "s_mem", "s_ws",
     )
 
-    def __init__(self, structure: GraphStructure) -> None:
-        self.structure = structure
-        self.keys: List[tuple] = []
-        self.descs: Optional[List[tuple]] = None
-
-    def record(self, walk: _Walk, descs: List[tuple]) -> None:
-        structure = self.structure
+    def __init__(self, walk: _Walk, descs: List[tuple]) -> None:
+        structure = self.structure = GraphStructure(walk)
+        self.descs = descs
         self.s_node_lvl = np.asarray(walk.s_node, dtype=np.intp)[
             structure.node_order
         ]
@@ -585,28 +575,6 @@ class _Template:
         self.s_recv = np.asarray(walk.s_recv, dtype=np.intp)
         self.s_mem = np.asarray(walk.s_mem, dtype=np.intp)
         self.s_ws = np.asarray(walk.s_ws, dtype=np.intp)
-        self.descs = descs
-
-    def same_slots(self, walk: _Walk, descs: List[tuple]) -> bool:
-        """Whether ``walk``, of this template's structure, names the
-        descriptor this template recorded for every node, edge, eager
-        receive, memory delta and workspace value."""
-        index = {desc: i for i, desc in enumerate(self.descs)}
-        ours = np.array([index.get(d, -1) for d in descs], dtype=np.intp)
-
-        def mapped(slots: List[int]) -> np.ndarray:
-            return ours[np.asarray(slots, dtype=np.intp)]
-
-        return (
-            np.array_equal(
-                mapped(walk.s_node)[self.structure.node_order],
-                self.s_node_lvl,
-            )
-            and np.array_equal(mapped(walk.s_edge), self.s_edge)
-            and np.array_equal(mapped(walk.s_recv), self.s_recv)
-            and np.array_equal(mapped(walk.s_mem), self.s_mem)
-            and np.array_equal(mapped(walk.s_ws), self.s_ws)
-        )
 
     def graph(
         self,
@@ -629,63 +597,8 @@ class _Template:
         )
 
 
-#: templates by shape key.
-_templates: Dict[tuple, _Template] = {}
-#: templates by structure fingerprint.
-_by_fingerprint: Dict[int, List[_Template]] = {}
-#: every cached template, least recently used first.
-_lru: "OrderedDict[_Template, None]" = OrderedDict()
-
-
-def _use(template: _Template) -> None:
-    """Mark ``template`` most recently used; evict beyond the cache size."""
-    _lru[template] = None
-    _lru.move_to_end(template)
-    while len(_lru) > _TEMPLATE_CACHE_SIZE:
-        old, _ = _lru.popitem(last=False)
-        for key in old.keys:
-            del _templates[key]
-        bucket = _by_fingerprint[old.structure.fingerprint]
-        bucket.remove(old)
-        if not bucket:
-            del _by_fingerprint[old.structure.fingerprint]
-
-
-def _same_structure(a: GraphStructure, b: GraphStructure) -> bool:
-    if (
-        a.num_nodes != b.num_nodes or a.num_edges != b.num_edges
-        or a.records != b.records or a.first_f != b.first_f
-        or len(a.levels) != len(b.levels)
-    ):
-        return False
-    arrays = [
-        (a.node_order, b.node_order), (a.edge_perm, b.edge_perm),
-        (a.mem_offsets, b.mem_offsets),
-    ]
-    for la, lb in zip(a.levels, b.levels):
-        if la[:4] != lb[:4]:
-            return False
-        arrays += [(la[4], lb[4]), (la[5], lb[5])]
-    return all(np.array_equal(x, y) for x, y in arrays)
-
-
-def _template_for(walk: _Walk) -> _Template:
-    """The cached template whose structure ``walk`` compiles to.
-
-    Schedules meet here whatever their origin — a builder's shape, a
-    slice-count sweep or a hand-built schedule — when their walks build
-    equal structures; a new structure files a new template.
-    """
-    structure = GraphStructure(walk)
-    bucket = _by_fingerprint.setdefault(structure.fingerprint, [])
-    for template in bucket:
-        if _same_structure(structure, template.structure):
-            break
-    else:
-        template = _Template(structure)
-        bucket.append(template)
-    _use(template)
-    return template
+#: templates by shape key, least recently used first.
+_templates: "OrderedDict[tuple, _Template]" = OrderedDict()
 
 
 def shape_graph(
@@ -702,29 +615,20 @@ def shape_graph(
     """The compiled graph of one query of a keyed schedule shape.
 
     On a template hit only the cost table is computed and gathered.  On a
-    miss the family's direct walker (:func:`repro.sim.walks.shape_walk`)
-    emits the shape's walk and cost slots, and the template is filed
-    under ``key``.  When the walk's structure is already cached under
-    another key, the two must name the same cost descriptor for every
-    value, or the template could not serve both: a ``RuntimeError``.
+    miss the family's order function walks the key directly
+    (:func:`repro.sim.walks.shape_walk`), and the template is filed
+    under ``key``, evicting the least recently used one beyond
+    ``_TEMPLATE_CACHE_SIZE``.
     """
     if comm is None:
         comm = CommModel(cluster.hw)
     template = _templates.get(key)
     if template is None:
-        walk, descs = shape_walk(key)
-        template = _template_for(walk)
-        if template.descs is None:
-            template.record(walk, descs)
-        elif not template.same_slots(walk, descs):
-            raise RuntimeError(
-                f"shape key {key[:2]!r} walks to the structure of a cached "
-                "template but names other cost descriptors for it"
-            )
-        _templates[key] = template
-        template.keys.append(key)
+        template = _templates[key] = _Template(*shape_walk(key))
+        if len(_templates) > _TEMPLATE_CACHE_SIZE:
+            _templates.popitem(last=False)
     else:
-        _use(template)
+        _templates.move_to_end(key)
     table = _cost_table(
         template.descs, stage_costs, boundary_bytes, cluster, device_map,
         comm,
@@ -736,14 +640,14 @@ def shape_graph(
 
 def template_cache_info() -> Tuple[int, int]:
     """(templates cached, total nodes across them) — for tests/benches."""
-    return len(_lru), sum(t.structure.num_nodes for t in _lru)
+    return len(_templates), sum(
+        t.structure.num_nodes for t in _templates.values()
+    )
 
 
 def clear_templates() -> None:
     """Drop every cached template (cold-compile benchmarks)."""
     _templates.clear()
-    _by_fingerprint.clear()
-    _lru.clear()
 
 
 def compile_graph(
@@ -757,10 +661,9 @@ def compile_graph(
     A deferred schedule whose programs are still as emitted compiles
     through its shape template (:func:`shape_graph`): no Op is built or
     lowered, and only a miss walks, straight from the shape key.  Any
-    other schedule is lowered and walked, and shares a structure with
-    every cached schedule whose walk builds an equal one.  Nothing is
-    cached on the schedule object, so a schedule edited after one compile
-    compiles as edited on the next.
+    other schedule is lowered and walked onto a fresh, uncached
+    structure.  Nothing is cached on the schedule object, so a schedule
+    edited after one compile compiles as edited on the next.
     """
     device_map = check_device_map(schedule.num_devices, cluster, device_map)
     shape = schedule.template_shape()
@@ -768,7 +671,7 @@ def compile_graph(
         lowered = lower_programs(schedule, cluster, device_map)
         walk = _walk_programs(lowered)
         return CompiledGraph.from_walk(
-            _template_for(walk).structure, walk, schedule.name,
+            GraphStructure(walk), walk, schedule.name,
             schedule.static_bytes, cluster.hw.gpu_memory,
         )
     return shape_graph(

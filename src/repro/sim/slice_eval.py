@@ -6,9 +6,9 @@ count compiles through the process-wide shape templates
 (:func:`~repro.sim.graph_exec.shape_graph`) under the key
 :func:`~repro.schedules.sliced.build_sliced` gives the same schedule, so
 a template either path records serves the other.  On a hit only the
-cost table is gathered.  On a miss
-:func:`~repro.sim.walks.family_walk` emits the shape's walk straight from
-the key: no Schedule, no Op and no lowering.
+cost table is gathered.  On a miss :func:`~repro.sim.walks.shape_walk`
+runs the 1F1B order function on the walk emitter, straight from the
+key: no Schedule, no Op and no lowering.
 
 :func:`evaluate_slice_counts` then groups the candidates by structure
 and relaxes each group in one :func:`~repro.sim.graph_exec.run_batch`

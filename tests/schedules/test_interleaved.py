@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.balance_dp import balanced_partition
+from repro.experiments.common import INFEASIBLE, run_method
 from repro.hardware.cluster import Cluster
 from repro.runtime.trainer import run_pipeline
 from repro.schedules.interleaved import (
@@ -77,3 +78,26 @@ class TestExecution:
         base_dyn = max(base.peak_memory) - min(base.peak_memory) + 1
         assert max(inter.peak_memory) >= max(base.peak_memory) * 0.9
         assert inter.peak_memory[0] > base.peak_memory[0] * 0.9
+
+
+class TestArguments:
+    """Depth and chunk count are checked when the schedule is built."""
+
+    @pytest.mark.parametrize("arg", ["num_stages", "num_chunks"])
+    @pytest.mark.parametrize("value", [1, 0, -2, 2.0, True, "2"])
+    def test_bad_count_is_infeasible(self, tiny_profile, arg, value):
+        kwargs = {"num_stages": 3, "num_chunks": 2, arg: value}
+        with pytest.raises(InterleavedInfeasible, match=arg):
+            build_interleaved(
+                tiny_profile, kwargs["num_stages"], 6,
+                num_chunks=kwargs["num_chunks"],
+            )
+
+    @pytest.mark.parametrize("value", [1, 0, 2.0, False])
+    def test_chunking_checks_its_counts_too(self, tiny_profile, value):
+        with pytest.raises(InterleavedInfeasible, match="num_stages"):
+            interleaved_chunks(tiny_profile, value, 2)
+
+    def test_run_method_at_depth_one_is_infeasible(self, tiny_profile):
+        result = run_method("interleaved", tiny_profile, 1, 4)
+        assert result.status == INFEASIBLE

@@ -1,36 +1,35 @@
 """Direct walks: a template miss walks the shape key, not the Ops.
 
-On a miss, ``compile_graph`` records the shape template from the family's
-direct walker (:mod:`repro.sim.walks`) instead of emitting, lowering and
-walking Op programs.  The Op route stays the spec, and this suite holds
-every walker to it for all five schedule families:
+On a miss, ``compile_graph`` records the shape template by running the
+family's order function on the walk emitter (:mod:`repro.sim.walks`)
+instead of emitting, lowering and walking Op programs.  The Op route
+stays the spec, and this suite holds the walk emitter to it for all five
+schedule families:
 
 * the direct walk builds the Op route's walk
   (``_walk_programs(lower_programs(schedule))``) node for node, edge for
   edge, record for record, and hence the same ``GraphStructure``;
 * the costs a template gathers equal the Op route's own walk values bit
   for bit, on the miss that records the template and on later hits, on a
-  cross-node device map included;
-* when a second key walks to a cached structure, its cost descriptors
-  must match the template's, or the compile raises.
+  cross-node device map included.
+
+Both routes follow one order function per family, so this suite cannot
+catch a mistake in the order itself; ``tests/schedules/test_orders.py``
+pins each family's order literally.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hardware.cluster import Cluster
 from repro.hardware.device import DEFAULT_CLUSTER_HW, rtx3090_cluster
-from repro.schedules.interleaved import build_interleaved
 from repro.sim import graph_exec
 from repro.sim.engine import Engine, lower_programs
 from repro.sim.graph_exec import (
     CompiledGraph,
     GraphStructure,
-    _same_structure,
     _walk_programs,
     compile_graph,
-    shape_graph,
 )
 from repro.sim.walks import shape_walk
 from tests.sim.test_shape_templates import (
@@ -47,6 +46,26 @@ CROSS_NODE_HW = rtx3090_cluster(8, 4)
 def _op_walk(schedule, cluster, devices):
     """The Op route: emit, lower and walk the schedule's programs."""
     return _walk_programs(lower_programs(schedule, cluster, devices))
+
+
+def _same_structure(a, b):
+    """Whether two ``GraphStructure`` objects describe one DAG: levels,
+    edge order, replay records and memory layout."""
+    if (
+        a.num_nodes != b.num_nodes or a.num_edges != b.num_edges
+        or a.records != b.records or a.first_f != b.first_f
+        or len(a.levels) != len(b.levels)
+    ):
+        return False
+    arrays = [
+        (a.node_order, b.node_order), (a.edge_perm, b.edge_perm),
+        (a.mem_offsets, b.mem_offsets),
+    ]
+    for la, lb in zip(a.levels, b.levels):
+        if la[:4] != lb[:4]:
+            return False
+        arrays += [(la[4], lb[4]), (la[5], lb[5])]
+    return all(np.array_equal(x, y) for x, y in arrays)
 
 
 def _same_bits(a, b):
@@ -139,57 +158,3 @@ def test_direct_walk_equals_op_route(family, mbs, seed, cross_node, data):
     _assert_same_result(
         hit.run(), Engine(again, cluster, device_map=devices).run()
     )
-
-
-def test_interleaved_depth_one_raises_like_its_transfers():
-    profile = _jittered(4, 4, seed=0)
-    cluster = Cluster(profile.hardware)
-    with pytest.raises(ValueError) as spec:
-        build_interleaved(profile, 1, 4).programs
-    with pytest.raises(ValueError) as walked:
-        compile_graph(build_interleaved(profile, 1, 4), cluster)
-    assert str(walked.value) == str(spec.value) == "transfer to self"
-
-
-def _permuted(walk):
-    """``walk`` with the node slots of two F passes on different devices
-    swapped: the same structure under other cost descriptors."""
-    first, second = walk.first_f[0], walk.first_f[1]
-    s_node = walk.s_node
-    s_node[first], s_node[second] = s_node[second], s_node[first]
-    return walk
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_second_key_on_a_cached_structure_must_name_its_descriptors(
-    family, monkeypatch
-):
-    depth, m = 4, 8
-    profile = _jittered(4, m, seed=5)
-    cluster = Cluster(profile.hardware)
-    devices = cluster.pipeline_devices(depth)
-    schedule = _schedule(family, profile, depth, m, 2)
-    shape = schedule.shape
-    graph_exec.clear_templates()
-    graph = compile_graph(schedule, cluster, device_map=devices)
-
-    def alias_graph(permute):
-        def walker(key):
-            walk, descs = shape_walk(key[:-1])
-            return (_permuted(walk) if permute else walk), descs
-
-        monkeypatch.setattr(graph_exec, "shape_walk", walker)
-        alias = shape.key + (permute,)
-        return alias, shape_graph(
-            alias, shape.stage_costs, shape.boundary_bytes, cluster,
-            devices, schedule.name, schedule.static_bytes,
-        )
-
-    # The same walk under another key joins the template ...
-    alias, joined = alias_graph(permute=False)
-    assert graph_exec._templates[alias] is graph_exec._templates[shape.key]
-    assert joined.run().iteration_time == graph.run().iteration_time
-    # ... and one whose slots name other descriptors is refused.
-    with pytest.raises(RuntimeError, match="other cost descriptors"):
-        alias_graph(permute=True)
-    graph_exec.clear_templates()

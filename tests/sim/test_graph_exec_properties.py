@@ -30,6 +30,7 @@ from repro.schedules.base import CommOp, ComputeOp, Schedule, Transfer
 from repro.schedules.interleaved import build_interleaved
 from repro.sim.engine import Engine
 from repro.sim.graph_exec import compile_graph, execute_fast
+from tests.sim.test_direct_walks import _same_structure
 
 FAMILIES = ("1f1b", "gpipe", "sliced-agg", "sliced-noagg", "interleaved")
 
@@ -141,7 +142,9 @@ def test_compiled_equals_event_engine(depth, mb_per_stage, family, seed):
 def test_cost_jitter_preserves_identity_and_structure(
     depth, mb_per_stage, family, seed
 ):
-    """Jittered costs still agree bit-for-bit AND share the compiled DAG."""
+    """Jittered costs still agree bit-for-bit AND compile to the same DAG
+    (the hand-built jittered schedule walks onto a fresh structure, which
+    must equal the template's)."""
     m = depth * mb_per_stage
     profile = make_profile(GPT2_345M, 4, m)
     cluster = Cluster(profile.hardware)
@@ -151,4 +154,4 @@ def test_cost_jitter_preserves_identity_and_structure(
     _assert_identical(jittered, cluster, devices)
     g0 = compile_graph(base, cluster, device_map=devices)
     g1 = compile_graph(jittered, cluster, device_map=devices)
-    assert g0.structure is g1.structure
+    assert _same_structure(g0.structure, g1.structure)

@@ -143,7 +143,7 @@ def test_warm_template_equals_event_engine(
 def test_slice_sweep_template_equals_event_engine(
     depth, m, aggregate, seed, data
 ):
-    """Templates a slice sweep records (``family_walk``, cold) serve the
+    """Templates a slice sweep records (``shape_walk``, cold) serve the
     sweep and built schedules of a second model like the event engine."""
     counts = data.draw(
         st.lists(st.integers(0, m), min_size=1, max_size=4, unique=True)
@@ -327,16 +327,23 @@ def test_negative_payload_on_a_hit_raises_like_a_transfer():
 
 
 def test_eviction_drops_every_key_of_a_template(monkeypatch):
+    """One template per key, evicted least recently used first."""
     monkeypatch.setattr(graph_exec, "_TEMPLATE_CACHE_SIZE", 2)
     graph_exec.clear_templates()
     profile = make_profile(GPT2_345M, 4, 12)
     cluster = Cluster(profile.hardware)
     devices = cluster.pipeline_devices(2)
-    for m in (4, 6, 8):
-        compile_graph(
-            _schedule("1f1b", profile, 2, m), cluster, device_map=devices
-        )
+
+    def compile_m(m):
+        schedule = _schedule("1f1b", profile, 2, m)
+        compile_graph(schedule, cluster, device_map=devices)
+        return schedule.shape.key
+
+    k4, k6, k8 = (compile_m(m) for m in (4, 6, 8))
     assert template_cache_info()[0] == 2
-    assert set(graph_exec._templates.values()) == set(graph_exec._lru)
+    assert list(graph_exec._templates) == [k6, k8]
+    compile_m(6)  # a hit makes k6 the most recently used
+    compile_m(4)
+    assert list(graph_exec._templates) == [k6, k4]
     assert _TEMPLATE_CACHE_SIZE == 256  # the production size is unchanged
     graph_exec.clear_templates()

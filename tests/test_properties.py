@@ -17,6 +17,7 @@ from repro.core.slicer import SlicePlan, solve_slice_count
 from repro.hardware.cluster import Cluster
 from repro.runtime.trainer import run_pipeline
 from repro.schedules.one_f_one_b import build_unit_1f1b
+from repro.schedules.sliced import build_sliced
 from repro.sim.engine import execute
 
 
@@ -116,17 +117,7 @@ class TestScheduleStackProperties:
         partition = random_partition(rng, n_blocks, stages)
         sliced = min(sliced, m)
         plan = SlicePlan(sliced, m, aggregate_last_warmup_comm=bool(seed % 2))
-
-        def policy(kind, unit):
-            if plan.aggregate_last_warmup_comm and kind == "act" \
-                    and unit[1] != -1:
-                return False
-            return True
-
-        schedule = build_unit_1f1b(
-            tiny_profile, partition, list(plan.units()),
-            rendezvous_policy=policy,
-        )
+        schedule = build_sliced(tiny_profile, partition, plan)
         cluster = Cluster(tiny_profile.hardware)
         result = execute(
             schedule, cluster, device_map=list(range(stages))
