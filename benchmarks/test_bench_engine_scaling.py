@@ -25,13 +25,21 @@ from pathlib import Path
 
 from repro.baselines.megatron import uniform_partition
 from repro.core.planner import SimCache, plan_partition
+from repro.core.slicer import SlicePlan
 from repro.experiments.common import make_profile
 from repro.experiments.deep_pipeline import DEEP_GPT, DEEP_HW
 from repro.hardware.cluster import Cluster
 from repro.models.zoo import BERT_LARGE, GPT2_345M
 from repro.runtime.trainer import build_schedule
-from repro.sim.engine import Engine
-from repro.sim.graph_exec import clear_templates, compile_graph, run_batch
+from repro.schedules.interleaved import build_interleaved
+from repro.sim.engine import Engine, lower_programs
+from repro.sim.graph_exec import (
+    GraphStructure,
+    _walk_programs,
+    clear_templates,
+    compile_graph,
+    run_batch,
+)
 
 DEPTHS = (2, 4, 8, 12)
 #: depths for the compiled-vs-event comparison (128-layer deep model).
@@ -241,6 +249,56 @@ def test_template_hit_beats_cold_compile():
         f"template hit {hit * 1e3:.3f} ms is not 5x faster than a cold "
         f"compile ({cold * 1e3:.2f} ms)"
     )
+
+
+def test_cold_miss_beats_op_route():
+    """A cold template miss vs the Op route, every family at d16/m64.
+
+    A miss builds the key's op table and walks it with array operations
+    (``clear_templates()``, then build and ``compile_graph``); the Op
+    route emits the Op programs, lowers them and walks the lowering
+    (``GraphStructure(_walk_programs(lower_programs(...)))``).  Best of 5
+    each, in one process; the miss must be at least 6x faster.
+    Assert-only: no ``BENCH_engine.json`` row.
+    """
+    depth, m = 16, 64
+    profile = make_profile(DEEP_GPT, 4, m, hardware=DEEP_HW)
+    cluster = Cluster(profile.hardware)
+    devices = cluster.pipeline_devices(depth)
+    partition = uniform_partition(profile, depth)
+
+    def build(family: str):
+        if family == "interleaved":
+            return build_interleaved(profile, depth, m, num_chunks=2)
+        if family in ("1f1b", "gpipe"):
+            return build_schedule(profile, partition, m, family)
+        plan = SlicePlan(depth - 1, m, family == "sliced-agg")
+        return build_schedule(
+            profile, partition, m, "sliced", slice_plan=plan
+        )
+
+    for family in ("1f1b", "gpipe", "sliced-agg", "sliced-noagg",
+                   "interleaved"):
+        cold = op_route = float("inf")
+        for _ in range(5):
+            clear_templates()
+            t0 = time.perf_counter()
+            compile_graph(build(family), cluster, device_map=devices)
+            cold = min(cold, time.perf_counter() - t0)
+            schedule = build(family)
+            t0 = time.perf_counter()
+            GraphStructure(
+                _walk_programs(lower_programs(schedule, cluster, devices))
+            )
+            op_route = min(op_route, time.perf_counter() - t0)
+        print(
+            f"\n{family} d{depth}/m{m}: cold miss {cold * 1e3:.2f} ms, "
+            f"Op route {op_route * 1e3:.2f} ms ({op_route / cold:.1f}x)"
+        )
+        assert cold * 6 <= op_route, (
+            f"{family}: cold miss {cold * 1e3:.2f} ms is not 6x faster "
+            f"than the Op route ({op_route * 1e3:.2f} ms)"
+        )
 
 
 def test_bench_planner_search(benchmark):

@@ -18,10 +18,11 @@ from repro.schedules.interleaved import (
 from repro.schedules.one_f_one_b import build_1f1b, one_f_one_b
 from repro.schedules.sliced import build_sliced
 
-#: the order function of each shape-key family (element 0 of the key),
-#: called as ``ORDERS[key[0]](sink, *key[1:])``.  Deferred schedules emit
-#: their Op programs through it and compiled-graph template misses their
-#: walks (:func:`repro.sim.walks.shape_walk`).
+#: the order of each shape-key family (element 0 of the key): a function
+#: called as ``ORDERS[key[0]](*key[1:])`` that returns the key's
+#: :class:`~repro.schedules.base.OpTable`.  Deferred schedules build
+#: their Op programs from the table and compiled-graph template misses
+#: their walks (:func:`repro.sim.walks.shape_walk`).
 ORDERS = {"1f1b": one_f_one_b, "gpipe": gpipe, "interleaved": interleaved}
 
 __all__ = [

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 #: A schedule unit: (micro_batch, half) where half is -1 (whole), 0 or 1.
 Unit = Tuple[int, int]
 
@@ -159,8 +161,9 @@ class ScheduleShape:
     ``key`` names the op structure — family, depth, micro-batch count,
     unit sequence or chunk count — so two schedules with equal keys have
     the same op sequences, labels, phases and communication matching.
-    Its first element picks the family's order function
-    (:data:`repro.schedules.ORDERS`), which takes the rest.  The
+    Its first element picks the family's order
+    (:data:`repro.schedules.ORDERS`), which takes the rest and returns
+    the key's :class:`OpTable`.  The
     per-query costs are just ``stage_costs`` (per device, per model
     chunk, the builder's ``_StageCosts``: full/half F/B durations, stash
     and workspace bytes) and ``boundary_bytes`` (a transfer carries all
@@ -180,64 +183,186 @@ class ScheduleShape:
         self.boundary_bytes = boundary_bytes
 
 
-class _OpSink:
-    """Builds the Op programs an order function describes.
+#: op-table kind codes (column ``kind``): a forward or backward pass, a
+#: fused rendezvous exchange, a buffered send and a buffered receive.
+OP_F, OP_B, OP_EXCHANGE, OP_SEND, OP_RECV = range(5)
 
-    The order functions drive a sink through four calls: ``device(x)``
-    starts device ``x``'s program; ``compute(kind, chunk, unit, phase)``
-    is one pass; ``exchange(peer, sent, received)`` is one fused
-    rendezvous carrying at most one ``(tag, unit)`` payload each way;
-    ``eager(peer, send, tag, unit)`` is one buffered payload to or from
-    ``peer``.  :class:`repro.sim.walks._Emitter` is the other sink.
+#: pass phases by code (column ``phase``).
+PHASES = ("warmup", "steady", "cooldown")
+
+
+class OpTable:
+    """A schedule's per-device programs as parallel op columns.
+
+    Each family's order (:data:`repro.schedules.ORDERS`) is one function
+    that builds this table with numpy index arithmetic.  There is one row
+    per op, device-major and in program order; every column is an
+    ``intp`` array:
+
+    * ``dev``: the device running the op;
+    * ``kind``: ``OP_F``/``OP_B``, ``OP_EXCHANGE`` (one fused rendezvous
+      with ``peer``, at most one payload each way), or ``OP_SEND``/
+      ``OP_RECV`` (one buffered payload to or from ``peer``);
+    * ``chunk``, ``unit``, ``phase``: a pass's model chunk, index into
+      ``units`` and index into :data:`PHASES`;
+    * ``peer``: a communication op's peer device;
+    * ``send``, ``recv``: the message a communication op sends and
+      receives, ``-1`` for none.
+
+    A message id names one payload: ``(grad * len(units) + unit) *
+    num_stages + src``, an activation (``grad`` 0) from (virtual) stage
+    ``src`` to ``src + 1`` or a gradient from ``src`` to ``src - 1``.
+    :meth:`tag` spells it as the transfer tag, and its unit says whether
+    the payload is half a micro-batch.
     """
 
-    def __init__(self, shape: ScheduleShape) -> None:
-        self._costs = shape.stage_costs
-        self._bytes = shape.boundary_bytes
-        self.programs: List[List[object]] = []
+    __slots__ = (
+        "num_devices", "units", "num_stages", "tag_prefix",
+        "dev", "kind", "chunk", "unit", "phase", "peer", "send", "recv",
+    )
 
-    def device(self, x: int) -> None:
-        self._x = x
-        self._program: List[object] = []
-        self.programs.append(self._program)
-
-    def compute(self, kind: str, chunk: int, unit: Unit, phase: str) -> None:
-        cost = self._costs[self._x][chunk]
-        if kind == "F":
-            op = ComputeOp(
-                "F", unit, cost.fwd(unit), alloc_bytes=cost.stash(unit),
-                workspace_bytes=cost.workspace(unit), phase=phase, chunk=chunk,
-            )
-        else:
-            op = ComputeOp(
-                "B", unit, cost.bwd(unit), free_bytes=cost.stash(unit),
-                workspace_bytes=cost.workspace(unit), phase=phase, chunk=chunk,
-            )
-        self._program.append(op)
-
-    def _transfer(self, tag: str, unit: Unit, src: int, dst: int) -> Transfer:
-        return Transfer(tag, src, dst, self._bytes * unit_fraction(unit))
-
-    def exchange(
+    def __init__(
         self,
-        peer: int,
-        sent: Optional[Tuple[str, Unit]],
-        received: Optional[Tuple[str, Unit]],
+        num_devices: int,
+        units: Sequence[Unit],
+        num_stages: int,
+        columns: Sequence[np.ndarray],
+        tag_prefix: str = "",
     ) -> None:
-        x = self._x
-        transfers = []
-        if sent is not None:
-            transfers.append(self._transfer(*sent, x, peer))
-        if received is not None:
-            transfers.append(self._transfer(*received, peer, x))
-        self._program.append(CommOp(x, peer, tuple(transfers)))
+        self.num_devices = num_devices
+        self.units = tuple(units)
+        self.num_stages = num_stages
+        self.tag_prefix = tag_prefix
+        (
+            self.dev, self.kind, self.chunk, self.unit, self.phase,
+            self.peer, self.send, self.recv,
+        ) = columns
 
-    def eager(self, peer: int, send: bool, tag: str, unit: Unit) -> None:
-        x = self._x
-        src, dst = (x, peer) if send else (peer, x)
-        self._program.append(CommOp(
-            x, peer, (self._transfer(tag, unit, src, dst),), rendezvous=False
-        ))
+    def payload_unit(self, msg):
+        """The unit index a message carries."""
+        return msg // self.num_stages % len(self.units)
+
+    def tag(self, msg: int) -> str:
+        """The transfer tag of message ``msg``, e.g. ``act:0a:1>2``."""
+        rest, src = divmod(msg, self.num_stages)
+        grad, unit = divmod(rest, len(self.units))
+        p = self.tag_prefix
+        return (
+            f"{'grad' if grad else 'act'}:{unit_label(self.units[unit])}:"
+            f"{p}{src}>{p}{src - 1 if grad else src + 1}"
+        )
+
+    @classmethod
+    def from_sections(
+        cls,
+        num_devices: int,
+        units: Sequence[Unit],
+        num_stages: int,
+        sections: Sequence[Tuple[int, Sequence[tuple]]],
+        tag_prefix: str = "",
+    ) -> "OpTable":
+        """Assemble a table from per-device op grids.
+
+        Each section ``(length, slots)`` is ``length`` iterations of the
+        ops ``slots`` lists, on every device.  A slot is :func:`op_slot`'s
+        tuple of a mask and the column values, each broadcastable to
+        ``(num_devices, length)``.  A device's program is its sections in
+        order, iterations in order, and each iteration's slots in order,
+        keeping the ops whose mask is set.
+        """
+        width = sum(length * len(slots) for length, slots in sections)
+        grid = np.empty((8, num_devices, width), dtype=np.intp)
+        grid[2:] = _DEFAULTS
+        start = 0
+        for length, slots in sections:
+            stop = start + length * len(slots)
+            block = grid[:, :, start:stop].reshape(
+                8, num_devices, length, len(slots)
+            )
+            for j, slot in enumerate(slots):
+                for c, value in enumerate(slot):
+                    if value is not None:
+                        block[c, :, :, j] = value
+            start = stop
+        mask = grid[0] != 0
+        columns = [mask.nonzero()[0], *grid[1:, mask]]
+        return cls(num_devices, units, num_stages, columns, tag_prefix)
+
+
+def message_id(grad, unit, src, num_units: int, num_stages: int):
+    """The :class:`OpTable` id of unit ``unit``'s activation (``grad`` 0)
+    or gradient (``grad`` 1) leaving stage ``src``."""
+    return (grad * num_units + unit) * num_stages + src
+
+
+#: the values of the columns after ``kind`` an :func:`op_slot` leaves out.
+_DEFAULTS = np.array([0, -1, -1, -1, -1, -1])[:, None, None]
+
+
+def op_slot(mask, kind, *, chunk=None, unit=None, phase=None, peer=None,
+            send=None, recv=None) -> tuple:
+    """One op position of an :meth:`OpTable.from_sections` iteration;
+    a column left out is ``chunk`` 0, or -1 for the others."""
+    return (mask, kind, chunk, unit, phase, peer, send, recv)
+
+
+def _op_programs(shape: ScheduleShape) -> List[List[object]]:
+    """The Op programs of a shape: one op per row of its family's table,
+    costed from the shape's per-stage costs and boundary bytes."""
+    # The package's registry imports the family modules, which import
+    # this one.
+    from repro.schedules import ORDERS
+
+    key = shape.key
+    table = ORDERS[key[0]](*key[1:])
+    costs = shape.stage_costs
+    units = table.units
+    #: (tag, bytes) of each message.
+    payloads: Dict[int, Tuple[str, float]] = {}
+
+    def transfer(msg: int, src: int, dst: int) -> Transfer:
+        payload = payloads.get(msg)
+        if payload is None:
+            unit = units[table.payload_unit(msg)]
+            payload = payloads[msg] = (
+                table.tag(msg), shape.boundary_bytes * unit_fraction(unit)
+            )
+        return Transfer(payload[0], src, dst, payload[1])
+
+    programs: List[List[object]] = [[] for _ in range(table.num_devices)]
+    rows = zip(*(
+        column.tolist() for column in (
+            table.dev, table.kind, table.chunk, table.unit, table.phase,
+            table.peer, table.send, table.recv,
+        )
+    ))
+    for x, kind, chunk, u, phase, peer, send, recv in rows:
+        if kind == OP_F or kind == OP_B:
+            cost = costs[x][chunk]
+            unit = units[u]
+            if kind == OP_F:
+                op = ComputeOp(
+                    "F", unit, cost.fwd(unit), alloc_bytes=cost.stash(unit),
+                    workspace_bytes=cost.workspace(unit),
+                    phase=PHASES[phase], chunk=chunk,
+                )
+            else:
+                op = ComputeOp(
+                    "B", unit, cost.bwd(unit), free_bytes=cost.stash(unit),
+                    workspace_bytes=cost.workspace(unit),
+                    phase=PHASES[phase], chunk=chunk,
+                )
+        else:
+            transfers = []
+            if send >= 0:
+                transfers.append(transfer(send, x, peer))
+            if recv >= 0:
+                transfers.append(transfer(recv, peer, x))
+            op = CommOp(
+                x, peer, tuple(transfers), rendezvous=kind == OP_EXCHANGE
+            )
+        programs[x].append(op)
+    return programs
 
 
 class Schedule:
@@ -275,7 +400,7 @@ class Schedule:
     def deferred(
         cls, name: str, shape: ScheduleShape, static_bytes: List[float]
     ) -> "Schedule":
-        """A schedule whose programs its family's order function emits on
+        """A schedule whose programs its family's op table emits on
         first read."""
         self = cls.__new__(cls)
         self.name = name
@@ -291,15 +416,7 @@ class Schedule:
         """ComputeOp | CommOp per device, emitted on first read if deferred."""
         programs = self._programs
         if programs is None:
-            # The package's registry imports the family modules, which
-            # import this one.
-            from repro.schedules import ORDERS
-
-            key = self.shape.key
-            sink = _OpSink(self.shape)
-            ORDERS[key[0]](sink, *key[1:])
-            programs = sink.programs
-            self._programs = programs
+            programs = self._programs = _op_programs(self.shape)
             self._emitted_ids = self._op_ids()
         return programs
 

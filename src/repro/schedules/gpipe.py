@@ -8,13 +8,22 @@ buffered (GPipe's fill-drain pattern has no bidirectional pairing).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.partition import PartitionScheme
 from repro.profiling.modelconfig import ModelProfile
 from repro.schedules.base import (
+    OP_B,
+    OP_F,
+    OP_RECV,
+    OP_SEND,
+    OpTable,
     Schedule,
     ScheduleShape,
     check_micro_batches,
     full_units,
+    message_id,
+    op_slot,
 )
 from repro.schedules.one_f_one_b import _StageCosts
 
@@ -37,25 +46,27 @@ def build_gpipe(
     return Schedule.deferred(name, shape, static)
 
 
-def gpipe(sink, depth: int, m: int) -> None:
-    """Drive ``sink`` through the GPipe order: every forward, then every
-    backward in reverse micro-batch order, all communication buffered."""
-    units = full_units(m)
-    for x in range(depth):
-        sink.device(x)
-        up = x > 0
-        down = x < depth - 1
-        for u in units:
-            mb = u[0]
-            if up:
-                sink.eager(x - 1, False, f"act:{mb}:{x - 1}>{x}", u)
-            sink.compute("F", 0, u, "warmup")
-            if down:
-                sink.eager(x + 1, True, f"act:{mb}:{x}>{x + 1}", u)
-        for u in reversed(units):
-            mb = u[0]
-            if down:
-                sink.eager(x + 1, False, f"grad:{mb}:{x + 1}>{x}", u)
-            sink.compute("B", 0, u, "cooldown")
-            if up:
-                sink.eager(x - 1, True, f"grad:{mb}:{x}>{x - 1}", u)
+def gpipe(depth: int, m: int) -> OpTable:
+    """The GPipe order as an op table: every forward, then every backward
+    in reverse micro-batch order, all communication buffered."""
+    x = np.arange(depth)[:, None]
+    mb = np.arange(m)[None, :]
+    rev = m - 1 - mb
+    up, down = x > 0, x < depth - 1
+
+    def msg(grad, unit, src):
+        return message_id(grad, unit, src, m, depth)
+
+    forwards = [
+        op_slot(up, OP_RECV, peer=x - 1, recv=msg(0, mb, x - 1)),
+        op_slot(True, OP_F, unit=mb, phase=0),
+        op_slot(down, OP_SEND, peer=x + 1, send=msg(0, mb, x)),
+    ]
+    backwards = [
+        op_slot(down, OP_RECV, peer=x + 1, recv=msg(1, rev, x + 1)),
+        op_slot(True, OP_B, unit=rev, phase=2),
+        op_slot(up, OP_SEND, peer=x - 1, send=msg(1, rev, x)),
+    ]
+    return OpTable.from_sections(
+        depth, full_units(m), depth, [(m, forwards), (m, backwards)]
+    )

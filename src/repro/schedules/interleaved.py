@@ -22,9 +22,23 @@ from __future__ import annotations
 from numbers import Integral
 from typing import List
 
+import numpy as np
+
 from repro.models.blocks import BlockKind
 from repro.profiling.modelconfig import ModelProfile
-from repro.schedules.base import Schedule, ScheduleShape, check_micro_batches
+from repro.schedules.base import (
+    OP_B,
+    OP_F,
+    OP_RECV,
+    OP_SEND,
+    OpTable,
+    Schedule,
+    ScheduleShape,
+    check_micro_batches,
+    full_units,
+    message_id,
+    op_slot,
+)
 from repro.schedules.one_f_one_b import _StageCosts
 
 
@@ -94,21 +108,21 @@ def interleaved_chunks(
     ]
 
 
-def _chunk_of(k: int, n: int, v: int, forward: bool) -> int:
+def _chunk_of(k: np.ndarray, n: int, v: int, forward: bool) -> np.ndarray:
     in_group = k % (n * v)
     chunk = in_group // n
     return chunk if forward else v - chunk - 1
 
 
-def _microbatch_of(k: int, n: int, v: int) -> int:
+def _microbatch_of(k: np.ndarray, n: int, v: int) -> np.ndarray:
     return (k // (n * v)) * n + k % n
 
 
-def _warmup_count(n: int, m: int, v: int, x: int) -> int:
-    """Forwards device ``x`` runs before its first backward."""
+def _warmup_count(n: int, m: int, v: int, x: np.ndarray) -> np.ndarray:
+    """Forwards each device of ``x`` runs before its first backward."""
     if m == n:
-        return m * v
-    return min((n - x - 1) * 2 + (v - 1) * n, m * v)
+        return np.full_like(x, m * v)
+    return np.minimum((n - x - 1) * 2 + (v - 1) * n, m * v)
 
 
 def build_interleaved(
@@ -142,51 +156,54 @@ def build_interleaved(
     return Schedule.deferred(name, shape, static)
 
 
-def interleaved(sink, depth: int, m: int, chunks: int) -> None:
-    """Drive ``sink`` through Megatron's virtual-micro-batch order over
-    ``chunks`` model chunks per device, all communication buffered.
-    Virtual stage ``c * depth + x`` is chunk ``c`` of device ``x``."""
+def interleaved(depth: int, m: int, chunks: int) -> OpTable:
+    """Megatron's virtual-micro-batch order over ``chunks`` model chunks
+    per device as an op table, all communication buffered.  Virtual
+    stage ``c * depth + x`` is chunk ``c`` of device ``x``.
+
+    Device ``x`` runs ``nw`` warmup forwards, ``total - nw`` steady
+    forward/backward pairs and ``nw`` cooldown backwards, where ``total =
+    m * chunks`` counts virtual micro-batches.
+    """
     n, v = depth, chunks
     total = m * v
     last = n * v - 1
-    for x in range(n):
-        sink.device(x)
-        nw = _warmup_count(n, m, v, x)
+    x = np.arange(n)[:, None]
+    k = np.arange(total)[None, :]
+    nw = _warmup_count(n, m, v, x)
 
-        def fwd(k: int) -> None:
-            c = _chunk_of(k, n, v, True)
-            mb = _microbatch_of(k, n, v)
-            vs = c * n + x
-            u = (mb, -1)
-            if vs > 0:
-                sink.eager(
-                    (vs - 1) % n, False, f"act:{mb}:vs{vs - 1}>vs{vs}", u
-                )
-            sink.compute("F", c, u, "warmup" if k < nw else "steady")
-            if vs < last:
-                sink.eager(
-                    (vs + 1) % n, True, f"act:{mb}:vs{vs}>vs{vs + 1}", u
-                )
+    def msg(grad, mb, src):
+        return message_id(grad, mb, src, m, n * v)
 
-        def bwd(k: int) -> None:
-            c = _chunk_of(k, n, v, False)
-            mb = _microbatch_of(k, n, v)
-            vs = c * n + x
-            u = (mb, -1)
-            if vs < last:
-                sink.eager(
-                    (vs + 1) % n, False, f"grad:{mb}:vs{vs + 1}>vs{vs}", u
-                )
-            sink.compute("B", c, u, "steady" if k < total - nw else "cooldown")
-            if vs > 0:
-                sink.eager(
-                    (vs - 1) % n, True, f"grad:{mb}:vs{vs}>vs{vs - 1}", u
-                )
+    def fwd(mask, k, phase):
+        """Virtual micro-batch ``k``'s forward: receive, pass, send."""
+        c = _chunk_of(k, n, v, True)
+        mb = _microbatch_of(k, n, v)
+        vs = c * n + x
+        return [
+            op_slot(mask & (vs > 0), OP_RECV, peer=(vs - 1) % n,
+                    recv=msg(0, mb, vs - 1)),
+            op_slot(mask, OP_F, chunk=c, unit=mb, phase=phase),
+            op_slot(mask & (vs < last), OP_SEND, peer=(vs + 1) % n,
+                    send=msg(0, mb, vs)),
+        ]
 
-        for k in range(nw):
-            fwd(k)
-        for j in range(total - nw):
-            fwd(nw + j)
-            bwd(j)
-        for k in range(total - nw, total):
-            bwd(k)
+    def bwd(mask, k, phase):
+        """Virtual micro-batch ``k``'s backward: receive, pass, send."""
+        c = _chunk_of(k, n, v, False)
+        mb = _microbatch_of(k, n, v)
+        vs = c * n + x
+        return [
+            op_slot(mask & (vs < last), OP_RECV, peer=(vs + 1) % n,
+                    recv=msg(1, mb, vs + 1)),
+            op_slot(mask, OP_B, chunk=c, unit=mb, phase=phase),
+            op_slot(mask & (vs > 0), OP_SEND, peer=(vs - 1) % n,
+                    send=msg(1, mb, vs)),
+        ]
+
+    steady = k < total - nw
+    return OpTable.from_sections(n, full_units(m), n * v, [
+        (total, fwd(k < nw, k, 0)),
+        (total, fwd(steady, nw + k, 1) + bwd(steady, k, 1)),
+        (total, bwd(k < nw, total - nw + k, 2)),
+    ], tag_prefix="vs")

@@ -20,17 +20,26 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from repro.core.partition import PartitionScheme
 from repro.models.costs import small_batch_slowdown
 from repro.profiling.modelconfig import ModelProfile
 from repro.schedules.base import (
+    OP_B,
+    OP_EXCHANGE,
+    OP_F,
+    OP_RECV,
+    OP_SEND,
+    OpTable,
     Schedule,
     ScheduleShape,
     Unit,
     check_micro_batches,
     full_units,
+    message_id,
+    op_slot,
     unit_fraction,
-    unit_label,
 )
 
 class _StageCosts:
@@ -121,79 +130,83 @@ def unit_schedule(
     return Schedule.deferred(name, shape, static)
 
 
-def one_f_one_b(sink, depth: int, units: Sequence[Unit], eager: bool) -> None:
-    """Drive ``sink`` through the 1F1B order of ``units`` on ``depth``
-    stages (the sink protocol: :class:`repro.schedules.base._OpSink`).
+def one_f_one_b(depth: int, units: Sequence[Unit], eager: bool) -> OpTable:
+    """The 1F1B order of ``units`` on ``depth`` stages, as an op table.
 
-    A fused exchange lists its send first.  With ``eager``, a half
-    unit's activation is a buffered send instead, and the exchange that
-    would have carried it keeps only its other payload.
+    Stage ``x`` runs ``w = min(m, depth - 1 - x)`` warmup forwards, ``m -
+    w`` steady F/B pairs and ``w`` cooldown backwards.  A fused exchange
+    lists its send first.  With ``eager``, a half unit's activation is a
+    buffered send instead, and the exchange that would have carried it
+    keeps only its other payload.
     """
-    n = depth
-    m = len(units)
-    labels = [unit_label(u) for u in units]
+    n, m = depth, len(units)
+    units = tuple(units)
+    # Per unit index, padded by one: whether its activation travels eagerly.
+    eager_act = np.zeros(m + 1, dtype=bool)
+    if eager:
+        eager_act[:m] = [u[1] != -1 for u in units]
+    x = np.arange(n)[:, None]
+    k = np.arange(m)[None, :]
+    up, down = x > 0, x < n - 1
+    w = np.minimum(m, n - 1 - x)
+    s = m - w
 
-    def act(i: int, src: int) -> Tuple[str, Unit]:
-        return f"act:{labels[i]}:{src}>{src + 1}", units[i]
+    def act(i, src):
+        return message_id(0, i, src, m, n)
 
-    def grad(i: int, src: int) -> Tuple[str, Unit]:
-        return f"grad:{labels[i]}:{src}>{src - 1}", units[i]
+    def grad(i, src):
+        return message_id(1, i, src, m, n)
 
-    def is_eager(i: int) -> bool:
-        return eager and units[i][1] != -1
+    def recv_act(mask, i):
+        """The receive of unit ``i``'s activation from ``x - 1``."""
+        e = eager_act[np.minimum(i, m)]
+        return op_slot(
+            mask & up, np.where(e, OP_RECV, OP_EXCHANGE), peer=x - 1,
+            recv=act(i, x - 1),
+        )
 
-    for x in range(n):
-        sink.device(x)
-
-        def send_act(i: int) -> None:
-            if is_eager(i):
-                sink.eager(x + 1, True, *act(i, x))
-            else:
-                sink.exchange(x + 1, act(i, x), None)
-
-        def recv_act(i: int) -> None:
-            if is_eager(i):
-                sink.eager(x - 1, False, *act(i, x - 1))
-            else:
-                sink.exchange(x - 1, None, act(i, x - 1))
-
-        w = min(m, n - 1 - x)
-        s = m - w
-        # Warmup forwards.
-        for k in range(w):
-            if x > 0:
-                recv_act(k)
-            sink.compute("F", 0, units[k], "warmup")
-            if x < n - 1:
-                send_act(k)
-        # First steady input.
-        if s > 0 and x > 0:
-            recv_act(w)
-        # Steady 1F1B.
-        for j in range(s):
-            f = w + j
-            sink.compute("F", 0, units[f], "steady")
-            if x < n - 1:
-                if is_eager(f):
-                    send_act(f)
-                    sink.exchange(x + 1, None, grad(j, x + 1))
-                else:
-                    sink.exchange(x + 1, act(f, x), grad(j, x + 1))
-            sink.compute("B", 0, units[j], "steady")
-            if x > 0:
-                if j < s - 1 and not is_eager(f + 1):
-                    sink.exchange(x - 1, grad(j, x), act(f + 1, x - 1))
-                else:
-                    sink.exchange(x - 1, grad(j, x), None)
-                    if j < s - 1:
-                        recv_act(f + 1)
-        # Cooldown backwards.
-        for k in range(s, m):
-            if x < n - 1:
-                sink.exchange(x + 1, None, grad(k, x + 1))
-            sink.compute("B", 0, units[k], "cooldown")
-            if x > 0:
-                sink.exchange(x - 1, grad(k, x), None)
+    # Warmup forward k: receive its input, run it, send its output.
+    warm = k < w
+    warmup = [
+        recv_act(warm, k),
+        op_slot(warm, OP_F, unit=k, phase=0),
+        op_slot(
+            warm & down, np.where(eager_act[k], OP_SEND, OP_EXCHANGE),
+            peer=x + 1, send=act(k, x),
+        ),
+    ]
+    first_steady_input = [recv_act(s > 0, w)]
+    # Steady pair k: forward f = w + k, then backward k, each followed by
+    # the fused exchange that sends its output and receives the next input.
+    f = w + k
+    steady_mask = k < s
+    f_eager = eager_act[np.minimum(f, m)]
+    next_eager = eager_act[np.minimum(f + 1, m)]
+    last = k == s - 1
+    steady = [
+        op_slot(steady_mask, OP_F, unit=f, phase=1),
+        op_slot(steady_mask & down & f_eager, OP_SEND, peer=x + 1,
+                send=act(f, x)),
+        op_slot(steady_mask & down, OP_EXCHANGE, peer=x + 1,
+                send=np.where(f_eager, -1, act(f, x)), recv=grad(k, x + 1)),
+        op_slot(steady_mask, OP_B, unit=k, phase=1),
+        op_slot(steady_mask & up, OP_EXCHANGE, peer=x - 1, send=grad(k, x),
+                recv=np.where(last | next_eager, -1, act(f + 1, x - 1))),
+        op_slot(steady_mask & up & ~last & next_eager, OP_RECV, peer=x - 1,
+                recv=act(f + 1, x - 1)),
+    ]
+    # Cooldown backward k: receive its gradient, run it, send its own.
+    cooldown_mask = k >= s
+    cooldown = [
+        op_slot(cooldown_mask & down, OP_EXCHANGE, peer=x + 1,
+                recv=grad(k, x + 1)),
+        op_slot(cooldown_mask, OP_B, unit=k, phase=2),
+        op_slot(cooldown_mask & up, OP_EXCHANGE, peer=x - 1,
+                send=grad(k, x)),
+    ]
+    return OpTable.from_sections(n, units, n, [
+        (m, warmup), (1, first_steady_input), (m, steady), (m, cooldown),
+    ])
 
 
 def build_1f1b(

@@ -32,11 +32,12 @@ compile-once/evaluate-many treatment the analytic simulator already has
 
 * **Shape templates.**  The schedule builders defer their ops behind a
   shape key (:class:`~repro.schedules.base.ScheduleShape`).  The first
-  compile of a key walks it directly (:mod:`repro.sim.walks`: no op is
-  built or lowered) and caches a template — the costless DAG plus, for
+  compile of a key builds the key's op table and walks it with array
+  operations (:mod:`repro.sim.walks`: no op is built or lowered) and
+  caches a template — the costless DAG plus, for
   every node, edge, eager receive, memory delta and workspace value, the
   slot of a per-query cost table that grows with the number of stages
-  (:class:`~repro.sim.walks._SlotTable`).  Every later query of the key
+  (descriptors: :mod:`repro.sim.walks`).  Every later query of the key
   computes only that table (:func:`_cost_table`) and gathers it
   (:func:`shape_graph`).  Hand-built or edited schedules are lowered and
   walked onto a fresh, uncached structure each time.
@@ -60,7 +61,7 @@ tuple field is identical.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -80,8 +81,12 @@ from repro.sim.walks import (
     _REC_EAGER,
     _REC_RENDEZVOUS,
     GraphCompileError,
+    _TableWalk,
     _Walk,
+    missing_deposit,
+    reused_deposit,
     shape_walk,
+    unmatched_rendezvous,
 )
 
 
@@ -89,7 +94,7 @@ def _walk_programs(lowered: List[List[tuple]]) -> _Walk:
     """Lower instruction tuples into DAG nodes, edges and cost arrays.
 
     The route of hand-built and edited schedules, and the reference that
-    the direct walks of :mod:`repro.sim.walks` reproduce.
+    the table walks of :mod:`repro.sim.walks` reproduce.
     """
     walk = _Walk(len(lowered))
     node_add = walk.node_add
@@ -156,10 +161,7 @@ def _walk_programs(lowered: List[List[tuple]]) -> _Walk:
                     recv_reqs.append((nid, tag, recv_list))
                 for tag, sdur in sends:
                     if tag in send_map:
-                        raise GraphCompileError(
-                            f"deposit tag {tag!r} is sent more than once; "
-                            "the static graph cannot order the reuse"
-                        )
+                        raise reused_deposit(tag, "sent")
                     send_map[tag] = (nid, sdur)
                 records.append(
                     (_REC_EAGER, nid, label, wait_label, recv_list)
@@ -167,22 +169,13 @@ def _walk_programs(lowered: List[List[tuple]]) -> _Walk:
                 prev, prev_w = nid, latency
 
     if pending_rzv:
-        key = next(iter(pending_rzv))
-        raise GraphCompileError(
-            f"rendezvous op with tags {sorted(key[1])} between device pair "
-            f"{key[0]} has no matching peer op"
-        )
+        raise unmatched_rendezvous(*next(iter(pending_rzv)))
     for ridx, (rnid, tag, recv_list) in enumerate(recv_reqs):
         sender = send_map.get(tag)
         if sender is None:
-            raise GraphCompileError(
-                f"eager receive of tag {tag!r} has no matching send"
-            )
+            raise missing_deposit(tag)
         if tag in consumed:
-            raise GraphCompileError(
-                f"deposit tag {tag!r} is received more than once; "
-                "the static graph cannot order the reuse"
-            )
+            raise reused_deposit(tag, "received")
         consumed.add(tag)
         snid, sdur = sender
         widx = len(e_w)
@@ -193,55 +186,100 @@ def _walk_programs(lowered: List[List[tuple]]) -> _Walk:
     return walk
 
 
-class GraphStructure:
-    """The costless compiled DAG: levels, edge order and replay records."""
-
-    __slots__ = (
-        "num_nodes", "num_edges", "levels", "edge_perm", "node_order",
-        "records", "new_of_old", "first_f", "mem_offsets", "perturb_plan",
+def _cyclic() -> GraphCompileError:
+    return GraphCompileError(
+        "cyclic dependency graph — this schedule deadlocks; "
+        "run the event engine for a per-device diagnosis"
     )
 
-    def __init__(self, walk: _Walk) -> None:
-        num_nodes = walk.num_nodes
-        num_edges = len(walk.e_dst)
-        e_dst = walk.e_dst
-        e_src = walk.e_src
 
-        # Dependency levels by Kahn's algorithm with longest-path depth.
-        indeg = [0] * num_nodes
-        out: List[List[int]] = [[] for _ in range(num_nodes)]
-        for src, dst in zip(e_src, e_dst):
-            out[src].append(dst)
-            indeg[dst] += 1
-        level = [0] * num_nodes
-        ready = deque(i for i in range(num_nodes) if indeg[i] == 0)
-        seen = 0
-        while ready:
-            u = ready.popleft()
-            seen += 1
-            depth = level[u] + 1
-            for v in out[u]:
-                if level[v] < depth:
-                    level[v] = depth
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    ready.append(v)
-        if seen != num_nodes:
-            raise GraphCompileError(
-                "cyclic dependency graph — this schedule deadlocks; "
-                "run the event engine for a per-device diagnosis"
-            )
+def _kahn_levels(
+    num_nodes: int, e_dst: np.ndarray, e_src: np.ndarray
+) -> np.ndarray:
+    """Longest-path depth of every node.
+
+    A node with one incoming edge sits a fixed distance below the
+    nearest ancestor that has none or several (its *anchor*), found for
+    all nodes at once by pointer jumping.  Kahn's algorithm then runs in
+    Python over the anchors only, each edge into one weighted by its
+    source's distance below the source's anchor.  Most schedule nodes
+    (passes, sends) have one incoming edge.
+    """
+    indeg = np.bincount(e_dst, minlength=num_nodes)
+    single = indeg == 1
+    into_single = single[e_dst]
+    anchor = np.arange(num_nodes)
+    anchor[e_dst[into_single]] = e_src[into_single]
+    below = single.astype(np.intp)
+    for _ in range(num_nodes.bit_length() + 1):
+        if not single[anchor].any():
+            break
+        below += below[anchor]
+        anchor = anchor[anchor]
+    else:  # a cycle of single-parent nodes has no anchor
+        raise _cyclic()
+    # Anchors are numbered 0..num_anchors-1 in node order; the loop and
+    # its lists see only them.
+    is_anchor = ~single
+    index = np.cumsum(is_anchor) - 1
+    num_anchors = int(index[-1]) + 1 if num_nodes else 0
+    join_src = e_src[~into_single]
+    from_anchor = index[anchor[join_src]]
+    by_anchor = np.argsort(from_anchor, kind="stable")
+    out = index[e_dst[~into_single]][by_anchor].tolist()
+    weight = (below[join_src] + 1)[by_anchor].tolist()
+    bounds = np.zeros(num_anchors + 1, dtype=np.intp)
+    np.cumsum(np.bincount(from_anchor, minlength=num_anchors), out=bounds[1:])
+    bounds = bounds.tolist()
+    anchor_indeg = indeg[is_anchor]
+    waiting = anchor_indeg.tolist()
+    level = [0] * num_anchors
+    ready = np.flatnonzero(anchor_indeg == 0).tolist()
+    # ``ready`` grows while it is iterated: a plain FIFO.
+    for u in ready:
+        base = level[u]
+        for k in range(bounds[u], bounds[u + 1]):
+            v = out[k]
+            depth = base + weight[k]
+            if level[v] < depth:
+                level[v] = depth
+            waiting[v] -= 1
+            if not waiting[v]:
+                ready.append(v)
+    if len(ready) != num_anchors:
+        raise _cyclic()
+    return np.array(level, dtype=np.intp)[index[anchor]] + below
+
+
+class GraphStructure:
+    """The costless compiled DAG: levels, edge order and replay records.
+
+    Replay records are read from the walk on first use (timelines,
+    traces and tests read them; execution does not).
+    """
+
+    __slots__ = (
+        "num_devices", "num_nodes", "num_edges", "levels", "edge_perm",
+        "node_order", "new_of_old", "first_f", "mem_offsets",
+        "perturb_plan", "_walk", "_records",
+    )
+
+    def __init__(self, walk: Union[_Walk, _TableWalk]) -> None:
+        num_nodes = walk.num_nodes
+        e_dst, e_src = walk.edge_arrays()
+        num_edges = len(e_dst)
+
+        level_arr = _kahn_levels(num_nodes, e_dst, e_src)
 
         # Renumber nodes by (level, walk order): arrays become level-major.
-        level_arr = np.asarray(level, dtype=np.intp)
         node_order = np.argsort(level_arr, kind="stable")
         new_of_old = np.empty(num_nodes, dtype=np.intp)
         new_of_old[node_order] = np.arange(num_nodes, dtype=np.intp)
 
         levels: List[tuple] = []
         if num_edges:
-            dst_new = new_of_old[np.asarray(e_dst, dtype=np.intp)]
-            src_new = new_of_old[np.asarray(e_src, dtype=np.intp)]
+            dst_new = new_of_old[e_dst]
+            src_new = new_of_old[e_src]
             edge_perm = np.argsort(dst_new, kind="stable")
             dst_sorted = dst_new[edge_perm]
             src_sorted = src_new[edge_perm]
@@ -283,13 +321,12 @@ class GraphStructure:
         else:
             edge_perm = np.empty(0, dtype=np.intp)
 
+        self.num_devices = walk.num_devices
         self.num_nodes = num_nodes
         self.num_edges = num_edges
         self.levels = levels
         self.edge_perm = edge_perm
         self.node_order = node_order
-        #: replay records keep walk-order node ids (see ``new_of_old``).
-        self.records = tuple(map(tuple, walk.records))
         self.new_of_old = new_of_old
         self.first_f = [
             int(new_of_old[f]) if f >= 0 else -1 for f in walk.first_f
@@ -299,6 +336,19 @@ class GraphStructure:
         )
         #: lazily built node/edge classification for ``run_perturbed``.
         self.perturb_plan = None
+        self._walk = walk
+        self._records: Optional[tuple] = None
+
+    @property
+    def records(self) -> tuple:
+        """Per device, one replay record per op; records keep walk-order
+        node ids (see ``new_of_old``)."""
+        records = self._records
+        if records is None:
+            records = self._records = tuple(
+                map(tuple, self._walk.records)
+            )
+        return records
 
 
 class CompiledGraph:
@@ -326,7 +376,7 @@ class CompiledGraph:
     ) -> None:
         self.structure = structure
         self.schedule_name = schedule_name
-        self.num_devices = len(structure.records)
+        self.num_devices = structure.num_devices
         self.static_bytes = list(static_bytes)
         self.capacity = capacity
         self.node_add_lvl = node_add_lvl
@@ -498,7 +548,7 @@ def _cost_table(
     comm: CommModel,
 ) -> np.ndarray:
     """Every descriptor's value for one query, with the lowerer's arithmetic
-    (descriptors: :class:`~repro.sim.walks._SlotTable`).
+    (descriptors: :mod:`repro.sim.walks`).
 
     Raises the ``ValueError`` a :class:`~repro.schedules.base.ComputeOp`
     or :class:`~repro.schedules.base.Transfer` would for a negative
@@ -564,7 +614,7 @@ class _Template:
         "s_recv", "s_mem", "s_ws",
     )
 
-    def __init__(self, walk: _Walk, descs: List[tuple]) -> None:
+    def __init__(self, walk: _TableWalk, descs: List[tuple]) -> None:
         structure = self.structure = GraphStructure(walk)
         self.descs = descs
         self.s_node_lvl = np.asarray(walk.s_node, dtype=np.intp)[
@@ -615,7 +665,7 @@ def shape_graph(
     """The compiled graph of one query of a keyed schedule shape.
 
     On a template hit only the cost table is computed and gathered.  On a
-    miss the family's order function walks the key directly
+    miss the family's op table is walked with array operations
     (:func:`repro.sim.walks.shape_walk`), and the template is filed
     under ``key``, evicting the least recently used one beyond
     ``_TEMPLATE_CACHE_SIZE``.
@@ -745,35 +795,17 @@ def run_batch(graphs: Sequence[CompiledGraph]) -> List[ExecutionResult]:
 def _perturb_plan(structure: GraphStructure) -> tuple:
     """Node/edge classification for :func:`run_perturbed`, cached per structure.
 
-    Classifies every node as *compute on device d* (``_REC_COMPUTE``
-    records carry the owning device) or *communication* (rendezvous
-    exchanges and eager wire/latency nodes), and every level-major edge
-    as a *deposit* edge (its weight is a wire transfer — identified by
-    the walk-order edge indices recorded in the eager receives) or a
-    *program* edge (its weight is the source node's duration, so it
-    scales with the source node's factor).
+    Classifies every node as *compute on device d* or *communication*
+    (rendezvous exchanges and eager wire/latency nodes), and every
+    level-major edge as a *deposit* edge (its weight is a wire transfer)
+    or a *program* edge (its weight is the source node's duration, so it
+    scales with the source node's factor).  A table walk reads this from
+    its op table's columns; an Op-route walk from its replay records.
     """
     plan = structure.perturb_plan
     if plan is not None:
         return plan
-    num_nodes = structure.num_nodes
-    # Filled in walk order (the records' numbering), then made level-major.
-    node_dev = np.zeros(num_nodes, dtype=np.intp)
-    node_is_comm = np.zeros(num_nodes, dtype=bool)
-    deposit_widx: List[int] = []
-    for dev, records in enumerate(structure.records):
-        for rec in records:
-            code, nid = rec[0], rec[1]
-            if code == _REC_COMPUTE:
-                node_dev[nid] = dev
-            else:
-                node_is_comm[nid] = True
-                if code == _REC_EAGER:
-                    for _snid, widx, _ridx in rec[4]:
-                        deposit_widx.append(widx)
-    dep_walk = np.zeros(structure.num_edges, dtype=bool)
-    if deposit_widx:
-        dep_walk[np.asarray(deposit_widx, dtype=np.intp)] = True
+    node_dev, node_is_comm, dep_walk = structure._walk.perturb_columns()
     src_lvl = np.zeros(structure.num_edges, dtype=np.intp)
     for lo, hi, e0, e1, src, off in structure.levels:
         src_lvl[e0:e1] = src

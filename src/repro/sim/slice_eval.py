@@ -7,8 +7,8 @@ count compiles through the process-wide shape templates
 :func:`~repro.schedules.sliced.build_sliced` gives the same schedule, so
 a template either path records serves the other.  On a hit only the
 cost table is gathered.  On a miss :func:`~repro.sim.walks.shape_walk`
-runs the 1F1B order function on the walk emitter, straight from the
-key: no Schedule, no Op and no lowering.
+builds the key's 1F1B op table and walks it with array operations,
+straight from the key: no Schedule, no Op and no lowering.
 
 :func:`evaluate_slice_counts` then groups the candidates by structure
 and relaxes each group in one :func:`~repro.sim.graph_exec.run_batch`
@@ -79,8 +79,8 @@ def evaluate_slice_counts(
     ``"1f1b"`` for 0, ``"sliced"`` with ``SlicePlan(count, m,
     aggregate)`` above), and raising the same ``ValueError`` for a count
     outside ``0..m`` or a non-integer ``num_micro_batches``.  Each
-    candidate compiles through its shape template — on a miss it is
-    emitted straight into walk arrays — and candidates sharing a
+    candidate compiles through its shape template — on a miss its op
+    table is walked with array operations — and candidates sharing a
     structure relax together in one
     :func:`~repro.sim.graph_exec.run_batch` pass.  Results come back in
     ``slice_counts`` order.
