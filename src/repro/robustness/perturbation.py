@@ -193,28 +193,6 @@ class StageFactors:
         comm = self.comm * times.comm
         return fwd, bwd, comm
 
-    def prefix_cut(self) -> int:
-        """Length of the unperturbed stage prefix shared by every draw.
-
-        The largest ``k <= n-1`` such that the fwd/bwd factors of stages
-        ``< k`` and all comm factors are *exactly* ``1.0`` in every draw.
-        Because ``x * 1.0 == x`` bitwise, the perturbed stage times of
-        that prefix equal the nominal ones bit for bit, so one nominal
-        :class:`~repro.core.analytic_sim.PrefixState` checkpoint at the
-        cut is valid for all ``K`` draws — :func:`robust_iteration_times
-        <repro.robustness.evaluate.robust_iteration_times>` uses this to
-        route fixed-straggler profiles through :class:`SuffixSimBatch
-        <repro.core.analytic_sim.SuffixSimBatch>`.
-        """
-        if not np.all(self.comm == 1.0):
-            return 0
-        clean = np.all(self.fwd == 1.0, axis=0) & np.all(self.bwd == 1.0, axis=0)
-        k = 0
-        limit = self.num_stages - 1
-        while k < limit and clean[k]:
-            k += 1
-        return k
-
 
 def draw_factors(
     models: Sequence[PerturbationModel],

@@ -8,7 +8,7 @@ relaxing its compiled DAG (:mod:`repro.sim.graph_exec`) therefore does
 ``2*n*m`` tiny max/add steps per candidate.  This module collapses the
 whole walk into ``O(n + m)`` *frontier* updates over a ``(n, K)`` matrix
 of stage costs — ``K`` candidate partitions are scored by one sweep of
-fused numpy ops, with no event loop, no graph assembly and no
+numpy row operations, with no event loop, no graph assembly and no
 per-candidate Python objects.
 
 Frontier recurrence
@@ -34,11 +34,16 @@ a frontier sweep possible:
 So two rolling vectors — ``F[x]`` = latest forward end of stage ``x``,
 ``B[x]`` = latest backward end — carry the whole dependence state, and
 each update touches a strided row range of the ``(n, K)`` matrices.
+The sweep is three loops: warmup diagonals, one steady loop whose every
+step runs its F-half, its B-half and, at a checkpoint, the sieve, and
+cooldown diagonals.
+
 The *fix rows*: the first steady F of a stage follows its last warmup
 forward (not a backward), and the first cooldown B of a stage can trail
 the warmup frontier; both are handled by one extra ``np.maximum``
 against the stored forward frontier (exact, because the stale ``B``
-entry is ``0.0`` and times are non-negative).
+entry is ``0.0`` and times are non-negative — both entry points reject
+negative or non-finite inputs).
 
 Bit-identity contract
 ---------------------
@@ -55,7 +60,7 @@ Applicability matrix
 ====================================  =========================================
 schedule / question                   evaluator
 ====================================  =========================================
-plain 1F1B iteration + startup        :func:`frontier_times` (this module)
+plain 1F1B iteration times            :func:`frontier_times` (this module)
 oracle candidate frontier (K at once) :func:`frontier_times_transposed`
 robust draws, ``(K,)`` comm vectors   :func:`frontier_times` (vector comm)
 per-stage busy / bubble / memory      :func:`stage_busy_times` /
@@ -85,7 +90,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.hardware.cluster import Cluster
-from repro.schedules.base import Schedule
+from repro.schedules.base import Schedule, check_micro_batches
 from repro.sim.engine import (
     _COMPUTE,
     _EAGER,
@@ -146,6 +151,25 @@ def _check_comm(comm, k: int):
     return vec
 
 
+def _check_inputs(fwd, bwd, comm, num_micro_batches) -> int:
+    """Reject what :class:`PipelineSim` rejects; return ``m`` as an int.
+
+    Costs and comm must be finite and non-negative: the fix rows lean on
+    non-negative times, and a NaN would flow through every max.  ``comm``
+    is a float or an array (as :func:`_check_comm` returns it); one
+    ``min`` and one ``max`` per array catch NaN (it fails both
+    comparisons), negative values and infinities without a temporary.
+    """
+    for name, arr in (("fwd", fwd), ("bwd", bwd), ("comm", comm)):
+        if isinstance(arr, float):
+            ok = 0.0 <= arr < np.inf
+        else:
+            ok = arr.size == 0 or (arr.min() >= 0.0 and arr.max() < np.inf)
+        if not ok:
+            raise ValueError(f"{name} must be finite and non-negative")
+    return check_micro_batches(num_micro_batches)
+
+
 def frontier_times(
     fwd,
     bwd,
@@ -153,18 +177,16 @@ def frontier_times(
     num_micro_batches: int,
     *,
     comm_mode: str = "paper",
-    want_startup: bool = False,
-):
+) -> np.ndarray:
     """Iteration time of ``K`` 1F1B candidates from their stage costs.
 
     ``fwd`` / ``bwd`` are ``(K, num_stages)`` matrices of per-stage
     forward / backward times (the :class:`PipelineSimBatch` layout);
     ``comm`` is a scalar or a ``(K,)`` per-candidate vector.  Returns a
     ``(K,)`` array of iteration times, bit-identical to
-    ``PipelineSimBatch(fwd, bwd, comm, m).iteration_times()``; with
-    ``want_startup=True`` also returns the ``(K,)`` startup overheads
-    (when the last stage starts its first forward), matching
-    ``.startup_overheads()``.
+    ``PipelineSimBatch(fwd, bwd, comm, m).iteration_times()``.  NaN,
+    infinite or negative costs or comm, and a micro-batch count that is
+    not a positive integer, raise ``ValueError`` (both entry points).
     """
     fwd = _as_cost_matrix(fwd, "fwd")
     bwd = _as_cost_matrix(bwd, "bwd")
@@ -174,16 +196,14 @@ def frontier_times(
             f"and {bwd.shape}"
         )
     comm = _check_comm(comm, fwd.shape[0])
-    times, startup, _ = _sweep(
+    m = _check_inputs(fwd, bwd, comm, num_micro_batches)
+    times, _ = _sweep(
         np.ascontiguousarray(fwd.T),
         np.ascontiguousarray(bwd.T),
         comm,
-        num_micro_batches,
+        m,
         comm_mode,
-        want_startup=want_startup,
     )
-    if want_startup:
-        return times, startup
     return times
 
 
@@ -211,11 +231,9 @@ def frontier_times_transposed(
     sweep's values at those columns — and ``keep`` maps them back to
     input column indices (``None`` when no sieve ran).
     """
-    times, _, keep = _sweep(
-        fwd_t, bwd_t, _check_comm(comm, fwd_t.shape[1]),
-        num_micro_batches, comm_mode, limit=limit,
-    )
-    return times, keep
+    comm = _check_comm(comm, fwd_t.shape[1])
+    m = _check_inputs(fwd_t, bwd_t, comm, num_micro_batches)
+    return _sweep(fwd_t, bwd_t, comm, m, comm_mode, limit=limit)
 
 
 def _sweep(
@@ -225,30 +243,29 @@ def _sweep(
     m: int,
     comm_mode: str,
     *,
-    want_startup: bool = False,
     limit: Optional[float] = None,
-) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-    """The frontier kernel over stage-major ``(n, K)`` cost matrices."""
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The frontier kernel over stage-major ``(n, K)`` cost matrices.
+
+    Warmup diagonals, then one loop over the steady steps — each runs
+    its F-half, its B-half and, at a checkpoint, the sieve — then
+    cooldown diagonals.
+    """
     if comm_mode not in ("paper", "edges"):
         raise ValueError(f"unknown comm_mode {comm_mode!r}")
-    if m < 1:
-        raise ValueError("need at least one micro-batch")
-    if want_startup and limit is not None:
-        raise ValueError("the sieve cannot preserve startup overheads")
     n, num_cols = fwd.shape
     paper = comm_mode == "paper"
     vec_comm = np.ndim(comm) == 1
 
     # F[x + 1] = latest forward end of stage x (F[0] is a zero pad for
     # the "no cross predecessor" row); B[x] = latest backward end of
-    # stage x (B[n] pads symmetrically).  tF/tB are reusable scratch.
+    # stage x (B[n] pads symmetrically).  tmp is reusable scratch: every
+    # update fills its rows before reading them.
     F = np.zeros((n + 1, num_cols))
     B = np.zeros((n + 1, num_cols))
-    tF = np.empty((n, num_cols))
-    tB = np.empty((n, num_cols))
+    tmp = np.empty((n, num_cols))
     keep: Optional[np.ndarray] = None
     drain: Optional[np.ndarray] = None
-    startup = None
 
     if limit is not None:
         keep = np.arange(num_cols)
@@ -261,26 +278,19 @@ def _sweep(
         np.cumsum(bwd[:-1], axis=0, out=drain[1:])
         drain += np.arange(n, dtype=np.float64)[:, None] * comm
 
-    def _rem_counts(step_f: int, step_b: int) -> Tuple[np.ndarray, np.ndarray]:
+    def _rem_counts(step: int) -> Tuple[np.ndarray, np.ndarray]:
         """Per-stage remaining forward/backward counts, closed-form.
 
-        ``step_f``/``step_b`` are the last completed steady steps of the
-        forward and backward halves — they differ by one inside the
-        fused middle phase, where F runs a half-step ahead of B.  Using
-        one matched step against the advanced F rows would double-count
-        the forward just completed and over-prune.
+        ``step`` is the last completed steady step; stage ``n - 1 - d``
+        has run one (F, B) pair at each step ``t >= d`` with
+        ``t ≡ d (mod 2)``, up to its ``m - min(m, d)`` steady pairs.
         """
         d = np.arange(n - 1, -1, -1)
         steady = m - np.minimum(m, d)
-        done_f = np.where(
-            step_f >= d, np.minimum((step_f - d) // 2 + 1, steady), 0
-        )
-        done_b = np.where(
-            step_b >= d, np.minimum((step_b - d) // 2 + 1, steady), 0
-        )
+        done = np.where(step >= d, np.minimum((step - d) // 2 + 1, steady), 0)
         return (
-            (steady - done_f).astype(np.float64)[:, None],
-            (m - done_b).astype(np.float64)[:, None],
+            (steady - done).astype(np.float64)[:, None],
+            (m - done).astype(np.float64)[:, None],
         )
 
     def sieve(step: int) -> None:
@@ -290,8 +300,8 @@ def _sweep(
         warmup).  For each stage the number of finished steady pairs is
         closed-form, so "remaining work" needs no simulation state.
         """
-        nonlocal F, B, tF, tB, fwd, bwd, drain, keep, comm
-        rem_f, rem_b = _rem_counts(step, step)
+        nonlocal F, B, tmp, fwd, bwd, drain, keep, comm
+        rem_f, rem_b = _rem_counts(step)
         lb = np.maximum(F[1:], B[:n])
         lb += rem_f * fwd
         lb += rem_b * bwd
@@ -306,8 +316,7 @@ def _sweep(
         bwd = np.ascontiguousarray(bwd[:, mask])
         drain = np.ascontiguousarray(drain[:, mask])
         keep = keep[mask]
-        tF = np.empty((n, survivors))
-        tB = np.empty((n, survivors))
+        tmp = np.empty((n, survivors))
         if vec_comm:
             comm = comm[mask]
 
@@ -316,7 +325,7 @@ def _sweep(
         lo = u - m + 1
         if lo < 0:
             lo = 0
-        t = tF[:u + 1 - lo]
+        t = tmp[:u + 1 - lo]
         if paper:
             np.maximum(F[lo:u + 1], F[lo + 1:u + 2], out=t)
             if lo == 0:
@@ -340,211 +349,55 @@ def _sweep(
         checkpoints = ()
 
     # -- steady: alternating anti-diagonals of (F, B) pairs ----------------
-    # A stage's first steady forward may trail its *own last warmup
-    # forward* rather than a backward; while ``step <= fix_lim`` the top
-    # stage of the diagonal is in that situation and gets an extra max
-    # against the stored forward frontier (its B entry is still 0.0, so
-    # the plain maximum would under-constrain; the fix is exact).
+    # Step ``step`` runs stages ``x = n - 1 - d`` for ``d ≡ step (mod 2)``
+    # up to ``dmax``: rows ``lo, lo + 2, .., hi``.  A stage's first
+    # steady forward may trail its *own last warmup forward* rather than
+    # a backward; while ``step <= fix_lim`` the top stage of the
+    # diagonal is in that situation and gets an extra max against the
+    # stored forward frontier (its B entry is still 0.0, so the plain
+    # maximum would under-constrain; the fix is exact).
     fix_lim = m - 1 if m - 1 < n - 1 else n - 1
-
-    def _diag(step: int):
+    for step in range(2 * m - 1):
         parity = step & 1
-        dmax = step
-        if 2 * m - 2 - step < dmax:
-            dmax = 2 * m - 2 - step
-        if n - 1 < dmax:
-            dmax = n - 1
-        if parity > dmax:
-            return None
-        dtop = dmax - ((dmax - parity) & 1)
-        lo = n - 1 - dtop
-        hi = n - 1 - parity
-        return lo, hi
-
-    def f_part(step: int) -> None:
-        nonlocal startup
-        d = _diag(step)
-        if d is None:
-            return
-        lo, hi = d
-        X = slice(lo, hi + 1, 2)
-        X1 = slice(lo + 1, hi + 2, 2)
-        a = tF[:(hi - lo) // 2 + 1]
-        if paper:
-            np.maximum(F[X], B[X], out=a)
-            if step <= fix_lim:
-                np.maximum(a[0], F[n - step], out=a[0])
-            if lo == 0:
-                a[1:] += comm
+        dmax = min(step, 2 * m - 2 - step, n - 1)
+        if parity <= dmax:
+            lo = n - 1 - (dmax - ((dmax - parity) & 1))
+            hi = n - 1 - parity
+            X = slice(lo, hi + 1, 2)
+            X1 = slice(lo + 1, hi + 2, 2)
+            t = tmp[:(hi - lo) // 2 + 1]
+            # F-half: the neighbour's latest F (cross), own latest B.
+            if paper:
+                np.maximum(F[X], B[X], out=t)
+                if step <= fix_lim:
+                    np.maximum(t[0], F[n - step], out=t[0])
+                if lo == 0:
+                    t[1:] += comm
+                else:
+                    t += comm
             else:
-                a += comm
-        else:
-            np.add(F[X], comm, out=a)
-            if lo == 0:
-                a[0] = 0.0
-            np.maximum(a, B[X], out=a)
-            if step <= fix_lim:
-                np.maximum(a[0], F[n - step], out=a[0])
-        if step == 0 and want_startup:
-            startup = a[0].copy()
-        np.add(a, fwd[X], out=F[X1])
-
-    def b_part(step: int) -> None:
-        d = _diag(step)
-        if d is None:
-            return
-        lo, hi = d
-        X = slice(lo, hi + 1, 2)
-        X1 = slice(lo + 1, hi + 2, 2)
-        b = tB[:(hi - lo) // 2 + 1]
-        if paper:
-            np.maximum(F[X1], B[X1], out=b)
-            if hi == n - 1:
-                b[:-1] += comm
+                np.add(F[X], comm, out=t)
+                if lo == 0:
+                    t[0] = 0.0
+                np.maximum(t, B[X], out=t)
+                if step <= fix_lim:
+                    np.maximum(t[0], F[n - step], out=t[0])
+            np.add(t, fwd[X], out=F[X1])
+            # B-half: the neighbour's latest B (cross), the F just done.
+            if paper:
+                np.maximum(F[X1], B[X1], out=t)
+                if hi == n - 1:
+                    t[:-1] += comm
+                else:
+                    t += comm
             else:
-                b += comm
-        else:
-            np.add(B[X1], comm, out=b)
-            if hi == n - 1:
-                b[-1] = 0.0
-            np.maximum(b, F[X1], out=b)
-        np.add(b, bwd[X], out=B[X])
-
-    # The fused middle phase (paper mode, even ``n``): once every steady
-    # diagonal is full (``dmax == n - 1``) and past the fix rows, the
-    # B-half of step ``t`` and the F-half of step ``t + 1`` read the max
-    # frontier ``max(F[r], B[r])`` over the SAME row parity — as do the
-    # F-half of ``t + 2`` and the B-half of ``t + 1`` on the other
-    # parity.  Interleaving the halves (each pair's reads are disjoint
-    # from its partner's writes, so the dataflow is unchanged) lets one
-    # ``np.maximum`` and one shared ``+ comm`` serve two half-steps, on
-    # parity-split contiguous arrays.  Every element still flows through
-    # the identical ``max -> (+ comm) -> + cost`` expression, so the
-    # fused phase is bit-identical to the per-step halves it replaces.
-    fuse_lo = n if n > fix_lim + 1 else fix_lim + 1
-    fuse_lo += fuse_lo & 1
-    fuse_hi = 2 * m - n - 1
-    use_fused = paper and n >= 4 and n % 2 == 0 and fuse_lo + 2 <= fuse_hi
-
-    if not use_fused:
-        for step in range(2 * m - 1):
-            f_part(step)
-            b_part(step)
-            if step in checkpoints:
-                sieve(step)
-    else:
-        for step in range(fuse_lo):
-            f_part(step)
-            b_part(step)
-            if step in checkpoints:
-                sieve(step)
-        f_part(fuse_lo)
-        h = n // 2
-        Fe = np.ascontiguousarray(F[0::2])   # rows 0, 2, .., n
-        Fo = np.ascontiguousarray(F[1::2])   # rows 1, 3, .., n - 1
-        Be = np.ascontiguousarray(B[0::2])
-        Bo = np.ascontiguousarray(B[1::2])
-        fwd_e = np.ascontiguousarray(fwd[0::2])   # stages 0, 2, .., n - 2
-        fwd_o = np.ascontiguousarray(fwd[1::2])   # stages 1, 3, .., n - 1
-        bwd_e = np.ascontiguousarray(bwd[0::2])
-        bwd_o = np.ascontiguousarray(bwd[1::2])
-        if limit is not None:
-            drain_e = np.ascontiguousarray(drain[0::2])
-            drain_o = np.ascontiguousarray(drain[1::2])
-            cps = sorted(c for c in checkpoints if c >= fuse_lo)
-        else:
-            drain_e = drain_o = None
-            cps = []
-        k_now = Fe.shape[1]
-        Me = np.empty((h + 1, k_now))
-        Mo = np.empty((h, k_now))
-        tmid = np.empty((h - 1, k_now))
-
-        def sieve_fused(t: int) -> None:
-            """The sieve on the split state: F through ``t``, B ``t-1``."""
-            nonlocal Fe, Fo, Be, Bo, fwd_e, fwd_o, bwd_e, bwd_o
-            nonlocal drain_e, drain_o, keep, comm, Me, Mo, tmid, k_now
-            rem_f, rem_b = _rem_counts(t, t - 1)
-            # Even stages read (F odd rows, B even rows) and vice versa.
-            lb = np.maximum(Fo, Be[:h])
-            lb += rem_f[0::2] * fwd_e
-            lb += rem_b[0::2] * bwd_e
-            lb += drain_e
-            colmax = lb.max(axis=0)
-            lb = np.maximum(Fe[1:], Bo)
-            lb += rem_f[1::2] * fwd_o
-            lb += rem_b[1::2] * bwd_o
-            lb += drain_o
-            np.maximum(colmax, lb.max(axis=0), out=colmax)
-            mask = colmax <= limit * _SIEVE_PAD
-            survivors = int(mask.sum())
-            if survivors >= keep.size * (1.0 - _COMPACT_FRACTION):
-                return
-            Fe = np.ascontiguousarray(Fe[:, mask])
-            Fo = np.ascontiguousarray(Fo[:, mask])
-            Be = np.ascontiguousarray(Be[:, mask])
-            Bo = np.ascontiguousarray(Bo[:, mask])
-            fwd_e = np.ascontiguousarray(fwd_e[:, mask])
-            fwd_o = np.ascontiguousarray(fwd_o[:, mask])
-            bwd_e = np.ascontiguousarray(bwd_e[:, mask])
-            bwd_o = np.ascontiguousarray(bwd_o[:, mask])
-            drain_e = np.ascontiguousarray(drain_e[:, mask])
-            drain_o = np.ascontiguousarray(drain_o[:, mask])
-            keep = keep[mask]
-            if vec_comm:
-                comm = comm[mask]
-            k_now = survivors
-            Me = np.empty((h + 1, k_now))
-            Mo = np.empty((h, k_now))
-            tmid = np.empty((h - 1, k_now))
-
-        t = fuse_lo
-        while t + 2 <= fuse_hi:
-            if cps and t - 1 >= cps[0]:
-                while cps and t - 1 >= cps[0]:
-                    cps.pop(0)
-                sieve_fused(t)
-            # B-half of t + F-half of t + 1: even-row frontier.
-            np.maximum(Fe, Be, out=Me)
-            np.add(Me[1:h], comm, out=tmid)
-            np.add(Me[0], fwd_e[0], out=Fo[0])
-            np.add(tmid, fwd_e[1:], out=Fo[1:])
-            np.add(tmid, bwd_o[:-1], out=Bo[:-1])
-            np.add(Me[h], bwd_o[-1], out=Bo[-1])
-            # F-half of t + 2 + B-half of t + 1: odd-row frontier.
-            np.maximum(Fo, Bo, out=Mo)
-            np.add(Mo, comm, out=Mo)
-            np.add(Mo, fwd_o, out=Fe[1:])
-            np.add(Mo, bwd_e, out=Be[:h])
-            t += 2
-        # Completed: F-halves through ``t``, B-halves through ``t - 1``.
-        if k_now != F.shape[1]:
-            F = np.empty((n + 1, k_now))
-            B = np.empty((n + 1, k_now))
-            fwd = np.empty((n, k_now))
-            bwd = np.empty((n, k_now))
-            drain = np.empty((n, k_now))
-            fwd[0::2] = fwd_e
-            fwd[1::2] = fwd_o
-            bwd[0::2] = bwd_e
-            bwd[1::2] = bwd_o
-            drain[0::2] = drain_e
-            drain[1::2] = drain_o
-            tF = np.empty((n, k_now))
-            tB = np.empty((n, k_now))
-        F[0::2] = Fe
-        F[1::2] = Fo
-        B[0::2] = Be
-        B[1::2] = Bo
-        b_part(t)
-        if cps and cps[0] <= t:
-            cps = [c for c in cps if c > t]
-            sieve(t)
-        for step in range(t + 1, 2 * m - 1):
-            f_part(step)
-            b_part(step)
-            if step in checkpoints and step > t:
-                sieve(step)
+                np.add(B[X1], comm, out=t)
+                if hi == n - 1:
+                    t[-1] = 0.0
+                np.maximum(t, F[X1], out=t)
+            np.add(t, bwd[X], out=B[X])
+        if step in checkpoints:
+            sieve(step)
 
     # -- cooldown: anti-diagonal v drains B(x, m - 1 - ...) ----------------
     # Symmetric fix rows: a stage's first cooldown backward can trail
@@ -558,7 +411,7 @@ def _sweep(
             hi = n - 2
         if lo > hi:
             continue
-        t = tB[:hi - lo + 1]
+        t = tmp[:hi - lo + 1]
         if paper:
             np.maximum(B[lo + 1:hi + 2], B[lo:hi + 1], out=t)
             if v <= n - 1:
@@ -571,7 +424,7 @@ def _sweep(
                 np.maximum(t[0], F[lo + 1], out=t[0])
         np.add(t, bwd[lo:hi + 1], out=B[lo:hi + 1])
 
-    return B[0].copy(), startup, keep
+    return B[0].copy(), keep
 
 
 # -- per-stage summary helpers ----------------------------------------------

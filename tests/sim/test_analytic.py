@@ -9,7 +9,10 @@ perturbation factors, and asserts:
 
 * :func:`frontier_times` / :func:`frontier_times_transposed` reproduce
   :class:`PipelineSimBatch` (and ``K`` scalar :class:`PipelineSim` runs)
-  bit for bit, including the startup overheads and the mid-sweep sieve;
+  bit for bit, the mid-sweep sieve included, and reject the inputs
+  :class:`PipelineSim` rejects;
+* the sieve holds at oracle-sized shapes (``K = 4096``, both comm kinds),
+  and an unsieved sweep allocates no more than a few cost matrices;
 * :func:`robust_iteration_times` / :func:`robust_objective_batch` match
   per-draw scalar lattice sims under compute-noise, straggler and
   comm-degradation factors (the contract the robustness docstrings cite);
@@ -26,6 +29,7 @@ perturbation factors, and asserts:
 
 import dataclasses
 import random
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -109,11 +113,8 @@ def test_frontier_equals_lattice_batch(
     else:
         comm = rng.uniform(0.0, 0.6, size=k)
     batch = PipelineSimBatch(fwd, bwd, comm, m, comm_mode=comm_mode)
-    times, startup = frontier_times(
-        fwd, bwd, comm, m, comm_mode=comm_mode, want_startup=True
-    )
+    times = frontier_times(fwd, bwd, comm, m, comm_mode=comm_mode)
     assert np.array_equal(times, batch.iteration_times())
-    assert np.array_equal(startup, batch.startup_overheads())
     # ... and bitwise what K scalar lattice sims produce.
     comm_vec = np.broadcast_to(np.asarray(comm, dtype=np.float64), (k,))
     for i in range(k):
@@ -123,7 +124,6 @@ def test_frontier_equals_lattice_batch(
             comm_mode=comm_mode,
         ).run()
         assert times[i] == sim.iteration_time
-        assert startup[i] == sim.startup_overhead
 
 
 @settings(max_examples=60, deadline=None)
@@ -160,6 +160,100 @@ def test_transposed_sweep_and_sieve_never_drop_the_optimum(
     dropped = np.setdiff1d(np.arange(k), keep)
     assert np.all(full[dropped] > limit)
     assert full.min() == sieved.min()
+
+
+# -- input checks -----------------------------------------------------------
+
+_ONES = np.ones((2, 3))
+
+
+@pytest.mark.parametrize("entry", ("batch", "transposed"))
+@pytest.mark.parametrize(
+    "fwd, bwd, comm, m, match",
+    [
+        (-_ONES, _ONES, 0.1, 4, "fwd"),
+        (_ONES, -_ONES, 0.1, 4, "bwd"),
+        (_ONES, _ONES, -0.5, 4, "comm"),
+        (_ONES, _ONES, np.array([0.1, -0.1]), 4, "comm"),
+        (np.where(np.eye(2, 3) > 0, np.nan, 1.0), _ONES, 0.1, 4, "fwd"),
+        (_ONES, np.where(np.eye(2, 3) > 0, np.inf, 1.0), 0.1, 4, "bwd"),
+        (_ONES, _ONES, np.nan, 4, "comm"),
+        (_ONES, _ONES, np.array([np.inf, 0.1]), 4, "comm"),
+        (_ONES, _ONES, 0.1, True, "num_micro_batches"),
+        (_ONES, _ONES, 0.1, 2.5, "num_micro_batches"),
+        (_ONES, _ONES, 0.1, 0, "num_micro_batches"),
+    ],
+    ids=(
+        "neg-fwd", "neg-bwd", "neg-comm", "neg-comm-vector", "nan-fwd",
+        "inf-bwd", "nan-comm", "inf-comm-vector", "m-bool", "m-float",
+        "m-zero",
+    ),
+)
+def test_kernel_rejects_what_the_scalar_sim_rejects(
+    entry, fwd, bwd, comm, m, match
+):
+    with pytest.raises(ValueError, match=match):
+        if entry == "batch":
+            frontier_times(fwd, bwd, comm, m)
+        else:
+            frontier_times_transposed(
+                np.ascontiguousarray(fwd.T), np.ascontiguousarray(bwd.T),
+                comm, m,
+            )
+
+
+# -- oracle-sized sweeps: wide sieve and allocation guard -------------------
+
+_WIDE_K = 4096
+_WIDE_SHAPES = ((8, 32), (12, 24), (9, 18))
+
+
+def _wide_inputs(n, m, comm_kind, seed):
+    fwd, bwd = _cost_matrices(_WIDE_K, n, seed)
+    rng = np.random.default_rng(seed + 1)
+    if comm_kind == "scalar":
+        comm = float(rng.uniform(0.0, 0.6))
+    else:
+        comm = rng.uniform(0.0, 0.6, size=_WIDE_K)
+    return np.ascontiguousarray(fwd.T), np.ascontiguousarray(bwd.T), comm
+
+
+@pytest.mark.parametrize("comm_kind", ("scalar", "vector"))
+@pytest.mark.parametrize("comm_mode", ("paper", "edges"))
+@pytest.mark.parametrize("n, m", _WIDE_SHAPES)
+def test_sieve_at_oracle_sized_shapes(n, m, comm_mode, comm_kind):
+    """Compaction at wide K, with the ``(K,)`` comm vector compacted too."""
+    fwd_t, bwd_t, comm = _wide_inputs(n, m, comm_kind, seed=n * 100 + m)
+    full, keep = frontier_times_transposed(
+        fwd_t, bwd_t, comm, m, comm_mode=comm_mode
+    )
+    assert keep is None
+    limit = float(np.quantile(full, 0.05))
+    sieved, keep = frontier_times_transposed(
+        fwd_t, bwd_t, comm, m, comm_mode=comm_mode, limit=limit
+    )
+    assert keep is not None and keep.size < _WIDE_K
+    assert np.array_equal(sieved, full[keep])
+    dropped = np.setdiff1d(np.arange(_WIDE_K), keep)
+    assert np.all(full[dropped] > limit)
+
+
+@pytest.mark.parametrize("n, m", ((12, 24), (8, 32)))
+def test_unsieved_sweep_allocates_few_cost_matrices(n, m):
+    """Peak allocation of one sweep: frontier rows plus one scratch.
+
+    Two ``(n + 1, K)`` frontiers and one ``(n, K)`` scratch make about
+    three cost matrices; the guard allows five.
+    """
+    fwd_t, bwd_t, comm = _wide_inputs(n, m, "scalar", seed=7)
+    frontier_times_transposed(fwd_t, bwd_t, comm, m)  # warm any lazy state
+    tracemalloc.start()
+    try:
+        frontier_times_transposed(fwd_t, bwd_t, comm, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * fwd_t.nbytes
 
 
 # -- robustness evaluators vs perturbed scalar sims -------------------------

@@ -1,10 +1,10 @@
 """Direct walks: a template miss walks the shape key, not the Ops.
 
-On a miss, ``compile_graph`` records the shape template by running the
-family's order function on the walk emitter (:mod:`repro.sim.walks`)
-instead of emitting, lowering and walking Op programs.  The Op route
-stays the spec, and this suite holds the walk emitter to it for all five
-schedule families:
+On a miss, ``compile_graph`` records the shape template by building the
+key's op table with its family's order and walking the table
+(:func:`repro.sim.walks.shape_walk`) instead of emitting, lowering and
+walking Op programs.  The Op route stays the spec, and this suite holds
+the table walk to it for all five schedule families:
 
 * the direct walk builds the Op route's walk
   (``_walk_programs(lower_programs(schedule))``) node for node, edge for
