@@ -80,19 +80,22 @@ _ROBUST_HELD = 1 << 16
 #: often costs less than that).
 _WARM_START_MIN_SPACE = 1_000_000
 
-#: admitted candidates assembled per frontier-kernel sweep in the
-#: analytic search (bounds peak memory at ~2 * p * 8 bytes per column;
-#: results are sweep-partition-invariant, so the block size is pure
-#: tuning: the kernel's fixed per-sweep cost would dominate at a block
-#: the size of the robust chunk).
-_ANALYTIC_BLOCK = 131_072
+#: leaf columns assembled and scored per frontier-kernel call in the
+#: analytic search.  The kernel walks its ~6p stage-major rows once per
+#: anti-diagonal, so the chunk is sized for cache, not call overhead: on
+#: a 2-core x86-64 host (2 MB L2 per core) depth-12 zoo searches score
+#: ~1.8x faster per column at 8 192 columns than at 131 072 (4 096 and
+#: 16 384 are within noise), and ~2x slower again at 1 024 on the fixed
+#: per-call cost.  Results are chunk-size-invariant: pure tuning.
+_ANALYTIC_BLOCK = 8_192
 
-#: columns below which a frontier sweep runs without the mid-sweep
-#: sieve.  On narrow blocks the sieve's checkpoint scans cost more than
-#: the lanes they retire (measured: a 3.9k-column depth-8 sweep is
-#: ~1.6x slower sieved), and skipping it is exact — the sieve only ever
-#: drops provably-over-limit columns.
-_SIEVE_MIN_COLS = 16_384
+#: columns below which a chunk runs without the mid-sweep sieve.  Same
+#: host, the zoo's depth 8-11 searches: under ~4k columns the sieve's
+#: checkpoint scans cost more than the lanes they retire (sweeps are
+#: 1.0-1.8x slower sieved), from ~5k columns it breaks even, and a full
+#: 8 192-column depth-12 chunk runs ~1.4x faster sieved.  Skipping it is
+#: exact — the sieve only ever drops provably-over-limit columns.
+_SIEVE_MIN_COLS = 4_096
 
 
 @dataclass(frozen=True)
@@ -634,9 +637,11 @@ def _search_analytic(
       only on ``(s, pos, size)`` — its straggler and round-trip bounds,
       and the suffix relaxation of what remains (:class:`_Bounds`) —
       never on the path to it, so the cut descent flattens into a
-      **vectorized level expansion**: live prefixes are numpy arrays
-      (positions, sizes rows, stage-major cost rows) expanded one stage
-      at a time with ``repeat`` gathers of per-level admission grids.
+      **vectorized level expansion** one stage at a time through
+      per-level admission grids.  Each level is kept as parent pointers
+      — per prefix, its parent's index on the level above, its last
+      stage's start and size index — so no earlier stage is copied from
+      level to level.
     * **Dominance memo.**  A prefix is characterised by ``(pos,
       f_stages, b_stages)``: every candidate below it only extends those
       stage times.  When two prefixes of a level agree on it, the
@@ -646,12 +651,17 @@ def _search_analytic(
       order, so ``np.unique``'s first occurrence is that smaller twin;
       the removed subtrees are counted in ``dominance_pruned``.  Twins
       need an exact float coincidence, so the memo is engaged only when
-      the profile repeats a block cost.
-    * **Scoring.**  Admitted candidates are assembled into stage-major
-      ``(p, K)`` cost matrices from the exact left-fold slice tables, so
-      every column is bitwise the brute force's stage-time vector, and
-      scored by :func:`repro.sim.analytic.frontier_times_transposed`,
-      which is bit-identical to the scalar simulator.  Wide sweeps get
+      the profile repeats a block cost.  Its gate is a hash of the stage
+      costs, extended from the parent's hash one stage per level (twins
+      hash bit-equal); the exact key rows are rebuilt from the parent
+      pointers only on a level where two hashes collide.
+    * **Scoring.**  The leaf level is streamed: each chunk of
+      :data:`_ANALYTIC_BLOCK` admitted columns is assembled into
+      stage-major ``(p, chunk)`` cost buffers by walking the parent
+      pointers into the exact left-fold slice tables, so every column
+      is bitwise the brute force's stage-time vector, and scored by
+      :func:`repro.sim.analytic.frontier_times_transposed`, which is
+      bit-identical to the scalar simulator.  Wide chunks get
       the current bound for the kernel's mid-sweep sieve, which only
       ever drops columns whose lower bound exceeds a true candidate time
       (padded for rounding).  Ties are resolved by reconstructing every
@@ -659,10 +669,11 @@ def _search_analytic(
       so the result is the brute-force argmin, property-tested against
       it.  Seed columns are not counted as fresh evaluations.
 
-    The last-stage level is never materialized as prefixes: a leaf
-    parent at ``pos`` contributes ``prefix x admitted_sizes(pos)``
-    columns, where the admitted-size list (and its gathered cost
-    values) is shared by every parent at the same ``pos``.
+    The last stage is never a prefix level: its size is forced by the
+    second-to-last cut, and its costs are the per-pos suffix totals.
+    With a :mod:`repro.obs` registry current, every level records an
+    ``oracle.level`` span with its ``admitted`` and (after the memo)
+    live ``prefixes`` counts.
     """
     from repro.sim.analytic import frontier_times_transposed
 
@@ -690,6 +701,7 @@ def _search_analytic(
     k_row = np.arange(n)[None, :]
     src = pos_col + k_row
     SF, SB = bounds.SF, bounds.SB
+    SF_flat, SB_flat = SF.ravel(), SB.ravel()
     SS = SF + SB
     pos2_grid = np.minimum(src + 1, n)
 
@@ -719,31 +731,6 @@ def _search_analytic(
         valid = k_row < (n - pos_col - (p - s - 1))
         return valid & (fixb <= limit) & (remb[pos2_grid] <= limit)
 
-    def expand(mask: np.ndarray, pos_arr: np.ndarray):
-        """Fan a lex-ordered prefix level out through an admission grid.
-
-        ``np.nonzero`` walks the grid row-major, so each pos's admitted
-        sizes come out ascending; parents are already lex-ordered and
-        ``repeat`` keeps them grouped, so the expansion lands in lex
-        order directly — no sort.  Returns ``None`` when every prefix
-        is exhausted, else ``(rep, til, W, OFF, flat_k, W_col)``: ``rep``
-        is the parent index per child and ``til`` the child's size
-        index; the per-pos admitted counts, offsets and size indices
-        are reused by the leaf level's seed matching.
-        """
-        W = mask.sum(axis=1)
-        W_col = W[pos_arr]
-        total = int(W_col.sum())
-        if total == 0:
-            return None
-        OFF = np.concatenate(([0], np.cumsum(W)))
-        flat_k = np.nonzero(mask)[1]
-        rep = np.repeat(np.arange(pos_arr.size), W_col)
-        starts = np.cumsum(W_col) - W_col
-        r = np.arange(total) - starts[rep]
-        til = flat_k[OFF[pos_arr][rep] + r]
-        return rep, til, W, OFF, flat_k, W_col
-
     use_dominance = len(set(zip(fwd, bwd))) < n
     if use_dominance:
         # comb(a, b) lookup for the dominance counters (vectorized over
@@ -753,56 +740,81 @@ def _search_analytic(
              for a in range(n)],
             dtype=np.int64,
         )
-        # Fixed mixing weights for the duplicate gate: equal prefixes
-        # hash equal bitwise, so a collision-free hash level provably
-        # has no twins and skips the exact row dedup outright.
+        # Fixed mixing weights for the duplicate gate, folded in one
+        # stage at a time from the parent's hash.  Only stage costs go
+        # in (twins differ in sizes), added in the same order for every
+        # prefix, so twins hash bit-equal and a collision-free level
+        # provably has no twins and skips the exact row dedup outright.
         hash_w = np.cos(np.arange(1, 2 * p + 1) * 12.9898) * 43758.5453
+        acc = np.zeros(1)
 
-    # Live prefixes of the current level, in lexicographic sizes order:
-    # block position, sizes rows and stage-major left-fold cost rows.
+    # Levels as parent pointers: per live prefix of level L, its
+    # parent's index on level L - 1, its last stage's start and that
+    # stage's size index.  Nothing is copied from level to level; stage
+    # costs are read back through the chain from the slice tables.  The
+    # last level (L = p - 2) holds the leaf columns: the last stage's
+    # size is forced by their cut.
+    parent: List[np.ndarray] = []
+    start: List[np.ndarray] = []
+    size_ix: List[np.ndarray] = []
+    # End position of every live prefix, in lexicographic sizes order.
     pos_arr = np.zeros(1, dtype=np.int64)
-    sizes_arr = np.zeros((0, 1), dtype=np.int64)
-    fs_arr = np.zeros((0, 1))
-    bs_arr = np.zeros((0, 1))
 
-    for lev in range(p - 2):
+    def fill_costs(i: np.ndarray, top: int, f_out, b_out) -> None:
+        """Write the stage costs of level-``top`` prefixes ``i`` into
+        rows ``0..top`` of the stage-major ``f_out`` / ``b_out``."""
+        for lev in range(top, -1, -1):
+            cell = start[lev].take(i) * n + size_ix[lev].take(i)
+            SF_flat.take(cell, out=f_out[lev])
+            SB_flat.take(cell, out=b_out[lev])
+            if lev:
+                i = parent[lev].take(i)
+
+    tel = _obs.current()
+    for lev in range(p - 1):
+        t_l = tel.clock() if tel is not None else 0
+        # Fan the level out through its admission grid.  np.nonzero
+        # walks the grid row-major, so each pos's admitted sizes come
+        # out ascending, and ``repeat`` keeps each parent's children
+        # together: the level lands in lex order with no sort.
         mask = admitted_mask(lev)
-        ex = expand(mask, pos_arr)
-        if ex is None:
+        W = mask.sum(axis=1)
+        W_col = W.take(pos_arr)
+        total = int(W_col.sum())
+        if total == 0:
             return  # every subtree exceeds the seed bound: it stands.
-        rep, til = ex[0], ex[1]
-        total = rep.size
-        prow = pos_arr[rep]
-        new_sizes = np.empty((lev + 1, total), dtype=np.int64)
-        new_fs = np.empty((lev + 1, total))
-        new_bs = np.empty((lev + 1, total))
-        if lev:
-            new_sizes[:lev] = sizes_arr[:, rep]
-            new_fs[:lev] = fs_arr[:, rep]
-            new_bs[:lev] = bs_arr[:, rep]
-        new_sizes[lev] = til + 1
-        new_fs[lev] = SF[prow, til]
-        new_bs[lev] = SB[prow, til]
+        # Child j of parent r takes entry ``OFF[pos_r] + j -
+        # first_child[r]`` of the grid's flattened admitted sizes.
+        shift = (np.cumsum(W) - W).take(pos_arr) - (np.cumsum(W_col) - W_col)
+        til = np.nonzero(mask)[1].take(np.arange(total) + shift.repeat(W_col))
+        rep = np.arange(pos_arr.size).repeat(W_col)
+        prow = pos_arr.repeat(W_col)
+        parent.append(rep)
+        start.append(prow)
+        size_ix.append(til)
         pos_arr = prow + til + 1
-        sizes_arr, fs_arr, bs_arr = new_sizes, new_fs, new_bs
-        if use_dominance and pos_arr.size > 1:
-            # The per-level dominance memo: twin prefixes share
-            # (pos, f_stages, b_stages), and every leaf below a twin
-            # only extends those stage times.  np.unique keeps the
-            # first occurrence — the lex-smallest twin — and each
-            # removed subtree counts its C(n-pos-1, p-lev-2) leaves.
-            rows = lev + 1
-            h = (
-                pos_arr
-                + hash_w[:rows] @ fs_arr
-                + hash_w[p:p + rows] @ bs_arr
-            )
-            if np.unique(h).size < pos_arr.size:
-                key = np.ascontiguousarray(np.concatenate(
-                    [pos_arr[None, :].astype(np.float64), fs_arr, bs_arr]
-                ).T)
+        if use_dominance and lev < p - 2:
+            cell = prow * n + til
+            acc = acc.take(rep) + hash_w[lev] * SF_flat.take(cell)
+            acc += hash_w[p + lev] * SB_flat.take(cell)
+            live = pos_arr.size
+            if live > 1 and np.unique(acc + pos_arr).size < live:
+                # The per-level dominance memo: twin prefixes share
+                # (pos, f_stages, b_stages), and every leaf below a
+                # twin only extends those stage times.  np.unique keeps
+                # the first occurrence — the lex-smallest twin — and
+                # each removed subtree counts its C(n-pos-1, p-lev-2)
+                # leaves.  The key rows are rebuilt from the parent
+                # pointers only here, where the hash gate fired.
+                key = np.empty((2 * lev + 3, pos_arr.size))
+                key[0] = pos_arr
+                fill_costs(
+                    np.arange(pos_arr.size), lev,
+                    key[1:lev + 2], key[lev + 2:],
+                )
                 _, first_idx, counts = np.unique(
-                    key, axis=0, return_index=True, return_counts=True
+                    np.ascontiguousarray(key.T), axis=0,
+                    return_index=True, return_counts=True,
                 )
                 if first_idx.size < pos_arr.size:
                     dup = counts > 1
@@ -813,69 +825,58 @@ def _search_analytic(
                         ]
                     ))
                     keep = np.sort(first_idx)
+                    parent[lev] = rep[keep]
+                    start[lev] = prow[keep]
+                    size_ix[lev] = til[keep]
                     pos_arr = pos_arr[keep]
-                    sizes_arr = sizes_arr[:, keep]
-                    fs_arr = fs_arr[:, keep]
-                    bs_arr = bs_arr[:, keep]
-
-    # -- leaf level: assemble every admitted candidate column ------------
-    mask = admitted_mask(p - 2)
-    ex = expand(mask, pos_arr)
-    if ex is None:
-        return
-    rep, til, W, OFF, flat_k, W_col = ex
-    total_cols = rep.size
-    prow = pos_arr[rep]
-    pos2 = prow + til + 1
-    # The last stage's size is forced by the second-to-last cut; its
-    # cost rows are the per-pos suffix totals.
-    fwd_mat = np.empty((p, total_cols))
-    bwd_mat = np.empty((p, total_cols))
-    if p > 2:
-        fwd_mat[:p - 2] = fs_arr[:, rep]
-        bwd_mat[:p - 2] = bs_arr[:, rep]
-    fwd_mat[p - 2] = SF[prow, til]
-    bwd_mat[p - 2] = SB[prow, til]
-    fwd_mat[p - 1] = bounds.suf_f[pos2]
-    bwd_mat[p - 1] = bounds.suf_b[pos2]
+                    acc = acc[keep]
+        if tel is not None:
+            tel.record_since(
+                "oracle.level", t_l, level=lev, admitted=total,
+                prefixes=int(pos_arr.size),
+            )
 
     # Seed columns ride the sweep too (the kernel reproduces their
-    # simulated time bitwise) but are not fresh evaluations; their
-    # prefixes are matched against the deduped level, so a seed whose
-    # twin subtree was dominance-pruned correctly counts as a fresh
-    # column under the surviving twin's sizes.
-    col_off = np.cumsum(W_col) - W_col
+    # simulated time bitwise) but are not fresh evaluations.  A seed is
+    # walked down the deduped levels, so a seed whose twin subtree was
+    # dominance-pruned correctly counts as a fresh column under the
+    # surviving twin's sizes.
     warm_cols: set = set()
     for wseed in warm:
-        pw = sum(wseed[:p - 2])
-        if p == 2:
-            sel = np.flatnonzero(pos_arr == pw)
-        else:
-            sel = np.flatnonzero(
-                (pos_arr == pw)
-                & (sizes_arr == np.asarray(
-                    wseed[:p - 2], dtype=np.int64
-                )[:, None]).all(axis=0)
+        i = 0
+        for lev in range(p - 1):
+            hit = np.flatnonzero(
+                (parent[lev] == i) & (size_ix[lev] == wseed[lev] - 1)
             )
-        k = wseed[p - 2] - 1
-        for i in sel.tolist():
-            pv = int(pos_arr[i])
-            if 0 <= k < n and mask[pv, k]:
-                row = flat_k[OFF[pv]:OFF[pv] + W[pv]]
-                warm_cols.add(
-                    int(col_off[i]) + int(np.searchsorted(row, k))
-                )
+            if not hit.size:
+                break
+            i = int(hit[0])
+        else:
+            warm_cols.add(i)
 
-    tel = _obs.current()
+    def column_sizes(c: int) -> Tuple[int, ...]:
+        """Stage sizes of leaf column ``c``, read up the parent chain."""
+        sizes = [n - int(pos_arr[c])]
+        for lev in range(p - 2, -1, -1):
+            sizes.append(int(size_ix[lev][c]) + 1)
+            c = int(parent[lev][c])
+        return tuple(reversed(sizes))
+
+    total_cols = pos_arr.size
     for c0 in range(0, total_cols, block):
         c1 = min(c0 + block, total_cols)
         t_f = tel.clock() if tel is not None else 0
+        fwd_mat = np.empty((p, c1 - c0))
+        bwd_mat = np.empty((p, c1 - c0))
+        fill_costs(np.arange(c0, c1), p - 2, fwd_mat, bwd_mat)
+        # The forced last stage costs the per-pos suffix total.
+        bounds.suf_f.take(pos_arr[c0:c1], out=fwd_mat[p - 1])
+        bounds.suf_b.take(pos_arr[c0:c1], out=bwd_mat[p - 1])
         cur = state.best_time * slack
         # The mid-sweep sieve's per-checkpoint scan only pays for itself
-        # on wide blocks; narrow ones run the plain (exact) sweep.
+        # on wide chunks; narrow ones run the plain (exact) sweep.
         times, keepmap = frontier_times_transposed(
-            fwd_mat[:, c0:c1], bwd_mat[:, c0:c1], comm, m,
-            comm_mode=comm_mode,
+            fwd_mat, bwd_mat, comm, m, comm_mode=comm_mode,
             limit=cur if c1 - c0 >= _SIEVE_MIN_COLS else None,
         )
         evals = (c1 - c0) - sum(1 for w in warm_cols if c0 <= w < c1)
@@ -883,16 +884,10 @@ def _search_analytic(
             tmin = times.min()
             ties = np.flatnonzero(times == tmin)
             cols = keepmap[ties] if keepmap is not None else ties
-            best: Optional[Tuple[int, ...]] = None
-            for c in (cols + c0).tolist():
-                i = int(rep[c])
-                sz = tuple(int(x) for x in sizes_arr[:, i]) + (
-                    int(til[c]) + 1,
-                    n - int(pos_arr[i]) - int(til[c]) - 1,
-                )
-                if best is None or sz < best:
-                    best = sz
-            state.offer(best, float(tmin))
+            state.offer(
+                min(column_sizes(c) for c in (cols + c0).tolist()),
+                float(tmin),
+            )
         state.evaluations += evals
         if tel is not None:
             tel.record_since(

@@ -219,3 +219,31 @@ class TestPruneSlack:
             loose = exhaustive_partition(tiny_profile, 4, 8)
             assert loose.evaluations <= brute.evaluations
             assert loose.iteration_time <= brute.iteration_time * slack
+
+
+class TestOracleMemory:
+    def test_deep_search_streams_its_leaf_level(self):
+        """The analytic search keeps its levels as index arrays and
+        scores the leaf level chunk by chunk, so a depth-12 search over
+        ~353k admitted columns (gpt2-762m, micro-batch 1, m=24) peaks
+        under 96 MB of traced allocation (~58 MB measured).  Holding the
+        whole leaf level as ``(p, K)`` cost matrices would take ~250 MB."""
+        import tracemalloc
+
+        from repro import DEFAULT_CLUSTER_HW, TrainConfig, get_model
+        from repro.profiling import profile_model
+
+        profile = profile_model(
+            get_model("gpt2-762m"), DEFAULT_CLUSTER_HW,
+            TrainConfig(micro_batch_size=1, global_batch_size=1),
+        )
+        tracemalloc.start()
+        try:
+            result = exhaustive_partition(
+                profile, 12, 24, max_evaluations=None, cache=False,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.evaluations > 300_000  # the shape is still deep
+        assert peak <= 96 * 2**20

@@ -13,7 +13,7 @@ Two equivalences the perf work must never break:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import HardwareConfig, ModelConfig, TrainConfig
 from repro.core.analytic_sim import PipelineSim, PipelineSimBatch
@@ -130,19 +130,38 @@ class TestPrunedMatchesBruteForce:
         assert pruned.iteration_time == brute.iteration_time  # bitwise
         assert pruned.evaluations <= brute.evaluations
 
-    @settings(max_examples=20, deadline=None)
-    @given(st.data())
-    def test_small_chunks_change_nothing(self, data):
-        """Chunked sweeps must not affect the argmin (order independence):
-        a one-column kernel sweep block gives the default block's answer."""
-        n = data.draw(st.integers(min_value=5, max_value=8))
-        p = data.draw(st.integers(min_value=2, max_value=4))
-        fwd = [data.draw(_TIE_HEAVY) for _ in range(n)]
-        bwd = [data.draw(_TIE_HEAVY) for _ in range(n)]
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(_TIE_HEAVY | st.just(0.0), _TIE_HEAVY | st.just(0.0)),
+            min_size=6, max_size=10,
+        ),
+        st.integers(min_value=2, max_value=6),
+        st.sampled_from([1, 3, None]),
+    )
+    @example(  # twins dropped on levels 1 and 2 of a depth-6 search
+        blocks=list(zip(
+            [3.0, 0.5, 0.0, 1.5, 1.5, 1.0, 0.5, 3.0, 0.0, 0.5],
+            [2.0, 0.5, 0.0, 0.5, 1.5, 1.5, 1.0, 2.0, 0.5, 0.0],
+        )),
+        p=6, block=3,
+    )
+    def test_small_chunks_change_nothing(self, blocks, p, block):
+        """Chunked sweeps must not affect the search: one- and
+        three-column leaf chunks (sieved, and three not dividing the
+        column count) give the default chunk's argmin, time, evaluation
+        and dominance counts.  Zero-cost blocks make twin prefixes, so
+        the dominance memo drops some mid-level; depth up to 6 walks
+        three and more parent-pointer levels."""
+        fwd, bwd = zip(*blocks)
         profile = make_profile(fwd, bwd, 0.25)
         big = exhaustive_partition(profile, p, 4)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(exhaustive, "_ANALYTIC_BLOCK", 1)
+            if block is not None:
+                patch.setattr(exhaustive, "_ANALYTIC_BLOCK", block)
+                patch.setattr(exhaustive, "_SIEVE_MIN_COLS", block)
             tiny = exhaustive_partition(profile, p, 4)
         assert tiny.partition.sizes == big.partition.sizes
         assert tiny.iteration_time == big.iteration_time
+        assert tiny.evaluations == big.evaluations
+        assert tiny.dominance_pruned == big.dominance_pruned

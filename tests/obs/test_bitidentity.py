@@ -125,6 +125,19 @@ class TestOracleBitIdentity:
         assert span[4]["mode"] == "analytic"
         assert span[4]["space"] == result.space
 
+    def test_level_spans_carry_prune_counts(self, tiny_profile):
+        """One ``oracle.level`` span per level of the analytic search; the
+        last level's admitted count is every column the kernel scores."""
+        tel, _ = _recorded(exhaustive_partition, tiny_profile, 4, 8,
+                           cache=False)
+        levels = [e[4] for e in tel.events if e[0] == "oracle.level"]
+        assert [lv["level"] for lv in levels] == [0, 1, 2]
+        assert all(0 < lv["prefixes"] <= lv["admitted"] for lv in levels)
+        cols = sum(
+            e[4]["cols"] for e in tel.events if e[0] == "oracle.kernel_sweep"
+        )
+        assert levels[-1]["admitted"] == cols
+
     def test_robust_identical_on_vs_off(self, tiny_profile, monkeypatch):
         self._check_robust(tiny_profile, monkeypatch, prune=True)
 
