@@ -6,14 +6,12 @@ DESIGN.md calls out the planner design choices; this bench shows what
 each buys on the Fig. 9 configuration.  The oracle rows additionally
 guard the branch-and-bound: at every depth >= 6 it must run at least 5x
 fewer full simulations than the enumeration while returning the exact
-brute-force optimum; measured wall clocks land in ``BENCH_search.json``.
+brute-force optimum; measured wall clocks are printed with the table.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from benchmarks.conftest import run_and_print
 from repro.config import ModelConfig, TrainConfig
@@ -32,22 +30,6 @@ TINY = ModelConfig(
     name="tiny", num_layers=6, hidden_size=256, num_heads=4,
     seq_length=128, vocab_size=8000,
 )
-
-_SEARCH_RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_search.json"
-
-
-def merge_into_search_results(section: str, payload: dict) -> None:
-    data = {}
-    if _SEARCH_RESULTS_PATH.exists():
-        try:
-            data = json.loads(_SEARCH_RESULTS_PATH.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    _SEARCH_RESULTS_PATH.write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n"
-    )
-
 
 def run_search_ablation(num_stages: int = 4, m: int = 8):
     result = ExperimentResult(
@@ -126,15 +108,3 @@ def test_bench_oracle_pruning(benchmark):
             f"depth {depth} ({mode}): {sims} sims of {space} candidates "
             "— pruning fell below the 5x bar"
         )
-    merge_into_search_results("oracle", {
-        "setting": "tiny model (15 blocks), m = 2 x depth, both comm modes",
-        "rows": [
-            {
-                "depth": depth, "comm_mode": mode, "space": space,
-                "brute_ms": float(brute_ms), "pruned_ms": float(pruned_ms),
-                "simulations": sims, "sim_ratio": ratio, "speedup": speedup,
-            }
-            for depth, mode, space, brute_ms, pruned_ms, sims, ratio, speedup
-            in result.rows
-        ],
-    })

@@ -1,19 +1,20 @@
 """Analytic max-plus kernel bench: frontier sweep vs graph vs event loop.
 
-Writes the ``analytic`` section of ``BENCH_search.json``:
+Prints two tables:
 
-* ``kernel`` — scoring one 1F1B pipeline at depths 8–64 via the
+* the kernel table — scoring one 1F1B pipeline at depths 8–64 via the
   closed-form frontier sweep (single candidate and amortised over a
   K=1024 batch) against the warm compiled graph and the warm event
   engine.  The kernel reads only the ``(K, depth)`` stage-cost matrix,
   so its cost is independent of the per-op count that both executors
   walk.
-* ``oracle`` — the depth-8/10 exact oracle end to end (the pruned,
-  kernel-scored search) against its specification, the ``prune=False``
-  brute force.  The brute force is *projected*, not run: the search
-  space times the mean scalar :class:`PipelineSim` time over a fixed
-  sample of candidates (running it would take minutes; argmin equality
-  with the brute force is property-tested in ``tests/``).
+* the oracle table — the depth-8/10 exact oracle end to end (the
+  pruned, kernel-scored search) against its specification, the
+  ``prune=False`` brute force.  The brute force is *projected*, not
+  run: the search space times the mean scalar :class:`PipelineSim`
+  time over a fixed sample of candidates (running it would take
+  minutes; argmin equality with the brute force is property-tested in
+  ``tests/``).
 
 Guard (depth-8 row): the pruned oracle is >= 6,500x faster than the
 projected brute force.  Earlier guards held it to >= 10x vs the
@@ -30,7 +31,6 @@ import time
 import numpy as np
 
 from benchmarks.conftest import TINY12, _best_of, run_and_print
-from benchmarks.test_bench_ablation_search import merge_into_search_results
 from repro.baselines.megatron import uniform_partition
 from repro.config import TrainConfig
 from repro.core.analytic_sim import PipelineSim
@@ -61,7 +61,6 @@ def run_kernel_vs_executors():
                  "compiled (ms)", "event (ms)", "compiled/kernel (batched)",
                  "event/kernel (batched)"],
     )
-    rows_json = []
     for depth in KERNEL_DEPTHS:
         m = 2 * depth
         profile = make_profile(DEEP_GPT, 4, m, hardware=DEEP_HW)
@@ -103,18 +102,7 @@ def run_kernel_vs_executors():
             f"{t_compiled * 1e3:.2f}", f"{t_event * 1e3:.2f}",
             f"{t_compiled / t_batch:.0f}x", f"{t_event / t_batch:.0f}x",
         ])
-        rows_json.append({
-            "depth": depth,
-            "micro_batches": m,
-            "kernel_seconds": t_kernel,
-            "kernel_seconds_per_candidate_batched": t_batch,
-            "batch_k": _BATCH_K,
-            "compiled_seconds": t_compiled,
-            "event_seconds": t_event,
-            "compiled_over_kernel_batched": t_compiled / t_batch,
-            "event_over_kernel_batched": t_event / t_batch,
-        })
-    return result, rows_json
+    return result
 
 
 def projected_brute_seconds(profile, depth: int, m: int, space: int) -> float:
@@ -143,7 +131,6 @@ def run_oracle_end_to_end():
         headers=["depth", "m", "space", "evals", "pruned (ms)",
                  "brute, projected (s)", "vs brute"],
     )
-    rows_json = []
     cases = [
         # (depth, m, global batch, reps)
         (8, 32, 128, 3),
@@ -165,24 +152,12 @@ def run_oracle_end_to_end():
             f"{t_pruned * 1e3:.1f}", f"{t_brute:.1f}",
             f"{t_brute / t_pruned:.0f}x",
         ])
-        rows_json.append({
-            "depth": depth,
-            "micro_batches": m,
-            "space": res.space,
-            "evaluations": res.evaluations,
-            "analytic_seconds": t_pruned,
-            "brute_projected_seconds": t_brute,
-            "brute_sample": _BRUTE_SAMPLE,
-            "speedup_vs_brute": t_brute / t_pruned,
-        })
-    return result, rows_json
+    return result
 
 
 def run_analytic_bench():
-    kernel_result, kernel_rows = run_kernel_vs_executors()
-    oracle_result, oracle_rows = run_oracle_end_to_end()
-    merge_into_search_results(
-        "analytic", {"kernel": kernel_rows, "oracle": oracle_rows})
+    kernel_result = run_kernel_vs_executors()
+    oracle_result = run_oracle_end_to_end()
     combined = ExperimentResult(
         name=kernel_result.name, headers=kernel_result.headers,
         rows=kernel_result.rows,

@@ -8,9 +8,9 @@ artifact — it guards the two hot paths the evaluation sweeps lean on:
 * the AutoPipe planner search (``plan_partition``) plus the shared
   :class:`SimCache` that deduplicates analytic simulations across calls.
 
-The measured numbers are written to ``BENCH_engine.json`` at the repo
-root so before/after comparisons survive the run.  The only hard assert
-is a *generous absolute budget* on the deepest DES case: the seed's
+The measured numbers go to stdout only (run with ``-s``); the e2e
+harness in ``benchmarks/e2e`` is the benchmark of record.  The DES
+guard is a *generous absolute budget* on the deepest case: the seed's
 polling-sweep engine needed ~7.5 ms for the 12-stage Fig. 10 pipeline
 and the ready-queue engine ~0.75 ms, so a 50 ms ceiling only trips on a
 genuine algorithmic regression (e.g. the quadratic sweep coming back),
@@ -19,9 +19,7 @@ never on machine noise.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro.baselines.megatron import uniform_partition
 from repro.core.planner import SimCache, plan_partition
@@ -47,20 +45,6 @@ COMPILED_DEPTHS = (8, 16, 32, 64)
 #: Wall-clock ceiling for one 12-stage Fig. 10 DES run.  Seed: ~7.5 ms,
 #: event-driven engine: ~0.75 ms.  Generous so only regressions trip it.
 DES_BUDGET_12_STAGE_SECONDS = 0.050
-
-_RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
-
-
-def _merge_into_results(section: str, payload: dict) -> None:
-    data = {}
-    if _RESULTS_PATH.exists():
-        try:
-            data = json.loads(_RESULTS_PATH.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    _RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
 
 def _time_des(depth: int, reps: int = 5) -> float:
     """Best-of-``reps`` wall clock for one Fig. 10 DES execution."""
@@ -90,12 +74,6 @@ def test_bench_des_scaling(benchmark):
     print()
     for depth, seconds in curve.items():
         print(f"DES depth {depth:2d}: {seconds * 1e3:8.3f} ms")
-
-    _merge_into_results("des", {
-        "setting": "fig10 1f1b, gpt2-345m, m=2*depth, best of 5",
-        "seconds_by_depth": {str(d): s for d, s in curve.items()},
-        "budget_12_stage_seconds": DES_BUDGET_12_STAGE_SECONDS,
-    })
 
     assert curve[12] < DES_BUDGET_12_STAGE_SECONDS, (
         f"12-stage DES run took {curve[12] * 1e3:.2f} ms — over the "
@@ -187,21 +165,6 @@ def test_bench_compiled_vs_event(benchmark):
         f"scalar ({scalar_seconds / batch_seconds:.1f}x)"
     )
 
-    _merge_into_results("compiled_graph", {
-        "setting": (
-            "1f1b, gpt-deep-128, m=2*depth, warm structures, "
-            "event best of 3 / compiled best of 5"
-        ),
-        "by_depth": {str(d): row for d, row in rows.items()},
-        "batched_k": {
-            "depth": batch_depth,
-            "k": len(graphs),
-            "batch_seconds": batch_seconds,
-            "scalar_seconds": scalar_seconds,
-            "speedup_vs_scalar": scalar_seconds / batch_seconds,
-        },
-    })
-
     deep_speedups = [
         rows[d]["speedup"] for d in COMPILED_DEPTHS if d >= 32
     ]
@@ -217,7 +180,7 @@ def test_template_hit_beats_cold_compile():
     Both time ``build_schedule`` + ``compile_graph`` (no execution).  A
     cold compile walks the shape key and builds its structure; a hit of
     the same shape with a second model's costs only gathers a cost
-    table.  Assert-only: no ``BENCH_engine.json`` row.
+    table.
     """
     depth, m = 16, 64
     profiles = [
@@ -259,7 +222,6 @@ def test_cold_miss_beats_op_route():
     route emits the Op programs, lowers them and walks the lowering
     (``GraphStructure(_walk_programs(lower_programs(...)))``).  Best of 5
     each, in one process; the miss must be at least 6x faster.
-    Assert-only: no ``BENCH_engine.json`` row.
     """
     depth, m = 16, 64
     profile = make_profile(DEEP_GPT, 4, m, hardware=DEEP_HW)
@@ -334,16 +296,6 @@ def test_bench_planner_search(benchmark):
               f"({row['evaluations']} evaluations)")
     print(f"sim cache: {cold_misses} cold misses, "
           f"{warm_misses} warm misses, {cache.hits} hits")
-
-    _merge_into_results("planner", {
-        "setting": "plan_partition depth=8 m=16, best of 3",
-        "timings": timings,
-        "sim_cache": {
-            "cold_misses": cold_misses,
-            "warm_misses": warm_misses,
-            "hits": cache.hits,
-        },
-    })
 
     assert warm.evaluations == timings["gpt2-345m"]["evaluations"]
     assert warm_misses == 0, "warm re-plan should be served from the cache"

@@ -1,8 +1,7 @@
 """Plan-cache bench: the persistent plan cache's warm-hit latency, and
 the cluster autotuner.
 
-Writes the ``plan_cache`` and ``autotune`` sections of
-``BENCH_search.json``.  Guards:
+Measurements go to stdout.  Guards:
 
 * a warm plan-cache hit must replay the stored result in < 10 ms
   without running a single simulation;
@@ -15,7 +14,6 @@ from __future__ import annotations
 import time
 
 from benchmarks.conftest import TINY12, run_and_print
-from benchmarks.test_bench_ablation_search import merge_into_search_results
 from repro.config import TrainConfig
 from repro.core.exhaustive import exhaustive_partition
 from repro.core.plan_cache import PlanCache
@@ -55,14 +53,6 @@ def test_bench_plan_cache_warm_hit(tmp_path):
     print(f"\nplan cache warm hit: {warm_s * 1e3:.2f} ms "
           f"(cold search: {cold.search_seconds * 1e3:.1f} ms)")
 
-    merge_into_search_results("plan_cache", {
-        "setting": f"tiny12 (27 blocks), depth {_DEPTH}, m={_M}, "
-                   "pruned search, warm hit = best of 5",
-        "warm_hit_ms": round(warm_s * 1e3, 3),
-        "cold_search_ms": round(cold.search_seconds * 1e3, 1),
-        "simulations_on_hit": 0,
-    })
-
 
 def run_autotune_bench():
     profile = _tiny12_profile()
@@ -79,14 +69,11 @@ def run_autotune_bench():
             f"{c.iteration_seconds * 1e3:.2f}" if c.ok else "-",
             c.status,
         ])
-    result.meta["best"] = {
-        "layout": str(tuned.best.layout),
-        "slices": tuned.best.slice_count,
-        "planner": tuned.best.planner,
-        "iteration_ms": round(tuned.best.iteration_seconds * 1e3, 3),
-    }
     result.meta["wall_seconds"] = wall
-    result.meta["layouts"] = tuned.layouts_searched
+    print(f"\nautotune: best {tuned.best.layout} "
+          f"slices={tuned.best.slice_count} planner={tuned.best.planner} "
+          f"({tuned.best.iteration_seconds * 1e3:.3f} ms/iter), "
+          f"{tuned.layouts_searched} layouts in {wall:.3f} s")
     return result
 
 
@@ -96,11 +83,3 @@ def test_bench_autotune(benchmark):
     # The joint search must not be slower than re-running every layout
     # would suggest: a few seconds on the 27-block model.
     assert result.meta["wall_seconds"] < 30.0
-    merge_into_search_results("autotune", {
-        "setting": "tiny12 (27 blocks), 4 GPUs, joint "
-                   "(dp x pp x slice-count) search, DES-executed",
-        "best": result.meta["best"],
-        "wall_seconds": round(result.meta["wall_seconds"], 3),
-        "layouts_searched": result.meta["layouts"],
-        "candidates": len(result.rows),
-    })

@@ -10,14 +10,12 @@ Two guards on the robustness stack:
   one paper model, the robust-P95 plan's *held-out* P95 iteration time
   strictly beats the nominal plan's.
 
-Measured numbers land in ``BENCH_robustness.json``.
+Measured numbers are printed with each table.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -34,22 +32,7 @@ from repro.robustness import (
     robust_iteration_times,
 )
 
-_RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_robustness.json"
-
 DRAWS = 256
-
-
-def merge_into_robustness_results(section: str, payload: dict) -> None:
-    data = {}
-    if _RESULTS_PATH.exists():
-        try:
-            data = json.loads(_RESULTS_PATH.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    _RESULTS_PATH.write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n"
-    )
 
 
 def _scalar_reference(times, m, factors, comm_mode="paper"):
@@ -106,23 +89,11 @@ def test_bench_batched_profile_speedup(benchmark):
         f"batched robustness evaluation only {scalar_s / batched_s:.1f}x "
         "faster than the per-draw scalar loop"
     )
-    merge_into_robustness_results("batched_speedup", {
-        "draws": DRAWS,
-        "scalar_ms": scalar_s * 1e3,
-        "batched_ms": batched_s * 1e3,
-        "speedup": scalar_s / batched_s,
-    })
 
 
 def test_bench_robust_vs_nominal_acceptance(benchmark):
     result = run_and_print(benchmark, robustness.run)
     cells = result.meta["cells"]
-    merge_into_robustness_results("robust_vs_nominal", {
-        "draws": robustness.DRAWS,
-        "plan_seed": robustness.PLAN_SEED,
-        "eval_seed": robustness.EVAL_SEED,
-        "rows": cells,
-    })
     # Acceptance bar: under 10% stage-cost noise, on at least one paper
     # model, the robust plan's held-out P95 strictly beats the nominal
     # plan's.

@@ -1,7 +1,7 @@
 """Telemetry overhead bench: the disabled path must stay under 2%.
 
-Writes the ``telemetry`` section of ``BENCH_search.json``.  Two claims
-back the observability layer's contract on the depth-8 oracle bench:
+Two claims back the observability layer's contract on the depth-8
+oracle bench:
 
 * **Bit-identity** — the search run with a recording registry returns
   the identical partition, iteration time and evaluation count as the
@@ -16,9 +16,9 @@ back the observability layer's contract on the depth-8 oracle bench:
   wall clock.
 
 The *enabled* overhead (recording registry installed) is measured and
-recorded for the JSON sidecar but not guarded — it is allowed to cost
-what it costs; only the always-on price of having the instrumentation
-in the code is contractual.
+printed but not guarded — it is allowed to cost what it costs; only the
+always-on price of having the instrumentation in the code is
+contractual.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import time
 
 from benchmarks.conftest import TINY12, _best_of, run_and_print
-from benchmarks.test_bench_ablation_search import merge_into_search_results
 from repro import obs
 from repro.config import TrainConfig
 from repro.core.exhaustive import exhaustive_partition
@@ -102,21 +101,6 @@ def run_telemetry_overhead(depth: int = 8, m: int = 32, gbs: int = 128):
         len(probe_tel.events), probes,
         f"{disabled_overhead * 100:.3f}%", f"{enabled_overhead * 100:.1f}%",
     ])
-    merge_into_search_results("telemetry", {
-        "depth": depth,
-        "micro_batches": m,
-        "space": bare.space,
-        "search_seconds_off": t_off,
-        "search_seconds_on": t_on,
-        "events_recorded": len(probe_tel.events),
-        "counters_recorded": len(probe_tel.counters),
-        "probe_bundle_seconds": probe_cost,
-        "probes_assumed": probes,
-        "disabled_overhead": disabled_overhead,
-        "enabled_overhead": enabled_overhead,
-        "max_disabled_overhead": MAX_DISABLED_OVERHEAD,
-        "bit_identical": True,
-    })
     result.meta["disabled_overhead"] = disabled_overhead
     result.meta["enabled_overhead"] = enabled_overhead
     return result

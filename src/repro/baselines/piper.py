@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.baselines.common import PlannedConfig
 from repro.core.partition import PartitionScheme
+from repro.core.planner import _check_count
 from repro.models.transformer import layer_groups
 from repro.profiling.modelconfig import ModelProfile
 
@@ -344,6 +345,8 @@ def plan_piper(
     ``tests/baselines/test_vectorized_dp.py``).
     """
     t0 = _time.perf_counter()
+    num_gpus = _check_count("num_gpus", num_gpus)
+    global_batch_size = _check_count("global_batch_size", global_batch_size)
     mbs = profile.train.micro_batch_size
     if global_batch_size % mbs != 0:
         raise ValueError("global batch not divisible by micro-batch size")

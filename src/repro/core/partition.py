@@ -144,13 +144,19 @@ class StageTimes:
         return float(np.std(np.asarray(self.total)))
 
 
-def stage_times(partition: PartitionScheme, profile: ModelProfile) -> StageTimes:
-    """Aggregate the profile's block times into per-stage ``f_x`` / ``b_x``."""
+def check_covers(partition: PartitionScheme, profile: ModelProfile) -> None:
+    """Raise ``ValueError`` unless ``partition`` covers exactly the
+    profile's blocks."""
     if partition.num_blocks != profile.num_blocks:
         raise ValueError(
             f"partition covers {partition.num_blocks} blocks, profile has "
             f"{profile.num_blocks}"
         )
+
+
+def stage_times(partition: PartitionScheme, profile: ModelProfile) -> StageTimes:
+    """Aggregate the profile's block times into per-stage ``f_x`` / ``b_x``."""
+    check_covers(partition, profile)
     fwd = tuple(
         sum(profile.blocks[i].fwd_time for i in stage) for stage in partition.stages
     )

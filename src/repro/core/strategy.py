@@ -25,7 +25,7 @@ from repro.baselines.common import PlannedConfig, config_memory
 from repro.core.balance_dp import BalanceTable
 from repro.obs import telemetry as _obs
 from repro.core.partition import PartitionScheme, shift_repair
-from repro.core.planner import plan_partition
+from repro.core.planner import _check_count, plan_partition
 from repro.profiling.modelconfig import ModelProfile
 
 
@@ -97,6 +97,8 @@ def autopipe_config(
     tel = _obs.current()
     t_obs = tel.clock() if tel is not None else 0
     t0 = _time.perf_counter()
+    num_gpus = _check_count("num_gpus", num_gpus)
+    global_batch_size = _check_count("global_batch_size", global_batch_size)
     mbs = profile.train.micro_batch_size
     if global_batch_size % mbs != 0:
         raise ValueError("global batch not divisible by micro-batch size")
@@ -258,6 +260,7 @@ def autotune_config(
     from repro.parallel.grid import layouts_for
     from repro.sim.slice_eval import evaluate_slice_counts
 
+    num_gpus = _check_count("num_gpus", num_gpus)
     tel = _obs.current()
     t_obs = tel.clock() if tel is not None else 0
     t0 = _time.perf_counter()

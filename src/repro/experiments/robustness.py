@@ -20,10 +20,9 @@ through the sweep runner (``--cache-dir`` applies), and each
 cell's 2 x 256-draw evaluation goes through the batched fast path — no
 per-draw Python loop.
 
-``benchmarks/test_bench_robustness.py`` records the rows in
-``BENCH_robustness.json`` and guards the headline claim: under 10%
-stage-cost noise on at least one paper model, the robust plan's held-out
-P95 strictly beats the nominal plan's.
+``benchmarks/test_bench_robustness.py`` prints the rows and guards the
+headline claim: under 10% stage-cost noise on at least one paper model,
+the robust plan's held-out P95 strictly beats the nominal plan's.
 """
 
 from __future__ import annotations

@@ -9,11 +9,26 @@ communication cost ``Comm`` used by the recurrence simulator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 from repro.config import HardwareConfig, ModelConfig, TrainConfig
 from repro.models.blocks import Block
+
+_INF = math.inf
+
+
+def _reject_bad_field(owner, names: Sequence[str]) -> None:
+    """Raise ``ValueError`` naming the first of ``names`` on ``owner``
+    that is NaN, infinite or negative."""
+    for name in names:
+        value = getattr(owner, name)
+        if not 0.0 <= value < _INF:
+            raise ValueError(
+                f"{type(owner).__name__}.{name} must be finite and "
+                f"non-negative, got {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -32,8 +47,19 @@ class BlockProfile:
     workspace_bytes: float
 
     def __post_init__(self) -> None:
-        if self.fwd_time < 0 or self.bwd_time < 0:
-            raise ValueError("block times must be non-negative")
+        # One chained compare per field (NaN fails every one): a model
+        # set-up builds thousands of these.
+        if not (
+            0.0 <= self.fwd_time < _INF and 0.0 <= self.bwd_time < _INF
+            and 0.0 <= self.params < _INF
+            and 0.0 <= self.activation_out_bytes < _INF
+            and 0.0 <= self.stash_bytes < _INF
+            and 0.0 <= self.workspace_bytes < _INF
+        ):
+            _reject_bad_field(self, (
+                "fwd_time", "bwd_time", "params", "activation_out_bytes",
+                "stash_bytes", "workspace_bytes",
+            ))
 
     @property
     def total_time(self) -> float:
@@ -56,6 +82,9 @@ class ModelProfile:
     def __post_init__(self) -> None:
         if not self.blocks:
             raise ValueError("a ModelProfile needs at least one block")
+        if not (0.0 <= self.comm_time < _INF
+                and 0.0 <= self.boundary_bytes < _INF):
+            _reject_bad_field(self, ("comm_time", "boundary_bytes"))
         for i, bp in enumerate(self.blocks):
             if bp.block.index != i:
                 raise ValueError(

@@ -17,8 +17,8 @@ candidates x ``K`` draws become one ``(C*K, n)`` kernel call.
 
 Everything here is bit-for-bit identical to ``K`` scalar perturbed sims
 (tests/robustness/test_perturbation.py property-checks both comm modes;
-the kernel itself is property-tested bitwise against
-:class:`~repro.core.analytic_sim.PipelineSimBatch` in
+the kernel itself is property-tested bitwise against ``K`` scalar
+:class:`~repro.core.analytic_sim.PipelineSim` runs in
 tests/sim/test_analytic.py).
 """
 
@@ -135,10 +135,7 @@ def robust_iteration_times(
     vectors — the per-draw comm degradations ride the kernel's ``(K,)``
     vector-comm broadcast.  Values are bitwise what ``K`` scalar
     perturbed :class:`PipelineSim` runs produce (the kernel's contract,
-    property-tested in ``tests/sim/test_analytic.py``); the former
-    lattice routes — full :class:`PipelineSimBatch` and the
-    nominal-prefix :class:`SuffixSimBatch` checkpoint — produced the
-    identical bits and are superseded by the single sweep.
+    property-tested in ``tests/sim/test_analytic.py``).
     """
     fwd, bwd, comm = factors.apply(times)
     return frontier_times(

@@ -25,7 +25,7 @@ from repro.schedules.base import (
     message_id,
     op_slot,
 )
-from repro.schedules.one_f_one_b import _StageCosts
+from repro.schedules.one_f_one_b import stage_costs
 
 
 def build_gpipe(
@@ -37,8 +37,7 @@ def build_gpipe(
 ) -> Schedule:
     """The deferred GPipe schedule, shape key ``("gpipe", depth, m)``."""
     m = check_micro_batches(num_micro_batches)
-    costs = [_StageCosts(profile, stage) for stage in partition.stages]
-    static = [c.params * profile.train.bytes_per_param_state for c in costs]
+    costs, static = stage_costs(profile, partition)
     shape = ScheduleShape(
         ("gpipe", partition.num_stages, m), [[c] for c in costs],
         profile.boundary_bytes,

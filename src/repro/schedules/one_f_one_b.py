@@ -18,11 +18,11 @@ schedule's aggregation), which splits the fused exchange carrying it.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.partition import PartitionScheme
+from repro.core.partition import PartitionScheme, check_covers
 from repro.models.costs import small_batch_slowdown
 from repro.profiling.modelconfig import ModelProfile
 from repro.schedules.base import (
@@ -87,6 +87,18 @@ class _StageCosts:
         return self.workspace_full * unit_fraction(unit)
 
 
+def stage_costs(
+    profile: ModelProfile, partition: PartitionScheme
+) -> Tuple[List[_StageCosts], List[float]]:
+    """Each stage's :class:`_StageCosts` and static (parameter-state)
+    bytes; raises ``ValueError`` unless ``partition`` covers the
+    profile's blocks."""
+    check_covers(partition, profile)
+    costs = [_StageCosts(profile, stage) for stage in partition.stages]
+    bytes_per_param = profile.train.bytes_per_param_state
+    return costs, [c.params * bytes_per_param for c in costs]
+
+
 def build_unit_1f1b(
     profile: ModelProfile,
     partition: PartitionScheme,
@@ -121,8 +133,7 @@ def unit_schedule(
     :mod:`repro.sim.slice_eval` can emit the same key for a slice count.
     """
     eager = eager_halves and any(u[1] != -1 for u in units)
-    costs = [_StageCosts(profile, stage) for stage in partition.stages]
-    static = [c.params * profile.train.bytes_per_param_state for c in costs]
+    costs, static = stage_costs(profile, partition)
     shape = ScheduleShape(
         ("1f1b", partition.num_stages, units, eager),
         [[c] for c in costs], profile.boundary_bytes,

@@ -27,7 +27,7 @@ from repro.hardware.cluster import Cluster
 from repro.hardware.comm import CommModel
 from repro.profiling.modelconfig import ModelProfile
 from repro.schedules.base import check_micro_batches
-from repro.schedules.one_f_one_b import _StageCosts
+from repro.schedules.one_f_one_b import stage_costs
 from repro.sim.engine import ExecutionResult, check_device_map
 from repro.sim.graph_exec import CompiledGraph, run_batch, shape_graph
 
@@ -52,8 +52,7 @@ def compile_slice_graph(
     plan = SlicePlan(num_sliced, num_micro_batches, aggregate)
     n = partition.num_stages
     device_map = check_device_map(n, cluster, device_map)
-    costs = [_StageCosts(profile, stage) for stage in partition.stages]
-    static = [c.params * profile.train.bytes_per_param_state for c in costs]
+    costs, static = stage_costs(profile, partition)
     key = ("1f1b", n, plan.units(), aggregate and num_sliced > 0)
     return shape_graph(
         key, [[c] for c in costs], profile.boundary_bytes, cluster,

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.baselines.dapple import plan_dapple
+from repro.baselines.piper import plan_piper
 from repro.config import TrainConfig
 from repro.core.balance_dp import balanced_partition
 from repro.core.strategy import (
@@ -43,6 +45,43 @@ class TestRemovedKeywords:
         ):
             with pytest.raises(TypeError, match="sim_cache"):
                 call(sim_cache=SimCache())
+
+
+_CLUSTER_PLANNERS = {
+    "autopipe": autopipe_config,
+    "piper": plan_piper,
+    "dapple": plan_dapple,
+}
+
+
+class TestClusterSizes:
+    """Every cluster planner checks ``num_gpus`` and ``global_batch_size``
+    up front, with an error that names the argument."""
+
+    @pytest.mark.parametrize("planner", sorted(_CLUSTER_PLANNERS))
+    @pytest.mark.parametrize("gpus, gbs, name", [
+        (0, 32, "num_gpus"), (-2, 32, "num_gpus"),
+        (4, 0, "global_batch_size"), (4, -8, "global_batch_size"),
+    ])
+    def test_non_positive_sizes_rejected(self, gpt2_profile, planner,
+                                         gpus, gbs, name):
+        with pytest.raises(ValueError, match=name):
+            _CLUSTER_PLANNERS[planner](gpt2_profile, gpus, gbs)
+
+    @pytest.mark.parametrize("planner", sorted(_CLUSTER_PLANNERS))
+    @pytest.mark.parametrize("gpus, gbs, name", [
+        (True, 32, "num_gpus"), (4.0, 32, "num_gpus"),
+        (4, 32.0, "global_batch_size"), (4, "32", "global_batch_size"),
+    ])
+    def test_non_integer_sizes_rejected(self, gpt2_profile, planner,
+                                        gpus, gbs, name):
+        with pytest.raises(TypeError, match=name):
+            _CLUSTER_PLANNERS[planner](gpt2_profile, gpus, gbs)
+
+    @pytest.mark.parametrize("gpus", [0, -2, True, 2.0])
+    def test_autotune_checks_num_gpus(self, gpt2_profile, gpus):
+        with pytest.raises((TypeError, ValueError), match="num_gpus"):
+            autotune_config(gpt2_profile, gpus)
 
 
 class TestAutopipeConfig:

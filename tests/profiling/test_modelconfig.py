@@ -1,8 +1,15 @@
 """ModelProfile validation and half-batch scaling tests."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.profiling.modelconfig import BlockProfile, ModelProfile
+
+_BLOCK_FIELDS = ("fwd_time", "bwd_time", "params", "activation_out_bytes",
+                 "stash_bytes", "workspace_bytes")
+_BAD_VALUES = (math.nan, math.inf, -math.inf, -1.0)
 
 
 class TestValidation:
@@ -14,6 +21,31 @@ class TestValidation:
                 params=0, activation_out_bytes=0, stash_bytes=0,
                 workspace_bytes=0,
             )
+
+    @pytest.mark.parametrize("value", _BAD_VALUES)
+    @pytest.mark.parametrize("name", _BLOCK_FIELDS)
+    def test_block_field_must_be_finite_and_non_negative(
+        self, tiny_profile, name, value
+    ):
+        with pytest.raises(ValueError, match=f"BlockProfile.{name} "):
+            dataclasses.replace(tiny_profile.blocks[0], **{name: value})
+
+    @pytest.mark.parametrize("value", _BAD_VALUES)
+    @pytest.mark.parametrize("name", ("comm_time", "boundary_bytes"))
+    def test_profile_field_must_be_finite_and_non_negative(
+        self, tiny_profile, name, value
+    ):
+        with pytest.raises(ValueError, match=f"ModelProfile.{name} "):
+            dataclasses.replace(tiny_profile, **{name: value})
+
+    def test_zero_values_accepted(self, tiny_profile):
+        bp = dataclasses.replace(
+            tiny_profile.blocks[0], **{name: 0.0 for name in _BLOCK_FIELDS}
+        )
+        assert bp.total_time == 0.0
+        assert dataclasses.replace(
+            tiny_profile, comm_time=0.0, boundary_bytes=0.0
+        ).comm_time == 0.0
 
     def test_empty_profile_rejected(self, tiny_profile):
         with pytest.raises(ValueError):

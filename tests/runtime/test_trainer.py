@@ -5,6 +5,8 @@ import math
 import pytest
 
 from repro.core.balance_dp import balanced_partition
+from repro.core.partition import PartitionScheme
+from repro.core.slicer import SlicePlan
 from repro.runtime.metrics import (
     balance_improvement,
     balance_std,
@@ -94,6 +96,32 @@ class TestMicroBatchCount:
         ref = run_pipeline(tiny_profile, partition, 4)
         got = run_pipeline(tiny_profile, partition, np.int64(4))
         assert got.iteration_time == ref.iteration_time
+
+
+class TestPartitionCoverage:
+    """A partition that covers fewer or more blocks than the profile is
+    rejected by every builder with ``stage_times``'s message, instead of
+    running a truncated model or failing with an ``IndexError``."""
+
+    @pytest.mark.parametrize("extra", [-2, 2])
+    def test_every_builder_rejects_a_mismatched_partition(
+        self, tiny_profile, extra
+    ):
+        half = (tiny_profile.num_blocks + extra) // 2
+        wrong = PartitionScheme.from_sizes(
+            [half, tiny_profile.num_blocks + extra - half]
+        )
+        msg = (f"partition covers {wrong.num_blocks} blocks, profile has "
+               f"{tiny_profile.num_blocks}")
+        with pytest.raises(ValueError, match=msg):
+            run_pipeline(tiny_profile, wrong, 4)
+        with pytest.raises(ValueError, match=msg):
+            run_pipeline(tiny_profile, wrong, 4, schedule="gpipe")
+        with pytest.raises(ValueError, match=msg):
+            run_pipeline(tiny_profile, wrong, 4, schedule="sliced",
+                         slice_plan=SlicePlan(1, 4))
+        with pytest.raises(ValueError, match=msg):
+            evaluate_slice_counts(tiny_profile, wrong, 4, [0, 1])
 
 
 class TestMetrics:

@@ -8,8 +8,8 @@ micro-batch counts, both comm accounting modes, cost jitter and
 perturbation factors, and asserts:
 
 * :func:`frontier_times` / :func:`frontier_times_transposed` reproduce
-  :class:`PipelineSimBatch` (and ``K`` scalar :class:`PipelineSim` runs)
-  bit for bit, the mid-sweep sieve included, and reject the inputs
+  ``K`` scalar :class:`PipelineSim` runs bit for bit, the mid-sweep
+  sieve included, and reject the inputs
   :class:`PipelineSim` rejects;
 * the sieve holds at oracle-sized shapes (``K = 4096``, both comm kinds),
   and an unsieved sweep allocates no more than a few cost matrices;
@@ -38,7 +38,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines.megatron import uniform_partition
 from repro.config import HardwareConfig, ModelConfig, TrainConfig
-from repro.core.analytic_sim import PipelineSim, PipelineSimBatch
+from repro.core.analytic_sim import PipelineSim
 from repro.core.exhaustive import exhaustive_partition
 from repro.core.partition import PartitionScheme, StageTimes, stage_times
 from repro.core.slicer import SlicePlan, make_slice_plan
@@ -87,7 +87,7 @@ def _cost_matrices(k, n, seed, tie_heavy=False):
     return fwd, bwd
 
 
-# -- frontier sweep vs lattice batch sim ------------------------------------
+# -- frontier sweep vs K scalar lattice sims --------------------------------
 
 
 @settings(max_examples=60, deadline=None)
@@ -100,7 +100,7 @@ def _cost_matrices(k, n, seed, tie_heavy=False):
     tie_heavy=st.booleans(),
     seed=st.integers(min_value=0, max_value=10**6),
 )
-def test_frontier_equals_lattice_batch(
+def test_frontier_equals_scalar_sims(
     n, k, mb_per_stage, comm_mode, comm_kind, tie_heavy, seed
 ):
     m = max(1, n * mb_per_stage - 1)
@@ -112,10 +112,8 @@ def test_frontier_equals_lattice_batch(
         comm = float(rng.uniform(0.0, 0.6))
     else:
         comm = rng.uniform(0.0, 0.6, size=k)
-    batch = PipelineSimBatch(fwd, bwd, comm, m, comm_mode=comm_mode)
     times = frontier_times(fwd, bwd, comm, m, comm_mode=comm_mode)
-    assert np.array_equal(times, batch.iteration_times())
-    # ... and bitwise what K scalar lattice sims produce.
+    # Bitwise what K scalar lattice sims produce.
     comm_vec = np.broadcast_to(np.asarray(comm, dtype=np.float64), (k,))
     for i in range(k):
         sim = PipelineSim(

@@ -312,7 +312,9 @@ def test_negative_payload_on_a_hit_raises_like_a_transfer():
     devices = cluster.pipeline_devices(depth)
     partition = uniform_partition(profile, depth)
     evaluate_slice_counts(profile, partition, m, [0, 2])
-    bad = dataclasses.replace(profile, boundary_bytes=-1.0)
+    # Forced past the profile's own validation, like _with_block_fwd.
+    bad = dataclasses.replace(profile)
+    object.__setattr__(bad, "boundary_bytes", -1.0)
 
     with pytest.raises(ValueError) as spec:
         _schedule("1f1b", bad, depth, m).programs
