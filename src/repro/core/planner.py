@@ -44,9 +44,8 @@ from repro.robustness.evaluate import RobustObjective, robust_objective_batch
 Sizes = Tuple[int, ...]
 
 #: cache key: per-stage times, micro-batch count and comm mode.  Every
-#: entry is a :class:`PipelineSim` result; the other lattice-family
-#: evaluators (the batched/suffix paths and the closed-form frontier
-#: kernel of :mod:`repro.sim.analytic`) are bit-identical to it.
+#: entry is a :class:`PipelineSim` result; the closed-form frontier
+#: kernel of :mod:`repro.sim.analytic` is bit-identical to it.
 _SimKey = Tuple[Tuple[float, ...], Tuple[float, ...], float, int, str]
 
 

@@ -21,18 +21,13 @@ from repro.schedules.base import Schedule, check_micro_batches
 from repro.schedules.gpipe import build_gpipe
 from repro.schedules.one_f_one_b import build_1f1b
 from repro.schedules.sliced import build_sliced
-from repro.sim.analytic import execute_analytic
 from repro.sim.engine import Engine, ExecutionResult
 from repro.sim.graph_exec import execute_fast
 
 #: executors by name.  ``"graph"`` is the compiled static-graph fast
 #: path (with its own engine fallback for graphs the compiler rejects),
-#: ``"event"`` the per-op DES, ``"analytic"`` the graph-free clock
-#: interpreter of :mod:`repro.sim.analytic` — bit-identical to the
-#: engine on every schedule it can represent, and raising
-#: :class:`~repro.sim.analytic.AnalyticUnsupported` (with the fallback
-#: instruction) on programs whose dataflow it cannot order.
-EXECUTORS = ("graph", "event", "analytic")
+#: ``"event"`` the per-op DES.
+EXECUTORS = ("graph", "event")
 
 
 @dataclass(frozen=True)
@@ -98,10 +93,7 @@ def run_pipeline(
     ``"graph"`` runs the compiled static-graph fast path (bit-identical
     to the event engine, with an automatic fallback for schedules the
     compiler rejects); ``"event"`` forces the per-op event loop — useful when
-    stepping through a run or comparing executors; ``"analytic"`` runs
-    the graph-free clock interpreter, which raises
-    :class:`~repro.sim.analytic.AnalyticUnsupported` with a clear
-    fallback instruction on schedules it cannot represent.
+    stepping through a run or comparing executors.
     """
     if cluster is None:
         cluster = Cluster(profile.hardware)
@@ -115,9 +107,7 @@ def run_pipeline(
         )
     if executor == "graph":
         return execute_fast(built, cluster, device_map=devices)
-    if executor == "event":
-        return Engine(built, cluster, device_map=devices).run()
-    return execute_analytic(built, cluster, device_map=devices)
+    return Engine(built, cluster, device_map=devices).run()
 
 
 def _optimizer_seconds(profile: ModelProfile, partition: PartitionScheme) -> float:

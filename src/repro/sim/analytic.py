@@ -51,8 +51,8 @@ Bit-identity contract
 Every update uses the same IEEE max/add expressions, in the same
 association order, as :class:`~repro.core.analytic_sim.PipelineSim`'s
 scalar relaxation (both comm modes), so :func:`frontier_times` is
-bit-for-bit equal to ``PipelineSimBatch(...).iteration_times()`` —
-property-tested in ``tests/sim/test_analytic.py``.
+bit-for-bit equal to ``K`` scalar ``PipelineSim(...).run()`` iteration
+times — property-tested in ``tests/sim/test_analytic.py``.
 
 Applicability matrix
 --------------------
@@ -139,7 +139,7 @@ def _as_cost_matrix(arr, name: str) -> np.ndarray:
 
 
 def _check_comm(comm, k: int):
-    """Validate/normalise comm like PipelineSimBatch: scalar or (K,)."""
+    """Validate/normalise comm: one scalar, or a (K,) per-row vector."""
     if np.ndim(comm) == 0:
         return float(comm)
     vec = np.ascontiguousarray(comm, dtype=np.float64)
@@ -181,10 +181,10 @@ def frontier_times(
     """Iteration time of ``K`` 1F1B candidates from their stage costs.
 
     ``fwd`` / ``bwd`` are ``(K, num_stages)`` matrices of per-stage
-    forward / backward times (the :class:`PipelineSimBatch` layout);
-    ``comm`` is a scalar or a ``(K,)`` per-candidate vector.  Returns a
-    ``(K,)`` array of iteration times, bit-identical to
-    ``PipelineSimBatch(fwd, bwd, comm, m).iteration_times()``.  NaN,
+    forward / backward times, one candidate per row; ``comm`` is a
+    scalar or a ``(K,)`` per-candidate vector.  Returns a ``(K,)`` array
+    of iteration times, bit-identical to ``K`` scalar
+    ``PipelineSim(times_k, m).run()`` runs.  NaN,
     infinite or negative costs or comm, and a micro-batch count that is
     not a positive integer, raise ``ValueError`` (both entry points).
     """

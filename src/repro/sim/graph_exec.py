@@ -5,8 +5,8 @@ That is the right tool the *first* time a schedule runs — it detects
 deadlocks and produces a diagnosis — but planner sweeps and experiment
 grids execute thousands of structurally-identical schedules that differ
 only in their cost vectors.  This module gives arbitrary schedules the
-compile-once/evaluate-many treatment the analytic simulator already has
-(``PipelineSim`` / ``PipelineSimBatch``):
+compile-once/evaluate-many treatment the 1F1B simulators already have
+(``PipelineSim``'s cached shape, the max-plus kernel's ``(n, K)`` sweep):
 
 * **Lowering.**  The engine's compiled instruction tuples (shared via
   :func:`repro.sim.engine.lower_programs`, so both executors consume the
@@ -28,7 +28,7 @@ compile-once/evaluate-many treatment the analytic simulator already has
   evaluation is one ``take → add → maximum.reduceat`` numpy pass per
   level — and evaluating K cost vectors over one structure just makes
   every array ``(K, …)``, amortising the structure across a whole sweep
-  (the arbitrary-schedule analogue of ``PipelineSimBatch``).
+  (the arbitrary-schedule analogue of the max-plus kernel's batch).
 
 * **Shape templates.**  The schedule builders defer their ops behind a
   shape key (:class:`~repro.schedules.base.ScheduleShape`).  The first

@@ -107,8 +107,9 @@ class TestTiming:
         assert skew > bal
 
     def test_invalid_micro_batches(self):
-        with pytest.raises(ValueError):
-            PipelineSim(balanced(2), 0)
+        for bad in (0, -1, True, 2.0):
+            with pytest.raises(ValueError, match="num_micro_batches"):
+                PipelineSim(balanced(2), bad)
 
     def test_unknown_comm_mode(self):
         with pytest.raises(ValueError):

@@ -264,8 +264,9 @@ def test_run_pipeline_executor_selection():
     graph = run_pipeline(profile, partition, M, executor="graph")
     event = run_pipeline(profile, partition, M, executor="event")
     assert graph.iteration_time == event.iteration_time
-    with pytest.raises(ValueError):
-        run_pipeline(profile, partition, M, executor="nope")
+    for bad in ("nope", "analytic"):
+        with pytest.raises(ValueError, match="unknown executor"):
+            run_pipeline(profile, partition, M, executor=bad)
 
 
 def test_events_property_materializes_from_lazy_factory(cluster):
