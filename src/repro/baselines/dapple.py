@@ -37,13 +37,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.baselines.common import PlannedConfig
-from repro.core.analytic_sim import PipelineSim
-from repro.core.partition import PartitionScheme, StageTimes
+from repro.core.partition import PartitionScheme
 from repro.core.planner import _check_count
 from repro.models.costs import STASH_FACTOR
 from repro.models.transformer import layer_groups
 from repro.parallel.data_parallel import allreduce_seconds
 from repro.profiling.modelconfig import ModelProfile
+from repro.sim.analytic import frontier_times
 
 _INF = float("inf")
 
@@ -315,25 +315,34 @@ def plan_dapple(
             fwd_pre[-1] + sum(profile.blocks[i].fwd_time for i in u)
         )
 
-    def simulate(sizes: List[int], replicas: List[int]) -> float:
-        """DAPPLE's lightweight pipeline simulation of one candidate plan.
+    def simulate(
+        group: List[Tuple[List[int], List[int], float]],
+    ) -> List[float]:
+        """DAPPLE's lightweight pipeline simulation of candidate plans.
 
         The original planner scores candidates with a built-in simulator
-        rather than a closed form; this per-candidate simulation is the
-        bulk of its search time (paper Fig. 12).  Stage periods use the
-        planner's optimistic linear t/r scaling.
+        rather than a closed form.  Stage periods use the planner's
+        optimistic linear t/r scaling.  One stage count's candidates are
+        scored together by one frontier-kernel sweep, bit-identical to a
+        scalar ``PipelineSim(..., comm_mode="edges")`` run per candidate.
         """
         fwd = []
         bwd = []
-        pos = 0
-        for size, r in zip(sizes, replicas):
-            f = fwd_pre[pos + size] - fwd_pre[pos]
-            t = t_pre[pos + size] - t_pre[pos]
-            fwd.append(f / r)
-            bwd.append((t - f) / r)
-            pos += size
-        times = StageTimes(tuple(fwd), tuple(bwd), profile.comm_time)
-        return PipelineSim(times, m, comm_mode="edges").run().iteration_time
+        for sizes, replicas, _ in group:
+            f_row = []
+            b_row = []
+            pos = 0
+            for size, r in zip(sizes, replicas):
+                f = fwd_pre[pos + size] - fwd_pre[pos]
+                t = t_pre[pos + size] - t_pre[pos]
+                f_row.append(f / r)
+                b_row.append((t - f) / r)
+                pos += size
+            fwd.append(f_row)
+            bwd.append(b_row)
+        return frontier_times(
+            fwd, bwd, profile.comm_time, m, comm_mode="edges"
+        ).tolist()
 
     best_cost = _INF
     best_bound = _INF
@@ -353,6 +362,11 @@ def plan_dapple(
     head_feasible: Dict[Tuple[int, int, int], bool] = {}
     allreduce_cache: Dict[Tuple[int, int], float] = {}
     for s in range(2, max_stages + 1):
+        # Which candidates get simulated depends only on the analytical
+        # bound and the placement check, never on a simulated cost, so
+        # one stage count's candidates are collected first, scored in
+        # one sweep, and the strict ``<`` is replayed in their order.
+        group: List[Tuple[List[int], List[int], float]] = []
         for k1 in range(1, L - (s - 1) + 1):
             for r1 in range(1, G - (s - 1) + 1):
                 tail = suffix[s - 1][k1][G - r1]
@@ -371,10 +385,10 @@ def plan_dapple(
                     unhidden = 2.0 * allreduce_seconds(p_pre[k1], r1, hw)
                     allreduce_cache[(k1, r1)] = unhidden
                 # Analytical lower bound prunes hopeless candidates before
-                # reconstruction, placement and the (expensive)
-                # simulation; neither pruned nor placement-rejected
-                # candidates touch the incumbents, so checking the bound
-                # first is a pure reordering.
+                # reconstruction, placement and the simulation; neither
+                # pruned nor placement-rejected candidates touch the
+                # incumbents, so checking the bound first is a pure
+                # reordering.
                 bound = (m - 1) * p + unhidden
                 if bound > 1.5 * best_bound:
                     continue
@@ -392,10 +406,14 @@ def plan_dapple(
                 if not ok:
                     continue
                 best_bound = min(best_bound, bound)
-                cost = simulate(sizes, replicas) + unhidden
-                if cost < best_cost:
-                    best_cost = cost
-                    best_sizes, best_replicas = sizes, replicas
+                group.append((sizes, replicas, unhidden))
+        if not group:
+            continue
+        for (sizes, replicas, unhidden), t in zip(group, simulate(group)):
+            cost = t + unhidden
+            if cost < best_cost:
+                best_cost = cost
+                best_sizes, best_replicas = sizes, replicas
 
     if best_sizes is None or best_replicas is None:
         raise RuntimeError("DAPPLE planner found no feasible plan")

@@ -97,6 +97,12 @@ _ANALYTIC_BLOCK = 8_192
 #: exact — the sieve only ever drops provably-over-limit columns.
 _SIEVE_MIN_COLS = 4_096
 
+#: lowest-bound leaf columns the analytic search scores first, to tighten
+#: its incumbent before it filters the rest of the leaf level by bound.
+#: Exact at any value (tests patch it): the filter only drops columns
+#: whose lower bound exceeds a simulated time.
+_PROBE_COLS = 4_096
+
 
 @dataclass(frozen=True)
 class ExhaustiveResult:
@@ -104,7 +110,10 @@ class ExhaustiveResult:
 
     partition: PartitionScheme
     sim: SimResult
-    #: full simulations actually run (batched or scalar).
+    #: candidates actually simulated: the warm seeds' scalar runs plus,
+    #: for the analytic search, every other leaf column the kernel
+    #: scored (the probe and the columns that passed the leaf-bound
+    #: filter, including any its mid-sweep sieve then dropped).
     evaluations: int
     search_seconds: float
     #: size of the search space, C(n-1, p-1).
@@ -128,7 +137,9 @@ class ExhaustiveResult:
 
     @property
     def pruned(self) -> int:
-        """Candidates eliminated by bounds without any simulation."""
+        """Candidates never simulated: eliminated by the level bounds,
+        the dominance memo or (analytic search) the leaf-bound filter
+        after the probe."""
         return self.space - self.evaluations
 
     @property
@@ -631,17 +642,18 @@ def _search_analytic(
       affecting exactness: seeds go through the same tie-breaking
       ``offer``, and a tighter incumbent only ever prunes candidates
       whose true time provably exceeds the final best.
-    * **Fixed admission limit.**  The limit is ``seed_bound *
-      _PRUNE_SLACK``, fixed after the seeds.  Whether a stage of ``size``
-      blocks starting at ``pos`` on level ``s`` is admitted then depends
-      only on ``(s, pos, size)`` — its straggler and round-trip bounds,
-      and the suffix relaxation of what remains (:class:`_Bounds`) —
-      never on the path to it, so the cut descent flattens into a
-      **vectorized level expansion** one stage at a time through
-      per-level admission grids.  Each level is kept as parent pointers
-      — per prefix, its parent's index on the level above, its last
-      stage's start and size index — so no earlier stage is copied from
-      level to level.
+    * **Fixed admission limit.**  While the levels are built the limit
+      is ``seed_bound * _PRUNE_SLACK``, fixed after the seeds.  Whether
+      a stage of ``size`` blocks starting at ``pos`` on level ``s`` is
+      admitted then depends only on ``(s, pos, size)`` — its straggler
+      and round-trip bounds, and the suffix relaxation of what remains
+      (:class:`_Bounds`) — never on the path to it, so the cut descent
+      flattens into a **vectorized level expansion** one stage at a
+      time through per-level admission grids.  Each level is kept as
+      parent pointers — per prefix, its parent's index on the level
+      above and its last stage's cell in the ``(pos, size - 1)`` grids
+      — so no earlier stage is copied from level to level.  The limit
+      tightens only at the leaf level (below).
     * **Dominance memo.**  A prefix is characterised by ``(pos,
       f_stages, b_stages)``: every candidate below it only extends those
       stage times.  When two prefixes of a level agree on it, the
@@ -655,25 +667,36 @@ def _search_analytic(
       costs, extended from the parent's hash one stage per level (twins
       hash bit-equal); the exact key rows are rebuilt from the parent
       pointers only on a level where two hashes collide.
-    * **Scoring.**  The leaf level is streamed: each chunk of
-      :data:`_ANALYTIC_BLOCK` admitted columns is assembled into
-      stage-major ``(p, chunk)`` cost buffers by walking the parent
-      pointers into the exact left-fold slice tables, so every column
-      is bitwise the brute force's stage-time vector, and scored by
+    * **Scoring, best bound first.**  Each leaf column gets one lower
+      bound: the max of its stages' own bounds (the per-level ``fixb``
+      grids, carried down the parent pointers in chunks) and its last
+      stage's ``leaf_lb``.  The :data:`_PROBE_COLS` lowest-bound
+      columns are scored first, which tightens the incumbent; of the
+      rest, only the columns whose bound is within the tightened
+      ``best * _PRUNE_SLACK`` are scored, in lex order, and the others
+      are pruned unscored.  A dropped column's bound exceeds a simulated
+      time, so it is neither the optimum nor a tie.  Scored columns go
+      in chunks of :data:`_ANALYTIC_BLOCK`, assembled into stage-major
+      ``(p, chunk)`` cost buffers by walking the parent pointers into
+      the exact left-fold slice tables, so every column is bitwise the
+      brute force's stage-time vector, and scored by
       :func:`repro.sim.analytic.frontier_times_transposed`, which is
-      bit-identical to the scalar simulator.  Wide chunks get
-      the current bound for the kernel's mid-sweep sieve, which only
-      ever drops columns whose lower bound exceeds a true candidate time
+      bit-identical to the scalar simulator.  Wide chunks get the
+      current bound for the kernel's mid-sweep sieve, which only ever
+      drops columns whose lower bound exceeds a true candidate time
       (padded for rounding).  Ties are resolved by reconstructing every
-      minimum-time column and offering the lexicographically smallest,
-      so the result is the brute-force argmin, property-tested against
-      it.  Seed columns are not counted as fresh evaluations.
+      minimum-time column and offering the lexicographically smallest;
+      ``offer`` does not depend on scoring order, so the result is the
+      brute-force argmin, property-tested against it.  Seed columns are
+      not counted as fresh evaluations.
 
     The last stage is never a prefix level: its size is forced by the
     second-to-last cut, and its costs are the per-pos suffix totals.
     With a :mod:`repro.obs` registry current, every level records an
     ``oracle.level`` span with its ``admitted`` and (after the memo)
-    live ``prefixes`` counts.
+    live ``prefixes`` counts, and the leaf level an ``oracle.probe``
+    span with the probe's ``cols``, the filter's ``survivors`` and the
+    incumbent before and after the probe.
     """
     from repro.sim.analytic import frontier_times_transposed
 
@@ -705,13 +728,18 @@ def _search_analytic(
     SS = SF + SB
     pos2_grid = np.minimum(src + 1, n)
 
+    # Per level, the flattened ``(pos, size - 1)`` grid of a stage's own
+    # bounds; the leaf bounds read it back up the parent pointers.
+    stage_lb: List[np.ndarray] = []
+
     def admitted_mask(s: int) -> np.ndarray:
         """``(pos, size - 1)`` admission grid at level ``s``.
 
         A stage is admitted when both its own bounds (straggler and
         round-trip + tail, ``fixb``) and the suffix relaxation of the
         blocks after it (``remb``, merged with the leaf bound when one
-        stage remains) are within the limit.
+        stage remains) are within the limit.  ``fixb`` is kept in
+        ``stage_lb``.
         """
         w_cnt = min(m, p - 1 - s)
         steady = m - w_cnt
@@ -721,6 +749,7 @@ def _search_analytic(
             tail = (m - 1) * SB
         base = prefw_v[:n] + 2 * s * comm
         fixb = np.maximum(base[:, None] + m * SS, base_rt + tail)
+        stage_lb.append(fixb.ravel())
         rem = p - s - 1
         mm = minmax_v[rem]
         remb = (prefw_v + 2 * (s + 1) * comm) + m * mm
@@ -749,14 +778,13 @@ def _search_analytic(
         acc = np.zeros(1)
 
     # Levels as parent pointers: per live prefix of level L, its
-    # parent's index on level L - 1, its last stage's start and that
-    # stage's size index.  Nothing is copied from level to level; stage
-    # costs are read back through the chain from the slice tables.  The
-    # last level (L = p - 2) holds the leaf columns: the last stage's
-    # size is forced by their cut.
+    # parent's index on level L - 1 and its last stage's cell ``start *
+    # n + size - 1`` in the ``(pos, size - 1)`` grids.  Nothing is copied
+    # from level to level; stage costs are read back through the chain
+    # from the slice tables.  The last level (L = p - 2) holds the leaf
+    # columns: the last stage's size is forced by their cut.
     parent: List[np.ndarray] = []
-    start: List[np.ndarray] = []
-    size_ix: List[np.ndarray] = []
+    cells: List[np.ndarray] = []
     # End position of every live prefix, in lexicographic sizes order.
     pos_arr = np.zeros(1, dtype=np.int64)
 
@@ -764,7 +792,7 @@ def _search_analytic(
         """Write the stage costs of level-``top`` prefixes ``i`` into
         rows ``0..top`` of the stage-major ``f_out`` / ``b_out``."""
         for lev in range(top, -1, -1):
-            cell = start[lev].take(i) * n + size_ix[lev].take(i)
+            cell = cells[lev].take(i)
             SF_flat.take(cell, out=f_out[lev])
             SB_flat.take(cell, out=b_out[lev])
             if lev:
@@ -789,12 +817,11 @@ def _search_analytic(
         til = np.nonzero(mask)[1].take(np.arange(total) + shift.repeat(W_col))
         rep = np.arange(pos_arr.size).repeat(W_col)
         prow = pos_arr.repeat(W_col)
+        cell = prow * n + til
         parent.append(rep)
-        start.append(prow)
-        size_ix.append(til)
+        cells.append(cell)
         pos_arr = prow + til + 1
         if use_dominance and lev < p - 2:
-            cell = prow * n + til
             acc = acc.take(rep) + hash_w[lev] * SF_flat.take(cell)
             acc += hash_w[p + lev] * SB_flat.take(cell)
             live = pos_arr.size
@@ -826,8 +853,7 @@ def _search_analytic(
                     ))
                     keep = np.sort(first_idx)
                     parent[lev] = rep[keep]
-                    start[lev] = prow[keep]
-                    size_ix[lev] = til[keep]
+                    cells[lev] = cell[keep]
                     pos_arr = pos_arr[keep]
                     acc = acc[keep]
         if tel is not None:
@@ -835,65 +861,122 @@ def _search_analytic(
                 "oracle.level", t_l, level=lev, admitted=total,
                 prefixes=int(pos_arr.size),
             )
+    del W_col, shift  # per-parent scratch of the leaf level's expansion
 
     # Seed columns ride the sweep too (the kernel reproduces their
     # simulated time bitwise) but are not fresh evaluations.  A seed is
     # walked down the deduped levels, so a seed whose twin subtree was
     # dominance-pruned correctly counts as a fresh column under the
     # surviving twin's sizes.
-    warm_cols: set = set()
+    warm_cols: List[int] = []
     for wseed in warm:
         i = 0
         for lev in range(p - 1):
             hit = np.flatnonzero(
-                (parent[lev] == i) & (size_ix[lev] == wseed[lev] - 1)
+                (parent[lev] == i)
+                & (cells[lev] == sum(wseed[:lev]) * n + wseed[lev] - 1)
             )
             if not hit.size:
                 break
             i = int(hit[0])
         else:
-            warm_cols.add(i)
+            warm_cols.append(i)
 
     def column_sizes(c: int) -> Tuple[int, ...]:
         """Stage sizes of leaf column ``c``, read up the parent chain."""
         sizes = [n - int(pos_arr[c])]
         for lev in range(p - 2, -1, -1):
-            sizes.append(int(size_ix[lev][c]) + 1)
+            sizes.append(int(cells[lev][c]) % n + 1)
             c = int(parent[lev][c])
         return tuple(reversed(sizes))
 
-    total_cols = pos_arr.size
-    for c0 in range(0, total_cols, block):
-        c1 = min(c0 + block, total_cols)
-        t_f = tel.clock() if tel is not None else 0
-        fwd_mat = np.empty((p, c1 - c0))
-        bwd_mat = np.empty((p, c1 - c0))
-        fill_costs(np.arange(c0, c1), p - 2, fwd_mat, bwd_mat)
-        # The forced last stage costs the per-pos suffix total.
-        bounds.suf_f.take(pos_arr[c0:c1], out=fwd_mat[p - 1])
-        bounds.suf_b.take(pos_arr[c0:c1], out=bwd_mat[p - 1])
-        cur = state.best_time * slack
-        # The mid-sweep sieve's per-checkpoint scan only pays for itself
-        # on wide chunks; narrow ones run the plain (exact) sweep.
-        times, keepmap = frontier_times_transposed(
-            fwd_mat, bwd_mat, comm, m, comm_mode=comm_mode,
-            limit=cur if c1 - c0 >= _SIEVE_MIN_COLS else None,
+    warm_idx = np.array(warm_cols, dtype=np.int64)
+
+    def score(cols: np.ndarray) -> None:
+        """Score leaf columns ``cols`` through the kernel, chunk by chunk."""
+        for c0 in range(0, cols.size, block):
+            idx = cols[c0:c0 + block]
+            t_f = tel.clock() if tel is not None else 0
+            fwd_mat = np.empty((p, idx.size))
+            bwd_mat = np.empty((p, idx.size))
+            fill_costs(idx, p - 2, fwd_mat, bwd_mat)
+            # The forced last stage costs the per-pos suffix total.
+            leaf_pos = pos_arr.take(idx)
+            bounds.suf_f.take(leaf_pos, out=fwd_mat[p - 1])
+            bounds.suf_b.take(leaf_pos, out=bwd_mat[p - 1])
+            # The mid-sweep sieve's per-checkpoint scan only pays for
+            # itself on wide chunks; narrow ones run the plain (exact)
+            # sweep.
+            times, keepmap = frontier_times_transposed(
+                fwd_mat, bwd_mat, comm, m, comm_mode=comm_mode,
+                limit=(state.best_time * slack
+                       if idx.size >= _SIEVE_MIN_COLS else None),
+            )
+            if times.size:
+                tmin = times.min()
+                ties = np.flatnonzero(times == tmin)
+                hit = keepmap[ties] if keepmap is not None else ties
+                state.offer(
+                    min(column_sizes(c) for c in idx.take(hit).tolist()),
+                    float(tmin),
+                )
+            state.evaluations += idx.size - int(
+                np.isin(idx, warm_idx).sum()
+            )
+            if tel is not None:
+                tel.record_since(
+                    "oracle.kernel_sweep", t_f,
+                    cols=int(idx.size), kept=int(times.size),
+                )
+
+    def leaf_bounds() -> np.ndarray:
+        """One lower bound per leaf column: the max of its stages' own
+        bounds (the ``stage_lb`` grids) and its last stage's
+        ``leaf_lb``.  The running max is carried down the parent
+        pointers one level at a time, in chunks, so only two levels'
+        bounds are held at once."""
+        lb = np.full(1, -inf)
+        for lev in range(p - 1):
+            up, lb = lb, np.empty(parent[lev].size)
+            for c0 in range(0, lb.size, block):
+                c1 = c0 + block
+                np.maximum(
+                    stage_lb[lev].take(cells[lev][c0:c1]),
+                    up.take(parent[lev][c0:c1]),
+                    out=lb[c0:c1],
+                )
+        return np.maximum(lb, leaf_pad.take(pos_arr), out=lb)
+
+    # Probe, then filter.  The _PROBE_COLS lowest-bound columns (ties at
+    # the cut taken in lex order) are scored first to tighten the
+    # incumbent; of the rest, only columns whose bound is within the
+    # tightened limit are scored, in lex order.  A column dropped here
+    # has a valid lower bound above a simulated time, so it can be
+    # neither the optimum nor a tie.
+    t_p = tel.clock() if tel is not None else 0
+    before = state.best_time
+    k = _PROBE_COLS
+    if pos_arr.size <= k:
+        probe = np.arange(pos_arr.size)
+        score(probe)
+        survivors = probe[:0]
+    else:
+        lb = leaf_bounds()
+        cut = np.partition(lb, k - 1)[k - 1]
+        below = np.flatnonzero(lb < cut)
+        probe = np.union1d(below, np.flatnonzero(lb == cut)[:k - below.size])
+        score(probe)
+        within = lb <= state.best_time * slack
+        within[probe] = False
+        survivors = np.flatnonzero(within)
+        del lb, within
+    if tel is not None:
+        tel.record_since(
+            "oracle.probe", t_p, cols=int(probe.size),
+            survivors=int(survivors.size), incumbent_before=before,
+            incumbent_after=state.best_time,
         )
-        evals = (c1 - c0) - sum(1 for w in warm_cols if c0 <= w < c1)
-        if times.size:
-            tmin = times.min()
-            ties = np.flatnonzero(times == tmin)
-            cols = keepmap[ties] if keepmap is not None else ties
-            state.offer(
-                min(column_sizes(c) for c in (cols + c0).tolist()),
-                float(tmin),
-            )
-        state.evaluations += evals
-        if tel is not None:
-            tel.record_since(
-                "oracle.kernel_sweep", t_f,
-                cols=c1 - c0, kept=int(times.size),
-            )
+    score(survivors)
 
 
 def _evaluate_seeds(

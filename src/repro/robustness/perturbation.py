@@ -99,8 +99,17 @@ class Straggler(PerturbationModel):
             raise ValueError(f"slowdown must be finite and > 0, got {self.slowdown}")
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {self.probability}")
-        if self.stage is not None and self.stage < 0:
-            raise ValueError(f"stage must be >= 0, got {self.stage}")
+        if self.stage is not None:
+            # A positional second argument lands here: Straggler(1.5, 0.1)
+            # is a float stage, not a probability.
+            if isinstance(self.stage, bool) or not isinstance(
+                self.stage, (int, np.integer)
+            ):
+                raise TypeError(
+                    f"stage must be an integer or None, got {self.stage!r}"
+                )
+            if self.stage < 0:
+                raise ValueError(f"stage must be >= 0, got {self.stage}")
 
     def sample(self, rng, fwd, bwd, comm) -> None:
         draws, n = fwd.shape

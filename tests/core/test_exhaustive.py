@@ -226,24 +226,31 @@ class TestOracleMemory:
         """The analytic search keeps its levels as index arrays and
         scores the leaf level chunk by chunk, so a depth-12 search over
         ~353k admitted columns (gpt2-762m, micro-batch 1, m=24) peaks
-        under 96 MB of traced allocation (~58 MB measured).  Holding the
-        whole leaf level as ``(p, K)`` cost matrices would take ~250 MB."""
+        under 96 MB of traced allocation (~44 MiB measured).  Holding the
+        whole leaf level as ``(p, K)`` cost matrices would take ~250 MB.
+        The leaf bounds prune all but a few percent of those columns
+        after the probe, so the kernel scores under a tenth of them."""
         import tracemalloc
 
-        from repro import DEFAULT_CLUSTER_HW, TrainConfig, get_model
+        from repro import DEFAULT_CLUSTER_HW, TrainConfig, get_model, obs
         from repro.profiling import profile_model
 
         profile = profile_model(
             get_model("gpt2-762m"), DEFAULT_CLUSTER_HW,
             TrainConfig(micro_batch_size=1, global_batch_size=1),
         )
+        tel = obs.Telemetry()
         tracemalloc.start()
         try:
-            result = exhaustive_partition(
-                profile, 12, 24, max_evaluations=None, cache=False,
-            )
+            with obs.session(tel):
+                result = exhaustive_partition(
+                    profile, 12, 24, max_evaluations=None, cache=False,
+                )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert result.evaluations > 300_000  # the shape is still deep
+        levels = [e[4] for e in tel.events if e[0] == "oracle.level"]
+        admitted = levels[-1]["admitted"]
+        assert admitted > 300_000  # the shape is still deep
+        assert result.evaluations < admitted // 10
         assert peak <= 96 * 2**20

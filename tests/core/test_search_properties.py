@@ -145,3 +145,30 @@ class TestPrunedMatchesBruteForce:
         assert tiny.iteration_time == big.iteration_time
         assert tiny.evaluations == big.evaluations
         assert tiny.dominance_pruned == big.dominance_pruned
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=4, max_value=10),    # blocks
+        st.sampled_from([1, 3]),                   # probe columns
+        st.data(),
+    )
+    def test_tiny_probe_gives_brute_argmin(self, n, probe, data):
+        """A one- or three-column probe leaves a looser incumbent for the
+        leaf-bound filter, so more columns survive it; the answer is
+        still the brute force's partition and time."""
+        p = data.draw(st.integers(min_value=2, max_value=min(n, 6)))
+        m = data.draw(st.integers(min_value=1, max_value=8))
+        comm_mode = data.draw(st.sampled_from(["paper", "edges"]))
+        value = _TIE_HEAVY if data.draw(st.booleans()) else _CONTINUOUS
+        fwd = [data.draw(value) for _ in range(n)]
+        bwd = [data.draw(value) for _ in range(n)]
+        comm = data.draw(st.sampled_from([0.0, 0.25, 1.0]))
+        profile = make_profile(fwd, bwd, comm)
+        brute = exhaustive_partition(
+            profile, p, m, comm_mode=comm_mode, prune=False
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exhaustive, "_PROBE_COLS", probe)
+            pruned = exhaustive_partition(profile, p, m, comm_mode=comm_mode)
+        assert pruned.partition.sizes == brute.partition.sizes
+        assert pruned.iteration_time == brute.iteration_time  # bitwise

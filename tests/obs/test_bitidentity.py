@@ -127,7 +127,8 @@ class TestOracleBitIdentity:
 
     def test_level_spans_carry_prune_counts(self, tiny_profile):
         """One ``oracle.level`` span per level of the analytic search; the
-        last level's admitted count is every column the kernel scores."""
+        last level fits in the probe, so its admitted count is every
+        column the kernel scores."""
         tel, _ = _recorded(exhaustive_partition, tiny_profile, 4, 8,
                            cache=False)
         levels = [e[4] for e in tel.events if e[0] == "oracle.level"]
@@ -137,6 +138,27 @@ class TestOracleBitIdentity:
             e[4]["cols"] for e in tel.events if e[0] == "oracle.kernel_sweep"
         )
         assert levels[-1]["admitted"] == cols
+
+    def test_probe_span_counts_scored_columns(
+        self, tiny_profile, monkeypatch
+    ):
+        """With a two-column probe, the ``oracle.probe`` span splits the
+        scored columns into probe and survivors, and the incumbent only
+        tightens across it."""
+        monkeypatch.setattr(exhaustive, "_PROBE_COLS", 2)
+        tel, result = _recorded(exhaustive_partition, tiny_profile, 4, 8,
+                                cache=False)
+        (probe,) = [e[4] for e in tel.events if e[0] == "oracle.probe"]
+        admitted = [
+            e[4]["admitted"] for e in tel.events if e[0] == "oracle.level"
+        ][-1]
+        cols = sum(
+            e[4]["cols"] for e in tel.events if e[0] == "oracle.kernel_sweep"
+        )
+        assert probe["cols"] == 2
+        assert probe["cols"] + probe["survivors"] == cols <= admitted
+        assert probe["incumbent_after"] <= probe["incumbent_before"]
+        assert probe["incumbent_after"] >= result.iteration_time
 
     def test_robust_identical_on_vs_off(self, tiny_profile, monkeypatch):
         self._check_robust(tiny_profile, monkeypatch, prune=True)

@@ -284,6 +284,25 @@ class TestRobustSearch:
             with pytest.raises(error, match=field):
                 RobustObjective((StageCostNoise(0.1),), **{field: value})
 
+    def test_straggler_stage_must_be_an_integer(self):
+        """A positional float (``Straggler(1.5, 0.1)`` meant a
+        probability) or a bool stage fails at construction with a
+        ``TypeError`` naming ``stage``, not later as an ``IndexError``
+        inside ``draw_factors``."""
+        for bad in (0.1, 1.0, True, "1"):
+            with pytest.raises(TypeError, match="stage"):
+                Straggler(1.5, bad)
+        with pytest.raises(ValueError, match="stage"):
+            Straggler(1.5, -1)
+        fwd = np.ones((4, 3))
+        bwd = np.ones((4, 3))
+        for stage in (1, np.int64(1)):
+            f, b = fwd.copy(), bwd.copy()
+            Straggler(2.0, stage).sample(
+                np.random.default_rng(0), f, b, np.ones(4)
+            )
+            assert (f[:, 1] == 2.0).all() and (b[:, [0, 2]] == 1.0).all()
+
     def test_objective_accepts_numpy_integers(self):
         objective = RobustObjective(
             (StageCostNoise(0.1),), draws=np.int64(4), seed=np.int32(2)
