@@ -7,6 +7,8 @@ each buys on the Fig. 9 configuration.  The oracle rows additionally
 guard the branch-and-bound: at every depth >= 6 it must run at least 5x
 fewer full simulations than the enumeration while returning the exact
 brute-force optimum; measured wall clocks are printed with the table.
+The climb guard counts what the seed climb leaves the depth-12
+gpt2-762m search to expand: its leaf level must stay small.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import time
 
 from benchmarks.conftest import run_and_print
+from repro import obs
 from repro.config import ModelConfig, TrainConfig
 from repro.core.analytic_sim import simulate_partition
 from repro.core.balance_dp import balanced_partition
@@ -108,3 +111,33 @@ def test_bench_oracle_pruning(benchmark):
             f"depth {depth} ({mode}): {sims} sims of {space} candidates "
             "— pruning fell below the 5x bar"
         )
+
+
+def run_climb_guard():
+    """Leaf columns the depth-12 gpt2-762m search admits (mbs 1, m 24)."""
+    profile = profile_model(
+        GPT2_762M, DEFAULT_CLUSTER_HW,
+        TrainConfig(micro_batch_size=1, global_batch_size=1),
+    )
+    tel = obs.Telemetry()
+    with obs.session(tel):
+        exhaustive_partition(
+            profile, 12, 24, max_evaluations=None, cache=False,
+        )
+    levels = [e[4] for e in tel.events if e[0] == "oracle.level"]
+    (climb,) = [e[4] for e in tel.events if e[0] == "oracle.climb"]
+    return levels[-1]["admitted"], climb
+
+
+def test_bench_oracle_climb_guard(benchmark):
+    admitted, climb = benchmark.pedantic(
+        run_climb_guard, rounds=1, iterations=1,
+    )
+    print(f"\ngpt2-762m depth 12: climb {climb['rounds']} rounds, "
+          f"{climb['cols']} columns; leaf level admits {admitted}")
+    # The climb's incumbent admits ~22k leaf columns; the Algorithm-1
+    # seed alone (or the planner's partition) admits ~353k.
+    assert admitted <= 30_000, (
+        f"leaf level admits {admitted} columns — the seed climb no longer "
+        "tightens the incumbent before the expansion"
+    )

@@ -15,11 +15,12 @@ lexicographic cut order achieving the minimum iteration time):
   :class:`~repro.core.analytic_sim.PipelineSim`.  This is the
   bit-exactness reference.
 * ``prune=True`` (default) — branch-and-bound over cut positions
-  (:func:`_search_analytic`).  Warm seeds (the Algorithm-1 min-max
-  partition, plus the heuristic planner's partition on large spaces)
-  set an incumbent; the lower bounds of :class:`_Bounds` then admit
-  stage sizes level by level, a dominance memo drops twin prefixes,
-  and every admitted candidate is scored by the closed-form max-plus
+  (:func:`_search_analytic`).  The Algorithm-1 min-max partition
+  seeds the incumbent and, on large spaces, a steepest-descent climb
+  over one-block transfers tightens it; the lower bounds of
+  :class:`_Bounds` then admit stage sizes level by level, a dominance
+  memo drops twin prefixes where a zero-cost block can make them, and
+  every admitted candidate is scored by the closed-form max-plus
   frontier kernel (:mod:`repro.sim.analytic`).  Candidate stage times
   use the brute force's left-to-right slice sums and the kernel is
   bit-identical to the scalar simulator, so the returned partition and
@@ -39,14 +40,14 @@ import itertools
 import math
 import time as _time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.analytic_sim import PipelineSim, SimResult
 from repro.core.balance_dp import min_max_partition
 from repro.core.partition import PartitionScheme, StageTimes
-from repro.core.planner import _check_count, _check_jobs, plan_partition
+from repro.core.planner import _check_count, _check_jobs
 from repro.obs import stats as _stats
 from repro.obs import telemetry as _obs
 from repro.profiling.modelconfig import ModelProfile
@@ -74,11 +75,13 @@ _DEFAULT_CHUNK = 1024
 #: candidate's value).
 _ROBUST_HELD = 1 << 16
 
-#: search-space size from which the pruned nominal search also seeds
-#: its incumbent with the heuristic planner's partition (the planner
-#: runs a few dozen scalar simulations; below this the whole search
-#: often costs less than that).
-_WARM_START_MIN_SPACE = 1_000_000
+#: search-space size from which the analytic search climbs from its
+#: Algorithm-1 seed before it expands the levels.  A climb round is one
+#: kernel call (~0.5-1 ms on a 2-core x86-64 host, mostly fixed cost),
+#: which small searches do not earn back: on the 30 queries of the
+#: seed-1 ``oracle`` benchmark stream below this size, climbing took
+#: 95 ms in total against 51-58 ms without (best of 5 per query).
+_CLIMB_MIN_SPACE = 1_000_000
 
 #: leaf columns assembled and scored per frontier-kernel call in the
 #: analytic search.  The kernel walks its ~6p stage-major rows once per
@@ -110,10 +113,11 @@ class ExhaustiveResult:
 
     partition: PartitionScheme
     sim: SimResult
-    #: candidates actually simulated: the warm seeds' scalar runs plus,
-    #: for the analytic search, every other leaf column the kernel
-    #: scored (the probe and the columns that passed the leaf-bound
-    #: filter, including any its mid-sweep sieve then dropped).
+    #: candidates actually simulated: the seed's scalar run plus, for
+    #: the analytic search, the seed climb's columns and every other
+    #: leaf column the kernel scored (the probe and the columns that
+    #: passed the leaf-bound filter, including any its mid-sweep sieve
+    #: then dropped).
     evaluations: int
     search_seconds: float
     #: size of the search space, C(n-1, p-1).
@@ -181,7 +185,7 @@ class _SearchState:
 
     The brute force keeps the lexicographically-first candidate achieving
     the minimum (strict ``<`` update in enumeration order).  The pruned
-    search may evaluate a warm-start candidate out of order, so the
+    search may evaluate a seed or climb candidate out of order, so the
     update rule here breaks time ties toward the lexicographically
     smaller ``sizes`` tuple — equivalent to the brute force's rule for
     any evaluation order that covers the same candidates.
@@ -560,33 +564,31 @@ class _Bounds:
         m = num_micro_batches
         self._p = p
         self._m = m
-        weights = [f + b for f, b in zip(fwd, bwd)]
-        prefw = [0.0]
-        for x in weights:
-            prefw.append(prefw[-1] + x)
+        weights = np.add(fwd, bwd, dtype=np.float64)
+        prefw = np.zeros(n + 1)
+        np.cumsum(weights, out=prefw[1:])
         self.prefw = prefw
         # minmax[k][pos]: smallest achievable max stage load when
-        # splitting blocks pos..n-1 into k stages (inf where infeasible).
+        # splitting blocks pos..n-1 into k stages (inf where infeasible),
+        # one (pos, end) grid per k:
+        #   minmax[k][pos] = min over end > pos of
+        #                    max(head(pos, end), minmax[k-1][end])
+        # with head(pos, end) = prefw[end] - prefw[pos].  min and max
+        # never round, so this is exact over the same heads.
         inf = float("inf")
-        minmax = [[inf] * (n + 1) for _ in range(p + 1)]
-        for pos in range(n + 1):
-            minmax[1][pos] = prefw[n] - prefw[pos] if pos < n else inf
+        pos_col = np.arange(n + 1)[:, None]
+        end_row = np.arange(1, n + 1)[None, :]
+        head = np.where(
+            end_row > pos_col, prefw[None, 1:] - prefw[:, None], inf,
+        )
+        minmax = np.full((p + 1, n + 1), inf)
+        minmax[1, :n] = prefw[n] - prefw[:n]
         for k in range(2, p + 1):
-            for pos in range(n - k, -1, -1):
-                best = inf
-                for z in range(1, n - pos - k + 2):
-                    head = prefw[pos + z] - prefw[pos]
-                    if head >= best:
-                        break  # head grows with z; no better split follows
-                    tail_v = minmax[k - 1][pos + z]
-                    cand = head if head > tail_v else tail_v
-                    if cand < best:
-                        best = cand
-                minmax[k][pos] = best
+            minmax[k] = np.maximum(head, minmax[k - 1, 1:]).min(axis=1)
         self.minmax = minmax
         #: round-trip constant of the tail bound.
-        self.base_rt = prefw[n] + 2 * (p - 1) * comm
-        self.floor = self.base_rt + (m - 1) * weights[n - 1]
+        self.base_rt = float(prefw[n]) + 2 * (p - 1) * comm
+        self.floor = self.base_rt + (m - 1) * float(weights[n - 1])
         self.SF, self.SB = _slice_sum_tables(fwd, bwd)
 
         # Leaf bounds: the last stage always starts at ``s = p - 1`` and
@@ -595,17 +597,16 @@ class _Bounds:
         #: left-fold cost of blocks ``pos..n-1`` (the last stage's cost).
         self.suf_f = self.SF[q, n - q - 1]
         self.suf_b = self.SB[q, n - q - 1]
-        suf_f = self.suf_f.tolist()
-        suf_b = self.suf_b.tolist()
-        leaf_lb: List[float] = [inf] * n
-        for pos in range(p - 1, n):
-            f_sum = suf_f[pos]
-            b_sum = suf_b[pos]
-            leaf_lb[pos] = max(
-                prefw[pos] + 2 * (p - 1) * comm + m * (f_sum + b_sum),
+        f_sum = self.suf_f[p - 1:]
+        b_sum = self.suf_b[p - 1:]
+        leaf_lb = np.full(n, inf)
+        leaf_lb[p - 1:] = np.maximum(
+            np.maximum(
+                prefw[p - 1:n] + 2 * (p - 1) * comm + m * (f_sum + b_sum),
                 self.base_rt + self.tail(p - 1, f_sum, b_sum),
-                self.floor,
-            )
+            ),
+            self.floor,
+        )
         self.leaf_lb = leaf_lb
 
     def tail(self, stage: int, f_sum: float, b_sum: float) -> float:
@@ -623,6 +624,70 @@ class _Bounds:
         return (m - 1) * b_sum
 
 
+def _seed_climb(
+    bounds: _Bounds,
+    comm: float,
+    num_micro_batches: int,
+    comm_mode: str,
+    state: _SearchState,
+    scored: Set[Tuple[int, ...]],
+) -> None:
+    """Steepest descent from the incumbent over one-block transfers.
+
+    A move takes one block from stage ``i`` to stage ``j != i``; the
+    stages between them shift by a block and keep their sizes.  Each
+    round builds every valid move of the incumbent not yet in ``scored``
+    (at most ``p * (p - 1)`` columns) from the exact left-fold slice
+    tables ``SF``/``SB``, scores them with one
+    :func:`~repro.sim.analytic.frontier_times_transposed` call and
+    offers the round's minimum (ties to the lexicographically smallest
+    sizes).  The climb stops at the first round that does not strictly
+    improve the incumbent.  Every offer is a true candidate time, so the
+    climb only tightens the limit the levels are admitted against.
+    Scored columns are counted as evaluations and added to ``scored``,
+    which keeps the leaf sweep from counting them again.  Records an
+    ``oracle.climb`` span (``rounds``, ``cols``).
+    """
+    from repro.sim.analytic import frontier_times_transposed
+
+    n = bounds.SF.shape[0]
+    p = len(state.best_sizes)
+    eye = np.eye(p, dtype=np.int64)
+    src, dst = np.nonzero(eye == 0)
+    moves = eye[dst] - eye[src]
+    SF_flat, SB_flat = bounds.SF.ravel(), bounds.SB.ravel()
+    tel = _obs.current()
+    t_c = tel.clock() if tel is not None else 0
+    rounds = cols = 0
+    while True:
+        sizes = np.asarray(state.best_sizes) + moves
+        cand = [
+            c for c in map(tuple, sizes[(sizes >= 1).all(axis=1)].tolist())
+            if c not in scored
+        ]
+        if not cand:
+            break
+        sizes = np.array(cand, dtype=np.int64)
+        cell = ((np.cumsum(sizes, axis=1) - sizes) * n + sizes - 1).T
+        times, _ = frontier_times_transposed(
+            SF_flat.take(cell), SB_flat.take(cell), comm, num_micro_batches,
+            comm_mode=comm_mode,
+        )
+        rounds += 1
+        cols += len(cand)
+        state.evaluations += len(cand)
+        scored.update(cand)
+        before = state.best_time
+        tmin = times.min()
+        state.offer(
+            min(cand[i] for i in np.flatnonzero(times == tmin)), float(tmin),
+        )
+        if not state.best_time < before:
+            break
+    if tel is not None:
+        tel.record_since("oracle.climb", t_c, rounds=rounds, cols=cols)
+
+
 def _search_analytic(
     fwd: Sequence[float],
     bwd: Sequence[float],
@@ -631,19 +696,21 @@ def _search_analytic(
     num_micro_batches: int,
     comm_mode: str,
     state: _SearchState,
-    extra_seeds: Sequence[Tuple[int, ...]] = (),
 ) -> None:
     """Branch-and-bound scored by the closed-form max-plus kernel.
 
-    * **Warm seeds.**  The Algorithm-1 min-max partition and any valid
-      ``extra_seeds`` (the heuristic planner's partition, on spaces of
-      at least :data:`_WARM_START_MIN_SPACE`) are simulated first and offered to the
-      incumbent.  Any valid candidate may seed the incumbent without
-      affecting exactness: seeds go through the same tie-breaking
-      ``offer``, and a tighter incumbent only ever prunes candidates
-      whose true time provably exceeds the final best.
+    * **Seed and climb.**  The Algorithm-1 min-max partition is
+      simulated first and offered to the incumbent.  On spaces of at
+      least :data:`_CLIMB_MIN_SPACE` candidates, :func:`_seed_climb`
+      then runs a steepest descent from it over one-block transfers
+      between any two stages, one kernel call per round, until a round
+      brings no strict improvement.  Any valid candidate may tighten
+      the incumbent without affecting exactness: it goes through the
+      same tie-breaking ``offer``, and a tighter incumbent only ever
+      prunes candidates whose true time provably exceeds the final
+      best.
     * **Fixed admission limit.**  While the levels are built the limit
-      is ``seed_bound * _PRUNE_SLACK``, fixed after the seeds.  Whether
+      is ``incumbent * _PRUNE_SLACK``, fixed after the climb.  Whether
       a stage of ``size`` blocks starting at ``pos`` on level ``s`` is
       admitted then depends only on ``(s, pos, size)`` — its straggler
       and round-trip bounds, and the suffix relaxation of what remains
@@ -662,11 +729,13 @@ def _search_analytic(
       larger twin is dropped.  Levels are kept in lexicographic sizes
       order, so ``np.unique``'s first occurrence is that smaller twin;
       the removed subtrees are counted in ``dominance_pruned``.  Twins
-      need an exact float coincidence, so the memo is engaged only when
-      the profile repeats a block cost.  Its gate is a hash of the stage
-      costs, extended from the parent's hash one stage per level (twins
-      hash bit-equal); the exact key rows are rebuilt from the parent
-      pointers only on a level where two hashes collide.
+      need a block that a stage's left fold absorbs in both its fwd and
+      bwd sum, so the memo is engaged only when some block costs at
+      most one ulp of twice the model's fwd and bwd totals (a zero-cost
+      block, in practice); no zoo model has one.  Its gate is a hash of
+      the stage costs, extended from the parent's hash one stage per
+      level (twins hash bit-equal); the exact key rows are rebuilt from
+      the parent pointers only on a level where two hashes collide.
     * **Scoring, best bound first.**  Each leaf column gets one lower
       bound: the max of its stages' own bounds (the per-level ``fixb``
       grids, carried down the parent pointers in chunks) and its last
@@ -687,12 +756,13 @@ def _search_analytic(
       (padded for rounding).  Ties are resolved by reconstructing every
       minimum-time column and offering the lexicographically smallest;
       ``offer`` does not depend on scoring order, so the result is the
-      brute-force argmin, property-tested against it.  Seed columns are
-      not counted as fresh evaluations.
+      brute-force argmin, property-tested against it.  Seed and climb
+      columns are not counted again as fresh evaluations.
 
     The last stage is never a prefix level: its size is forced by the
     second-to-last cut, and its costs are the per-pos suffix totals.
-    With a :mod:`repro.obs` registry current, every level records an
+    With a :mod:`repro.obs` registry current, the climb records an
+    ``oracle.climb`` span with its ``rounds`` and ``cols``, every level an
     ``oracle.level`` span with its ``admitted`` and (after the memo)
     live ``prefixes`` counts, and the leaf level an ``oracle.probe``
     span with the probe's ``cols``, the filter's ``survivors`` and the
@@ -704,21 +774,21 @@ def _search_analytic(
     p = num_stages
     m = num_micro_batches
 
-    warm = _evaluate_seeds(
-        fwd, bwd, comm, p, m, comm_mode, state, extra_seeds,
-    )
+    scored = {_evaluate_seed(fwd, bwd, comm, p, m, comm_mode, state)}
     if p == 1:
         return  # the single candidate is the Algorithm-1 seed itself.
 
     bounds = _Bounds(fwd, bwd, comm, p, m)
+    if math.comb(n - 1, p - 1) >= _CLIMB_MIN_SPACE:
+        _seed_climb(bounds, comm, m, comm_mode, state, scored)
     slack = _PRUNE_SLACK
     limit = state.best_time * slack
     block = _ANALYTIC_BLOCK
     inf = float("inf")
 
-    prefw_v = np.asarray(bounds.prefw)
-    minmax_v = np.asarray(bounds.minmax)
-    leaf_pad = np.asarray(bounds.leaf_lb + [inf])
+    prefw_v = bounds.prefw
+    minmax_v = bounds.minmax
+    leaf_pad = np.append(bounds.leaf_lb, inf)
     base_rt = bounds.base_rt
     pos_col = np.arange(n)[:, None]
     k_row = np.arange(n)[None, :]
@@ -760,7 +830,18 @@ def _search_analytic(
         valid = k_row < (n - pos_col - (p - s - 1))
         return valid & (fixb <= limit) & (remb[pos2_grid] <= limit)
 
-    use_dominance = len(set(zip(fwd, bwd))) < n
+    # Twins (equal pos and stage costs, different sizes) first differ in
+    # a cut, and the longer of the two stages there folds extra blocks
+    # into an equal sum.  A left fold of non-negative costs only grows,
+    # so each extra block was absorbed, fwd and bwd alike, by a partial
+    # sum no larger than the left-fold total: it costs at most one ulp
+    # of twice the total in both.  Without such a block no level has
+    # twins, and the memo is skipped.
+    f_tol = math.ulp(2 * float(bounds.suf_f[0]))
+    b_tol = math.ulp(2 * float(bounds.suf_b[0]))
+    use_dominance = any(
+        f <= f_tol and b <= b_tol for f, b in zip(fwd, bwd)
+    )
     if use_dominance:
         # comb(a, b) lookup for the dominance counters (vectorized over
         # the removed twins' positions).
@@ -863,24 +944,24 @@ def _search_analytic(
             )
     del W_col, shift  # per-parent scratch of the leaf level's expansion
 
-    # Seed columns ride the sweep too (the kernel reproduces their
-    # simulated time bitwise) but are not fresh evaluations.  A seed is
-    # walked down the deduped levels, so a seed whose twin subtree was
-    # dominance-pruned correctly counts as a fresh column under the
-    # surviving twin's sizes.
-    warm_cols: List[int] = []
-    for wseed in warm:
-        i = 0
-        for lev in range(p - 1):
-            hit = np.flatnonzero(
-                (parent[lev] == i)
-                & (cells[lev] == sum(wseed[:lev]) * n + wseed[lev] - 1)
-            )
-            if not hit.size:
-                break
-            i = int(hit[0])
-        else:
-            warm_cols.append(i)
+    # Seed and climb columns ride the sweep too (the kernel reproduces
+    # their times bitwise) but are not fresh evaluations.  They are
+    # walked down the deduped levels, all at once: within a level,
+    # ``parent * n*n + cell`` is strictly increasing (lex order), so a
+    # binary search finds each one's child.  A column whose twin
+    # subtree was dominance-pruned correctly counts as a fresh column
+    # under the surviving twin's sizes.
+    seen = np.array(list(scored), dtype=np.int64)
+    want = (np.cumsum(seen, axis=1) - seen) * n + seen - 1
+    walk = np.zeros(len(seen), dtype=np.int64)
+    found = np.ones(len(seen), dtype=bool)
+    for lev in range(p - 1):
+        key = parent[lev] * (n * n) + cells[lev]
+        target = walk * (n * n) + want[:, lev]
+        walk = np.minimum(np.searchsorted(key, target), key.size - 1)
+        found &= key.take(walk) == target
+    seen_idx = walk[found]
+    del key, target
 
     def column_sizes(c: int) -> Tuple[int, ...]:
         """Stage sizes of leaf column ``c``, read up the parent chain."""
@@ -889,8 +970,6 @@ def _search_analytic(
             sizes.append(int(cells[lev][c]) % n + 1)
             c = int(parent[lev][c])
         return tuple(reversed(sizes))
-
-    warm_idx = np.array(warm_cols, dtype=np.int64)
 
     def score(cols: np.ndarray) -> None:
         """Score leaf columns ``cols`` through the kernel, chunk by chunk."""
@@ -921,7 +1000,7 @@ def _search_analytic(
                     float(tmin),
                 )
             state.evaluations += idx.size - int(
-                np.isin(idx, warm_idx).sum()
+                np.isin(idx, seen_idx).sum()
             )
             if tel is not None:
                 tel.record_since(
@@ -979,7 +1058,7 @@ def _search_analytic(
     score(survivors)
 
 
-def _evaluate_seeds(
+def _evaluate_seed(
     fwd: Sequence[float],
     bwd: Sequence[float],
     comm: float,
@@ -987,42 +1066,27 @@ def _evaluate_seeds(
     num_micro_batches: int,
     comm_mode: str,
     state: _SearchState,
-    extra_seeds: Sequence[Tuple[int, ...]],
-) -> Dict[Tuple[int, ...], float]:
-    """Simulate the warm seeds and offer them to the incumbent.
+) -> Tuple[int, ...]:
+    """Simulate the Algorithm-1 min-max seed and offer it to the incumbent.
 
-    The Algorithm-1 min-max seed plus every valid, distinct extra seed,
-    one scalar simulation each (counted on ``state``).  Returns the ``(sizes -> time)`` map, which
-    :func:`_search_analytic` uses to keep seed columns out of its
+    One scalar simulation (counted on ``state``).  Returns the seed's
+    sizes, which :func:`_search_analytic` keeps out of its
     fresh-evaluation count.
     """
-    n = len(fwd)
     tel = _obs.current()
     t_s = tel.clock() if tel is not None else 0
     weights = [f + b for f, b in zip(fwd, bwd)]
-    seeds: List[Tuple[int, ...]] = [tuple(min_max_partition(weights, num_stages))]
-    for extra in extra_seeds:
-        extra = tuple(extra)
-        if (
-            extra not in seeds
-            and len(extra) == num_stages
-            and sum(extra) == n
-            and all(sz >= 1 for sz in extra)
-        ):
-            seeds.append(extra)
-    warm: Dict[Tuple[int, ...], float] = {}
-    for seed in seeds:
-        seed_f, seed_b = _stage_sums(fwd, bwd, seed)
-        sim = PipelineSim(
-            StageTimes(seed_f, seed_b, comm), num_micro_batches,
-            comm_mode=comm_mode,
-        ).run()
-        state.evaluations += 1
-        warm[seed] = sim.iteration_time
-        state.offer(seed, sim.iteration_time)
+    seed = tuple(min_max_partition(weights, num_stages))
+    seed_f, seed_b = _stage_sums(fwd, bwd, seed)
+    sim = PipelineSim(
+        StageTimes(seed_f, seed_b, comm), num_micro_batches,
+        comm_mode=comm_mode,
+    ).run()
+    state.evaluations += 1
+    state.offer(seed, sim.iteration_time)
     if tel is not None:
-        tel.record_since("oracle.warm_seeds", t_s, seeds=len(seeds))
-    return warm
+        tel.record_since("oracle.warm_seeds", t_s, seeds=1)
+    return seed
 
 
 def _search_mode(prune: bool, robust: Optional[RobustObjective]) -> str:
@@ -1050,14 +1114,16 @@ def exhaustive_partition(
     the max-plus frontier kernel; ``prune=False`` runs the literal
     scalar brute force.  Both return the identical partition and
     iteration time.  On search spaces of at least
-    :data:`_WARM_START_MIN_SPACE` candidates the pruned search also
-    evaluates the heuristic planner's partition as a warm candidate: its
-    near-optimal iteration time tightens the admission limit, typically
-    pruning several times more of the space at depth >= 10 than the
-    Algorithm-1 seed alone.  The result is still the exact brute-force
-    argmin, because warm candidates go through the same tie-breaking
-    ``offer`` and bounds only ever discard provably worse subtrees.
-    A subtree is
+    :data:`_CLIMB_MIN_SPACE` candidates the pruned search climbs from
+    its Algorithm-1 seed by one-block transfers between stages before it
+    expands any level: the climb's near-optimal incumbent tightens the
+    admission limit (on gpt2-762m at depth 12 the leaf level admits
+    ~22k columns instead of ~353k).  The result is still the exact
+    brute-force argmin, because climb candidates go through the same
+    tie-breaking ``offer`` and bounds only ever discard provably worse
+    subtrees.  Twin prefixes (equal stage costs, different sizes) are
+    dropped by a dominance memo, which runs only on profiles with a
+    block cheap enough for a stage sum to absorb.  A subtree is
     discarded only when its lower bound exceeds the incumbent by more
     than the relative slack :data:`_PRUNE_SLACK` (``1 + 1e-9``), which
     absorbs float rounding so the search stays exact.
@@ -1078,8 +1144,8 @@ def exhaustive_partition(
     at the first bound above ``incumbent * _PRUNE_SLACK``;
     ``prune=False`` enumerates the full space in chunks of
     ``_DEFAULT_CHUNK // draws`` candidates (the specification).  Both
-    return the identical partition and objective value.  The planner
-    warm start is not used.  The winner's objective
+    return the identical partition and objective value.  The seed
+    climb is not used.  The winner's objective
     value is reported as ``ExhaustiveResult.robust_value``, while
     ``sim`` stays the winner's *nominal* simulation.
 
@@ -1171,24 +1237,6 @@ def _exhaustive_impl(
     comm = profile.comm_time
 
     mode = _search_mode(prune, robust)
-
-    extra_seeds: List[Tuple[int, ...]] = []
-    if (mode == "analytic" and num_stages > 1
-            and space >= _WARM_START_MIN_SPACE):
-        try:
-            with _obs.span("oracle.warm_start", depth=num_stages):
-                heur = plan_partition(
-                    profile, num_stages, num_micro_batches,
-                    comm_mode=comm_mode,
-                )
-            extra_seeds.append(
-                tuple(len(stage) for stage in heur.partition.stages)
-            )
-        except (ValueError, RuntimeError):
-            # The heuristic can be infeasible where the oracle is not
-            # (e.g. memory caps); the search just starts colder.
-            pass
-
     state = _SearchState()
     if mode == "robust":
         _search_robust_pruned(
@@ -1203,7 +1251,7 @@ def _exhaustive_impl(
     elif mode == "analytic":
         _search_analytic(
             fwd, bwd, comm, num_stages, num_micro_batches, comm_mode,
-            state, extra_seeds,
+            state,
         )
     else:
         _search_brute(

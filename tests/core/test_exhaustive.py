@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import exhaustive
+from repro import obs
+from repro.core import exhaustive, planner
 from repro.core.exhaustive import (
     count_partitions,
     exhaustive_partition,
@@ -172,19 +173,46 @@ class TestPrunedSearchExact:
         assert pruned.iteration_time == brute.iteration_time
         assert pruned.partition.stages == brute.partition.stages
 
-    def test_planner_warm_start_preserves_argmin(self, monkeypatch):
+    def test_dominance_memo_fires_on_one_zero_cost_block(self):
+        """All ``(fwd, bwd)`` pairs differ, yet the zero-cost block is
+        absorbed by any stage that holds it with its neighbour, so twin
+        prefixes exist and the memo must drop them."""
+        fwd = [1.0, 0.0, 2.0, 1.5, 1.1, 1.2, 0.7, 0.9]
+        bwd = [2 * f for f in fwd]
+        assert len(set(zip(fwd, bwd))) == len(fwd)
+        prof = make_profile(fwd, bwd, 0.1)
+        pruned = exhaustive_partition(prof, 4, 6)
+        brute = exhaustive_partition(prof, 4, 6, prune=False)
+        assert pruned.dominance_pruned > 0
+        assert pruned.iteration_time == brute.iteration_time
+        assert pruned.partition.stages == brute.partition.stages
+
+    def test_seed_climb_preserves_argmin(self, monkeypatch):
         fwd = [0.8, 1.2, 1.0, 0.7, 1.1, 0.9, 1.3, 0.6, 1.0, 0.8]
         bwd = [1.6, 2.1, 1.9, 1.5, 2.2, 1.8, 2.4, 1.3, 2.0, 1.7]
         prof = make_profile(fwd, bwd, 0.05)
-        # The 84-candidate space is far below the warm-start threshold;
-        # lowering the threshold to 1 turns the planner seed on.
+        # The 84-candidate space is far below the climb threshold;
+        # lowering the threshold to 1 turns the climb on.  The planner
+        # is no seed: calling it fails the search.
         base = exhaustive_partition(prof, 4, 6)
-        monkeypatch.setattr(exhaustive, "_WARM_START_MIN_SPACE", 1)
-        warm = exhaustive_partition(prof, 4, 6)
+
+        def no_planner(*args, **kwargs):
+            raise AssertionError("the oracle must not call the planner")
+
+        assert not hasattr(exhaustive, "plan_partition")
+        monkeypatch.setattr(planner, "plan_partition", no_planner)
+        monkeypatch.setattr(exhaustive, "_CLIMB_MIN_SPACE", 1)
+        tel = obs.Telemetry()
+        with obs.session(tel):
+            climbed = exhaustive_partition(prof, 4, 6)
         brute = exhaustive_partition(prof, 4, 6, prune=False)
-        for res in (base, warm):
+        for res in (base, climbed):
             assert res.iteration_time == brute.iteration_time
             assert res.partition.stages == brute.partition.stages
+        assert climbed.evaluations <= brute.evaluations
+        (climb,) = [e[4] for e in tel.events if e[0] == "oracle.climb"]
+        assert climb["rounds"] >= 1
+        assert 0 < climb["cols"] <= climb["rounds"] * 4 * 3
 
 
 class TestPruneSlack:
@@ -222,19 +250,22 @@ class TestPruneSlack:
 
 
 class TestOracleMemory:
-    def test_deep_search_streams_its_leaf_level(self):
+    def test_deep_search_streams_its_leaf_level(self, monkeypatch):
         """The analytic search keeps its levels as index arrays and
         scores the leaf level chunk by chunk, so a depth-12 search over
         ~353k admitted columns (gpt2-762m, micro-batch 1, m=24) peaks
-        under 96 MB of traced allocation (~44 MiB measured).  Holding the
+        under 96 MB of traced allocation (~40 MiB measured).  Holding the
         whole leaf level as ``(p, K)`` cost matrices would take ~250 MB.
         The leaf bounds prune all but a few percent of those columns
-        after the probe, so the kernel scores under a tenth of them."""
+        after the probe, so the kernel scores under a tenth of them.
+        The seed climb would shrink that leaf level to ~22k columns, so
+        it is switched off to keep the shape deep."""
         import tracemalloc
 
-        from repro import DEFAULT_CLUSTER_HW, TrainConfig, get_model, obs
+        from repro import DEFAULT_CLUSTER_HW, TrainConfig, get_model
         from repro.profiling import profile_model
 
+        monkeypatch.setattr(exhaustive, "_CLIMB_MIN_SPACE", float("inf"))
         profile = profile_model(
             get_model("gpt2-762m"), DEFAULT_CLUSTER_HW,
             TrainConfig(micro_batch_size=1, global_batch_size=1),

@@ -4,6 +4,8 @@
   the exact brute-force (``prune=False``) argmin — same partition, same
   iteration time — including on tie-heavy profiles where many
   partitions share the optimum.  The perf work must never break this.
+* The oracle's suffix min-max table equals a brute-force min over every
+  split of each suffix.
 * :class:`PipelineSimBatch` reads out ``K`` scalar :class:`PipelineSim`
   runs and checks its arguments.
 """
@@ -15,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.config import HardwareConfig, ModelConfig, TrainConfig
 from repro.core.analytic_sim import PipelineSim, PipelineSimBatch
 from repro.core import exhaustive
-from repro.core.exhaustive import exhaustive_partition
+from repro.core.exhaustive import exhaustive_partition, iter_partitions
 from repro.core.partition import StageTimes
 from repro.models.blocks import Block, BlockKind
 from repro.profiling.modelconfig import BlockProfile, ModelProfile
@@ -172,3 +174,64 @@ class TestPrunedMatchesBruteForce:
             pruned = exhaustive_partition(profile, p, m, comm_mode=comm_mode)
         assert pruned.partition.sizes == brute.partition.sizes
         assert pruned.iteration_time == brute.iteration_time  # bitwise
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=4, max_value=10),    # blocks
+        st.data(),
+    )
+    def test_seed_climb_gives_brute_argmin(self, n, data):
+        """With the climb forced on every space, its tightened incumbent
+        still leaves the brute force's partition and time."""
+        p = data.draw(st.integers(min_value=2, max_value=min(n, 6)))
+        m = data.draw(st.integers(min_value=1, max_value=8))
+        comm_mode = data.draw(st.sampled_from(["paper", "edges"]))
+        value = _TIE_HEAVY if data.draw(st.booleans()) else _CONTINUOUS
+        fwd = [data.draw(value | st.just(0.0)) for _ in range(n)]
+        bwd = [data.draw(value | st.just(0.0)) for _ in range(n)]
+        comm = data.draw(st.sampled_from([0.0, 0.25, 1.0]))
+        profile = make_profile(fwd, bwd, comm)
+        brute = exhaustive_partition(
+            profile, p, m, comm_mode=comm_mode, prune=False
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exhaustive, "_CLIMB_MIN_SPACE", 1)
+            pruned = exhaustive_partition(profile, p, m, comm_mode=comm_mode)
+        assert pruned.partition.sizes == brute.partition.sizes
+        assert pruned.iteration_time == brute.iteration_time  # bitwise
+        assert pruned.evaluations <= brute.evaluations
+
+
+class TestSuffixMinMax:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(_TIE_HEAVY | st.just(0.0), _CONTINUOUS | st.just(0.0)),
+            min_size=1, max_size=10,
+        ),
+        st.integers(min_value=1, max_value=10),
+    )
+    def test_minmax_is_brute_min_of_max_stage_load(self, blocks, p):
+        """``minmax[k][pos]`` is the smallest max stage load over every
+        split of blocks ``pos..n-1`` into ``k`` stages, a stage's load
+        being its difference of the left-fold prefix sums of ``f + b``
+        (``inf`` where ``k`` exceeds the blocks left)."""
+        fwd, bwd = zip(*blocks)
+        n = len(fwd)
+        p = min(p, n)
+        prefw = [0.0]
+        for f, b in zip(fwd, bwd):
+            prefw.append(prefw[-1] + (f + b))
+        bounds = exhaustive._Bounds(fwd, bwd, 0.25, p, 4)
+        assert bounds.prefw.tolist() == prefw
+        for k in range(1, p + 1):
+            for pos in range(n + 1):
+                expect = float("inf")
+                if k <= n - pos:
+                    for sizes in iter_partitions(n - pos, k):
+                        edges = np.cumsum((pos,) + sizes).tolist()
+                        expect = min(expect, max(
+                            prefw[b] - prefw[a]
+                            for a, b in zip(edges, edges[1:])
+                        ))
+                assert bounds.minmax[k][pos] == expect
