@@ -173,8 +173,12 @@ class TestOracleBitIdentity:
         objective = RobustObjective(
             models=(StageCostNoise(sigma=0.05),), draws=16, seed=3,
         )
-        # A 16-row chunk makes the bound-pruned path's first sweep a
-        # single candidate, so the bounds prune the rest of the space.
+        # A 16-column probe is one candidate under 16 draws, so the
+        # pruned path's bounds drop most of the space; the climb is
+        # forced on so that it records its span too.  The enumeration
+        # flushes in 16-row (one-candidate) chunks.
+        monkeypatch.setattr(exhaustive, "_PROBE_COLS", 16)
+        monkeypatch.setattr(exhaustive, "_CLIMB_MIN_SPACE", 1)
         monkeypatch.setattr(exhaustive, "_DEFAULT_CHUNK", 16)
         kwargs = dict(robust=objective, prune=prune)
         off = exhaustive_partition(tiny_profile, 3, 8, cache=False, **kwargs)
@@ -184,15 +188,31 @@ class TestOracleBitIdentity:
         assert on.robust_value == off.robust_value
         assert on.pruned == off.pruned
         names = {e[0] for e in tel.events}
-        assert {"robust.objective_batch", "oracle.chunk_flush"} <= names
-        assert tel.counters["robust.candidates"] == on.evaluations
-        assert tel.counters["robust.draw_sims"] == 16 * on.evaluations
         assert tel.counters["oracle.pruned"] == on.pruned
         (span,) = [e for e in tel.events if e[0] == "oracle.search"]
         assert span[4]["mode"] == ("robust" if prune else "robust_brute")
         if prune:
+            # The nominal search's spans, each kernel sweep scoring its
+            # columns under every draw.
+            assert {
+                "oracle.climb", "oracle.level", "oracle.probe",
+                "oracle.kernel_sweep",
+            } <= names
+            assert not {"robust.objective_batch", "oracle.chunk_flush"} & names
+            sweeps = [
+                e[4] for e in tel.events if e[0] == "oracle.kernel_sweep"
+            ]
+            assert {s["draws"] for s in sweeps} == {16}
+            (probe,) = [e[4] for e in tel.events if e[0] == "oracle.probe"]
+            assert probe["cols"] == 1
+            assert probe["cols"] + probe["survivors"] == sum(
+                s["cols"] for s in sweeps
+            )
             assert on.pruned > 0
         else:
+            assert {"robust.objective_batch", "oracle.chunk_flush"} <= names
+            assert tel.counters["robust.candidates"] == on.evaluations
+            assert tel.counters["robust.draw_sims"] == 16 * on.evaluations
             assert on.pruned == 0
 
     def test_plan_cache_counters(self, tiny_profile, tmp_path):
