@@ -28,6 +28,7 @@ from repro.core.partition import PartitionScheme, StageTimes
 from repro.core.analytic_sim import PipelineSim
 from repro.models.costs import small_batch_slowdown
 from repro.parallel.data_parallel import allreduce_seconds
+from repro.parallel.memory_model import SEMANTICS, config_memory, over_cap
 from repro.profiling.modelconfig import ModelProfile
 
 
@@ -53,7 +54,7 @@ class PlannedConfig:
     semantics: str = "stream"
 
     def __post_init__(self) -> None:
-        if self.semantics not in ("stream", "subbatch"):
+        if self.semantics not in SEMANTICS:
             raise ValueError(f"unknown semantics {self.semantics!r}")
         if len(self.replicas) != self.partition.num_stages:
             raise ValueError("one replica count per stage required")
@@ -143,36 +144,6 @@ def effective_stage_times(
     return StageTimes(tuple(fwd), tuple(bwd), profile.comm_time)
 
 
-def config_memory(
-    profile: ModelProfile,
-    partition: PartitionScheme,
-    replicas: Sequence[int],
-    num_micro_batches: int,
-    micro_batch_size: int,
-    semantics: str = "stream",
-) -> List[float]:
-    """Peak bytes per device of each stage under either semantics."""
-    out: List[float] = []
-    n = partition.num_stages
-    for s, (stage, r) in enumerate(zip(partition.stages, replicas)):
-        if semantics == "stream":
-            fraction = 1.0
-            m_local = math.ceil(num_micro_batches / r)
-        else:
-            sub = math.ceil(micro_batch_size / max(1, min(r, micro_batch_size)))
-            fraction = sub / micro_batch_size
-            m_local = num_micro_batches
-        static = sum(profile.blocks[i].params for i in stage) \
-            * profile.train.bytes_per_param_state
-        stash = sum(profile.blocks[i].stash_bytes for i in stage) * fraction
-        workspace = max(
-            profile.blocks[i].workspace_bytes for i in stage
-        ) * fraction
-        in_flight = min(m_local, n - s)
-        out.append(static + in_flight * stash + workspace)
-    return out
-
-
 def evaluate_config(
     profile: ModelProfile,
     config: PlannedConfig,
@@ -249,7 +220,7 @@ def evaluate_config(
     peaks = config_memory(
         profile, config.partition, config.replicas, m, mbs, config.semantics
     )
-    oom = any(p > profile.hardware.gpu_memory for p in peaks)
+    oom = bool(over_cap(peaks, profile.hardware.gpu_memory))
     return ConfigEvaluation(
         config=config,
         iteration_seconds=sim.iteration_time + fill_correction + reduce_t,

@@ -27,8 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.baselines.common import PlannedConfig
-from repro.core.partition import PartitionScheme
-from repro.core.planner import _check_count
+from repro.core.partition import PartitionScheme, _check_count
 from repro.models.transformer import layer_groups
 from repro.profiling.modelconfig import ModelProfile
 

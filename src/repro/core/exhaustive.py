@@ -48,8 +48,8 @@ import numpy as np
 
 from repro.core.analytic_sim import PipelineSim, SimResult
 from repro.core.balance_dp import min_max_partition
-from repro.core.partition import PartitionScheme, StageTimes
-from repro.core.planner import _check_count, _check_jobs
+from repro.core.partition import PartitionScheme, StageTimes, _check_count
+from repro.core.planner import _check_jobs
 from repro.obs import stats as _stats
 from repro.obs import telemetry as _obs
 from repro.profiling.modelconfig import ModelProfile
@@ -361,18 +361,13 @@ class _Objective:
         #: stage-major ``(p, D)`` fwd / bwd factors (None when nominal).
         self.ff = self.fb = None
         #: per-draw comm: ``comm`` itself when nominal, else ``(D,)``.
-        self.comm_d = comm
-        self._kernel_comm: Optional[float] = None
+        self.comm = self.comm_d = comm
         if robust is not None:
-            factors = robust.factors(num_stages)
-            self.draws = factors.draws
-            self.ff = np.ascontiguousarray(factors.fwd.T)
-            self.fb = np.ascontiguousarray(factors.bwd.T)
-            self.comm_d = factors.comm * comm
-            # Equal per-draw comm (no comm perturbation) is passed to the
-            # kernel as a scalar: the same adds, without the vector path.
-            if (self.comm_d == self.comm_d[0]).all():
-                self._kernel_comm = float(self.comm_d[0])
+            self.factors = robust.factors(num_stages)
+            self.draws = self.factors.draws
+            self.ff = np.ascontiguousarray(self.factors.fwd.T)
+            self.fb = np.ascontiguousarray(self.factors.bwd.T)
+            self.comm_d = self.factors.comm * comm
 
     def reduce(self, per_draw: np.ndarray) -> np.ndarray:
         """The objective of per-draw values (draws on the last axis; a
@@ -401,9 +396,8 @@ class _Objective:
         d = self.draws
         pf = (f_t[:, :, None] * self.ff[:, None, :]).reshape(p, cols * d)
         pb = (b_t[:, :, None] * self.fb[:, None, :]).reshape(p, cols * d)
-        comm = self._kernel_comm
         times, _ = frontier_times_transposed(
-            pf, pb, np.tile(self.comm_d, cols) if comm is None else comm,
+            pf, pb, self.factors.kernel_comm(self.comm, cols),
             self.m, comm_mode=self.comm_mode,
         )
         return self.reduce(times.reshape(cols, d)), None

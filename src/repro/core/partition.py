@@ -144,6 +144,17 @@ class StageTimes:
         return float(np.std(np.asarray(self.total)))
 
 
+def _check_count(name: str, value, minimum: int = 1) -> int:
+    """``value`` as an ``int``: a bool or non-integral value (numpy
+    integers pass) raises ``TypeError``, one below ``minimum``
+    ``ValueError``, both naming the argument ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 def check_covers(partition: PartitionScheme, profile: ModelProfile) -> None:
     """Raise ``ValueError`` unless ``partition`` covers exactly the
     profile's blocks."""

@@ -28,16 +28,20 @@ from __future__ import annotations
 import time as _time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.analytic_sim import PipelineSim, SimResult
 from repro.core.balance_dp import BalanceTable
-from repro.core.partition import PartitionScheme, StageTimes, shift_repair
+from repro.core.partition import (
+    PartitionScheme, StageTimes, _check_count, shift_repair,
+)
 from repro.models.transformer import layer_groups
 from repro.obs import stats as _stats
 from repro.obs import telemetry as _obs
+from repro.parallel.memory_model import MemoryTable, over_cap
 from repro.profiling.modelconfig import ModelProfile
 from repro.robustness.evaluate import RobustObjective, robust_objective_batch
 
@@ -168,16 +172,6 @@ class _UnitSpace:
             sum(profile.blocks[i].bwd_time for i in u) for u in units
         ]
         self.weights = [f + b for f, b in zip(self.fwd, self.bwd)]
-        state = profile.train.bytes_per_param_state
-        self.static = [
-            sum(profile.blocks[i].params for i in u) * state for u in units
-        ]
-        self.stash = [
-            sum(profile.blocks[i].stash_bytes for i in u) for u in units
-        ]
-        self.workspace = [
-            max(profile.blocks[i].workspace_bytes for i in u) for u in units
-        ]
         self._balance: Optional[BalanceTable] = None
 
     def balance_table(self, max_stages: int) -> BalanceTable:
@@ -193,19 +187,10 @@ class _UnitSpace:
             self._balance = cached
         return cached
 
-    def stage_memory(self, sizes: Sizes, num_micro_batches: int) -> List[float]:
-        """Predicted per-stage peak bytes under 1F1B for this partition."""
-        n = len(sizes)
-        out: List[float] = []
-        pos = 0
-        for s, size in enumerate(sizes):
-            in_flight = min(num_micro_batches, n - s)
-            static = sum(self.static[pos:pos + size])
-            stash = sum(self.stash[pos:pos + size])
-            workspace = max(self.workspace[pos:pos + size])
-            out.append(static + in_flight * stash + workspace)
-            pos += size
-        return out
+    @cached_property
+    def memory(self) -> MemoryTable:
+        """Per-unit memory table, built only for ``memory_cap`` plans."""
+        return MemoryTable(self.profile, self.units)
 
     @property
     def num_units(self) -> int:
@@ -300,21 +285,6 @@ def _shift_candidates(
             tuple(rebalanced) + (sizes[master + 1] + 1,) + tuple(sizes[master + 2:])
         )
     return out
-
-
-def _check_count(name: str, value, minimum: int = 1) -> int:
-    """Validate an integer search argument and return it as an ``int``.
-
-    A bool or non-integral value raises ``TypeError`` (``True`` is an
-    ``int`` subclass, but ``num_stages=True`` is a typo, not 1); numpy
-    integers are accepted.  A value below ``minimum`` raises
-    ``ValueError``.  Both messages name the argument.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
 
 
 def _check_jobs(jobs) -> None:
@@ -467,9 +437,8 @@ def _plan_impl(
             return True
         cached = feasible.get(sizes)
         if cached is None:
-            cached = all(
-                p <= memory_cap
-                for p in space.stage_memory(sizes, num_micro_batches)
+            cached = not over_cap(
+                space.memory.stage_peaks(sizes, num_micro_batches), memory_cap
             )
             feasible[sizes] = cached
         return cached
@@ -532,7 +501,7 @@ def _plan_impl(
         # variant so a feasible optimum is always reachable.
         repaired = shift_repair(
             seed,
-            lambda sizes: space.stage_memory(sizes, num_micro_batches),
+            lambda sizes: space.memory.stage_peaks(sizes, num_micro_batches),
             memory_cap, space.num_units,
         )
         if repaired is not None and repaired not in enqueued:

@@ -21,25 +21,13 @@ import time as _time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.baselines.common import PlannedConfig, config_memory
+from repro.baselines.common import PlannedConfig
 from repro.core.balance_dp import BalanceTable
 from repro.obs import telemetry as _obs
-from repro.core.partition import PartitionScheme, shift_repair
-from repro.core.planner import _check_count, plan_partition
+from repro.core.partition import PartitionScheme, _check_count, shift_repair
+from repro.core.planner import plan_partition
+from repro.parallel.memory_model import config_memory, over_cap
 from repro.profiling.modelconfig import ModelProfile
-
-
-def _peaks(
-    profile: ModelProfile,
-    partition: PartitionScheme,
-    dp: int,
-    num_micro_batches_total: int,
-    mbs: int,
-) -> list:
-    return config_memory(
-        profile, partition, (dp,) * partition.num_stages,
-        num_micro_batches_total, mbs, "stream",
-    )
 
 
 def _fits(
@@ -49,8 +37,11 @@ def _fits(
     num_micro_batches_total: int,
     mbs: int,
 ) -> bool:
-    peaks = _peaks(profile, partition, dp, num_micro_batches_total, mbs)
-    return all(p <= profile.hardware.gpu_memory for p in peaks)
+    peaks = config_memory(
+        profile, partition, (dp,) * partition.num_stages,
+        num_micro_batches_total, mbs,
+    )
+    return not over_cap(peaks, profile.hardware.gpu_memory)
 
 
 def repair_memory(
@@ -70,8 +61,8 @@ def repair_memory(
     """
     sizes = shift_repair(
         partition.sizes,
-        lambda sizes: _peaks(
-            profile, PartitionScheme.from_sizes(sizes), dp,
+        lambda sizes: config_memory(
+            profile, PartitionScheme.from_sizes(sizes), (dp,) * len(sizes),
             num_micro_batches_total, mbs,
         ),
         profile.hardware.gpu_memory,

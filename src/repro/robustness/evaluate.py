@@ -137,9 +137,10 @@ def robust_iteration_times(
     perturbed :class:`PipelineSim` runs produce (the kernel's contract,
     property-tested in ``tests/sim/test_analytic.py``).
     """
-    fwd, bwd, comm = factors.apply(times)
+    fwd, bwd, _ = factors.apply(times)
     return frontier_times(
-        fwd, bwd, comm, num_micro_batches, comm_mode=comm_mode
+        fwd, bwd, factors.kernel_comm(times.comm), num_micro_batches,
+        comm_mode=comm_mode,
     )
 
 
@@ -201,9 +202,9 @@ def robust_objective_batch(
         rows = c1 - c0
         pf = np.repeat(fwd[c0:c1], k, axis=0) * np.tile(factors.fwd, (rows, 1))
         pb = np.repeat(bwd[c0:c1], k, axis=0) * np.tile(factors.bwd, (rows, 1))
-        pc = np.tile(factors.comm * comm, rows)
         per_draw = frontier_times(
-            pf, pb, pc, num_micro_batches, comm_mode=comm_mode
+            pf, pb, factors.kernel_comm(comm, rows), num_micro_batches,
+            comm_mode=comm_mode,
         ).reshape(rows, k)
         values[c0:c1] = reduce_statistic(per_draw, statistic, axis=1)
     if tel is not None:

@@ -202,6 +202,15 @@ class StageFactors:
         comm = self.comm * times.comm
         return fwd, bwd, comm
 
+    def kernel_comm(self, comm: float, columns: int = 1):
+        """Per-draw comm ``self.comm * comm`` as the frontier kernel takes
+        it: one float when every draw's is equal (the scalar sweep does the
+        same adds, ~20% faster), else tiled for ``columns`` candidates."""
+        per_draw = self.comm * comm
+        if (per_draw == per_draw[0]).all():
+            return float(per_draw[0])
+        return np.tile(per_draw, columns)
+
 
 def draw_factors(
     models: Sequence[PerturbationModel],

@@ -63,9 +63,9 @@ schedule / question                   evaluator
 plain 1F1B iteration times            :func:`frontier_times` (this module)
 oracle candidate frontier (K at once) :func:`frontier_times_transposed`
 robust draws, ``(K,)`` comm vectors   :func:`frontier_times` (vector comm)
-per-stage busy / bubble / memory      :func:`stage_busy_times` /
-                                      :func:`bubble_fractions` /
-                                      :func:`peak_inflight_memory`
+per-stage busy / bubble               :func:`stage_busy_times` /
+                                      :func:`bubble_fractions`
+per-stage peak memory                 :mod:`repro.parallel.memory_model`
 per-op critical path, master stage    :class:`~repro.core.analytic_sim.
                                       PipelineSim`, the exact scalar
                                       evaluator (the planner's shift loop
@@ -106,7 +106,6 @@ __all__ = [
     "frontier_times_transposed",
     "stage_busy_times",
     "bubble_fractions",
-    "peak_inflight_memory",
     "execute_analytic",
 ]
 
@@ -456,28 +455,6 @@ def bubble_fractions(
     with np.errstate(divide="ignore", invalid="ignore"):
         frac = 1.0 - busy / it
     return np.where(it > 0, frac, 0.0)
-
-
-def peak_inflight_memory(
-    static, stash, workspace, num_micro_batches: int
-) -> np.ndarray:
-    """Peak per-stage memory of ``K`` candidates, ``(K, num_stages)``.
-
-    Closed form of the 1F1B in-flight bound the planner's memory filter
-    uses (``_UnitSpace.stage_memory``): stage ``s`` holds at most
-    ``min(m, n - s)`` stashed activations at once, on top of its static
-    parameter/optimizer bytes and one transient workspace.  ``static`` /
-    ``stash`` are per-stage *sums* over the stage's blocks and
-    ``workspace`` the per-stage *max*, all ``(K, num_stages)``.
-    """
-    static = _as_cost_matrix(static, "static")
-    stash = _as_cost_matrix(stash, "stash")
-    workspace = _as_cost_matrix(workspace, "workspace")
-    n = static.shape[1]
-    in_flight = np.minimum(
-        num_micro_batches, n - np.arange(n, dtype=np.float64)
-    )
-    return static + in_flight * stash + workspace
 
 
 # -- direct clock propagation over lowered programs -------------------------

@@ -24,7 +24,7 @@ class TestUnitSpaceMemory:
         space = _UnitSpace(tiny_profile, "sublayer")
         part = balanced_partition(tiny_profile.block_times(), 3)
         sizes = part.sizes
-        via_space = space.stage_memory(sizes, 8)
+        via_space = space.memory.stage_peaks(sizes, 8)
         via_model = [
             stage_memory(tiny_profile, part, s, 8) for s in range(3)
         ]
@@ -36,14 +36,14 @@ class TestMemoryCap:
         cap = hungry_profile.hardware.gpu_memory
         free = plan_partition(hungry_profile, 2, 8)
         space = _UnitSpace(hungry_profile, "sublayer")
-        peaks = space.stage_memory(free.partition.sizes, 8)
+        peaks = space.memory.stage_peaks(free.partition.sizes, 8)
         assert max(peaks) > cap  # time-balance alone overloads the head stage
 
     def test_capped_plan_fits(self, hungry_profile):
         cap = hungry_profile.hardware.gpu_memory
         capped = plan_partition(hungry_profile, 2, 8, memory_cap=cap)
         space = _UnitSpace(hungry_profile, "sublayer")
-        peaks = space.stage_memory(capped.partition.sizes, 8)
+        peaks = space.memory.stage_peaks(capped.partition.sizes, 8)
         assert max(peaks) <= cap
 
     def test_capped_plan_no_better_than_free(self, hungry_profile):

@@ -188,6 +188,20 @@ class TestBatchedEqualsScalar:
                 routed, _k_scalar_sims(fwd, bwd, comm, m, mode)
             )
 
+    def test_kernel_comm_is_scalar_without_comm_perturbation(self):
+        """Equal per-draw comm reaches the kernel as one float; a comm
+        perturbation keeps the per-draw vector, tiled per candidate."""
+        plain = draw_factors((StageCostNoise(0.2),), 3, 16, 0)
+        assert type(plain.kernel_comm(0.25, 5)) is float
+        assert plain.kernel_comm(0.25, 5) == 0.25 * plain.comm[0]
+        degraded = draw_factors((CommDegradation(2.0, probability=0.5),),
+                                3, 16, 0)
+        per_draw = degraded.comm * 0.25
+        assert len(set(per_draw.tolist())) == 2
+        assert np.array_equal(
+            degraded.kernel_comm(0.25, 5), np.tile(per_draw, 5)
+        )
+
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_objective_batch_matches_per_candidate(self, data):

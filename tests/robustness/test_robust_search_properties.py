@@ -281,7 +281,7 @@ def _assert_matches_replay(profile, depth, m, objective, **kwargs):
     cap = kwargs.get("memory_cap")
     fitting = [
         (sizes, t) for sizes, t in nominal.history
-        if cap is None or max(space.stage_memory(sizes, m)) <= cap
+        if cap is None or max(space.memory.stage_peaks(sizes, m)) <= cap
     ]
     sizes, value, updates = _select(fitting)
     assert nominal.partition.sizes == sizes

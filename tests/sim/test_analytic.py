@@ -68,7 +68,6 @@ from repro.sim.analytic import (
     execute_analytic,
     frontier_times,
     frontier_times_transposed,
-    peak_inflight_memory,
     stage_busy_times,
 )
 from repro.sim.engine import Engine
@@ -520,6 +519,9 @@ def test_busy_and_bubble_match_sim_result(n, m, comm_mode, seed):
     seed=st.integers(min_value=0, max_value=10**6),
 )
 def test_peak_memory_matches_planner_model(blocks, p, m, seed):
+    """The planner's memory model is the 1F1B in-flight closed form: stage
+    ``s`` holds ``min(m, n - s)`` stashes on top of its static bytes and
+    one transient workspace."""
     p = min(p, blocks)
     rng = random.Random(seed)
     costs = [(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
@@ -528,12 +530,9 @@ def test_peak_memory_matches_planner_model(blocks, p, m, seed):
     cuts = sorted(rng.sample(range(1, blocks), p - 1))
     partition = PartitionScheme.from_boundaries(blocks, cuts)
     state = prof.train.bytes_per_param_state
-    static = [[sum(prof.blocks[i].params for i in blk) * state
-               for blk in partition.stages]]
-    stash = [[sum(prof.blocks[i].stash_bytes for i in blk)
-              for blk in partition.stages]]
-    work = [[max(prof.blocks[i].workspace_bytes for i in blk)
-             for blk in partition.stages]]
-    peaks = peak_inflight_memory(static, stash, work, m)
-    for s in range(p):
-        assert peaks[0, s] == stage_memory(prof, partition, s, m)
+    for s, blk in enumerate(partition.stages):
+        static = sum(prof.blocks[i].params for i in blk) * state
+        stash = sum(prof.blocks[i].stash_bytes for i in blk)
+        work = max(prof.blocks[i].workspace_bytes for i in blk)
+        closed_form = static + min(m, p - s) * stash + work
+        assert closed_form == stage_memory(prof, partition, s, m)
