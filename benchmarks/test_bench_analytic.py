@@ -1,6 +1,6 @@
 """Analytic max-plus kernel bench: frontier sweep vs graph vs event loop.
 
-Prints two tables:
+Prints three tables:
 
 * the kernel table — scoring one 1F1B pipeline at depths 8–64 via the
   closed-form frontier sweep (single candidate and amortised over a
@@ -8,6 +8,10 @@ Prints two tables:
   engine.  The kernel reads only the ``(K, depth)`` stage-cost matrix,
   so its cost is independent of the per-op count that both executors
   walk.
+* the climb-width table — one stage-major sweep of K = 70 columns, the
+  width of an oracle seed-climb round, at a depth-8 and a depth-12
+  shape in both comm modes: the small-K per-call cost, which is mostly
+  fixed per-step overhead.  It is printed, not bounded.
 * the oracle table — the depth-8/10 exact oracle end to end (the
   pruned, kernel-scored search) against its specification, the
   ``prune=False`` brute force.  The brute force is *projected*, not
@@ -42,12 +46,16 @@ from repro.hardware.cluster import Cluster
 from repro.hardware.device import DEFAULT_CLUSTER_HW
 from repro.profiling import profile_model
 from repro.runtime.trainer import build_schedule
-from repro.sim.analytic import frontier_times
+from repro.sim.analytic import frontier_times, frontier_times_transposed
 from repro.sim.engine import Engine
 from repro.sim.graph_exec import compile_graph
 
 KERNEL_DEPTHS = (8, 16, 32, 64)
 _BATCH_K = 1024
+#: columns of one oracle seed-climb round, and the (depth, m) shapes
+#: timed at that width.
+_CLIMB_K = 70
+_CLIMB_SHAPES = ((8, 16), (12, 24))
 #: candidates timed to project the brute force's per-candidate cost.
 _BRUTE_SAMPLE = 2000
 #: floor on projected-brute / pruned-oracle wall clock at depth 8.
@@ -105,6 +113,33 @@ def run_kernel_vs_executors():
     return result
 
 
+def run_kernel_at_climb_width():
+    result = ExperimentResult(
+        name=f"Frontier kernel at the seed climb's width (K = {_CLIMB_K})",
+        headers=["depth", "m", "paper (µs/call)", "edges (µs/call)",
+                 "paper per column (µs)"],
+    )
+    rng = np.random.default_rng(0)
+    for depth, m in _CLIMB_SHAPES:
+        fwd_t = rng.uniform(0.3, 4.0, size=(depth, _CLIMB_K))
+        bwd_t = rng.uniform(0.5, 6.0, size=(depth, _CLIMB_K))
+        per_call = {
+            mode: _best_of(
+                lambda mode=mode: frontier_times_transposed(
+                    fwd_t, bwd_t, 0.1, m, comm_mode=mode
+                ),
+                9,
+            )
+            for mode in ("paper", "edges")
+        }
+        result.rows.append([
+            depth, m, f"{per_call['paper'] * 1e6:.0f}",
+            f"{per_call['edges'] * 1e6:.0f}",
+            f"{per_call['paper'] * 1e6 / _CLIMB_K:.2f}",
+        ])
+    return result
+
+
 def projected_brute_seconds(profile, depth: int, m: int, space: int) -> float:
     """The ``prune=False`` oracle's projected wall clock: ``space`` times
     the mean scalar simulation time over a fixed random sample.
@@ -157,12 +192,15 @@ def run_oracle_end_to_end():
 
 def run_analytic_bench():
     kernel_result = run_kernel_vs_executors()
+    climb_result = run_kernel_at_climb_width()
     oracle_result = run_oracle_end_to_end()
     combined = ExperimentResult(
         name=kernel_result.name, headers=kernel_result.headers,
         rows=kernel_result.rows,
         meta={"oracle_rows": oracle_result.rows},
     )
+    print()
+    print(climb_result.render())
     print()
     print(oracle_result.render())
     return combined

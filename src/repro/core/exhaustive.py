@@ -80,12 +80,13 @@ _DEFAULT_CHUNK = 1024
 _CLIMB_MIN_SPACE = 1_000_000
 
 #: leaf columns assembled and scored per frontier-kernel call in the
-#: analytic search.  The kernel walks its ~6p stage-major rows once per
-#: anti-diagonal, so the chunk is sized for cache, not call overhead: on
-#: a 2-core x86-64 host (2 MB L2 per core) depth-12 zoo searches score
-#: ~1.8x faster per column at 8 192 columns than at 131 072 (4 096 and
-#: 16 384 are within noise), and ~2x slower again at 1 024 on the fixed
-#: per-call cost.  Results are chunk-size-invariant: pure tuning.
+#: analytic search.  The kernel walks its ~4p stage-major rows once per
+#: paired step (one anti-diagonal), so the chunk is sized for cache, not
+#: call overhead: on a 2-core x86-64 host (2 MB L2 per core) depth-12
+#: zoo searches score ~1.8x faster per column at 8 192 columns than at
+#: 131 072 (4 096 and 16 384 are within noise), and ~2x slower again at
+#: 1 024 on the fixed per-call cost.  Results are chunk-size-invariant:
+#: pure tuning.
 _ANALYTIC_BLOCK = 8_192
 
 #: columns below which a chunk runs without the mid-sweep sieve.  Same

@@ -17,6 +17,7 @@ and 4 stages for GPT-2 1.3B at mbs 16 (Table IV).
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -26,7 +27,12 @@ from repro.core.balance_dp import BalanceTable
 from repro.obs import telemetry as _obs
 from repro.core.partition import PartitionScheme, _check_count, shift_repair
 from repro.core.planner import plan_partition
-from repro.parallel.memory_model import config_memory, over_cap
+from repro.parallel.memory_model import (
+    MemoryTable,
+    _check_config,
+    config_memory,
+    over_cap,
+)
 from repro.profiling.modelconfig import ModelProfile
 
 
@@ -57,14 +63,19 @@ def repair_memory(
     exceed device memory (its logits workspace is batch-proportional).
     This pass moves one boundary block at a time from the most-violating
     stage to its lighter neighbour, preferring the neighbour with more
-    headroom, and gives up (returns ``None``) when no move helps.
+    headroom, and gives up (returns ``None``) when no move helps.  Every
+    move is scored by one :class:`MemoryTable`, with
+    :func:`config_memory`'s stream peaks at a uniform width ``dp``.
     """
+    m, _, replicas = _check_config(
+        profile, partition, (dp,) * partition.num_stages,
+        num_micro_batches_total, mbs,
+    )
+    table = MemoryTable(profile)
+    in_flight = math.ceil(m / replicas[0])
     sizes = shift_repair(
         partition.sizes,
-        lambda sizes: config_memory(
-            profile, PartitionScheme.from_sizes(sizes), (dp,) * len(sizes),
-            num_micro_batches_total, mbs,
-        ),
+        lambda sizes: table.stage_peaks(sizes, in_flight),
         profile.hardware.gpu_memory,
         profile.num_blocks,
     )

@@ -4,31 +4,36 @@
 workspace * fraction``.  ``static`` is ``params *
 TrainConfig.bytes_per_param_state``; with activation checkpointing each
 in-flight micro-batch stashes one input per block — ``min(m, n - stage)``
-under 1F1B (``ceil(m / r)`` for a stream replica), ``m`` under GPipe, and
-on an interleaved device its warmup forwards plus one, summed per chunk (the
-memory that makes it OOM at large micro-batches, paper Fig. 14(a));
+under 1F1B (``ceil(m / r)`` for a stream replica) and ``m`` under GPipe;
 ``workspace`` is the largest transient of any block; ``fraction`` is a
 sub-batch replica's ``ceil(mbs / r) / mbs`` share.  A stage fits when
-``peak <= cap`` (:func:`over_cap`).
+``peak <= cap`` (:func:`over_cap`).  An interleaved device's chunks stash
+unequal bytes and its peak can fall after its first warmup window, so
+:func:`interleaved_stage_memory` replays the device's op order over the
+same per-chunk tables instead (the memory that makes it OOM at large
+micro-batches, paper Fig. 14(a)).
 
 Callers: :func:`stage_memory`, :func:`pipeline_fits` and
 :func:`interleaved_stage_memory`; the Planner's ``memory_cap`` filter and
 repaired seed, over its granularity units; :func:`config_memory`, behind
 every baseline's ``evaluate_config`` OOM flag and AutoPipe's depth choice
-(:mod:`repro.core.strategy`).  DAPPLE's optimistic ``feasible`` and
-Piper's TP-divided ``_StageTables`` are those planners' own accounting
-and stay in :mod:`repro.baselines`.  ``tests/parallel/test_memory_model.py``
-holds the 1F1B and GPipe peaks bit-identical to the DES's, and the
-interleaved within 1%.
+(:mod:`repro.core.strategy`, whose repair scores every move from one
+table).  DAPPLE's optimistic ``feasible`` and Piper's TP-divided
+``_StageTables`` are those planners' own accounting and stay in
+:mod:`repro.baselines`.  ``tests/parallel/test_memory_model.py`` holds
+the 1F1B, GPipe and interleaved peaks bit-identical to the DES's on
+random integral-byte profiles, and the interleaved within 1% on the zoo.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.partition import PartitionScheme, _check_count, check_covers
 from repro.profiling.modelconfig import ModelProfile
+from repro.schedules.base import OP_B, OP_F
+from repro.schedules.interleaved import interleaved
 
 #: replica semantics :func:`config_memory` models.
 SEMANTICS = ("stream", "subbatch")
@@ -140,9 +145,13 @@ def interleaved_stage_memory(
 ) -> float:
     """Predicted peak bytes of one device under the interleaved schedule.
 
-    ``chunk_blocks`` are the v model chunks resident on this device.  At
-    its peak it stashes its first warmup-plus-one forwards (all ``m v``
-    when ``m == n``), which run ``n`` micro-batches per chunk in turn.
+    ``chunk_blocks`` are the v model chunks resident on this device.  The
+    device's forwards and backwards are replayed in the schedule's own
+    order (:func:`repro.schedules.interleaved.interleaved`) on the
+    engine's ledger: a forward stashes its chunk's bytes, a backward
+    frees them, and each pass peaks at the held bytes plus its chunk's
+    workspace.  A chunk that stashes more than the first can peak in the
+    steady state, after the first warmup window.
     """
     v = len(chunk_blocks)
     if v == 0:
@@ -150,12 +159,23 @@ def interleaved_stage_memory(
     m = _check_count("num_micro_batches", num_micro_batches)
     n = _check_count("num_stages", num_stages)
     stage = _check_stage(stage, n)
-    units = m * v if m == n else min(m * v, 2 * (n - stage - 1) + (v - 1) * n + 1)
-    rounds, rest = divmod(units, n * v)
-    return MemoryTable(profile, chunk_blocks).peak(
-        [slice(c, c + 1) for c in range(v)],
-        [rounds * n + min(n, max(0, rest - c * n)) for c in range(v)],
-    )
+    table = MemoryTable(profile, chunk_blocks)
+    ops = interleaved(n, m, v)
+    mine = (ops.dev == stage) & ((ops.kind == OP_F) | (ops.kind == OP_B))
+    held = peak = 0.0
+    for forward, chunk in zip(
+        (ops.kind[mine] == OP_F).tolist(), ops.chunk[mine].tolist()
+    ):
+        if forward:
+            held += table.stash[chunk]
+        if held + table.workspace[chunk] > peak:
+            peak = held + table.workspace[chunk]
+        if not forward:
+            held -= table.stash[chunk]
+    static = 0.0
+    for unit_static in table.static:  # left to right, as ``peak`` sums
+        static += unit_static
+    return static + peak
 
 
 def pipeline_fits(
@@ -174,6 +194,29 @@ def pipeline_fits(
     return over_cap(peaks, profile.hardware.gpu_memory)
 
 
+def _check_config(
+    profile: ModelProfile,
+    partition: PartitionScheme,
+    replicas: Sequence[int],
+    num_micro_batches: int,
+    micro_batch_size: int,
+    semantics: str = "stream",
+) -> Tuple[int, int, List[int]]:
+    """:func:`config_memory`'s input checks; returns ``m``, ``mbs`` and
+    the replica counts as ints."""
+    check_covers(partition, profile)
+    m = _check_count("num_micro_batches", num_micro_batches)
+    mbs = _check_count("micro_batch_size", micro_batch_size)
+    if semantics not in SEMANTICS:
+        raise ValueError(f"unknown semantics {semantics!r}")
+    if len(replicas) != partition.num_stages:
+        raise ValueError(
+            f"replicas has {len(replicas)} entries for "
+            f"{partition.num_stages} stages"
+        )
+    return m, mbs, [_check_count("replicas", r) for r in replicas]
+
+
 def config_memory(
     profile: ModelProfile,
     partition: PartitionScheme,
@@ -185,17 +228,10 @@ def config_memory(
     """Peak bytes per device of each replicated stage under 1F1B: a
     ``stream`` replica runs ``ceil(m / r)`` whole micro-batches, a
     ``subbatch`` one every micro-batch at ``ceil(mbs / r) / mbs``."""
-    check_covers(partition, profile)
-    m = _check_count("num_micro_batches", num_micro_batches)
-    mbs = _check_count("micro_batch_size", micro_batch_size)
-    if semantics not in SEMANTICS:
-        raise ValueError(f"unknown semantics {semantics!r}")
-    if len(replicas) != partition.num_stages:
-        raise ValueError(
-            f"replicas has {len(replicas)} entries for "
-            f"{partition.num_stages} stages"
-        )
-    rs = [_check_count("replicas", r) for r in replicas]
+    m, mbs, rs = _check_config(
+        profile, partition, replicas, num_micro_batches, micro_batch_size,
+        semantics,
+    )
     if semantics == "stream":
         return MemoryTable(profile).stage_peaks(
             partition.sizes, [math.ceil(m / r) for r in rs]

@@ -33,10 +33,27 @@ a frontier sweep possible:
 
 So two rolling vectors — ``F[x]`` = latest forward end of stage ``x``,
 ``B[x]`` = latest backward end — carry the whole dependence state, and
-each update touches a strided row range of the ``(n, K)`` matrices.
-The sweep is three loops: warmup diagonals, one steady loop whose every
-step runs its F-half, its B-half and, at a checkpoint, the sieve, and
-cooldown diagonals.
+each update touches a row range of the ``(n, K)`` matrices.  The sweep
+is three loops: warmup diagonals, one steady loop of *paired* steps,
+and cooldown diagonals.
+
+A paired step runs step ``t``'s B-half together with step ``t + 1``'s
+F-half.  With frontier rows ``F[k]`` (stage ``k - 1``'s forward) and
+``B[k]`` (stage ``k``'s backward), the B-half of stage ``k - 1`` reads
+``F[k]`` (its own F) and ``B[k]`` (the cross B), and the F-half of
+stage ``k`` reads the same ``F[k]`` (the cross F) and ``B[k]`` (its own
+B).  Those rows all have parity ``n - t``; the B-half writes only
+``B[k - 1]`` and the F-half only ``F[k + 1]``.  In paper mode one
+``max(F[k], B[k]) + comm`` therefore feeds both writes: four numpy
+calls per step instead of six.  Edges mode adds comm to the cross
+operand, which differs between the halves, so it takes each half's max
+separately in the same loop.  At a sieve checkpoint the step splits
+into its B-half, the sieve (which must see step ``t`` complete) and its
+F-half.  The steady loop runs on the frontier and the costs reordered
+even rows first (:func:`_by_parity`), where every stride-2 row run is
+one contiguous block; warmup and cooldown diagonals are contiguous in
+stage order and run there.  Every step's slices, fix row and comm range
+are precomputed once per ``(n, m)`` (:class:`_Plan`, in a bounded LRU).
 
 The *fix rows*: the first steady F of a stage follows its last warmup
 forward (not a backward), and the first cooldown B of a stage can trail
@@ -85,6 +102,7 @@ cyclic comm, deadlocking programs     fall back to the event engine
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -235,6 +253,217 @@ def frontier_times_transposed(
     return _sweep(fwd_t, bwd_t, comm, m, comm_mode, limit=limit)
 
 
+#: Sweep plans keyed by ``(n, m, sieved)``: every step's row slices, fix
+#: row and comm range, built once per shape (bounded LRU).
+_PLAN_CACHE: "OrderedDict[Tuple[int, int, bool], _Plan]" = OrderedDict()
+_PLAN_CACHE_SIZE = 128
+
+
+def _checkpoints(n: int, m: int) -> Tuple[int, ...]:
+    """Steady steps after which an armed sieve runs (it also runs at
+    ``-1``, right after warmup)."""
+    last = 2 * m - 2
+    return tuple(sorted({
+        q for q in (n + 1, n + 7, last // 2, 3 * last // 4) if 0 < q < last
+    }))
+
+
+def _steady_stages(n: int, m: int, step: int) -> Optional[Tuple[int, int]]:
+    """Stages ``lo, lo + 2, .., hi`` of steady step ``step``, or None.
+
+    Step ``step`` runs stages ``x = n - 1 - d`` for ``d ≡ step (mod 2)``,
+    ``d <= min(step, 2m - 2 - step, n - 1)``.
+    """
+    if not 0 <= step <= 2 * m - 2:
+        return None
+    parity = step & 1
+    dmax = min(step, 2 * m - 2 - step, n - 1)
+    if parity > dmax:
+        return None
+    return n - 1 - (dmax - ((dmax - parity) & 1)), n - 1 - parity
+
+
+def _rem_counts(n: int, m: int, step: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-stage remaining forward/backward counts, closed-form.
+
+    ``step`` is the last completed steady step; stage ``n - 1 - d``
+    has run one (F, B) pair at each step ``t >= d`` with
+    ``t ≡ d (mod 2)``, up to its ``m - min(m, d)`` steady pairs.
+    """
+    d = np.arange(n - 1, -1, -1)
+    steady = m - np.minimum(m, d)
+    done = np.where(step >= d, np.minimum((step - d) // 2 + 1, steady), 0)
+    return (
+        (steady - done).astype(np.float64)[:, None],
+        (m - done).astype(np.float64)[:, None],
+    )
+
+
+def _by_parity(a: np.ndarray) -> np.ndarray:
+    """``a``'s rows reordered even rows first, then odd rows: every stride-2
+    row run of ``a`` becomes a contiguous block."""
+    return np.concatenate((a[0::2], a[1::2]))
+
+
+class _Plan:
+    """Everything of one ``(n, m)`` sweep that does not depend on costs.
+
+    The steady loop runs on the frontier and costs reordered by
+    :func:`_by_parity`, so each of its row runs is one contiguous block
+    (a strided row view would cost numpy an iterator per call).  Warmup
+    and cooldown run on stage order, whose diagonals are contiguous.
+    """
+
+    __slots__ = ("warmup", "steady", "cooldown", "rem")
+
+    def __init__(self, n: int, m: int, sieved: bool) -> None:
+        evens = n // 2 + 1  # even frontier rows, k = 0 .. n
+
+        def run(lo, hi, shift=0, frontier=True):
+            """The block of rows ``lo + shift .. hi + shift`` (stride 2)."""
+            lo, hi = lo + shift, hi + shift
+            base = (evens if frontier else (n + 1) // 2) if lo & 1 else 0
+            return slice(base + lo // 2, base + hi // 2 + 1)
+
+        warmup = []
+        for u in range(n - 1):
+            lo = max(0, u - m + 1)
+            warmup.append(
+                (slice(lo, u + 1), slice(lo + 1, u + 2), u + 1 - lo, lo == 0)
+            )
+        self.warmup = tuple(warmup)
+
+        def entry(b_rows, f_rows, fix, sieve_at):
+            """Step p's B-half over rows ``b_rows`` and step p + 1's
+            F-half over rows ``f_rows`` (``(lo, hi)`` ranges, or None).
+
+            Frontier row k of the B-half is stage ``k - 1``'s own F and the
+            cross B; it writes ``B[k - 1]``.  Row k of the F-half is the
+            cross F and stage k's own B; it writes ``F[k + 1]``.  The two
+            ranges share a parity and tile one run of ``size`` rows; each
+            half is ``(part, src, dst, cost, count)``: its scratch rows
+            within the run (None: all), the frontier rows it reads and
+            writes, its cost rows and its row count.
+            """
+            spans = [r for r in (b_rows, f_rows) if r is not None]
+            if not spans:
+                return None, 0, None, False, False, None, None, None, sieve_at
+            lo = min(r[0] for r in spans)
+            hi = max(r[1] for r in spans)
+            size = (hi - lo) // 2 + 1
+
+            def half(rows, shift, cost_shift):
+                a, b = (rows[0] - lo) // 2, (rows[1] - lo) // 2 + 1
+                return (
+                    None if (a, b) == (0, size) else slice(a, b),
+                    run(*rows),
+                    run(*rows, shift),
+                    run(*rows, cost_shift, frontier=False),
+                    b - a,
+                )
+
+            # Row k = 0 is stage 0's F (no cross predecessor) and k = n
+            # stage n - 1's B (none either): both skip comm.  The fix row
+            # is the run's first row, and F-only.
+            first, last = lo == 0, hi == n
+            comm_rows = slice(int(first), size - last)
+            return (
+                run(lo, hi), size,
+                None if comm_rows == slice(0, size) else comm_rows,
+                first, last,
+                None if fix is None else run(fix, fix).start,
+                None if b_rows is None else half(b_rows, -1, -1),
+                None if f_rows is None else half(f_rows, 1, 0),
+                sieve_at,
+            )
+
+        # Entry p pairs step p's B-half with step p + 1's F-half (p = -1
+        # is step 0's F-half alone, p = 2m - 2 step 2m - 2's B-half
+        # alone).  A stage's first steady forward trails its own last
+        # warmup forward, not a backward: while ``step <= fix_lim`` the
+        # top stage of the F-half gets an extra max against ``F[x + 1]``
+        # (its B entry is still 0.0, so the plain maximum would
+        # under-constrain; the fix is exact).
+        fix_lim = min(m, n) - 1
+        checkpoints = _checkpoints(n, m) if sieved else ()
+        steady = []
+        for p in range(-1, 2 * m - 1):
+            b = _steady_stages(n, m, p)
+            b_rows = None if b is None else (b[0] + 1, b[1] + 1)
+            f_rows = _steady_stages(n, m, p + 1)
+            fix = f_rows[0] + 1 if f_rows and p + 1 <= fix_lim else None
+            if p in checkpoints:
+                # The sieve sees step p complete: B-half, sieve, F-half.
+                steady.append(entry(b_rows, None, None, p))
+                b_rows = None
+            if b_rows is not None or f_rows is not None:
+                steady.append(entry(b_rows, f_rows, fix, None))
+        self.steady = tuple(steady)
+
+        # Symmetric fix rows: a stage's first cooldown backward can trail
+        # the forward frontier while ``v <= n - 1``.
+        cooldown = []
+        for v in range(m, n + m - 1):
+            lo = max(0, n - 1 - v)
+            hi = min(n - 2, n + m - 2 - v)
+            if lo <= hi:
+                cooldown.append((
+                    slice(lo, hi + 1), slice(lo + 1, hi + 2), hi - lo + 1,
+                    run(lo + 1, lo + 1).start if v <= n - 1 else None,
+                ))
+        self.cooldown = tuple(cooldown)
+
+        # Remaining-work counts at each sieve, in the costs' row order
+        # (read-only: every sweep of this shape shares them).
+        self.rem = {}
+        for step in ((-1,) + checkpoints if sieved else ()):
+            counts = tuple(_by_parity(c) for c in _rem_counts(n, m, step))
+            for c in counts:
+                c.setflags(write=False)
+            self.rem[step] = counts
+
+
+def _plan(n: int, m: int, sieved: bool) -> _Plan:
+    key = (n, m, sieved)
+    plan = _PLAN_CACHE.get(key)
+    if plan is None:
+        plan = _Plan(n, m, sieved)
+        _PLAN_CACHE[key] = plan
+        if len(_PLAN_CACHE) > _PLAN_CACHE_SIZE:
+            _PLAN_CACHE.popitem(last=False)
+    else:
+        _PLAN_CACHE.move_to_end(key)
+    return plan
+
+
+def _sieve(F, B, fwd, bwd, drain, rem, limit):
+    """Columns whose lower bound stays within the limit, or None when
+    too few fall to pay for compacting.
+
+    Works on the parity-ordered frontier and costs.  A stage's bound is
+    its finished state ``max(F[x + 1], B[x])`` plus its remaining work
+    ``rem`` (closed-form per step) plus its drain chain.  Even stages'
+    ``F[x + 1]`` are odd frontier rows and odd stages' are even rows from
+    row 2, so two maxima line the frontier up with the costs.
+    """
+    n = fwd.shape[0]
+    evens, even_stages = n // 2 + 1, (n + 1) // 2
+    odd_stages = n - even_stages
+    rem_f, rem_b = rem
+    lb = np.empty_like(fwd)
+    np.maximum(F[evens:evens + even_stages], B[:even_stages],
+               out=lb[:even_stages])
+    np.maximum(F[1:1 + odd_stages], B[evens:evens + odd_stages],
+               out=lb[even_stages:])
+    lb += rem_f * fwd
+    lb += rem_b * bwd
+    lb += drain
+    mask = lb.max(axis=0) <= limit * _SIEVE_PAD
+    if mask.sum() >= mask.size * (1.0 - _COMPACT_FRACTION):
+        return None
+    return mask
+
+
 def _sweep(
     fwd: np.ndarray,
     bwd: np.ndarray,
@@ -246,26 +475,48 @@ def _sweep(
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """The frontier kernel over stage-major ``(n, K)`` cost matrices.
 
-    Warmup diagonals, then one loop over the steady steps — each runs
-    its F-half, its B-half and, at a checkpoint, the sieve — then
-    cooldown diagonals.
+    Warmup diagonals, then one loop of paired steady steps (step ``p``'s
+    B-half with step ``p + 1``'s F-half; at a checkpoint the B-half, the
+    sieve, then the F-half), then cooldown diagonals.
     """
     if comm_mode not in ("paper", "edges"):
         raise ValueError(f"unknown comm_mode {comm_mode!r}")
     n, num_cols = fwd.shape
     paper = comm_mode == "paper"
-    vec_comm = np.ndim(comm) == 1
+    plan = _plan(n, m, limit is not None)
+    if np.ndim(comm) == 0:
+        comm = np.array(comm)  # a 0-d array adds faster than a float
 
     # F[x + 1] = latest forward end of stage x (F[0] is a zero pad for
     # the "no cross predecessor" row); B[x] = latest backward end of
-    # stage x (B[n] pads symmetrically).  tmp is reusable scratch: every
-    # update fills its rows before reading them.
+    # stage x (B[n] pads symmetrically).  Scratch is reused: every update
+    # fills its rows before reading them.  Warmup fills F in stage order,
+    # with B's buffer as its scratch.
     F = np.zeros((n + 1, num_cols))
-    B = np.zeros((n + 1, num_cols))
-    tmp = np.empty((n, num_cols))
+    B = np.empty((n + 1, num_cols))
+    for own, nxt, size, top in plan.warmup:
+        t = B[:size]
+        if paper:
+            np.maximum(F[own], F[nxt], out=t)
+            if top:
+                t[1:] += comm
+            else:
+                t += comm
+        else:
+            np.add(F[own], comm, out=t)
+            if top:
+                t[0] = 0.0
+            np.maximum(t, F[nxt], out=t)
+        np.add(t, fwd[own], out=F[nxt])
+
+    # The steady loop runs parity-ordered: every row run is a block.
+    F = _by_parity(F)
+    B.fill(0.0)
+    fwd_p = _by_parity(fwd)
+    bwd_p = _by_parity(bwd)
+    tmp = np.empty((n // 2 + 1, num_cols))
     keep: Optional[np.ndarray] = None
     drain: Optional[np.ndarray] = None
-
     if limit is not None:
         keep = np.arange(num_cols)
         # Static drain chain: once stage x finishes, the final backward
@@ -276,152 +527,96 @@ def _sweep(
         drain[0] = 0.0
         np.cumsum(bwd[:-1], axis=0, out=drain[1:])
         drain += np.arange(n, dtype=np.float64)[:, None] * comm
+        drain = _by_parity(drain)
 
-    def _rem_counts(step: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-stage remaining forward/backward counts, closed-form.
-
-        ``step`` is the last completed steady step; stage ``n - 1 - d``
-        has run one (F, B) pair at each step ``t >= d`` with
-        ``t ≡ d (mod 2)``, up to its ``m - min(m, d)`` steady pairs.
-        """
-        d = np.arange(n - 1, -1, -1)
-        steady = m - np.minimum(m, d)
-        done = np.where(step >= d, np.minimum((step - d) // 2 + 1, steady), 0)
-        return (
-            (steady - done).astype(np.float64)[:, None],
-            (m - done).astype(np.float64)[:, None],
-        )
-
-    def sieve(step: int) -> None:
-        """Drop columns whose lower bound exceeds the limit.
-
-        ``step`` is the last completed steady step (``-1`` right after
-        warmup).  For each stage the number of finished steady pairs is
-        closed-form, so "remaining work" needs no simulation state.
-        """
-        nonlocal F, B, tmp, fwd, bwd, drain, keep, comm
-        rem_f, rem_b = _rem_counts(step)
-        lb = np.maximum(F[1:], B[:n])
-        lb += rem_f * fwd
-        lb += rem_b * bwd
-        lb += drain
-        mask = lb.max(axis=0) <= limit * _SIEVE_PAD
-        survivors = int(mask.sum())
-        if survivors >= keep.size * (1.0 - _COMPACT_FRACTION):
-            return
-        F = np.ascontiguousarray(F[:, mask])
-        B = np.ascontiguousarray(B[:, mask])
-        fwd = np.ascontiguousarray(fwd[:, mask])
-        bwd = np.ascontiguousarray(bwd[:, mask])
-        drain = np.ascontiguousarray(drain[:, mask])
-        keep = keep[mask]
-        tmp = np.empty((n, survivors))
-        if vec_comm:
-            comm = comm[mask]
-
-    # -- warmup: anti-diagonal u starts F(x, u - x) ------------------------
-    for u in range(n - 1):
-        lo = u - m + 1
-        if lo < 0:
-            lo = 0
-        t = tmp[:u + 1 - lo]
-        if paper:
-            np.maximum(F[lo:u + 1], F[lo + 1:u + 2], out=t)
-            if lo == 0:
-                t[1:] += comm
-            else:
-                t += comm
-        else:
-            np.add(F[lo:u + 1], comm, out=t)
-            if lo == 0:
-                t[0] = 0.0
-            np.maximum(t, F[lo + 1:u + 2], out=t)
-        np.add(t, fwd[lo:u + 1], out=F[lo + 1:u + 2])
+    def compact(step):
+        nonlocal F, B, fwd_p, bwd_p, bwd, drain, keep, comm, tmp
+        mask = _sieve(F, B, fwd_p, bwd_p, drain, plan.rem[step], limit)
+        if mask is not None:
+            F, B, fwd_p, bwd_p, bwd, drain = (
+                np.ascontiguousarray(a[:, mask])
+                for a in (F, B, fwd_p, bwd_p, bwd, drain)
+            )
+            keep = keep[mask]
+            if comm.ndim:
+                comm = comm[mask]
+            tmp = np.empty((n // 2 + 1, keep.size))
 
     if limit is not None:
-        sieve(-1)
-        checkpoints = set()
-        for q in (n + 1, n + 7, (2 * m - 2) // 2, 3 * (2 * m - 2) // 4):
-            if 0 < q < 2 * m - 2:
-                checkpoints.add(q)
-    else:
-        checkpoints = ()
+        compact(-1)
 
-    # -- steady: alternating anti-diagonals of (F, B) pairs ----------------
-    # Step ``step`` runs stages ``x = n - 1 - d`` for ``d ≡ step (mod 2)``
-    # up to ``dmax``: rows ``lo, lo + 2, .., hi``.  A stage's first
-    # steady forward may trail its *own last warmup forward* rather than
-    # a backward; while ``step <= fix_lim`` the top stage of the
-    # diagonal is in that situation and gets an extra max against the
-    # stored forward frontier (its B entry is still 0.0, so the plain
-    # maximum would under-constrain; the fix is exact).
-    fix_lim = m - 1 if m - 1 < n - 1 else n - 1
-    for step in range(2 * m - 1):
-        parity = step & 1
-        dmax = min(step, 2 * m - 2 - step, n - 1)
-        if parity <= dmax:
-            lo = n - 1 - (dmax - ((dmax - parity) & 1))
-            hi = n - 1 - parity
-            X = slice(lo, hi + 1, 2)
-            X1 = slice(lo + 1, hi + 2, 2)
-            t = tmp[:(hi - lo) // 2 + 1]
-            # F-half: the neighbour's latest F (cross), own latest B.
-            if paper:
-                np.maximum(F[X], B[X], out=t)
-                if step <= fix_lim:
-                    np.maximum(t[0], F[n - step], out=t[0])
-                if lo == 0:
-                    t[1:] += comm
-                else:
-                    t += comm
+    # -- steady: paired B- and F-halves over shared rows -------------------
+    # Step p's B-half (stage k - 1 reads its own F[k] and the cross B[k])
+    # and step p + 1's F-half (stage k reads the cross F[k] and its own
+    # B[k]) read one run of rows k and write the disjoint rows B[k - 1]
+    # and F[k + 1].  Paper mode shares one ``max(F[k], B[k]) + comm``
+    # between both writes.  Edges mode adds comm to the cross operand,
+    # which differs between the halves, so each half takes its own max
+    # over its own rows (the run's end rows feed one half only).
+    for rows, size, comm_rows, first, last, fix, b, f, sieve_at in \
+            plan.steady:
+        if paper and size:
+            t = tmp[:size]
+            np.maximum(F[rows], B[rows], out=t)
+            if fix is not None:
+                np.maximum(t[0], F[fix], out=t[0])
+            if comm_rows is None:
+                t += comm
             else:
-                np.add(F[X], comm, out=t)
-                if lo == 0:
-                    t[0] = 0.0
-                np.maximum(t, B[X], out=t)
-                if step <= fix_lim:
-                    np.maximum(t[0], F[n - step], out=t[0])
-            np.add(t, fwd[X], out=F[X1])
-            # B-half: the neighbour's latest B (cross), the F just done.
-            if paper:
-                np.maximum(F[X1], B[X1], out=t)
-                if hi == n - 1:
-                    t[:-1] += comm
-                else:
-                    t += comm
-            else:
-                np.add(B[X1], comm, out=t)
-                if hi == n - 1:
+                t[comm_rows] += comm
+            if b is not None:
+                part, _, dst, cost, _ = b
+                np.add(t if part is None else t[part], bwd_p[cost],
+                       out=B[dst])
+            if f is not None:
+                part, _, dst, cost, _ = f
+                np.add(t if part is None else t[part], fwd_p[cost],
+                       out=F[dst])
+        elif size:
+            if b is not None:
+                _, src, dst, cost, count = b
+                t = tmp[:count]
+                np.add(B[src], comm, out=t)
+                if last:
                     t[-1] = 0.0
-                np.maximum(t, F[X1], out=t)
-            np.add(t, bwd[X], out=B[X])
-        if step in checkpoints:
-            sieve(step)
+                np.maximum(t, F[src], out=t)
+                np.add(t, bwd_p[cost], out=B[dst])
+            if f is not None:
+                _, src, dst, cost, count = f
+                t = tmp[:count]
+                np.add(F[src], comm, out=t)
+                if first:
+                    t[0] = 0.0
+                np.maximum(t, B[src], out=t)
+                if fix is not None:
+                    np.maximum(t[0], F[fix], out=t[0])
+                np.add(t, fwd_p[cost], out=F[dst])
+        if sieve_at is not None:
+            compact(sieve_at)
 
     # -- cooldown: anti-diagonal v drains B(x, m - 1 - ...) ----------------
-    # Symmetric fix rows: a stage's first cooldown backward can trail
-    # the forward frontier while ``v <= n - 1``.
-    for v in range(m, n + m - 1):
-        lo = n - 1 - v
-        if lo < 0:
-            lo = 0
-        hi = n + m - 2 - v
-        if hi > n - 2:
-            hi = n - 2
-        if lo > hi:
-            continue
-        t = tmp[:hi - lo + 1]
+    # Back to stage order, with the parity-ordered B as scratch; the fix
+    # rows read the parity-ordered F.  The steady buffers go first, so
+    # the stage-order B does not raise the sweep's peak allocation.
+    del fwd_p, bwd_p, tmp
+    scratch = B
+    B = np.empty_like(scratch)
+    evens = n // 2 + 1
+    B[0::2] = scratch[:evens]
+    B[1::2] = scratch[evens:]
+    for own, nxt, size, fix in plan.cooldown:
+        t = scratch[:size]
         if paper:
-            np.maximum(B[lo + 1:hi + 2], B[lo:hi + 1], out=t)
-            if v <= n - 1:
-                np.maximum(t[0], F[lo + 1], out=t[0])
+            np.maximum(B[nxt], B[own], out=t)
+            if fix is not None:
+                np.maximum(t[0], F[fix], out=t[0])
             t += comm
         else:
-            np.add(B[lo + 1:hi + 2], comm, out=t)
-            np.maximum(t, B[lo:hi + 1], out=t)
-            if v <= n - 1:
-                np.maximum(t[0], F[lo + 1], out=t[0])
-        np.add(t, bwd[lo:hi + 1], out=B[lo:hi + 1])
+            np.add(B[nxt], comm, out=t)
+            np.maximum(t, B[own], out=t)
+            if fix is not None:
+                np.maximum(t[0], F[fix], out=t[0])
+        np.add(t, bwd[own], out=B[own])
 
     return B[0].copy(), keep
 

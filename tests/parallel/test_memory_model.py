@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.baselines.common import PlannedConfig, evaluate_config
 from repro.config import HardwareConfig, ModelConfig, TrainConfig
 from repro.core.balance_dp import balanced_partition
-from repro.core.partition import PartitionScheme
+from repro.core.partition import PartitionScheme, shift_repair
 from repro.core.planner import _UnitSpace, plan_partition
 from repro.core.strategy import repair_memory
 from repro.hardware.cluster import Cluster
@@ -19,6 +19,7 @@ from repro.hardware.device import DEFAULT_CLUSTER_HW
 from repro.models.blocks import Block, BlockKind
 from repro.models.zoo import BERT_LARGE, GPT2_1_3B, GPT2_345M, GPT2_762M
 from repro.parallel.memory_model import (
+    MemoryTable,
     config_memory,
     interleaved_stage_memory,
     pipeline_fits,
@@ -240,6 +241,50 @@ def test_interleaved_model_within_one_percent_of_des(
         assert predicted == pytest.approx(des[s], rel=0.01)
 
 
+def _layered_profile(num_layers: int, seed: int) -> ModelProfile:
+    """An embedding, ``num_layers`` (attention, FFN) layers and a head,
+    with random integral byte counts: every summation order is exact."""
+    kinds = (
+        [(BlockKind.EMBEDDING, -1)]
+        + [(kind, layer) for layer in range(num_layers)
+           for kind in (BlockKind.ATTENTION, BlockKind.FFN)]
+        + [(BlockKind.FINAL_NORM, -1), (BlockKind.LM_HEAD, -1)]
+    )
+    base = _synthetic_profile(len(kinds), seed)
+    blocks = tuple(
+        dataclasses.replace(
+            bp, block=Block(index=i, kind=kind, layer_index=layer)
+        )
+        for i, (bp, (kind, layer)) in enumerate(zip(base.blocks, kinds))
+    )
+    return dataclasses.replace(base, blocks=blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    depth=st.sampled_from((2, 4)),
+    rounds=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_interleaved_model_equals_des_on_random_profiles(depth, rounds,
+                                                         seed):
+    """Chunks of unequal stash: a device can peak after its first warmup
+    window, and the replayed ledger still equals the DES bit for bit."""
+    profile = _layered_profile(8, seed)
+    m = depth * rounds
+    cluster = Cluster(profile.hardware)
+    des = execute_fast(
+        build_interleaved(profile, depth, m, num_chunks=2), cluster,
+        device_map=cluster.pipeline_devices(depth),
+    ).peak_memory
+    device_chunks = interleaved_chunks(profile, depth, 2)
+    for s in range(depth):
+        predicted = interleaved_stage_memory(
+            profile, device_chunks[s], s, depth, m
+        )
+        assert predicted.hex() == float(des[s]).hex()
+
+
 # -- one fits verdict: peak <= cap -------------------------------------------
 
 
@@ -273,6 +318,45 @@ class TestFitsBoundary:
         assert at == seed
         below = _with_cap(tiny_profile, np.nextafter(peak, 0))
         assert repair_memory(below, seed, 2, 16, 4) != seed
+
+    def test_repair_scores_every_move_from_one_table(
+        self, tiny_profile, monkeypatch
+    ):
+        """One :class:`MemoryTable` per repair, and the same moves as
+        :func:`shift_repair` scored by :func:`config_memory` per move."""
+        seed = balanced_partition(tiny_profile.block_times(), 4)
+        peaks = config_memory(tiny_profile, seed, (2,) * 4, 16, 4)
+        builds = []
+        init = MemoryTable.__init__
+
+        def counted(table, *args, **kwargs):
+            builds.append(1)
+            init(table, *args, **kwargs)
+
+        most_moves = 0
+        for cap in np.linspace(min(peaks), max(peaks), 9):
+            profile = _with_cap(tiny_profile, float(cap))
+            moves = []
+
+            def spec_peaks(sizes):
+                moves.append(sizes)
+                return config_memory(
+                    profile, PartitionScheme.from_sizes(sizes), (2,) * 4,
+                    16, 4,
+                )
+
+            spec = shift_repair(
+                seed.sizes, spec_peaks, cap, tiny_profile.num_blocks
+            )
+            most_moves = max(most_moves, len(moves))
+            monkeypatch.setattr(MemoryTable, "__init__", counted)
+            builds.clear()
+            got = repair_memory(profile, seed, 2, 16, 4)
+            monkeypatch.setattr(MemoryTable, "__init__", init)
+            assert len(builds) == 1
+            assert got == (None if spec is None
+                           else PartitionScheme.from_sizes(spec))
+        assert most_moves >= 3
 
     @pytest.mark.parametrize("semantics", ["stream", "subbatch"])
     def test_evaluate_config_oom(self, tiny_profile, semantics):

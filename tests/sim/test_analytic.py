@@ -89,20 +89,29 @@ def _cost_matrices(k, n, seed, tie_heavy=False):
 # -- frontier sweep vs K scalar lattice sims --------------------------------
 
 
-@settings(max_examples=60, deadline=None)
+def _stages_and_micro_batches():
+    """``(n, m)`` with ``m`` drawn in ``1 .. 3n`` on its own, so ``m = 1``,
+    ``n = 1``, ``m < n - 1`` (warmup cap, fix rows) and ``m >> n`` occur."""
+    return st.integers(min_value=1, max_value=10).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(min_value=1,
+                                                    max_value=3 * n))
+    )
+
+
+@settings(max_examples=80, deadline=None)
 @given(
-    n=st.integers(min_value=1, max_value=10),
-    k=st.integers(min_value=1, max_value=7),
-    mb_per_stage=st.integers(min_value=1, max_value=3),
+    shape=_stages_and_micro_batches(),
+    k=st.integers(min_value=1, max_value=70),
     comm_mode=st.sampled_from(("paper", "edges")),
     comm_kind=st.sampled_from(("zero", "scalar", "vector")),
     tie_heavy=st.booleans(),
+    sieve=st.booleans(),
     seed=st.integers(min_value=0, max_value=10**6),
 )
 def test_frontier_equals_scalar_sims(
-    n, k, mb_per_stage, comm_mode, comm_kind, tie_heavy, seed
+    shape, k, comm_mode, comm_kind, tie_heavy, sieve, seed
 ):
-    m = max(1, n * mb_per_stage - 1)
+    n, m = shape
     fwd, bwd = _cost_matrices(k, n, seed, tie_heavy)
     rng = np.random.default_rng(seed + 1)
     if comm_kind == "zero":
@@ -111,16 +120,30 @@ def test_frontier_equals_scalar_sims(
         comm = float(rng.uniform(0.0, 0.6))
     else:
         comm = rng.uniform(0.0, 0.6, size=k)
-    times = frontier_times(fwd, bwd, comm, m, comm_mode=comm_mode)
     # Bitwise what K scalar lattice sims produce.
     comm_vec = np.broadcast_to(np.asarray(comm, dtype=np.float64), (k,))
-    for i in range(k):
-        sim = PipelineSim(
+    scalar = np.array([
+        PipelineSim(
             StageTimes(tuple(fwd[i]), tuple(bwd[i]), float(comm_vec[i])),
             m,
             comm_mode=comm_mode,
-        ).run()
-        assert times[i] == sim.iteration_time
+        ).run().iteration_time
+        for i in range(k)
+    ])
+    if not sieve:
+        times = frontier_times(fwd, bwd, comm, m, comm_mode=comm_mode)
+        assert np.array_equal(times, scalar)
+        return
+    # Sieve armed at the median: every survivor is bitwise its scalar
+    # sim, and every dropped column's scalar sim exceeds the limit.
+    limit = float(np.median(scalar))
+    times, keep = frontier_times_transposed(
+        np.ascontiguousarray(fwd.T), np.ascontiguousarray(bwd.T), comm, m,
+        comm_mode=comm_mode, limit=limit,
+    )
+    assert np.array_equal(times, scalar[keep])
+    dropped = np.setdiff1d(np.arange(k), keep)
+    assert np.all(scalar[dropped] > limit)
 
 
 @settings(max_examples=60, deadline=None)
@@ -237,10 +260,14 @@ def test_sieve_at_oracle_sized_shapes(n, m, comm_mode, comm_kind):
 
 @pytest.mark.parametrize("n, m", ((12, 24), (8, 32)))
 def test_unsieved_sweep_allocates_few_cost_matrices(n, m):
-    """Peak allocation of one sweep: frontier rows plus one scratch.
+    """Peak allocation of one sweep: frontier rows, parity-ordered costs
+    and one scratch.
 
-    Two ``(n + 1, K)`` frontiers and one ``(n, K)`` scratch make about
-    three cost matrices; the guard allows five.
+    The steady loop holds two ``(n + 1, K)`` frontiers, the costs
+    reordered even rows first (two ``(n, K)`` copies) and an
+    ``(n // 2 + 1, K)`` scratch, about 4.5 cost matrices; warmup and
+    cooldown use a frontier buffer as their scratch.  The guard allows
+    five.
     """
     fwd_t, bwd_t, comm = _wide_inputs(n, m, "scalar", seed=7)
     frontier_times_transposed(fwd_t, bwd_t, comm, m)  # warm any lazy state
