@@ -8,7 +8,9 @@ guard the branch-and-bound: at every depth >= 6 it must run at least 5x
 fewer full simulations than the enumeration while returning the exact
 brute-force optimum; measured wall clocks are printed with the table.
 The climb guard counts what the seed climb leaves the depth-12
-gpt2-762m search to expand: its leaf level must stay small.
+gpt2-762m search to expand: its leaf level must stay small.  The
+heavy-tail guard holds the deepest zoo search the paper-mode bounds
+settle (gpt2-345m, depth 16, m = 64) to a few thousand scored columns.
 """
 
 from __future__ import annotations
@@ -135,9 +137,46 @@ def test_bench_oracle_climb_guard(benchmark):
     )
     print(f"\ngpt2-762m depth 12: climb {climb['rounds']} rounds, "
           f"{climb['cols']} columns; leaf level admits {admitted}")
-    # The climb's incumbent admits ~22k leaf columns; the Algorithm-1
-    # seed alone (or the planner's partition) admits ~353k.
+    # The climb's incumbent admits ~3k leaf columns; the Algorithm-1
+    # seed alone (or the planner's partition) admits ~105k.
     assert admitted <= 30_000, (
         f"leaf level admits {admitted} columns — the seed climb no longer "
         "tightens the incumbent before the expansion"
+    )
+
+
+#: gpt2-345m (micro-batch 1) at depth 16, m = 64: the optimum's
+#: iteration time and stage sizes.
+HEAVY_TAIL_TIME = 0.8174316716403418
+HEAVY_TAIL_SIZES = (4, 4, 4) + (3,) * 13
+
+
+def run_heavy_tail_guard():
+    """The depth-16, m = 64 gpt2-345m oracle search (micro-batch 1)."""
+    profile = profile_model(
+        GPT2_345M, DEFAULT_CLUSTER_HW,
+        TrainConfig(micro_batch_size=1, global_batch_size=1),
+    )
+    t0 = time.perf_counter()
+    result = exhaustive_partition(
+        profile, 16, 64, max_evaluations=None, cache=False,
+    )
+    return result, time.perf_counter() - t0
+
+
+def test_bench_oracle_heavy_tail_guard(benchmark):
+    result, seconds = benchmark.pedantic(
+        run_heavy_tail_guard, rounds=1, iterations=1,
+    )
+    print(f"\ngpt2-345m depth 16, m 64: {result.evaluations} evaluations "
+          f"in {seconds * 1e3:.0f} ms")
+    assert result.iteration_time == HEAVY_TAIL_TIME
+    assert result.partition.sizes == HEAVY_TAIL_SIZES
+    # The paper-mode bounds count the Comm of every stage's own chain,
+    # which proves all but ~1.7k columns worse than the climb's
+    # incumbent.  Edges-mode bounds on this query left 9.36M columns
+    # within the optimum's slack, each scored by the kernel.
+    assert result.evaluations <= 10_000, (
+        f"{result.evaluations} evaluations — the paper-mode pruning "
+        "bounds no longer settle the deep gpt2-345m search"
     )

@@ -407,15 +407,22 @@ class _Objective:
 class _Bounds:
     """Lower bounds on the iteration time of partial assignments.
 
-    All bounds are provable for both comm modes, which charge at least
-    ``Comm`` on every cross-stage dependency edge.  With ``m``
+    Both comm modes charge at least ``Comm`` on every cross-stage
+    dependency edge, which the edges-mode bounds below count.  Paper
+    mode (the recurrence of :mod:`repro.core.analytic_sim`) also adds
+    ``Comm`` to every FP off stage 0 and every BP off the last stage,
+    own-stage predecessor or not, so each FP/BP pair of stage ``x``
+    pays ``c_x = [x > 0] + [x < p-1]`` of them; the paper-mode bounds
+    add those (``docs/search.md``, "Pruning bounds").  With ``m``
     micro-batches and stage loads ``w_x = f_x + b_x``:
 
     * **straggler bound** — for any stage ``x``, micro-batch 0's forward
       must reach it (``sum_{y<x} f_y + x*Comm``), its 2m intra-chained
       ops need ``m * w_x``, and micro-batch m-1's backward must return
       to stage 0 (``sum_{y<x} b_y + x*Comm``); so
-      ``T >= prefixW(x) + 2*x*Comm + m*w_x``.
+      ``T >= prefixW(x) + 2*x*Comm + m*w_x``.  Paper mode adds
+      ``(m*c_x - [x > 0])*Comm``: the chain's own charges, less the one
+      on micro-batch 0's FP that the forward hop already counts.
     * **max-stage-load relaxation** for the unassigned suffix: any
       completion of blocks ``pos..n-1`` into ``k`` stages has some stage
       with load ``>= minmax(pos, k)`` — the min-max DP value of the
@@ -431,6 +438,7 @@ class _Bounds:
       ``T >= W_total + 2*(p-1)*Comm + tail(x)``.  For the unassigned
       suffix of ``k`` stages the relaxation
       ``tail >= (m - k) * minmax(pos, k)`` applies when ``m >= k``.
+      In paper mode :meth:`tail` includes the ``Comm`` its ops pay.
 
     **Per-draw bounds.**  Given an :class:`_Objective` with factors,
     every bound is taken per draw on the perturbed costs, with a
@@ -460,6 +468,7 @@ class _Bounds:
         comm: float,
         num_stages: int,
         num_micro_batches: int,
+        comm_mode: str,
         objective: Optional[_Objective] = None,
     ) -> None:
         n = len(fwd)
@@ -467,6 +476,7 @@ class _Bounds:
         m = num_micro_batches
         self._p = p
         self._m = m
+        self._paper = comm_mode == "paper"
         weights = np.add(fwd, bwd, dtype=np.float64)
         prefw = np.zeros(n + 1)
         np.cumsum(weights, out=prefw[1:])
@@ -522,7 +532,7 @@ class _Bounds:
         leaf_lb = np.full((n + 1,) + np.shape(self.comm_d), inf)
         leaf_lb[p - 1:n] = np.maximum(
             self.low(prefw[p - 1:n], "pre", p - 1)
-            + 2 * (p - 1) * self.comm_d + m * (f_sum + b_sum),
+            + self.reach_comm(p - 1) * self.comm_d + m * (f_sum + b_sum),
             self.base_rt + self.tail(p - 1, f_sum + b_sum, b_sum),
         )
         self.leaf_lb = leaf_lb
@@ -562,7 +572,7 @@ class _Bounds:
         )
         base = (
             self.low(self.prefw.take(cells // n), "pre", s)
-            + 2 * s * self.comm_d
+            + self.reach_comm(s) * self.comm_d
         )
         load = f_s + b_s
         fixb = m * load
@@ -581,19 +591,45 @@ class _Bounds:
             np.maximum(remb, self.leaf_lb, out=remb)
         return fixb, remb
 
+    def pair_comm(self, stage: int) -> int:
+        """``Comm`` charges per FP/BP pair of stage ``stage`` on its own
+        chain: ``c_x = [x > 0] + [x < p-1]`` in paper mode, none in
+        edges mode."""
+        if not self._paper:
+            return 0
+        return (stage > 0) + (stage < self._p - 1)
+
+    def reach_comm(self, stage: int) -> int:
+        """``Comm`` count of stage ``stage``'s straggler bound: ``2x``
+        hops there and back, and in paper mode its chain's
+        ``m*c_x - [x > 0]`` own charges."""
+        count = 2 * stage
+        if self._paper:
+            count += self._m * self.pair_comm(stage) - (stage > 0)
+        return count
+
     def tail(self, stage: int, load, b_sum):
         """Work stage ``stage`` still owes after micro-batch 0 returns.
 
         ``(s - 1)*(f + b) + w*b`` with ``w = min(m, p-1-stage)`` warmup
         depth and ``s = m - w`` steady pairs, or ``(m-1)*b`` when
-        ``s = 0``; ``load`` is the stage's ``f + b``.
+        ``s = 0``; ``load`` is the stage's ``f + b``.  In paper mode
+        those ops' own charges add ``((s-1)*c_x + w*[x < p-1])*Comm``,
+        or ``(m-1)*[x < p-1]*Comm`` when ``s = 0``.
         """
         m = self._m
         w_cnt = min(m, self._p - 1 - stage)
         steady = m - w_cnt
+        bwd_comm = int(self._paper and stage < self._p - 1)
         if steady >= 1:
-            return (steady - 1) * load + w_cnt * b_sum
-        return (m - 1) * b_sum
+            owed = (steady - 1) * load + w_cnt * b_sum
+            count = (steady - 1) * self.pair_comm(stage) + w_cnt * bwd_comm
+        else:
+            owed = (m - 1) * b_sum
+            count = (m - 1) * bwd_comm
+        if count:
+            owed = owed + count * self.comm_d
+        return owed
 
 
 def _offer_sizes(
@@ -783,7 +819,7 @@ def _search_analytic(
         _offer_sizes(objective, SF, SB, list(iter_partitions(n, p)), state)
         return
 
-    bounds = _Bounds(fwd, bwd, comm, p, m, objective)
+    bounds = _Bounds(fwd, bwd, comm, p, m, comm_mode, objective)
     seed = tuple(min_max_partition([f + b for f, b in zip(fwd, bwd)], p))
     if space >= _CLIMB_MIN_SPACE:
         scored = _seed_climb(bounds, objective, state, seed)
@@ -1085,8 +1121,8 @@ def exhaustive_partition(
     :data:`_CLIMB_MIN_SPACE` candidates the pruned search climbs from
     its Algorithm-1 seed by one-block transfers between stages before it
     expands any level: the climb's near-optimal incumbent tightens the
-    admission limit (on gpt2-762m at depth 12 the leaf level admits
-    ~22k columns instead of ~353k).  The result is still the exact
+    admission limit (on gpt2-762m at depth 12, micro-batch 1, the leaf
+    level admits ~3k columns instead of ~105k).  The result is still the exact
     brute-force argmin, because climb candidates go through the same
     tie-breaking ``offer`` and bounds only ever discard provably worse
     subtrees.  Twin prefixes (equal stage costs, different sizes) are

@@ -253,13 +253,13 @@ class TestOracleMemory:
     def test_deep_search_streams_its_leaf_level(self, monkeypatch):
         """The analytic search keeps its levels as index arrays and
         scores the leaf level chunk by chunk, so a depth-12 search over
-        ~353k admitted columns (gpt2-762m, micro-batch 1, m=24) peaks
-        under 96 MB of traced allocation (~40 MiB measured).  Holding the
-        whole leaf level as ``(p, K)`` cost matrices would take ~250 MB.
-        The leaf bounds prune all but a few percent of those columns
-        after the probe, so the kernel scores under a tenth of them.
-        The seed climb would shrink that leaf level to ~22k columns, so
-        it is switched off to keep the shape deep."""
+        ~700k admitted columns (gpt2-762m, micro-batch 2, m=24) peaks
+        under 96 MB of traced allocation (~69 MiB measured).  Holding the
+        whole leaf level as ``(p, K)`` cost matrices would take ~500 MB.
+        The leaf bounds prune all but the probe's columns, so the kernel
+        scores under a tenth of them.  The seed climb would shrink that
+        leaf level to a few thousand columns, so it is switched off to
+        keep the shape deep."""
         import tracemalloc
 
         from repro import DEFAULT_CLUSTER_HW, TrainConfig, get_model
@@ -268,7 +268,7 @@ class TestOracleMemory:
         monkeypatch.setattr(exhaustive, "_CLIMB_MIN_SPACE", float("inf"))
         profile = profile_model(
             get_model("gpt2-762m"), DEFAULT_CLUSTER_HW,
-            TrainConfig(micro_batch_size=1, global_batch_size=1),
+            TrainConfig(micro_batch_size=2, global_batch_size=2),
         )
         tel = obs.Telemetry()
         tracemalloc.start()

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 
 from repro.core.analytic_sim import PipelineSim
 from repro.core.exhaustive import ExhaustiveResult, exhaustive_partition
@@ -266,3 +267,53 @@ class TestCrossProcess:
         cache.store(cache.planner_key(_profile(), 2, 2), {"x": 1})
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp")]
         assert not leftovers
+
+    def test_concurrent_writers_never_expose_a_torn_entry(self, tmp_path):
+        """Two processes ``store`` the same key in a loop while this one
+        ``load``s it: every load is a miss or one writer's intact value,
+        and no temp file outlives the writers."""
+        cache = PlanCache(tmp_path)
+        key = cache.planner_key(_profile(), 2, 2)
+        go = tmp_path / "go"
+        script = (
+            "import os, sys, time\n"
+            "from repro.core.plan_cache import PlanCache\n"
+            "writer = int(sys.argv[1])\n"
+            f"cache = PlanCache({str(tmp_path)!r})\n"
+            f"while not os.path.exists({str(go)!r}):\n"
+            "    time.sleep(0.001)\n"
+            "for i in range(200):\n"
+            "    cache.store(sys.argv[2], {'writer': writer, 'i': i,\n"
+            "                'payload': bytes([writer]) * 200_000})\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (env.get("PYTHONPATH", ""), os.getcwd()) if p
+        )
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(w), key], env=env,
+            )
+            for w in (1, 2)
+        ]
+        go.touch()
+        loads = []
+        deadline = time.monotonic() + 120
+        try:
+            while (any(w.poll() is None for w in writers)
+                   and time.monotonic() < deadline):
+                loads.append(cache.load(key))
+            codes = [w.wait(timeout=10) for w in writers]
+        finally:
+            for w in writers:
+                if w.poll() is None:
+                    w.kill()
+                    w.wait()
+        assert codes == [0, 0]
+        loads.append(cache.load(key))
+        hits = [v for v in loads if v is not None]
+        assert hits and loads[-1] is not None
+        for value in hits:
+            assert value["payload"] == bytes([value["writer"]]) * 200_000
+            assert value["writer"] in (1, 2) and 0 <= value["i"] < 200
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]

@@ -188,7 +188,9 @@ class TestRobustOracle:
         comm = profile.comm_time
         n = len(fwd)
         target = exhaustive._Objective(comm, m, comm_mode, objective, depth)
-        bounds = exhaustive._Bounds(fwd, bwd, comm, depth, m, target)
+        bounds = exhaustive._Bounds(
+            fwd, bwd, comm, depth, m, comm_mode, target,
+        )
         sizes = np.array(list(iter_partitions(n, depth)))
         starts = np.cumsum(sizes, axis=1) - sizes
         per_draw = bounds.leaf_lb[starts[:, -1]]
