@@ -21,7 +21,8 @@ tests; it defaults off so experiments are deterministic.
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import replace
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -105,7 +106,12 @@ def profile_model(
     if noise < 0:
         raise ValueError("noise must be non-negative")
     blocks = build_blocks(model)
-    profiles = [_profile_block(b, model, hardware, train) for b in blocks]
+    # A block's costs depend only on its kind: profile each kind once.
+    by_kind: Dict[BlockKind, BlockProfile] = {}
+    for b in blocks:
+        if b.kind not in by_kind:
+            by_kind[b.kind] = _profile_block(b, model, hardware, train)
+    profiles = [replace(by_kind[b.kind], block=b) for b in blocks]
 
     if noise > 0:
         if seed is None:
@@ -113,14 +119,10 @@ def profile_model(
         rng = np.random.default_rng(seed)
         jitter = rng.lognormal(mean=0.0, sigma=noise, size=2 * len(profiles))
         profiles = [
-            BlockProfile(
-                block=bp.block,
+            replace(
+                bp,
                 fwd_time=bp.fwd_time * jitter[2 * i],
                 bwd_time=bp.bwd_time * jitter[2 * i + 1],
-                params=bp.params,
-                activation_out_bytes=bp.activation_out_bytes,
-                stash_bytes=bp.stash_bytes,
-                workspace_bytes=bp.workspace_bytes,
             )
             for i, bp in enumerate(profiles)
         ]

@@ -39,8 +39,11 @@ compile-once/evaluate-many treatment the 1F1B simulators already have
   slot of a per-query cost table that grows with the number of stages
   (descriptors: :mod:`repro.sim.walks`).  Every later query of the key
   computes only that table (:func:`_cost_table`) and gathers it
-  (:func:`shape_graph`).  Hand-built or edited schedules are lowered and
-  walked onto a fresh, uncached structure each time.
+  (:func:`shape_graph`).  A template keeps neither the op table nor the
+  walk: the first read of its replay records or of
+  :func:`run_perturbed`'s node classes walks the key again.
+  Hand-built or edited schedules are lowered and walked onto a fresh,
+  uncached structure each time.
 
 * **Memory accounting.**  Activation stashes are replayed per device as
   an interleaved alloc/release delta array: a sequential ``cumsum`` (the
@@ -251,20 +254,32 @@ def _kahn_levels(
     return np.array(level, dtype=np.intp)[index[anchor]] + below
 
 
+def _walk_order(values: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """The walk-order array whose ``perm`` gather is ``values``."""
+    out = np.empty_like(values)
+    out[perm] = values
+    return out
+
+
 class GraphStructure:
     """The costless compiled DAG: levels, edge order and replay records.
 
-    Replay records are read from the walk on first use (timelines,
-    traces and tests read them; execution does not).
+    Replay records and :func:`run_perturbed`'s node and edge classes are
+    read from the walk on first use (timelines, traces and tests read the
+    records; a plain run reads neither).  A structure built with its shape
+    ``key`` (a template's) keeps neither the walk nor its op table: it
+    walks the key again then.
     """
 
     __slots__ = (
-        "num_devices", "num_nodes", "num_edges", "levels", "edge_perm",
-        "node_order", "new_of_old", "first_f", "mem_offsets",
-        "perturb_plan", "_walk", "_records",
+        "num_devices", "num_nodes", "num_edges", "levels", "src_lvl",
+        "edge_perm", "node_order", "first_f", "mem_offsets",
+        "perturb_plan", "_source", "_records",
     )
 
-    def __init__(self, walk: Union[_Walk, _TableWalk]) -> None:
+    def __init__(
+        self, walk: Union[_Walk, _TableWalk], key: Optional[tuple] = None
+    ) -> None:
         num_nodes = walk.num_nodes
         e_dst, e_src = walk.edge_arrays()
         num_edges = len(e_dst)
@@ -319,35 +334,44 @@ class GraphStructure:
                     (lo, hi, x0, x1, src_sorted[x0:x1], offsets[a:b])
                 )
         else:
-            edge_perm = np.empty(0, dtype=np.intp)
+            edge_perm = src_sorted = np.empty(0, dtype=np.intp)
 
         self.num_devices = walk.num_devices
         self.num_nodes = num_nodes
         self.num_edges = num_edges
         self.levels = levels
+        #: every level-major edge's source; the levels' ``src`` views
+        #: tile it in order.
+        self.src_lvl = src_sorted
         self.edge_perm = edge_perm
         self.node_order = node_order
-        self.new_of_old = new_of_old
         self.first_f = [
             int(new_of_old[f]) if f >= 0 else -1 for f in walk.first_f
         ]
         self.mem_offsets = np.concatenate(
             ([0], np.cumsum(np.asarray(walk.mem_counts, dtype=np.intp)))
         )
-        #: lazily built node/edge classification for ``run_perturbed``.
-        self.perturb_plan = None
-        self._walk = walk
+        #: node/edge classification for ``run_perturbed``, level-major,
+        #: built on first use (:func:`_perturb_plan`).
+        self.perturb_plan: Optional[tuple] = None
+        #: the walk, or the shape key to walk again (see :meth:`_walk`).
+        self._source: Union[_Walk, _TableWalk, tuple] = (
+            walk if key is None else key
+        )
         self._records: Optional[tuple] = None
+
+    def _walk(self) -> Union[_Walk, _TableWalk]:
+        """The walk the records and perturbation classes are read from."""
+        source = self._source
+        return shape_walk(source)[0] if isinstance(source, tuple) else source
 
     @property
     def records(self) -> tuple:
         """Per device, one replay record per op; records keep walk-order
-        node ids (see ``new_of_old``)."""
+        node ids (see ``node_order``)."""
         records = self._records
         if records is None:
-            records = self._records = tuple(
-                map(tuple, self._walk.records)
-            )
+            records = self._records = tuple(map(tuple, self._walk().records))
         return records
 
 
@@ -356,7 +380,7 @@ class CompiledGraph:
 
     __slots__ = (
         "structure", "schedule_name", "num_devices", "static_bytes",
-        "capacity", "edge_w_walk", "recv_durs", "node_add_lvl",
+        "capacity", "recv_durs", "node_add_lvl",
         "edge_w_lvl", "mem_deltas", "workspace", "_peaks",
     )
 
@@ -368,7 +392,6 @@ class CompiledGraph:
         capacity: float,
         *,
         node_add_lvl: np.ndarray,
-        edge_w_walk: np.ndarray,
         edge_w_lvl: np.ndarray,
         recv_durs: np.ndarray,
         mem_deltas: np.ndarray,
@@ -380,7 +403,6 @@ class CompiledGraph:
         self.static_bytes = list(static_bytes)
         self.capacity = capacity
         self.node_add_lvl = node_add_lvl
-        self.edge_w_walk = edge_w_walk
         self.edge_w_lvl = edge_w_lvl
         self.recv_durs = recv_durs
         self.mem_deltas = mem_deltas
@@ -397,18 +419,23 @@ class CompiledGraph:
         capacity: float,
     ) -> "CompiledGraph":
         """The graph of a walk's own cost values."""
-        edge_w = np.asarray(walk.e_w, dtype=np.float64)
         return cls(
             structure, schedule_name, static_bytes, capacity,
             node_add_lvl=np.asarray(walk.node_add, dtype=np.float64)[
                 structure.node_order
             ],
-            edge_w_walk=edge_w,
-            edge_w_lvl=edge_w[structure.edge_perm],
+            edge_w_lvl=np.asarray(walk.e_w, dtype=np.float64)[
+                structure.edge_perm
+            ],
             recv_durs=np.asarray(walk.recv_durs, dtype=np.float64),
             mem_deltas=np.asarray(walk.mem_deltas, dtype=np.float64),
             workspace=np.asarray(walk.workspace, dtype=np.float64),
         )
+
+    @property
+    def edge_w_walk(self) -> np.ndarray:
+        """Edge weights in walk order; only replays read them."""
+        return _walk_order(self.edge_w_lvl, self.structure.edge_perm)
 
     # -- evaluation --------------------------------------------------------
 
@@ -488,8 +515,9 @@ class CompiledGraph:
         edge_w = self.edge_w_walk
         recv_durs = self.recv_durs
         # Records name walk-order nodes.
-        base = base[self.structure.new_of_old]
-        end = end[self.structure.new_of_old]
+        order = self.structure.node_order
+        base = _walk_order(base, order)
+        end = _walk_order(end, order)
         for dev, records in enumerate(self.structure.records):
             prev_end = 0.0
             for rec in records:
@@ -605,26 +633,27 @@ class _Template:
     The slot arrays say which entry of the cost table over ``descs``
     every node, edge, eager receive, memory delta and workspace value
     takes, so a query of this shape is one :func:`_cost_table` and a
-    handful of gathers.  No Op objects, lowered tuples or signatures are
-    kept.
+    handful of gathers.  No Op objects, lowered tuples, signatures, op
+    table or walk are kept: the structure walks the key again for replay
+    records and perturbation classes.
     """
 
     __slots__ = (
-        "structure", "descs", "s_node_lvl", "s_edge", "s_edge_lvl",
+        "structure", "descs", "s_node_lvl", "s_edge_lvl",
         "s_recv", "s_mem", "s_ws",
     )
 
-    def __init__(self, walk: _TableWalk, descs: List[tuple]) -> None:
-        structure = self.structure = GraphStructure(walk)
+    def __init__(self, key: tuple) -> None:
+        walk, descs = shape_walk(key)
+        structure = self.structure = GraphStructure(walk, key)
         self.descs = descs
-        self.s_node_lvl = np.asarray(walk.s_node, dtype=np.intp)[
-            structure.node_order
-        ]
-        self.s_edge = np.asarray(walk.s_edge, dtype=np.intp)
-        self.s_edge_lvl = self.s_edge[structure.edge_perm]
-        self.s_recv = np.asarray(walk.s_recv, dtype=np.intp)
-        self.s_mem = np.asarray(walk.s_mem, dtype=np.intp)
-        self.s_ws = np.asarray(walk.s_ws, dtype=np.intp)
+        self.s_node_lvl = walk.s_node[structure.node_order]
+        self.s_edge_lvl = walk.s_edge[structure.edge_perm]
+        self.s_mem = walk.s_mem
+        # Copies: these two are views of the walk's array of every slot,
+        # which a view would keep alive.
+        self.s_recv = walk.s_recv.copy()
+        self.s_ws = walk.s_ws.copy()
 
     def graph(
         self,
@@ -639,7 +668,6 @@ class _Template:
         return CompiledGraph(
             self.structure, schedule_name, static_bytes, capacity,
             node_add_lvl=table[self.s_node_lvl],
-            edge_w_walk=table[self.s_edge],
             edge_w_lvl=table[self.s_edge_lvl],
             recv_durs=table[self.s_recv],
             mem_deltas=mem,
@@ -674,7 +702,7 @@ def shape_graph(
         comm = CommModel(cluster.hw)
     template = _templates.get(key)
     if template is None:
-        template = _templates[key] = _Template(*shape_walk(key))
+        template = _templates[key] = _Template(key)
         if len(_templates) > _TEMPLATE_CACHE_SIZE:
             _templates.popitem(last=False)
     else:
@@ -803,18 +831,13 @@ def _perturb_plan(structure: GraphStructure) -> tuple:
     its op table's columns; an Op-route walk from its replay records.
     """
     plan = structure.perturb_plan
-    if plan is not None:
-        return plan
-    node_dev, node_is_comm, dep_walk = structure._walk.perturb_columns()
-    src_lvl = np.zeros(structure.num_edges, dtype=np.intp)
-    for lo, hi, e0, e1, src, off in structure.levels:
-        src_lvl[e0:e1] = src
-    order = structure.node_order
-    plan = (
-        node_dev[order], node_is_comm[order], src_lvl,
-        dep_walk[structure.edge_perm],
-    )
-    structure.perturb_plan = plan
+    if plan is None:
+        node_dev, node_is_comm, deposit = structure._walk().perturb_columns()
+        order = structure.node_order
+        plan = structure.perturb_plan = (
+            node_dev[order], node_is_comm[order],
+            deposit[structure.edge_perm],
+        )
     return plan
 
 
@@ -859,7 +882,7 @@ def run_perturbed(
     structure = graph.structure
     if structure.num_nodes == 0:
         return np.zeros(k)
-    node_dev, node_is_comm, src_lvl, edge_dep = _perturb_plan(structure)
+    node_dev, node_is_comm, edge_dep = _perturb_plan(structure)
     node_factor = np.where(
         node_is_comm[None, :],
         comm_factors[:, None],
@@ -868,7 +891,8 @@ def run_perturbed(
     node_add = graph.node_add_lvl[None, :] * node_factor
     if structure.num_edges:
         edge_factor = np.where(
-            edge_dep[None, :], comm_factors[:, None], node_factor[:, src_lvl]
+            edge_dep[None, :], comm_factors[:, None],
+            node_factor[:, structure.src_lvl],
         )
         edge_w = graph.edge_w_lvl[None, :] * edge_factor
     else:

@@ -34,7 +34,7 @@ from repro.sim.graph_exec import CompiledGraph, run_batch, shape_graph
 
 def compile_slice_graph(
     profile: ModelProfile,
-    partition: PartitionScheme,
+    costs: Tuple[Sequence[object], Sequence[float]],
     num_micro_batches: int,
     num_sliced: int,
     cluster: Cluster,
@@ -45,17 +45,19 @@ def compile_slice_graph(
 ) -> CompiledGraph:
     """Compile one slice-count candidate through its shape template.
 
-    The template key is the one :func:`~repro.schedules.sliced.build_sliced`
-    (count > 0) or :func:`~repro.schedules.one_f_one_b.build_1f1b`
-    (count 0) gives the same schedule.
+    ``costs`` is the partition's
+    :func:`~repro.schedules.one_f_one_b.stage_costs` and ``device_map``
+    one that :func:`~repro.sim.engine.check_device_map` returned, so a
+    sweep over counts computes neither per count.  The template key is
+    the one :func:`~repro.schedules.sliced.build_sliced` (count > 0) or
+    :func:`~repro.schedules.one_f_one_b.build_1f1b` (count 0) gives the
+    same schedule.
     """
     plan = SlicePlan(num_sliced, num_micro_batches, aggregate)
-    n = partition.num_stages
-    device_map = check_device_map(n, cluster, device_map)
-    costs, static = stage_costs(profile, partition)
-    key = ("1f1b", n, plan.units(), aggregate and num_sliced > 0)
+    per_stage, static = costs
+    key = ("1f1b", len(per_stage), plan.units(), aggregate and num_sliced > 0)
     return shape_graph(
-        key, [[c] for c in costs], profile.boundary_bytes, cluster,
+        key, [[c] for c in per_stage], profile.boundary_bytes, cluster,
         device_map, "1f1b" if num_sliced == 0 else "autopipe-sliced",
         static, comm=comm,
     )
@@ -89,15 +91,18 @@ def evaluate_slice_counts(
         SlicePlan(num_sliced, m, aggregate)
     if cluster is None:
         cluster = Cluster(profile.hardware)
+    n = partition.num_stages
     if device_map is None:
-        device_map = cluster.pipeline_devices(partition.num_stages)
+        device_map = cluster.pipeline_devices(n)
+    device_map = check_device_map(n, cluster, device_map)
+    costs = stage_costs(profile, partition)
     comm = CommModel(cluster.hw)
     results: List[Optional[ExecutionResult]] = [None] * len(slice_counts)
     groups: Dict[int, List[Tuple[int, CompiledGraph]]] = {}
     for i, num_sliced in enumerate(slice_counts):
         graph = compile_slice_graph(
-            profile, partition, m, num_sliced,
-            cluster, device_map, aggregate=aggregate, comm=comm,
+            profile, costs, m, num_sliced, cluster, device_map,
+            aggregate=aggregate, comm=comm,
         )
         groups.setdefault(id(graph.structure), []).append((i, graph))
     for members in groups.values():

@@ -243,11 +243,14 @@ class _TableWalk:
 
     def perturb_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Walk-order node device, node-is-communication and
-        edge-is-deposit columns, from the table's columns."""
+        edge-is-deposit columns, from the table's columns; the device
+        column takes the smallest integer type that holds it."""
         table = self._table
         creates = _makes_node(table)
         node_is_comm = table.kind[creates] > OP_B
-        node_dev = np.where(node_is_comm, 0, table.dev[creates])
+        node_dev = np.where(node_is_comm, 0, table.dev[creates]).astype(
+            np.min_scalar_type(self.num_devices)
+        )
         deposit = np.zeros(len(self.dst), dtype=bool)
         deposit[self._num_program:] = True
         return node_dev, node_is_comm, deposit

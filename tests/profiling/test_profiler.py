@@ -1,11 +1,20 @@
-"""Profiler tests: determinism, checkpointing rules, noise injection."""
+"""Profiler tests: determinism, checkpointing rules, noise injection,
+and one profile per block kind equal to profiling every block."""
 
+import dataclasses
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.config import HardwareConfig, TrainConfig
+from repro.config import HardwareConfig, ModelConfig, TrainConfig
 from repro.models.blocks import BlockKind
+from repro.models.transformer import build_blocks
 from repro.profiling import profile_model
-from repro.profiling.profiler import VOCAB_GEMM_EFFICIENCY_BOOST
+from repro.profiling.profiler import (
+    VOCAB_GEMM_EFFICIENCY_BOOST,
+    _profile_block,
+)
 from tests.conftest import TINY
 
 HW = HardwareConfig()
@@ -91,3 +100,57 @@ class TestNoise:
         profile = profile_model(TINY, HW, TRAIN, noise=0.5, seed=3)
         assert all(t > 0 for t in profile.fwd_times())
         assert all(t > 0 for t in profile.bwd_times())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    num_layers=st.integers(1, 12),
+    num_heads=st.integers(1, 16),
+    head_dim=st.sampled_from((8, 64, 80)),
+    seq_length=st.sampled_from((16, 512, 1024)),
+    vocab_size=st.integers(100, 60_000),
+    ffn_hidden_size=st.sampled_from((0, 96, 3072)),
+    is_bert=st.booleans(),
+    micro_batch_size=st.integers(1, 8),
+    checkpointing=st.booleans(),
+    noise=st.sampled_from((0.0, 0.05, 0.3)),
+    seed=st.integers(0, 2**16),
+)
+def test_per_kind_profiling_equals_per_block_profiling(
+    num_layers, num_heads, head_dim, seq_length, vocab_size,
+    ffn_hidden_size, is_bert, micro_batch_size, checkpointing, noise, seed,
+):
+    """``profile_model`` profiles each block kind once; every field of
+    every block equals profiling that block on its own, with the noise
+    jitter drawn per block as before."""
+    model = ModelConfig(
+        "random", num_layers, num_heads * head_dim, num_heads, seq_length,
+        vocab_size, ffn_hidden_size, is_bert,
+    )
+    train = TrainConfig(
+        micro_batch_size=micro_batch_size,
+        global_batch_size=8 * micro_batch_size,
+        activation_checkpointing=checkpointing,
+    )
+    got = profile_model(
+        model, HW, train, noise=noise, seed=seed if noise else None
+    )
+    spec = [_profile_block(b, model, HW, train) for b in build_blocks(model)]
+    if noise:
+        jitter = np.random.default_rng(seed).lognormal(
+            mean=0.0, sigma=noise, size=2 * len(spec)
+        )
+        spec = [
+            dataclasses.replace(
+                bp,
+                fwd_time=bp.fwd_time * jitter[2 * i],
+                bwd_time=bp.bwd_time * jitter[2 * i + 1],
+            )
+            for i, bp in enumerate(spec)
+        ]
+    assert len(got.blocks) == len(spec)
+    for bp, ref in zip(got.blocks, spec):
+        for field in dataclasses.fields(ref):
+            assert getattr(bp, field.name) == getattr(ref, field.name), (
+                bp.block, field.name,
+            )

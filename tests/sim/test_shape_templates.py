@@ -14,34 +14,50 @@ contract is the same as for the rest of the compiled executor:
 * reading ``programs`` keeps a schedule on its template; editing them
   after a compile recompiles the edited schedule;
 * a cost a ``ComputeOp``/``Transfer`` would reject is rejected on a hit
-  with the same ``ValueError``.
+  with the same ``ValueError``;
+* a cached template keeps only what a run reads: no op table and no
+  walk (replay records are walked again from the key and equal the Op
+  route's), within a bound on the bytes it retains per node, and
+  ``run_perturbed`` on a hit equals a freshly walked structure.
 """
 
 import dataclasses
+import gc
 import random
+import tracemalloc
+import types
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import balanced_partition
 from repro.baselines.megatron import uniform_partition
 from repro.core.slicer import SlicePlan
 from repro.experiments.common import make_profile
+from repro.experiments.deep_pipeline import DEEP_GPT
 from repro.hardware.cluster import Cluster
+from repro.hardware.comm import CommModel
 from repro.hardware.device import DEFAULT_CLUSTER_HW
 from repro.models.zoo import GPT2_345M
 from repro.runtime.trainer import build_schedule, run_pipeline
-from repro.schedules.base import CommOp, ComputeOp, Transfer
+from repro.schedules.base import CommOp, ComputeOp, OpTable, Transfer
 from repro.schedules.interleaved import build_interleaved
 from repro.sim import graph_exec
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, _Lowerer
 from repro.sim.graph_exec import (
     _TEMPLATE_CACHE_SIZE,
+    CompiledGraph,
+    GraphStructure,
+    _walk_programs,
     compile_graph,
     execute_fast,
+    run_perturbed,
     template_cache_info,
 )
 from repro.sim.slice_eval import evaluate_slice_counts
+from repro.sim.walks import _TableWalk, shape_walk
 
 FAMILIES = ("1f1b", "gpipe", "sliced-agg", "sliced-noagg", "interleaved")
 
@@ -349,3 +365,139 @@ def test_eviction_drops_every_key_of_a_template(monkeypatch):
     assert list(graph_exec._templates) == [k6, k4]
     assert _TEMPLATE_CACHE_SIZE == 256  # the production size is unchanged
     graph_exec.clear_templates()
+
+
+# -- what a template keeps ---------------------------------------------------
+
+#: Bytes a template may retain per node.  The shapes of ``_fixed_shapes``
+#: measure about 120 B/node; templates that kept their op table and walk
+#: (for replay records and ``run_perturbed``'s node classes) retained
+#: about 280.
+_BYTES_PER_NODE = 160
+
+
+def _fixed_shapes():
+    """Record the 18 templates of 1F1B at depth 16, m = 64 with every
+    Slicer count below the depth, and of GPipe and interleaved at the
+    same (depth, m)."""
+    depth, m = 16, 64
+    profile = make_profile(DEEP_GPT, 4, m)
+    cluster = Cluster(profile.hardware)
+    devices = cluster.pipeline_devices(depth)
+    partition = balanced_partition(profile.block_times(), depth)
+    evaluate_slice_counts(profile, partition, m, range(depth))
+    for schedule in (
+        build_schedule(profile, partition, m, "gpipe"),
+        build_interleaved(profile, depth, m, num_chunks=2),
+    ):
+        compile_graph(schedule, cluster, device_map=devices)
+
+
+def test_templates_retain_a_bounded_number_of_bytes_per_node():
+    graph_exec.clear_templates()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _fixed_shapes()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        count, nodes = template_cache_info()
+        graph_exec.clear_templates()
+        gc.collect()
+        retained = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert count == 18
+    assert retained / nodes < _BYTES_PER_NODE, (retained, nodes)
+
+
+def _reachable(roots):
+    """Every object reachable from ``roots`` through references and
+    array bases, short of types, modules and functions."""
+    seen, stack, out = set(), list(roots), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+            obj, (type, types.ModuleType, types.FunctionType)
+        ):
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        stack.extend(gc.get_referents(obj))
+        if isinstance(obj, np.ndarray) and obj.base is not None:
+            stack.append(obj.base)
+    return out
+
+
+def test_cached_templates_keep_no_op_table_walk_or_wider_array():
+    graph_exec.clear_templates()
+    _fixed_shapes()
+    templates = list(graph_exec._templates.values())
+    reached = _reachable(templates)
+    assert not [o for o in reached if isinstance(o, (OpTable, _TableWalk))]
+    for template in templates:
+        for name in ("s_node_lvl", "s_edge_lvl", "s_recv", "s_mem", "s_ws"):
+            slots = getattr(template, name)
+            # A view would keep a larger array of the walk alive.
+            assert slots.base is None or slots.base.size == slots.size, name
+    graph_exec.clear_templates()
+
+
+def _op_walk(schedule, cluster, devices):
+    """The Op route's walk: emit, lower and walk the programs (without
+    the comm-symmetry check, which the walk's matching subsumes)."""
+    lowerer = _Lowerer(cluster, devices, CommModel(cluster.hw))
+    return _walk_programs([
+        [lowerer.compile_op(dev, op) for op in program]
+        for dev, program in enumerate(schedule.programs)
+    ])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    depth=st.sampled_from((2, 3, 4)),
+    mb_per_stage=st.integers(1, 3),
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+)
+def test_run_perturbed_on_a_hit_equals_a_freshly_walked_structure(
+    family, depth, mb_per_stage, seed, data
+):
+    m = depth * mb_per_stage
+    num_sliced = data.draw(st.integers(1, m), label="num_sliced")
+    first = make_profile(GPT2_345M, 4, m)
+    second = _jittered(8, m, seed)
+    cluster = Cluster(first.hardware)
+    devices = cluster.pipeline_devices(depth)
+    compile_graph(
+        _schedule(family, first, depth, m, num_sliced), cluster,
+        device_map=devices,
+    )
+    schedule = _schedule(family, second, depth, m, num_sliced)
+    hit = compile_graph(schedule, cluster, device_map=devices)
+    # Two fresh walks: the Op route's, and the key's table walk on a
+    # structure that keeps it.
+    walk = _op_walk(schedule, cluster, devices)
+    table = shape_walk(schedule.shape.key)[0]
+    refs = (
+        CompiledGraph.from_walk(
+            GraphStructure(walk), walk, schedule.name, schedule.static_bytes,
+            cluster.hw.gpu_memory,
+        ),
+        CompiledGraph(
+            GraphStructure(table), hit.schedule_name, hit.static_bytes,
+            hit.capacity, node_add_lvl=hit.node_add_lvl,
+            edge_w_lvl=hit.edge_w_lvl, recv_durs=hit.recv_durs,
+            mem_deltas=hit.mem_deltas, workspace=hit.workspace,
+        ),
+    )
+    rng = np.random.default_rng(seed)
+    compute = rng.uniform(0.5, 2.0, size=(5, depth))
+    comm = rng.uniform(0.5, 2.0, size=5)
+    compute[0], comm[0] = 1.0, 1.0
+    got = run_perturbed(hit, compute, comm)
+    assert got[0] == hit.run().iteration_time
+    for ref in refs:
+        want = run_perturbed(ref, compute, comm)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -51,9 +51,10 @@ from repro.sim.graph_exec import (
     _walk_programs,
     clear_templates,
     compile_graph,
+    template_cache_info,
 )
 from repro.sim.walks import GraphCompileError, shape_walk
-from tests.sim.test_shape_templates import _jittered
+from tests.sim.test_shape_templates import _jittered, _op_walk
 
 #: 8 nodes x 4 GPUs: a device map across nodes mixes link classes.
 HW = rtx3090_cluster(8, 4)
@@ -108,16 +109,6 @@ def _corpus():
         )
 
 
-def _op_walk(schedule, devices):
-    """The Op route's walk: emit, lower and walk the programs (without
-    the comm-symmetry check, which the walk's matching subsumes)."""
-    lowerer = _Lowerer(CLUSTER, devices, CommModel(HW))
-    return _walk_programs([
-        [lowerer.compile_op(dev, op) for op in program]
-        for dev, program in enumerate(schedule.programs)
-    ])
-
-
 def _assert_same_structure(a, b):
     """Levels, node order, edge order, replay records, first forwards and
     memory layout."""
@@ -139,12 +130,17 @@ def test_table_walks_equal_the_op_route_over_the_corpus():
     shapes = 0
     for schedule, depth in _corpus():
         devices = _devices(depth)
-        ref = _op_walk(schedule, devices)
+        ref = _op_walk(schedule, CLUSTER, devices)
         # A miss: the template's structure comes from the table walk.
         clear_templates()
         graph = compile_graph(schedule, CLUSTER, device_map=devices)
         structure = graph.structure
+        cached = template_cache_info()
         _assert_same_structure(structure, GraphStructure(ref))
+        # The template's records are walked again from the key once,
+        # without adding a template.
+        assert structure.records is structure.records
+        assert template_cache_info() == cached
         expected = CompiledGraph.from_walk(
             structure, ref, graph.schedule_name, graph.static_bytes,
             graph.capacity,
