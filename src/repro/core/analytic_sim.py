@@ -34,19 +34,27 @@ times per search sweep; on planner-style streams it is most of the
 planning time):
 
 * the dependency DAG's **topology** is a pure function of ``(n, m)`` — a
-  module-level :data:`shape cache <_SHAPE_CACHE>` stores the operation
-  list and the ops in Kahn order with each op's cross/intra predecessor
-  remapped to its Kahn position (a missing one points at a sentinel slot
-  holding ``0.0``), so repeated simulations of one shape skip graph
-  construction entirely;
-* :meth:`PipelineSim.run` gathers each op's ``(comm addend, duration)``
-  pair from a 4n-entry per-stage table with one ``operator.itemgetter``
-  call and runs a single ``zip`` loop that appends end times — no numpy,
-  no per-op branches, and the same IEEE sequence as the reference
-  recurrence (max of predecessor ends, ``+ comm`` iff a cross dependency
-  exists, ``+ dur``), bitwise equal because ends are finite and
+  module-level :data:`shape cache <_SHAPE_CACHE>` stores it in *round
+  order* (:class:`_Shape`), built directly with no graph search.  Any
+  topological order gives the same end times, and within a stage slots
+  keep program order, so the tie-breaks pick the same ops as the
+  reference's Kahn order;
+* the first ``s_0 = max(0, m - n + 1)`` rounds have every stage steady
+  and hold most ops of planner-sized shapes (72% of the end-to-end
+  ``plan`` stream's).  They run in a loop generated once per
+  ``(depth, comm mode)`` with ``compile``/``exec`` from integers only
+  (:func:`_round_source`): per-stage end times live in locals and each
+  round stores its ``2n`` ends with one ``list.extend``;
+* the warmup and ramp-down slots run one ``zip`` loop that gathers each
+  op's ``(comm addend, duration)`` pair from a 4n-entry per-stage table
+  with one ``operator.itemgetter`` call and appends end times;
+* both loops perform the reference recurrence's IEEE sequence per op —
+  ``max(cross, intra) + comm + dur``, or ``max(cross + comm, intra) +
+  dur`` in edges mode — bitwise equal because ends are finite and
   ``>= +0.0`` (:class:`~repro.core.partition.StageTimes` rejects NaN and
-  infinities);
+  infinities), which also lets the round loop drop the ``+ 0.0`` of an
+  op without a cross dependency and read a missing predecessor as
+  ``0.0``;
 * the latest op is the sink ``B(0, m-1)`` whenever its end exceeds its
   start, since every other op ends at or before that start; the
   tight-predecessor rule then runs only along the ~``2(n+m)``-op critical
@@ -74,12 +82,11 @@ checks against a reference implementation).
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from operator import add, itemgetter
-from typing import Dict, List, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -111,106 +118,203 @@ def _stage_order(n: int, m: int, x: int) -> List[Tuple[OpId, str]]:
 
 
 class _Shape:
-    """Topology of the ``(n, m)`` 1F1B dependency DAG.
+    """Topology of the ``(n, m)`` 1F1B dependency DAG, in round order.
 
     Nothing here depends on durations, so one instance is shared by every
-    simulation of the same shape.  ``ops``/``phases`` list the ops in
-    stage-major order (stage ``x`` owns indices ``x*2m .. x*2m + 2m - 1``
-    in execution order); the ``k_*`` tuples are indexed by Kahn slot.
+    simulation of the same shape.  Op ``j`` owns *slot* ``j`` of an
+    end-time list whose slot 0 is a sentinel holding ``0.0``.  The slots
+    list the warmup FPs micro-batch-major, then ``m`` *rounds*: round
+    ``r`` visits the stages from last to first, each placing
+    ``F(x, w_x + r)`` then ``B(x, r)`` while the stage is steady, or just
+    ``B(x, r)`` in its cooldown.  This order is topological (a BP's cross
+    dependency was placed earlier in the round, an FP's in an earlier
+    round) and, within a stage, slots follow program order.
+
+    The first ``rounds = max(0, m - n + 1)`` rounds have every stage
+    steady; :func:`_round_loop` runs them.  ``warm`` and ``ramp`` are the
+    ``(cross slots, intra slots, cost gather)`` of the slots before and
+    after them, for :func:`_relax_segment`.  ``cross``/``intra`` give
+    every slot's predecessor slots (0 when missing), ``ops`` its op and
+    ``info`` its ``(stage, is FP, steady cost row)``, the cost row
+    indexing ``fwd + bwd`` (-1 outside the steady phase).  Entry 0 of
+    each is a placeholder.
     """
 
     __slots__ = (
-        "n", "m", "ops", "phases", "k_cross", "k_intra", "k_op",
-        "k_phase", "cost_of", "from_slots", "sink_slot", "startup_slot",
+        "rounds", "warm", "ramp", "cross", "intra", "ops", "info",
+        "sink_slot", "startup_slot",
     )
 
     def __init__(self, n: int, m: int) -> None:
-        self.n = n
-        self.m = m
-        ops: List[OpId] = []
-        phases: List[str] = []
-        index: Dict[OpId, int] = {}
-        for x in range(n):
-            for op, ph in _stage_order(n, m, x):
-                index[op] = len(ops)
-                ops.append(op)
-                phases.append(ph)
-        size = len(ops)
-        #: intra-stage predecessor index (-1 for the first op of a stage).
-        intra = [-1] * size
-        for x in range(n):
-            base = x * 2 * m
-            for k in range(1, 2 * m):
-                intra[base + k] = base + k - 1
-        #: cross-stage dependency index (-1 when none): FP waits on the
-        #: previous stage's FP, BP on the next stage's BP.
-        cross = [-1] * size
-        for i, (kind, x, mb) in enumerate(ops):
-            if kind == "F" and x > 0:
-                cross[i] = index[("F", x - 1, mb)]
-            elif kind == "B" and x < n - 1:
-                cross[i] = index[("B", x + 1, mb)]
+        warm = [min(m, n - 1 - x) for x in range(n)]
+        # Per-stage constants, shared by every slot of the stage: the cost
+        # rows of its FP and BP and the ``info`` entries of its phases.
+        f_row = [2 * x + (x > 0) for x in range(n)]
+        b_row = [2 * (n + x) + (x < n - 1) for x in range(n)]
+        f_info = [((x, True, -1), (x, True, x)) for x in range(n)]
+        b_info = [((x, False, -1), (x, False, n + x)) for x in range(n)]
+        cross = [0]
+        intra = [0]
+        ops = [None]
+        info = [None]
+        rows = [0]
+        last = [0] * n   # each stage's latest slot (its next op's intra)
+        last_f = [0] * n  # each stage's latest FP slot
+        for mb in range(warm[0]):
+            for x in range(n - 1 - mb):
+                j = len(cross)
+                cross.append(last_f[x - 1] if x else 0)
+                intra.append(last[x])
+                ops.append(("F", x, mb))
+                info.append(f_info[x][0])
+                rows.append(f_row[x])
+                last[x] = last_f[x] = j
+        for r in range(m):
+            for x in range(n - 1, -1, -1):
+                steady = r < m - warm[x]
+                if steady:
+                    j = len(cross)
+                    cross.append(last_f[x - 1] if x else 0)
+                    intra.append(last[x])
+                    ops.append(("F", x, warm[x] + r))
+                    info.append(f_info[x][1])
+                    rows.append(f_row[x])
+                    last[x] = last_f[x] = j
+                j = len(cross)
+                cross.append(last[x + 1] if x < n - 1 else 0)
+                intra.append(last[x])
+                ops.append(("B", x, r))
+                info.append(b_info[x][steady])
+                rows.append(b_row[x])
+                last[x] = j
 
-        # Kahn's algorithm (FIFO, seeded in stage-major op order).  The
-        # completion order is purely topological, so the slot layout below
-        # is cached with the shape; it also reproduces the reference
-        # implementation's dict insertion order for the latest-op tie-break.
-        indeg = [0] * size
-        succs: List[List[int]] = [[] for _ in range(size)]
-        for i in range(size):
-            for q in (cross[i], intra[i]):
-                if q >= 0:
-                    indeg[i] += 1
-                    succs[q].append(i)
-        ready = deque(i for i in range(size) if indeg[i] == 0)
-        order: List[int] = []
-        while ready:
-            i = ready.popleft()
-            order.append(i)
-            for nxt in succs[i]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    ready.append(nxt)
-        if len(order) != size:
-            raise RuntimeError("cyclic pipeline dependency graph (internal bug)")
-
-        self.ops = ops
-        self.phases = tuple(phases)
-
-        # Kahn-ordered layout of the scalar evaluator.  Op ``order[p]``
-        # owns *slot* ``p + 1`` of an end-time list whose slot 0 is a
-        # sentinel holding ``0.0``; ``k_cross``/``k_intra`` give each
-        # slot's predecessor slots (0 when missing), so the relaxation is
-        # one branch-free ``zip`` loop that appends ends in slot order.
-        # ``k_*`` tuples are slot-indexed (entry 0 is a placeholder).
-        slot = [0] * size
-        for pos, i in enumerate(order):
-            slot[i] = pos + 1
-        self.k_cross = (0, *(
-            slot[cross[i]] if cross[i] >= 0 else 0 for i in order
-        ))
-        self.k_intra = (0, *(
-            slot[intra[i]] if intra[i] >= 0 else 0 for i in order
-        ))
-        self.k_op = (None, *(ops[i] for i in order))
-        self.k_phase = (None, *(phases[i] for i in order))
-        #: gathers each op's ``(comm addend, duration)`` pair from the
-        #: per-stage cost table of :meth:`PipelineSim._cost_table`: F on
-        #: stage ``x`` reads row ``x``, B row ``n + x``, each row split
-        #: into its no-comm and comm entries by whether a cross
-        #: dependency exists.
-        self.cost_of = itemgetter(*(
-            2 * (x if kind == "F" else n + x) + (cross[i] >= 0)
-            for i, (kind, x, _) in zip(order, self.k_op[1:])
-        ))
-        #: Kahn-ordered slots -> stage-major op order.
-        self.from_slots = itemgetter(*slot)
+        self.rounds = max(0, m - n + 1)
+        lo = 1 + sum(warm)
+        hi = lo + 2 * n * self.rounds
+        # Two spare rows keep ``itemgetter`` returning a tuple of pairs
+        # for a segment of 0 or 1 ops; ``zip`` stops at the slots.
+        self.warm = (
+            tuple(cross[1:lo]), tuple(intra[1:lo]), itemgetter(*rows[1:lo], 0, 0)
+        )
+        self.ramp = (
+            tuple(cross[hi:]), tuple(intra[hi:]), itemgetter(*rows[hi:], 0, 0)
+        )
+        self.cross = tuple(cross)
+        self.intra = tuple(intra)
+        self.ops = tuple(ops)
+        self.info = tuple(info)
         #: ``B(0, m-1)`` is a sink reachable from every op (BP cross deps
         #: chain down to stage 0 and intra deps chain each stage to its
         #: last op), and end times are monotone along edges (comm and
         #: durations are non-negative), so its end *is* the iteration time.
-        self.sink_slot = slot[index[("B", 0, m - 1)]]
-        self.startup_slot = slot[index[("F", n - 1, 0)]]
+        self.sink_slot = len(cross) - 1
+        #: ``F(n-1, 0)`` opens round 0.
+        self.startup_slot = lo
+
+    def stage_major(self) -> List[int]:
+        """Every slot, stage-major in program order (the views' order)."""
+        info = self.info
+        return sorted(range(1, len(info)), key=lambda j: info[j][0])
+
+
+def _warm_last_slots(n: int) -> List[int]:
+    """Each stage's last warmup-FP slot when ``m >= n`` (0: no warmup).
+
+    The warmup of :class:`_Shape` then depends on ``n`` alone: micro-batch
+    ``mb`` places stages ``0 .. n-2-mb``.
+    """
+    last = [0] * n
+    j = 0
+    for mb in range(n - 1):
+        for x in range(n - 1 - mb):
+            j += 1
+            last[x] = j
+    return last
+
+
+def _round_source(n: int, paper: bool) -> str:
+    """Python source of the full-round loop for depth ``n``.
+
+    Each stage keeps two locals: ``f<x>`` (its latest FP end, the next
+    stage's cross dependency one round later) and ``t<x>`` (its latest
+    op end, its own intra dependency).  A round is the reference
+    recurrence per op — ``max(cross, intra) + comm + dur`` in paper mode,
+    ``max(cross + comm, intra) + dur`` in edges mode — with the ``0.0``
+    addends of comm-free ops dropped, which is bitwise the same because
+    ends are never ``-0.0``; an FP with no intra predecessor (stage
+    ``n-1`` in round 0) reads ``t<n-1> = 0.0``, the sentinel.  Each round
+    appends its ``2n`` ends in slot order with one ``extend``.
+    """
+    def relax(out, cross, intra, dur):
+        if cross is None:
+            return [f"{out} = {intra} + {dur}"]
+        if paper:
+            return [
+                f"{out} = ({cross} if {cross} > {intra} else {intra})"
+                f" + c + {dur}"
+            ]
+        return [
+            f"a = {cross} + c",
+            f"{out} = (a if a > {intra} else {intra}) + {dur}",
+        ]
+
+    last = _warm_last_slots(n)
+    lines = [
+        "def rounds(end, k, c, fwd, bwd):",
+        f"    {''.join(f'F{x}, ' for x in range(n))}= fwd",
+        f"    {''.join(f'B{x}, ' for x in range(n))}= bwd",
+    ]
+    lines += [f"    f{x} = t{x} = end[{last[x]}]" for x in range(n - 1)]
+    lines += [f"    t{n - 1} = 0.0", "    extend = end.extend",
+              "    for _ in range(k):"]
+    ends = []
+    for x in range(n - 1, -1, -1):
+        body = relax(f"f{x}", f"f{x - 1}" if x else None, f"t{x}", f"F{x}")
+        body += relax(f"t{x}", f"t{x + 1}" if x < n - 1 else None,
+                      f"f{x}", f"B{x}")
+        lines += [f"        {line}" for line in body]
+        ends += [f"f{x}", f"t{x}"]
+    lines.append(f"        extend(({', '.join(ends)},))")
+    return "\n".join(lines) + "\n"
+
+
+#: Compiled full-round loops keyed by ``(num_stages, paper comm mode)``.
+_ROUND_LOOPS: Dict[Tuple[int, bool], Callable] = {}
+
+
+def _round_loop(n: int, paper: bool) -> Callable:
+    """The compiled full-round loop of depth ``n`` (see :func:`_round_source`)."""
+    key = (n, paper)
+    fn = _ROUND_LOOPS.get(key)
+    if fn is None:
+        scope: Dict[str, Callable] = {}
+        exec(compile(_round_source(n, paper), f"<1f1b rounds n={n}>", "exec"),
+             scope)
+        fn = _ROUND_LOOPS[key] = scope["rounds"]
+    return fn
+
+
+def _relax_segment(end: List[float], segment, table, paper: bool) -> None:
+    """Append the ends of one generic run of slots (warmup or ramp-down).
+
+    The reference recurrence's IEEE sequence per op — max of predecessor
+    ends, ``+ comm``, ``+ dur`` — with a missing predecessor reading the
+    ``0.0`` sentinel (a no-op under ``max`` since ends are ``>= +0.0``).
+    """
+    cross, intra, gather = segment
+    append = end.append
+    ops = zip(cross, intra, gather(table))
+    if paper:
+        for c, q, (cm, d) in ops:
+            a = end[c]
+            b = end[q]
+            append((a if a > b else b) + cm + d)
+    else:
+        # "edges": Comm charged on the cross-dependency arrival only.
+        for c, q, (cm, d) in ops:
+            a = end[c] + cm
+            b = end[q]
+            append((a if a > b else b) + d)
 
 
 #: LRU cache of DAG topologies keyed by (num_stages, num_micro_batches).
@@ -267,7 +371,13 @@ class SimResult:
     @cached_property
     def op_phase(self) -> Dict[OpId, str]:
         shape = _shape(self.num_stages, self.num_micro_batches)
-        return dict(zip(shape.ops, shape.phases))
+        info = shape.info
+        return {
+            shape.ops[j]: (
+                STEADY if info[j][2] >= 0 else WARMUP if info[j][1] else COOLDOWN
+            )
+            for j in shape.stage_major()
+        }
 
     @property
     def num_stages(self) -> int:
@@ -390,53 +500,33 @@ class PipelineSim:
             table += ((0.0, v), (comm, v))
         return table
 
-    def _relax(self, table: List[Tuple[float, float]]) -> List[float]:
-        """End times of every op in Kahn slot order (slot 0: ``0.0``).
-
-        The reference recurrence's IEEE sequence per op — max of
-        predecessor ends, ``+ comm``, ``+ dur`` — over Kahn-ordered
-        predecessor slots, with a missing predecessor reading the
-        ``0.0`` sentinel (a no-op under ``max`` since ends are ``>= +0.0``).
-        """
+    def _relax(self) -> List[float]:
+        """End times of every op in slot order (slot 0: ``0.0``)."""
         shape = self._shape
+        times = self.times
+        paper = self.comm_mode == "paper"
+        table = self._cost_table()
         end = [0.0]
-        append = end.append
-        ops = zip(
-            islice(shape.k_cross, 1, None), islice(shape.k_intra, 1, None),
-            shape.cost_of(table),
-        )
-        if self.comm_mode == "paper":
-            for c, q, (cm, d) in ops:
-                a = end[c]
-                b = end[q]
-                append((a if a > b else b) + cm + d)
-        else:
-            # "edges": Comm charged on the cross-dependency arrival only.
-            for c, q, (cm, d) in ops:
-                a = end[c] + cm
-                b = end[q]
-                append((a if a > b else b) + d)
+        _relax_segment(end, shape.warm, table, paper)
+        if shape.rounds:
+            _round_loop(self.n, paper)(
+                end, shape.rounds, times.comm, times.fwd, times.bwd
+            )
+        _relax_segment(end, shape.ramp, table, paper)
         return end
 
     def run(self) -> SimResult:
-        return self._result(self._relax(self._cost_table()))
+        return self._result(self._relax())
 
     def _op_times(self) -> Tuple[Dict[OpId, float], Dict[OpId, float]]:
         """Every op's start and end (the lazy :class:`SimResult` views)."""
         shape = self._shape
-        table = self._cost_table()
-        end = self._relax(table)
-        ec = map(end.__getitem__, islice(shape.k_cross, 1, None))
-        eq = map(end.__getitem__, islice(shape.k_intra, 1, None))
-        comms = [cm for cm, _ in shape.cost_of(table)]
-        if self.comm_mode == "paper":
-            start = [(a if a > b else b) + cm for a, b, cm in zip(ec, eq, comms)]
-        else:
-            start = [a if a > b else b for a, b in zip(map(add, ec, comms), eq)]
-        start.insert(0, 0.0)
+        end = self._relax()
+        slots = shape.stage_major()
+        ops = [shape.ops[j] for j in slots]
         return (
-            dict(zip(shape.ops, shape.from_slots(start))),
-            dict(zip(shape.ops, shape.from_slots(end))),
+            dict(zip(ops, [self._start_at(end, j) for j in slots])),
+            dict(zip(ops, map(end.__getitem__, slots))),
         )
 
     def prefix_state(self, k: int) -> PrefixState:
@@ -480,9 +570,9 @@ class PipelineSim:
         bitwise equal to the start the relaxation added ``dur`` to.
         """
         shape = self._shape
-        c = shape.k_cross[j]
+        c = shape.cross[j]
         a = end[c]
-        b = end[shape.k_intra[j]]
+        b = end[shape.intra[j]]
         cm = self.times.comm if c else 0.0
         if self.comm_mode == "paper":
             return (a if a > b else b) + cm
@@ -491,18 +581,18 @@ class PipelineSim:
 
     def _latest_slot(self, end: List[float]) -> int:
         """Latest op: ties toward the higher stage, then the earlier slot."""
-        k_op = self._shape.k_op
+        info = self._shape.info
         top = max(end)
         best = 0
         for j in range(1, len(end)):
-            if end[j] == top and (best == 0 or k_op[j][1] > k_op[best][1]):
+            if end[j] == top and (best == 0 or info[j][0] > info[best][0]):
                 best = j
         return best
 
     def _result(self, end: List[float]) -> SimResult:
         """Latest op, critical-path backtrack and master stage.
 
-        ``end`` holds every op's end time in Kahn slot order (see
+        ``end`` holds every op's end time in slot order (see
         :meth:`_relax`).  Every op but the sink ``B(0, m-1)`` is one of its
         ancestors and ends at or before its start (ends are monotone along
         edges), so when the sink's end exceeds its start in floats it is
@@ -518,50 +608,50 @@ class PipelineSim:
         relaxation's own expression, so nothing per-op is stored.
         """
         shape = self._shape
-        k_cross, k_intra, k_op = shape.k_cross, shape.k_intra, shape.k_op
-        comm = self.times.comm
-        paper = self.comm_mode == "paper"
+        cross, intra, info = shape.cross, shape.intra, shape.info
         sink = shape.sink_slot
         if end[sink] > self._start_at(end, sink):
             last = sink
         else:
             last = self._latest_slot(end)
 
-        path: List[int] = []
+        # Only an op with both predecessors needs the tolerance test: the
+        # later arrival is always tight, the other one when within the
+        # tolerance of it, and a tie goes to the higher stage.  ``+ 0.0``
+        # (paper mode) leaves the ``>= +0.0`` ends bitwise unchanged.
+        cm = self.times.comm if self.comm_mode == "edges" else 0.0
+        path = [last]
+        append = path.append
         j = last
         while True:
-            path.append(j)
-            c = k_cross[j]
-            q = k_intra[j]
-            if not (c or q):
-                break
-            ec = end[c]
-            eq = end[q]
-            if paper:
-                base = ec if ec > eq else eq
+            c = cross[j]
+            q = intra[j]
+            if not c:
+                if not q:
+                    break
+                j = q
+            elif not q:
+                j = c
+            else:
+                a = end[c] + cm
+                b = end[q]
+                base = a if a > b else b
                 lim = base - (1e-12 + 1e-9 * (base if base > 1.0 else 1.0))
-                tight_c = c and ec >= lim
-            else:
-                arrival = ec + comm if c else 0.0
-                s = arrival if arrival > eq else eq
-                lim = s - (1e-12 + 1e-9 * (s if s > 1.0 else 1.0))
-                tight_c = c and arrival >= lim
-            tight_q = q and eq >= lim
-            if tight_c and tight_q:
-                j = q if k_op[j][0] == "F" else c
-            else:
-                j = c if tight_c else q
+                if info[j][1]:
+                    j = q if b >= lim else c
+                else:
+                    j = c if a >= lim else q
+            append(j)
         path.reverse()
 
         # Master stage: the most steady-phase critical-path time (tie:
         # last), summed in path order like the reference.
-        fwd, bwd = self.times.fwd, self.times.bwd
-        k_phase = shape.k_phase
+        durs = (*self.times.fwd, *self.times.bwd)
         weight = [0.0] * self.n
         for j in path:
-            if k_phase[j] == STEADY:
-                kind, x, _ = k_op[j]
-                weight[x] += fwd[x] if kind == "F" else bwd[x]
+            x, _, row = info[j]
+            if row >= 0:
+                weight[x] += durs[row]
         if max(weight) <= 0.0:
             # Degenerate pipelines (tiny m): fall back to the heaviest stage.
             weight = list(self.times.total)
@@ -571,7 +661,7 @@ class PipelineSim:
             iteration_time=end[last],
             startup_overhead=self._start_at(end, shape.startup_slot),
             master_stage=master,
-            critical_path=tuple(k_op[j] for j in path),
+            critical_path=tuple(map(shape.ops.__getitem__, path)),
             stage_times=self.times,
             num_micro_batches=self.m,
             comm_mode=self.comm_mode,

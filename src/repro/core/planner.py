@@ -323,10 +323,12 @@ def plan_partition(
     ``num_stages`` and ``num_micro_batches`` must be integers ``>= 1``
     (``TypeError`` for a bool or non-integral value, ``ValueError``
     below 1).
+    ``max_evaluations`` is an integer ``>= 1`` checked like the counts.
     ``memory_cap`` (bytes per device) makes the search memory-aware: a
     scheme with any stage above the cap can still guide the heuristic but
-    can never be returned as the result.  Raises ``RuntimeError`` when no
-    evaluated scheme fits the cap.
+    can never be returned as the result.  A NaN or non-positive cap
+    raises ``ValueError``; a positive cap that no evaluated scheme fits
+    raises ``RuntimeError``.
     ``sim_cache`` shares simulator results across planning calls; it
     changes neither the returned partition nor the reported
     ``evaluations`` — only how many simulations actually run.
@@ -359,6 +361,11 @@ def plan_partition(
     """
     num_stages = _check_count("num_stages", num_stages)
     num_micro_batches = _check_count("num_micro_batches", num_micro_batches)
+    max_evaluations = _check_count("max_evaluations", max_evaluations)
+    if memory_cap is not None and not memory_cap > 0:
+        raise ValueError(
+            f"memory_cap must be a positive number of bytes, got {memory_cap!r}"
+        )
     _check_jobs(jobs)
     RobustObjective.check(robust)
     tel = _obs.current()

@@ -1,9 +1,12 @@
 """Scalar PipelineSim vs the straightforward dict-based reference.
 
-The production simulator caches the DAG topology per (n, m) shape, runs
-the recurrences over Kahn-ordered predecessor slots and backtracks tight
-predecessors along the critical path only.  This file keeps the original
-dict-based evaluation of the same recurrences as an executable
+The production simulator caches the DAG topology per (n, m) shape in
+round order (warmup FPs, then ``m`` rounds visiting the stages from
+last to first), runs the ``max(0, m - n + 1)`` rounds in which every
+stage is steady through one compiled loop per (depth, comm mode), the
+rest through a generic slot loop, and backtracks tight predecessors
+along the critical path only.  This file keeps the original dict-based
+evaluation of the same recurrences, in Kahn order, as an executable
 specification and checks the two agree **bit for bit** — start/end
 times (compared by ``float.hex``, since ``==`` conflates ±0.0),
 iteration time, startup, critical path (including the Fig. 4
@@ -16,8 +19,9 @@ to its start) and all-zero stages common too.
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from repro.core import analytic_sim
 from repro.core.analytic_sim import STEADY, PipelineSim
 from repro.core.partition import StageTimes
 
@@ -178,6 +182,75 @@ def test_matches_reference_deep(n, m, comm_mode, data):
     bwd = tuple(data.draw(values) for _ in range(n))
     comm = data.draw(st.sampled_from([0.0, 0.1, 0.37]))
     assert_bitwise_equal(StageTimes(fwd, bwd, comm), m, comm_mode)
+
+
+def _micro_batches(n, data):
+    """``m`` on one side of a full-round boundary (``s_0 = max(0, m-n+1)``):
+    no full round and a ramp-down-only run (``m < n - 1``), ``s_0 = 0``
+    (``m = n - 1``), a single full round (``m = n``) or many (``m >> n``)."""
+    regimes = ["one", "many"]
+    if n >= 2:
+        regimes.append("edge")
+    if n >= 3:
+        regimes.append("below")
+    regime = data.draw(st.sampled_from(regimes))
+    event(f"m regime: {regime}")
+    if regime == "below":
+        return data.draw(st.integers(min_value=1, max_value=n - 2))
+    if regime == "edge":
+        return n - 1
+    if regime == "one":
+        return n
+    return data.draw(st.integers(min_value=n + 1, max_value=8 * n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=16),
+    st.sampled_from(["paper", "edges"]),
+    st.sampled_from(["ties", "floats"]),
+    st.data(),
+)
+def test_matches_reference_across_round_boundaries(n, comm_mode, kind, data):
+    """Every regime of the round-ordered layout, up to 16 stages and
+    ``m = 8n``: the compiled full-round loop and the generic slot loop
+    around it, with tie-heavy and random float costs."""
+    m = _micro_batches(n, data)
+    if kind == "ties":
+        values = st.sampled_from(_TIE_VALUES)
+        comm = data.draw(st.sampled_from([0.0, 0.1]))
+    else:
+        values = st.floats(min_value=0.0, max_value=3.0)
+        comm = data.draw(st.floats(min_value=0.0, max_value=0.5))
+    fwd = tuple(data.draw(values) for _ in range(n))
+    bwd = tuple(data.draw(values) for _ in range(n))
+    assert_bitwise_equal(StageTimes(fwd, bwd, comm), m, comm_mode)
+
+
+def test_one_round_loop_per_depth_and_mode(monkeypatch):
+    """The full-round loop is compiled once per (depth, comm mode) and
+    reused by every ``m``; a shape without a full round compiles none."""
+    compiled = []
+    source = analytic_sim._round_source
+
+    def counting_source(n, paper):
+        compiled.append((n, paper))
+        return source(n, paper)
+
+    monkeypatch.setattr(analytic_sim, "_ROUND_LOOPS", {})
+    monkeypatch.setattr(analytic_sim, "_round_source", counting_source)
+    times = StageTimes((1.0, 0.5, 2.0, 1.0), (2.0, 1.0, 1.0, 0.5), 0.1)
+    for comm_mode in ("paper", "edges"):
+        key = (4, comm_mode == "paper")
+        for m in (1, 2, 3):
+            PipelineSim(times, m, comm_mode=comm_mode).run()
+        assert key not in analytic_sim._ROUND_LOOPS
+        PipelineSim(times, 4, comm_mode=comm_mode).run()
+        loop = analytic_sim._ROUND_LOOPS[key]
+        for m in range(5, 33):
+            PipelineSim(times, m, comm_mode=comm_mode).run()
+            assert analytic_sim._ROUND_LOOPS[key] is loop
+    assert compiled == [(4, True), (4, False)]
 
 
 @pytest.mark.parametrize("comm_mode", ["paper", "edges"])

@@ -56,6 +56,13 @@ class TestMemoryCap:
         with pytest.raises(RuntimeError, match="memory cap"):
             plan_partition(tiny_profile, 3, 8, memory_cap=1.0)
 
+    @pytest.mark.parametrize("cap", [float("nan"), 0.0, -1.0, -1e15])
+    def test_nan_or_non_positive_cap_rejected(self, tiny_profile, cap):
+        """A NaN cap would switch the check off and a negative one fail
+        with a meaningless "-0.0 GiB"; both are caller errors."""
+        with pytest.raises(ValueError, match="memory_cap"):
+            plan_partition(tiny_profile, 3, 8, memory_cap=cap)
+
     def test_generous_cap_is_noop(self, tiny_profile):
         free = plan_partition(tiny_profile, 3, 8)
         capped = plan_partition(tiny_profile, 3, 8, memory_cap=1e15)

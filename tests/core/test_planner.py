@@ -60,6 +60,9 @@ class TestPlanQuality:
             ("jobs", 2, ValueError),
             ("jobs", 0, ValueError),
             ("jobs", True, TypeError),
+            ("max_evaluations", 0, ValueError),
+            ("max_evaluations", -1, ValueError),
+            ("max_evaluations", 1.5, TypeError),
             # Removed keywords: history is always kept, telemetry goes
             # through the current registry.
             ("keep_history", True, TypeError),
