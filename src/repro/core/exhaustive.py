@@ -89,14 +89,6 @@ _CLIMB_MIN_SPACE = 1_000_000
 #: pure tuning.
 _ANALYTIC_BLOCK = 8_192
 
-#: columns below which a chunk runs without the mid-sweep sieve.  Same
-#: host, the zoo's depth 8-11 searches: under ~4k columns the sieve's
-#: checkpoint scans cost more than the lanes they retire (sweeps are
-#: 1.0-1.8x slower sieved), from ~5k columns it breaks even, and a full
-#: 8 192-column depth-12 chunk runs ~1.4x faster sieved.  Skipping it is
-#: exact — the sieve only ever drops provably-over-limit columns.
-_SIEVE_MIN_COLS = 4_096
-
 #: lowest-bound leaf columns the analytic search scores first, to tighten
 #: its incumbent before it filters the rest of the leaf level by bound.
 #: Exact at any value (tests patch it): the filter only drops columns
@@ -113,8 +105,7 @@ class ExhaustiveResult:
     #: candidates actually simulated: the seed (one kernel column per
     #: draw) plus, for the analytic search, the seed climb's columns and
     #: every other leaf column the kernel scored (the probe and the
-    #: columns that passed the leaf-bound filter, including any its
-    #: mid-sweep sieve then dropped).
+    #: columns that passed the leaf-bound filter).
     evaluations: int
     search_seconds: float
     #: size of the search space, C(n-1, p-1).
@@ -377,31 +368,22 @@ class _Objective:
             return per_draw
         return reduce_statistic(per_draw, self.statistic, axis=-1)
 
-    def score(
-        self, f_t: np.ndarray, b_t: np.ndarray, limit: Optional[float] = None
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    def score(self, f_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
         """Objective values of the candidates in the stage-major
-        ``(p, C)`` cost matrices, as ``(values, keep)``.
-
-        ``limit`` arms the kernel's mid-sweep sieve on the nominal path
-        (``keep`` then maps the surviving values to columns).  A robust
-        sweep never sieves: a column dropped mid-sweep would leave a
-        partial draw set to reduce.
-        """
+        ``(p, C)`` cost matrices, one per column."""
         if self.ff is None:
             return frontier_times_transposed(
                 f_t, b_t, self.comm_d, self.m, comm_mode=self.comm_mode,
-                limit=limit,
             )
         p, cols = f_t.shape
         d = self.draws
         pf = (f_t[:, :, None] * self.ff[:, None, :]).reshape(p, cols * d)
         pb = (b_t[:, :, None] * self.fb[:, None, :]).reshape(p, cols * d)
-        times, _ = frontier_times_transposed(
+        times = frontier_times_transposed(
             pf, pb, self.factors.kernel_comm(self.comm, cols),
             self.m, comm_mode=self.comm_mode,
         )
-        return self.reduce(times.reshape(cols, d)), None
+        return self.reduce(times.reshape(cols, d))
 
 
 class _Bounds:
@@ -645,7 +627,7 @@ def _offer_sizes(
     n = SF.shape[0]
     sizes = np.array(cand, dtype=np.int64)
     cell = ((np.cumsum(sizes, axis=1) - sizes) * n + sizes - 1).T
-    values, _ = objective.score(SF.ravel().take(cell), SB.ravel().take(cell))
+    values = objective.score(SF.ravel().take(cell), SB.ravel().take(cell))
     state.evaluations += len(cand)
     vmin = values.min()
     state.offer(
@@ -784,10 +766,9 @@ def _search_analytic(
       buffers by walking the parent pointers into the exact left-fold
       slice tables, so every column is bitwise the brute force's
       stage-time vector, and scored by :meth:`_Objective.score` (the
-      kernel is bit-identical to the scalar simulator).  Wide nominal
-      chunks get the current bound for the kernel's mid-sweep sieve,
-      which only ever drops columns whose lower bound exceeds a true
-      candidate time (padded for rounding).  Ties are resolved by
+      kernel is bit-identical to the scalar simulator).  The kernel
+      sweeps every column it is given: the leaf-bound filter is the
+      search's one exact filter at the leaf level.  Ties are resolved by
       reconstructing every minimum-value column and offering the
       lexicographically smallest; ``offer`` does not depend on scoring
       order, so the result is the brute-force argmin, property-tested
@@ -802,7 +783,8 @@ def _search_analytic(
     live ``prefixes`` counts, the leaf level an ``oracle.probe`` span
     with the probe's ``cols``, the filter's ``survivors`` and the
     incumbent before and after the probe, and every scored chunk an
-    ``oracle.kernel_sweep`` span with its ``cols``, ``kept`` and
+    ``oracle.kernel_sweep`` span with its ``cols``, ``kept`` (the
+    columns swept: ``cols`` less the seed and climb columns) and
     ``draws``.
     """
     n = len(fwd)
@@ -1015,7 +997,6 @@ def _search_analytic(
             chunk = cols[c0:c0 + block]
             idx = chunk[fresh.take(chunk)]
             state.evaluations += idx.size
-            kept = 0
             if idx.size:
                 fwd_mat = np.empty((p, idx.size))
                 bwd_mat = np.empty((p, idx.size))
@@ -1024,27 +1005,17 @@ def _search_analytic(
                 leaf_pos = pos_arr.take(idx)
                 bounds.suf_f.take(leaf_pos, out=fwd_mat[p - 1])
                 bounds.suf_b.take(leaf_pos, out=bwd_mat[p - 1])
-                # The mid-sweep sieve's per-checkpoint scan only pays
-                # for itself on wide chunks; narrow ones run the plain
-                # (exact) sweep.
-                times, keepmap = objective.score(
-                    fwd_mat, bwd_mat,
-                    limit=(state.best_time * slack
-                           if idx.size >= _SIEVE_MIN_COLS else None),
+                times = objective.score(fwd_mat, bwd_mat)
+                tmin = times.min()
+                ties = np.flatnonzero(times == tmin)
+                state.offer(
+                    min(column_sizes(c) for c in idx.take(ties).tolist()),
+                    float(tmin),
                 )
-                kept = times.size
-                if kept:
-                    tmin = times.min()
-                    ties = np.flatnonzero(times == tmin)
-                    hit = keepmap[ties] if keepmap is not None else ties
-                    state.offer(
-                        min(column_sizes(c) for c in idx.take(hit).tolist()),
-                        float(tmin),
-                    )
             if tel is not None:
                 tel.record_since(
                     "oracle.kernel_sweep", t_f,
-                    cols=int(chunk.size), kept=kept, draws=draws,
+                    cols=int(chunk.size), kept=int(idx.size), draws=draws,
                 )
 
     def leaf_bounds() -> np.ndarray:
@@ -1133,7 +1104,8 @@ def exhaustive_partition(
     absorbs float rounding so the search stays exact.
     ``num_stages`` and ``num_micro_batches`` must be integers ``>= 1``
     (``TypeError`` for a bool or non-integral value, ``ValueError``
-    below 1).  Raises ``ValueError`` if the search space exceeds
+    below 1), and so must ``max_evaluations`` unless it is ``None``.
+    Raises ``ValueError`` if the search space exceeds
     ``max_evaluations`` (pass ``None`` to force it anyway).
 
     ``robust`` replaces the objective with a
@@ -1174,6 +1146,8 @@ def exhaustive_partition(
     """
     num_stages = _check_count("num_stages", num_stages)
     num_micro_batches = _check_count("num_micro_batches", num_micro_batches)
+    if max_evaluations is not None:
+        max_evaluations = _check_count("max_evaluations", max_evaluations)
     _check_jobs(jobs)
     RobustObjective.check(robust)
     tel = _obs.current()

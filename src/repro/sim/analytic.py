@@ -47,9 +47,7 @@ B).  Those rows all have parity ``n - t``; the B-half writes only
 ``max(F[k], B[k]) + comm`` therefore feeds both writes: four numpy
 calls per step instead of six.  Edges mode adds comm to the cross
 operand, which differs between the halves, so it takes each half's max
-separately in the same loop.  At a sieve checkpoint the step splits
-into its B-half, the sieve (which must see step ``t`` complete) and its
-F-half.  The steady loop runs on the frontier and the costs reordered
+separately in the same loop.  The steady loop runs on the frontier and the costs reordered
 even rows first (:func:`_by_parity`), where every stride-2 row run is
 one contiguous block; warmup and cooldown diagonals are contiguous in
 stage order and run there.  Every step's slices, fix row and comm range
@@ -80,8 +78,6 @@ schedule / question                   evaluator
 plain 1F1B iteration times            :func:`frontier_times` (this module)
 oracle candidate frontier (K at once) :func:`frontier_times_transposed`
 robust draws, ``(K,)`` comm vectors   :func:`frontier_times` (vector comm)
-per-stage busy / bubble               :func:`stage_busy_times` /
-                                      :func:`bubble_fractions`
 per-stage peak memory                 :mod:`repro.parallel.memory_model`
 per-op critical path, master stage    :class:`~repro.core.analytic_sim.
                                       PipelineSim`, the exact scalar
@@ -122,8 +118,6 @@ __all__ = [
     "AnalyticUnsupported",
     "frontier_times",
     "frontier_times_transposed",
-    "stage_busy_times",
-    "bubble_fractions",
     "execute_analytic",
 ]
 
@@ -135,17 +129,6 @@ class AnalyticUnsupported(RuntimeError):
     cycle that only the event engine's diagnosis can untangle).  Re-run
     with ``executor="event"`` for a per-device deadlock report.
     """
-
-
-#: Relative pad applied to the mid-sweep sieve limit: a column is only
-#: dropped when its lower bound exceeds ``limit`` by more than float
-#: rounding could account for, so optimal candidates always survive —
-#: even when the caller's own pruning test allows no slack at all.
-_SIEVE_PAD = 1.0 + 1e-9
-
-#: Only compact the working matrices when the sieve removed at least
-#: this fraction of the surviving columns (copying costs a full pass).
-_COMPACT_FRACTION = 0.10
 
 
 def _as_cost_matrix(arr, name: str) -> np.ndarray:
@@ -214,14 +197,13 @@ def frontier_times(
         )
     comm = _check_comm(comm, fwd.shape[0])
     m = _check_inputs(fwd, bwd, comm, num_micro_batches)
-    times, _ = _sweep(
+    return _sweep(
         np.ascontiguousarray(fwd.T),
         np.ascontiguousarray(bwd.T),
         comm,
         m,
         comm_mode,
     )
-    return times
 
 
 def frontier_times_transposed(
@@ -231,41 +213,24 @@ def frontier_times_transposed(
     num_micro_batches: int,
     *,
     comm_mode: str = "paper",
-    limit: Optional[float] = None,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+) -> np.ndarray:
     """Stage-major frontier sweep: the oracle's zero-copy entry point.
 
     ``fwd_t`` / ``bwd_t`` are ``(num_stages, K)`` — each *row* is one
     stage's cost across all candidates, which is exactly how the oracle
     assembles its chunk matrices and how the sweep touches memory.
-
-    ``limit`` arms the mid-sweep sieve: at a few frontier checkpoints a
-    per-column lower bound (finished-frontier state + remaining work +
-    comm and drain chains) discards candidates that provably exceed
-    ``limit`` (padded by :data:`_SIEVE_PAD`, so rounding can never drop
-    a true optimum).  Returns ``(times, keep)`` where ``times`` are the
-    surviving columns' iteration times — bitwise equal to the unsieved
-    sweep's values at those columns — and ``keep`` maps them back to
-    input column indices (``None`` when no sieve ran).
+    Returns the ``(K,)`` iteration times, bitwise :func:`frontier_times`
+    of the transposed matrices.
     """
     comm = _check_comm(comm, fwd_t.shape[1])
     m = _check_inputs(fwd_t, bwd_t, comm, num_micro_batches)
-    return _sweep(fwd_t, bwd_t, comm, m, comm_mode, limit=limit)
+    return _sweep(fwd_t, bwd_t, comm, m, comm_mode)
 
 
-#: Sweep plans keyed by ``(n, m, sieved)``: every step's row slices, fix
-#: row and comm range, built once per shape (bounded LRU).
-_PLAN_CACHE: "OrderedDict[Tuple[int, int, bool], _Plan]" = OrderedDict()
+#: Sweep plans keyed by ``(n, m)``: every step's row slices, fix row and
+#: comm range, built once per shape (bounded LRU).
+_PLAN_CACHE: "OrderedDict[Tuple[int, int], _Plan]" = OrderedDict()
 _PLAN_CACHE_SIZE = 128
-
-
-def _checkpoints(n: int, m: int) -> Tuple[int, ...]:
-    """Steady steps after which an armed sieve runs (it also runs at
-    ``-1``, right after warmup)."""
-    last = 2 * m - 2
-    return tuple(sorted({
-        q for q in (n + 1, n + 7, last // 2, 3 * last // 4) if 0 < q < last
-    }))
 
 
 def _steady_stages(n: int, m: int, step: int) -> Optional[Tuple[int, int]]:
@@ -283,22 +248,6 @@ def _steady_stages(n: int, m: int, step: int) -> Optional[Tuple[int, int]]:
     return n - 1 - (dmax - ((dmax - parity) & 1)), n - 1 - parity
 
 
-def _rem_counts(n: int, m: int, step: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-stage remaining forward/backward counts, closed-form.
-
-    ``step`` is the last completed steady step; stage ``n - 1 - d``
-    has run one (F, B) pair at each step ``t >= d`` with
-    ``t ≡ d (mod 2)``, up to its ``m - min(m, d)`` steady pairs.
-    """
-    d = np.arange(n - 1, -1, -1)
-    steady = m - np.minimum(m, d)
-    done = np.where(step >= d, np.minimum((step - d) // 2 + 1, steady), 0)
-    return (
-        (steady - done).astype(np.float64)[:, None],
-        (m - done).astype(np.float64)[:, None],
-    )
-
-
 def _by_parity(a: np.ndarray) -> np.ndarray:
     """``a``'s rows reordered even rows first, then odd rows: every stride-2
     row run of ``a`` becomes a contiguous block."""
@@ -314,9 +263,9 @@ class _Plan:
     and cooldown run on stage order, whose diagonals are contiguous.
     """
 
-    __slots__ = ("warmup", "steady", "cooldown", "rem")
+    __slots__ = ("warmup", "steady", "cooldown")
 
-    def __init__(self, n: int, m: int, sieved: bool) -> None:
+    def __init__(self, n: int, m: int) -> None:
         evens = n // 2 + 1  # even frontier rows, k = 0 .. n
 
         def run(lo, hi, shift=0, frontier=True):
@@ -333,7 +282,7 @@ class _Plan:
             )
         self.warmup = tuple(warmup)
 
-        def entry(b_rows, f_rows, fix, sieve_at):
+        def entry(b_rows, f_rows, fix):
             """Step p's B-half over rows ``b_rows`` and step p + 1's
             F-half over rows ``f_rows`` (``(lo, hi)`` ranges, or None).
 
@@ -346,8 +295,6 @@ class _Plan:
             writes, its cost rows and its row count.
             """
             spans = [r for r in (b_rows, f_rows) if r is not None]
-            if not spans:
-                return None, 0, None, False, False, None, None, None, sieve_at
             lo = min(r[0] for r in spans)
             hi = max(r[1] for r in spans)
             size = (hi - lo) // 2 + 1
@@ -374,7 +321,6 @@ class _Plan:
                 None if fix is None else run(fix, fix).start,
                 None if b_rows is None else half(b_rows, -1, -1),
                 None if f_rows is None else half(f_rows, 1, 0),
-                sieve_at,
             )
 
         # Entry p pairs step p's B-half with step p + 1's F-half (p = -1
@@ -385,19 +331,14 @@ class _Plan:
         # (its B entry is still 0.0, so the plain maximum would
         # under-constrain; the fix is exact).
         fix_lim = min(m, n) - 1
-        checkpoints = _checkpoints(n, m) if sieved else ()
         steady = []
         for p in range(-1, 2 * m - 1):
             b = _steady_stages(n, m, p)
             b_rows = None if b is None else (b[0] + 1, b[1] + 1)
             f_rows = _steady_stages(n, m, p + 1)
             fix = f_rows[0] + 1 if f_rows and p + 1 <= fix_lim else None
-            if p in checkpoints:
-                # The sieve sees step p complete: B-half, sieve, F-half.
-                steady.append(entry(b_rows, None, None, p))
-                b_rows = None
             if b_rows is not None or f_rows is not None:
-                steady.append(entry(b_rows, f_rows, fix, None))
+                steady.append(entry(b_rows, f_rows, fix))
         self.steady = tuple(steady)
 
         # Symmetric fix rows: a stage's first cooldown backward can trail
@@ -413,21 +354,12 @@ class _Plan:
                 ))
         self.cooldown = tuple(cooldown)
 
-        # Remaining-work counts at each sieve, in the costs' row order
-        # (read-only: every sweep of this shape shares them).
-        self.rem = {}
-        for step in ((-1,) + checkpoints if sieved else ()):
-            counts = tuple(_by_parity(c) for c in _rem_counts(n, m, step))
-            for c in counts:
-                c.setflags(write=False)
-            self.rem[step] = counts
 
-
-def _plan(n: int, m: int, sieved: bool) -> _Plan:
-    key = (n, m, sieved)
+def _plan(n: int, m: int) -> _Plan:
+    key = (n, m)
     plan = _PLAN_CACHE.get(key)
     if plan is None:
-        plan = _Plan(n, m, sieved)
+        plan = _Plan(n, m)
         _PLAN_CACHE[key] = plan
         if len(_PLAN_CACHE) > _PLAN_CACHE_SIZE:
             _PLAN_CACHE.popitem(last=False)
@@ -436,54 +368,23 @@ def _plan(n: int, m: int, sieved: bool) -> _Plan:
     return plan
 
 
-def _sieve(F, B, fwd, bwd, drain, rem, limit):
-    """Columns whose lower bound stays within the limit, or None when
-    too few fall to pay for compacting.
-
-    Works on the parity-ordered frontier and costs.  A stage's bound is
-    its finished state ``max(F[x + 1], B[x])`` plus its remaining work
-    ``rem`` (closed-form per step) plus its drain chain.  Even stages'
-    ``F[x + 1]`` are odd frontier rows and odd stages' are even rows from
-    row 2, so two maxima line the frontier up with the costs.
-    """
-    n = fwd.shape[0]
-    evens, even_stages = n // 2 + 1, (n + 1) // 2
-    odd_stages = n - even_stages
-    rem_f, rem_b = rem
-    lb = np.empty_like(fwd)
-    np.maximum(F[evens:evens + even_stages], B[:even_stages],
-               out=lb[:even_stages])
-    np.maximum(F[1:1 + odd_stages], B[evens:evens + odd_stages],
-               out=lb[even_stages:])
-    lb += rem_f * fwd
-    lb += rem_b * bwd
-    lb += drain
-    mask = lb.max(axis=0) <= limit * _SIEVE_PAD
-    if mask.sum() >= mask.size * (1.0 - _COMPACT_FRACTION):
-        return None
-    return mask
-
-
 def _sweep(
     fwd: np.ndarray,
     bwd: np.ndarray,
     comm,
     m: int,
     comm_mode: str,
-    *,
-    limit: Optional[float] = None,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+) -> np.ndarray:
     """The frontier kernel over stage-major ``(n, K)`` cost matrices.
 
     Warmup diagonals, then one loop of paired steady steps (step ``p``'s
-    B-half with step ``p + 1``'s F-half; at a checkpoint the B-half, the
-    sieve, then the F-half), then cooldown diagonals.
+    B-half with step ``p + 1``'s F-half), then cooldown diagonals.
     """
     if comm_mode not in ("paper", "edges"):
         raise ValueError(f"unknown comm_mode {comm_mode!r}")
     n, num_cols = fwd.shape
     paper = comm_mode == "paper"
-    plan = _plan(n, m, limit is not None)
+    plan = _plan(n, m)
     if np.ndim(comm) == 0:
         comm = np.array(comm)  # a 0-d array adds faster than a float
 
@@ -515,35 +416,6 @@ def _sweep(
     fwd_p = _by_parity(fwd)
     bwd_p = _by_parity(bwd)
     tmp = np.empty((n // 2 + 1, num_cols))
-    keep: Optional[np.ndarray] = None
-    drain: Optional[np.ndarray] = None
-    if limit is not None:
-        keep = np.arange(num_cols)
-        # Static drain chain: once stage x finishes, the final backward
-        # still has to traverse stages x-1 .. 0 — at least one backward
-        # plus one comm hop per stage.  Computed once, compacted along
-        # with the cost matrices.
-        drain = np.empty_like(bwd)
-        drain[0] = 0.0
-        np.cumsum(bwd[:-1], axis=0, out=drain[1:])
-        drain += np.arange(n, dtype=np.float64)[:, None] * comm
-        drain = _by_parity(drain)
-
-    def compact(step):
-        nonlocal F, B, fwd_p, bwd_p, bwd, drain, keep, comm, tmp
-        mask = _sieve(F, B, fwd_p, bwd_p, drain, plan.rem[step], limit)
-        if mask is not None:
-            F, B, fwd_p, bwd_p, bwd, drain = (
-                np.ascontiguousarray(a[:, mask])
-                for a in (F, B, fwd_p, bwd_p, bwd, drain)
-            )
-            keep = keep[mask]
-            if comm.ndim:
-                comm = comm[mask]
-            tmp = np.empty((n // 2 + 1, keep.size))
-
-    if limit is not None:
-        compact(-1)
 
     # -- steady: paired B- and F-halves over shared rows -------------------
     # Step p's B-half (stage k - 1 reads its own F[k] and the cross B[k])
@@ -553,9 +425,8 @@ def _sweep(
     # between both writes.  Edges mode adds comm to the cross operand,
     # which differs between the halves, so each half takes its own max
     # over its own rows (the run's end rows feed one half only).
-    for rows, size, comm_rows, first, last, fix, b, f, sieve_at in \
-            plan.steady:
-        if paper and size:
+    for rows, size, comm_rows, first, last, fix, b, f in plan.steady:
+        if paper:
             t = tmp[:size]
             np.maximum(F[rows], B[rows], out=t)
             if fix is not None:
@@ -572,7 +443,7 @@ def _sweep(
                 part, _, dst, cost, _ = f
                 np.add(t if part is None else t[part], fwd_p[cost],
                        out=F[dst])
-        elif size:
+        else:
             if b is not None:
                 _, src, dst, cost, count = b
                 t = tmp[:count]
@@ -591,8 +462,6 @@ def _sweep(
                 if fix is not None:
                     np.maximum(t[0], F[fix], out=t[0])
                 np.add(t, fwd_p[cost], out=F[dst])
-        if sieve_at is not None:
-            compact(sieve_at)
 
     # -- cooldown: anti-diagonal v drains B(x, m - 1 - ...) ----------------
     # Back to stage order, with the parity-ordered B as scratch; the fix
@@ -618,38 +487,7 @@ def _sweep(
                 np.maximum(t[0], F[fix], out=t[0])
         np.add(t, bwd[own], out=B[own])
 
-    return B[0].copy(), keep
-
-
-# -- per-stage summary helpers ----------------------------------------------
-
-
-def stage_busy_times(fwd, bwd, num_micro_batches: int) -> np.ndarray:
-    """Per-stage compute-busy seconds, ``(K, num_stages)``.
-
-    Mirrors :meth:`~repro.core.analytic_sim.SimResult.stage_busy_time`:
-    every stage runs each micro-batch's forward and backward exactly
-    once, so busy time is ``m * (f + b)`` regardless of schedule gaps.
-    """
-    fwd = _as_cost_matrix(fwd, "fwd")
-    bwd = _as_cost_matrix(bwd, "bwd")
-    return num_micro_batches * (fwd + bwd)
-
-
-def bubble_fractions(
-    fwd, bwd, iteration_times, num_micro_batches: int
-) -> np.ndarray:
-    """Per-stage idle fraction, ``(K, num_stages)``.
-
-    ``iteration_times`` is the ``(K,)`` output of
-    :func:`frontier_times`; non-positive iteration times report ``0.0``
-    idle, like :meth:`SimResult.bubble_fraction`.
-    """
-    busy = stage_busy_times(fwd, bwd, num_micro_batches)
-    it = np.asarray(iteration_times, dtype=np.float64)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = 1.0 - busy / it
-    return np.where(it > 0, frac, 0.0)
+    return B[0].copy()
 
 
 # -- direct clock propagation over lowered programs -------------------------

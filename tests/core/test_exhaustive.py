@@ -66,6 +66,14 @@ class TestEnumeration:
                 ("telemetry", False, TypeError),
                 # The shared simulation memo is gone from the oracle.
                 ("sim_cache", SimCache(), TypeError),
+                # The space cap is None or a count like the others: NaN
+                # must not switch it off, nor a float or bool pass as one.
+                ("max_evaluations", float("nan"), TypeError),
+                ("max_evaluations", 1.5, TypeError),
+                ("max_evaluations", True, TypeError),
+                ("max_evaluations", "x", TypeError),
+                ("max_evaluations", 0, ValueError),
+                ("max_evaluations", -1, ValueError),
             ],
         )
         # numpy integers are integers.
@@ -77,6 +85,11 @@ class TestEnumeration:
         one = exhaustive_partition(tiny_profile, 3, 8, jobs=1)
         assert one.partition == ref.partition
         assert one.iteration_time == ref.iteration_time
+        # A numpy integer cap is a cap.
+        capped = exhaustive_partition(
+            tiny_profile, 3, 8, max_evaluations=np.int64(ref.space)
+        )
+        assert capped.partition == ref.partition
 
 
 class TestOracle:

@@ -140,9 +140,9 @@ class TestPrunedMatchesBruteForce:
     )
     def test_small_chunks_change_nothing(self, blocks, p, block):
         """Chunked sweeps must not affect the search: one- and
-        three-column leaf chunks (sieved, and three not dividing the
-        column count) give the default chunk's argmin, time, evaluation
-        and dominance counts.  Zero-cost blocks make twin prefixes, so
+        three-column leaf chunks (three not dividing the column count)
+        give the default chunk's argmin, time, evaluation and dominance
+        counts.  Zero-cost blocks make twin prefixes, so
         the dominance memo drops some mid-level; depth up to 6 walks
         three and more parent-pointer levels."""
         fwd, bwd = zip(*blocks)
@@ -151,7 +151,6 @@ class TestPrunedMatchesBruteForce:
         with pytest.MonkeyPatch.context() as patch:
             if block is not None:
                 patch.setattr(exhaustive, "_ANALYTIC_BLOCK", block)
-                patch.setattr(exhaustive, "_SIEVE_MIN_COLS", block)
             tiny = exhaustive_partition(profile, p, 4)
         assert tiny.partition.sizes == big.partition.sizes
         assert tiny.iteration_time == big.iteration_time
