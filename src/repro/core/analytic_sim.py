@@ -39,20 +39,19 @@ planning time):
   topological order gives the same end times, and within a stage slots
   keep program order, so the tie-breaks pick the same ops as the
   reference's Kahn order;
-* the first ``s_0 = max(0, m - n + 1)`` rounds have every stage steady
-  and hold most ops of planner-sized shapes (72% of the end-to-end
-  ``plan`` stream's).  They run in a loop generated once per
-  ``(depth, comm mode)`` with ``compile``/``exec`` from integers only
-  (:func:`_round_source`): per-stage end times live in locals and each
-  round stores its ``2n`` ends with one ``list.extend``;
-* the warmup and ramp-down slots run one ``zip`` loop that gathers each
-  op's ``(comm addend, duration)`` pair from a 4n-entry per-stage table
-  with one ``operator.itemgetter`` call and appends end times;
-* both loops perform the reference recurrence's IEEE sequence per op —
+* every op is relaxed by one function generated once per ``(depth,
+  comm mode)`` with ``compile``/``exec`` from integers only
+  (:func:`_relax_source`) and used for every ``m``.  Per-stage end times
+  live in locals, and three loops follow the slot order: the warmup,
+  the ``s_0 = max(0, m - n + 1)`` full rounds (every stage steady; each
+  stores its ``2n`` ends with one ``list.extend``) and the ramp-down.
+  The source has O(n) statements, so compiling one takes from ~0.25 ms
+  at depth 2 to ~2-3 ms at depth 16, paid at a depth's first use;
+* each op performs the reference recurrence's IEEE sequence —
   ``max(cross, intra) + comm + dur``, or ``max(cross + comm, intra) +
   dur`` in edges mode — bitwise equal because ends are finite and
   ``>= +0.0`` (:class:`~repro.core.partition.StageTimes` rejects NaN and
-  infinities), which also lets the round loop drop the ``+ 0.0`` of an
+  infinities), which also lets the relaxation drop the ``+ 0.0`` of an
   op without a cross dependency and read a missing predecessor as
   ``0.0``;
 * the latest op is the sink ``B(0, m-1)`` whenever its end exceeds its
@@ -85,7 +84,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
@@ -129,35 +127,25 @@ class _Shape:
     ``B(x, r)`` in its cooldown.  This order is topological (a BP's cross
     dependency was placed earlier in the round, an FP's in an earlier
     round) and, within a stage, slots follow program order.
+    :func:`_relax_source` fills the slots in this order.
 
-    The first ``rounds = max(0, m - n + 1)`` rounds have every stage
-    steady; :func:`_round_loop` runs them.  ``warm`` and ``ramp`` are the
-    ``(cross slots, intra slots, cost gather)`` of the slots before and
-    after them, for :func:`_relax_segment`.  ``cross``/``intra`` give
-    every slot's predecessor slots (0 when missing), ``ops`` its op and
-    ``info`` its ``(stage, is FP, steady cost row)``, the cost row
-    indexing ``fwd + bwd`` (-1 outside the steady phase).  Entry 0 of
-    each is a placeholder.
+    ``cross``/``intra`` give every slot's predecessor slots (0 when
+    missing), ``ops`` its op and ``info`` its ``(stage, is FP, steady
+    cost row)``, the cost row indexing ``fwd + bwd`` (-1 outside the
+    steady phase).  Entry 0 of each is a placeholder.
     """
 
-    __slots__ = (
-        "rounds", "warm", "ramp", "cross", "intra", "ops", "info",
-        "sink_slot", "startup_slot",
-    )
+    __slots__ = ("cross", "intra", "ops", "info", "sink_slot", "startup_slot")
 
     def __init__(self, n: int, m: int) -> None:
         warm = [min(m, n - 1 - x) for x in range(n)]
-        # Per-stage constants, shared by every slot of the stage: the cost
-        # rows of its FP and BP and the ``info`` entries of its phases.
-        f_row = [2 * x + (x > 0) for x in range(n)]
-        b_row = [2 * (n + x) + (x < n - 1) for x in range(n)]
+        # Per-stage ``info`` entries of its phases, shared by its slots.
         f_info = [((x, True, -1), (x, True, x)) for x in range(n)]
         b_info = [((x, False, -1), (x, False, n + x)) for x in range(n)]
         cross = [0]
         intra = [0]
         ops = [None]
         info = [None]
-        rows = [0]
         last = [0] * n   # each stage's latest slot (its next op's intra)
         last_f = [0] * n  # each stage's latest FP slot
         for mb in range(warm[0]):
@@ -167,8 +155,9 @@ class _Shape:
                 intra.append(last[x])
                 ops.append(("F", x, mb))
                 info.append(f_info[x][0])
-                rows.append(f_row[x])
                 last[x] = last_f[x] = j
+        #: ``F(n-1, 0)`` opens round 0.
+        self.startup_slot = len(cross)
         for r in range(m):
             for x in range(n - 1, -1, -1):
                 steady = r < m - warm[x]
@@ -178,27 +167,14 @@ class _Shape:
                     intra.append(last[x])
                     ops.append(("F", x, warm[x] + r))
                     info.append(f_info[x][1])
-                    rows.append(f_row[x])
                     last[x] = last_f[x] = j
                 j = len(cross)
                 cross.append(last[x + 1] if x < n - 1 else 0)
                 intra.append(last[x])
                 ops.append(("B", x, r))
                 info.append(b_info[x][steady])
-                rows.append(b_row[x])
                 last[x] = j
 
-        self.rounds = max(0, m - n + 1)
-        lo = 1 + sum(warm)
-        hi = lo + 2 * n * self.rounds
-        # Two spare rows keep ``itemgetter`` returning a tuple of pairs
-        # for a segment of 0 or 1 ops; ``zip`` stops at the slots.
-        self.warm = (
-            tuple(cross[1:lo]), tuple(intra[1:lo]), itemgetter(*rows[1:lo], 0, 0)
-        )
-        self.ramp = (
-            tuple(cross[hi:]), tuple(intra[hi:]), itemgetter(*rows[hi:], 0, 0)
-        )
         self.cross = tuple(cross)
         self.intra = tuple(intra)
         self.ops = tuple(ops)
@@ -208,8 +184,6 @@ class _Shape:
         #: last op), and end times are monotone along edges (comm and
         #: durations are non-negative), so its end *is* the iteration time.
         self.sink_slot = len(cross) - 1
-        #: ``F(n-1, 0)`` opens round 0.
-        self.startup_slot = lo
 
     def stage_major(self) -> List[int]:
         """Every slot, stage-major in program order (the views' order)."""
@@ -217,33 +191,25 @@ class _Shape:
         return sorted(range(1, len(info)), key=lambda j: info[j][0])
 
 
-def _warm_last_slots(n: int) -> List[int]:
-    """Each stage's last warmup-FP slot when ``m >= n`` (0: no warmup).
+def _relax_source(n: int, paper: bool) -> str:
+    """Python source of the depth-``n`` relaxation, used for every ``m``.
 
-    The warmup of :class:`_Shape` then depends on ``n`` alone: micro-batch
-    ``mb`` places stages ``0 .. n-2-mb``.
-    """
-    last = [0] * n
-    j = 0
-    for mb in range(n - 1):
-        for x in range(n - 1 - mb):
-            j += 1
-            last[x] = j
-    return last
+    Each stage keeps two locals, both starting at the sentinel ``0.0``:
+    ``f<x>`` (its latest FP end, the next stage's cross dependency) and
+    ``t<x>`` (its latest op end, its own intra dependency).  Three loops
+    append every op's end in :class:`_Shape`'s slot order:
 
+    * warmup: micro-batch ``mb`` runs stages ``0 .. n-2-mb``, whose only
+      ops so far are FPs, so ``f<x>`` is also the intra dependency;
+    * ``max(0, m-n+1)`` full rounds: every stage, last to first, runs F
+      then B, and the round's ``2n`` ends go in with one ``extend``;
+    * ramp-down round ``j`` (``max(0, n-1-m) .. n-2``): stage ``x`` runs
+      F then B while ``x > j``, and B alone otherwise.
 
-def _round_source(n: int, paper: bool) -> str:
-    """Python source of the full-round loop for depth ``n``.
-
-    Each stage keeps two locals: ``f<x>`` (its latest FP end, the next
-    stage's cross dependency one round later) and ``t<x>`` (its latest
-    op end, its own intra dependency).  A round is the reference
-    recurrence per op — ``max(cross, intra) + comm + dur`` in paper mode,
-    ``max(cross + comm, intra) + dur`` in edges mode — with the ``0.0``
-    addends of comm-free ops dropped, which is bitwise the same because
-    ends are never ``-0.0``; an FP with no intra predecessor (stage
-    ``n-1`` in round 0) reads ``t<n-1> = 0.0``, the sentinel.  Each round
-    appends its ``2n`` ends in slot order with one ``extend``.
+    Each op is the reference recurrence — ``max(cross, intra) + comm +
+    dur`` in paper mode, ``max(cross + comm, intra) + dur`` in edges mode
+    — with the ``0.0`` addends of comm-free ops dropped, which is bitwise
+    the same because ends are never ``-0.0``.
     """
     def relax(out, cross, intra, dur):
         if cross is None:
@@ -258,63 +224,65 @@ def _round_source(n: int, paper: bool) -> str:
             f"{out} = (a if a > {intra} else {intra}) + {dur}",
         ]
 
-    last = _warm_last_slots(n)
+    def indent(depth, body):
+        return [" " * depth + line for line in body]
+
+    top = n - 1
     lines = [
-        "def rounds(end, k, c, fwd, bwd):",
+        "def relax(end, m, c, fwd, bwd):",
         f"    {''.join(f'F{x}, ' for x in range(n))}= fwd",
         f"    {''.join(f'B{x}, ' for x in range(n))}= bwd",
+        f"    {''.join(f'f{x} = t{x} = ' for x in range(n))}0.0",
+        "    append = end.append",
+        "    extend = end.extend",
     ]
-    lines += [f"    f{x} = t{x} = end[{last[x]}]" for x in range(n - 1)]
-    lines += [f"    t{n - 1} = 0.0", "    extend = end.extend",
-              "    for _ in range(k):"]
+    if top:
+        lines.append(f"    for mb in range(min(m, {top})):")
+        for x in range(top):
+            lines += indent(8, relax(
+                f"f{x}", f"f{x - 1}" if x else None, f"f{x}", f"F{x}"))
+            lines.append(f"        append(f{x})")
+            if x < top - 1:
+                lines.append(f"        if mb == {top - 1 - x}: continue")
+        lines.append(f"    {', '.join(f't{x}' for x in range(top))}"
+                     f" = {', '.join(f'f{x}' for x in range(top))}")
+    lines.append(f"    for _ in range(m - {top}):")
     ends = []
-    for x in range(n - 1, -1, -1):
-        body = relax(f"f{x}", f"f{x - 1}" if x else None, f"t{x}", f"F{x}")
-        body += relax(f"t{x}", f"t{x + 1}" if x < n - 1 else None,
-                      f"f{x}", f"B{x}")
-        lines += [f"        {line}" for line in body]
+    for x in range(top, -1, -1):
+        lines += indent(8, relax(
+            f"f{x}", f"f{x - 1}" if x else None, f"t{x}", f"F{x}"))
+        lines += indent(8, relax(
+            f"t{x}", f"t{x + 1}" if x < top else None, f"f{x}", f"B{x}"))
         ends += [f"f{x}", f"t{x}"]
     lines.append(f"        extend(({', '.join(ends)},))")
+    if top:
+        lines.append(f"    for j in range(max(0, {top} - m), {top}):")
+        for x in range(top, -1, -1):
+            if x:
+                lines.append(f"        if j < {x}:")
+                lines += indent(12, relax(
+                    f"f{x} = t{x}", f"f{x - 1}", f"t{x}", f"F{x}"))
+                lines.append(f"            append(f{x})")
+            lines += indent(8, relax(
+                f"t{x}", f"t{x + 1}" if x < top else None, f"t{x}", f"B{x}"))
+            lines.append(f"        append(t{x})")
     return "\n".join(lines) + "\n"
 
 
-#: Compiled full-round loops keyed by ``(num_stages, paper comm mode)``.
-_ROUND_LOOPS: Dict[Tuple[int, bool], Callable] = {}
+#: Compiled relaxations keyed by ``(num_stages, paper comm mode)``.
+_RELAXATIONS: Dict[Tuple[int, bool], Callable] = {}
 
 
-def _round_loop(n: int, paper: bool) -> Callable:
-    """The compiled full-round loop of depth ``n`` (see :func:`_round_source`)."""
+def _relaxation(n: int, paper: bool) -> Callable:
+    """The compiled relaxation of depth ``n`` (see :func:`_relax_source`)."""
     key = (n, paper)
-    fn = _ROUND_LOOPS.get(key)
+    fn = _RELAXATIONS.get(key)
     if fn is None:
         scope: Dict[str, Callable] = {}
-        exec(compile(_round_source(n, paper), f"<1f1b rounds n={n}>", "exec"),
+        exec(compile(_relax_source(n, paper), f"<1f1b relax n={n}>", "exec"),
              scope)
-        fn = _ROUND_LOOPS[key] = scope["rounds"]
+        fn = _RELAXATIONS[key] = scope["relax"]
     return fn
-
-
-def _relax_segment(end: List[float], segment, table, paper: bool) -> None:
-    """Append the ends of one generic run of slots (warmup or ramp-down).
-
-    The reference recurrence's IEEE sequence per op — max of predecessor
-    ends, ``+ comm``, ``+ dur`` — with a missing predecessor reading the
-    ``0.0`` sentinel (a no-op under ``max`` since ends are ``>= +0.0``).
-    """
-    cross, intra, gather = segment
-    append = end.append
-    ops = zip(cross, intra, gather(table))
-    if paper:
-        for c, q, (cm, d) in ops:
-            a = end[c]
-            b = end[q]
-            append((a if a > b else b) + cm + d)
-    else:
-        # "edges": Comm charged on the cross-dependency arrival only.
-        for c, q, (cm, d) in ops:
-            a = end[c] + cm
-            b = end[q]
-            append((a if a > b else b) + d)
 
 
 #: LRU cache of DAG topologies keyed by (num_stages, num_micro_batches).
@@ -484,35 +452,13 @@ class PipelineSim:
 
     # -- evaluation --------------------------------------------------------
 
-    def _cost_table(self) -> List[Tuple[float, float]]:
-        """The 4n-entry per-stage ``(comm addend, duration)`` table.
-
-        Rows ``2r`` and ``2r + 1`` pair the duration of ``fwd + bwd``
-        entry ``r`` with ``0.0`` and ``comm``: an op adds ``comm`` iff it
-        has a cross dependency (FP off stage 0, BP off the last stage).
-        ``base + 0.0 == base`` bitwise for the ``>= +0.0`` ends, so the
-        unconditional add matches the reference recurrence's conditional
-        one.
-        """
-        comm = self.times.comm
-        table: List[Tuple[float, float]] = []
-        for v in (*self.times.fwd, *self.times.bwd):
-            table += ((0.0, v), (comm, v))
-        return table
-
     def _relax(self) -> List[float]:
         """End times of every op in slot order (slot 0: ``0.0``)."""
-        shape = self._shape
         times = self.times
-        paper = self.comm_mode == "paper"
-        table = self._cost_table()
         end = [0.0]
-        _relax_segment(end, shape.warm, table, paper)
-        if shape.rounds:
-            _round_loop(self.n, paper)(
-                end, shape.rounds, times.comm, times.fwd, times.bwd
-            )
-        _relax_segment(end, shape.ramp, table, paper)
+        _relaxation(self.n, self.comm_mode == "paper")(
+            end, self.m, times.comm, times.fwd, times.bwd
+        )
         return end
 
     def run(self) -> SimResult:

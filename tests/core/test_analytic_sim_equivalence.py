@@ -2,15 +2,15 @@
 
 The production simulator caches the DAG topology per (n, m) shape in
 round order (warmup FPs, then ``m`` rounds visiting the stages from
-last to first), runs the ``max(0, m - n + 1)`` rounds in which every
-stage is steady through one compiled loop per (depth, comm mode), the
-rest through a generic slot loop, and backtracks tight predecessors
-along the critical path only.  This file keeps the original dict-based
-evaluation of the same recurrences, in Kahn order, as an executable
-specification and checks the two agree **bit for bit** — start/end
-times (compared by ``float.hex``, since ``==`` conflates ±0.0),
-iteration time, startup, critical path (including the Fig. 4
-tie-breaks) and master stage.  Discrete duration values are drawn so
+last to first), relaxes every op through one function compiled per
+(depth, comm mode) for every ``m`` (a warmup loop, the full rounds in
+which every stage is steady, and a ramp-down loop), and backtracks
+tight predecessors along the critical path only.  This file keeps the
+original dict-based evaluation of the same recurrences, in Kahn order,
+as an executable specification and checks the two agree **bit for
+bit** — start/end times (compared by ``float.hex``, since ``==``
+conflates ±0.0), iteration time, startup, critical path (including the
+Fig. 4 tie-breaks) and master stage.  Discrete duration values are drawn so
 exact ties are common, which is precisely where the tie-break rules
 matter; ``0.0`` among them makes zero ``bwd[0]`` (the sink's end equal
 to its start) and all-zero stages common too.
@@ -19,7 +19,7 @@ to its start) and all-zero stages common too.
 from collections import deque
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core import analytic_sim
 from repro.core.analytic_sim import STEADY, PipelineSim
@@ -185,26 +185,21 @@ def test_matches_reference_deep(n, m, comm_mode, data):
 
 
 def _micro_batches(n, data):
-    """``m`` on one side of a full-round boundary (``s_0 = max(0, m-n+1)``):
-    no full round and a ramp-down-only run (``m < n - 1``), ``s_0 = 0``
-    (``m = n - 1``), a single full round (``m = n``) or many (``m >> n``)."""
-    regimes = ["one", "many"]
-    if n >= 2:
-        regimes.append("edge")
+    """One ``m`` per regime of the relaxation's three loops, around the
+    full-round count ``s_0 = max(0, m - n + 1)``: below ``n - 1`` (a
+    short warmup, no full round, a ramp-down from round 0), ``n - 1``
+    (``s_0 = 0``), ``n`` (one full round) and ``m >> n`` (many)."""
+    ms = []
     if n >= 3:
-        regimes.append("below")
-    regime = data.draw(st.sampled_from(regimes))
-    event(f"m regime: {regime}")
-    if regime == "below":
-        return data.draw(st.integers(min_value=1, max_value=n - 2))
-    if regime == "edge":
-        return n - 1
-    if regime == "one":
-        return n
-    return data.draw(st.integers(min_value=n + 1, max_value=8 * n))
+        ms.append(data.draw(st.integers(min_value=1, max_value=n - 2)))
+    if n >= 2:
+        ms.append(n - 1)
+    ms.append(n)
+    ms.append(data.draw(st.integers(min_value=4 * n, max_value=8 * n)))
+    return ms
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=1, max_value=16),
     st.sampled_from(["paper", "edges"]),
@@ -212,10 +207,9 @@ def _micro_batches(n, data):
     st.data(),
 )
 def test_matches_reference_across_round_boundaries(n, comm_mode, kind, data):
-    """Every regime of the round-ordered layout, up to 16 stages and
-    ``m = 8n``: the compiled full-round loop and the generic slot loop
-    around it, with tie-heavy and random float costs."""
-    m = _micro_batches(n, data)
+    """Every regime of the relaxation, up to 16 stages and ``m = 8n``:
+    each drawn cost vector runs at ``m < n - 1``, ``m = n - 1``,
+    ``m = n`` and ``m >> n``, with tie-heavy and random float costs."""
     if kind == "ties":
         values = st.sampled_from(_TIE_VALUES)
         comm = data.draw(st.sampled_from([0.0, 0.1]))
@@ -224,33 +218,47 @@ def test_matches_reference_across_round_boundaries(n, comm_mode, kind, data):
         comm = data.draw(st.floats(min_value=0.0, max_value=0.5))
     fwd = tuple(data.draw(values) for _ in range(n))
     bwd = tuple(data.draw(values) for _ in range(n))
-    assert_bitwise_equal(StageTimes(fwd, bwd, comm), m, comm_mode)
+    for m in _micro_batches(n, data):
+        assert_bitwise_equal(StageTimes(fwd, bwd, comm), m, comm_mode)
 
 
-def test_one_round_loop_per_depth_and_mode(monkeypatch):
-    """The full-round loop is compiled once per (depth, comm mode) and
-    reused by every ``m``; a shape without a full round compiles none."""
+def test_one_relaxation_per_depth_and_mode(monkeypatch):
+    """One relaxation per (depth, comm mode), compiled once and reused
+    for every ``m``, including ``m < n - 1`` (no full round)."""
     compiled = []
-    source = analytic_sim._round_source
+    source = analytic_sim._relax_source
 
     def counting_source(n, paper):
         compiled.append((n, paper))
         return source(n, paper)
 
-    monkeypatch.setattr(analytic_sim, "_ROUND_LOOPS", {})
-    monkeypatch.setattr(analytic_sim, "_round_source", counting_source)
+    monkeypatch.setattr(analytic_sim, "_RELAXATIONS", {})
+    monkeypatch.setattr(analytic_sim, "_relax_source", counting_source)
     times = StageTimes((1.0, 0.5, 2.0, 1.0), (2.0, 1.0, 1.0, 0.5), 0.1)
     for comm_mode in ("paper", "edges"):
         key = (4, comm_mode == "paper")
-        for m in (1, 2, 3):
+        PipelineSim(times, 1, comm_mode=comm_mode).run()
+        relax = analytic_sim._RELAXATIONS[key]
+        for m in range(2, 33):
             PipelineSim(times, m, comm_mode=comm_mode).run()
-        assert key not in analytic_sim._ROUND_LOOPS
-        PipelineSim(times, 4, comm_mode=comm_mode).run()
-        loop = analytic_sim._ROUND_LOOPS[key]
-        for m in range(5, 33):
-            PipelineSim(times, m, comm_mode=comm_mode).run()
-            assert analytic_sim._ROUND_LOOPS[key] is loop
+            assert analytic_sim._RELAXATIONS[key] is relax
     assert compiled == [(4, True), (4, False)]
+
+
+@pytest.mark.parametrize("paper", [True, False])
+def test_relaxation_source_grows_linearly_with_depth(paper):
+    """The generated relaxation has O(n) statements, so its compile cost
+    stays linear in the depth: at most ``16n + 16`` lines up to 32
+    stages, and doubling the depth at most doubles its length (plus
+    longer names).  Every source compiles."""
+    size = {}
+    for n in range(1, 33):
+        source = analytic_sim._relax_source(n, paper)
+        assert len(source.splitlines()) <= 16 * n + 16, n
+        compile(source, f"<n={n}>", "exec")
+        size[n] = len(source)
+    for n in (4, 8, 16):
+        assert size[2 * n] <= 2.25 * size[n], n
 
 
 @pytest.mark.parametrize("comm_mode", ["paper", "edges"])

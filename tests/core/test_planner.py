@@ -120,7 +120,8 @@ class TestCooldownAdjustAblation:
         sizes = tuple(
             balanced_partition(gpt2_profile.block_times(), 4).sizes
         )
-        adjusted = _cooldown_adjust(sizes, 1, space)
+        b_master = space.stage_times(sizes).bwd[1]
+        adjusted = _cooldown_adjust(sizes, 1, b_master, space)
         assert sum(adjusted) == sum(sizes)
         assert all(s >= 1 for s in adjusted)
         assert adjusted[:2] == sizes[:2]  # stages up to the master untouched
@@ -130,7 +131,8 @@ class TestCooldownAdjustAblation:
         sizes = tuple(
             balanced_partition(gpt2_profile.block_times(), 4).sizes
         )
-        assert _cooldown_adjust(sizes, 3, space) == sizes
+        b_master = space.stage_times(sizes).bwd[3]
+        assert _cooldown_adjust(sizes, 3, b_master, space) == sizes
 
 
 class TestEquationOne:
@@ -141,7 +143,9 @@ class TestEquationOne:
             balanced_partition(gpt2_profile.block_times(), 4).sizes
         )
         master = 0
-        adjusted = _cooldown_adjust(sizes, master, space)
+        adjusted = _cooldown_adjust(
+            sizes, master, space.stage_times(sizes).bwd[master], space
+        )
         t = space.stage_times(adjusted)
         b_master = t.bwd[master]
         cum = 0.0

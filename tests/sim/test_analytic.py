@@ -146,11 +146,11 @@ def test_frontier_equals_scalar_sims(
     tie_heavy=st.booleans(),
     seed=st.integers(min_value=0, max_value=10**6),
 )
-def test_transposed_sweep_and_sieve_never_drop_the_optimum(
+def test_transposed_sweep_bitwise_equals_batch_sweep(
     n, k, m, comm_mode, tie_heavy, seed
 ):
-    # The sweep sieves nothing: the stage-major entry point scores every
-    # column, bitwise the batch sweep, so the optimum is always among them.
+    # The stage-major entry point scores every column, bitwise the batch
+    # sweep, so the optimum and its argmin are the batch sweep's.
     fwd, bwd = _cost_matrices(k, n, seed, tie_heavy)
     comm = float(np.random.default_rng(seed + 2).uniform(0.0, 0.5))
     full = frontier_times(fwd, bwd, comm, m, comm_mode=comm_mode)
