@@ -55,13 +55,11 @@ planning time):
   op without a cross dependency and read a missing predecessor as
   ``0.0``;
 * the latest op is the sink ``B(0, m-1)`` whenever its end exceeds its
-  start, since every other op ends at or before that start; the
-  tight-predecessor rule then runs only along the ~``2(n+m)``-op critical
-  path, recomputing each start from its predecessors' ends and summing
-  the master-stage weights in path order — nothing is built per op;
-* :class:`SimResult` keeps scalars and the path only (small in memos,
-  plan-cache and sweep-cache pickles) and rebuilds
-  ``op_start``/``op_end`` on first access by re-running the relaxation;
+  start; the tight-predecessor rule then walks only the ~``2(n+m)``-op
+  critical path over flat per-slot stage, is-FP and cost-row tuples, and
+  a second pass sums the master weights in path order.  No op id is
+  built: :class:`SimResult` keeps scalars only and rebuilds the critical
+  path and ``op_start``/``op_end`` on first access from the relaxation;
 * the planner's nominal master-shift loop stays on this scalar path
   rather than the max-plus kernel of :mod:`repro.sim.analytic`: its
   shift waves average 1.55 uncached candidates over the end-to-end
@@ -74,17 +72,17 @@ planning time):
 :mod:`repro.sim.analytic`, which equals these runs bit for bit.
 
 All of this is exact: start/end times, critical path, master stage and
-tie-breaks are bit-for-bit identical to the straightforward dict-based
-evaluation of the same recurrences (tests/core/test_analytic_sim_equivalence.py
-checks against a reference implementation).
+tie-breaks are bit-for-bit those of the dict-based reference evaluation
+of the same recurrences in ``tests/core/test_analytic_sim_equivalence.py``.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Tuple
+from itertools import count
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -130,22 +128,23 @@ class _Shape:
     :func:`_relax_source` fills the slots in this order.
 
     ``cross``/``intra`` give every slot's predecessor slots (0 when
-    missing), ``ops`` its op and ``info`` its ``(stage, is FP, steady
-    cost row)``, the cost row indexing ``fwd + bwd`` (-1 outside the
-    steady phase).  Entry 0 of each is a placeholder.
+    missing), ``stage`` its stage, ``is_fp`` whether it is an FP and
+    ``row`` its steady cost row, indexing ``fwd + bwd`` (-1 outside the
+    steady phase).  Entry 0 of each is a placeholder.  Op ids are only
+    built for the lazy views (:meth:`op_ids`).
     """
 
-    __slots__ = ("cross", "intra", "ops", "info", "sink_slot", "startup_slot")
+    __slots__ = ("cross", "intra", "stage", "is_fp", "row", "sink_slot",
+                 "startup_slot")
 
     def __init__(self, n: int, m: int) -> None:
         warm = [min(m, n - 1 - x) for x in range(n)]
-        # Per-stage ``info`` entries of its phases, shared by its slots.
+        # Per-stage ``(stage, is FP, cost row)`` of its phases.
         f_info = [((x, True, -1), (x, True, x)) for x in range(n)]
         b_info = [((x, False, -1), (x, False, n + x)) for x in range(n)]
         cross = [0]
         intra = [0]
-        ops = [None]
-        info = [None]
+        info = [(-1, False, -1)]
         last = [0] * n   # each stage's latest slot (its next op's intra)
         last_f = [0] * n  # each stage's latest FP slot
         for mb in range(warm[0]):
@@ -153,7 +152,6 @@ class _Shape:
                 j = len(cross)
                 cross.append(last_f[x - 1] if x else 0)
                 intra.append(last[x])
-                ops.append(("F", x, mb))
                 info.append(f_info[x][0])
                 last[x] = last_f[x] = j
         #: ``F(n-1, 0)`` opens round 0.
@@ -165,30 +163,33 @@ class _Shape:
                     j = len(cross)
                     cross.append(last_f[x - 1] if x else 0)
                     intra.append(last[x])
-                    ops.append(("F", x, warm[x] + r))
                     info.append(f_info[x][1])
                     last[x] = last_f[x] = j
                 j = len(cross)
                 cross.append(last[x + 1] if x < n - 1 else 0)
                 intra.append(last[x])
-                ops.append(("B", x, r))
                 info.append(b_info[x][steady])
                 last[x] = j
 
         self.cross = tuple(cross)
         self.intra = tuple(intra)
-        self.ops = tuple(ops)
-        self.info = tuple(info)
+        self.stage, self.is_fp, self.row = map(tuple, zip(*info))
         #: ``B(0, m-1)`` is a sink reachable from every op (BP cross deps
         #: chain down to stage 0 and intra deps chain each stage to its
         #: last op), and end times are monotone along edges (comm and
         #: durations are non-negative), so its end *is* the iteration time.
         self.sink_slot = len(cross) - 1
 
+    def op_ids(self) -> List[Optional[OpId]]:
+        """Every slot's op (slot 0: None).  Slots keep program order, so
+        the ``k``-th FP or BP slot of a stage is micro-batch ``k``'s."""
+        mb: Dict[Tuple[bool, int], Iterator[int]] = defaultdict(count)
+        return [None] + [("F" if f else "B", x, next(mb[f, x]))
+                         for f, x in zip(self.is_fp[1:], self.stage[1:])]
+
     def stage_major(self) -> List[int]:
         """Every slot, stage-major in program order (the views' order)."""
-        info = self.info
-        return sorted(range(1, len(info)), key=lambda j: info[j][0])
+        return sorted(range(1, len(self.stage)), key=self.stage.__getitem__)
 
 
 def _relax_source(n: int, paper: bool) -> str:
@@ -307,8 +308,8 @@ def _shape(n: int, m: int) -> _Shape:
 class SimResult:
     """Output of one pipeline simulation.
 
-    Holds scalars and the critical path only, so results stay small in
-    the planner's memos and the plan and sweep caches.  The per-op
+    Holds scalars only, so results stay small in the planner's memos
+    and the plan and sweep caches.  The critical path and the per-op
     views (``op_start`` etc.) are built on first access by re-running the
     exact relaxation from ``(stage_times, num_micro_batches, comm_mode)``
     — bitwise equal to the values the simulation saw.
@@ -317,16 +318,24 @@ class SimResult:
     iteration_time: float
     startup_overhead: float
     master_stage: int
-    critical_path: Tuple[OpId, ...]
     stage_times: StageTimes
     num_micro_batches: int
     comm_mode: str = "paper"
 
-    @cached_property
-    def _op_times(self) -> Tuple[Dict[OpId, float], Dict[OpId, float]]:
+    def _sim(self) -> "PipelineSim":
         return PipelineSim(
             self.stage_times, self.num_micro_batches, comm_mode=self.comm_mode
-        )._op_times()
+        )
+
+    @cached_property
+    def critical_path(self) -> Tuple[OpId, ...]:
+        sim = self._sim()
+        ops = sim._shape.op_ids()
+        return tuple([ops[j] for j in reversed(sim._walk(sim._relax()))])
+
+    @cached_property
+    def _op_times(self) -> Tuple[Dict[OpId, float], Dict[OpId, float]]:
+        return self._sim()._op_times()
 
     @property
     def op_start(self) -> Dict[OpId, float]:
@@ -339,11 +348,9 @@ class SimResult:
     @cached_property
     def op_phase(self) -> Dict[OpId, str]:
         shape = _shape(self.num_stages, self.num_micro_batches)
-        info = shape.info
+        ops, row, is_fp = shape.op_ids(), shape.row, shape.is_fp
         return {
-            shape.ops[j]: (
-                STEADY if info[j][2] >= 0 else WARMUP if info[j][1] else COOLDOWN
-            )
+            ops[j]: STEADY if row[j] >= 0 else WARMUP if is_fp[j] else COOLDOWN
             for j in shape.stage_major()
         }
 
@@ -469,7 +476,7 @@ class PipelineSim:
         shape = self._shape
         end = self._relax()
         slots = shape.stage_major()
-        ops = [shape.ops[j] for j in slots]
+        ops = list(map(shape.op_ids().__getitem__, slots))
         return (
             dict(zip(ops, [self._start_at(end, j) for j in slots])),
             dict(zip(ops, map(end.__getitem__, slots))),
@@ -527,54 +534,38 @@ class PipelineSim:
 
     def _latest_slot(self, end: List[float]) -> int:
         """Latest op: ties toward the higher stage, then the earlier slot."""
-        info = self._shape.info
-        top = max(end)
-        best = 0
-        for j in range(1, len(end)):
-            if end[j] == top and (best == 0 or info[j][0] > info[best][0]):
-                best = j
-        return best
+        top, stage = max(end), self._shape.stage
+        tied = [j for j in range(1, len(end)) if end[j] == top]
+        return max(tied, key=lambda j: (stage[j], -j))
 
-    def _result(self, end: List[float]) -> SimResult:
-        """Latest op, critical-path backtrack and master stage.
+    def _walk(self, end: List[float]) -> List[int]:
+        """Critical-path slots of ``end`` (:meth:`_relax`), latest first.
 
-        ``end`` holds every op's end time in slot order (see
-        :meth:`_relax`).  Every op but the sink ``B(0, m-1)`` is one of its
-        ancestors and ends at or before its start (ends are monotone along
-        edges), so when the sink's end exceeds its start in floats it is
-        the unique latest op; otherwise (zero ``bwd[0]``) the full
-        latest-op rule of the reference picks it.
-
-        The backtrack applies the tight-predecessor rule only to the ops
-        on the path: a predecessor is tight within the recurrences'
-        tolerance, and among tight ones the walk prefers the higher stage
-        (paper Fig. 4) — the intra predecessor of an FP, the cross one of
-        a BP, as a cross predecessor always sits on a neighbouring stage.
-        Starts are recomputed from the predecessors' ends with the
-        relaxation's own expression, so nothing per-op is stored.
+        Every other op is an ancestor of the sink ``B(0, m-1)`` and ends by
+        its start, so the sink is the latest op when its end exceeds its
+        start; otherwise (zero ``bwd[0]``) the reference's rule picks it.
+        Among tight predecessors the walk prefers the higher stage (paper
+        Fig. 4): the intra one of an FP, the cross one of a BP.
         """
         shape = self._shape
-        cross, intra, info = shape.cross, shape.intra, shape.info
-        sink = shape.sink_slot
-        if end[sink] > self._start_at(end, sink):
-            last = sink
-        else:
-            last = self._latest_slot(end)
+        cross, intra, is_fp = shape.cross, shape.intra, shape.is_fp
+        j = shape.sink_slot
+        if not end[j] > self._start_at(end, j):
+            j = self._latest_slot(end)
 
         # Only an op with both predecessors needs the tolerance test: the
         # later arrival is always tight, the other one when within the
         # tolerance of it, and a tie goes to the higher stage.  ``+ 0.0``
         # (paper mode) leaves the ``>= +0.0`` ends bitwise unchanged.
         cm = self.times.comm if self.comm_mode == "edges" else 0.0
-        path = [last]
+        path = [j]
         append = path.append
-        j = last
         while True:
             c = cross[j]
             q = intra[j]
             if not c:
                 if not q:
-                    break
+                    return path
                 j = q
             elif not q:
                 j = c
@@ -583,31 +574,39 @@ class PipelineSim:
                 b = end[q]
                 base = a if a > b else b
                 lim = base - (1e-12 + 1e-9 * (base if base > 1.0 else 1.0))
-                if info[j][1]:
+                if is_fp[j]:
                     j = q if b >= lim else c
                 else:
                     j = c if a >= lim else q
             append(j)
-        path.reverse()
+
+    def _result(self, end: List[float]) -> SimResult:
+        """Latest op, critical-path walk (:meth:`_walk`) and master stage."""
+        shape = self._shape
+        path = self._walk(end)
 
         # Master stage: the most steady-phase critical-path time (tie:
         # last), summed in path order like the reference.
+        stage, row = shape.stage, shape.row
         durs = (*self.times.fwd, *self.times.bwd)
         weight = [0.0] * self.n
-        for j in path:
-            x, _, row = info[j]
-            if row >= 0:
-                weight[x] += durs[row]
-        if max(weight) <= 0.0:
-            # Degenerate pipelines (tiny m): fall back to the heaviest stage.
-            weight = list(self.times.total)
+        for j in reversed(path):
+            r = row[j]
+            if r >= 0:
+                weight[stage[j]] += durs[r]
         best = max(weight)
-        master = max(x for x in range(self.n) if weight[x] >= best * (1 - 1e-9))
+        if best <= 0.0:
+            # Degenerate pipelines (tiny m): fall back to the heaviest stage.
+            weight = self.times.total
+            best = max(weight)
+        lim = best * (1 - 1e-9)
+        for master in range(self.n - 1, -1, -1):
+            if weight[master] >= lim:
+                break
         return SimResult(
-            iteration_time=end[last],
+            iteration_time=end[path[0]],
             startup_overhead=self._start_at(end, shape.startup_slot),
             master_stage=master,
-            critical_path=tuple(map(shape.ops.__getitem__, path)),
             stage_times=self.times,
             num_micro_batches=self.m,
             comm_mode=self.comm_mode,

@@ -6,12 +6,12 @@ the maximum group weight.  This is the classic min-max linear partition DP:
 
     time[i][j] = min_{k < i} max(time[k][j-1], prefix[i] - prefix[k])
 
-:class:`BalanceTable` fills the table with one ``(rows, k)`` relaxation
-per column ``j`` (:func:`_vector_tables`): the full candidate matrix
-``max(time[k][j-1], prefix[i] - prefix[k])`` with out-of-range ``k``
-masked to ``+inf`` and a row-wise first-occurrence ``argmin``.  Because
-every in-range candidate is finite and ``argmin`` returns the first
-minimum, the chosen ``k`` is the smallest one realising the optimum.
+:class:`BalanceTable` fills the table one column ``j`` at a time
+(:func:`_vector_tables`): one ``max(time[k][j-1], prefix[i] - prefix[k])``
+over a difference plane built once per table, with ``k >= i`` masked to
+``+inf``, and a row-wise first-occurrence ``argmin``.  Because every
+in-range candidate is finite and ``argmin`` returns the first minimum,
+the chosen ``k`` is the smallest one realising the optimum.
 :func:`_scalar_tables`, the original per-``(i, j)`` loop with a
 vectorised inner minimisation, is kept verbatim as the reference:
 ``time`` and ``choice`` are bit-identical to its tables (property-tested
@@ -31,23 +31,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.partition import PartitionScheme
-
-
-def _validate(weights: Sequence[float], p: int) -> np.ndarray:
-    n = len(weights)
-    if p <= 0:
-        raise ValueError("pipeline depth must be positive")
-    if n == 0:
-        raise ValueError("cannot partition zero blocks")
-    if p > n:
-        raise ValueError(f"pipeline depth {p} exceeds block count {n}")
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < 0):
-        raise ValueError("block weights must be non-negative")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("block weights must be finite")
-    return w
+from repro.core.partition import PartitionScheme, _check_count
 
 
 def _scalar_tables(prefix: np.ndarray, n: int, p: int):
@@ -70,24 +54,22 @@ def _scalar_tables(prefix: np.ndarray, n: int, p: int):
 def _vector_tables(prefix: np.ndarray, n: int, p: int):
     """Column-at-a-time relaxation over the full ``(i, k)`` plane.
 
-    Out-of-range ``k`` need no explicit mask: ``k < j-1`` candidates hit
-    ``time[k][j-1] == inf`` in the maximum, and ``k >= i`` ones pick up
-    ``+inf`` from the precomputed triangular penalty (adding ``0.0``
-    leaves every valid candidate — all non-negative — bit-unchanged).
+    The difference plane ``prefix[i] - prefix[k]`` is built once, with
+    ``k >= i`` set to ``+inf``; ``k < j-1`` candidates hit ``time[k][j-1]
+    == inf``.  Each column is then one ``np.maximum`` into a scratch
+    buffer, with the scalar loop's argument order, and one ``argmin``.
     """
     time = np.full((n + 1, p + 1), np.inf)
     choice = np.zeros((n + 1, p + 1), dtype=int)
     time[0][0] = 0.0
-    ks = np.arange(n + 1)
-    tri = np.where(ks[None, :] >= ks[:, None], np.inf, 0.0)
+    diff = prefix[:, None] - prefix[None, :]
+    diff[np.triu_indices(n + 1)] = np.inf
+    scratch = np.empty_like(diff)
     for j in range(1, p + 1):
-        rows = np.arange(j, n + 1)
-        cand = prefix[rows, None] - prefix[None, :]
-        np.maximum(cand, time[None, :, j - 1], out=cand)
-        cand += tri[j:]
-        best = np.argmin(cand, axis=1)
-        time[rows, j] = cand[np.arange(len(rows)), best]
-        choice[rows, j] = best
+        cand = np.maximum(time[:, j - 1], diff[j:], out=scratch[j:])
+        best = cand.argmin(axis=1)
+        time[j:, j] = cand[np.arange(n + 1 - j), best]
+        choice[j:, j] = best
     return time, choice
 
 
@@ -99,22 +81,39 @@ class BalanceTable:
     max_stages`` — the answer for a prefix only reads that prefix, so a
     single build serves every ``(num_blocks, stages)`` sub-query that
     callers (planner warm starts, layout enumeration, memory repair)
-    would otherwise solve one DP at a time.
+    would otherwise solve one DP at a time.  Queries read ``choice``
+    through a list copy, which indexes faster than the array.
     """
 
-    __slots__ = ("num_blocks", "max_stages", "time", "choice")
+    __slots__ = ("num_blocks", "max_stages", "time", "choice", "_rows")
 
     def __init__(self, weights: Sequence[float], max_stages: int) -> None:
-        w = _validate(weights, max_stages)
-        self.num_blocks = len(w)
+        max_stages = _check_count("max_stages", max_stages)
+        n = len(weights)
+        if n == 0:
+            raise ValueError("cannot partition zero blocks")
+        if max_stages > n:
+            raise ValueError(
+                f"pipeline depth {max_stages} exceeds block count {n}"
+            )
+        w = np.asarray(weights, dtype=float)
+        if np.any(w < 0):
+            raise ValueError("block weights must be non-negative")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("block weights must be finite")
+        self.num_blocks = n
         self.max_stages = max_stages
         prefix = np.concatenate(([0.0], np.cumsum(w)))
         self.time, self.choice = _vector_tables(
             prefix, self.num_blocks, max_stages
         )
+        self._rows = self.choice.tolist()
 
     def _check_query(self, stages: int, num_blocks: Optional[int]) -> int:
-        n = self.num_blocks if num_blocks is None else num_blocks
+        stages = _check_count("stages", stages)
+        n = self.num_blocks
+        if num_blocks is not None:
+            n = _check_count("num_blocks", num_blocks)
         if not 0 < stages <= self.max_stages:
             raise ValueError(
                 f"stages must be in 1..{self.max_stages}, got {stages}"
@@ -135,12 +134,12 @@ class BalanceTable:
         """Group sizes of the min-max split of the first ``num_blocks``
         blocks (default: all of them) into ``stages`` groups."""
         i = self._check_query(stages, num_blocks)
-        out: List[int] = []
+        rows = self._rows
+        out = [0] * stages
         for j in range(stages, 0, -1):
-            k = int(self.choice[i][j])
-            out.append(i - k)
+            k = rows[i][j]
+            out[j - 1] = i - k
             i = k
-        out.reverse()
         return out
 
     def bottleneck_value(
@@ -161,11 +160,11 @@ def min_max_partition(weights: Sequence[float], p: int) -> List[int]:
 
     Returns the per-group element counts; ties are broken toward moving the
     cut as early as possible (argmin picks the smallest k), which keeps
-    front stages no heavier than necessary.  Callers
-    answering many prefix/depth queries over one weight vector should
-    build a :class:`BalanceTable` instead of calling this in a loop.
+    front stages no heavier than necessary.  Callers answering many
+    prefix/depth queries over one weight vector should build a
+    :class:`BalanceTable` instead of calling this in a loop.
     """
-    return BalanceTable(weights, p).sizes(p)
+    return BalanceTable(weights, _check_count("p", p)).sizes(p)
 
 
 def balanced_partition(weights: Sequence[float], p: int) -> PartitionScheme:
@@ -176,6 +175,7 @@ def balanced_partition(weights: Sequence[float], p: int) -> PartitionScheme:
 def bottleneck(weights: Sequence[float], sizes: Sequence[int]) -> float:
     """Maximum group weight of a partition given as group sizes."""
     w = list(weights)
+    sizes = [_check_count("sizes", size) for size in sizes]
     if sum(sizes) != len(w):
         raise ValueError("sizes do not cover the weights")
     out = 0.0

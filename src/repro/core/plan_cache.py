@@ -52,7 +52,8 @@ from typing import List, Optional
 #: became fixed behaviour, so keys no longer carry them and every
 #: ``PlannerResult`` records its history.  "6": ``ExhaustiveResult`` lost
 #: ``cache_hits`` with the oracle's harvest of the shared simulation memo.
-_SCHEMA = "6"
+#: "7": ``SimResult`` pickles scalars only (the critical path is lazy).
+_SCHEMA = "7"
 
 #: root of the ``repro`` package, whose sources :func:`code_fingerprint`
 #: hashes.

@@ -292,3 +292,29 @@ def test_shape_cache_reuse():
     b = PipelineSim(StageTimes((3.0, 1.0), (1.0, 3.0), 0.0), 6)
     assert a._shape is b._shape
     assert PipelineSim(StageTimes((1.0,), (1.0,), 0.0), 6)._shape is not a._shape
+
+
+@pytest.mark.parametrize("comm_mode", ["paper", "edges"])
+@pytest.mark.parametrize("fwd,bwd,m", [
+    # m = 1: only the last stage is steady, and it costs nothing.
+    ((1.0, 2.0, 3.0, 0.0), (2.0, 1.0, 0.5, 0.0), 1),
+    # m = 2: stages 2 and 3 are steady and free; stages 0 and 1 tie on
+    # total time, so the fallback's scan must pick the later one.
+    ((1.0, 2.5, 0.0, 0.0), (2.5, 1.0, 0.0, 0.0), 2),
+    # Every stage free: every total ties at 0.0 and the last stage wins.
+    ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1),
+    ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 5),
+])
+def test_master_falls_back_to_heaviest_stage(fwd, bwd, m, comm_mode):
+    """No steady-phase time on the critical path: the master stage is
+    the heaviest stage by total time, ties toward the last."""
+    times = StageTimes(fwd, bwd, 0.25)
+    sim = PipelineSim(times, m, comm_mode=comm_mode)
+    result = sim.run()
+    steady = [op for op in result.critical_path
+              if result.op_phase[op] == STEADY]
+    assert sum(map(sim._duration, steady)) == 0.0
+    assert result.master_stage == max(
+        x for x, t in enumerate(times.total) if t == max(times.total)
+    )
+    assert_bitwise_equal(times, m, comm_mode)

@@ -2,10 +2,16 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.balance_dp import balanced_partition, bottleneck, min_max_partition
+from repro.core.balance_dp import (
+    BalanceTable,
+    balanced_partition,
+    bottleneck,
+    min_max_partition,
+)
 
 
 def brute_force_bottleneck(weights, p):
@@ -75,3 +81,45 @@ class TestBalancedPartition:
     def test_bottleneck_helper_validates(self):
         with pytest.raises(ValueError):
             bottleneck([1, 2, 3], [1, 1])
+
+    @pytest.mark.parametrize("sizes", [[4, -1], [3, 0], [0, 3]])
+    def test_bottleneck_rejects_empty_or_negative_groups(self, sizes):
+        with pytest.raises(ValueError, match="sizes"):
+            bottleneck([1, 2, 3], sizes)
+
+
+class TestBalanceTableArguments:
+    """Counts at the table's API are integers >= 1, checked by name."""
+
+    @pytest.mark.parametrize("max_stages", [True, 2.0, "2", None])
+    def test_max_stages_must_be_an_integer(self, max_stages):
+        with pytest.raises(TypeError, match="max_stages"):
+            BalanceTable([1.0, 2.0, 3.0], max_stages)
+
+    def test_max_stages_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_stages"):
+            BalanceTable([1.0, 2.0, 3.0], 0)
+
+    def test_depth_must_be_an_integer(self):
+        with pytest.raises(TypeError, match="p must"):
+            min_max_partition([1.0, 2.0, 3.0], 2.0)
+
+    @pytest.mark.parametrize("query", ["sizes", "bottleneck_value", "partition"])
+    def test_query_counts_must_be_integers(self, query):
+        table = BalanceTable([1.0, 2.0, 3.0, 4.0], 3)
+        ask = getattr(table, query)
+        with pytest.raises(TypeError, match="num_blocks"):
+            ask(2, 2.5)
+        with pytest.raises(TypeError, match="num_blocks"):
+            ask(2, num_blocks=True)
+        with pytest.raises(TypeError, match="stages"):
+            ask(2.0)
+        with pytest.raises(ValueError, match="stages"):
+            ask(0)
+        with pytest.raises(ValueError, match="num_blocks"):
+            ask(1, 0)
+
+    def test_numpy_integers_pass(self):
+        table = BalanceTable([1.0, 2.0, 3.0, 4.0], np.int64(3))
+        assert table.sizes(np.int64(2), np.int64(3)) == table.sizes(2, 3)
+        assert bottleneck([1, 2, 3], [np.int64(2), 1]) == 3

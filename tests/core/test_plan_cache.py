@@ -73,6 +73,18 @@ class TestWarmReplay:
                     v.hex() for v in want.values()
                 ]
 
+    def test_sim_result_pickle_rebuilds_critical_path(self):
+        """A fresh SimResult pickles without its critical path; the
+        unpickled copy rebuilds the same path lazily."""
+        times = StageTimes((1.0, 0.3, 2.5), (2.0, 0.7, 1.1), 0.25)
+        for comm_mode in ("paper", "edges"):
+            fresh = PipelineSim(times, 7, comm_mode=comm_mode).run()
+            copy = pickle.loads(pickle.dumps(fresh))
+            assert "critical_path" not in copy.__dict__
+            assert copy.critical_path == fresh.critical_path
+            assert copy.critical_path[-1] == ("B", 0, 6)
+            assert copy.critical_path[0] == ("F", 0, 0)
+
     def test_warm_hit_runs_no_simulations(self, tmp_path):
         """A hit must not touch the simulator: zero new evaluations."""
         cache = PlanCache(tmp_path)
