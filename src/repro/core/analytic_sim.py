@@ -56,10 +56,12 @@ planning time):
   ``0.0``;
 * the latest op is the sink ``B(0, m-1)`` whenever its end exceeds its
   start; the tight-predecessor rule then walks only the ~``2(n+m)``-op
-  critical path over flat per-slot stage, is-FP and cost-row tuples, and
-  a second pass sums the master weights in path order.  No op id is
-  built: :class:`SimResult` keeps scalars only and rebuilds the critical
-  path and ``op_start``/``op_end`` on first access from the relaxation;
+  critical path over flat per-slot stage, is-FP and cost-row tuples
+  (two arrivals more than twice the top end's tolerance apart skip the
+  tolerance arithmetic), and a second pass sums the master weights in
+  path order.  No op id is built: :class:`SimResult` keeps scalars only
+  and rebuilds the critical path and ``op_start``/``op_end`` on first
+  access from the relaxation;
 * the planner's nominal master-shift loop stays on this scalar path
   rather than the max-plus kernel of :mod:`repro.sim.analytic`: its
   shift waves average 1.55 uncached candidates over the end-to-end
@@ -557,7 +559,13 @@ class PipelineSim:
         # later arrival is always tight, the other one when within the
         # tolerance of it, and a tie goes to the higher stage.  ``+ 0.0``
         # (paper mode) leaves the ``>= +0.0`` ends bitwise unchanged.
+        # Every arrival on the path is at most the top end, so no
+        # tolerance exceeds the top's; arrivals more than twice that apart
+        # (the margin dwarfs the rounding of ``a - b`` and of ``lim``)
+        # leave only the later one tight, and skip the arithmetic.
         cm = self.times.comm if self.comm_mode == "edges" else 0.0
+        top = end[j]
+        gap = 2.0 * (1e-12 + 1e-9 * (top if top > 1.0 else 1.0))
         path = [j]
         append = path.append
         while True:
@@ -572,12 +580,20 @@ class PipelineSim:
             else:
                 a = end[c] + cm
                 b = end[q]
-                base = a if a > b else b
-                lim = base - (1e-12 + 1e-9 * (base if base > 1.0 else 1.0))
-                if is_fp[j]:
-                    j = q if b >= lim else c
+                d = a - b
+                if d > gap:
+                    j = c
+                elif d < -gap:
+                    j = q
                 else:
-                    j = c if a >= lim else q
+                    base = a if a > b else b
+                    lim = base - (
+                        1e-12 + 1e-9 * (base if base > 1.0 else 1.0)
+                    )
+                    if is_fp[j]:
+                        j = q if b >= lim else c
+                    else:
+                        j = c if a >= lim else q
             append(j)
 
     def _result(self, end: List[float]) -> SimResult:

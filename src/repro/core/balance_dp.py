@@ -55,22 +55,30 @@ def _vector_tables(prefix: np.ndarray, n: int, p: int):
     """Column-at-a-time relaxation over the full ``(i, k)`` plane.
 
     The difference plane ``prefix[i] - prefix[k]`` is built once, with
-    ``k >= i`` set to ``+inf``; ``k < j-1`` candidates hit ``time[k][j-1]
-    == inf``.  Each column is then one ``np.maximum`` into a scratch
-    buffer, with the scalar loop's argument order, and one ``argmin``.
+    ``k >= i`` set to ``+inf`` by a broadcast comparison of two ranges
+    (``np.triu_indices`` builds two index arrays, ~4x slower at n = 24);
+    ``k < j-1`` candidates hit ``time[k][j-1] == inf``.  Each column is
+    then one ``np.maximum`` into a scratch buffer, with the scalar loop's
+    argument order, one ``argmin`` and one flat ``take`` of the minima.
+    The tables are filled transposed, so that every column read and
+    written is contiguous, and returned as transposed views.
     """
-    time = np.full((n + 1, p + 1), np.inf)
-    choice = np.zeros((n + 1, p + 1), dtype=int)
-    time[0][0] = 0.0
+    time = np.full((p + 1, n + 1), np.inf)
+    choice = np.zeros((p + 1, n + 1), dtype=int)
+    time[0, 0] = 0.0
     diff = prefix[:, None] - prefix[None, :]
-    diff[np.triu_indices(n + 1)] = np.inf
+    k = np.arange(n + 1)
+    np.putmask(diff, k[:, None] <= k, np.inf)
     scratch = np.empty_like(diff)
+    flat = scratch.reshape(-1)
+    row_start = k * (n + 1)
     for j in range(1, p + 1):
-        cand = np.maximum(time[:, j - 1], diff[j:], out=scratch[j:])
+        cand = np.maximum(time[j - 1], diff[j:], out=scratch[j:])
         best = cand.argmin(axis=1)
-        time[j:, j] = cand[np.arange(n + 1 - j), best]
-        choice[j:, j] = best
-    return time, choice
+        choice[j, j:] = best
+        best += row_start[j:]
+        time[j, j:] = flat.take(best)
+    return time.T, choice.T
 
 
 class BalanceTable:
@@ -97,9 +105,10 @@ class BalanceTable:
                 f"pipeline depth {max_stages} exceeds block count {n}"
             )
         w = np.asarray(weights, dtype=float)
-        if np.any(w < 0):
-            raise ValueError("block weights must be non-negative")
-        if not np.all(np.isfinite(w)):
+        # NaN fails both compares; the slow path then picks the error.
+        if not (w.min() >= 0.0 and w.max() < np.inf):
+            if np.any(w < 0):
+                raise ValueError("block weights must be non-negative")
             raise ValueError("block weights must be finite")
         self.num_blocks = n
         self.max_stages = max_stages

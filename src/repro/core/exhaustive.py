@@ -1056,7 +1056,11 @@ def _search_analytic(
         lb = leaf_bounds()
         cut = np.partition(lb, k - 1)[k - 1]
         below = np.flatnonzero(lb < cut)
-        probe = np.union1d(below, np.flatnonzero(lb == cut)[:k - below.size])
+        # Disjoint sorted index sets: their sorted concatenation is the
+        # union (``np.union1d`` imports ``numpy.ma`` on first use).
+        probe = np.sort(np.concatenate(
+            (below, np.flatnonzero(lb == cut)[:k - below.size])
+        ))
         score(probe)
         within = lb <= state.best_time * slack
         within[probe] = False

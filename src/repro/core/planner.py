@@ -156,21 +156,22 @@ class _UnitSpace:
     """Partition arithmetic over granularity units instead of raw blocks."""
 
     def __init__(self, profile: ModelProfile, granularity: str) -> None:
+        blocks = profile.blocks
         if granularity == "sublayer":
-            units = [(i,) for i in range(profile.num_blocks)]
+            units = [(i,) for i in range(len(blocks))]
+            # ``0 + t``: the bits ``sum`` gives a one-block unit (a
+            # ``-0.0`` time becomes ``0.0``), without a generator each.
+            self.fwd = [0 + bp.fwd_time for bp in blocks]
+            self.bwd = [0 + bp.bwd_time for bp in blocks]
         elif granularity == "layer":
             units = [tuple(g) for g in layer_groups(
-                [bp.block for bp in profile.blocks])]
+                [bp.block for bp in blocks])]
+            self.fwd = [sum(blocks[i].fwd_time for i in u) for u in units]
+            self.bwd = [sum(blocks[i].bwd_time for i in u) for u in units]
         else:
             raise ValueError(f"unknown granularity {granularity!r}")
         self.units: List[Tuple[int, ...]] = units
         self.profile = profile
-        self.fwd = [
-            sum(profile.blocks[i].fwd_time for i in u) for u in units
-        ]
-        self.bwd = [
-            sum(profile.blocks[i].bwd_time for i in u) for u in units
-        ]
         self.weights = [f + b for f, b in zip(self.fwd, self.bwd)]
         self._balance: Optional[BalanceTable] = None
         self._stage_sums: Dict[Tuple[int, int], Tuple[float, float]] = {}

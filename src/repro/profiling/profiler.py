@@ -21,7 +21,6 @@ tests; it defaults off so experiments are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Optional
 
 import numpy as np
@@ -106,12 +105,19 @@ def profile_model(
     if noise < 0:
         raise ValueError("noise must be non-negative")
     blocks = build_blocks(model)
-    # A block's costs depend only on its kind: profile each kind once.
-    by_kind: Dict[BlockKind, BlockProfile] = {}
+    # A block's costs depend only on its kind: profile each kind once,
+    # then construct every block's profile from its kind's fields
+    # (``__post_init__`` still validates; ``dataclasses.replace`` is
+    # slower, and a model set-up builds thousands).
+    by_kind: Dict[BlockKind, tuple] = {}
     for b in blocks:
         if b.kind not in by_kind:
-            by_kind[b.kind] = _profile_block(b, model, hardware, train)
-    profiles = [replace(by_kind[b.kind], block=b) for b in blocks]
+            bp = _profile_block(b, model, hardware, train)
+            by_kind[b.kind] = (
+                bp.fwd_time, bp.bwd_time, bp.params,
+                bp.activation_out_bytes, bp.stash_bytes, bp.workspace_bytes,
+            )
+    profiles = [BlockProfile(b, *by_kind[b.kind]) for b in blocks]
 
     if noise > 0:
         if seed is None:
@@ -119,10 +125,10 @@ def profile_model(
         rng = np.random.default_rng(seed)
         jitter = rng.lognormal(mean=0.0, sigma=noise, size=2 * len(profiles))
         profiles = [
-            replace(
-                bp,
-                fwd_time=bp.fwd_time * jitter[2 * i],
-                bwd_time=bp.bwd_time * jitter[2 * i + 1],
+            BlockProfile(
+                bp.block, bp.fwd_time * jitter[2 * i],
+                bp.bwd_time * jitter[2 * i + 1], bp.params,
+                bp.activation_out_bytes, bp.stash_bytes, bp.workspace_bytes,
             )
             for i, bp in enumerate(profiles)
         ]

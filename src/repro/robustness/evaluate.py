@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core.analytic_sim import PipelineSim
 from repro.core.partition import StageTimes
+from repro.obs import stats as _stats
 from repro.obs import telemetry as _obs
 from repro.sim.analytic import frontier_times
 from repro.robustness.perturbation import (
@@ -54,7 +55,7 @@ def reduce_statistic(times, statistic: str, axis: Optional[int] = None):
     if statistic == "mean":
         return np.mean(arr, axis=axis)
     if statistic == "p95":
-        return np.quantile(arr, 0.95, axis=axis)
+        return _stats.p95(arr, axis=axis)
     if statistic == "max":
         return np.max(arr, axis=axis)
     raise ValueError(
@@ -231,7 +232,7 @@ class RobustnessProfile:
 
     @property
     def p95(self) -> float:
-        return float(np.quantile(self.draw_times, 0.95))
+        return float(_stats.p95(self.draw_times))
 
     @property
     def worst(self) -> float:

@@ -8,6 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.obs import stats as _stats
+
 
 def speedup(baseline_seconds: float, candidate_seconds: float) -> float:
     """How much faster the candidate is (>1 means faster).
@@ -63,7 +65,7 @@ def p95(samples: Sequence[float]) -> float:
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("no samples")
-    return float(np.quantile(arr, 0.95))
+    return float(_stats.p95(arr))
 
 
 def p95_regret(

@@ -40,8 +40,9 @@ compile-once/evaluate-many treatment the 1F1B simulators already have
   (descriptors: :mod:`repro.sim.walks`).  Every later query of the key
   computes only that table (:func:`_cost_table`) and gathers it
   (:func:`shape_graph`).  A template keeps neither the op table nor the
-  walk: the first read of its replay records or of
-  :func:`run_perturbed`'s node classes walks the key again.
+  walk: the first read of its replay records walks the key again, and
+  :func:`run_perturbed`'s node and edge classes come from its slot
+  descriptors and program-edge count.
   Hand-built or edited schedules are lowered and walked onto a fresh,
   uncached structure each time.
 
@@ -265,16 +266,17 @@ class GraphStructure:
     """The costless compiled DAG: levels, edge order and replay records.
 
     Replay records and :func:`run_perturbed`'s node and edge classes are
-    read from the walk on first use (timelines, traces and tests read the
-    records; a plain run reads neither).  A structure built with its shape
-    ``key`` (a template's) keeps neither the walk nor its op table: it
-    walks the key again then.
+    built on first use (timelines, traces and tests read the records; a
+    plain run reads neither).  A structure built with its shape ``key``
+    (a template's) keeps neither the walk nor its op table: it walks the
+    key again for the records, and its template hands it what the
+    classes are derived from (``_classes``).
     """
 
     __slots__ = (
         "num_devices", "num_nodes", "num_edges", "levels", "src_lvl",
         "edge_perm", "node_order", "first_f", "mem_offsets",
-        "perturb_plan", "_source", "_records",
+        "perturb_plan", "_classes", "_source", "_records",
     )
 
     def __init__(
@@ -354,6 +356,9 @@ class GraphStructure:
         #: node/edge classification for ``run_perturbed``, level-major,
         #: built on first use (:func:`_perturb_plan`).
         self.perturb_plan: Optional[tuple] = None
+        #: a template's ``(level-major node slots, slot descriptors,
+        #: program-edge count)``, which the classes derive from.
+        self._classes: Optional[tuple] = None
         #: the walk, or the shape key to walk again (see :meth:`_walk`).
         self._source: Union[_Walk, _TableWalk, tuple] = (
             walk if key is None else key
@@ -361,7 +366,8 @@ class GraphStructure:
         self._records: Optional[tuple] = None
 
     def _walk(self) -> Union[_Walk, _TableWalk]:
-        """The walk the records and perturbation classes are read from."""
+        """The walk the records (and, off a template, the perturbation
+        classes) are read from."""
         source = self._source
         return shape_walk(source)[0] if isinstance(source, tuple) else source
 
@@ -635,7 +641,7 @@ class _Template:
     takes, so a query of this shape is one :func:`_cost_table` and a
     handful of gathers.  No Op objects, lowered tuples, signatures, op
     table or walk are kept: the structure walks the key again for replay
-    records and perturbation classes.
+    records, and reads its perturbation classes off ``descs``.
     """
 
     __slots__ = (
@@ -654,6 +660,7 @@ class _Template:
         # which a view would keep alive.
         self.s_recv = walk.s_recv.copy()
         self.s_ws = walk.s_ws.copy()
+        structure._classes = (self.s_node_lvl, descs, walk.num_program)
 
     def graph(
         self,
@@ -827,17 +834,35 @@ def _perturb_plan(structure: GraphStructure) -> tuple:
     (rendezvous exchanges and eager wire/latency nodes), and every
     level-major edge as a *deposit* edge (its weight is a wire transfer)
     or a *program* edge (its weight is the source node's duration, so it
-    scales with the source node's factor).  A table walk reads this from
-    its op table's columns; an Op-route walk from its replay records.
+    scales with the source node's factor).  A template's structure reads
+    this off its nodes' slot descriptors (a node is compute exactly when
+    its own cost is an ``"F"``/``"B"`` duration, of the descriptor's
+    device) and its program-edge count (a table walk lists the program
+    edges first), with no walk; any other structure from its walk
+    (``perturb_columns``).
     """
     plan = structure.perturb_plan
-    if plan is None:
+    if plan is not None:
+        return plan
+    if structure._classes is not None:
+        node_slots, descs, num_program = structure._classes
+        is_comm = np.array([d[0] not in ("F", "B") for d in descs])
+        dev = np.array(
+            [0 if comm else d[1] for d, comm in zip(descs, is_comm.tolist())],
+            dtype=np.min_scalar_type(structure.num_devices),
+        )
+        plan = (
+            dev[node_slots], is_comm[node_slots],
+            structure.edge_perm >= num_program,
+        )
+    else:
         node_dev, node_is_comm, deposit = structure._walk().perturb_columns()
         order = structure.node_order
-        plan = structure.perturb_plan = (
+        plan = (
             node_dev[order], node_is_comm[order],
             deposit[structure.edge_perm],
         )
+    structure.perturb_plan = plan
     return plan
 
 

@@ -178,13 +178,14 @@ class _TableWalk:
     """The walk of an op table: slot arrays, edges and on-demand records.
 
     ``e_dst``/``e_src`` and ``records`` read as the lists a
-    :class:`_Walk` holds; the structure reads the arrays.
+    :class:`_Walk` holds; the structure reads the arrays.  The first
+    ``num_program`` edges are program-order edges, the rest deposits.
     """
 
     __slots__ = (
         "num_devices", "num_nodes", "dst", "src", "first_f", "mem_counts",
         "s_node", "s_edge", "s_recv", "s_mem", "s_ws",
-        "_table", "_nid", "_recv_rows", "_send_nids", "_num_program",
+        "num_program", "_table", "_nid", "_recv_rows", "_send_nids",
     )
 
     @property
@@ -206,7 +207,7 @@ class _TableWalk:
         units = table.units
         records: List[List[tuple]] = [[] for _ in range(self.num_devices)]
         recv_lists = {
-            row: [(snid, self._num_program + ridx, ridx)]
+            row: [(snid, self.num_program + ridx, ridx)]
             for ridx, (row, snid) in enumerate(
                 zip(self._recv_rows.tolist(), self._send_nids.tolist())
             )
@@ -252,7 +253,7 @@ class _TableWalk:
             np.min_scalar_type(self.num_devices)
         )
         deposit = np.zeros(len(self.dst), dtype=bool)
-        deposit[self._num_program:] = True
+        deposit[self.num_program:] = True
         return node_dev, node_is_comm, deposit
 
 
@@ -460,7 +461,7 @@ def table_walk(table: OpTable) -> Tuple[_TableWalk, List[tuple]]:
     walk._nid = nid
     walk._recv_rows = recv_rows
     walk._send_nids = send_nids
-    walk._num_program = int(same.sum())
+    walk.num_program = int(same.sum())
     return walk, descs
 
 

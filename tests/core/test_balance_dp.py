@@ -55,6 +55,26 @@ class TestMinMaxPartition:
         with pytest.raises(ValueError):
             min_max_partition([-1.0, 1.0], 1)
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([1.0, float("nan")], "finite"),
+            ([float("inf"), 1.0], "finite"),
+            ([float("-inf"), 1.0], "non-negative"),
+            ([1.0, -1.0], "non-negative"),
+            ([-0.5, float("nan")], "non-negative"),
+            ([float("nan"), -0.5], "non-negative"),
+            ([float("inf"), -0.5], "non-negative"),
+            ([float("nan"), float("inf")], "finite"),
+            ([float("nan"), float("-inf")], "non-negative"),
+        ],
+    )
+    def test_weight_errors_in_order(self, weights, message):
+        # A negative weight (-inf included) is reported before a NaN or
+        # +inf one, wherever each sits.
+        with pytest.raises(ValueError, match=f"must be {message}$"):
+            BalanceTable(weights, 1)
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=9),

@@ -83,3 +83,32 @@ class TestPrefixProperty:
         fresh = BalanceTable(weights[:nb], s)
         assert table.sizes(s, nb) == fresh.sizes(s)
         assert table.bottleneck_value(s, nb) == fresh.bottleneck_value(s)
+
+
+class TestSignedZeros:
+    """The ``k >= i`` mask and the one-pass weight check keep the tables
+    bitwise the scalar loop's when weights are zero or ``-0.0``."""
+
+    @given(
+        weights=st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, 2.5]), min_size=1, max_size=30
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_tables_bitwise_equal_with_signed_zero_weights(self, weights, data):
+        p = data.draw(st.integers(1, len(weights)))
+        vec = BalanceTable(weights, p)
+        prefix = np.concatenate(([0.0], np.cumsum(np.asarray(weights, float))))
+        time, choice = _scalar_tables(prefix, len(weights), p)
+        assert vec.time.tobytes() == time.tobytes()
+        assert np.array_equal(vec.choice, choice)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_all_negative_zero_weights(self, n):
+        vec = BalanceTable([-0.0] * n, n)
+        prefix = np.concatenate(([0.0], np.cumsum(np.full(n, -0.0))))
+        time, choice = _scalar_tables(prefix, n, n)
+        assert vec.time.tobytes() == time.tobytes()
+        assert np.array_equal(vec.choice, choice)
+        assert vec.sizes(n) == [1] * n

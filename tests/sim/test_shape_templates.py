@@ -50,6 +50,7 @@ from repro.sim.graph_exec import (
     _TEMPLATE_CACHE_SIZE,
     CompiledGraph,
     GraphStructure,
+    _perturb_plan,
     _walk_programs,
     compile_graph,
     execute_fast,
@@ -501,3 +502,42 @@ def test_run_perturbed_on_a_hit_equals_a_freshly_walked_structure(
     for ref in refs:
         want = run_perturbed(ref, compute, comm)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("family, depth, m", [
+    (family, depth, m)
+    for family in FAMILIES
+    for depth, m in ((1, 3), (2, 2), (4, 8), (6, 12))
+    if family != "interleaved" or depth >= 2  # two virtual stages a device
+])
+def test_perturbation_classes_come_from_the_template_without_a_walk(
+    family, depth, m, monkeypatch
+):
+    """A template's node classes come from its slot descriptors and its
+    deposit edges from its program-edge count: deriving them walks
+    nothing and equals the table walk's ``perturb_columns`` (dtypes
+    included), in level-major order."""
+    profile = make_profile(GPT2_345M, 4, m)
+    cluster = Cluster(profile.hardware)
+    schedule = _schedule(family, profile, depth, m, num_sliced=max(1, m // 2))
+    graph_exec.clear_templates()
+    structure = compile_graph(
+        schedule, cluster, device_map=cluster.pipeline_devices(depth)
+    ).structure
+    walk = shape_walk(schedule.shape.key)[0]
+
+    def no_walk(key):
+        raise AssertionError("the classes walked the shape key")
+
+    monkeypatch.setattr(graph_exec, "shape_walk", no_walk)
+    node_dev, node_is_comm, deposit = _perturb_plan(structure)
+    want = walk.perturb_columns()
+    for got, ref, order in (
+        (node_dev, want[0], structure.node_order),
+        (node_is_comm, want[1], structure.node_order),
+        (deposit, want[2], structure.edge_perm),
+    ):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref[order])
+    assert _perturb_plan(structure)[0] is node_dev  # cached
+    graph_exec.clear_templates()

@@ -11,9 +11,10 @@ suite holds the table walk to it deterministically, shape by shape:
   d32/m32 once per family;
 * per shape, a cold miss's ``GraphStructure`` (levels, ``node_order``,
   ``edge_perm``, records, ``first_f``, ``mem_offsets``) equals the one
-  built from the Op route's walk, and the costs the template gathers
+  built from the Op route's walk, the costs the template gathers
   equal that walk's own values bit for bit, on a device map across
-  nodes.
+  nodes, and ``run_perturbed``'s node and edge classes equal the ones
+  that walk's records give.
 
 A table whose communication does not match raises the Op route's
 ``GraphCompileError`` message: an unmatched rendezvous, a deposit sent
@@ -48,6 +49,7 @@ from repro.sim.engine import _Lowerer
 from repro.sim.graph_exec import (
     CompiledGraph,
     GraphStructure,
+    _perturb_plan,
     _walk_programs,
     clear_templates,
     compile_graph,
@@ -152,6 +154,13 @@ def test_table_walks_equal_the_op_route_over_the_corpus():
             got, want = getattr(graph, name), getattr(expected, name)
             assert got.shape == want.shape, name
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # ``run_perturbed``'s classes, read off the template's slot
+        # descriptors, equal the ones the Op route's records give.
+        node_dev, node_is_comm, deposit = ref.perturb_columns()
+        got = _perturb_plan(structure)
+        assert np.array_equal(got[0], node_dev[structure.node_order])
+        assert np.array_equal(got[1], node_is_comm[structure.node_order])
+        assert np.array_equal(got[2], deposit[structure.edge_perm])
         shapes += 1
     assert shapes == 1469
 
