@@ -124,7 +124,7 @@ def run_climb_guard():
     tel = obs.Telemetry()
     with obs.session(tel):
         exhaustive_partition(
-            profile, 12, 24, max_evaluations=None, cache=False,
+            profile, 12, 24, max_evaluations=None,
         )
     levels = [e[4] for e in tel.events if e[0] == "oracle.level"]
     (climb,) = [e[4] for e in tel.events if e[0] == "oracle.climb"]
@@ -159,7 +159,7 @@ def run_heavy_tail_guard():
     )
     t0 = time.perf_counter()
     result = exhaustive_partition(
-        profile, 16, 64, max_evaluations=None, cache=False,
+        profile, 16, 64, max_evaluations=None,
     )
     return result, time.perf_counter() - t0
 

@@ -133,7 +133,7 @@ def _robust_oracle_case(statistic, depth, prune=True):
     t0 = time.perf_counter()
     result = exhaustive_partition(
         profile, depth, m, robust=objective, prune=prune,
-        max_evaluations=None, cache=False,
+        max_evaluations=None,
     )
     return time.perf_counter() - t0, result
 

@@ -63,12 +63,11 @@ def run_telemetry_overhead(depth: int = 8, m: int = 32, gbs: int = 128):
         TrainConfig(micro_batch_size=4, global_batch_size=gbs),
     )
 
-    bare = exhaustive_partition(profile, depth, m, max_evaluations=None,
-                                cache=False)
+    bare = exhaustive_partition(profile, depth, m, max_evaluations=None)
     def recorded_search(tel):
         with obs.session(tel):
             return exhaustive_partition(
-                profile, depth, m, max_evaluations=None, cache=False,
+                profile, depth, m, max_evaluations=None,
             )
 
     probe_tel = obs.Telemetry()
@@ -79,7 +78,7 @@ def run_telemetry_overhead(depth: int = 8, m: int = 32, gbs: int = 128):
     assert recorded.evaluations == bare.evaluations
 
     t_off = _best_of(lambda: exhaustive_partition(
-        profile, depth, m, max_evaluations=None, cache=False,
+        profile, depth, m, max_evaluations=None,
     ))
     t_on = _best_of(lambda: recorded_search(obs.Telemetry()))
 

@@ -28,7 +28,6 @@ from repro.core.balance_dp import (
 from repro.core.partition import PartitionScheme, StageTimes, stage_times
 from repro.core.planner import PlannerResult, plan_partition
 from repro.core.slicer import SlicePlan, make_slice_plan, solve_slice_count
-from repro.core.plan_cache import PlanCache, set_default_plan_cache
 from repro.core.strategy import AutotuneResult, autopipe_config, autotune_config
 from repro.hardware.cluster import Cluster
 from repro.hardware.device import DEFAULT_CLUSTER_HW, rtx3090_cluster
@@ -64,7 +63,6 @@ __all__ = [
     "SlicePlan", "make_slice_plan", "solve_slice_count",
     "autopipe_plan", "AutoPipeSolution", "autopipe_config",
     "autotune_config", "AutotuneResult",
-    "PlanCache", "set_default_plan_cache",
     # runtime
     "run_pipeline", "run_iteration", "IterationResult",
 ]

@@ -14,9 +14,7 @@ import sys
 import traceback
 from typing import List, Optional
 
-from repro.core.plan_cache import PlanCache, set_default_plan_cache
 from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.runner import SweepRunner, set_default_runner
 
 
 def _plan_main(argv: List[str]) -> int:
@@ -47,8 +45,6 @@ def _plan_main(argv: List[str]) -> int:
         help="record spans/counters and write events.jsonl, counters.json, "
              "trace.json (Perfetto-loadable) and summary.txt into DIR",
     )
-    parser.add_argument("--plan-cache-dir", default=None,
-                        help="persistent plan cache directory (default: off)")
     args = parser.parse_args(argv)
     for flag in ("stages", "micro_batches", "micro_batch_size"):
         if getattr(args, flag) < 1:
@@ -63,9 +59,6 @@ def _plan_main(argv: List[str]) -> int:
     except KeyError as exc:
         parser.error(str(exc))
     profile = make_profile(model, args.micro_batch_size, args.micro_batches)
-    cache = None
-    if args.plan_cache_dir is not None:
-        cache = PlanCache(args.plan_cache_dir)
     if args.oracle:
         from repro.core.exhaustive import exhaustive_partition as search
     else:
@@ -75,7 +68,7 @@ def _plan_main(argv: List[str]) -> int:
         with obs.session(tel):
             result = search(
                 profile, args.stages, args.micro_batches,
-                comm_mode=args.comm_mode, cache=cache,
+                comm_mode=args.comm_mode,
             )
     except (ValueError, RuntimeError) as exc:
         parser.error(str(exc))
@@ -136,22 +129,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="experiment name (fig9..fig14, table2..table4), 'all' or 'list'",
     )
     parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="directory for the on-disk sweep result cache (default: off)",
-    )
-    parser.add_argument(
-        "--plan-cache-dir",
-        default=None,
-        help="directory for the persistent plan cache shared across runs "
-             "(default: off)",
-    )
-    parser.add_argument(
-        "--clear-cache",
-        action="store_true",
-        help="purge the sweep and plan caches before running",
-    )
-    parser.add_argument(
         "--telemetry",
         default=None,
         metavar="DIR",
@@ -160,24 +137,11 @@ def main(argv: Optional[List[str]] = None) -> int:
              "trace.json, summary.txt) into DIR",
     )
     args = parser.parse_args(argv)
-    runner = None
-    if args.cache_dir is not None:
-        runner = set_default_runner(SweepRunner(cache_dir=args.cache_dir))
     telemetry = None
     if args.telemetry is not None:
         from repro import obs
 
         telemetry = obs.set_current(obs.Telemetry())
-    plan_cache = None
-    if args.plan_cache_dir is not None:
-        plan_cache = set_default_plan_cache(PlanCache(args.plan_cache_dir))
-    if args.clear_cache:
-        purged = 0
-        if runner is not None:
-            purged += runner.purge()
-        if plan_cache is not None:
-            purged += plan_cache.purge()
-        print(f"cleared {purged} cached entries", file=sys.stderr)
 
     if args.experiment == "list":
         for name in ALL_EXPERIMENTS:

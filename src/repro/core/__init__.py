@@ -16,11 +16,6 @@ from repro.core.balance_dp import (
 )
 from repro.core.exhaustive import ExhaustiveResult, exhaustive_partition
 from repro.core.partition import PartitionScheme, StageTimes, stage_times
-from repro.core.plan_cache import (
-    PlanCache,
-    default_plan_cache,
-    set_default_plan_cache,
-)
 from repro.core.planner import (
     PlannerResult,
     SimCache,
@@ -51,9 +46,6 @@ __all__ = [
     "PartitionScheme",
     "StageTimes",
     "stage_times",
-    "PlanCache",
-    "default_plan_cache",
-    "set_default_plan_cache",
     "PlannerResult",
     "SimCache",
     "plan_partition",

@@ -48,8 +48,10 @@ import numpy as np
 
 from repro.core.analytic_sim import PipelineSim, SimResult
 from repro.core.balance_dp import min_max_partition
-from repro.core.partition import PartitionScheme, StageTimes, _check_count
-from repro.core.planner import _check_jobs
+from repro.core.partition import (
+    PartitionScheme, StageTimes, _check_bool, _check_count,
+)
+from repro.core.planner import _check_cache, _check_jobs
 from repro.obs import stats as _stats
 from repro.obs import telemetry as _obs
 from repro.profiling.modelconfig import ModelProfile
@@ -1085,7 +1087,7 @@ def exhaustive_partition(
     prune: bool = True,
     robust: Optional[RobustObjective] = None,
     jobs: int = 1,
-    cache=None,
+    cache: bool = False,
 ) -> ExhaustiveResult:
     """Find the optimal partition over every contiguous candidate.
 
@@ -1132,12 +1134,8 @@ def exhaustive_partition(
     ``1``: any other integer raises ``ValueError`` (``TypeError`` for a
     bool or non-integral value).
 
-    ``cache`` is a persistent :class:`~repro.core.plan_cache.PlanCache`
-    (default: the process-wide ``--plan-cache-dir`` cache, off when
-    unset; pass ``False`` to force caching off for one call).  A warm
-    hit replays the stored result — same partition, iteration time and
-    original search statistics — without running any simulation; the
-    key covers the full profile content and every search knob.
+    ``prune`` must be a bool, and ``cache`` accepts only ``False``
+    (``TypeError`` otherwise): every call searches.
 
     When a :mod:`repro.obs` registry is current (``obs.session`` or the
     CLI's ``--telemetry``), the call records an ``oracle.search`` span
@@ -1152,14 +1150,15 @@ def exhaustive_partition(
     num_micro_batches = _check_count("num_micro_batches", num_micro_batches)
     if max_evaluations is not None:
         max_evaluations = _check_count("max_evaluations", max_evaluations)
+    prune = _check_bool("prune", prune)
     _check_jobs(jobs)
+    _check_cache(cache)
     RobustObjective.check(robust)
     tel = _obs.current()
     t0 = tel.clock() if tel is not None else 0
     result = _exhaustive_impl(
         profile, num_stages, num_micro_batches, comm_mode=comm_mode,
         max_evaluations=max_evaluations, prune=prune, robust=robust,
-        cache=cache,
     )
     if tel is not None:
         tel.record_since(
@@ -1189,7 +1188,6 @@ def _exhaustive_impl(
     max_evaluations: Optional[int],
     prune: bool,
     robust: Optional[RobustObjective],
-    cache,
 ) -> ExhaustiveResult:
     """The oracle search body; ``exhaustive_partition`` wraps it."""
     n = profile.num_blocks
@@ -1199,21 +1197,6 @@ def _exhaustive_impl(
             f"search space C({n - 1},{num_stages - 1}) = {space} exceeds "
             f"max_evaluations={max_evaluations}"
         )
-    from repro.core.plan_cache import resolve_plan_cache
-
-    plan_cache = resolve_plan_cache(cache)
-    cache_key = None
-    if plan_cache is not None:
-        cache_key = plan_cache.exhaustive_key(
-            profile, num_stages, num_micro_batches,
-            comm_mode=comm_mode, prune=prune, robust=repr(robust),
-        )
-        stored = plan_cache.load(cache_key, expect=ExhaustiveResult)
-        if stored is not None:
-            _obs.add("oracle.plan_cache.hits")
-            return stored
-        _obs.add("oracle.plan_cache.misses")
-
     t0 = _time.perf_counter()
     fwd = profile.fwd_times()
     bwd = profile.bwd_times()
@@ -1241,7 +1224,7 @@ def _exhaustive_impl(
         StageTimes(f_stages, b_stages, comm), num_micro_batches,
         comm_mode=comm_mode,
     ).run()
-    result = ExhaustiveResult(
+    return ExhaustiveResult(
         partition=PartitionScheme.from_sizes(state.best_sizes),
         sim=best_sim,
         evaluations=state.evaluations,
@@ -1251,6 +1234,3 @@ def _exhaustive_impl(
         robust_value=state.best_time if robust is not None else None,
         incumbent_updates=state.incumbent_updates,
     )
-    if plan_cache is not None and cache_key is not None:
-        plan_cache.store(cache_key, result)
-    return result

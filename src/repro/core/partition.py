@@ -155,6 +155,15 @@ def _check_count(name: str, value, minimum: int = 1) -> int:
     return int(value)
 
 
+def _check_bool(name: str, value) -> bool:
+    """``value`` as a ``bool``: anything else (``numpy.bool_`` passes)
+    raises ``TypeError`` naming the argument ``name``, so a string such
+    as ``"False"`` cannot switch a knob on by its truthiness."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 def check_covers(partition: PartitionScheme, profile: ModelProfile) -> None:
     """Raise ``ValueError`` unless ``partition`` covers exactly the
     profile's blocks."""

@@ -36,7 +36,7 @@ import numpy as np
 from repro.core.analytic_sim import PipelineSim, SimResult
 from repro.core.balance_dp import BalanceTable
 from repro.core.partition import (
-    PartitionScheme, StageTimes, _check_count, shift_repair,
+    PartitionScheme, StageTimes, _check_bool, _check_count, shift_repair,
 )
 from repro.models.transformer import layer_groups
 from repro.obs import stats as _stats
@@ -313,6 +313,18 @@ def _check_jobs(jobs) -> None:
         )
 
 
+def _check_cache(cache) -> None:
+    """Accept only ``cache=False``: the searches keep no plan cache.
+
+    The keyword survives so existing ``cache=False`` callers keep
+    working; any other value raises ``TypeError`` naming ``cache``.
+    """
+    if cache is not False:
+        raise TypeError(
+            f"cache must be False, got {cache!r}: the plan cache was removed"
+        )
+
+
 def plan_partition(
     profile: ModelProfile,
     num_stages: int,
@@ -326,13 +338,14 @@ def plan_partition(
     sim_cache: Optional[SimCache] = None,
     robust: Optional[RobustObjective] = None,
     jobs: int = 1,
-    cache=None,
+    cache: bool = False,
 ) -> PlannerResult:
     """Run the AutoPipe Planner and return the best partition found.
 
     ``granularity="layer"`` runs the identical search over whole-layer
     units (the ablation of Fig. 3's sub-layer split);
-    ``cooldown_adjust=False`` disables step 2 (Eq. 1 ablation).
+    ``cooldown_adjust=False`` disables step 2 (Eq. 1 ablation); it must
+    be a bool (``TypeError`` otherwise).
     ``num_stages`` and ``num_micro_batches`` must be integers ``>= 1``
     (``TypeError`` for a bool or non-integral value, ``ValueError``
     below 1).
@@ -358,12 +371,8 @@ def plan_partition(
     the order the search first considered them.
     The winning value is reported as ``PlannerResult.robust_value``.
     The search runs in the calling process; ``jobs`` accepts only ``1``
-    (any other integer raises ``ValueError``).  ``cache`` is a persistent
-    :class:`~repro.core.plan_cache.PlanCache` (default: the process-wide
-    ``--plan-cache-dir`` cache, off when unset; ``False`` forces it off
-    for one call): a warm hit replays the stored plan without running
-    any simulation; the key covers the profile content and every search
-    knob except ``sim_cache``, which cannot change the result.
+    (any other integer raises ``ValueError``).  ``cache`` accepts only
+    ``False`` (any other value raises ``TypeError``): every call searches.
     ``PlannerResult.history`` lists every evaluated scheme with its
     nominal iteration time, in evaluation order.
     When a :mod:`repro.obs` registry is current (``obs.session`` or the
@@ -379,7 +388,9 @@ def plan_partition(
         raise ValueError(
             f"memory_cap must be a positive number of bytes, got {memory_cap!r}"
         )
+    cooldown_adjust = _check_bool("cooldown_adjust", cooldown_adjust)
     _check_jobs(jobs)
+    _check_cache(cache)
     RobustObjective.check(robust)
     tel = _obs.current()
     t0 = tel.clock() if tel is not None else 0
@@ -388,7 +399,6 @@ def plan_partition(
         granularity=granularity, comm_mode=comm_mode,
         cooldown_adjust=cooldown_adjust, max_evaluations=max_evaluations,
         memory_cap=memory_cap, sim_cache=sim_cache, robust=robust,
-        cache=cache,
     )
     if tel is not None:
         tel.record_since(
@@ -416,27 +426,8 @@ def _plan_impl(
     memory_cap: Optional[float],
     sim_cache: Optional[SimCache],
     robust: Optional[RobustObjective],
-    cache,
 ) -> PlannerResult:
     """The planner search body; ``plan_partition`` wraps it in telemetry."""
-    from repro.core.plan_cache import resolve_plan_cache
-
-    plan_store = resolve_plan_cache(cache)
-    store_key = None
-    if plan_store is not None:
-        store_key = plan_store.planner_key(
-            profile, num_stages, num_micro_batches,
-            granularity=granularity, comm_mode=comm_mode,
-            cooldown_adjust=cooldown_adjust,
-            max_evaluations=max_evaluations, memory_cap=memory_cap,
-            robust=repr(robust),
-        )
-        stored = plan_store.load(store_key, expect=PlannerResult)
-        if stored is not None:
-            _obs.add("planner.plan_cache.hits")
-            return stored
-        _obs.add("planner.plan_cache.misses")
-
     tel = _obs.current()
     sim_hits0 = sim_cache.hits if sim_cache is not None else 0
     sim_misses0 = sim_cache.misses if sim_cache is not None else 0
@@ -590,7 +581,7 @@ def _plan_impl(
     if tel is not None and sim_cache is not None:
         tel.add("planner.sim_cache.hits", sim_cache.hits - sim_hits0)
         tel.add("planner.sim_cache.misses", sim_cache.misses - sim_misses0)
-    result = PlannerResult(
+    return PlannerResult(
         partition=space.to_partition(best_sizes),
         sim=best_sim,
         evaluations=len(scheme_cache),
@@ -600,6 +591,3 @@ def _plan_impl(
         robust_value=best_value if robust is not None else None,
         incumbent_updates=incumbent_updates,
     )
-    if plan_store is not None and store_key is not None:
-        plan_store.store(store_key, result)
-    return result

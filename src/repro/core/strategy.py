@@ -88,14 +88,8 @@ def autopipe_config(
     global_batch_size: int,
     *,
     granularity: str = "sublayer",
-    cache=None,
 ) -> PlannedConfig:
-    """Choose (dp, pp) and the balanced partition for a whole cluster.
-
-    ``cache`` forwards to the persistent plan cache (see
-    :mod:`repro.core.plan_cache`); it leaves the chosen configuration
-    bit-identical.
-    """
+    """Choose (dp, pp) and the balanced partition for a whole cluster."""
     tel = _obs.current()
     t_obs = tel.clock() if tel is not None else 0
     t0 = _time.perf_counter()
@@ -141,7 +135,7 @@ def autopipe_config(
             try:
                 planned = plan_partition(
                     profile, pp, m, granularity=granularity,
-                    memory_cap=profile.hardware.gpu_memory, cache=cache,
+                    memory_cap=profile.hardware.gpu_memory,
                 )
                 partition = planned.partition
                 predicted = planned.iteration_time
@@ -223,7 +217,6 @@ def autotune_config(
     *,
     granularity: str = "sublayer",
     comm_mode: str = "paper",
-    cache=None,
     oracle_max_space: int = 50_000,
 ) -> AutotuneResult:
     """Joint (data-parallel x pipeline-depth x slice-count) search.
@@ -243,9 +236,6 @@ def autotune_config(
     layouts (data-parallel gradient synchronisation is outside the
     model, as everywhere in this repo).
 
-    ``cache`` forwards to the partition searches: the persistent plan
-    cache replays previously-solved (profile, depth, m) plans
-    across runs and processes — a warm autotune re-plans nothing.
     Memory-infeasible layouts are reported with status ``"OOM"``,
     depth-infeasible ones with ``"X"``; raises ``RuntimeError`` when no
     candidate is feasible.
@@ -307,7 +297,7 @@ def autotune_config(
             if count_partitions(profile.num_blocks, pp) <= oracle_max_space:
                 oracle = exhaustive_partition(
                     profile, pp, m, comm_mode=comm_mode,
-                    max_evaluations=None, cache=cache,
+                    max_evaluations=None,
                 )
                 if _fits(profile, oracle.partition, dp, m_total, mbs):
                     partition = oracle.partition
@@ -317,7 +307,7 @@ def autotune_config(
                     planned = plan_partition(
                         profile, pp, m, granularity=granularity,
                         comm_mode=comm_mode,
-                        memory_cap=profile.hardware.gpu_memory, cache=cache,
+                        memory_cap=profile.hardware.gpu_memory,
                     )
                     partition = planned.partition
                     planner_name = "planner"

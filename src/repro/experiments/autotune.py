@@ -10,9 +10,6 @@ planner, then every admissible Slicer count executed on the DES — and
 reports one row per layout: its best slice count, Algorithm 2's answer
 for comparison, and the executed iteration time, with the cluster-wide
 winner marked.
-
-With ``--plan-cache-dir`` set, re-running the experiment replays every
-partition search from the persistent plan cache.
 """
 
 from __future__ import annotations

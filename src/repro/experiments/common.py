@@ -11,13 +11,21 @@ Every experiment compares some subset of four execution methods on the DES:
 with the iteration time, startup overhead and OOM flag; infeasible
 configurations (uniform partition impossible, interleaved constraints)
 surface as ``status`` markers, mirroring the paper's "OOM" and "X" cells.
+
+The paper-table and figure sweeps are grids of independent cells;
+:func:`run_cells` evaluates one grid in order, each cell with the global
+RNGs seeded from its own identity.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.baselines.megatron import MegatronInfeasible, uniform_partition
 from repro.config import HardwareConfig, ModelConfig, TrainConfig
@@ -26,6 +34,7 @@ from repro.core.planner import plan_partition
 from repro.core.slicer import make_slice_plan
 from repro.hardware.cluster import Cluster
 from repro.hardware.device import DEFAULT_CLUSTER_HW
+from repro.obs import telemetry as _obs
 from repro.profiling import ModelProfile, profile_model
 from repro.runtime.trainer import run_pipeline
 from repro.schedules.interleaved import InterleavedInfeasible, build_interleaved
@@ -131,6 +140,52 @@ def make_profile(
         global_batch_size=micro_batch_size * num_micro_batches,
     )
     return profile_model(model, hardware, train)
+
+
+# -- sweeps -------------------------------------------------------------------
+
+
+def cell_seed(fn: Callable, cell: Tuple) -> int:
+    """Deterministic per-cell RNG seed from the cell's identity.
+
+    Derived from the dotted function name and the argument repr only, so
+    seeds match across processes and whatever ran before the cell.
+    """
+    payload = repr((
+        getattr(fn, "__module__", "?"),
+        getattr(fn, "__qualname__", repr(fn)),
+        cell,
+    ))
+    return int.from_bytes(
+        hashlib.sha256(payload.encode()).digest()[:8], "big"
+    )
+
+
+def run_cells(fn: Callable, cells: Sequence[Tuple]) -> List:
+    """Evaluate ``fn(*cell)`` for every cell, in order.
+
+    Every cell runs with the global ``random`` and legacy NumPy RNGs
+    seeded from :func:`cell_seed`, so a cell that consumes global
+    randomness produces bit-identical results whatever ran before it.
+    Cells using their own ``np.random.default_rng(seed)`` are
+    unaffected.  With a :mod:`repro.obs` registry current, the sweep
+    records one ``sweep.run`` span and one ``sweep.cell`` span per cell.
+    """
+    tel = _obs.current()
+    t_run = tel.clock() if tel is not None else 0
+    cells = [tuple(c) for c in cells]
+    results: List = []
+    for cell in cells:
+        seed = cell_seed(fn, cell)
+        t0 = tel.clock() if tel is not None else 0
+        random.seed(seed)
+        np.random.seed(seed % 2**32)
+        results.append(fn(*cell))
+        if tel is not None:
+            tel.record_since("sweep.cell", t0, cell=repr(cell)[:80])
+    if tel is not None:
+        tel.record_since("sweep.run", t_run, cells=len(cells))
+    return results
 
 
 # -- plain-text table rendering ---------------------------------------------

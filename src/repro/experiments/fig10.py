@@ -11,16 +11,16 @@ the Slicer alone *hurts* at depth 2 and helps at deeper pipelines.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.config import ModelConfig
 from repro.experiments.common import (
     ExperimentResult,
     MethodResult,
     make_profile,
+    run_cells,
     run_method,
 )
-from repro.experiments.runner import SweepRunner, default_runner
 from repro.models.zoo import BERT_LARGE, GPT2_345M, GPT2_762M
 
 METHODS = ("megatron", "slicer", "planner", "autopipe")
@@ -46,9 +46,7 @@ def run_point(
 
 def run(
     configs: Sequence[Tuple[ModelConfig, int, Tuple[int, ...]]] = CONFIGS,
-    runner: Optional[SweepRunner] = None,
 ) -> ExperimentResult:
-    runner = runner or default_runner()
     result = ExperimentResult(
         name="Fig 10: iteration time (ms) vs pipeline depth "
              "(micro-batches = 2 x depth)",
@@ -59,7 +57,7 @@ def run(
         for model, mbs, stage_list in configs
         for stages in stage_list
     ]
-    points = runner.run(run_point, cells)
+    points = run_cells(run_point, cells)
     for (model, mbs, stages), point in zip(cells, points):
         row: List[object] = [model.name, mbs, stages]
         for method in METHODS:

@@ -12,16 +12,16 @@ micro-batch size; Planner contributes more than the Slicer at this depth.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.config import ModelConfig
 from repro.experiments.common import (
     ExperimentResult,
     MethodResult,
     make_profile,
+    run_cells,
     run_method,
 )
-from repro.experiments.runner import SweepRunner, default_runner
 from repro.models.zoo import BERT_LARGE, GPT2_345M, GPT2_762M
 
 NUM_STAGES = 4
@@ -45,9 +45,7 @@ def run_point(
 def run(
     models: Sequence[ModelConfig] = MODELS,
     micro_batch_sizes: Sequence[int] = MICRO_BATCH_SIZES,
-    runner: Optional[SweepRunner] = None,
 ) -> ExperimentResult:
-    runner = runner or default_runner()
     result = ExperimentResult(
         name="Fig 9: iteration time (ms) vs micro-batch size "
              f"({NUM_STAGES} stages, {NUM_MICRO_BATCHES} micro-batches)",
@@ -56,7 +54,7 @@ def run(
     cells = [
         (model, mbs) for model in models for mbs in micro_batch_sizes
     ]
-    points = runner.run(run_point, cells)
+    points = run_cells(run_point, cells)
     for (model, mbs), point in zip(cells, points):
         row: List[object] = [model.name, mbs]
         for method in METHODS:

@@ -16,8 +16,8 @@ cell it
 Scenarios cover the three perturbation models: multiplicative
 stage-cost noise at several sigmas, a random-stage straggler, and
 comm-bandwidth degradation.  Cells are module-level functions run
-through the sweep runner (``--cache-dir`` applies), and each
-cell's 2 x 256-draw evaluation goes through the batched fast path — no
+through :func:`~repro.experiments.common.run_cells`, and each cell's
+2 x 256-draw evaluation goes through the batched fast path — no
 per-draw Python loop.
 
 ``benchmarks/test_bench_robustness.py`` prints the rows and guards the
@@ -30,8 +30,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.planner import plan_partition
-from repro.experiments.common import ExperimentResult, make_profile
-from repro.experiments.runner import default_runner
+from repro.experiments.common import ExperimentResult, make_profile, run_cells
 from repro.models.zoo import BERT_LARGE, GPT2_345M
 from repro.robustness import (
     CommDegradation,
@@ -129,7 +128,7 @@ def run(
         for model, stages, m in configs
         for scenario in scenarios
     ]
-    rows = default_runner().run(run_cell, cells)
+    rows = run_cells(run_cell, cells)
     for cell in rows:
         result.rows.append([
             cell["model"],

@@ -17,8 +17,7 @@ from repro.baselines.dapple import plan_dapple
 from repro.baselines.piper import plan_piper
 from repro.config import ModelConfig, TrainConfig
 from repro.core.strategy import autopipe_config
-from repro.experiments.common import ExperimentResult
-from repro.experiments.runner import SweepRunner, default_runner
+from repro.experiments.common import ExperimentResult, run_cells
 from repro.hardware.device import DEFAULT_CLUSTER_HW
 from repro.models.zoo import GPT2_345M
 from repro.profiling import profile_model
@@ -68,9 +67,7 @@ def _cell_text(ev: Optional[ConfigEvaluation]) -> str:
 def run(
     gpu_counts: Sequence[int] = GPU_COUNTS,
     global_batch_sizes: Sequence[int] = GLOBAL_BATCH_SIZES,
-    runner: Optional[SweepRunner] = None,
 ) -> ExperimentResult:
-    runner = runner or default_runner()
     result = ExperimentResult(
         name="Table III: planner comparison, low memory demand "
              f"({MODEL.name}, mbs={MICRO_BATCH_SIZE}) — ms per iteration",
@@ -81,7 +78,7 @@ def run(
         (MODEL, MICRO_BATCH_SIZE, gpus, gbs)
         for gpus in gpu_counts for gbs in global_batch_sizes
     ]
-    evaluated = runner.run(run_cell, specs)
+    evaluated = run_cells(run_cell, specs)
     by_spec = {
         (spec[2], spec[3]): cell for spec, cell in zip(specs, evaluated)
     }

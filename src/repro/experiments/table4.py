@@ -11,11 +11,10 @@ narrowly fits our memory model, a documented deviation).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.config import ModelConfig
-from repro.experiments.common import ExperimentResult
-from repro.experiments.runner import SweepRunner, default_runner
+from repro.experiments.common import ExperimentResult, run_cells
 from repro.experiments.table3 import PLANNERS, _cell_text, run_cell
 from repro.models.zoo import GPT2_1_3B, GPT2_345M
 
@@ -32,9 +31,7 @@ def run(
     cases: Sequence[Tuple[ModelConfig, int]] = CASES,
     gpu_counts: Sequence[int] = GPU_COUNTS,
     global_batch_sizes: Sequence[int] = GLOBAL_BATCH_SIZES,
-    runner: Optional[SweepRunner] = None,
 ) -> ExperimentResult:
-    runner = runner or default_runner()
     result = ExperimentResult(
         name="Table IV: planner comparison, high memory demand — ms per iteration",
         headers=["model", "mbs", "gpus", "alg",
@@ -46,7 +43,7 @@ def run(
         for gpus in gpu_counts
         for gbs in global_batch_sizes
     ]
-    evaluated = runner.run(run_cell, specs)
+    evaluated = run_cells(run_cell, specs)
     by_spec = {
         (spec[0].name, spec[1], spec[2], spec[3]): cell
         for spec, cell in zip(specs, evaluated)

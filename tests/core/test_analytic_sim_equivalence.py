@@ -16,6 +16,7 @@ matter; ``0.0`` among them makes zero ``bwd[0]`` (the sink's end equal
 to its start) and all-zero stages common too.
 """
 
+import pickle
 from collections import deque
 
 import pytest
@@ -318,3 +319,40 @@ def test_master_falls_back_to_heaviest_stage(fwd, bwd, m, comm_mode):
         x for x, t in enumerate(times.total) if t == max(times.total)
     )
     assert_bitwise_equal(times, m, comm_mode)
+
+
+def test_sim_result_pickle_rebuilds_op_times_bitwise():
+    """A fresh SimResult pickles without per-op times; the unpickled
+    copy rebuilds ``op_start``/``op_end`` lazily, bit for bit."""
+    times = StageTimes((1.0, 0.3, 2.5), (2.0, 0.7, 1.1), 0.25)
+    for comm_mode in ("paper", "edges"):
+        fresh = PipelineSim(times, 7, comm_mode=comm_mode).run()
+        copy = pickle.loads(pickle.dumps(fresh))
+        assert "_op_times" not in copy.__dict__
+        assert copy == fresh
+        assert copy.comm_mode == comm_mode
+        # the rebuilt views agree with the scalars the run returned
+        assert copy.op_end[("B", 0, 6)].hex() == fresh.iteration_time.hex()
+        assert copy.op_start[("F", 2, 0)].hex() == (
+            fresh.startup_overhead.hex()
+        )
+        for got, want in (
+            (copy.op_start, fresh.op_start), (copy.op_end, fresh.op_end),
+        ):
+            assert list(got) == list(want)
+            assert [v.hex() for v in got.values()] == [
+                v.hex() for v in want.values()
+            ]
+
+
+def test_sim_result_pickle_rebuilds_critical_path():
+    """A fresh SimResult pickles without its critical path; the
+    unpickled copy rebuilds the same path lazily."""
+    times = StageTimes((1.0, 0.3, 2.5), (2.0, 0.7, 1.1), 0.25)
+    for comm_mode in ("paper", "edges"):
+        fresh = PipelineSim(times, 7, comm_mode=comm_mode).run()
+        copy = pickle.loads(pickle.dumps(fresh))
+        assert "critical_path" not in copy.__dict__
+        assert copy.critical_path == fresh.critical_path
+        assert copy.critical_path[-1] == ("B", 0, 6)
+        assert copy.critical_path[0] == ("F", 0, 0)

@@ -59,17 +59,6 @@ class TestAutotune:
                 assert c.plan_seconds >= 0.0
                 assert 0 <= c.algorithm2_slices < c.layout.pipeline_stages
 
-    def test_plan_cache_warm_replay(self, tiny_profile, tmp_path, tuned):
-        from repro.core.plan_cache import PlanCache
-
-        cache = PlanCache(tmp_path)
-        cold = autotune_config(tiny_profile, 4, cache=cache)
-        assert cache.misses > 0 and len(cache) > 0
-        warm = autotune_config(tiny_profile, 4, cache=cache)
-        assert cache.hits >= cache.misses  # every search replayed
-        assert warm.best.layout == cold.best.layout
-        assert warm.best.iteration_seconds == cold.best.iteration_seconds
-
     def test_infeasible_cluster_raises(self, tiny_profile):
         # 64-way data parallelism cannot divide a 16-micro-batch global
         # batch at every depth; depth > num_blocks is marked "X" — an

@@ -74,6 +74,13 @@ class TestEnumeration:
                 ("max_evaluations", "x", TypeError),
                 ("max_evaluations", 0, ValueError),
                 ("max_evaluations", -1, ValueError),
+                # A bool knob is a bool: "False" must not run the pruned
+                # search by its truthiness.
+                ("prune", "False", TypeError),
+                ("prune", 0, TypeError),
+                # The plan cache is gone; only cache=False is accepted.
+                ("cache", None, TypeError),
+                ("cache", True, TypeError),
             ],
         )
         # numpy integers are integers.
@@ -81,10 +88,13 @@ class TestEnumeration:
         res = exhaustive_partition(tiny_profile, np.int64(3), np.int32(8))
         assert res.partition == ref.partition
         assert res.iteration_time == ref.iteration_time
-        # jobs=1, the only accepted value, still searches.
-        one = exhaustive_partition(tiny_profile, 3, 8, jobs=1)
-        assert one.partition == ref.partition
-        assert one.iteration_time == ref.iteration_time
+        # jobs=1 and cache=False, the only accepted values, still search,
+        # and a numpy bool is a bool.
+        for kwargs in ({"jobs": 1}, {"cache": False},
+                       {"prune": np.bool_(True)}):
+            one = exhaustive_partition(tiny_profile, 3, 8, **kwargs)
+            assert one.partition == ref.partition
+            assert one.iteration_time == ref.iteration_time
         # A numpy integer cap is a cap.
         capped = exhaustive_partition(
             tiny_profile, 3, 8, max_evaluations=np.int64(ref.space)
@@ -288,7 +298,7 @@ class TestOracleMemory:
         try:
             with obs.session(tel):
                 result = exhaustive_partition(
-                    profile, 12, 24, max_evaluations=None, cache=False,
+                    profile, 12, 24, max_evaluations=None,
                 )
             _, peak = tracemalloc.get_traced_memory()
         finally:

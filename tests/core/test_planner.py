@@ -67,15 +67,25 @@ class TestPlanQuality:
             # through the current registry.
             ("keep_history", True, TypeError),
             ("telemetry", False, TypeError),
+            # A bool knob is a bool: "False" must not run the cooldown
+            # adjustment by its truthiness.
+            ("cooldown_adjust", "False", TypeError),
+            ("cooldown_adjust", 1, TypeError),
+            # The plan cache is gone; only cache=False is accepted.
+            ("cache", None, TypeError),
+            ("cache", True, TypeError),
         ])
         ref = plan_partition(tiny_profile, 3, 8)
         res = plan_partition(tiny_profile, np.int64(3), np.int32(8))
         assert res.partition == ref.partition
         assert res.iteration_time == ref.iteration_time
-        # jobs=1, the only accepted value, still plans.
-        one = plan_partition(tiny_profile, 3, 8, jobs=1)
-        assert one.partition == ref.partition
-        assert one.iteration_time == ref.iteration_time
+        # jobs=1 and cache=False, the only accepted values, still plan,
+        # and a numpy bool is a bool.
+        for kwargs in ({"jobs": 1}, {"cache": False},
+                       {"cooldown_adjust": np.bool_(True)}):
+            one = plan_partition(tiny_profile, 3, 8, **kwargs)
+            assert one.partition == ref.partition
+            assert one.iteration_time == ref.iteration_time
 
     def test_too_many_stages_rejected(self, tiny_profile):
         with pytest.raises(ValueError):

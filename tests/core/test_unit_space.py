@@ -74,6 +74,5 @@ def test_signed_zero_profiles_plan(granularity):
     fwd = [-0.0 if i % 3 == 0 else bp.fwd_time
            for i, bp in enumerate(_BASE.blocks)]
     profile = _with_times(fwd, [bp.bwd_time for bp in _BASE.blocks])
-    result = plan_partition(profile, 4, 8, granularity=granularity,
-                            cache=False)
+    result = plan_partition(profile, 4, 8, granularity=granularity)
     assert sum(result.partition.sizes) == n

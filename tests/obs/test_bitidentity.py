@@ -15,6 +15,7 @@ from repro import obs
 from repro.core import exhaustive
 from repro.core.exhaustive import exhaustive_partition
 from repro.core.planner import SimCache, plan_partition
+from repro.experiments.common import run_cells
 from repro.robustness.evaluate import RobustObjective
 from repro.robustness.perturbation import StageCostNoise
 
@@ -36,19 +37,15 @@ def _assert_same_plan(a, b):
 class TestPlannerBitIdentity:
     @pytest.mark.parametrize("granularity", ["sublayer", "layer"])
     def test_plan_identical_on_vs_off(self, tiny_profile, granularity):
-        off = plan_partition(
-            tiny_profile, 4, 16, granularity=granularity, cache=False,
-        )
+        off = plan_partition(tiny_profile, 4, 16, granularity=granularity)
         _, on = _recorded(
             plan_partition, tiny_profile, 4, 16, granularity=granularity,
-            cache=False,
         )
         _assert_same_plan(off, on)
         assert on.incumbent_updates == off.incumbent_updates
 
     def test_counters_fold_from_result_fields(self, tiny_profile):
-        tel, result = _recorded(plan_partition, tiny_profile, 4, 16,
-                                cache=False)
+        tel, result = _recorded(plan_partition, tiny_profile, 4, 16)
         assert tel.counters["planner.plans"] == 1
         assert tel.counters["planner.evaluations"] == result.evaluations
         assert tel.counters["planner.search_seconds"] == (
@@ -61,30 +58,30 @@ class TestPlannerBitIdentity:
     def test_sim_cache_counters_match_cache_deltas(self, tiny_profile):
         cache = SimCache()
         tel, _ = _recorded(plan_partition, tiny_profile, 4, 16,
-                           sim_cache=cache, cache=False)
+                           sim_cache=cache)
         assert tel.counters["planner.sim_cache.hits"] == cache.hits
         assert tel.counters["planner.sim_cache.misses"] == cache.misses
 
     def test_telemetry_false_forces_off(self, tiny_profile):
         """Uninstalling the registry inside an outer session turns
         recording off for the calls it wraps; the plan is unchanged."""
-        ref = plan_partition(tiny_profile, 4, 8, cache=False)
+        ref = plan_partition(tiny_profile, 4, 8)
         tel = obs.Telemetry()
         with obs.session(tel):
             obs.set_current(None)
             try:
-                off = plan_partition(tiny_profile, 4, 8, cache=False)
+                off = plan_partition(tiny_profile, 4, 8)
             finally:
                 obs.set_current(tel)
         assert tel.events == [] and tel.counters == {}
         _assert_same_plan(ref, off)
         with pytest.raises(TypeError, match="telemetry"):
-            plan_partition(tiny_profile, 4, 8, cache=False, telemetry=False)
+            plan_partition(tiny_profile, 4, 8, telemetry=False)
 
     def test_session_scoped_recording(self, tiny_profile):
         tel = obs.Telemetry()
         with obs.session(tel):
-            plan_partition(tiny_profile, 4, 8, cache=False)
+            plan_partition(tiny_profile, 4, 8)
         assert "planner.plan" in {e[0] for e in tel.events}
 
 
@@ -97,16 +94,14 @@ class TestOracleBitIdentity:
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_search_identical_on_vs_off(self, tiny_profile, mode):
         kwargs = self.MODES[mode]
-        off = exhaustive_partition(tiny_profile, 3, 8, cache=False, **kwargs)
-        _, on = _recorded(exhaustive_partition, tiny_profile, 3, 8,
-                          cache=False, **kwargs)
+        off = exhaustive_partition(tiny_profile, 3, 8, **kwargs)
+        _, on = _recorded(exhaustive_partition, tiny_profile, 3, 8, **kwargs)
         _assert_same_plan(off, on)
         assert on.pruned == off.pruned
         assert on.dominance_pruned == off.dominance_pruned
 
     def test_counters_fold_from_result_fields(self, tiny_profile):
-        tel, result = _recorded(exhaustive_partition, tiny_profile, 3, 8,
-                                cache=False)
+        tel, result = _recorded(exhaustive_partition, tiny_profile, 3, 8)
         assert tel.counters["oracle.searches"] == 1
         assert tel.counters["oracle.evaluations"] == result.evaluations
         assert tel.counters["oracle.space"] == result.space
@@ -119,8 +114,7 @@ class TestOracleBitIdentity:
         )
 
     def test_search_span_carries_mode_and_space(self, tiny_profile):
-        tel, result = _recorded(exhaustive_partition, tiny_profile, 3, 8,
-                                cache=False)
+        tel, result = _recorded(exhaustive_partition, tiny_profile, 3, 8)
         (span,) = [e for e in tel.events if e[0] == "oracle.search"]
         assert span[4]["mode"] == "analytic"
         assert span[4]["space"] == result.space
@@ -129,8 +123,7 @@ class TestOracleBitIdentity:
         """One ``oracle.level`` span per level of the analytic search; the
         last level fits in the probe, so its admitted count is every
         column the kernel scores."""
-        tel, _ = _recorded(exhaustive_partition, tiny_profile, 4, 8,
-                           cache=False)
+        tel, _ = _recorded(exhaustive_partition, tiny_profile, 4, 8)
         levels = [e[4] for e in tel.events if e[0] == "oracle.level"]
         assert [lv["level"] for lv in levels] == [0, 1, 2]
         assert all(0 < lv["prefixes"] <= lv["admitted"] for lv in levels)
@@ -146,8 +139,7 @@ class TestOracleBitIdentity:
         scored columns into probe and survivors, and the incumbent only
         tightens across it."""
         monkeypatch.setattr(exhaustive, "_PROBE_COLS", 2)
-        tel, result = _recorded(exhaustive_partition, tiny_profile, 4, 8,
-                                cache=False)
+        tel, result = _recorded(exhaustive_partition, tiny_profile, 4, 8)
         (probe,) = [e[4] for e in tel.events if e[0] == "oracle.probe"]
         admitted = [
             e[4]["admitted"] for e in tel.events if e[0] == "oracle.level"
@@ -181,9 +173,8 @@ class TestOracleBitIdentity:
         monkeypatch.setattr(exhaustive, "_CLIMB_MIN_SPACE", 1)
         monkeypatch.setattr(exhaustive, "_DEFAULT_CHUNK", 16)
         kwargs = dict(robust=objective, prune=prune)
-        off = exhaustive_partition(tiny_profile, 3, 8, cache=False, **kwargs)
-        tel, on = _recorded(exhaustive_partition, tiny_profile, 3, 8,
-                            cache=False, **kwargs)
+        off = exhaustive_partition(tiny_profile, 3, 8, **kwargs)
+        tel, on = _recorded(exhaustive_partition, tiny_profile, 3, 8, **kwargs)
         _assert_same_plan(off, on)
         assert on.robust_value == off.robust_value
         assert on.pruned == off.pruned
@@ -215,24 +206,12 @@ class TestOracleBitIdentity:
             assert tel.counters["robust.draw_sims"] == 16 * on.evaluations
             assert on.pruned == 0
 
-    def test_plan_cache_counters(self, tiny_profile, tmp_path):
-        from repro.core.plan_cache import PlanCache
-
-        cache = PlanCache(tmp_path)
-        tel = obs.Telemetry()
-        with obs.session(tel):
-            exhaustive_partition(tiny_profile, 3, 8, cache=cache)
-            exhaustive_partition(tiny_profile, 3, 8, cache=cache)
-        assert tel.counters["oracle.plan_cache.misses"] == 1
-        assert tel.counters["oracle.plan_cache.hits"] == 1
-
 
 class TestSinkDirectory:
     def test_summary_counters_match_result_exactly(self, tiny_profile,
                                                    tmp_path):
         run = tmp_path / "run"
-        tel, result = _recorded(exhaustive_partition, tiny_profile, 3, 8,
-                                cache=False)
+        tel, result = _recorded(exhaustive_partition, tiny_profile, 3, 8)
         tel.write(run)
         summary = (run / "summary.txt").read_text()
         assert f"{result.evaluations}" in summary
@@ -243,46 +222,32 @@ class TestThinViews:
     def test_result_rates_use_obs_formulas(self, tiny_profile):
         from repro.obs.stats import hit_rate, rate
 
-        result = exhaustive_partition(tiny_profile, 3, 8, cache=False)
+        result = exhaustive_partition(tiny_profile, 3, 8)
         assert result.sims_per_second == rate(
             result.evaluations, result.search_seconds
         )
-        planned = plan_partition(tiny_profile, 4, 8, cache=False)
+        planned = plan_partition(tiny_profile, 4, 8)
         assert planned.sims_per_second == rate(
             planned.evaluations, planned.search_seconds
         )
         cache = SimCache()
-        plan_partition(tiny_profile, 4, 8, sim_cache=cache, cache=False)
+        plan_partition(tiny_profile, 4, 8, sim_cache=cache)
         assert cache.hit_rate == hit_rate(cache.hits, cache.misses)
 
 
 class TestSweepRunner:
     def test_sweep_identical_on_vs_off(self):
-        from repro.experiments.runner import SweepRunner
-
+        """``run_cells`` returns the same cells with telemetry on or off
+        and records its ``sweep.run`` and ``sweep.cell`` spans."""
         cells = [(i,) for i in range(4)]
-        off = SweepRunner().run(_square, cells)
+        off = run_cells(_square, cells)
         tel = obs.Telemetry()
         with obs.session(tel):
-            on = SweepRunner().run(_square, cells)
+            on = run_cells(_square, cells)
         assert on == off
         names = {e[0] for e in tel.events}
         assert "sweep.run" in names and "sweep.cell" in names
 
-    def test_cell_cache_counters(self, tmp_path):
-        tel = obs.Telemetry()
-        with obs.session(tel):
-            runner = SweepRunner_cached(tmp_path)
-            runner.run(_square, [(1,), (2,)])
-            runner.run(_square, [(1,), (2,)])
-        assert tel.counters["sweep.cell_cache.misses"] == 2
-        assert tel.counters["sweep.cell_cache.hits"] == 2
 
 def _square(x):
     return x * x
-
-
-def SweepRunner_cached(tmp_path):
-    from repro.experiments.runner import SweepRunner
-
-    return SweepRunner(cache_dir=tmp_path)

@@ -297,16 +297,14 @@ class TestFitsBoundary:
     """A cap equal to the worst stage's peak fits; one ulp less does not."""
 
     def test_planner_memory_cap(self, tiny_profile):
-        free = plan_partition(tiny_profile, 3, 8, cache=False)
+        free = plan_partition(tiny_profile, 3, 8)
         space = _UnitSpace(tiny_profile, "sublayer")
         peak = max(space.memory.stage_peaks(free.partition.sizes, 8))
-        at = plan_partition(tiny_profile, 3, 8, memory_cap=peak, cache=False)
+        at = plan_partition(tiny_profile, 3, 8, memory_cap=peak)
         assert at.partition == free.partition
         below = np.nextafter(peak, 0)
         try:
-            capped = plan_partition(
-                tiny_profile, 3, 8, memory_cap=below, cache=False
-            )
+            capped = plan_partition(tiny_profile, 3, 8, memory_cap=below)
         except RuntimeError:
             return
         assert capped.partition != free.partition

@@ -40,7 +40,7 @@ mean = RobustObjective(models=(straggler,), draws=32, seed=0,
                        statistic="mean")
 tail = RobustObjective(models=(straggler,), draws=32, seed=1,
                        statistic="p95")
-times = plan_partition(profile, 4, 8, cache=False).sim.stage_times
+times = plan_partition(profile, 4, 8).sim.stage_times
 before = set(sys.modules)
 """
 
@@ -48,13 +48,11 @@ before = set(sys.modules)
 #: than a depth-5 lattice holds.
 _CASES = {
     "oracle probe": "exhaustive_partition(profile, 5, 8, robust=mean, "
-                    "max_evaluations=None, cache=False)",
-    "robust plan p95": "plan_partition(profile, 4, 8, robust=tail, "
-                       "cache=False)",
+                    "max_evaluations=None)",
+    "robust plan p95": "plan_partition(profile, 4, 8, robust=tail)",
     "robust oracle p95": "exhaustive_partition(profile, 3, 8, robust=tail, "
-                         "max_evaluations=None, cache=False)",
-    "plan": "plan_partition(profile, 6, 12, granularity='layer', "
-            "cache=False)",
+                         "max_evaluations=None)",
+    "plan": "plan_partition(profile, 6, 12, granularity='layer')",
     "p95 read-outs": "robustness_profile(times, 8, (straggler,), "
                      "draws=32).p95; p95([1.0, 2.0, 3.0])",
 }

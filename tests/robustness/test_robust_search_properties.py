@@ -103,14 +103,13 @@ def _assert_matches_enumeration(profile, depth, m, objective, comm_mode,
     bit for bit."""
     spec = exhaustive_partition(
         profile, depth, m, robust=objective, prune=False,
-        comm_mode=comm_mode, cache=False,
+        comm_mode=comm_mode,
     )
     with pytest.MonkeyPatch.context() as patch:
         for name, value in patches.items():
             patch.setattr(exhaustive, name, value)
         pruned = exhaustive_partition(
             profile, depth, m, robust=objective, comm_mode=comm_mode,
-            cache=False,
         )
     assert pruned.partition.sizes == spec.partition.sizes
     assert _hex(pruned) == _hex(spec)
@@ -229,7 +228,7 @@ class TestRobustOracle:
         profile = make_profile(fwd, bwd, 0.25)
         spec, pruned = (
             exhaustive_partition(
-                profile, 2, 4, robust=objective, prune=prune, cache=False,
+                profile, 2, 4, robust=objective, prune=prune,
             )
             for prune in (False, True)
         )
@@ -247,10 +246,10 @@ class TestRobustOracle:
         # A 32-column probe is a single candidate under 32 draws.
         monkeypatch.setattr(exhaustive, "_PROBE_COLS", 32)
         result = exhaustive_partition(
-            tiny_profile, 3, 6, robust=objective, cache=False,
+            tiny_profile, 3, 6, robust=objective,
         )
         spec = exhaustive_partition(
-            tiny_profile, 3, 6, robust=objective, prune=False, cache=False,
+            tiny_profile, 3, 6, robust=objective, prune=False,
         )
         assert result.partition.sizes == spec.partition.sizes
         assert _hex(result) == _hex(spec)
@@ -275,9 +274,9 @@ def _assert_matches_replay(profile, depth, m, objective, **kwargs):
     nominal planner is unchanged), and the same replay scored with
     :func:`robust_objective_value` must give the robust plan.
     """
-    nominal = plan_partition(profile, depth, m, cache=False, **kwargs)
+    nominal = plan_partition(profile, depth, m, **kwargs)
     result = plan_partition(
-        profile, depth, m, robust=objective, cache=False, **kwargs
+        profile, depth, m, robust=objective, **kwargs
     )
     space = _UnitSpace(profile, "sublayer")
     cap = kwargs.get("memory_cap")

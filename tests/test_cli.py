@@ -79,42 +79,18 @@ class TestPlanFlags:
             main(["list", "--executor", "event"])
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_plan_cache_dir_binds_default(self, tmp_path):
-        from repro.core.plan_cache import (
-            default_plan_cache,
-            set_default_plan_cache,
-        )
-
-        try:
-            assert main(["list", "--plan-cache-dir", str(tmp_path)]) == 0
-            bound = default_plan_cache()
-            assert bound is not None
-            assert bound.cache_dir == tmp_path
-        finally:
-            set_default_plan_cache(None)
-
-    def test_clear_cache_purges_both_caches(self, tmp_path, capsys):
-        from repro.core.plan_cache import set_default_plan_cache
-        from repro.experiments.runner import SweepRunner, set_default_runner
-
-        sweep_dir = tmp_path / "sweep"
-        plan_dir = tmp_path / "plan"
-        for d in (sweep_dir, plan_dir):
-            d.mkdir()
-            (d / "stale.pkl").write_bytes(b"x")
-        try:
-            assert main([
-                "list",
-                "--cache-dir", str(sweep_dir),
-                "--plan-cache-dir", str(plan_dir),
-                "--clear-cache",
-            ]) == 0
-        finally:
-            set_default_plan_cache(None)
-            set_default_runner(SweepRunner())
-        assert not list(sweep_dir.glob("*.pkl"))
-        assert not list(plan_dir.glob("*.pkl"))
-        assert "cleared 2 cached entries" in capsys.readouterr().err
+    def test_cache_flags_removed(self, capsys):
+        """The on-disk sweep and plan caches are gone with their flags."""
+        for argv in (
+            ["list", "--cache-dir", "d"],
+            ["list", "--plan-cache-dir", "d"],
+            ["list", "--clear-cache"],
+            ["plan", "--stages", "2", "--micro-batches", "4",
+             "--plan-cache-dir", "d"],
+        ):
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestPlanSubcommand:
