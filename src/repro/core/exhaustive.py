@@ -42,7 +42,7 @@ import itertools
 import math
 import time as _time
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -148,12 +148,17 @@ class ExhaustiveResult:
         return _stats.rate(self.evaluations, self.search_seconds)
 
 
-def iter_partitions(num_blocks: int, num_stages: int) -> Iterator[Tuple[int, ...]]:
-    """Yield every contiguous partition as a tuple of stage sizes."""
+def _check_cut(num_blocks: int, num_stages: int) -> None:
+    """Reject a stage count that cannot cut ``num_blocks`` blocks."""
     if num_stages <= 0 or num_stages > num_blocks:
         raise ValueError(
             f"cannot cut {num_blocks} blocks into {num_stages} stages"
         )
+
+
+def iter_partitions(num_blocks: int, num_stages: int) -> Iterator[Tuple[int, ...]]:
+    """Yield every contiguous partition as a tuple of stage sizes."""
+    _check_cut(num_blocks, num_stages)
     for cuts in itertools.combinations(range(1, num_blocks), num_stages - 1):
         edges = (0, *cuts, num_blocks)
         yield tuple(b - a for a, b in zip(edges, edges[1:]))
@@ -161,13 +166,8 @@ def iter_partitions(num_blocks: int, num_stages: int) -> Iterator[Tuple[int, ...
 
 def count_partitions(num_blocks: int, num_stages: int) -> int:
     """C(n-1, p-1): the size of the search space the heuristic avoids."""
-    from math import comb
-
-    if num_stages <= 0 or num_stages > num_blocks:
-        raise ValueError(
-            f"cannot cut {num_blocks} blocks into {num_stages} stages"
-        )
-    return comb(num_blocks - 1, num_stages - 1)
+    _check_cut(num_blocks, num_stages)
+    return math.comb(num_blocks - 1, num_stages - 1)
 
 
 class _SearchState:
@@ -616,6 +616,31 @@ class _Bounds:
         return owed
 
 
+def _score_and_offer(
+    objective: _Objective,
+    state: _SearchState,
+    f_t: np.ndarray,
+    b_t: np.ndarray,
+    sizes_of: Callable[[int], Tuple[int, ...]],
+) -> np.ndarray:
+    """Score the candidates of the stage-major cost matrices in one
+    sweep, count them, offer their minimum and return their objective
+    values.
+
+    Ties at the minimum go to the lexicographically smallest sizes
+    (``sizes_of(j)`` is column ``j``'s), so ``offer`` sees the brute
+    force's choice among them whatever order the columns come in.
+    """
+    values = objective.score(f_t, b_t)
+    state.evaluations += values.size
+    vmin = values.min()
+    state.offer(
+        min(map(sizes_of, np.flatnonzero(values == vmin).tolist())),
+        float(vmin),
+    )
+    return values
+
+
 def _offer_sizes(
     objective: _Objective,
     SF: np.ndarray,
@@ -623,19 +648,15 @@ def _offer_sizes(
     cand: List[Tuple[int, ...]],
     state: _SearchState,
 ) -> np.ndarray:
-    """Score candidates ``cand`` in one sweep from the slice tables,
-    count them, offer their minimum (ties to the lexicographically
-    smallest sizes) and return their objective values."""
+    """:func:`_score_and_offer` of the candidates ``cand`` (stage
+    sizes), their stage costs read from the left-fold slice tables."""
     n = SF.shape[0]
     sizes = np.array(cand, dtype=np.int64)
     cell = ((np.cumsum(sizes, axis=1) - sizes) * n + sizes - 1).T
-    values = objective.score(SF.ravel().take(cell), SB.ravel().take(cell))
-    state.evaluations += len(cand)
-    vmin = values.min()
-    state.offer(
-        min(cand[i] for i in np.flatnonzero(values == vmin)), float(vmin),
+    return _score_and_offer(
+        objective, state, SF.ravel().take(cell), SB.ravel().take(cell),
+        cand.__getitem__,
     )
-    return values
 
 
 def _seed_climb(
@@ -656,10 +677,12 @@ def _seed_climb(
     in the same sweep as its moves and must beat the seed's own value.
     The climb stops at the first round that does not strictly improve
     the incumbent.  Every offer is a true candidate time, so the climb
-    only tightens the limit the levels are admitted against.  Scored
-    columns are counted as evaluations and returned, which keeps the
-    leaf sweep from counting them again.  Records an ``oracle.climb``
-    span (``rounds``, and ``cols`` the moves scored).
+    only tightens the limit the levels are admitted against (on
+    gpt2-762m at depth 12, micro-batch 1, the leaf level admits ~3k
+    columns instead of ~105k).  Scored columns are counted as
+    evaluations and returned, which keeps the leaf sweep from counting
+    them again.  Records an ``oracle.climb`` span (``rounds``, and
+    ``cols`` the moves scored).
     """
     p = len(seed)
     eye = np.eye(p, dtype=np.int64)
@@ -697,6 +720,281 @@ def _seed_climb(
     return scored
 
 
+class _Lattice:
+    """The analytic search's prefix levels, one stage per level.
+
+    Level ``s`` holds the live prefixes of stages ``0..s`` in
+    lexicographic sizes order as parent pointers: per prefix, its
+    parent's index on level ``s - 1`` (``parent[s]``) and its last
+    stage's cell ``start * n + size - 1`` in the ``(pos, size - 1)``
+    grids (``cells[s]``).  Nothing is copied from level to level; stage
+    costs are read back up the chain from the exact left-fold slice
+    tables (:meth:`_fill`).  ``pos`` is the end position of every live
+    prefix.  The last level (``s = p - 2``) holds the leaf columns: the
+    last stage is never a level, its size forced by the last cut and its
+    costs the per-pos suffix totals.
+
+    ``limit`` (the incumbent when the lattice is made, after the seed
+    and climb, times ``_PRUNE_SLACK``) is fixed while the levels are
+    built, so whether a stage of ``size`` blocks from ``pos`` is
+    admitted on level ``s`` depends only on ``(s, pos, size)``, never on
+    the path to it: the cut descent flattens into a vectorized expansion
+    over each level's reachable cells.
+    """
+
+    def __init__(
+        self,
+        bounds: _Bounds,
+        objective: _Objective,
+        state: _SearchState,
+    ) -> None:
+        n, p = bounds.SF.shape[0], bounds._p
+        self.n, self.p = n, p
+        self.bounds, self.objective, self.state = bounds, objective, state
+        self.limit = state.best_time * _PRUNE_SLACK
+        #: candidates per scored chunk: ``_ANALYTIC_BLOCK`` kernel columns.
+        self.block = max(1, _ANALYTIC_BLOCK // objective.draws)
+        self.SF_flat, self.SB_flat = bounds.SF.ravel(), bounds.SB.ravel()
+        self.pos_col = np.arange(n)[:, None]
+        self.k_row = np.arange(n)[None, :]
+        self.pos2_flat = np.minimum(self.pos_col + self.k_row + 1, n).ravel()
+        self.parent: List[np.ndarray] = []
+        self.cells: List[np.ndarray] = []
+        #: per level, the flat ``(pos, size - 1)`` grid of a stage's own
+        #: bounds, one row (of draws) per cell, set where it was reached.
+        self.stage_lb: List[np.ndarray] = []
+        self.pos = np.zeros(1, dtype=np.int64)
+        #: leaf columns not yet scored (set by :meth:`mark_scored`).
+        self.fresh: Optional[np.ndarray] = None
+        # Twins (equal pos and stage costs, different sizes) first differ
+        # in a cut, and the longer of the two stages there folds extra
+        # blocks into an equal sum.  A left fold of non-negative costs
+        # only grows, so each extra block was absorbed, fwd and bwd
+        # alike, by a partial sum no larger than the left-fold total: it
+        # costs at most one ulp of twice the total in both.  Without
+        # such a block no level has twins, and the memo is skipped.
+        f_tol = math.ulp(2 * float(bounds.suf_f[0]))
+        b_tol = math.ulp(2 * float(bounds.suf_b[0]))
+        self.hash_w = self.comb_tab = self.acc = None
+        if np.any((bounds.SF[:, 0] <= f_tol) & (bounds.SB[:, 0] <= b_tol)):
+            # comb(a, b) lookup for the dominance counters.
+            self.comb_tab = np.array(
+                [[math.comb(a, b) if b <= a else 0 for b in range(p)]
+                 for a in range(n)],
+                dtype=np.int64,
+            )
+            # Fixed mixing weights of the duplicate gate's hash.
+            self.hash_w = (
+                np.cos(np.arange(1, 2 * p + 1) * 12.9898) * 43758.5453
+            )
+            self.acc = np.zeros(1)
+
+    def admit(self, s: int) -> np.ndarray:
+        """Flat ``(pos, size - 1)`` cells admitted at level ``s``, in
+        row-major order.
+
+        Only the cells the level can reach are bounded: a ``pos`` some
+        live prefix ends at, with blocks left for the stages after it.
+        A stage is admitted when the statistic of its per-draw bound —
+        the max of its own bounds ``fixb`` and the suffix relaxation
+        ``remb`` after it (:meth:`_Bounds.level`) — is within the limit.
+        ``fixb`` is kept in ``stage_lb``.
+        """
+        n = self.n
+        reach = np.zeros((n, 1), dtype=bool)
+        reach[self.pos] = True
+        cells = np.flatnonzero(
+            reach & (self.k_row < n - self.pos_col - (self.p - s - 1))
+        )
+        fixb, remb = self.bounds.level(s, cells)
+        grid = np.empty((n * n,) + fixb.shape[1:])
+        grid[cells] = fixb
+        self.stage_lb.append(grid)
+        lb = self.objective.reduce(
+            np.maximum(fixb, remb.take(self.pos2_flat.take(cells), axis=0))
+        )
+        return cells[lb <= self.limit]
+
+    def expand(self, s: int, adm: np.ndarray) -> int:
+        """Fan level ``s`` out through its admitted cells ``adm`` and
+        return how many prefixes that admitted (0: the level is empty).
+
+        ``adm`` is in row-major order, so each pos's admitted sizes come
+        out ascending, and ``repeat`` keeps each parent's children
+        together: the level lands in lex order with no sort.
+
+        **Dominance memo.**  A prefix is characterised by ``(pos,
+        f_stages, b_stages)``: every candidate below it only extends
+        those stage times.  When two prefixes agree on it, the
+        lexicographically smaller twin covers every candidate the other
+        could contribute with an identical objective (stage ``s`` has the
+        same factors in both), and wins any tie.  Levels are in lex
+        order, so ``np.unique``'s first occurrence is that twin; it is
+        kept, and each removed subtree counts its ``C(n-pos-1, p-s-2)``
+        leaves in ``dominance_pruned``.  The memo runs only where some
+        block costs at most one ulp of twice the model's totals (a
+        zero-cost block, in practice).  Its gate is a hash of the stage
+        costs, folded in from the parent's hash one stage per level in
+        the same order for every prefix, so twins hash bit-equal; the
+        exact key rows are rebuilt from the parent pointers only on a
+        level where two hashes collide.
+        """
+        n, p, pos = self.n, self.p, self.pos
+        W = np.bincount(adm // n, minlength=n)
+        W_col = W.take(pos)
+        total = int(W_col.sum())
+        if total == 0:
+            return 0
+        # Child j of parent r takes entry ``OFF[pos_r] + j -
+        # first_child[r]`` of the grid's flattened admitted sizes.
+        shift = (np.cumsum(W) - W).take(pos) - (np.cumsum(W_col) - W_col)
+        til = (adm % n).take(np.arange(total) + shift.repeat(W_col))
+        rep = np.arange(pos.size).repeat(W_col)
+        prow = pos.repeat(W_col)
+        cell = prow * n + til
+        self.parent.append(rep)
+        self.cells.append(cell)
+        self.pos = pos = prow + til + 1
+        if self.hash_w is None or s == p - 2:
+            return total
+        acc = self.acc.take(rep) + self.hash_w[s] * self.SF_flat.take(cell)
+        acc += self.hash_w[p + s] * self.SB_flat.take(cell)
+        self.acc = acc
+        live = pos.size
+        if live > 1 and np.unique(acc + pos).size < live:
+            key = np.empty((2 * s + 3, live))
+            key[0] = pos
+            self._fill(np.arange(live), s, key[1:s + 2], key[s + 2:])
+            _, first_idx, counts = np.unique(
+                np.ascontiguousarray(key.T), axis=0,
+                return_index=True, return_counts=True,
+            )
+            if first_idx.size < live:
+                dup = counts > 1
+                self.state.dominance_pruned += int(np.sum(
+                    (counts[dup] - 1)
+                    * self.comb_tab[n - pos[first_idx[dup]] - 1, p - s - 2]
+                ))
+                keep = np.sort(first_idx)
+                self.parent[s] = rep[keep]
+                self.cells[s] = cell[keep]
+                self.pos = pos[keep]
+                self.acc = acc[keep]
+        return total
+
+    def mark_scored(self, scored: Set[Tuple[int, ...]]) -> None:
+        """Set ``fresh``: every leaf column but those of the candidates
+        ``scored`` (the seed and climb columns), which :meth:`score`
+        skips.
+
+        They are walked down the levels all at once: within a level,
+        ``parent * n*n + cell`` is strictly increasing (lex order), so a
+        binary search finds each one's child.  A column whose twin
+        subtree was dominance-pruned correctly counts as a fresh column
+        under the surviving twin's sizes.
+        """
+        n, p = self.n, self.p
+        seen = np.array(list(scored), dtype=np.int64).reshape(-1, p)
+        want = (np.cumsum(seen, axis=1) - seen) * n + seen - 1
+        walk = np.zeros(len(seen), dtype=np.int64)
+        found = np.ones(len(seen), dtype=bool)
+        for s in range(p - 1):
+            key = self.parent[s] * (n * n) + self.cells[s]
+            target = walk * (n * n) + want[:, s]
+            walk = np.minimum(np.searchsorted(key, target), key.size - 1)
+            found &= key.take(walk) == target
+        self.fresh = np.ones(self.pos.size, dtype=bool)
+        self.fresh[walk[found]] = False
+
+    def leaf_bounds(self) -> np.ndarray:
+        """One lower bound per leaf column: the statistic of the
+        per-draw max of its stages' own bounds (the ``stage_lb`` grids)
+        and its last stage's ``leaf_lb``.  Taking the max per draw before
+        reducing gives the tighter bound.  The max is gathered up the
+        parent pointers a chunk of columns at a time, so only one
+        chunk's per-draw bounds are held at once."""
+        lb = np.empty(self.pos.size)
+        for c0 in range(0, lb.size, self.block):
+            c1 = c0 + self.block
+            i = np.arange(c0, min(c1, lb.size))
+            run = self.bounds.leaf_lb.take(self.pos[c0:c1], axis=0)
+            for s in range(self.p - 2, -1, -1):
+                np.maximum(
+                    run, self.stage_lb[s].take(self.cells[s].take(i), axis=0),
+                    out=run,
+                )
+                if s:
+                    i = self.parent[s].take(i)
+            lb[c0:c1] = self.objective.reduce(run)
+        return lb
+
+    def score(self, cols: np.ndarray) -> None:
+        """Score the ``fresh`` leaf columns among ``cols``, a chunk of
+        ``block`` columns per kernel sweep.
+
+        Each chunk is assembled into stage-major ``(p, chunk)`` cost
+        buffers by walking the parent pointers into the slice tables
+        (:meth:`_fill`), so every column is bitwise the brute force's
+        stage-time vector, then scored and offered
+        (:func:`_score_and_offer`).  Every chunk records an
+        ``oracle.kernel_sweep`` span with its ``cols``, ``kept`` (the
+        fresh columns swept) and ``draws``.
+        """
+        p, tel = self.p, _obs.current()
+        for c0 in range(0, cols.size, self.block):
+            t_f = tel.clock() if tel is not None else 0
+            chunk = cols[c0:c0 + self.block]
+            idx = chunk[self.fresh.take(chunk)]
+            if idx.size:
+                f_t = np.empty((p, idx.size))
+                b_t = np.empty((p, idx.size))
+                self._fill(idx, p - 2, f_t, b_t)
+                # The forced last stage costs the per-pos suffix total.
+                leaf_pos = self.pos.take(idx)
+                self.bounds.suf_f.take(leaf_pos, out=f_t[p - 1])
+                self.bounds.suf_b.take(leaf_pos, out=b_t[p - 1])
+                _score_and_offer(
+                    self.objective, self.state, f_t, b_t,
+                    lambda j: self.sizes(idx[j]),
+                )
+            if tel is not None:
+                tel.record_since(
+                    "oracle.kernel_sweep", t_f, cols=int(chunk.size),
+                    kept=int(idx.size), draws=self.objective.draws,
+                )
+
+    def sizes(self, c: int) -> Tuple[int, ...]:
+        """Stage sizes of leaf column ``c``, read up the parent chain."""
+        n = self.n
+        sizes = [n - int(self.pos[c])]
+        for s in range(self.p - 2, -1, -1):
+            sizes.append(int(self.cells[s][c]) % n + 1)
+            c = int(self.parent[s][c])
+        return tuple(reversed(sizes))
+
+    def _fill(self, i: np.ndarray, top: int, f_out, b_out) -> None:
+        """Write the stage costs of level-``top`` prefixes ``i`` into
+        rows ``0..top`` of the stage-major ``f_out`` / ``b_out``."""
+        for s in range(top, -1, -1):
+            cell = self.cells[s].take(i)
+            self.SF_flat.take(cell, out=f_out[s])
+            self.SB_flat.take(cell, out=b_out[s])
+            if s:
+                i = self.parent[s].take(i)
+
+
+def _lowest(lb: np.ndarray, k: int) -> np.ndarray:
+    """Sorted indices of the ``k`` lowest bounds in ``lb``, ties at the
+    cut taken in index (lex) order."""
+    cut = np.partition(lb, k - 1)[k - 1]
+    below = np.flatnonzero(lb < cut)
+    # Disjoint sorted index sets: their sorted concatenation is the
+    # union (``np.union1d`` imports ``numpy.ma`` on first use).
+    return np.sort(np.concatenate(
+        (below, np.flatnonzero(lb == cut)[:k - below.size])
+    ))
+
+
 def _search_analytic(
     fwd: Sequence[float],
     bwd: Sequence[float],
@@ -709,100 +1007,32 @@ def _search_analytic(
 ) -> None:
     """Branch-and-bound scored by the closed-form max-plus kernel.
 
-    It minimises an :class:`_Objective`: the iteration time, or with
-    ``robust`` the statistic over ``D`` draws, every bound then carrying
-    a draw axis (:class:`_Bounds`).  The nominal search is the ``D = 1``
-    case without factors.  A robust space no wider than the probe (below)
-    is scored whole in one sweep.
-
-    * **Seed and climb.**  The Algorithm-1 min-max partition is scored
-      first (one kernel sweep) and offered to the incumbent.  On spaces
-      of at least :data:`_CLIMB_MIN_SPACE` candidates,
-      :func:`_seed_climb` scores it in the same sweep as its one-block
-      transfers between any two stages and runs a steepest descent from
-      it, one kernel call per round, until a round brings no strict
-      improvement.  Any valid candidate may tighten the incumbent
-      without affecting exactness: it goes through the same
-      tie-breaking ``offer``, and a tighter incumbent only ever prunes
-      candidates whose objective provably exceeds the final best.
-    * **Fixed admission limit.**  While the levels are built the limit
-      is ``incumbent * _PRUNE_SLACK``, fixed after the climb.  Whether
-      a stage of ``size`` blocks starting at ``pos`` on level ``s`` is
-      admitted then depends only on ``(s, pos, size)`` — the statistic
-      of its per-draw own and suffix bounds (:meth:`_Bounds.level`) —
-      never on the path to it, so the cut descent flattens into a
-      **vectorized level expansion** one stage at a time over the
-      level's reachable cells.  Each level is kept as parent pointers —
-      per prefix, its parent's index on the level above and its last
-      stage's cell in the ``(pos, size - 1)`` grids — so no earlier
-      stage is copied from level to level.  The limit tightens only at
-      the leaf level (below).
-    * **Dominance memo.**  A prefix is characterised by ``(pos,
-      f_stages, b_stages)``: every candidate below it only extends those
-      stage times.  When two prefixes of a level agree on it, the
-      lexicographically smaller twin covers every candidate the other
-      could contribute with an identical objective (stage ``s`` has
-      the same factors in both), and wins any tie, so the larger twin
-      is dropped.  Levels are kept in lexicographic sizes order, so
-      ``np.unique``'s first occurrence is that smaller twin; the removed
-      subtrees are counted in ``dominance_pruned``.  Twins need a block
-      that a stage's left fold absorbs in both its fwd and bwd sum, so
-      the memo is engaged only when some block costs at most one ulp of
-      twice the model's fwd and bwd totals (a zero-cost block, in
-      practice); no zoo model has one.  Its gate is a hash of the stage
-      costs, extended from the parent's hash one stage per level (twins
-      hash bit-equal); the exact key rows are rebuilt from the parent
-      pointers only on a level where two hashes collide.
-    * **Scoring, best bound first.**  Each leaf column gets one lower
-      bound: the statistic of the per-draw max of its stages' own
-      bounds (the per-level ``fixb`` grids, gathered up the parent
-      pointers in chunks) and its last stage's ``leaf_lb``.  Taking the
-      max per draw before reducing gives the tighter bound.  The
-      ``_PROBE_COLS // D`` lowest-bound columns are scored first, which
-      tightens the incumbent; of the rest, only the columns whose bound
-      is within the tightened ``best * _PRUNE_SLACK`` are scored, in lex
-      order, and the others are pruned unscored.  A dropped column's
-      bound exceeds a scored value, so it is neither the optimum nor a
-      tie.  Scored columns go in chunks of :data:`_ANALYTIC_BLOCK`
-      kernel columns, assembled into stage-major ``(p, chunk)`` cost
-      buffers by walking the parent pointers into the exact left-fold
-      slice tables, so every column is bitwise the brute force's
-      stage-time vector, and scored by :meth:`_Objective.score` (the
-      kernel is bit-identical to the scalar simulator).  The kernel
-      sweeps every column it is given: the leaf-bound filter is the
-      search's one exact filter at the leaf level.  Ties are resolved by
-      reconstructing every minimum-value column and offering the
-      lexicographically smallest; ``offer`` does not depend on scoring
-      order, so the result is the brute-force argmin, property-tested
-      against it.  Seed and climb columns are not counted again as
-      fresh evaluations.
-
-    The last stage is never a prefix level: its size is forced by the
-    second-to-last cut, and its costs are the per-pos suffix totals.
-    With a :mod:`repro.obs` registry current, the climb records an
-    ``oracle.climb`` span with its ``rounds`` and ``cols``, every level
-    an ``oracle.level`` span with its ``admitted`` and (after the memo)
-    live ``prefixes`` counts, the leaf level an ``oracle.probe`` span
-    with the probe's ``cols``, the filter's ``survivors`` and the
-    incumbent before and after the probe, and every scored chunk an
-    ``oracle.kernel_sweep`` span with its ``cols``, ``kept`` (the
-    columns swept: ``cols`` less the seed and climb columns) and
-    ``draws``.
+    It minimises an :class:`_Objective` (the iteration time, or the
+    ``robust`` statistic over ``D`` draws); a robust space no wider than
+    the probe is scored whole in one sweep.  Otherwise the Algorithm-1
+    seed is scored first, with a :func:`_seed_climb` from it on spaces
+    of at least :data:`_CLIMB_MIN_SPACE` candidates, and a
+    :class:`_Lattice` admits and expands one level per stage (an
+    ``oracle.level`` span each, with its ``admitted`` and live
+    ``prefixes``).  Then the probe: the ``_PROBE_COLS // D``
+    lowest-bound leaf columns are scored first, to tighten the
+    incumbent.  Then the filter, the one exact filter at the leaf level:
+    only the other columns whose bound is within ``best * _PRUNE_SLACK``
+    are scored, in lex order.  A dropped column's bound exceeds a scored
+    value, so it is neither the optimum nor a tie.  An ``oracle.probe``
+    span records the probe's ``cols``, the filter's ``survivors`` and
+    the incumbent before and after the probe.
     """
-    n = len(fwd)
-    p = num_stages
-    m = num_micro_batches
+    n, p, m = len(fwd), num_stages, num_micro_batches
     objective = _Objective(comm, m, comm_mode, robust, p)
-    draws = objective.draws
-    probe_width = max(1, _PROBE_COLS // draws)
+    k = max(1, _PROBE_COLS // objective.draws)
     space = math.comb(n - 1, p - 1)
-    if objective.ff is not None and space <= probe_width:
+    if objective.ff is not None and space <= k:
         # The probe would score every candidate anyway: do so in one
         # sweep, without bounds or a seed sweep of its own.
         SF, SB = _slice_sum_tables(fwd, bwd)
         _offer_sizes(objective, SF, SB, list(iter_partitions(n, p)), state)
         return
-
     bounds = _Bounds(fwd, bwd, comm, p, m, comm_mode, objective)
     seed = tuple(min_max_partition([f + b for f, b in zip(fwd, bwd)], p))
     if space >= _CLIMB_MIN_SPACE:
@@ -812,259 +1042,29 @@ def _search_analytic(
         scored = {seed}
     if p == 1:
         return  # the single candidate is the Algorithm-1 seed itself.
-    slack = _PRUNE_SLACK
-    limit = state.best_time * slack
-    # Candidates per chunk: ``_ANALYTIC_BLOCK`` kernel columns' worth.
-    block = max(1, _ANALYTIC_BLOCK // draws)
-
-    pos_col = np.arange(n)[:, None]
-    k_row = np.arange(n)[None, :]
-    SF_flat, SB_flat = bounds.SF.ravel(), bounds.SB.ravel()
-    pos2_flat = np.minimum(pos_col + k_row + 1, n).ravel()
-
-    # Per level, the flat ``(pos, size - 1)`` grid of a stage's own
-    # bounds, one row (of draws) per cell and set where the level was
-    # reached; the leaf bounds read it back up the parent pointers.
-    stage_lb: List[np.ndarray] = []
-
-    def admitted_cells(s: int) -> np.ndarray:
-        """Flat ``(pos, size - 1)`` cells admitted at level ``s``, in
-        row-major order.
-
-        Only the cells the level can reach are bounded: a ``pos`` some
-        live prefix ends at, with blocks left for the stages after it.
-        A stage is admitted when the statistic of its per-draw bound —
-        the max of its own bounds ``fixb`` and the suffix relaxation
-        ``remb`` after it (:meth:`_Bounds.level`) — is within the limit.
-        ``fixb`` is kept in ``stage_lb``.
-        """
-        reach = np.zeros((n, 1), dtype=bool)
-        reach[pos_arr] = True
-        cells = np.flatnonzero(reach & (k_row < n - pos_col - (p - s - 1)))
-        fixb, remb = bounds.level(s, cells)
-        grid = np.empty((n * n,) + fixb.shape[1:])
-        grid[cells] = fixb
-        stage_lb.append(grid)
-        lb = objective.reduce(
-            np.maximum(fixb, remb.take(pos2_flat.take(cells), axis=0))
-        )
-        return cells[lb <= limit]
-
-    # Twins (equal pos and stage costs, different sizes) first differ in
-    # a cut, and the longer of the two stages there folds extra blocks
-    # into an equal sum.  A left fold of non-negative costs only grows,
-    # so each extra block was absorbed, fwd and bwd alike, by a partial
-    # sum no larger than the left-fold total: it costs at most one ulp
-    # of twice the total in both.  Without such a block no level has
-    # twins, and the memo is skipped.
-    f_tol = math.ulp(2 * float(bounds.suf_f[0]))
-    b_tol = math.ulp(2 * float(bounds.suf_b[0]))
-    use_dominance = any(
-        f <= f_tol and b <= b_tol for f, b in zip(fwd, bwd)
-    )
-    if use_dominance:
-        # comb(a, b) lookup for the dominance counters (vectorized over
-        # the removed twins' positions).
-        comb_tab = np.array(
-            [[math.comb(a, b) if b <= a else 0 for b in range(p)]
-             for a in range(n)],
-            dtype=np.int64,
-        )
-        # Fixed mixing weights for the duplicate gate, folded in one
-        # stage at a time from the parent's hash.  Only stage costs go
-        # in (twins differ in sizes), added in the same order for every
-        # prefix, so twins hash bit-equal and a collision-free level
-        # provably has no twins and skips the exact row dedup outright.
-        hash_w = np.cos(np.arange(1, 2 * p + 1) * 12.9898) * 43758.5453
-        acc = np.zeros(1)
-
-    # Levels as parent pointers: per live prefix of level L, its
-    # parent's index on level L - 1 and its last stage's cell ``start *
-    # n + size - 1`` in the ``(pos, size - 1)`` grids.  Nothing is copied
-    # from level to level; stage costs are read back through the chain
-    # from the slice tables.  The last level (L = p - 2) holds the leaf
-    # columns: the last stage's size is forced by their cut.
-    parent: List[np.ndarray] = []
-    cells: List[np.ndarray] = []
-    # End position of every live prefix, in lexicographic sizes order.
-    pos_arr = np.zeros(1, dtype=np.int64)
-
-    def fill_costs(i: np.ndarray, top: int, f_out, b_out) -> None:
-        """Write the stage costs of level-``top`` prefixes ``i`` into
-        rows ``0..top`` of the stage-major ``f_out`` / ``b_out``."""
-        for lev in range(top, -1, -1):
-            cell = cells[lev].take(i)
-            SF_flat.take(cell, out=f_out[lev])
-            SB_flat.take(cell, out=b_out[lev])
-            if lev:
-                i = parent[lev].take(i)
-
+    lattice = _Lattice(bounds, objective, state)
     tel = _obs.current()
-    for lev in range(p - 1):
+    for s in range(p - 1):
         t_l = tel.clock() if tel is not None else 0
-        # Fan the level out through its admitted cells.  They are in
-        # row-major order, so each pos's admitted sizes come out
-        # ascending, and ``repeat`` keeps each parent's children
-        # together: the level lands in lex order with no sort.
-        adm = admitted_cells(lev)
-        W = np.bincount(adm // n, minlength=n)
-        W_col = W.take(pos_arr)
-        total = int(W_col.sum())
-        if total == 0:
+        admitted = lattice.expand(s, lattice.admit(s))
+        if not admitted:
             return  # every subtree exceeds the seed bound: it stands.
-        # Child j of parent r takes entry ``OFF[pos_r] + j -
-        # first_child[r]`` of the grid's flattened admitted sizes.
-        shift = (np.cumsum(W) - W).take(pos_arr) - (np.cumsum(W_col) - W_col)
-        til = (adm % n).take(np.arange(total) + shift.repeat(W_col))
-        rep = np.arange(pos_arr.size).repeat(W_col)
-        prow = pos_arr.repeat(W_col)
-        cell = prow * n + til
-        parent.append(rep)
-        cells.append(cell)
-        pos_arr = prow + til + 1
-        if use_dominance and lev < p - 2:
-            acc = acc.take(rep) + hash_w[lev] * SF_flat.take(cell)
-            acc += hash_w[p + lev] * SB_flat.take(cell)
-            live = pos_arr.size
-            if live > 1 and np.unique(acc + pos_arr).size < live:
-                # The per-level dominance memo: twin prefixes share
-                # (pos, f_stages, b_stages), and every leaf below a
-                # twin only extends those stage times.  np.unique keeps
-                # the first occurrence — the lex-smallest twin — and
-                # each removed subtree counts its C(n-pos-1, p-lev-2)
-                # leaves.  The key rows are rebuilt from the parent
-                # pointers only here, where the hash gate fired.
-                key = np.empty((2 * lev + 3, pos_arr.size))
-                key[0] = pos_arr
-                fill_costs(
-                    np.arange(pos_arr.size), lev,
-                    key[1:lev + 2], key[lev + 2:],
-                )
-                _, first_idx, counts = np.unique(
-                    np.ascontiguousarray(key.T), axis=0,
-                    return_index=True, return_counts=True,
-                )
-                if first_idx.size < pos_arr.size:
-                    dup = counts > 1
-                    state.dominance_pruned += int(np.sum(
-                        (counts[dup] - 1)
-                        * comb_tab[
-                            n - pos_arr[first_idx[dup]] - 1, p - lev - 2
-                        ]
-                    ))
-                    keep = np.sort(first_idx)
-                    parent[lev] = rep[keep]
-                    cells[lev] = cell[keep]
-                    pos_arr = pos_arr[keep]
-                    acc = acc[keep]
         if tel is not None:
             tel.record_since(
-                "oracle.level", t_l, level=lev, admitted=total,
-                prefixes=int(pos_arr.size),
+                "oracle.level", t_l, level=s, admitted=admitted,
+                prefixes=int(lattice.pos.size),
             )
-    del W_col, shift  # per-parent scratch of the leaf level's expansion
+    lattice.mark_scored(scored)
 
-    # Seed and climb columns were scored already: the sweep skips them
-    # (``fresh``).  They are walked down the deduped levels, all at
-    # once: within a level,
-    # ``parent * n*n + cell`` is strictly increasing (lex order), so a
-    # binary search finds each one's child.  A column whose twin
-    # subtree was dominance-pruned correctly counts as a fresh column
-    # under the surviving twin's sizes.
-    seen = np.array(list(scored), dtype=np.int64).reshape(-1, p)
-    want = (np.cumsum(seen, axis=1) - seen) * n + seen - 1
-    walk = np.zeros(len(seen), dtype=np.int64)
-    found = np.ones(len(seen), dtype=bool)
-    for lev in range(p - 1):
-        key = parent[lev] * (n * n) + cells[lev]
-        target = walk * (n * n) + want[:, lev]
-        walk = np.minimum(np.searchsorted(key, target), key.size - 1)
-        found &= key.take(walk) == target
-    fresh = np.ones(pos_arr.size, dtype=bool)
-    fresh[walk[found]] = False
-    del key, target
-
-    def column_sizes(c: int) -> Tuple[int, ...]:
-        """Stage sizes of leaf column ``c``, read up the parent chain."""
-        sizes = [n - int(pos_arr[c])]
-        for lev in range(p - 2, -1, -1):
-            sizes.append(int(cells[lev][c]) % n + 1)
-            c = int(parent[lev][c])
-        return tuple(reversed(sizes))
-
-    def score(cols: np.ndarray) -> None:
-        """Score leaf columns ``cols`` through the kernel, chunk by chunk."""
-        for c0 in range(0, cols.size, block):
-            t_f = tel.clock() if tel is not None else 0
-            chunk = cols[c0:c0 + block]
-            idx = chunk[fresh.take(chunk)]
-            state.evaluations += idx.size
-            if idx.size:
-                fwd_mat = np.empty((p, idx.size))
-                bwd_mat = np.empty((p, idx.size))
-                fill_costs(idx, p - 2, fwd_mat, bwd_mat)
-                # The forced last stage costs the per-pos suffix total.
-                leaf_pos = pos_arr.take(idx)
-                bounds.suf_f.take(leaf_pos, out=fwd_mat[p - 1])
-                bounds.suf_b.take(leaf_pos, out=bwd_mat[p - 1])
-                times = objective.score(fwd_mat, bwd_mat)
-                tmin = times.min()
-                ties = np.flatnonzero(times == tmin)
-                state.offer(
-                    min(column_sizes(c) for c in idx.take(ties).tolist()),
-                    float(tmin),
-                )
-            if tel is not None:
-                tel.record_since(
-                    "oracle.kernel_sweep", t_f,
-                    cols=int(chunk.size), kept=int(idx.size), draws=draws,
-                )
-
-    def leaf_bounds() -> np.ndarray:
-        """One lower bound per leaf column: the statistic of the
-        per-draw max of its stages' own bounds (the ``stage_lb`` grids)
-        and its last stage's ``leaf_lb``.  The max is gathered up the
-        parent pointers a chunk of columns at a time, so only one
-        chunk's per-draw bounds are held at once."""
-        lb = np.empty(pos_arr.size)
-        for c0 in range(0, lb.size, block):
-            c1 = c0 + block
-            i = np.arange(c0, min(c1, lb.size))
-            run = bounds.leaf_lb.take(pos_arr[c0:c1], axis=0)
-            for lev in range(p - 2, -1, -1):
-                np.maximum(
-                    run, stage_lb[lev].take(cells[lev].take(i), axis=0),
-                    out=run,
-                )
-                if lev:
-                    i = parent[lev].take(i)
-            lb[c0:c1] = objective.reduce(run)
-        return lb
-
-    # Probe, then filter.  The lowest-bound columns (ties at the cut
-    # taken in lex order) are scored first to tighten the incumbent; of
-    # the rest, only columns whose bound is within the tightened limit
-    # are scored, in lex order.  A column dropped here has a valid lower
-    # bound above a simulated time, so it can be neither the optimum nor
-    # a tie.
     t_p = tel.clock() if tel is not None else 0
     before = state.best_time
-    k = probe_width
-    if pos_arr.size <= k:
-        probe = np.arange(pos_arr.size)
-        score(probe)
-        survivors = probe[:0]
-    else:
-        lb = leaf_bounds()
-        cut = np.partition(lb, k - 1)[k - 1]
-        below = np.flatnonzero(lb < cut)
-        # Disjoint sorted index sets: their sorted concatenation is the
-        # union (``np.union1d`` imports ``numpy.ma`` on first use).
-        probe = np.sort(np.concatenate(
-            (below, np.flatnonzero(lb == cut)[:k - below.size])
-        ))
-        score(probe)
-        within = lb <= state.best_time * slack
+    leaves = np.arange(lattice.pos.size)
+    lb = lattice.leaf_bounds() if leaves.size > k else None
+    probe = leaves if lb is None else _lowest(lb, k)
+    lattice.score(probe)
+    survivors = leaves[:0]
+    if lb is not None:
+        within = lb <= state.best_time * _PRUNE_SLACK
         within[probe] = False
         survivors = np.flatnonzero(within)
         del lb, within
@@ -1074,7 +1074,7 @@ def _search_analytic(
             survivors=int(survivors.size), incumbent_before=before,
             incumbent_after=state.best_time,
         )
-    score(survivors)
+    lattice.score(survivors)
 
 
 def exhaustive_partition(
@@ -1092,22 +1092,11 @@ def exhaustive_partition(
     """Find the optimal partition over every contiguous candidate.
 
     ``prune=True`` (default) runs the branch-and-bound search scored by
-    the max-plus frontier kernel; ``prune=False`` runs the literal
-    scalar brute force.  Both return the identical partition and
-    iteration time.  On search spaces of at least
-    :data:`_CLIMB_MIN_SPACE` candidates the pruned search climbs from
-    its Algorithm-1 seed by one-block transfers between stages before it
-    expands any level: the climb's near-optimal incumbent tightens the
-    admission limit (on gpt2-762m at depth 12, micro-batch 1, the leaf
-    level admits ~3k columns instead of ~105k).  The result is still the exact
-    brute-force argmin, because climb candidates go through the same
-    tie-breaking ``offer`` and bounds only ever discard provably worse
-    subtrees.  Twin prefixes (equal stage costs, different sizes) are
-    dropped by a dominance memo, which runs only on profiles with a
-    block cheap enough for a stage sum to absorb.  A subtree is
-    discarded only when its lower bound exceeds the incumbent by more
-    than the relative slack :data:`_PRUNE_SLACK` (``1 + 1e-9``), which
-    absorbs float rounding so the search stays exact.
+    the max-plus frontier kernel (:func:`_search_analytic`), which
+    discards a subtree only when its lower bound exceeds the incumbent
+    by more than the slack :data:`_PRUNE_SLACK` (``1 + 1e-9``, for float
+    rounding); ``prune=False`` runs the literal scalar brute force.
+    Both return the identical partition and iteration time.
     ``num_stages`` and ``num_micro_batches`` must be integers ``>= 1``
     (``TypeError`` for a bool or non-integral value, ``ValueError``
     below 1), and so must ``max_evaluations`` unless it is ``None``.
@@ -1118,33 +1107,25 @@ def exhaustive_partition(
     :class:`~repro.robustness.evaluate.RobustObjective`: the oracle
     returns the first lexicographic partition minimising the configured
     statistic of the simulated iteration time over the objective's
-    perturbation draws.  ``prune`` applies here too: ``prune=True``
-    (default) runs the same branch-and-bound, seed climb included, with
-    every bound taken per draw on the perturbed costs and reduced with
-    the objective's statistic (a valid lower bound because mean, P95
-    and max are monotone in every draw), and scores each candidate as
-    one kernel column per draw; ``prune=False`` enumerates the full
-    space in chunks of ``_DEFAULT_CHUNK // draws`` candidates (the
+    perturbation draws.  ``prune=True`` runs the same branch-and-bound
+    with every bound taken per draw and reduced with the statistic
+    (valid, as mean, P95 and max are monotone in every draw);
+    ``prune=False`` enumerates the full space in chunks (the
     specification).  Both return the identical partition and objective
-    value.  The winner's objective
-    value is reported as ``ExhaustiveResult.robust_value``, while
-    ``sim`` stays the winner's *nominal* simulation.
+    value, reported as ``ExhaustiveResult.robust_value``; ``sim`` stays
+    the winner's *nominal* simulation.
 
-    The search runs in the calling process.  ``jobs`` accepts only
-    ``1``: any other integer raises ``ValueError`` (``TypeError`` for a
-    bool or non-integral value).
+    The search runs in the calling process and every call searches:
+    ``jobs`` accepts only ``1`` (``ValueError`` for another integer) and
+    ``cache`` only ``False``; a wrong type of ``jobs``, ``cache`` or
+    ``prune`` (a bool) raises ``TypeError``.
 
-    ``prune`` must be a bool, and ``cache`` accepts only ``False``
-    (``TypeError`` otherwise): every call searches.
-
-    When a :mod:`repro.obs` registry is current (``obs.session`` or the
+    With a :mod:`repro.obs` registry current (``obs.session`` or the
     CLI's ``--telemetry``), the call records an ``oracle.search`` span
-    and the ``oracle.*`` counters into it.  Telemetry only reads clocks
-    and counters: the returned partition, iteration time and every
-    tie-break are bit-identical with a registry installed or not
-    (property-tested), and with none installed the instrumentation is a
-    no-op costing <2% on the depth-8 oracle bench (guarded in
-    ``benchmarks/test_bench_telemetry.py``).
+    and the ``oracle.*`` counters.  Telemetry only reads clocks and
+    counters, so every answer and tie-break is bit-identical with or
+    without a registry (property-tested); with none, it costs <2% on
+    the depth-8 oracle bench (``benchmarks/test_bench_telemetry.py``).
     """
     num_stages = _check_count("num_stages", num_stages)
     num_micro_batches = _check_count("num_micro_batches", num_micro_batches)
@@ -1170,12 +1151,11 @@ def exhaustive_partition(
         # Counters fold from the result's own fields, so the registry
         # and the ExhaustiveResult can never disagree.
         tel.add("oracle.searches", 1)
-        tel.add("oracle.evaluations", result.evaluations)
-        tel.add("oracle.search_seconds", result.search_seconds)
-        tel.add("oracle.space", result.space)
-        tel.add("oracle.dominance_pruned", result.dominance_pruned)
-        tel.add("oracle.pruned", result.pruned)
-        tel.add("oracle.incumbent_updates", result.incumbent_updates)
+        for field in (
+            "evaluations", "search_seconds", "space", "dominance_pruned",
+            "pruned", "incumbent_updates",
+        ):
+            tel.add(f"oracle.{field}", getattr(result, field))
     return result
 
 
