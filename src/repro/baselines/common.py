@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro import _checks
 from repro.core.partition import PartitionScheme, StageTimes
 from repro.core.analytic_sim import PipelineSim
 from repro.models.costs import small_batch_slowdown
@@ -54,8 +55,7 @@ class PlannedConfig:
     semantics: str = "stream"
 
     def __post_init__(self) -> None:
-        if self.semantics not in SEMANTICS:
-            raise ValueError(f"unknown semantics {self.semantics!r}")
+        _checks.choice("semantics", self.semantics, SEMANTICS)
         if len(self.replicas) != self.partition.num_stages:
             raise ValueError("one replica count per stage required")
         if any(r <= 0 for r in self.replicas):

@@ -36,8 +36,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import _checks
 from repro.baselines.common import PlannedConfig
-from repro.core.partition import PartitionScheme, _check_count
+from repro.core.partition import PartitionScheme
 from repro.models.costs import STASH_FACTOR
 from repro.models.transformer import layer_groups
 from repro.parallel.data_parallel import allreduce_seconds
@@ -238,8 +239,8 @@ def plan_dapple(
     :func:`_fill_scalar`, so the plans are identical too.
     """
     t0 = _time.perf_counter()
-    num_gpus = _check_count("num_gpus", num_gpus)
-    global_batch_size = _check_count("global_batch_size", global_batch_size)
+    num_gpus = _checks.count("num_gpus", num_gpus)
+    global_batch_size = _checks.count("global_batch_size", global_batch_size)
     mbs = profile.train.micro_batch_size
     if global_batch_size % mbs != 0:
         raise ValueError("global batch not divisible by micro-batch size")

@@ -26,8 +26,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import _checks
 from repro.baselines.common import PlannedConfig
-from repro.core.partition import PartitionScheme, _check_count
+from repro.core.partition import PartitionScheme
 from repro.models.transformer import layer_groups
 from repro.profiling.modelconfig import ModelProfile
 
@@ -43,8 +44,7 @@ def tp_widths(gpus_per_node: int) -> Tuple[int, ...]:
     dropped e.g. width 3 or 6 on 6-GPU nodes and probed impossible
     width 8 on 4-GPU ones).
     """
-    if gpus_per_node <= 0:
-        raise ValueError("gpus_per_node must be positive")
+    _checks.count("gpus_per_node", gpus_per_node)
     return tuple(
         t for t in range(1, gpus_per_node + 1) if gpus_per_node % t == 0
     )
@@ -344,8 +344,8 @@ def plan_piper(
     ``tests/baselines/test_vectorized_dp.py``).
     """
     t0 = _time.perf_counter()
-    num_gpus = _check_count("num_gpus", num_gpus)
-    global_batch_size = _check_count("global_batch_size", global_batch_size)
+    num_gpus = _checks.count("num_gpus", num_gpus)
+    global_batch_size = _checks.count("global_batch_size", global_batch_size)
     mbs = profile.train.micro_batch_size
     if global_batch_size % mbs != 0:
         raise ValueError("global batch not divisible by micro-batch size")

@@ -19,11 +19,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-
-def _check_positive(**kwargs: float) -> None:
-    for name, value in kwargs.items():
-        if value <= 0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
+from repro import _checks
 
 
 @dataclass(frozen=True)
@@ -47,13 +43,10 @@ class ModelConfig:
     is_bert: bool = False
 
     def __post_init__(self) -> None:
-        _check_positive(
-            num_layers=self.num_layers,
-            hidden_size=self.hidden_size,
-            num_heads=self.num_heads,
-            seq_length=self.seq_length,
-            vocab_size=self.vocab_size,
-        )
+        for name in (
+            "num_layers", "hidden_size", "num_heads", "seq_length", "vocab_size",
+        ):
+            _checks.count(name, getattr(self, name))
         if self.hidden_size % self.num_heads != 0:
             raise ValueError(
                 f"hidden_size {self.hidden_size} not divisible by "
@@ -101,16 +94,14 @@ class HardwareConfig:
     kernel_launch_overhead: float = 12e-6
 
     def __post_init__(self) -> None:
-        _check_positive(
-            num_nodes=self.num_nodes,
-            gpus_per_node=self.gpus_per_node,
-            peak_flops=self.peak_flops,
-            flops_efficiency=self.flops_efficiency,
-            gpu_memory=self.gpu_memory,
-            inter_node_bandwidth=self.inter_node_bandwidth,
-            intra_node_bandwidth=self.intra_node_bandwidth,
-            bandwidth_efficiency=self.bandwidth_efficiency,
-        )
+        _checks.count("num_nodes", self.num_nodes)
+        _checks.count("gpus_per_node", self.gpus_per_node)
+        for name in (
+            "peak_flops", "flops_efficiency", "gpu_memory",
+            "inter_node_bandwidth", "intra_node_bandwidth",
+            "bandwidth_efficiency",
+        ):
+            _checks.real(name, getattr(self, name), positive=True)
         if self.flops_efficiency > 1 or self.bandwidth_efficiency > 1:
             raise ValueError("efficiencies are fractions in (0, 1]")
 
@@ -157,10 +148,8 @@ class TrainConfig:
     bytes_per_param_state: int = 20
 
     def __post_init__(self) -> None:
-        _check_positive(
-            micro_batch_size=self.micro_batch_size,
-            global_batch_size=self.global_batch_size,
-        )
+        _checks.count("micro_batch_size", self.micro_batch_size)
+        _checks.count("global_batch_size", self.global_batch_size)
         if self.global_batch_size % self.micro_batch_size != 0:
             raise ValueError(
                 f"global batch {self.global_batch_size} not divisible by "
@@ -169,8 +158,7 @@ class TrainConfig:
 
     def micro_batches_per_replica(self, data_parallel: int) -> int:
         """Micro-batches each pipeline replica processes per iteration."""
-        if data_parallel <= 0:
-            raise ValueError("data_parallel must be positive")
+        _checks.count("data_parallel", data_parallel)
         if self.global_batch_size % data_parallel != 0:
             raise ValueError(
                 f"global batch {self.global_batch_size} not divisible by "

@@ -88,9 +88,9 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro import _checks
 from repro.core.partition import PartitionScheme, StageTimes, stage_times
 from repro.profiling.modelconfig import ModelProfile
-from repro.schedules.base import check_micro_batches
 
 #: An operation id: ("F" | "B", stage, micro_batch).
 OpId = Tuple[str, int, int]
@@ -393,14 +393,10 @@ class PrefixState:
         cls, n: int, m: int, comm: float, *, comm_mode: str = "paper"
     ) -> "PrefixState":
         """The empty prefix (cut 0): no stage fixed yet."""
-        if n < 1:
-            raise ValueError("need at least one stage")
-        if m <= 0:
-            raise ValueError("need at least one micro-batch")
-        if comm < 0:
-            raise ValueError("times must be non-negative")
-        if comm_mode not in ("paper", "edges"):
-            raise ValueError(f"unknown comm_mode {comm_mode!r}")
+        n = _checks.count("n", n)
+        m = _checks.count("m", m)
+        _checks.real("comm", comm)
+        _checks.choice("comm_mode", comm_mode, _checks.COMM_MODES)
         return cls(n, m, 0, comm, comm_mode, (), ())
 
     def extend(self, fwd: float, bwd: float) -> "PrefixState":
@@ -428,10 +424,9 @@ class PipelineSim:
         *,
         comm_mode: str = "paper",
     ) -> None:
-        if comm_mode not in ("paper", "edges"):
-            raise ValueError(f"unknown comm_mode {comm_mode!r}")
+        _checks.choice("comm_mode", comm_mode, _checks.COMM_MODES)
         self.times = times
-        self.m = check_micro_batches(num_micro_batches)
+        self.m = _checks.count("num_micro_batches", num_micro_batches)
         self.comm_mode = comm_mode
         self.n = times.num_stages
         self._shape = _shape(self.n, self.m)

@@ -31,7 +31,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.partition import PartitionScheme, _check_count
+from repro import _checks
+from repro.core.partition import PartitionScheme
 
 
 def _scalar_tables(prefix: np.ndarray, n: int, p: int):
@@ -96,7 +97,7 @@ class BalanceTable:
     __slots__ = ("num_blocks", "max_stages", "time", "choice", "_rows")
 
     def __init__(self, weights: Sequence[float], max_stages: int) -> None:
-        max_stages = _check_count("max_stages", max_stages)
+        max_stages = _checks.count("max_stages", max_stages)
         n = len(weights)
         if n == 0:
             raise ValueError("cannot partition zero blocks")
@@ -105,11 +106,7 @@ class BalanceTable:
                 f"pipeline depth {max_stages} exceeds block count {n}"
             )
         w = np.asarray(weights, dtype=float)
-        # NaN fails both compares; the slow path then picks the error.
-        if not (w.min() >= 0.0 and w.max() < np.inf):
-            if np.any(w < 0):
-                raise ValueError("block weights must be non-negative")
-            raise ValueError("block weights must be finite")
+        _checks.reals("weights", w)
         self.num_blocks = n
         self.max_stages = max_stages
         prefix = np.concatenate(([0.0], np.cumsum(w)))
@@ -119,10 +116,10 @@ class BalanceTable:
         self._rows = self.choice.tolist()
 
     def _check_query(self, stages: int, num_blocks: Optional[int]) -> int:
-        stages = _check_count("stages", stages)
+        stages = _checks.count("stages", stages)
         n = self.num_blocks
         if num_blocks is not None:
-            n = _check_count("num_blocks", num_blocks)
+            n = _checks.count("num_blocks", num_blocks)
         if not 0 < stages <= self.max_stages:
             raise ValueError(
                 f"stages must be in 1..{self.max_stages}, got {stages}"
@@ -173,7 +170,7 @@ def min_max_partition(weights: Sequence[float], p: int) -> List[int]:
     prefix/depth queries over one weight vector should build a
     :class:`BalanceTable` instead of calling this in a loop.
     """
-    return BalanceTable(weights, _check_count("p", p)).sizes(p)
+    return BalanceTable(weights, _checks.count("p", p)).sizes(p)
 
 
 def balanced_partition(weights: Sequence[float], p: int) -> PartitionScheme:
@@ -184,7 +181,7 @@ def balanced_partition(weights: Sequence[float], p: int) -> PartitionScheme:
 def bottleneck(weights: Sequence[float], sizes: Sequence[int]) -> float:
     """Maximum group weight of a partition given as group sizes."""
     w = list(weights)
-    sizes = [_check_count("sizes", size) for size in sizes]
+    sizes = [_checks.count("sizes", size) for size in sizes]
     if sum(sizes) != len(w):
         raise ValueError("sizes do not cover the weights")
     out = 0.0

@@ -46,12 +46,10 @@ from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro import _checks
 from repro.core.analytic_sim import PipelineSim, SimResult
 from repro.core.balance_dp import min_max_partition
-from repro.core.partition import (
-    PartitionScheme, StageTimes, _check_bool, _check_count,
-)
-from repro.core.planner import _check_cache, _check_jobs
+from repro.core.partition import PartitionScheme, StageTimes
 from repro.obs import stats as _stats
 from repro.obs import telemetry as _obs
 from repro.profiling.modelconfig import ModelProfile
@@ -1127,13 +1125,12 @@ def exhaustive_partition(
     without a registry (property-tested); with none, it costs <2% on
     the depth-8 oracle bench (``benchmarks/test_bench_telemetry.py``).
     """
-    num_stages = _check_count("num_stages", num_stages)
-    num_micro_batches = _check_count("num_micro_batches", num_micro_batches)
+    num_stages = _checks.count("num_stages", num_stages)
+    num_micro_batches = _checks.count("num_micro_batches", num_micro_batches)
     if max_evaluations is not None:
-        max_evaluations = _check_count("max_evaluations", max_evaluations)
-    prune = _check_bool("prune", prune)
-    _check_jobs(jobs)
-    _check_cache(cache)
+        max_evaluations = _checks.count("max_evaluations", max_evaluations)
+    prune = _checks.flag("prune", prune)
+    _checks.removed_keywords(jobs, cache)
     RobustObjective.check(robust)
     tel = _obs.current()
     t0 = tel.clock() if tel is not None else 0

@@ -8,12 +8,12 @@ and the schedule builders.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import _checks
 from repro.profiling.modelconfig import ModelProfile
 
 
@@ -121,15 +121,19 @@ class StageTimes:
             raise ValueError("fwd/bwd length mismatch")
         if not self.fwd:
             raise ValueError("need at least one stage")
-        # Checked before the sign test: min() is order-dependent on NaN,
-        # and the simulators' max/add recurrences assume finite times.
-        for name, values in (("fwd", self.fwd), ("bwd", self.bwd)):
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{name} times must be finite, got {values!r}")
-        if not math.isfinite(self.comm):
-            raise ValueError(f"comm time must be finite, got {self.comm!r}")
-        if min(self.fwd) < 0 or min(self.bwd) < 0 or self.comm < 0:
-            raise ValueError("times must be non-negative")
+        # The simulators' max/add recurrences assume finite,
+        # non-negative times.
+        _checks.reals("fwd times", self.fwd)
+        _checks.reals("bwd times", self.bwd)
+        _checks.real("comm time", self.comm)
+
+    @classmethod
+    def _trusted(cls, fwd, bwd, comm) -> "StageTimes":
+        """Build without :meth:`__post_init__`'s checks, for times already
+        known to be finite and non-negative (the Planner's stage sums)."""
+        self = object.__new__(cls)
+        self.__dict__.update(fwd=fwd, bwd=bwd, comm=comm)
+        return self
 
     @property
     def num_stages(self) -> int:
@@ -142,26 +146,6 @@ class StageTimes:
     def balance_std(self) -> float:
         """Std-dev of per-stage total time: the paper's balance metric (Fig 13)."""
         return float(np.std(np.asarray(self.total)))
-
-
-def _check_count(name: str, value, minimum: int = 1) -> int:
-    """``value`` as an ``int``: a bool or non-integral value (numpy
-    integers pass) raises ``TypeError``, one below ``minimum``
-    ``ValueError``, both naming the argument ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
-
-
-def _check_bool(name: str, value) -> bool:
-    """``value`` as a ``bool``: anything else (``numpy.bool_`` passes)
-    raises ``TypeError`` naming the argument ``name``, so a string such
-    as ``"False"`` cannot switch a knob on by its truthiness."""
-    if not isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"{name} must be a bool, got {value!r}")
-    return bool(value)
 
 
 def check_covers(partition: PartitionScheme, profile: ModelProfile) -> None:

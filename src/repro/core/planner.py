@@ -33,11 +33,10 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import _checks
 from repro.core.analytic_sim import PipelineSim, SimResult
 from repro.core.balance_dp import BalanceTable
-from repro.core.partition import (
-    PartitionScheme, StageTimes, _check_bool, _check_count, shift_repair,
-)
+from repro.core.partition import PartitionScheme, StageTimes, shift_repair
 from repro.models.transformer import layer_groups
 from repro.obs import stats as _stats
 from repro.obs import telemetry as _obs
@@ -46,6 +45,9 @@ from repro.profiling.modelconfig import ModelProfile
 from repro.robustness.evaluate import RobustObjective, robust_objective_batch
 
 Sizes = Tuple[int, ...]
+
+#: Units of the search: every block, or every whole transformer layer.
+GRANULARITIES = ("sublayer", "layer")
 
 #: cache key: per-stage times, micro-batch count and comm mode.  Every
 #: entry is a :class:`PipelineSim` result; the closed-form frontier
@@ -153,7 +155,15 @@ class PlannerResult:
 
 
 class _UnitSpace:
-    """Partition arithmetic over granularity units instead of raw blocks."""
+    """Partition arithmetic over granularity units instead of raw blocks.
+
+    The profile's block times are finite and non-negative, and the space
+    checks once that the forward and backward totals are finite.  Every
+    stage sum is then finite and non-negative too: rounding is monotone,
+    so a left-to-right sum over a run of non-negative units is at most
+    the sum over all of them.  :meth:`stage_times` relies on this to
+    build candidates without :class:`StageTimes`' checks.
+    """
 
     def __init__(self, profile: ModelProfile, granularity: str) -> None:
         blocks = profile.blocks
@@ -163,13 +173,13 @@ class _UnitSpace:
             # ``-0.0`` time becomes ``0.0``), without a generator each.
             self.fwd = [0 + bp.fwd_time for bp in blocks]
             self.bwd = [0 + bp.bwd_time for bp in blocks]
-        elif granularity == "layer":
+        else:
             units = [tuple(g) for g in layer_groups(
                 [bp.block for bp in blocks])]
             self.fwd = [sum(blocks[i].fwd_time for i in u) for u in units]
             self.bwd = [sum(blocks[i].bwd_time for i in u) for u in units]
-        else:
-            raise ValueError(f"unknown granularity {granularity!r}")
+        _checks.real("total forward time", sum(self.fwd))
+        _checks.real("total backward time", sum(self.bwd))
         self.units: List[Tuple[int, ...]] = units
         self.profile = profile
         self.weights = [f + b for f, b in zip(self.fwd, self.bwd)]
@@ -229,7 +239,9 @@ class _UnitSpace:
             fwd.append(pair[0])
             bwd.append(pair[1])
             pos += size
-        return StageTimes(tuple(fwd), tuple(bwd), self.profile.comm_time)
+        return StageTimes._trusted(
+            tuple(fwd), tuple(bwd), self.profile.comm_time
+        )
 
 
 def _cooldown_adjust(
@@ -300,31 +312,6 @@ def _shift_candidates(
     return out
 
 
-def _check_jobs(jobs) -> None:
-    """Accept only ``jobs=1``: the searches run in the calling process.
-
-    The keyword survives so existing ``jobs=1`` callers keep working; a
-    bool or non-integral value raises ``TypeError`` and any other
-    integer raises ``ValueError`` naming ``jobs``.
-    """
-    if _check_count("jobs", jobs) != 1:
-        raise ValueError(
-            f"jobs must be 1, got {jobs}: the multiprocess search was removed"
-        )
-
-
-def _check_cache(cache) -> None:
-    """Accept only ``cache=False``: the searches keep no plan cache.
-
-    The keyword survives so existing ``cache=False`` callers keep
-    working; any other value raises ``TypeError`` naming ``cache``.
-    """
-    if cache is not False:
-        raise TypeError(
-            f"cache must be False, got {cache!r}: the plan cache was removed"
-        )
-
-
 def plan_partition(
     profile: ModelProfile,
     num_stages: int,
@@ -352,9 +339,10 @@ def plan_partition(
     ``max_evaluations`` is an integer ``>= 1`` checked like the counts.
     ``memory_cap`` (bytes per device) makes the search memory-aware: a
     scheme with any stage above the cap can still guide the heuristic but
-    can never be returned as the result.  A NaN or non-positive cap
-    raises ``ValueError``; a positive cap that no evaluated scheme fits
-    raises ``RuntimeError``.
+    can never be returned as the result.  A cap that is no real number (a
+    bool included) raises ``TypeError``, a NaN, infinite or non-positive
+    one ``ValueError``; a cap that no evaluated scheme fits raises
+    ``RuntimeError``.
     ``sim_cache`` shares simulator results across planning calls; it
     changes neither the returned partition nor the reported
     ``evaluations`` — only how many simulations actually run.
@@ -381,16 +369,14 @@ def plan_partition(
     counters — the returned plan, evaluation count and history are
     bit-identical with a registry installed or not (property-tested).
     """
-    num_stages = _check_count("num_stages", num_stages)
-    num_micro_batches = _check_count("num_micro_batches", num_micro_batches)
-    max_evaluations = _check_count("max_evaluations", max_evaluations)
-    if memory_cap is not None and not memory_cap > 0:
-        raise ValueError(
-            f"memory_cap must be a positive number of bytes, got {memory_cap!r}"
-        )
-    cooldown_adjust = _check_bool("cooldown_adjust", cooldown_adjust)
-    _check_jobs(jobs)
-    _check_cache(cache)
+    num_stages = _checks.count("num_stages", num_stages)
+    num_micro_batches = _checks.count("num_micro_batches", num_micro_batches)
+    max_evaluations = _checks.count("max_evaluations", max_evaluations)
+    if memory_cap is not None:
+        _checks.real("memory_cap", memory_cap, positive=True)
+    _checks.choice("granularity", granularity, GRANULARITIES)
+    cooldown_adjust = _checks.flag("cooldown_adjust", cooldown_adjust)
+    _checks.removed_keywords(jobs, cache)
     RobustObjective.check(robust)
     tel = _obs.current()
     t0 = tel.clock() if tel is not None else 0

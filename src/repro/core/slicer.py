@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+from repro import _checks
 from repro.core.partition import StageTimes
 
 
@@ -48,8 +49,7 @@ class SlicePlan:
     aggregate_last_warmup_comm: bool = True
 
     def __post_init__(self) -> None:
-        if self.num_sliced < 0:
-            raise ValueError("num_sliced must be non-negative")
+        _checks.count("num_sliced", self.num_sliced, 0)
         if self.num_sliced > self.num_micro_batches:
             raise ValueError(
                 f"cannot slice {self.num_sliced} of "
@@ -86,16 +86,14 @@ def solve_slice_count(times: StageTimes, num_micro_batches: int) -> int:
     ``times`` holds the per-stage ``f_i``/``b_i`` of the partition scheme
     produced by the Planner plus the scalar ``Comm``.
 
-    Raises :class:`ValueError` for a non-positive micro-batch count or a
-    stage with zero (or negative) forward/backward time — both would send
-    the mb-growing loop chasing a startup overhead that does not exist.
+    A micro-batch count that is no integer raises ``TypeError``, one
+    below 1 ``ValueError``.  A stage with zero forward or backward time
+    raises :class:`ValueError`: it would send the mb-growing loop chasing
+    a startup overhead that does not exist.
     """
+    num_micro_batches = _checks.count("num_micro_batches", num_micro_batches)
     p = times.num_stages
     f, b, comm = times.fwd, times.bwd, times.comm
-    if num_micro_batches <= 0:
-        raise ValueError(
-            f"num_micro_batches must be positive, got {num_micro_batches}"
-        )
     for name, vec in (("forward", f), ("backward", b)):
         for i, t in enumerate(vec):
             if t <= 0:

@@ -22,14 +22,15 @@ import time as _time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro import _checks
 from repro.baselines.common import PlannedConfig
 from repro.core.balance_dp import BalanceTable
 from repro.obs import telemetry as _obs
-from repro.core.partition import PartitionScheme, _check_count, shift_repair
+from repro.core.partition import PartitionScheme, shift_repair
 from repro.core.planner import plan_partition
 from repro.parallel.memory_model import (
     MemoryTable,
-    _check_config,
+    check_config,
     config_memory,
     over_cap,
 )
@@ -67,7 +68,7 @@ def repair_memory(
     move is scored by one :class:`MemoryTable`, with
     :func:`config_memory`'s stream peaks at a uniform width ``dp``.
     """
-    m, _, replicas = _check_config(
+    m, _, replicas = check_config(
         profile, partition, (dp,) * partition.num_stages,
         num_micro_batches_total, mbs,
     )
@@ -93,8 +94,8 @@ def autopipe_config(
     tel = _obs.current()
     t_obs = tel.clock() if tel is not None else 0
     t0 = _time.perf_counter()
-    num_gpus = _check_count("num_gpus", num_gpus)
-    global_batch_size = _check_count("global_batch_size", global_batch_size)
+    num_gpus = _checks.count("num_gpus", num_gpus)
+    global_batch_size = _checks.count("global_batch_size", global_batch_size)
     mbs = profile.train.micro_batch_size
     if global_batch_size % mbs != 0:
         raise ValueError("global batch not divisible by micro-batch size")
@@ -252,7 +253,7 @@ def autotune_config(
     from repro.parallel.grid import layouts_for
     from repro.sim.slice_eval import evaluate_slice_counts
 
-    num_gpus = _check_count("num_gpus", num_gpus)
+    num_gpus = _checks.count("num_gpus", num_gpus)
     tel = _obs.current()
     t_obs = tel.clock() if tel is not None else 0
     t0 = _time.perf_counter()

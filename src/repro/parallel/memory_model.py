@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.core.partition import PartitionScheme, _check_count, check_covers
+from repro import _checks
+from repro.core.partition import PartitionScheme, check_covers
 from repro.profiling.modelconfig import ModelProfile
 from repro.schedules.base import OP_B, OP_F
 from repro.schedules.interleaved import interleaved
@@ -90,8 +91,7 @@ class MemoryTable:
         """Peak bytes of each contiguous stage of ``sizes`` units under
         "1f1b" or "gpipe"; ``num_micro_batches`` may be per stage (a
         stream replica's count), ``fractions`` default to 1."""
-        if schedule not in ("1f1b", "gpipe"):
-            raise ValueError(f"unknown schedule {schedule!r}")
+        _checks.choice("schedule", schedule, ("1f1b", "gpipe"))
         n = len(sizes)
         if isinstance(num_micro_batches, int):
             num_micro_batches = (num_micro_batches,) * n
@@ -112,7 +112,7 @@ def over_cap(peaks: Sequence[float], cap: float) -> List[int]:
 
 
 def _check_stage(stage, num_stages: int) -> int:
-    stage = _check_count("stage", stage, 0)
+    stage = _checks.count("stage", stage, 0)
     if stage >= num_stages:
         raise ValueError(f"stage {stage} out of range for {num_stages} stages")
     return stage
@@ -129,7 +129,7 @@ def stage_memory(
     """Predicted peak bytes of one pipeline stage ("1f1b" or "gpipe")."""
     stage = _check_stage(stage, partition.num_stages)
     check_covers(partition, profile)
-    m = _check_count("num_micro_batches", num_micro_batches)
+    m = _checks.count("num_micro_batches", num_micro_batches)
     peaks = MemoryTable(profile).stage_peaks(
         partition.sizes, m, schedule=schedule
     )
@@ -156,8 +156,8 @@ def interleaved_stage_memory(
     v = len(chunk_blocks)
     if v == 0:
         raise ValueError("a device needs at least one chunk")
-    m = _check_count("num_micro_batches", num_micro_batches)
-    n = _check_count("num_stages", num_stages)
+    m = _checks.count("num_micro_batches", num_micro_batches)
+    n = _checks.count("num_stages", num_stages)
     stage = _check_stage(stage, n)
     table = MemoryTable(profile, chunk_blocks)
     ops = interleaved(n, m, v)
@@ -194,7 +194,7 @@ def pipeline_fits(
     return over_cap(peaks, profile.hardware.gpu_memory)
 
 
-def _check_config(
+def check_config(
     profile: ModelProfile,
     partition: PartitionScheme,
     replicas: Sequence[int],
@@ -205,16 +205,15 @@ def _check_config(
     """:func:`config_memory`'s input checks; returns ``m``, ``mbs`` and
     the replica counts as ints."""
     check_covers(partition, profile)
-    m = _check_count("num_micro_batches", num_micro_batches)
-    mbs = _check_count("micro_batch_size", micro_batch_size)
-    if semantics not in SEMANTICS:
-        raise ValueError(f"unknown semantics {semantics!r}")
+    m = _checks.count("num_micro_batches", num_micro_batches)
+    mbs = _checks.count("micro_batch_size", micro_batch_size)
+    _checks.choice("semantics", semantics, SEMANTICS)
     if len(replicas) != partition.num_stages:
         raise ValueError(
             f"replicas has {len(replicas)} entries for "
             f"{partition.num_stages} stages"
         )
-    return m, mbs, [_check_count("replicas", r) for r in replicas]
+    return m, mbs, [_checks.count("replicas", r) for r in replicas]
 
 
 def config_memory(
@@ -228,7 +227,7 @@ def config_memory(
     """Peak bytes per device of each replicated stage under 1F1B: a
     ``stream`` replica runs ``ceil(m / r)`` whole micro-batches, a
     ``subbatch`` one every micro-batch at ``ceil(mbs / r) / mbs``."""
-    m, mbs, rs = _check_config(
+    m, mbs, rs = check_config(
         profile, partition, replicas, num_micro_batches, micro_batch_size,
         semantics,
     )

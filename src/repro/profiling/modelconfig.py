@@ -13,22 +13,11 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
+from repro import _checks
 from repro.config import HardwareConfig, ModelConfig, TrainConfig
 from repro.models.blocks import Block
 
 _INF = math.inf
-
-
-def _reject_bad_field(owner, names: Sequence[str]) -> None:
-    """Raise ``ValueError`` naming the first of ``names`` on ``owner``
-    that is NaN, infinite or negative."""
-    for name in names:
-        value = getattr(owner, name)
-        if not 0.0 <= value < _INF:
-            raise ValueError(
-                f"{type(owner).__name__}.{name} must be finite and "
-                f"non-negative, got {value!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -56,10 +45,11 @@ class BlockProfile:
             and 0.0 <= self.stash_bytes < _INF
             and 0.0 <= self.workspace_bytes < _INF
         ):
-            _reject_bad_field(self, (
+            for name in (
                 "fwd_time", "bwd_time", "params", "activation_out_bytes",
                 "stash_bytes", "workspace_bytes",
-            ))
+            ):
+                _checks.real(f"BlockProfile.{name}", getattr(self, name))
 
     @property
     def total_time(self) -> float:
@@ -82,9 +72,8 @@ class ModelProfile:
     def __post_init__(self) -> None:
         if not self.blocks:
             raise ValueError("a ModelProfile needs at least one block")
-        if not (0.0 <= self.comm_time < _INF
-                and 0.0 <= self.boundary_bytes < _INF):
-            _reject_bad_field(self, ("comm_time", "boundary_bytes"))
+        _checks.real("ModelProfile.comm_time", self.comm_time)
+        _checks.real("ModelProfile.boundary_bytes", self.boundary_bytes)
         for i, bp in enumerate(self.blocks):
             if bp.block.index != i:
                 raise ValueError(

@@ -29,6 +29,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import _checks
 from repro.core.analytic_sim import PipelineSim
 from repro.core.partition import StageTimes
 from repro.obs import stats as _stats
@@ -89,24 +90,9 @@ class RobustObjective:
                     f"models must hold PerturbationModel instances, got "
                     f"{type(model).__name__}"
                 )
-        for name in ("draws", "seed"):
-            value = getattr(self, name)
-            # bool is an int subclass, but draws=True is a typo, not 1.
-            if isinstance(value, bool) or not isinstance(
-                value, (int, np.integer)
-            ):
-                raise TypeError(
-                    f"{name} must be an integer, got {value!r}"
-                )
-        if self.draws < 1:
-            raise ValueError(f"draws must be >= 1, got {self.draws}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.statistic not in STATISTICS:
-            raise ValueError(
-                f"unknown statistic {self.statistic!r} "
-                f"(choose from {STATISTICS})"
-            )
+        _checks.count("draws", self.draws)
+        _checks.count("seed", self.seed, 0)
+        _checks.choice("statistic", self.statistic, STATISTICS)
 
     @staticmethod
     def check(robust) -> None:

@@ -33,7 +33,14 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import _checks
 from repro.core.partition import StageTimes
+
+
+def _check_probability(probability) -> None:
+    _checks.real("probability", probability)
+    if probability > 1.0:
+        raise ValueError(f"probability must be <= 1, got {probability!r}")
 
 
 class PerturbationModel:
@@ -71,8 +78,7 @@ class StageCostNoise(PerturbationModel):
     sigma: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.sigma < float("inf"):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        _checks.real("sigma", self.sigma)
 
     def sample(self, rng, fwd, bwd, comm) -> None:
         draws, n = fwd.shape
@@ -95,21 +101,12 @@ class Straggler(PerturbationModel):
     probability: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.slowdown > 0 or not np.isfinite(self.slowdown):
-            raise ValueError(f"slowdown must be finite and > 0, got {self.slowdown}")
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {self.probability}")
+        _checks.real("slowdown", self.slowdown, positive=True)
+        _check_probability(self.probability)
         if self.stage is not None:
             # A positional second argument lands here: Straggler(1.5, 0.1)
             # is a float stage, not a probability.
-            if isinstance(self.stage, bool) or not isinstance(
-                self.stage, (int, np.integer)
-            ):
-                raise TypeError(
-                    f"stage must be an integer or None, got {self.stage!r}"
-                )
-            if self.stage < 0:
-                raise ValueError(f"stage must be >= 0, got {self.stage}")
+            _checks.count("stage", self.stage, 0)
 
     def sample(self, rng, fwd, bwd, comm) -> None:
         draws, n = fwd.shape
@@ -142,10 +139,8 @@ class CommDegradation(PerturbationModel):
     probability: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.factor > 0 or not np.isfinite(self.factor):
-            raise ValueError(f"factor must be finite and > 0, got {self.factor}")
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {self.probability}")
+        _checks.real("factor", self.factor, positive=True)
+        _check_probability(self.probability)
 
     def sample(self, rng, fwd, bwd, comm) -> None:
         draws = comm.shape[0]
@@ -178,9 +173,9 @@ class StageFactors:
                 f"comm factors must have shape ({self.fwd.shape[0]},), "
                 f"got {self.comm.shape}"
             )
-        for arr in (self.fwd, self.bwd, self.comm):
-            if not np.all(np.isfinite(arr)) or arr.min(initial=1.0) <= 0:
-                raise ValueError("perturbation factors must be finite and > 0")
+        _checks.reals("fwd factors", self.fwd, positive=True)
+        _checks.reals("bwd factors", self.bwd, positive=True)
+        _checks.reals("comm factors", self.comm, positive=True)
 
     @property
     def draws(self) -> int:
@@ -224,10 +219,8 @@ def draw_factors(
     factors together; the result is a pure function of the arguments
     (bit-identical across processes and machines).
     """
-    if num_stages < 1:
-        raise ValueError("need at least one stage")
-    if draws < 1:
-        raise ValueError("need at least one draw")
+    _checks.count("num_stages", num_stages)
+    _checks.count("draws", draws)
     rng = np.random.default_rng(seed)
     fwd = np.ones((draws, num_stages))
     bwd = np.ones((draws, num_stages))

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro import _checks
 from repro.core.partition import PartitionScheme, stage_params
 from repro.core.slicer import SlicePlan
 from repro.hardware.cluster import Cluster
 from repro.parallel.data_parallel import allreduce_seconds
 from repro.profiling.modelconfig import ModelProfile
-from repro.schedules.base import Schedule, check_micro_batches
+from repro.schedules.base import Schedule
 from repro.schedules.gpipe import build_gpipe
 from repro.schedules.one_f_one_b import build_1f1b
 from repro.schedules.sliced import build_sliced
@@ -60,7 +61,7 @@ def build_schedule(
     slice_plan: Optional[SlicePlan] = None,
 ) -> Schedule:
     """Dispatch to the named schedule builder."""
-    num_micro_batches = check_micro_batches(num_micro_batches)
+    num_micro_batches = _checks.count("num_micro_batches", num_micro_batches)
     if schedule == "1f1b":
         return build_1f1b(profile, partition, num_micro_batches)
     if schedule == "gpipe":

@@ -20,32 +20,12 @@ deadlock instead of hanging.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 #: A schedule unit: (micro_batch, half) where half is -1 (whole), 0 or 1.
 Unit = Tuple[int, int]
-
-
-def check_micro_batches(num_micro_batches: object) -> int:
-    """``num_micro_batches`` as a positive int, or a ``ValueError``.
-
-    Builders key their shape on the count, so a float that compares equal
-    to an int (``4.0``) or a ``bool`` must not pass for one.
-    """
-    if isinstance(num_micro_batches, bool) or not isinstance(
-        num_micro_batches, Integral
-    ):
-        raise ValueError(
-            f"num_micro_batches must be an integer, got {num_micro_batches!r}"
-        )
-    if num_micro_batches <= 0:
-        raise ValueError(
-            f"num_micro_batches must be at least 1, got {num_micro_batches}"
-        )
-    return int(num_micro_batches)
 
 
 def _check_placement(programs: List[List[object]]) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import _checks
 from repro.core.partition import PartitionScheme
 from repro.profiling.modelconfig import ModelProfile
 from repro.schedules.base import (
@@ -20,7 +21,6 @@ from repro.schedules.base import (
     OpTable,
     Schedule,
     ScheduleShape,
-    check_micro_batches,
     full_units,
     message_id,
     op_slot,
@@ -36,7 +36,7 @@ def build_gpipe(
     name: str = "gpipe",
 ) -> Schedule:
     """The deferred GPipe schedule, shape key ``("gpipe", depth, m)``."""
-    m = check_micro_batches(num_micro_batches)
+    m = _checks.count("num_micro_batches", num_micro_batches)
     costs, static = stage_costs(profile, partition)
     shape = ScheduleShape(
         ("gpipe", partition.num_stages, m), [[c] for c in costs],

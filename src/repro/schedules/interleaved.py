@@ -10,20 +10,20 @@ constraints the paper exploits in Fig. 14(b):
 * the transformer layer count must divide evenly into ``n * v`` chunks;
 * the micro-batch count must be a multiple of the pipeline depth.
 
-Violations raise :class:`InterleavedInfeasible` (the "X" marks), as do a
-depth or chunk count that is not an integer of at least 2.  The
-virtual-micro-batch ordering (:func:`interleaved`) is ported from
+Violations raise :class:`InterleavedInfeasible` (the "X" marks), as does a
+depth or chunk count below 2; one that is no integer raises ``TypeError``.
+The virtual-micro-batch ordering (:func:`interleaved`) is ported from
 Megatron-LM's ``forward_backward_pipelining_with_interleaving``.
 Communication is buffered (Megatron posts batched isend/irecv pairs).
 """
 
 from __future__ import annotations
 
-from numbers import Integral
 from typing import List
 
 import numpy as np
 
+from repro import _checks
 from repro.models.blocks import BlockKind
 from repro.profiling.modelconfig import ModelProfile
 from repro.schedules.base import (
@@ -34,7 +34,6 @@ from repro.schedules.base import (
     OpTable,
     Schedule,
     ScheduleShape,
-    check_micro_batches,
     full_units,
     message_id,
     op_slot,
@@ -47,17 +46,12 @@ class InterleavedInfeasible(ValueError):
 
 
 def _check_at_least_two(name: str, value: object) -> int:
-    """``value`` as an int of at least 2, or :class:`InterleavedInfeasible`
-    naming ``name`` (a ``bool`` is no count, as in ``check_micro_batches``)."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise InterleavedInfeasible(
-            f"{name} must be an integer, got {value!r}"
-        )
-    if value < 2:
-        raise InterleavedInfeasible(
-            f"interleaving needs {name} of at least 2, got {value}"
-        )
-    return int(value)
+    """``value`` as an int of at least 2: :class:`InterleavedInfeasible`
+    naming ``name`` below 2, ``TypeError`` for no integer."""
+    try:
+        return _checks.count(name, value, 2)
+    except ValueError as exc:
+        raise InterleavedInfeasible(str(exc)) from None
 
 
 def interleaved_chunks(
@@ -136,7 +130,7 @@ def build_interleaved(
     """The deferred interleaved schedule, key ``("interleaved", n, m, v)``."""
     n = _check_at_least_two("num_stages", num_stages)
     v = _check_at_least_two("num_chunks", num_chunks)
-    m = check_micro_batches(num_micro_batches)
+    m = _checks.count("num_micro_batches", num_micro_batches)
     if m % n != 0:
         raise InterleavedInfeasible(
             f"{m} micro-batches not a multiple of pipeline depth {n}"

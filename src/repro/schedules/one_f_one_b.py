@@ -22,6 +22,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro import _checks
 from repro.core.partition import PartitionScheme, check_covers
 from repro.models.costs import small_batch_slowdown
 from repro.profiling.modelconfig import ModelProfile
@@ -35,7 +36,6 @@ from repro.schedules.base import (
     Schedule,
     ScheduleShape,
     Unit,
-    check_micro_batches,
     full_units,
     message_id,
     op_slot,
@@ -228,7 +228,7 @@ def build_1f1b(
     name: str = "1f1b",
 ) -> Schedule:
     """The plain Megatron 1F1B schedule over whole micro-batches."""
-    m = check_micro_batches(num_micro_batches)
+    m = _checks.count("num_micro_batches", num_micro_batches)
     return unit_schedule(
         profile, partition, tuple(full_units(m)), name=name,
         eager_halves=False,

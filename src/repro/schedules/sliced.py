@@ -17,10 +17,11 @@ ablation in the benchmarks).
 
 from __future__ import annotations
 
+from repro import _checks
 from repro.core.partition import PartitionScheme
 from repro.core.slicer import SlicePlan
 from repro.profiling.modelconfig import ModelProfile
-from repro.schedules.base import Schedule, check_micro_batches
+from repro.schedules.base import Schedule
 from repro.schedules.one_f_one_b import unit_schedule
 
 
@@ -32,7 +33,7 @@ def build_sliced(
     name: str = "autopipe-sliced",
 ) -> Schedule:
     """Build the sliced 1F1B schedule from a Slicer plan."""
-    check_micro_batches(plan.num_micro_batches)
+    _checks.count("num_micro_batches", plan.num_micro_batches)
     return unit_schedule(
         profile,
         partition,

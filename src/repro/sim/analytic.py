@@ -103,8 +103,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro import _checks
 from repro.hardware.cluster import Cluster
-from repro.schedules.base import Schedule, check_micro_batches
+from repro.schedules.base import Schedule
 from repro.sim.engine import (
     _COMPUTE,
     _EAGER,
@@ -138,36 +139,28 @@ def _as_cost_matrix(arr, name: str) -> np.ndarray:
     return out
 
 
-def _check_comm(comm, k: int):
-    """Validate/normalise comm: one scalar, or a (K,) per-row vector."""
-    if np.ndim(comm) == 0:
-        return float(comm)
-    vec = np.ascontiguousarray(comm, dtype=np.float64)
-    if vec.shape != (k,):
-        raise ValueError(
-            f"comm vector must have one entry per candidate row, "
-            f"got shape {vec.shape} for {k} rows"
-        )
-    return vec
-
-
-def _check_inputs(fwd, bwd, comm, num_micro_batches) -> int:
-    """Reject what :class:`PipelineSim` rejects; return ``m`` as an int.
+def _check_inputs(fwd, bwd, comm, num_micro_batches, comm_mode):
+    """Reject what :class:`PipelineSim` rejects; return ``comm`` (one
+    float, or a ``(K,)`` per-row vector) and ``m`` as an int.
 
     Costs and comm must be finite and non-negative: the fix rows lean on
-    non-negative times, and a NaN would flow through every max.  ``comm``
-    is a float or an array (as :func:`_check_comm` returns it); one
-    ``min`` and one ``max`` per array catch NaN (it fails both
-    comparisons), negative values and infinities without a temporary.
+    non-negative times, and a NaN would flow through every max.
     """
-    for name, arr in (("fwd", fwd), ("bwd", bwd), ("comm", comm)):
-        if isinstance(arr, float):
-            ok = 0.0 <= arr < np.inf
-        else:
-            ok = arr.size == 0 or (arr.min() >= 0.0 and arr.max() < np.inf)
-        if not ok:
-            raise ValueError(f"{name} must be finite and non-negative")
-    return check_micro_batches(num_micro_batches)
+    _checks.reals("fwd", fwd)
+    _checks.reals("bwd", bwd)
+    if np.ndim(comm) == 0:
+        comm = float(comm)
+        _checks.real("comm", comm)
+    else:
+        comm = np.ascontiguousarray(comm, dtype=np.float64)
+        if comm.shape != (fwd.shape[-1],):
+            raise ValueError(
+                f"comm vector must have one entry per candidate row, "
+                f"got shape {comm.shape} for {fwd.shape[-1]} rows"
+            )
+        _checks.reals("comm", comm)
+    _checks.choice("comm_mode", comm_mode, _checks.COMM_MODES)
+    return comm, _checks.count("num_micro_batches", num_micro_batches)
 
 
 def frontier_times(
@@ -184,9 +177,10 @@ def frontier_times(
     forward / backward times, one candidate per row; ``comm`` is a
     scalar or a ``(K,)`` per-candidate vector.  Returns a ``(K,)`` array
     of iteration times, bit-identical to ``K`` scalar
-    ``PipelineSim(times_k, m).run()`` runs.  NaN,
-    infinite or negative costs or comm, and a micro-batch count that is
-    not a positive integer, raise ``ValueError`` (both entry points).
+    ``PipelineSim(times_k, m).run()`` runs.  Both entry points reject
+    what ``PipelineSim`` rejects: NaN, infinite or negative costs or
+    comm, or a micro-batch count below 1, raise ``ValueError``; a count
+    that is no integer raises ``TypeError``.
     """
     fwd = _as_cost_matrix(fwd, "fwd")
     bwd = _as_cost_matrix(bwd, "bwd")
@@ -195,8 +189,7 @@ def frontier_times(
             f"fwd and bwd must have matching shapes, got {fwd.shape} "
             f"and {bwd.shape}"
         )
-    comm = _check_comm(comm, fwd.shape[0])
-    m = _check_inputs(fwd, bwd, comm, num_micro_batches)
+    comm, m = _check_inputs(fwd.T, bwd.T, comm, num_micro_batches, comm_mode)
     return _sweep(
         np.ascontiguousarray(fwd.T),
         np.ascontiguousarray(bwd.T),
@@ -222,8 +215,7 @@ def frontier_times_transposed(
     Returns the ``(K,)`` iteration times, bitwise :func:`frontier_times`
     of the transposed matrices.
     """
-    comm = _check_comm(comm, fwd_t.shape[1])
-    m = _check_inputs(fwd_t, bwd_t, comm, num_micro_batches)
+    comm, m = _check_inputs(fwd_t, bwd_t, comm, num_micro_batches, comm_mode)
     return _sweep(fwd_t, bwd_t, comm, m, comm_mode)
 
 
@@ -380,8 +372,6 @@ def _sweep(
     Warmup diagonals, then one loop of paired steady steps (step ``p``'s
     B-half with step ``p + 1``'s F-half), then cooldown diagonals.
     """
-    if comm_mode not in ("paper", "edges"):
-        raise ValueError(f"unknown comm_mode {comm_mode!r}")
     n, num_cols = fwd.shape
     paper = comm_mode == "paper"
     plan = _plan(n, m)

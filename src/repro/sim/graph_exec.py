@@ -69,6 +69,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro import _checks
 from repro.hardware.cluster import Cluster
 from repro.hardware.comm import CommModel
 from repro.schedules.base import Schedule
@@ -901,9 +902,8 @@ def run_perturbed(
             f"compute_factors must have shape ({k}, {graph.num_devices}), "
             f"got {compute_factors.shape}"
         )
-    for arr in (compute_factors, comm_factors):
-        if not np.all(np.isfinite(arr)) or arr.min(initial=1.0) <= 0:
-            raise ValueError("perturbation factors must be finite and > 0")
+    _checks.reals("compute_factors", compute_factors, positive=True)
+    _checks.reals("comm_factors", comm_factors, positive=True)
     structure = graph.structure
     if structure.num_nodes == 0:
         return np.zeros(k)

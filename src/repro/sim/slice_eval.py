@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import _checks
 from repro.core.partition import PartitionScheme
 from repro.core.slicer import SlicePlan
 from repro.hardware.cluster import Cluster
 from repro.hardware.comm import CommModel
 from repro.profiling.modelconfig import ModelProfile
-from repro.schedules.base import check_micro_batches
 from repro.schedules.one_f_one_b import stage_costs
 from repro.sim.engine import ExecutionResult, check_device_map
 from repro.sim.graph_exec import CompiledGraph, run_batch, shape_graph
@@ -86,7 +86,7 @@ def evaluate_slice_counts(
     :func:`~repro.sim.graph_exec.run_batch` pass.  Results come back in
     ``slice_counts`` order.
     """
-    m = check_micro_batches(num_micro_batches)
+    m = _checks.count("num_micro_batches", num_micro_batches)
     for num_sliced in slice_counts:
         SlicePlan(num_sliced, m, aggregate)
     if cluster is None:

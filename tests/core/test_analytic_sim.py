@@ -107,8 +107,11 @@ class TestTiming:
         assert skew > bal
 
     def test_invalid_micro_batches(self):
-        for bad in (0, -1, True, 2.0):
-            with pytest.raises(ValueError, match="num_micro_batches"):
+        for bad, error in (
+            (0, ValueError), (-1, ValueError), (True, TypeError),
+            (2.0, TypeError),
+        ):
+            with pytest.raises(error, match="num_micro_batches"):
                 PipelineSim(balanced(2), bad)
 
     def test_unknown_comm_mode(self):

@@ -14,25 +14,7 @@ from repro.core.exhaustive import (
 from repro.core.planner import SimCache, plan_partition
 
 from tests.core.test_search_properties import make_profile
-
-#: (bad integer argument, expected error) pairs shared by both search
-#: entry points; the error message must name the argument.
-BAD_COUNTS = [
-    ("num_stages", True, TypeError),
-    ("num_stages", 2.0, TypeError),
-    ("num_stages", 0, ValueError),
-    ("num_micro_batches", True, TypeError),
-    ("num_micro_batches", 1.5, TypeError),
-    ("num_micro_batches", 0, ValueError),
-]
-
-
-def assert_rejects_bad_counts(search, profile, bad_counts=BAD_COUNTS):
-    """``search`` raises a typed error naming each malformed argument."""
-    for name, value, error in bad_counts:
-        kwargs = {"num_stages": 3, "num_micro_batches": 8, name: value}
-        with pytest.raises(error, match=name):
-            search(profile, **kwargs)
+from tests.test_boundary import BAD_COUNTS, assert_rejects_bad_counts
 
 
 class TestEnumeration:

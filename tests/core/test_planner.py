@@ -9,7 +9,7 @@ from repro.core.balance_dp import balanced_partition
 from repro.core.partition import stage_times
 from repro.core.planner import _cooldown_adjust, _UnitSpace, plan_partition
 
-from tests.core.test_exhaustive import BAD_COUNTS, assert_rejects_bad_counts
+from tests.test_boundary import BAD_COUNTS, assert_rejects_bad_counts
 
 
 class TestPlanQuality:

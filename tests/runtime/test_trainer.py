@@ -79,15 +79,15 @@ class TestMicroBatchCount:
 
     @pytest.mark.parametrize("m", [2.5, 4.0, True, "4"])
     def test_non_integer_count_rejected(self, tiny_profile, partition, m):
-        with pytest.raises(ValueError, match="num_micro_batches"):
+        with pytest.raises(TypeError, match="num_micro_batches"):
             run_pipeline(tiny_profile, partition, m)
-        with pytest.raises(ValueError, match="num_micro_batches"):
+        with pytest.raises(TypeError, match="num_micro_batches"):
             build_schedule(tiny_profile, partition, m, "gpipe")
-        with pytest.raises(ValueError, match="num_micro_batches"):
+        with pytest.raises(TypeError, match="num_micro_batches"):
             build_1f1b(tiny_profile, partition, m)
-        with pytest.raises(ValueError, match="num_micro_batches"):
+        with pytest.raises(TypeError, match="num_micro_batches"):
             build_interleaved(tiny_profile, 2, m)
-        with pytest.raises(ValueError, match="num_micro_batches"):
+        with pytest.raises(TypeError, match="num_micro_batches"):
             evaluate_slice_counts(tiny_profile, partition, m, [0])
 
     def test_integral_types_accepted(self, tiny_profile, partition):

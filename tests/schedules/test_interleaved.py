@@ -81,21 +81,34 @@ class TestExecution:
 
 
 class TestArguments:
-    """Depth and chunk count are checked when the schedule is built."""
+    """Depth and chunk count are checked when the schedule is built: one
+    below 2 is infeasible, one that is no integer a ``TypeError``."""
 
     @pytest.mark.parametrize("arg", ["num_stages", "num_chunks"])
-    @pytest.mark.parametrize("value", [1, 0, -2, 2.0, True, "2"])
-    def test_bad_count_is_infeasible(self, tiny_profile, arg, value):
+    @pytest.mark.parametrize("value, error", [
+        pytest.param(1, InterleavedInfeasible, id="1"),
+        pytest.param(0, InterleavedInfeasible, id="0"),
+        pytest.param(-2, InterleavedInfeasible, id="-2"),
+        pytest.param(2.0, TypeError, id="2.0"),
+        pytest.param(True, TypeError, id="True"),
+        pytest.param("2", TypeError, id="2"),
+    ])
+    def test_bad_count_is_infeasible(self, tiny_profile, arg, value, error):
         kwargs = {"num_stages": 3, "num_chunks": 2, arg: value}
-        with pytest.raises(InterleavedInfeasible, match=arg):
+        with pytest.raises(error, match=arg):
             build_interleaved(
                 tiny_profile, kwargs["num_stages"], 6,
                 num_chunks=kwargs["num_chunks"],
             )
 
-    @pytest.mark.parametrize("value", [1, 0, 2.0, False])
-    def test_chunking_checks_its_counts_too(self, tiny_profile, value):
-        with pytest.raises(InterleavedInfeasible, match="num_stages"):
+    @pytest.mark.parametrize("value, error", [
+        pytest.param(1, InterleavedInfeasible, id="1"),
+        pytest.param(0, InterleavedInfeasible, id="0"),
+        pytest.param(2.0, TypeError, id="2.0"),
+        pytest.param(False, TypeError, id="False"),
+    ])
+    def test_chunking_checks_its_counts_too(self, tiny_profile, value, error):
+        with pytest.raises(error, match="num_stages"):
             interleaved_chunks(tiny_profile, value, 2)
 
     def test_run_method_at_depth_one_is_infeasible(self, tiny_profile):

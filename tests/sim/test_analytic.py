@@ -171,19 +171,21 @@ _ONES = np.ones((2, 3))
 
 @pytest.mark.parametrize("entry", ("batch", "transposed"))
 @pytest.mark.parametrize(
-    "fwd, bwd, comm, m, match",
+    "fwd, bwd, comm, m, error, match",
     [
-        (-_ONES, _ONES, 0.1, 4, "fwd"),
-        (_ONES, -_ONES, 0.1, 4, "bwd"),
-        (_ONES, _ONES, -0.5, 4, "comm"),
-        (_ONES, _ONES, np.array([0.1, -0.1]), 4, "comm"),
-        (np.where(np.eye(2, 3) > 0, np.nan, 1.0), _ONES, 0.1, 4, "fwd"),
-        (_ONES, np.where(np.eye(2, 3) > 0, np.inf, 1.0), 0.1, 4, "bwd"),
-        (_ONES, _ONES, np.nan, 4, "comm"),
-        (_ONES, _ONES, np.array([np.inf, 0.1]), 4, "comm"),
-        (_ONES, _ONES, 0.1, True, "num_micro_batches"),
-        (_ONES, _ONES, 0.1, 2.5, "num_micro_batches"),
-        (_ONES, _ONES, 0.1, 0, "num_micro_batches"),
+        (-_ONES, _ONES, 0.1, 4, ValueError, "fwd"),
+        (_ONES, -_ONES, 0.1, 4, ValueError, "bwd"),
+        (_ONES, _ONES, -0.5, 4, ValueError, "comm"),
+        (_ONES, _ONES, np.array([0.1, -0.1]), 4, ValueError, "comm"),
+        (np.where(np.eye(2, 3) > 0, np.nan, 1.0), _ONES, 0.1, 4, ValueError,
+         "fwd"),
+        (_ONES, np.where(np.eye(2, 3) > 0, np.inf, 1.0), 0.1, 4, ValueError,
+         "bwd"),
+        (_ONES, _ONES, np.nan, 4, ValueError, "comm"),
+        (_ONES, _ONES, np.array([np.inf, 0.1]), 4, ValueError, "comm"),
+        (_ONES, _ONES, 0.1, True, TypeError, "num_micro_batches"),
+        (_ONES, _ONES, 0.1, 2.5, TypeError, "num_micro_batches"),
+        (_ONES, _ONES, 0.1, 0, ValueError, "num_micro_batches"),
     ],
     ids=(
         "neg-fwd", "neg-bwd", "neg-comm", "neg-comm-vector", "nan-fwd",
@@ -192,9 +194,9 @@ _ONES = np.ones((2, 3))
     ),
 )
 def test_kernel_rejects_what_the_scalar_sim_rejects(
-    entry, fwd, bwd, comm, m, match
+    entry, fwd, bwd, comm, m, error, match
 ):
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(error, match=match):
         if entry == "batch":
             frontier_times(fwd, bwd, comm, m)
         else:
