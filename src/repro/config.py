@@ -98,12 +98,22 @@ class HardwareConfig:
         _checks.count("gpus_per_node", self.gpus_per_node)
         for name in (
             "peak_flops", "flops_efficiency", "gpu_memory",
+            "memory_bandwidth", "memory_bandwidth_efficiency",
             "inter_node_bandwidth", "intra_node_bandwidth",
             "bandwidth_efficiency",
         ):
             _checks.real(name, getattr(self, name), positive=True)
-        if self.flops_efficiency > 1 or self.bandwidth_efficiency > 1:
-            raise ValueError("efficiencies are fractions in (0, 1]")
+        for name in ("link_latency", "kernel_launch_overhead"):
+            _checks.real(name, getattr(self, name))
+        for name in (
+            "flops_efficiency", "memory_bandwidth_efficiency",
+            "bandwidth_efficiency",
+        ):
+            if getattr(self, name) > 1:
+                raise ValueError(
+                    f"efficiencies are fractions in (0, 1], got "
+                    f"{name}={getattr(self, name)!r}"
+                )
 
     @property
     def num_gpus(self) -> int:

@@ -19,8 +19,8 @@ transformer layer.  The search is the paper's three-step loop:
    Candidates whose master is still <= ``i`` are processed again by step 2;
    the scheme with the minimum simulated iteration time wins.
 
-The search space is bounded by the pipeline depth (the master only moves
-forward), so the whole search typically evaluates tens of schemes.
+``_PlannerSearch`` runs one search with one method per step (``seed``,
+``cooldown``, ``expand``) and one ``select`` pass that picks the winner.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import time as _time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -58,12 +58,11 @@ _SimKey = Tuple[Tuple[float, ...], Tuple[float, ...], float, int, str]
 class SimCache:
     """Opt-in cross-call memo of :class:`PipelineSim` results.
 
-    ``plan_partition`` already memoises within one search (its per-call
-    ``sizes`` cache also defines the reported evaluation count); a
-    caller may pass one ``SimCache`` to several ``plan_partition`` calls
-    to share simulations between them.  Across the registered
-    experiments such sharing served about 4% of lookups, so no library
-    caller does.  Results are immutable and the
+    One search already memoises its schemes (that memo also defines the
+    reported evaluation count); a caller may pass one ``SimCache`` to
+    several ``plan_partition`` calls to share simulations between them.
+    Across the registered experiments such sharing served about 4% of
+    lookups, so no library caller does.  Results are immutable and the
     key captures every simulator input, so sharing is semantics-free:
     callers get bit-identical :class:`SimResult` objects either way.
     """
@@ -134,7 +133,7 @@ class PlannerResult:
     #: the winning scheme's robust objective value (statistic over the
     #: perturbation draws) when planning with ``robust=``; None otherwise.
     robust_value: Optional[float] = None
-    #: times the best-so-far scheme was replaced during the search
+    #: times the best-so-far scheme changed in the selection replay
     #: (folds into the ``planner.incumbent_updates`` telemetry counter).
     incumbent_updates: int = 0
 
@@ -312,6 +311,170 @@ def _shift_candidates(
     return out
 
 
+class _PlannerSearch:
+    """One Planner search, with one method per step of Section III-B-2.
+
+    It owns the unit space, the memo of evaluated schemes (in evaluation
+    order: its size is ``evaluations``, its items are the ``history``),
+    the queue of schemes to expand and the set of schemes ever enqueued.
+    """
+
+    def __init__(
+        self, profile: ModelProfile, granularity: str, num_stages: int,
+        num_micro_batches: int, *, comm_mode: str, cooldown_adjust: bool,
+        memory_cap: Optional[float], sim_cache: Optional[SimCache],
+    ) -> None:
+        self.space = space = _UnitSpace(profile, granularity)
+        if num_stages > space.num_units:
+            raise ValueError(
+                f"{num_stages} stages exceed {space.num_units} "
+                f"{granularity}-granularity units"
+            )
+        self.num_stages = num_stages
+        self.num_micro_batches = num_micro_batches
+        self.comm_mode = comm_mode
+        self.cooldown_adjust = cooldown_adjust
+        self.memory_cap = memory_cap
+        self.sim_cache = sim_cache
+        self.memo: Dict[Sizes, SimResult] = {}
+        self.queue: Deque[Sizes] = deque()
+        self.enqueued: Set[Sizes] = set()
+
+    def evaluate(self, sizes: Sizes) -> SimResult:
+        """The nominal simulation of ``sizes``, run once per search."""
+        sim = self.memo.get(sizes)
+        if sim is None:
+            times = self.space.stage_times(sizes)
+            m, mode = self.num_micro_batches, self.comm_mode
+            if self.sim_cache is not None:
+                sim = self.sim_cache.simulate(times, m, mode)
+            else:
+                sim = PipelineSim(times, m, comm_mode=mode).run()
+            self.memo[sizes] = sim
+        return sim
+
+    def peaks(self, sizes: Sizes) -> List[float]:
+        return self.space.memory.stage_peaks(sizes, self.num_micro_batches)
+
+    def fits(self, sizes: Sizes) -> bool:
+        """Whether every stage of ``sizes`` fits the memory cap, if any."""
+        cap = self.memory_cap
+        return cap is None or not over_cap(self.peaks(sizes), cap)
+
+    def seed(self) -> None:
+        """Step 1: evaluate and enqueue the Algorithm-1 seed.
+
+        Time balance alone may overload a stage (typically the loss
+        head's): when the seed breaks the memory cap, a second trajectory
+        starts from its memory-repaired variant.
+        """
+        n = self.num_stages
+        seed = tuple(self.space.balance_table(n).sizes(n))
+        starts = [seed]
+        if not self.fits(seed):
+            repaired = shift_repair(
+                seed, self.peaks, self.memory_cap, self.space.num_units
+            )
+            if repaired is not None:  # it fits, so it is not the seed
+                starts.append(repaired)
+        for sizes in starts:
+            self.evaluate(sizes)
+            self.queue.append(sizes)
+            self.enqueued.add(sizes)
+
+    def cooldown(
+        self, sizes: Sizes, sim: SimResult
+    ) -> Tuple[Sizes, SimResult]:
+        """Step 2: the Eq. (1) fix of the stages after the master.
+
+        Returns the adjusted scheme and its simulation (the input when
+        nothing moves).  The paper proceeds to step 3 with the adjusted
+        scheme whether or not it is faster.
+        """
+        master = sim.master_stage
+        adjusted = _cooldown_adjust(
+            sizes, master, sim.stage_times.bwd[master], self.space
+        )
+        if adjusted == sizes:
+            return sizes, sim
+        return adjusted, self.evaluate(adjusted)
+
+    def expand(self, sizes: Sizes) -> None:
+        """Step 3 on one queued scheme: the four master-shift candidates.
+
+        The scheme first gets the step-2 fix (unless it is ablated).
+        Each candidate not enqueued before is evaluated, and enqueued
+        when its master stage is at or before the scheme's.
+        """
+        sim = self.memo[sizes]
+        if self.cooldown_adjust:
+            sizes, sim = self.cooldown(sizes, sim)
+        master = sim.master_stage
+        for cand in _shift_candidates(sizes, master, self.space):
+            if cand in self.enqueued:
+                continue
+            if self.evaluate(cand).master_stage <= master:
+                self.queue.append(cand)
+                self.enqueued.add(cand)
+
+    def run(
+        self, max_evaluations: int, tel: Optional[_obs.Telemetry]
+    ) -> None:
+        """Seed, then expand queued schemes until the queue is empty or
+        the memo holds ``max_evaluations`` schemes (checked between
+        expansions, so the last one may carry the count past it)."""
+        cache = self.sim_cache
+        if cache is not None:
+            hits0, misses0 = cache.hits, cache.misses
+        t = tel.clock() if tel is not None else 0
+        self.seed()
+        if tel is not None:
+            tel.record_since("planner.seed", t, depth=self.num_stages)
+        while self.queue and len(self.memo) < max_evaluations:
+            t = tel.clock() if tel is not None else 0
+            self.expand(self.queue.popleft())
+            if tel is not None:
+                tel.record_since("planner.expand", t)
+        if tel is not None and cache is not None:
+            tel.add("planner.sim_cache.hits", cache.hits - hits0)
+            tel.add("planner.sim_cache.misses", cache.misses - misses0)
+
+    def select(
+        self, robust: Optional[RobustObjective]
+    ) -> Tuple[Sizes, SimResult, float, int]:
+        """The winner: one strict ``<`` replay in evaluation order.
+
+        The replay runs over the schemes that fit the memory cap.  Their
+        values are the nominal iteration times or, under ``robust``, the
+        robust objective from one batched ``(schemes x K)``-row sweep.
+        Returns the winner's sizes, simulation and value, and how many
+        times the incumbent changed.
+        """
+        fitting = [(s, sim) for s, sim in self.memo.items() if self.fits(s)]
+        if not fitting:
+            raise RuntimeError(
+                f"no evaluated partition fits the "
+                f"{self.memory_cap / 2**30:.1f} GiB memory cap at depth "
+                f"{self.num_stages}"
+            )
+        if robust is None:
+            values = [sim.iteration_time for _, sim in fitting]
+        else:
+            values = robust_objective_batch(
+                np.array([sim.stage_times.fwd for _, sim in fitting]),
+                np.array([sim.stage_times.bwd for _, sim in fitting]),
+                fitting[0][1].stage_times.comm, self.num_micro_batches,
+                robust.factors(self.num_stages), robust.statistic,
+                comm_mode=self.comm_mode,
+            ).tolist()
+        best, updates = 0, 1
+        for i in range(1, len(values)):
+            if values[i] < values[best]:
+                best, updates = i, updates + 1
+        sizes, sim = fitting[best]
+        return sizes, sim, values[best], updates
+
+
 def plan_partition(
     profile: ModelProfile,
     num_stages: int,
@@ -337,6 +500,9 @@ def plan_partition(
     (``TypeError`` for a bool or non-integral value, ``ValueError``
     below 1).
     ``max_evaluations`` is an integer ``>= 1`` checked like the counts.
+    It is a soft cap: the search checks it between expansions, and one
+    expansion evaluates up to five new schemes (a cooldown fix and four
+    shifts), so ``evaluations`` can exceed it by up to four.
     ``memory_cap`` (bytes per device) makes the search memory-aware: a
     scheme with any stage above the cap can still guide the heuristic but
     can never be returned as the result.  A cap that is no real number (a
@@ -353,11 +519,11 @@ def plan_partition(
     draws are sampled once per call, so every candidate is compared
     under the same scenarios.  The *search moves* are still driven
     by the nominal simulations (master stage, cooldown adjust), so the
-    explored neighbourhood is unchanged — only the winner selection is:
-    every fitting candidate is scored after the search in one batched
-    ``(candidates x K)``-row sweep, and the selection is replayed in
-    the order the search first considered them.
-    The winning value is reported as ``PlannerResult.robust_value``.
+    explored neighbourhood is unchanged — only the winner selection is.
+    One replay selects for both objectives: a strict ``<`` pass over the
+    fitting schemes in evaluation order (``history``), with robust
+    values from one batched ``(schemes x K)``-row sweep.  The winning
+    value is reported as ``PlannerResult.robust_value``.
     The search runs in the calling process; ``jobs`` accepts only ``1``
     (any other integer raises ``ValueError``).  ``cache`` accepts only
     ``False`` (any other value raises ``TypeError``): every call searches.
@@ -380,11 +546,23 @@ def plan_partition(
     RobustObjective.check(robust)
     tel = _obs.current()
     t0 = tel.clock() if tel is not None else 0
-    result = _plan_impl(
-        profile, num_stages, num_micro_batches,
-        granularity=granularity, comm_mode=comm_mode,
-        cooldown_adjust=cooldown_adjust, max_evaluations=max_evaluations,
-        memory_cap=memory_cap, sim_cache=sim_cache, robust=robust,
+    start = _time.perf_counter()
+    search = _PlannerSearch(
+        profile, granularity, num_stages, num_micro_batches,
+        comm_mode=comm_mode, cooldown_adjust=cooldown_adjust,
+        memory_cap=memory_cap, sim_cache=sim_cache,
+    )
+    search.run(max_evaluations, tel)
+    sizes, sim, value, updates = search.select(robust)
+    result = PlannerResult(
+        partition=search.space.to_partition(sizes),
+        sim=sim,
+        evaluations=len(search.memo),
+        search_seconds=_time.perf_counter() - start,
+        granularity=granularity,
+        history=tuple((s, r.iteration_time) for s, r in search.memo.items()),
+        robust_value=value if robust is not None else None,
+        incumbent_updates=updates,
     )
     if tel is not None:
         tel.record_since(
@@ -394,186 +572,6 @@ def plan_partition(
         # Counters fold from the result's own fields, so the registry
         # and the PlannerResult can never disagree.
         tel.add("planner.plans", 1)
-        tel.add("planner.evaluations", result.evaluations)
-        tel.add("planner.search_seconds", result.search_seconds)
-        tel.add("planner.incumbent_updates", result.incumbent_updates)
+        for name in ("evaluations", "search_seconds", "incumbent_updates"):
+            tel.add(f"planner.{name}", getattr(result, name))
     return result
-
-
-def _plan_impl(
-    profile: ModelProfile,
-    num_stages: int,
-    num_micro_batches: int,
-    *,
-    granularity: str,
-    comm_mode: str,
-    cooldown_adjust: bool,
-    max_evaluations: int,
-    memory_cap: Optional[float],
-    sim_cache: Optional[SimCache],
-    robust: Optional[RobustObjective],
-) -> PlannerResult:
-    """The planner search body; ``plan_partition`` wraps it in telemetry."""
-    tel = _obs.current()
-    sim_hits0 = sim_cache.hits if sim_cache is not None else 0
-    sim_misses0 = sim_cache.misses if sim_cache is not None else 0
-    t0 = _time.perf_counter()
-    space = _UnitSpace(profile, granularity)
-    if num_stages > space.num_units:
-        raise ValueError(
-            f"{num_stages} stages exceed {space.num_units} "
-            f"{granularity}-granularity units"
-        )
-
-    scheme_cache: Dict[Sizes, SimResult] = {}
-    history: List[Tuple[Sizes, float]] = []
-    feasible: Dict[Sizes, bool] = {}
-
-    def fits(sizes: Sizes) -> bool:
-        if memory_cap is None:
-            return True
-        cached = feasible.get(sizes)
-        if cached is None:
-            cached = not over_cap(
-                space.memory.stage_peaks(sizes, num_micro_batches), memory_cap
-            )
-            feasible[sizes] = cached
-        return cached
-
-    def evaluate(sizes: Sizes) -> SimResult:
-        sim = scheme_cache.get(sizes)
-        if sim is None:
-            times = space.stage_times(sizes)
-            if sim_cache is not None:
-                sim = sim_cache.simulate(times, num_micro_batches, comm_mode)
-            else:
-                sim = PipelineSim(
-                    times, num_micro_batches, comm_mode=comm_mode
-                ).run()
-            scheme_cache[sizes] = sim
-            history.append((sizes, sim.iteration_time))
-        return sim
-
-    seed = tuple(space.balance_table(num_stages).sizes(num_stages))
-    best_sizes: Optional[Sizes] = None
-    best_sim: Optional[SimResult] = None
-    best_value: Optional[float] = None
-
-    # Robust mode: the search moves only on nominal simulations (master
-    # stage, cooldown adjustment, shifts), so robust values matter for
-    # selection alone.  Fitting candidates are recorded in the order they
-    # are first considered and scored after the search in one batched
-    # sweep; replaying the strict ``<`` selection in that order picks the
-    # winner (and counts the incumbent updates) exactly as scoring each
-    # candidate on arrival would.  A repeat consideration can never win
-    # the replay: its value equals the incumbent's or exceeds it.
-    considered: Dict[Sizes, SimResult] = {}
-    incumbent_updates = 0
-
-    def consider(sizes: Sizes, sim: SimResult) -> None:
-        nonlocal best_sizes, best_sim, best_value, incumbent_updates
-        if not fits(sizes):
-            return
-        if robust is not None:
-            considered.setdefault(sizes, sim)
-            return
-        value = sim.iteration_time
-        if best_value is None or value < best_value:
-            best_sizes, best_sim, best_value = sizes, sim, value
-            incumbent_updates += 1
-
-    if tel is not None:
-        t_seed = tel.clock()
-        seed_sim = evaluate(seed)
-        tel.record_since("planner.seed", t_seed, depth=num_stages)
-    else:
-        seed_sim = evaluate(seed)
-    consider(seed, seed_sim)
-
-    queue: Deque[Sizes] = deque([seed])
-    enqueued = {seed}
-    if memory_cap is not None and not fits(seed):
-        # Time-balance alone may overload a stage (typically the loss
-        # head's); seed a second search trajectory from a memory-repaired
-        # variant so a feasible optimum is always reachable.
-        repaired = shift_repair(
-            seed,
-            lambda sizes: space.memory.stage_peaks(sizes, num_micro_batches),
-            memory_cap, space.num_units,
-        )
-        if repaired is not None and repaired not in enqueued:
-            consider(repaired, evaluate(repaired))
-            queue.append(repaired)
-            enqueued.add(repaired)
-    def expand(sizes: Sizes) -> None:
-        """One master-shift expansion (the former loop body, verbatim)."""
-        sim = evaluate(sizes)
-        master = sim.master_stage
-
-        if cooldown_adjust:
-            adjusted = _cooldown_adjust(
-                sizes, master, sim.stage_times.bwd[master], space
-            )
-            if adjusted != sizes:
-                adj_sim = evaluate(adjusted)
-                consider(adjusted, adj_sim)
-                # Paper: proceed to step 3 with the adjusted scheme
-                # either way.
-                sizes, sim = adjusted, adj_sim
-                master = sim.master_stage
-
-        consider(sizes, sim)
-        if master == 0:
-            return
-        for cand in _shift_candidates(sizes, master, space):
-            if cand in enqueued:
-                continue
-            cand_sim = evaluate(cand)
-            consider(cand, cand_sim)
-            if cand_sim.master_stage <= master:
-                queue.append(cand)
-                enqueued.add(cand)
-
-    while queue and len(scheme_cache) < max_evaluations:
-        sizes = queue.popleft()
-        if tel is not None:
-            t_it = tel.clock()
-            expand(sizes)
-            tel.record_since("planner.expand", t_it)
-        else:
-            expand(sizes)
-
-    if considered:
-        assert robust is not None
-        sims = list(considered.values())
-        values = robust_objective_batch(
-            np.array([sim.stage_times.fwd for sim in sims]),
-            np.array([sim.stage_times.bwd for sim in sims]),
-            sims[0].stage_times.comm, num_micro_batches,
-            robust.factors(num_stages), robust.statistic,
-            comm_mode=comm_mode,
-        )
-        for (sizes, sim), value in zip(considered.items(), values.tolist()):
-            if best_value is None or value < best_value:
-                best_sizes, best_sim, best_value = sizes, sim, value
-                incumbent_updates += 1
-
-    if best_sizes is None or best_sim is None:
-        raise RuntimeError(
-            f"no evaluated partition fits the {memory_cap / 2**30:.1f} GiB "
-            f"memory cap at depth {num_stages}"
-        )
-    elapsed = _time.perf_counter() - t0
-    if tel is not None and sim_cache is not None:
-        tel.add("planner.sim_cache.hits", sim_cache.hits - sim_hits0)
-        tel.add("planner.sim_cache.misses", sim_cache.misses - sim_misses0)
-    return PlannerResult(
-        partition=space.to_partition(best_sizes),
-        sim=best_sim,
-        evaluations=len(scheme_cache),
-        search_seconds=elapsed,
-        granularity=granularity,
-        history=tuple(history),
-        robust_value=best_value if robust is not None else None,
-        incumbent_updates=incumbent_updates,
-    )

@@ -36,14 +36,18 @@ class BlockProfile:
     workspace_bytes: float
 
     def __post_init__(self) -> None:
-        # One chained compare per field (NaN fails every one): a model
-        # set-up builds thousands of these.
+        # A model set-up builds thousands of these, so fields that are
+        # all plain floats take one chained compare each (NaN fails every
+        # one); anything else, a bool included, goes to the full check.
+        f, b, p, a, s, w = (
+            self.fwd_time, self.bwd_time, self.params,
+            self.activation_out_bytes, self.stash_bytes, self.workspace_bytes,
+        )
         if not (
-            0.0 <= self.fwd_time < _INF and 0.0 <= self.bwd_time < _INF
-            and 0.0 <= self.params < _INF
-            and 0.0 <= self.activation_out_bytes < _INF
-            and 0.0 <= self.stash_bytes < _INF
-            and 0.0 <= self.workspace_bytes < _INF
+            float is type(f) is type(b) is type(p) is type(a) is type(s)
+            is type(w)
+            and 0.0 <= f < _INF and 0.0 <= b < _INF and 0.0 <= p < _INF
+            and 0.0 <= a < _INF and 0.0 <= s < _INF and 0.0 <= w < _INF
         ):
             for name in (
                 "fwd_time", "bwd_time", "params", "activation_out_bytes",

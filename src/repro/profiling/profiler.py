@@ -110,14 +110,16 @@ def profile_model(
     # (``__post_init__`` still validates; ``dataclasses.replace`` is
     # slower, and a model set-up builds thousands).
     by_kind: Dict[BlockKind, tuple] = {}
+    profiles = []
     for b in blocks:
-        if b.kind not in by_kind:
+        fields = by_kind.get(b.kind)
+        if fields is None:
             bp = _profile_block(b, model, hardware, train)
-            by_kind[b.kind] = (
+            fields = by_kind[b.kind] = (
                 bp.fwd_time, bp.bwd_time, bp.params,
                 bp.activation_out_bytes, bp.stash_bytes, bp.workspace_bytes,
             )
-    profiles = [BlockProfile(b, *by_kind[b.kind]) for b in blocks]
+        profiles.append(BlockProfile(b, *fields))
 
     if noise > 0:
         if seed is None:

@@ -14,7 +14,7 @@ numpy-integer count                       the result of the equal ``int``
 bool or str cost, cap or factor           ``TypeError`` naming the argument
 NaN, inf or negative cost, cap or factor  ``ValueError`` naming the argument
 zero cap, slowdown or comm factor         ``ValueError`` naming the argument
-probability above 1                       ``ValueError`` naming it
+probability or efficiency above 1         ``ValueError`` naming it
 non-bool flag, non-str choice             ``TypeError`` naming the argument
 unknown choice                            ``ValueError`` naming the argument
 ========================================  ==================================
@@ -26,6 +26,7 @@ m = 1, a single block, zero costs), and :class:`TestPlanCli` the exit of
 ``repro plan`` for bad flag values.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -33,6 +34,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.cli import main
+from repro.config import HardwareConfig
 from repro.core.analytic_sim import PipelineSim
 from repro.core.balance_dp import BalanceTable
 from repro.core.exhaustive import exhaustive_partition
@@ -138,6 +140,26 @@ REALS = {
         "factor", True, lambda v: CommDegradation(v)),
     "CommDegradation-probability": (
         "probability", False, lambda v: CommDegradation(2.0, probability=v)),
+    **{
+        f"BlockProfile-{name}": (
+            f"BlockProfile.{name}", False,
+            lambda v, name=name: dataclasses.replace(
+                _PROFILE.blocks[0], **{name: v}))
+        for name in (
+            "fwd_time", "bwd_time", "params", "activation_out_bytes",
+            "stash_bytes", "workspace_bytes",
+        )
+    },
+    **{
+        f"HardwareConfig-{name}": (
+            name, positive, lambda v, name=name: HardwareConfig(**{name: v}))
+        for name, positive in (
+            ("memory_bandwidth", True),
+            ("memory_bandwidth_efficiency", True),
+            ("link_latency", False),
+            ("kernel_launch_overhead", False),
+        )
+    },
 }
 
 
@@ -298,6 +320,15 @@ class TestReals:
         name, _, call = REALS[entry]
         with pytest.raises(ValueError, match=name):
             call(value)
+
+    @pytest.mark.parametrize("name", [
+        "flops_efficiency", "memory_bandwidth_efficiency",
+        "bandwidth_efficiency",
+    ])
+    @pytest.mark.parametrize("value", [1.0 + 2**-52, 1.5, 100])
+    def test_efficiency_above_one_is_value_error(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            HardwareConfig(**{name: value})
 
     def test_a_cap_no_partition_fits_is_runtime_error(self):
         with pytest.raises(RuntimeError, match="memory cap"):
