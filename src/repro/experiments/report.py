@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.experiments import (
+    autotune,
     fig9,
     fig10,
     fig11,
@@ -103,6 +104,7 @@ def generate_report() -> str:
         ("Table II — partition schemes", table2),
         ("Table III — planners, low memory", table3),
         ("Table IV — planners, high memory", table4),
+        ("Autotune — joint (dp x pp x slices) search", autotune),
     ):
         sections += ["", f"## {title}", "", _code_block(mod.run().render())]
 
