@@ -6,9 +6,11 @@ the pipeline stages, and it combines data and pipeline parallelism in the
 way Megatron-LM uses" (Section IV-D) — i.e. every stage shares one DP
 width.  AutoPipe's rule is the *shallowest pipeline that fits in memory*:
 pipelining deeper than memory requires only adds bubbles, so it walks the
-divisor depths in increasing order, checks the memory footprint of the
-Algorithm-1 seed partition, and runs the full Planner search once for the
-first feasible depth.
+divisor depths in increasing order and takes the first one that fits.
+The memory-capped Planner (:func:`plan_partition` with ``memory_cap``) is
+the one judge of whether a pipeline fits: it seeds the Algorithm-1
+partition, and its memory-repaired variant when the seed overloads a
+stage, and never returns a scheme above the cap.
 
 With low memory demand this picks pure data parallelism (matching Piper,
 Table III); with high demand it picks 2 stages for GPT-2 345M at mbs 32
@@ -17,24 +19,24 @@ and 4 stages for GPT-2 1.3B at mbs 16 (Table IV).
 
 from __future__ import annotations
 
-import math
 import time as _time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro import _checks
 from repro.baselines.common import PlannedConfig
-from repro.core.balance_dp import BalanceTable
 from repro.obs import telemetry as _obs
-from repro.core.partition import PartitionScheme, shift_repair
+from repro.core.partition import PartitionScheme, stage_times
 from repro.core.planner import plan_partition
-from repro.parallel.memory_model import (
-    MemoryTable,
-    check_config,
-    config_memory,
-    over_cap,
-)
+from repro.parallel.memory_model import config_memory, over_cap
 from repro.profiling.modelconfig import ModelProfile
+
+#: Largest candidate space the autotuner hands to the exact oracle; deeper
+#: layouts go to the Planner.  The oracle's memory grows with the space:
+#: uncapped, over the autotuner's layouts of the zoo at 4-16 GPUs, it was
+#: killed for memory on an 8 GB host, so the gate stays until the
+#: oracle's memory is bounded.
+_ORACLE_MAX_SPACE = 50_000
 
 
 def _fits(
@@ -51,46 +53,23 @@ def _fits(
     return not over_cap(peaks, profile.hardware.gpu_memory)
 
 
-def repair_memory(
-    profile: ModelProfile,
-    partition: PartitionScheme,
-    dp: int,
-    num_micro_batches_total: int,
-    mbs: int,
-) -> Optional[PartitionScheme]:
-    """Shift blocks off memory-violating stages until the plan fits.
-
-    The Planner balances *time*; the stage holding the loss head can still
-    exceed device memory (its logits workspace is batch-proportional).
-    This pass moves one boundary block at a time from the most-violating
-    stage to its lighter neighbour, preferring the neighbour with more
-    headroom, and gives up (returns ``None``) when no move helps.  Every
-    move is scored by one :class:`MemoryTable`, with
-    :func:`config_memory`'s stream peaks at a uniform width ``dp``.
-    """
-    m, _, replicas = check_config(
-        profile, partition, (dp,) * partition.num_stages,
-        num_micro_batches_total, mbs,
-    )
-    table = MemoryTable(profile)
-    in_flight = math.ceil(m / replicas[0])
-    sizes = shift_repair(
-        partition.sizes,
-        lambda sizes: table.stage_peaks(sizes, in_flight),
-        profile.hardware.gpu_memory,
-        profile.num_blocks,
-    )
-    return None if sizes is None else PartitionScheme.from_sizes(sizes)
+def _one_stage(profile: ModelProfile) -> PartitionScheme:
+    return PartitionScheme((tuple(range(profile.num_blocks)),))
 
 
 def autopipe_config(
     profile: ModelProfile,
     num_gpus: int,
     global_batch_size: int,
-    *,
-    granularity: str = "sublayer",
 ) -> PlannedConfig:
-    """Choose (dp, pp) and the balanced partition for a whole cluster."""
+    """Choose (dp, pp) and the balanced partition for a whole cluster.
+
+    Walks the divisor depths ``pp`` of ``num_gpus`` shallowest first, at
+    ``dp = num_gpus / pp``, and returns the first that fits: one stage
+    when the whole model fits a device, a pipeline when the memory-capped
+    Planner finds a plan (its ``RuntimeError`` moves the walk on).  Raises
+    ``RuntimeError`` when no depth fits.
+    """
     tel = _obs.current()
     t_obs = tel.clock() if tel is not None else 0
     t0 = _time.perf_counter()
@@ -101,48 +80,25 @@ def autopipe_config(
         raise ValueError("global batch not divisible by micro-batch size")
     m_total = global_batch_size // mbs
 
-    # One Algorithm-1 table over the block times answers the seed of
-    # every divisor depth the walk probes.
-    balance: Optional[BalanceTable] = None
-    for pp in sorted(
-        p for p in range(1, num_gpus + 1) if num_gpus % p == 0
-    ):
+    for pp in range(1, min(num_gpus, profile.num_blocks) + 1):
         dp = num_gpus // pp
-        if m_total % dp != 0 or m_total // dp < 1:
+        if num_gpus % pp != 0 or m_total % dp != 0:
             continue
         m = m_total // dp
-        if pp > profile.num_blocks:
-            continue
-        # Feasibility probe: the Algorithm-1 seed, memory-repaired if the
-        # time-balanced split overloads a stage (typically the loss head's).
         if pp == 1:
-            seed = PartitionScheme((tuple(range(profile.num_blocks)),))
-        else:
-            if balance is None:
-                balance = BalanceTable(
-                    profile.block_times(),
-                    min(num_gpus, profile.num_blocks),
-                )
-            seed = balance.partition(pp)
-        repaired_seed = repair_memory(profile, seed, dp, m_total, mbs)
-        if repaired_seed is None:
-            continue
-        # First feasible depth wins; run the real Planner search for it,
-        # memory-aware so it never returns an overloading scheme.
-        if pp == 1:
-            partition = repaired_seed
+            partition = _one_stage(profile)
+            if not _fits(profile, partition, dp, m_total, mbs):
+                continue
             predicted = profile.total_time() * m
         else:
             try:
                 planned = plan_partition(
-                    profile, pp, m, granularity=granularity,
-                    memory_cap=profile.hardware.gpu_memory,
+                    profile, pp, m, memory_cap=profile.hardware.gpu_memory,
                 )
-                partition = planned.partition
-                predicted = planned.iteration_time
             except RuntimeError:
-                partition = repaired_seed
-                predicted = profile.total_time() * m
+                continue
+            partition = planned.partition
+            predicted = planned.iteration_time
         if tel is not None:
             tel.record_since(
                 "strategy.autopipe_config", t_obs,
@@ -176,8 +132,9 @@ class AutotuneCandidate:
     slice_count: int
     status: str
     partition: Optional[PartitionScheme] = None
-    #: which search produced the partition: "oracle" (exact),
-    #: "planner" (heuristic), or "trivial" (pp == 1).
+    #: which search produced the partition: "oracle" (exact, and its
+    #: argmin fits), "planner" (the memory-capped heuristic), "trivial"
+    #: (pp == 1), or "" when no partition fits (status "OOM").
     planner: str = ""
     #: DES-executed iteration time of one replica (s); the whole cluster
     #: consumes the global batch in this time at any layout, so values
@@ -215,10 +172,6 @@ class AutotuneResult:
 def autotune_config(
     profile: ModelProfile,
     num_gpus: int,
-    *,
-    granularity: str = "sublayer",
-    comm_mode: str = "paper",
-    oracle_max_space: int = 50_000,
 ) -> AutotuneResult:
     """Joint (data-parallel x pipeline-depth x slice-count) search.
 
@@ -226,20 +179,20 @@ def autotune_config(
     shallowest memory-feasible pipeline and trusts Algorithm 2's slice
     count.  The autotuner *searches* instead: every batch-compatible
     layout of the cluster (:func:`repro.parallel.grid.layouts_for`) has
-    its partition planned — through the exact oracle
-    (:func:`repro.core.exhaustive.exhaustive_partition`) while the
-    candidate space is at most ``oracle_max_space``, through the
-    heuristic planner above that — and then every admissible Slicer
-    count (0 .. p-1) is executed; the candidate with the lowest executed
+    its partition planned, and then every admissible Slicer count
+    (0 .. p-1) is executed; the candidate with the lowest executed
     iteration time wins (ties break toward the shallower pipeline, then
     the smaller slice count).  Because each layout's replicas consume
     the global batch together, iteration times compare directly across
     layouts (data-parallel gradient synchronisation is outside the
     model, as everywhere in this repo).
 
-    Memory-infeasible layouts are reported with status ``"OOM"``,
-    depth-infeasible ones with ``"X"``; raises ``RuntimeError`` when no
-    candidate is feasible.
+    A pipelined layout's partition comes from the first of: the exact
+    oracle (:func:`repro.core.exhaustive.exhaustive_partition`), when
+    its candidate space is at most ``_ORACLE_MAX_SPACE`` and its argmin
+    fits in memory; the memory-capped Planner; otherwise the layout is
+    reported with status ``"OOM"``.  Depth-infeasible layouts get
+    ``"X"``; raises ``RuntimeError`` when no candidate is feasible.
 
     Each layout's slice-count sweep runs through
     :func:`repro.sim.slice_eval.evaluate_slice_counts`, which emits the
@@ -263,19 +216,6 @@ def autotune_config(
     m_total = train.global_batch_size // mbs
     candidates: list = []
 
-    # Shared Algorithm-1 table: every layout's repair fallback seeds
-    # from the same one-time DP instead of re-solving per depth.
-    balance: Optional[BalanceTable] = None
-
-    def _alg1_seed(depth: int) -> PartitionScheme:
-        nonlocal balance
-        if balance is None:
-            balance = BalanceTable(
-                profile.block_times(),
-                min(num_gpus, profile.num_blocks),
-            )
-        return balance.partition(depth)
-
     for layout in layouts_for(num_gpus, train):
         pp = layout.pipeline_stages
         dp = layout.data_parallel
@@ -289,46 +229,28 @@ def autotune_config(
         # -- partition search ------------------------------------------
         t_plan = tel.clock() if tel is not None else 0
         plan_t0 = _time.perf_counter()
-        partition: Optional[PartitionScheme] = None
-        planner_name = ""
         if pp == 1:
-            partition = PartitionScheme((tuple(range(profile.num_blocks)),))
-            planner_name = "trivial"
+            partition, planner_name = _one_stage(profile), "trivial"
         else:
-            if count_partitions(profile.num_blocks, pp) <= oracle_max_space:
+            partition, planner_name = None, ""
+            if count_partitions(profile.num_blocks, pp) <= _ORACLE_MAX_SPACE:
                 oracle = exhaustive_partition(
-                    profile, pp, m, comm_mode=comm_mode,
-                    max_evaluations=None,
+                    profile, pp, m, max_evaluations=None,
                 )
                 if _fits(profile, oracle.partition, dp, m_total, mbs):
-                    partition = oracle.partition
-                    planner_name = "oracle"
+                    partition, planner_name = oracle.partition, "oracle"
             if partition is None:
                 try:
-                    planned = plan_partition(
-                        profile, pp, m, granularity=granularity,
-                        comm_mode=comm_mode,
+                    partition = plan_partition(
+                        profile, pp, m,
                         memory_cap=profile.hardware.gpu_memory,
-                    )
-                    partition = planned.partition
-                    planner_name = "planner"
-                except (RuntimeError, ValueError):
-                    partition = None
-            if partition is None or not _fits(
-                profile, partition, dp, m_total, mbs
-            ):
-                repaired = repair_memory(
-                    profile,
-                    partition or _alg1_seed(pp),
-                    dp, m_total, mbs,
-                )
-                if repaired is None:
+                    ).partition
+                except RuntimeError:
                     candidates.append(AutotuneCandidate(
                         layout=layout, slice_count=0, status="OOM",
                     ))
                     continue
-                partition = repaired
-                planner_name = planner_name or "repair"
+                planner_name = "planner"
         plan_seconds = _time.perf_counter() - plan_t0
         if tel is not None:
             tel.record_since(
@@ -338,9 +260,7 @@ def autotune_config(
             t_slices = tel.clock()
 
         # -- slice-count sweep on the executed schedule ----------------
-        from repro.core.partition import stage_times as _stage_times_of
-
-        times = _stage_times_of(partition, profile)
+        times = stage_times(partition, profile)
         try:
             alg2 = solve_slice_count(times, m)
         except ValueError:

@@ -9,7 +9,7 @@ of depth ``pp`` with ``dp * pp == G``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List
 
 from repro.config import TrainConfig
 
@@ -70,16 +70,3 @@ def layouts_for(num_gpus: int, train: TrainConfig) -> List[ParallelLayout]:
         out.append(layout)
     return out
 
-
-def joint_config_space(
-    num_gpus: int, train: TrainConfig
-) -> Iterator[Tuple[ParallelLayout, int]]:
-    """The autotuner's (data-parallel x pipeline-depth x slice-count) grid.
-
-    Yields every batch-compatible layout of the cluster paired with each
-    of its admissible Slicer counts, shallowest pipeline first — the
-    joint space ``autotune_config`` searches end to end.
-    """
-    for layout in layouts_for(num_gpus, train):
-        for num_sliced in layout.slice_candidates(train):
-            yield layout, num_sliced

@@ -15,10 +15,11 @@ micro-batches, paper Fig. 14(a)).
 
 Callers: :func:`stage_memory`, :func:`pipeline_fits` and
 :func:`interleaved_stage_memory`; the Planner's ``memory_cap`` filter and
-repaired seed, over its granularity units; :func:`config_memory`, behind
-every baseline's ``evaluate_config`` OOM flag and AutoPipe's depth choice
-(:mod:`repro.core.strategy`, whose repair scores every move from one
-table).  DAPPLE's optimistic ``feasible`` and Piper's TP-divided
+repaired seed, over its granularity units, which is also the one test of
+whether a pipeline depth fits in AutoPipe's depth choice and the
+autotuner (:mod:`repro.core.strategy`); :func:`config_memory`, behind
+every baseline's ``evaluate_config`` OOM flag and the one-stage and
+oracle-argmin checks of :mod:`repro.core.strategy`.  DAPPLE's optimistic ``feasible`` and Piper's TP-divided
 ``_StageTables`` are those planners' own accounting and stay in
 :mod:`repro.baselines`.  ``tests/parallel/test_memory_model.py`` holds
 the 1F1B, GPipe and interleaved peaks bit-identical to the DES's on

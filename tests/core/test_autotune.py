@@ -1,9 +1,11 @@
 """Cluster-wide joint autotuner: (dp x pp x slice-count) end to end."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.strategy import autotune_config
-from repro.parallel.grid import ParallelLayout, joint_config_space, layouts_for
+from repro.parallel.grid import ParallelLayout, layouts_for
 
 
 class TestJointSpace:
@@ -13,14 +15,6 @@ class TestJointSpace:
 
     def test_pp1_has_only_unsliced(self, train):
         assert list(ParallelLayout(4, 1).slice_candidates(train)) == [0]
-
-    def test_space_enumerates_every_layout_slice_pair(self, train):
-        pairs = list(joint_config_space(8, train))
-        layouts = {layout for layout, _ in pairs}
-        assert layouts == set(layouts_for(8, train))
-        for layout in layouts:
-            counts = [s for lo, s in pairs if lo == layout]
-            assert counts == list(layout.slice_candidates(train))
 
 
 class TestAutotune:
@@ -36,6 +30,19 @@ class TestAutotune:
         # One candidate per (layout, slice-count) point of the space.
         assert len(tuned.candidates) >= tuned.layouts_searched
 
+    def test_candidates_cover_every_layout_slice_pair(
+        self, tuned, tiny_profile
+    ):
+        """Every layout fits here, so there is exactly one candidate per
+        (layout, slice count) of ``layouts_for x slice_candidates``,
+        shallowest pipeline first."""
+        train = tiny_profile.train
+        assert [(c.layout, c.slice_count) for c in tuned.candidates] == [
+            (layout, count)
+            for layout in layouts_for(4, train)
+            for count in layout.slice_candidates(train)
+        ]
+
     def test_best_is_the_executed_argmin(self, tuned):
         feasible = [c for c in tuned.candidates if c.ok]
         assert tuned.best in feasible
@@ -44,7 +51,7 @@ class TestAutotune:
             for c in feasible
         )
         assert tuned.best.partition is not None
-        assert tuned.best.planner in ("oracle", "planner", "trivial", "repair")
+        assert tuned.best.planner in ("oracle", "planner", "trivial")
 
     def test_beats_or_matches_every_single_layout(self, tuned):
         """The joint argmin can never lose to a fixed-layout choice."""
@@ -60,9 +67,12 @@ class TestAutotune:
                 assert 0 <= c.algorithm2_slices < c.layout.pipeline_stages
 
     def test_infeasible_cluster_raises(self, tiny_profile):
-        # 64-way data parallelism cannot divide a 16-micro-batch global
-        # batch at every depth; depth > num_blocks is marked "X" — an
-        # empty feasible set must raise, not return a bogus best.
+        """A cluster where no layout fits in memory raises instead of
+        returning a bogus best; a layout of no GPUs is malformed."""
+        hardware = dataclasses.replace(tiny_profile.hardware, gpu_memory=1.0)
+        starved = dataclasses.replace(tiny_profile, hardware=hardware)
+        with pytest.raises(RuntimeError, match="no feasible"):
+            autotune_config(starved, 4)
         with pytest.raises(ValueError):
             ParallelLayout(0, 1)
 

@@ -1,16 +1,11 @@
-"""Cluster-level strategy tests: dp/pp choice and memory repair."""
+"""Cluster-level strategy tests: the dp/pp choice and its arguments."""
 
 import pytest
 
 from repro.baselines.dapple import plan_dapple
 from repro.baselines.piper import plan_piper
 from repro.config import TrainConfig
-from repro.core.balance_dp import balanced_partition
-from repro.core.strategy import (
-    autopipe_config,
-    autotune_config,
-    repair_memory,
-)
+from repro.core.strategy import autopipe_config, autotune_config
 from repro.hardware.device import DEFAULT_CLUSTER_HW
 from repro.models.zoo import GPT2_1_3B, GPT2_345M
 from repro.profiling import profile_model
@@ -45,6 +40,19 @@ class TestRemovedKeywords:
         ):
             with pytest.raises(TypeError, match="sim_cache"):
                 call(sim_cache=SimCache())
+
+    @pytest.mark.parametrize("keyword", [
+        "granularity", "comm_mode", "oracle_max_space",
+    ])
+    def test_cluster_planners_take_no_options(self, gpt2_profile, keyword):
+        """Both cluster planners search at sub-layer granularity in paper
+        mode; neither takes a keyword option."""
+        for call in (
+            lambda **kw: autotune_config(gpt2_profile, 4, **kw),
+            lambda **kw: autopipe_config(gpt2_profile, 4, 128, **kw),
+        ):
+            with pytest.raises(TypeError, match=keyword):
+                call(**{keyword: None})
 
 
 _CLUSTER_PLANNERS = {
@@ -121,27 +129,3 @@ class TestAutopipeConfig:
         profile = make_profile(GPT2_345M, 4, 128)
         with pytest.raises(ValueError):
             autopipe_config(profile, 4, 130)
-
-
-class TestRepairMemory:
-    def test_fitting_partition_unchanged(self):
-        profile = make_profile(GPT2_345M, 4, 64)
-        part = balanced_partition(profile.block_times(), 4)
-        repaired = repair_memory(profile, part, 1, 16, 4)
-        assert repaired == part
-
-    def test_overloaded_logits_stage_is_lightened(self):
-        profile = make_profile(GPT2_345M, 32, 512)
-        part = balanced_partition(profile.block_times(), 2)
-        repaired = repair_memory(profile, part, 2, 16, 32)
-        assert repaired is not None
-        # The last (loss-head) stage lost blocks to the first.
-        assert repaired.sizes[-1] <= part.sizes[-1]
-        from repro.baselines.common import config_memory
-        peaks = config_memory(profile, repaired, (2, 2), 16, 32, "stream")
-        assert all(p <= profile.hardware.gpu_memory for p in peaks)
-
-    def test_impossible_case_returns_none(self):
-        profile = make_profile(GPT2_1_3B, 16, 256)
-        part = balanced_partition(profile.block_times(), 2)
-        assert repair_memory(profile, part, 2, 16, 16) is None

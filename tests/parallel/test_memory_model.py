@@ -12,14 +12,12 @@ from repro.baselines.common import PlannedConfig, evaluate_config
 from repro.config import HardwareConfig, ModelConfig, TrainConfig
 from repro.core.balance_dp import balanced_partition
 from repro.core.partition import PartitionScheme, shift_repair
-from repro.core.planner import _UnitSpace, plan_partition
-from repro.core.strategy import repair_memory
+from repro.core.planner import _PlannerSearch, _UnitSpace, plan_partition
 from repro.hardware.cluster import Cluster
 from repro.hardware.device import DEFAULT_CLUSTER_HW
 from repro.models.blocks import Block, BlockKind
 from repro.models.zoo import BERT_LARGE, GPT2_1_3B, GPT2_345M, GPT2_762M
 from repro.parallel.memory_model import (
-    MemoryTable,
     config_memory,
     interleaved_stage_memory,
     pipeline_fits,
@@ -309,52 +307,44 @@ class TestFitsBoundary:
             return
         assert capped.partition != free.partition
 
-    def test_autopipe_repair(self, tiny_profile):
-        seed = balanced_partition(tiny_profile.block_times(), 3)
-        peak = max(config_memory(tiny_profile, seed, (2,) * 3, 16, 4))
-        at = repair_memory(_with_cap(tiny_profile, peak), seed, 2, 16, 4)
-        assert at == seed
-        below = _with_cap(tiny_profile, np.nextafter(peak, 0))
-        assert repair_memory(below, seed, 2, 16, 4) != seed
-
-    def test_repair_scores_every_move_from_one_table(
-        self, tiny_profile, monkeypatch
-    ):
-        """One :class:`MemoryTable` per repair, and the same moves as
-        :func:`shift_repair` scored by :func:`config_memory` per move."""
-        seed = balanced_partition(tiny_profile.block_times(), 4)
-        peaks = config_memory(tiny_profile, seed, (2,) * 4, 16, 4)
-        builds = []
-        init = MemoryTable.__init__
-
-        def counted(table, *args, **kwargs):
-            builds.append(1)
-            init(table, *args, **kwargs)
-
-        most_moves = 0
+    def test_planner_repair_moves_match_config_memory(self, tiny_profile):
+        """The capped Planner's second seed is :func:`shift_repair` of its
+        Algorithm-1 seed with every move scored by :func:`config_memory`;
+        the seed alone starts the search when it fits."""
+        mbs = tiny_profile.train.micro_batch_size
+        free = _PlannerSearch(
+            tiny_profile, "sublayer", 4, 8, comm_mode="paper",
+            cooldown_adjust=True, memory_cap=None, sim_cache=None,
+        )
+        free.seed()
+        (sizes,) = free.queue
+        peaks = config_memory(
+            tiny_profile, PartitionScheme.from_sizes(sizes), (1,) * 4, 8, mbs
+        )
+        most_moves = repaired = 0
         for cap in np.linspace(min(peaks), max(peaks), 9):
-            profile = _with_cap(tiny_profile, float(cap))
             moves = []
 
-            def spec_peaks(sizes):
-                moves.append(sizes)
+            def spec_peaks(trial):
+                moves.append(trial)
                 return config_memory(
-                    profile, PartitionScheme.from_sizes(sizes), (2,) * 4,
-                    16, 4,
+                    tiny_profile, PartitionScheme.from_sizes(trial),
+                    (1,) * 4, 8, mbs,
                 )
 
             spec = shift_repair(
-                seed.sizes, spec_peaks, cap, tiny_profile.num_blocks
+                sizes, spec_peaks, cap, tiny_profile.num_blocks
             )
             most_moves = max(most_moves, len(moves))
-            monkeypatch.setattr(MemoryTable, "__init__", counted)
-            builds.clear()
-            got = repair_memory(profile, seed, 2, 16, 4)
-            monkeypatch.setattr(MemoryTable, "__init__", init)
-            assert len(builds) == 1
-            assert got == (None if spec is None
-                           else PartitionScheme.from_sizes(spec))
-        assert most_moves >= 3
+            search = _PlannerSearch(
+                tiny_profile, "sublayer", 4, 8, comm_mode="paper",
+                cooldown_adjust=True, memory_cap=float(cap), sim_cache=None,
+            )
+            search.seed()
+            want = [sizes] if spec in (None, sizes) else [sizes, spec]
+            assert list(search.queue) == want
+            repaired += len(want) == 2
+        assert most_moves >= 3 and repaired >= 1
 
     @pytest.mark.parametrize("semantics", ["stream", "subbatch"])
     def test_evaluate_config_oom(self, tiny_profile, semantics):
